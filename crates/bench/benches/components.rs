@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the core substrates: B+tree, lock table,
-//! log buffer, Zipf sampling, and the DES kernel.
+//! log buffer, WAL commit, Zipf sampling, and the DES kernel.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,6 +13,7 @@ use islands_storage::lock::{LockId, LockMode, LockTable};
 use islands_storage::store::MemStore;
 use islands_storage::wal::buffer::LogBuffer;
 use islands_storage::wal::record::LogPayload;
+use islands_storage::wal::{DiscardLogDevice, LogDevice, LogManager};
 use islands_storage::TxnId;
 use islands_workload::Zipf;
 use rand::rngs::SmallRng;
@@ -19,7 +21,7 @@ use rand::SeedableRng;
 
 fn bench_btree(c: &mut Criterion) {
     let pool = BufferPool::new(Arc::new(MemStore::new()), 8192);
-    pool.set_wal_barrier(Arc::new(|| {}));
+    pool.set_wal_barrier(Arc::new(|| Ok(())));
     let tree = BTree::create(pool).unwrap();
     for k in 0..100_000u64 {
         tree.insert(k, k).unwrap();
@@ -60,9 +62,73 @@ fn bench_log_buffer(c: &mut Criterion) {
             if lb.should_flush() {
                 let (base, bytes) = lb.take_batch().unwrap();
                 lb.mark_durable(base + bytes.len() as u64);
+                lb.recycle(bytes);
             }
             std::hint::black_box(lsn)
         })
+    });
+}
+
+/// A log device whose `sync` takes a disk-like while (and keeps no bytes,
+/// so a long measurement does not grow the process).
+struct DelayedDevice {
+    inner: Arc<DiscardLogDevice>,
+    sync_delay: Duration,
+}
+
+impl LogDevice for DelayedDevice {
+    fn append(&self, bytes: &[u8]) -> islands_storage::Result<()> {
+        self.inner.append(bytes)
+    }
+    fn sync(&self) -> islands_storage::Result<()> {
+        std::thread::sleep(self.sync_delay);
+        Ok(())
+    }
+    fn read_all(&self) -> islands_storage::Result<Vec<u8>> {
+        self.inner.read_all()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+/// One forced commit (`append` + `commit_durable`) as seen by one committer,
+/// alone and beside three others, on a memory-speed and on a delayed device:
+/// the WAL hop of the per-layer budget. Alone, a commit costs one device
+/// turn and no wait; in company on the delayed device it costs up to two
+/// (the flush in flight, then the one its record rides) while the device
+/// sees a fraction of the syncs.
+fn bench_wal_commit(c: &mut Criterion) {
+    for committers in [1u64, 4] {
+        wal_commit_case(c, "mem", committers, DiscardLogDevice::new());
+        let delayed = Arc::new(DelayedDevice {
+            inner: DiscardLogDevice::new(),
+            sync_delay: Duration::from_micros(200),
+        });
+        wal_commit_case(c, "delayed_200us", committers, delayed);
+    }
+}
+
+fn wal_commit_case(c: &mut Criterion, name: &str, committers: u64, device: Arc<dyn LogDevice>) {
+    let wal = LogManager::new(device, 64 << 10, Duration::ZERO);
+    let commit = |txn: u64| {
+        let lsn = wal.append(TxnId(txn), &LogPayload::Commit);
+        wal.commit_durable(lsn).unwrap();
+    };
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for t in 1..committers {
+            let (commit, stop) = (&commit, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    commit(t);
+                }
+            });
+        }
+        c.bench_function(&format!("wal_commit/{committers}x_{name}"), |b| {
+            b.iter(|| commit(0))
+        });
+        stop.store(true, Ordering::Relaxed);
     });
 }
 
@@ -97,6 +163,7 @@ criterion_group! {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_btree, bench_lock_table, bench_log_buffer, bench_zipf, bench_des
+    targets = bench_btree, bench_lock_table, bench_log_buffer, bench_wal_commit, bench_zipf,
+        bench_des
 }
 criterion_main!(benches);

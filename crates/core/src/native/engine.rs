@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
-use islands_storage::wal::{FileLogDevice, LogDevice, MemLogDevice};
+use islands_storage::wal::{DiscardLogDevice, FileLogDevice, LogDevice};
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle};
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
 use islands_workload::{tpcc, OpKind, TxnRequest};
@@ -61,9 +61,9 @@ pub struct PartitionConfig {
     pub lock_timeout: Duration,
     /// One worker ⇒ skip locking (the paper's fine-grained optimization).
     pub single_threaded: bool,
-    /// Group-commit window for the instance's WAL. Worth its latency only
-    /// when concurrent committers can share a flush; a serial executor has
-    /// exactly one committer and runs it at zero.
+    /// Ignored, like [`InstanceOptions::group_window`]: the WAL has no timed
+    /// group window any more. Kept only because `benchmark/`, which a
+    /// product PR may not edit, still sets it.
     pub group_window: Duration,
     /// `Some` switches the partition from the microbenchmark table to the
     /// TPC-C tables (warehouse/district/customer/stock loaded for the
@@ -87,7 +87,7 @@ impl Default for PartitionConfig {
             buffer_frames: 4096,
             lock_timeout: Duration::from_millis(200),
             single_threaded: false,
-            group_window: InstanceOptions::default().group_window,
+            group_window: Duration::ZERO,
             tpcc: None,
             wal: None,
         }
@@ -146,7 +146,9 @@ impl PartitionEngine {
         // Capture the previous incarnation's log *before* the new instance
         // starts appending to the same device.
         let (device, prior): (Arc<dyn LogDevice>, Vec<u8>) = match &cfg.wal {
-            None => (MemLogDevice::new(), Vec::new()),
+            // Nothing ever reads a volatile partition's log back: count
+            // its bytes, keep none.
+            None => (DiscardLogDevice::new(), Vec::new()),
             Some(path) => {
                 let dev = FileLogDevice::open(path)?;
                 let prior = dev.read_all()?;
@@ -160,7 +162,6 @@ impl PartitionEngine {
                 buffer_frames: cfg.buffer_frames,
                 single_threaded: cfg.single_threaded,
                 lock_timeout: cfg.lock_timeout,
-                group_window: cfg.group_window,
                 ..Default::default()
             },
         );
@@ -903,7 +904,6 @@ mod tests {
             hi: 200,
             row_size: 16,
             buffer_frames: 256,
-            group_window: Duration::ZERO,
             wal: Some(path.clone()),
             ..Default::default()
         };
@@ -942,6 +942,47 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The defect `benchmark/` works around with `Stream::own_rows`: replay
+    /// used to undo an aborted branch *after* redoing later commits.
+    #[test]
+    fn restart_keeps_commits_that_follow_an_aborted_branch() {
+        let path = temp_wal("abort-then-commit");
+        let cfg = PartitionConfig {
+            lo: 0,
+            hi: 50,
+            row_size: 16,
+            buffer_frames: 256,
+            wal: Some(path.clone()),
+            ..Default::default()
+        };
+        {
+            let e = PartitionEngine::build(&cfg).unwrap();
+            let BranchOutcome::Prepared(handle) = e.prepare_branch(7, &update(&[10])).unwrap()
+            else {
+                panic!("writer branch must prepare");
+            };
+            handle.decide(false).unwrap();
+            assert!(e.submit_local(&update(&[10]), 0).unwrap().committed);
+            assert_eq!(e.audit_sum().unwrap(), 1);
+        }
+        let e2 = PartitionEngine::build(&cfg).unwrap();
+        assert!(e2.recovered_gtids().is_empty());
+        assert_eq!(e2.audit_sum().unwrap(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn volatile_partition_counts_its_log_and_keeps_none() {
+        let e = engine();
+        for _ in 0..100 {
+            assert!(e.submit_local(&update(&[100, 150]), 0).unwrap().committed);
+        }
+        let wal = e.instance().wal();
+        assert!(wal.durable_lsn() > 0);
+        assert_eq!(wal.device().len(), wal.durable_lsn());
+        assert!(wal.device().read_all().is_err());
+    }
+
     #[test]
     fn abort_resolution_discards_the_recovered_branch() {
         let path = temp_wal("abort");
@@ -950,7 +991,6 @@ mod tests {
             hi: 50,
             row_size: 16,
             buffer_frames: 256,
-            group_window: Duration::ZERO,
             wal: Some(path.clone()),
             ..Default::default()
         };

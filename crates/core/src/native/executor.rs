@@ -264,10 +264,6 @@ impl PartitionExecutor {
                     .unwrap_or(false);
                 let pcfg = PartitionConfig {
                     single_threaded: true,
-                    // Group commit exists to share one flush among
-                    // concurrent committers; a serial executor commits one
-                    // transaction at a time, so any window is pure stall.
-                    group_window: std::time::Duration::ZERO,
                     ..cfg.partition
                 };
                 match PartitionEngine::build(&pcfg) {
@@ -1023,7 +1019,6 @@ mod tests {
         {
             let eng = PartitionEngine::build(&PartitionConfig {
                 single_threaded: true,
-                group_window: std::time::Duration::ZERO,
                 ..partition.clone()
             })
             .unwrap();

@@ -20,7 +20,7 @@ use islands_dtxn::{Action, Coordinator, Vote};
 use islands_storage::instance::PrepareVote;
 use islands_storage::store::MemStore;
 use islands_storage::wal::record::LogPayload;
-use islands_storage::wal::MemLogDevice;
+use islands_storage::wal::DiscardLogDevice;
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnId};
 use islands_workload::TxnRequest;
 
@@ -147,7 +147,7 @@ impl NativeCluster {
         for i in 0..cfg.n_instances {
             let inst = StorageInstance::create(
                 Arc::new(MemStore::new()),
-                MemLogDevice::new(),
+                DiscardLogDevice::new(),
                 InstanceOptions {
                     buffer_frames: cfg.buffer_frames,
                     single_threaded: cfg.workers_per_instance == 1,
@@ -286,7 +286,10 @@ impl NativeCluster {
                         let wal = self.instances[home].wal();
                         let lsn =
                             wal.append(TxnId(gtid), &LogPayload::Decision { gtid, commit: true });
-                        wal.commit_durable(lsn);
+                        // A decision that cannot be forced is no decision:
+                        // the error drops the prepared handles, which roll
+                        // back.
+                        wal.commit_durable(lsn)?;
                     }
                     Action::SendDecision { to, commit } => {
                         let txn = match prepared.remove(&to) {

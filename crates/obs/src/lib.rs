@@ -185,7 +185,7 @@ impl TxnClass {
 pub const NCLASSES: usize = 2;
 
 /// Shards per counter. Eight covers the thread counts a single instance
-/// runs (sessions + executor + flusher) without false sharing mattering.
+/// runs (sessions + executor) without false sharing mattering.
 pub const NSHARDS: usize = 8;
 
 /// One cache line so two shards never share one.

@@ -556,7 +556,7 @@ mod tests {
     fn tree(fanout: usize, frames: usize) -> BTree {
         let pool = BufferPool::new(Arc::new(MemStore::new()), frames);
         // Unit tests have no WAL; a no-op barrier enables dirty-page steal.
-        pool.set_wal_barrier(Arc::new(|| {}));
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
         BTree::create_with_fanout(pool, fanout).unwrap()
     }
 
@@ -646,7 +646,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_inserts() {
         let pool = BufferPool::new(Arc::new(MemStore::new()), 512);
-        pool.set_wal_barrier(Arc::new(|| {}));
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
         let t = Arc::new(BTree::create_with_fanout(pool, 16).unwrap());
         let mut handles = Vec::new();
         for part in 0..4u64 {
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn concurrent_readers_during_inserts() {
         let pool = BufferPool::new(Arc::new(MemStore::new()), 512);
-        pool.set_wal_barrier(Arc::new(|| {}));
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
         let t = Arc::new(BTree::create_with_fanout(pool, 8).unwrap());
         for k in 0..1000u64 {
             t.insert(k * 2, k).unwrap();

@@ -7,11 +7,12 @@
 //!   naturally because only one thread ever runs per instance.
 //! * **Steal with a WAL barrier.** Evicting a dirty page first invokes the
 //!   registered WAL barrier (which makes the whole log durable), upholding
-//!   the write-ahead rule. Stolen pages may carry uncommitted data; recovery
-//!   (see `wal::recovery`) therefore runs a logical undo pass using logged
-//!   before-images. With no barrier registered the pool is strictly
-//!   no-steal and fails with [`StorageError::BufferFull`] when every frame
-//!   is dirty or pinned.
+//!   the write-ahead rule; if the barrier fails the page is not written and
+//!   the fetch that needed the frame gets the barrier's error. Stolen pages
+//!   may carry uncommitted data; recovery (see `wal::recovery`) therefore
+//!   runs a logical undo pass using logged before-images. With no barrier
+//!   registered the pool is strictly no-steal and fails with
+//!   [`StorageError::BufferFull`] when every frame is dirty or pinned.
 //! * **Clock eviction** with a reference bit; dirty victims are written back
 //!   through the store on eviction.
 
@@ -25,6 +26,9 @@ use parking_lot::{Mutex, RawRwLock, RwLock};
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId};
 use crate::store::PageStore;
+
+/// The write-ahead hook a dirty-page steal calls first.
+pub type WalBarrier = Arc<dyn Fn() -> Result<()> + Send + Sync>;
 
 /// Read guard bundling the pin with the latch.
 pub type PageRead = ArcRwLockReadGuard<RawRwLock, Page>;
@@ -55,8 +59,9 @@ pub struct BufferPool {
     /// simple; frame latches do the heavy lifting).
     map: Mutex<PoolMap>,
     store: Arc<dyn PageStore>,
-    /// Called before a dirty page is stolen; must make the WAL durable.
-    wal_barrier: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Called before a dirty page is stolen; must make the WAL durable or
+    /// say why it could not.
+    wal_barrier: RwLock<Option<WalBarrier>>,
     pub stats: PoolStats,
 }
 
@@ -123,7 +128,7 @@ impl BufferPool {
     }
 
     /// Register the WAL barrier enabling dirty-page steal (see module docs).
-    pub fn set_wal_barrier(&self, f: Arc<dyn Fn() + Send + Sync>) {
+    pub fn set_wal_barrier(&self, f: WalBarrier) {
         *self.wal_barrier.write() = Some(f);
     }
 
@@ -214,7 +219,7 @@ impl BufferPool {
                 // Steal requires the WAL barrier; without one, keep looking.
                 let barrier = self.wal_barrier.read().clone();
                 let Some(barrier) = barrier else { continue };
-                barrier();
+                barrier()?;
                 let pid = f.pid.lock().expect("occupied above");
                 let page = f.page.read();
                 self.store.write_page(pid, &page)?;

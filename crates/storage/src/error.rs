@@ -32,6 +32,10 @@ pub enum StorageError {
     MustAbort(TxnId),
     /// Log corruption detected during recovery.
     CorruptLog(String),
+    /// The log device failed a write or sync (the message is the first
+    /// failure's). Nothing after it is durable, so no commit or prepare may
+    /// be acknowledged until the instance restarts over its log.
+    LogPoisoned(String),
     /// Catalog page corrupt or of wrong version.
     CorruptCatalog(String),
 }
@@ -51,6 +55,7 @@ impl fmt::Display for StorageError {
             StorageError::TxnFinished(t) => write!(f, "transaction already finished: {t}"),
             StorageError::MustAbort(t) => write!(f, "transaction must abort: {t}"),
             StorageError::CorruptLog(m) => write!(f, "corrupt log: {m}"),
+            StorageError::LogPoisoned(m) => write!(f, "log device failed, log poisoned: {m}"),
             StorageError::CorruptCatalog(m) => write!(f, "corrupt catalog: {m}"),
         }
     }

@@ -21,7 +21,7 @@ use crate::page::{Page, PageId, PAGE_TYPE_CATALOG};
 use crate::store::PageStore;
 use crate::table::{Table, TableMeta};
 use crate::wal::record::LogPayload;
-use crate::wal::recovery::{analyze, RedoOp, UndoOp};
+use crate::wal::recovery::{analyze, LogAnalysis, RedoOp, ReplayOp, UndoOp};
 use crate::wal::{LogDevice, LogManager};
 use crate::{Lsn, TxnId};
 
@@ -34,9 +34,12 @@ pub struct InstanceOptions {
     /// shared-nothing optimization; Sections 6.2, 7.1.1).
     pub single_threaded: bool,
     pub lock_timeout: Duration,
-    /// Log-buffer bytes that trigger an early flush.
+    /// Log-buffer bytes at which an appender flushes without being asked.
     pub flush_threshold: usize,
-    /// Group-commit window.
+    /// Ignored. The log manager groups commits behind whichever committer
+    /// is in the device, not behind a timer (see [`LogManager`]); the field
+    /// exists only because `benchmark/`, which a product PR may not edit,
+    /// still reads and sets it.
     pub group_window: Duration,
 }
 
@@ -145,10 +148,7 @@ impl StorageInstance {
     /// working set, as in the paper's setup).
     fn wire_wal_barrier(pool: &Arc<BufferPool>, wal: &Arc<LogManager>) {
         let wal = Arc::clone(wal);
-        pool.set_wal_barrier(Arc::new(move || {
-            let lsn = wal.end_lsn();
-            wal.commit_durable(lsn);
-        }));
+        pool.set_wal_barrier(Arc::new(move || wal.flush()));
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -234,7 +234,7 @@ impl StorageInstance {
         let lsn = self
             .wal
             .append(TxnId(0), &LogPayload::Checkpoint { snapshot_lsn });
-        self.wal.commit_durable(lsn);
+        self.wal.commit_durable(lsn)?;
         self.catalog.write().snapshot_lsn = snapshot_lsn;
         Ok(())
     }
@@ -353,15 +353,7 @@ impl StorageInstance {
             cat.by_id.insert(m.id, t);
         }
         let analysis = analyze(&log_bytes, snapshot_lsn)?;
-        // Logical redo of committed work (LSN order).
-        for (_, _, op) in &analysis.redo {
-            Self::apply_redo(&cat, op)?;
-        }
-        // Logical undo of losers (reverse LSN order; stolen pages may hold
-        // their effects).
-        for (_, _, op) in analysis.undo.iter().rev() {
-            Self::apply_undo(&cat, op)?;
-        }
+        Self::apply_analysis(&cat, &analysis)?;
         let max_seen = analysis
             .committed
             .iter()
@@ -414,15 +406,7 @@ impl StorageInstance {
     /// deployment layer to resolve via [`resolve_in_doubt`](Self::resolve_in_doubt).
     pub fn replay_log(&self, log: &[u8]) -> Result<Vec<InDoubt>> {
         let analysis = analyze(log, 0)?;
-        {
-            let cat = self.catalog.read();
-            for (_, _, op) in &analysis.redo {
-                Self::apply_redo(&cat, op)?;
-            }
-            for (_, _, op) in analysis.undo.iter().rev() {
-                Self::apply_undo(&cat, op)?;
-            }
-        }
+        Self::apply_analysis(&self.catalog.read(), &analysis)?;
         // Never reuse a transaction id the old incarnation logged under —
         // losers included, or a new txn's records would alias a dead one's.
         let max_seen = analysis
@@ -450,6 +434,22 @@ impl StorageInstance {
             })
             .collect();
         Ok(in_doubt)
+    }
+
+    /// The forward pass in LSN order (committed work redone, aborted work
+    /// rolled back where its `Abort` was logged), then losers undone in
+    /// reverse LSN order (stolen pages may hold their effects).
+    fn apply_analysis(cat: &Catalog, analysis: &LogAnalysis) -> Result<()> {
+        for (_, _, op) in &analysis.replay {
+            match op {
+                ReplayOp::Redo(op) => Self::apply_redo(cat, op)?,
+                ReplayOp::Rollback(op) => Self::apply_undo(cat, op)?,
+            }
+        }
+        for (_, _, op) in analysis.undo.iter().rev() {
+            Self::apply_undo(cat, op)?;
+        }
+        Ok(())
     }
 
     fn apply_redo(cat: &Catalog, op: &RedoOp) -> Result<()> {
@@ -512,8 +512,7 @@ impl StorageInstance {
         }
         drop(cat);
         let lsn = self.wal.append(in_doubt.txn, &LogPayload::End);
-        self.wal.commit_durable(lsn);
-        Ok(())
+        self.wal.commit_durable(lsn)
     }
 }
 
@@ -652,7 +651,10 @@ impl TxnHandle {
     fn finish_commit(&mut self) -> Result<()> {
         if self.wrote || self.state == TxnState::Prepared {
             let lsn = self.instance.wal.append(self.id, &LogPayload::Commit);
-            self.instance.wal.commit_durable(lsn);
+            // On a failed force the handle stays unfinished: dropping it
+            // rolls the transaction back, and the caller sees the error
+            // instead of a commit.
+            self.instance.wal.commit_durable(lsn)?;
         }
         self.release(TxnState::Finished);
         Ok(())
@@ -698,7 +700,7 @@ impl TxnHandle {
             .instance
             .wal
             .append(self.id, &LogPayload::Prepare { gtid });
-        self.instance.wal.commit_durable(lsn);
+        self.instance.wal.commit_durable(lsn)?;
         self.state = TxnState::Prepared;
         Ok(PrepareVote::Yes)
     }
@@ -752,6 +754,7 @@ impl Drop for TxnHandle {
 mod tests {
     use super::*;
     use crate::store::MemStore;
+    use crate::wal::device::testdev::TestDevice;
     use crate::wal::MemLogDevice;
 
     fn fresh(opts: InstanceOptions) -> Arc<StorageInstance> {
@@ -967,6 +970,114 @@ mod tests {
         let mut txn = inst.begin();
         assert_eq!(txn.read("a", 3).unwrap(), Some(vec![3u8; 8]));
         txn.commit().unwrap();
+    }
+
+    /// `upd k by T1, Abort T1, upd k by T2, Commit T2` through a real
+    /// instance: the restart must keep T2's image.
+    #[test]
+    fn replay_keeps_a_commit_that_follows_an_abort_on_the_same_row() {
+        let dev = MemLogDevice::new();
+        let build = |dev: Arc<MemLogDevice>| {
+            let inst = StorageInstance::create(Arc::new(MemStore::new()), dev, small_opts());
+            let t = inst.create_table("a", 8).unwrap();
+            inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+            inst
+        };
+        {
+            let inst = build(dev.clone());
+            let mut txn = inst.begin();
+            txn.update("a", 1, &[1u8; 8]).unwrap();
+            txn.prepare(5).unwrap();
+            txn.decide(false).unwrap();
+            let mut txn = inst.begin();
+            txn.update("a", 1, &[2u8; 8]).unwrap();
+            txn.commit().unwrap();
+        }
+        let inst = build(MemLogDevice::new());
+        assert!(inst
+            .replay_log(&dev.read_all().unwrap())
+            .unwrap()
+            .is_empty());
+        let mut txn = inst.begin();
+        assert_eq!(txn.read("a", 1).unwrap(), Some(vec![2u8; 8]));
+        txn.commit().unwrap();
+    }
+
+    #[test]
+    fn failed_log_force_is_an_error_not_a_commit() {
+        let dev = Arc::new(TestDevice {
+            fail_from_sync: Some(2),
+            ..Default::default()
+        });
+        let inst = StorageInstance::create(Arc::new(MemStore::new()), dev, small_opts());
+        let t = inst.create_table("a", 8).unwrap();
+        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+        inst.load_row(&t, 2, &[0u8; 8]).unwrap();
+        let mut txn = inst.begin();
+        txn.update("a", 1, &[1u8; 8]).unwrap();
+        txn.commit().unwrap();
+        let acknowledged = inst.wal().durable_lsn();
+        // The device dies under the second commit.
+        let mut txn = inst.begin();
+        txn.update("a", 2, &[2u8; 8]).unwrap();
+        assert!(matches!(txn.commit(), Err(StorageError::LogPoisoned(_))));
+        assert_eq!(inst.active_txns(), 0, "the failed commit rolled back");
+        // From here on no write is acknowledged, as a commit or as a vote.
+        let mut txn = inst.begin();
+        assert_eq!(txn.read("a", 1).unwrap(), Some(vec![1u8; 8]));
+        assert_eq!(txn.read("a", 2).unwrap(), Some(vec![0u8; 8]));
+        txn.update("a", 1, &[3u8; 8]).unwrap();
+        assert!(matches!(txn.prepare(9), Err(StorageError::LogPoisoned(_))));
+        txn.abort().unwrap();
+        assert!(matches!(
+            inst.checkpoint(),
+            Err(StorageError::LogPoisoned(_))
+        ));
+        assert_eq!(inst.wal().durable_lsn(), acknowledged);
+    }
+
+    /// A table several times the pool, written by one uncommitted
+    /// transaction: frames can only be had by stealing dirty pages.
+    fn steal_heavy(dev: Arc<dyn LogDevice>) -> (Arc<StorageInstance>, Result<()>) {
+        let inst = StorageInstance::create(
+            Arc::new(MemStore::new()),
+            dev,
+            InstanceOptions {
+                buffer_frames: 8,
+                // Out of reach, so only a steal's barrier can force the log.
+                flush_threshold: 4 << 20,
+                ..Default::default()
+            },
+        );
+        let t = inst.create_table("a", 64).unwrap();
+        for k in 0..2000u64 {
+            inst.load_row(&t, k, &[0u8; 64]).unwrap();
+        }
+        let mut txn = inst.begin();
+        let wrote = (0..2000u64).try_for_each(|k| txn.update("a", k, &[7u8; 64]));
+        std::mem::forget(txn);
+        (inst, wrote)
+    }
+
+    #[test]
+    fn dirty_page_steal_forces_the_log_first() {
+        let (inst, wrote) = steal_heavy(MemLogDevice::new());
+        wrote.unwrap();
+        assert!(inst.pool().stats.writebacks.load(Ordering::Relaxed) > 0);
+        assert!(
+            inst.wal().durable_lsn() > 0,
+            "stolen pages went out with no log forced ahead of them"
+        );
+    }
+
+    #[test]
+    fn steal_fails_rather_than_outrun_a_dead_log() {
+        let (inst, wrote) = steal_heavy(Arc::new(TestDevice {
+            fail_from_sync: Some(1),
+            ..Default::default()
+        }));
+        assert!(matches!(wrote, Err(StorageError::LogPoisoned(_))));
+        assert_eq!(inst.wal().durable_lsn(), 0);
     }
 
     #[test]

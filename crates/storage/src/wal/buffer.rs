@@ -1,10 +1,12 @@
-//! The pure group-commit log buffer.
+//! The pure group-commit log buffer: LSN arithmetic, batch cutting and the
+//! durability ratchet, with no clock, lock or device in it.
 //!
-//! Both drivers — the native flusher thread and the simulated log task —
-//! share this object and therefore the exact same batching policy:
-//! a flush is due when the buffer holds at least `flush_threshold` bytes
-//! *or* a committer has been waiting longer than the group window (the
-//! driver owns the clock, so the window lives in the driver).
+//! [`LogManager`](crate::wal::native::LogManager) drives it: a flush is due
+//! when a committer needs its LSN durable and no flush is in flight, *or*
+//! when the buffer holds at least `flush_threshold` bytes. There is no
+//! timed group window here or in the manager; the simulator's `SimLog`
+//! (`islands-core::simrt::log`) is the only driver that still models one,
+//! and it counts bytes on its own rather than sharing this type.
 
 use crate::wal::record::{self, LogPayload};
 use crate::{Lsn, TxnId};
@@ -13,6 +15,10 @@ use crate::{Lsn, TxnId};
 #[derive(Debug)]
 pub struct LogBuffer {
     buf: Vec<u8>,
+    /// The previous batch's allocation, handed back by
+    /// [`LogBuffer::recycle`] and swapped in by the next
+    /// [`LogBuffer::take_batch`], so steady-state flushing allocates nothing.
+    spare: Vec<u8>,
     /// LSN of `buf[0]`.
     base_lsn: Lsn,
     durable_lsn: Lsn,
@@ -34,6 +40,7 @@ impl LogBuffer {
     pub fn new_at(flush_threshold: usize, base_lsn: Lsn) -> Self {
         LogBuffer {
             buf: Vec::with_capacity(flush_threshold * 2),
+            spare: Vec::new(),
             base_lsn,
             durable_lsn: base_lsn,
             flush_threshold,
@@ -76,16 +83,22 @@ impl LogBuffer {
     /// Cut a batch for the device: returns `(batch_base_lsn, bytes)`, or
     /// `None` if nothing is pending. New appends continue at the correct
     /// LSN immediately; call [`LogBuffer::mark_durable`] once the device
-    /// write completes.
+    /// write completes and [`LogBuffer::recycle`] when done with the bytes.
     pub fn take_batch(&mut self) -> Option<(Lsn, Vec<u8>)> {
         if self.buf.is_empty() {
             return None;
         }
         let base = self.base_lsn;
-        let bytes = std::mem::take(&mut self.buf);
+        let bytes = std::mem::replace(&mut self.buf, std::mem::take(&mut self.spare));
         self.base_lsn = base + bytes.len() as u64;
         self.flushes += 1;
         Some((base, bytes))
+    }
+
+    /// Hand a written batch's allocation back for the next batch to fill.
+    pub fn recycle(&mut self, mut batch: Vec<u8>) {
+        batch.clear();
+        self.spare = batch;
     }
 
     /// Device write up to `upto` completed.
@@ -131,6 +144,23 @@ mod tests {
         assert_eq!(base2, l1);
         lb.mark_durable(base2 + bytes2.len() as u64);
         assert!(lb.is_durable(l2));
+    }
+
+    #[test]
+    fn recycled_allocation_comes_back_two_batches_later() {
+        let mut lb = LogBuffer::new(64);
+        lb.append(TxnId(1), &LogPayload::Commit);
+        let (_, first) = lb.take_batch().unwrap();
+        let (ptr, cap) = (first.as_ptr(), first.capacity());
+        lb.recycle(first);
+        // The buffer and the spare alternate: the allocation cut as batch 1
+        // is the buffer again after batch 2 is cut, and leaves as batch 3.
+        lb.append(TxnId(2), &LogPayload::Commit);
+        let (_, second) = lb.take_batch().unwrap();
+        lb.recycle(second);
+        lb.append(TxnId(3), &LogPayload::Commit);
+        let (_, third) = lb.take_batch().unwrap();
+        assert_eq!((third.as_ptr(), third.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -1,344 +1,397 @@
-//! Native log manager: group-commit flusher thread over a log device.
+//! Native log manager: leader/follower group commit over a log device.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::wal::buffer::LogBuffer;
+use crate::wal::device::LogDevice;
 use crate::wal::record::LogPayload;
 use crate::{Lsn, TxnId};
 
-/// Where log batches go.
-pub trait LogDevice: Send + Sync {
-    fn append(&self, bytes: &[u8]) -> Result<()>;
-    fn sync(&self) -> Result<()>;
-    /// Entire log contents (recovery).
-    fn read_all(&self) -> Result<Vec<u8>>;
-    fn len(&self) -> u64;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Memory-backed log device (the paper's memory-mapped log disk).
-#[derive(Default)]
-pub struct MemLogDevice {
-    data: Mutex<Vec<u8>>,
-}
-
-impl MemLogDevice {
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-}
-
-impl LogDevice for MemLogDevice {
-    fn append(&self, bytes: &[u8]) -> Result<()> {
-        self.data.lock().extend_from_slice(bytes);
-        Ok(())
-    }
-    fn sync(&self) -> Result<()> {
-        Ok(())
-    }
-    fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(self.data.lock().clone())
-    }
-    fn len(&self) -> u64 {
-        self.data.lock().len() as u64
-    }
-}
-
-/// File-backed log device.
-pub struct FileLogDevice {
-    file: Mutex<File>,
-    path: std::path::PathBuf,
-}
-
-impl FileLogDevice {
-    pub fn open(path: &Path) -> Result<Arc<Self>> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)?;
-        Ok(Arc::new(FileLogDevice {
-            file: Mutex::new(file),
-            path: path.to_path_buf(),
-        }))
-    }
-}
-
-impl LogDevice for FileLogDevice {
-    fn append(&self, bytes: &[u8]) -> Result<()> {
-        self.file.lock().write_all(bytes)?;
-        Ok(())
-    }
-    fn sync(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
-        Ok(())
-    }
-    fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(std::fs::read(&self.path)?)
-    }
-    fn len(&self) -> u64 {
-        self.file.lock().metadata().map(|m| m.len()).unwrap_or(0)
-    }
-}
-
-struct Shared {
-    buf: Mutex<LogState>,
-    /// Wakes the flusher (new work / shutdown).
-    flush_cv: Condvar,
-    /// Wakes committers when `durable_lsn` advances.
-    durable_cv: Condvar,
-}
-
 struct LogState {
     buffer: LogBuffer,
-    shutdown: bool,
+    /// A leader has cut a batch and is writing it with the lock dropped.
+    flushing: bool,
+    /// Committers parked on `durable_cv`; a leader with none skips the
+    /// notify (a futex syscall) — the lone-committer case on every commit.
+    followers: u32,
+    /// Message of the first device error. Once set, nothing more is written
+    /// (a write after a failed one would leave a hole in the stream) and
+    /// nothing more becomes durable.
+    poisoned: Option<String>,
 }
 
-/// Group-commit log manager.
+/// Leader/follower group-commit log manager.
 ///
-/// `append` is cheap (memcpy into the buffer); `commit_durable` blocks the
-/// caller until the flusher has pushed its LSN to the device. The flusher
-/// batches everything that arrives within `group_window`, giving the
-/// many-committers-one-flush behavior of Aether-style group commit.
-///
-/// A **zero** `group_window` selects synchronous mode instead: no flusher
-/// thread is spawned and `commit_durable` flushes on the calling thread,
-/// under the buffer lock. Group commit exists to share one flush among
-/// concurrent committers; an instance with a single committer (the serial
-/// partition executor) would pay the flusher handoff — two thread wakes
-/// per commit — for a group of one, so it skips the thread entirely.
+/// `append` is a memcpy into the buffer. `commit_durable` returns once the
+/// caller's LSN is on the device: a committer that finds a flush in flight
+/// waits for it (and for the next one, if its record missed the batch);
+/// one that finds none becomes the **leader** — it cuts everything buffered
+/// so far, drops the buffer lock, writes and syncs on its own thread, marks
+/// the batch durable and wakes the followers. A group is whoever appended
+/// while the previous leader was in the device: many on a slow device, one
+/// on a memory device, where there is nothing to wait for. No timer and no
+/// flusher thread exist, so a lone committer pays exactly one device write.
 pub struct LogManager {
-    shared: Arc<Shared>,
+    state: Mutex<LogState>,
+    /// Wakes followers when a leader finishes (durable advanced or poisoned).
+    durable_cv: Condvar,
     device: Arc<dyn LogDevice>,
-    flusher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LogManager {
+    /// `_group_window` is ignored: grouping comes from device latency, not
+    /// from a timer. The parameter survives only because `benchmark/` (which
+    /// a product PR may not edit) still passes one.
     pub fn new(
         device: Arc<dyn LogDevice>,
         flush_threshold: usize,
-        group_window: Duration,
+        _group_window: Duration,
     ) -> Arc<Self> {
         // Continue the LSN stream where the device left off: reopening a
         // non-empty WAL file (restart) appends at its current length, so
         // byte-offset LSNs stay aligned with record positions. A fresh
         // device starts at 0 as before.
         let base_lsn = device.len();
-        let shared = Arc::new(Shared {
-            buf: Mutex::new(LogState {
-                buffer: LogBuffer::new_at(flush_threshold, base_lsn),
-                shutdown: false,
-            }),
-            flush_cv: Condvar::new(),
-            durable_cv: Condvar::new(),
-        });
-        let flusher = if group_window.is_zero() {
-            None
-        } else {
-            let shared = Arc::clone(&shared);
-            let device = Arc::clone(&device);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || flusher_loop(shared, device, group_window))
-                    .expect("spawn flusher"),
-            )
-        };
         Arc::new(LogManager {
-            shared,
+            state: Mutex::new(LogState {
+                buffer: LogBuffer::new_at(flush_threshold, base_lsn),
+                flushing: false,
+                followers: 0,
+                poisoned: None,
+            }),
+            durable_cv: Condvar::new(),
             device,
-            flusher,
         })
     }
 
     /// Append a record; returns the LSN to pass to
-    /// [`LogManager::commit_durable`] for a forced write.
+    /// [`LogManager::commit_durable`] for a forced write. An appender that
+    /// fills the buffer past `flush_threshold` with no flush in flight
+    /// leads one itself; a device error there poisons the log and surfaces
+    /// at the next `commit_durable`.
     pub fn append(&self, txn: TxnId, payload: &LogPayload) -> Lsn {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
-        let mut st = self.shared.buf.lock();
+        let mut st = self.state.lock();
         let lsn = st.buffer.append(txn, payload);
-        if st.buffer.should_flush() {
-            self.shared.flush_cv.notify_one();
+        if st.buffer.should_flush() && !st.flushing && st.poisoned.is_none() {
+            drop(self.lead_flush(st));
         }
         lsn
     }
 
-    /// Block until `lsn` is durable on the device.
-    pub fn commit_durable(&self, lsn: Lsn) {
+    /// Block until `lsn` is durable on the device. `Err` means the device
+    /// failed (now or earlier): the record is **not** known durable and the
+    /// caller must not acknowledge a commit.
+    pub fn commit_durable(&self, lsn: Lsn) -> Result<()> {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
-        let mut st = self.shared.buf.lock();
-        if self.flusher.is_none() {
-            // Synchronous mode: flush on this thread, device I/O under the
-            // buffer lock. Concurrent committers serialize here, which is
-            // exactly the single-committer contract that selected the mode.
-            self.flush_locked(&mut st);
-            debug_assert!(st.buffer.is_durable(lsn), "flush must cover our lsn");
-            return;
-        }
-        while !st.buffer.is_durable(lsn) {
-            self.shared.flush_cv.notify_one();
-            self.shared.durable_cv.wait(&mut st);
+        let mut st = self.state.lock();
+        assert!(lsn <= st.buffer.end_lsn(), "forcing an LSN never appended");
+        loop {
+            if let Some(cause) = &st.poisoned {
+                return Err(StorageError::LogPoisoned(cause.clone()));
+            }
+            if st.buffer.is_durable(lsn) {
+                return Ok(());
+            }
+            if st.flushing {
+                st.followers += 1;
+                self.durable_cv.wait(&mut st);
+                st.followers -= 1;
+            } else {
+                st = self.lead_flush(st);
+            }
         }
     }
 
-    /// Flush everything pending, holding the buffer lock across the device
-    /// I/O (synchronous mode only — nothing else ever takes a batch there).
-    fn flush_locked(&self, st: &mut LogState) {
-        if let Some((base, bytes)) = st.buffer.take_batch() {
-            let _ = self.device.append(&bytes);
-            let _ = self.device.sync();
-            st.buffer.mark_durable(base + bytes.len() as u64);
+    /// Force everything appended so far (WAL barrier, drop).
+    pub fn flush(&self) -> Result<()> {
+        self.commit_durable(self.end_lsn())
+    }
+
+    /// Become the leader: cut the pending batch, write it with the buffer
+    /// lock dropped (appends and new followers keep arriving), then publish
+    /// the outcome. Callers check `!flushing` and `poisoned.is_none()`.
+    fn lead_flush<'a>(&'a self, mut st: MutexGuard<'a, LogState>) -> MutexGuard<'a, LogState> {
+        let Some((base, bytes)) = st.buffer.take_batch() else {
+            return st;
+        };
+        st.flushing = true;
+        drop(st);
+        let written = self.device.append(&bytes).and_then(|()| self.device.sync());
+        let mut st = self.state.lock();
+        st.flushing = false;
+        match written {
+            Ok(()) => st.buffer.mark_durable(base + bytes.len() as u64),
+            Err(e) => st.poisoned = Some(e.to_string()),
         }
+        st.buffer.recycle(bytes);
+        if st.followers > 0 {
+            self.durable_cv.notify_all();
+        }
+        st
     }
 
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.buf.lock().buffer.durable_lsn()
+        self.state.lock().buffer.durable_lsn()
     }
 
     pub fn end_lsn(&self) -> Lsn {
-        self.shared.buf.lock().buffer.end_lsn()
+        self.state.lock().buffer.end_lsn()
     }
 
     /// `(bytes appended, flush batches)`.
     pub fn stats(&self) -> (u64, u64) {
-        self.shared.buf.lock().buffer.stats()
+        self.state.lock().buffer.stats()
     }
 
     pub fn device(&self) -> &Arc<dyn LogDevice> {
         &self.device
     }
-
-    /// Flush everything and stop the flusher (also done on drop).
-    pub fn shutdown(&self) {
-        {
-            let mut st = self.shared.buf.lock();
-            st.shutdown = true;
-            if self.flusher.is_none() {
-                // Synchronous mode has no flusher to hand the tail to.
-                self.flush_locked(&mut st);
-            }
-        }
-        self.shared.flush_cv.notify_all();
-    }
 }
 
 impl Drop for LogManager {
+    /// Records appended without a force (aborts, `End`s) still reach the
+    /// device. A device error here has no one left to report to.
     fn drop(&mut self) {
-        self.shutdown();
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn flusher_loop(shared: Arc<Shared>, device: Arc<dyn LogDevice>, group_window: Duration) {
-    loop {
-        let batch = {
-            let mut st = shared.buf.lock();
-            loop {
-                if st.buffer.pending_bytes() == 0 {
-                    if st.shutdown {
-                        return;
-                    }
-                    shared.flush_cv.wait(&mut st);
-                    continue;
-                }
-                // Group window: absorb committers arriving right behind the
-                // first one, unless the batch is already large or we're
-                // shutting down.
-                if !st.buffer.should_flush() && !st.shutdown {
-                    let _ = shared.flush_cv.wait_for(&mut st, group_window);
-                }
-                break st.buffer.take_batch();
-            }
-        };
-        if let Some((base, bytes)) = batch {
-            let upto = base + bytes.len() as u64;
-            // Device I/O happens outside the buffer lock: appends continue.
-            let _ = device.append(&bytes);
-            let _ = device.sync();
-            let mut st = shared.buf.lock();
-            st.buffer.mark_durable(upto);
-            shared.durable_cv.notify_all();
-        }
+        let _ = self.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::device::testdev::TestDevice;
+    use crate::wal::device::{DiscardLogDevice, FileLogDevice, MemLogDevice};
+    use crate::wal::record::decode;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
-    #[test]
-    fn zero_window_flushes_synchronously_without_a_flusher() {
-        let dev = MemLogDevice::new();
-        let lm = LogManager::new(dev.clone(), 1 << 16, Duration::ZERO);
-        assert!(lm.flusher.is_none(), "synchronous mode spawns no thread");
-        for i in 1..=50u64 {
-            let lsn = lm.append(TxnId(i), &LogPayload::Commit);
-            lm.commit_durable(lsn);
-            assert!(lm.durable_lsn() >= lsn, "commit {i} must be durable");
-        }
-        // The tail written after the last force still lands via shutdown.
-        let tail = lm.append(TxnId(99), &LogPayload::Abort);
-        lm.shutdown();
-        assert!(lm.durable_lsn() >= tail);
-        assert_eq!(dev.len(), tail);
-    }
+    /// The window every pre-leader/follower caller passed; must be inert.
+    const LEGACY_WINDOW: Duration = Duration::from_micros(500);
 
     #[test]
     fn commit_durable_round_trip() {
         let dev = MemLogDevice::new();
-        let lm = LogManager::new(dev.clone(), 1 << 16, Duration::from_millis(1));
+        let lm = LogManager::new(dev.clone(), 1 << 16, LEGACY_WINDOW);
         let lsn = lm.append(TxnId(1), &LogPayload::Commit);
-        lm.commit_durable(lsn);
+        lm.commit_durable(lsn).unwrap();
         assert!(lm.durable_lsn() >= lsn);
         assert_eq!(dev.len(), lsn);
+        assert_eq!(lm.stats(), (lsn, 1));
+    }
+
+    #[test]
+    fn lone_committer_never_waits_out_a_window() {
+        let lm = LogManager::new(MemLogDevice::new(), 1 << 16, LEGACY_WINDOW);
+        let mut took: Vec<Duration> = (1..=201u64)
+            .map(|i| {
+                let lsn = lm.append(TxnId(i), &LogPayload::Commit);
+                let t = Instant::now();
+                lm.commit_durable(lsn).unwrap();
+                t.elapsed()
+            })
+            .collect();
+        took.sort();
+        // The median, so a preempted commit or two cannot fail the test; a
+        // timed wait would push every sample past the window.
+        assert!(
+            took[100] < Duration::from_micros(100),
+            "median commit_durable took {:?}",
+            took[100]
+        );
+        assert_eq!(lm.stats().1, 201, "one flush per lone commit");
     }
 
     #[test]
     fn group_commit_batches_concurrent_committers() {
-        let dev = MemLogDevice::new();
-        let lm = LogManager::new(dev, 1 << 20, Duration::from_millis(5));
-        let mut handles = Vec::new();
-        for i in 0..8u64 {
-            let lm = Arc::clone(&lm);
-            handles.push(std::thread::spawn(move || {
-                for j in 0..20u64 {
-                    let lsn = lm.append(TxnId(i * 100 + j), &LogPayload::Commit);
-                    lm.commit_durable(lsn);
-                }
-            }));
+        // Forced interleaving: the first flush blocks in `sync` until all
+        // eight committers have appended, so everything that missed the
+        // first batch must ride the second.
+        let (open, gate) = mpsc::channel();
+        let dev = Arc::new(TestDevice {
+            gate: Some(Mutex::new(gate)),
+            ..Default::default()
+        });
+        let lm = LogManager::new(dev.clone(), 1 << 20, LEGACY_WINDOW);
+        let (appended_tx, appended_rx) = mpsc::channel();
+        let handles: Vec<_> = (0..8u64)
+            .map(|i| {
+                let lm = Arc::clone(&lm);
+                let appended = appended_tx.clone();
+                std::thread::spawn(move || {
+                    let lsn = lm.append(TxnId(i + 1), &LogPayload::Commit);
+                    appended.send(()).unwrap();
+                    lm.commit_durable(lsn).unwrap();
+                    assert!(lm.durable_lsn() >= lsn);
+                })
+            })
+            .collect();
+        for _ in 0..8 {
+            appended_rx.recv().unwrap();
         }
+        drop(open);
         for h in handles {
             h.join().unwrap();
         }
         let (bytes, flushes) = lm.stats();
-        assert!(bytes > 0);
+        assert_eq!(dev.len(), bytes);
         assert!(
-            flushes < 160,
-            "group commit must batch: {flushes} flushes for 160 commits"
+            flushes <= 2,
+            "8 committers behind one blocked flush must share: {flushes} flushes"
         );
+    }
+
+    #[test]
+    fn concurrent_committers_stress_keeps_the_stream_whole() {
+        const THREADS: u64 = 8;
+        const COMMITS: u64 = 500;
+        let dev = Arc::new(TestDevice {
+            sync_delay: Duration::from_micros(100),
+            ..Default::default()
+        });
+        // A small threshold, so appenders lead flushes too.
+        let lm = LogManager::new(dev.clone(), 256, LEGACY_WINDOW);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let lm = &lm;
+                s.spawn(move || {
+                    for j in 0..COMMITS {
+                        let txn = TxnId(t * COMMITS + j + 1);
+                        lm.append(txn, &LogPayload::Begin);
+                        let lsn = lm.append(txn, &LogPayload::Commit);
+                        lm.commit_durable(lsn).unwrap();
+                        assert!(lm.durable_lsn() >= lsn, "returned before durable");
+                    }
+                });
+            }
+        });
+        let (appended, flushes) = lm.stats();
+        assert_eq!(lm.end_lsn(), appended);
+        assert_eq!(lm.durable_lsn(), appended, "every record was forced");
+        assert!(flushes <= THREADS * COMMITS * 2);
+        // Batches concatenate, in the order they were written, to the whole
+        // record stream with every record at its own LSN.
+        let log = dev.bytes();
+        assert_eq!(log.len() as u64, appended);
+        let (mut at, mut records) = (0usize, 0u64);
+        let mut commits = std::collections::HashSet::new();
+        while at < log.len() {
+            let (rec, used) = decode(&log[at..], at as u64).unwrap();
+            if rec.payload == LogPayload::Commit {
+                assert!(commits.insert(rec.txn), "{} committed twice", rec.txn);
+            }
+            at += used;
+            records += 1;
+        }
+        assert_eq!(records, THREADS * COMMITS * 2);
+        assert_eq!(commits.len() as u64, THREADS * COMMITS);
+    }
+
+    #[test]
+    fn appender_crossing_the_threshold_leads_a_flush() {
+        let dev = MemLogDevice::new();
+        let lm = LogManager::new(dev.clone(), 64, LEGACY_WINDOW);
+        let mut last = 0;
+        while last < 64 {
+            assert_eq!(dev.len(), 0, "below the threshold nothing is written");
+            last = lm.append(TxnId(1), &LogPayload::Begin);
+        }
+        assert_eq!(dev.len(), last);
+        assert_eq!(lm.durable_lsn(), last);
+    }
+
+    #[test]
+    fn failed_sync_poisons_the_log_and_acknowledges_nothing() {
+        let dev = Arc::new(TestDevice {
+            fail_from_sync: Some(3),
+            ..Default::default()
+        });
+        let lm = LogManager::new(dev.clone(), 1 << 16, LEGACY_WINDOW);
+        let mut durable = 0;
+        for i in 1..=2u64 {
+            durable = lm.append(TxnId(i), &LogPayload::Commit);
+            lm.commit_durable(durable).unwrap();
+        }
+        let lost = lm.append(TxnId(3), &LogPayload::Commit);
+        assert!(matches!(
+            lm.commit_durable(lost),
+            Err(StorageError::LogPoisoned(_))
+        ));
+        assert_eq!(lm.durable_lsn(), durable, "the failed batch is not durable");
+        // Poison is permanent and stops all device traffic, forced or not.
+        let written = dev.batches.lock().len();
+        let later = lm.append(TxnId(4), &LogPayload::Commit);
+        assert!(matches!(
+            lm.commit_durable(later),
+            Err(StorageError::LogPoisoned(_))
+        ));
+        assert!(matches!(lm.flush(), Err(StorageError::LogPoisoned(_))));
+        assert_eq!(dev.batches.lock().len(), written);
+        assert_eq!(lm.durable_lsn(), durable);
+    }
+
+    #[test]
+    fn followers_of_a_failed_flush_fail_with_the_leader() {
+        let (open, gate) = mpsc::channel();
+        let dev = Arc::new(TestDevice {
+            fail_from_sync: Some(1),
+            gate: Some(Mutex::new(gate)),
+            ..Default::default()
+        });
+        let lm = LogManager::new(dev, 1 << 16, LEGACY_WINDOW);
+        let (appended_tx, appended_rx) = mpsc::channel();
+        let handles: Vec<_> = (0..3u64)
+            .map(|i| {
+                let lm = Arc::clone(&lm);
+                let appended = appended_tx.clone();
+                std::thread::spawn(move || {
+                    let lsn = lm.append(TxnId(i + 1), &LogPayload::Commit);
+                    appended.send(()).unwrap();
+                    lm.commit_durable(lsn)
+                })
+            })
+            .collect();
+        for _ in 0..3 {
+            appended_rx.recv().unwrap();
+        }
+        drop(open);
+        for h in handles {
+            assert!(matches!(
+                h.join().unwrap(),
+                Err(StorageError::LogPoisoned(_))
+            ));
+        }
+        assert_eq!(lm.durable_lsn(), 0);
+    }
+
+    #[test]
+    fn discard_device_counts_bytes_and_keeps_none() {
+        let dev = DiscardLogDevice::new();
+        let lm = LogManager::new(dev.clone(), 1 << 16, LEGACY_WINDOW);
+        let mut lsn = 0;
+        for i in 1..=100u64 {
+            lsn = lm.append(TxnId(i), &LogPayload::Commit);
+            lm.commit_durable(lsn).unwrap();
+        }
+        assert_eq!(dev.len(), lsn);
+        assert!(matches!(dev.read_all(), Err(StorageError::CorruptLog(_))));
     }
 
     #[test]
     fn shutdown_flushes_residue() {
         let dev = MemLogDevice::new();
+        let tail;
         {
-            let lm = LogManager::new(dev.clone(), 1 << 20, Duration::from_millis(50));
+            let lm = LogManager::new(dev.clone(), 1 << 20, LEGACY_WINDOW);
             lm.append(TxnId(1), &LogPayload::Begin);
-            lm.append(TxnId(1), &LogPayload::Commit);
+            tail = lm.append(TxnId(1), &LogPayload::Commit);
             // Dropped without commit_durable.
         }
-        assert!(dev.len() > 0, "drop must flush buffered records");
+        assert_eq!(dev.len(), tail, "drop must flush buffered records");
     }
 
     #[test]
@@ -350,20 +403,20 @@ mod tests {
         let lsn1;
         {
             let dev = FileLogDevice::open(&path).unwrap();
-            let lm = LogManager::new(dev, 64, Duration::ZERO);
+            let lm = LogManager::new(dev, 64, LEGACY_WINDOW);
             lsn1 = lm.append(TxnId(1), &LogPayload::Prepare { gtid: 5 });
-            lm.commit_durable(lsn1);
+            lm.commit_durable(lsn1).unwrap();
         }
         // A second manager over the same file must continue the byte-offset
         // LSN stream, not restart at 0 (which would desync LSNs from record
         // positions and break `mark_durable`'s monotonicity).
         let dev = FileLogDevice::open(&path).unwrap();
-        let lm = LogManager::new(dev.clone(), 64, Duration::ZERO);
+        let lm = LogManager::new(dev.clone(), 64, LEGACY_WINDOW);
         assert_eq!(lm.end_lsn(), lsn1);
         assert_eq!(lm.durable_lsn(), lsn1);
         let lsn2 = lm.append(TxnId(2), &LogPayload::Commit);
         assert!(lsn2 > lsn1);
-        lm.commit_durable(lsn2);
+        lm.commit_durable(lsn2).unwrap();
         let bytes = dev.read_all().unwrap();
         assert_eq!(bytes.len() as u64, lsn2);
         let (first, used) = crate::wal::record::decode(&bytes, 0).unwrap();
@@ -382,9 +435,9 @@ mod tests {
         let lsn;
         {
             let dev = FileLogDevice::open(&path).unwrap();
-            let lm = LogManager::new(dev, 64, Duration::from_millis(1));
+            let lm = LogManager::new(dev, 64, LEGACY_WINDOW);
             lsn = lm.append(TxnId(3), &LogPayload::Prepare { gtid: 9 });
-            lm.commit_durable(lsn);
+            lm.commit_durable(lsn).unwrap();
         }
         let dev = FileLogDevice::open(&path).unwrap();
         let bytes = dev.read_all().unwrap();

@@ -5,12 +5,20 @@
 //! behind the WAL barrier), and the log holds everything after the
 //! snapshot. Recovery is logical and key-based:
 //!
-//! 1. **Redo** the effects of committed transactions in LSN order
-//!    (idempotent: inserts are insert-if-missing, updates set after-images).
-//! 2. **Undo** loser transactions in reverse LSN order using logged
-//!    before-images (a no-op when the loser's effect never reached the
-//!    store; two-phase locking guarantees no committed write follows an
-//!    unresolved loser write on the same key, so ordering is safe).
+//! 1. **Replay** the resolved history forward, in one LSN-ordered pass:
+//!    a committed transaction's operations at their own log positions
+//!    (idempotent: inserts are insert-if-missing, updates set after-images),
+//!    and an aborted transaction's before-images at the position of its
+//!    `Abort` record. The rollback happened *there* in the old incarnation
+//!    — before the transaction's locks were released — so any later
+//!    committed write to the same row comes after it in the pass and
+//!    survives. (Restoring the before-images is a no-op unless a stolen
+//!    page carried the aborted write into the store.)
+//! 2. **Undo** loser transactions — in flight at the crash, no outcome
+//!    logged — in reverse LSN order using logged before-images (two-phase
+//!    locking guarantees no committed write follows an unresolved loser
+//!    write on the same key, so running this after the forward pass is
+//!    safe).
 //!
 //! Two-phase commit (presumed abort):
 //! * A participant transaction that logged `Prepare` but no `Commit`/`Abort`
@@ -54,6 +62,16 @@ pub enum UndoOp {
     Remove { table: u32, key: u64 },
 }
 
+/// One step of the forward replay pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayOp {
+    /// A committed transaction's operation, at the operation's LSN.
+    Redo(RedoOp),
+    /// One before-image of an aborted transaction, at its `Abort` record's
+    /// LSN (a transaction's images appear newest first).
+    Rollback(UndoOp),
+}
+
 /// Everything recovery needs to know about a log suffix.
 #[derive(Debug, Default)]
 pub struct LogAnalysis {
@@ -63,9 +81,11 @@ pub struct LogAnalysis {
     pub in_doubt: HashMap<TxnId, u64>,
     /// Coordinator decisions found in this log: gtid → commit?
     pub decisions: HashMap<u64, bool>,
-    /// Redo ops of committed transactions, in LSN order.
-    pub redo: Vec<(Lsn, TxnId, RedoOp)>,
-    /// Undo ops of loser transactions, in LSN order (apply in reverse).
+    /// The forward pass, in LSN order: committed work redone and aborted
+    /// work rolled back where the log says each happened.
+    pub replay: Vec<(Lsn, TxnId, ReplayOp)>,
+    /// Undo ops of loser transactions (no logged outcome), in LSN order
+    /// (apply in reverse, after the forward pass).
     pub undo: Vec<(Lsn, TxnId, UndoOp)>,
     /// Redo ops of in-doubt transactions (applied on a commit decision).
     pub in_doubt_ops: HashMap<TxnId, Vec<RedoOp>>,
@@ -131,17 +151,25 @@ pub fn analyze(log: &[u8], from_lsn: Lsn) -> Result<LogAnalysis> {
                 a.committed.insert(rec.txn);
                 prepared.remove(&rec.txn);
                 for (l, op, _) in pending.remove(&rec.txn).unwrap_or_default() {
-                    a.redo.push((l, rec.txn, op));
+                    a.replay.push((l, rec.txn, ReplayOp::Redo(op)));
                 }
             }
             LogPayload::Abort => {
                 a.aborted.insert(rec.txn);
                 prepared.remove(&rec.txn);
-                // An abort record implies the rollback was applied in memory
-                // before the crash only if the pages were not stolen; undo is
-                // idempotent, so always schedule it.
-                for (l, _, undo) in pending.remove(&rec.txn).unwrap_or_default() {
-                    a.undo.push((l, rec.txn, undo));
+                // The rollback ran in memory right here, under the
+                // transaction's locks; pages stolen before it may still
+                // hold the aborted writes, so replay it at this position
+                // (idempotent), newest image first. Deferring it to the
+                // loser pass would run it after later committed writes to
+                // the same rows were redone, and erase them.
+                for (_, _, undo) in pending
+                    .remove(&rec.txn)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .rev()
+                {
+                    a.replay.push((rec.lsn, rec.txn, ReplayOp::Rollback(undo)));
                 }
             }
             LogPayload::Prepare { gtid } => {
@@ -173,8 +201,9 @@ pub fn analyze(log: &[u8], from_lsn: Lsn) -> Result<LogAnalysis> {
             a.undo.push((l, txn, undo));
         }
     }
-    // Keep redo strictly LSN ordered; undo is applied in reverse LSN order.
-    a.redo.sort_by_key(|&(l, _, _)| l);
+    // Stable sorts: an aborted transaction's images share its Abort LSN and
+    // must keep their newest-first order. Undo is applied in reverse.
+    a.replay.sort_by_key(|&(l, _, _)| l);
     a.undo.sort_by_key(|&(l, _, _)| l);
     Ok(a)
 }
@@ -240,9 +269,9 @@ mod tests {
         ]);
         let a = analyze(&log, 0).unwrap();
         assert_eq!(a.committed.len(), 2);
-        assert_eq!(a.redo.len(), 3);
+        assert_eq!(a.replay.len(), 3);
         // LSN order preserved across transactions.
-        assert!(a.redo.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(a.replay.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -257,15 +286,22 @@ mod tests {
             // txn 1 never resolves: presumed abort.
         ]);
         let a = analyze(&log, 0).unwrap();
-        assert!(a.redo.is_empty());
         assert!(a.aborted.contains(&TxnId(2)));
         assert!(!a.committed.contains(&TxnId(1)));
         assert!(a.in_doubt.is_empty());
-        // Both txn 1 (never resolved) and txn 2 (aborted; rollback may not
-        // have reached stolen pages) get undo entries.
-        let undo_txns: Vec<TxnId> = a.undo.iter().map(|&(_, t, _)| t).collect();
-        assert!(undo_txns.contains(&TxnId(1)));
-        assert!(undo_txns.contains(&TxnId(2)));
+        // Txn 2 aborted: its rollback (stolen pages may hold the insert) is
+        // part of the forward pass. Txn 1 never resolved: a true loser.
+        assert_eq!(
+            a.replay
+                .iter()
+                .map(|(_, t, op)| (*t, op))
+                .collect::<Vec<_>>(),
+            vec![(
+                TxnId(2),
+                &ReplayOp::Rollback(UndoOp::Remove { table: 1, key: 20 })
+            )]
+        );
+        assert!(a.undo.iter().all(|&(_, t, _)| t == TxnId(1)));
         // Undo for txn 1 includes removing the insert and reverting the
         // update.
         assert!(a
@@ -303,7 +339,7 @@ mod tests {
                 before: vec![0]
             }]
         );
-        assert!(a.redo.is_empty(), "in-doubt effects are withheld");
+        assert!(a.replay.is_empty(), "in-doubt effects are withheld");
         assert!(a.undo.is_empty(), "in-doubt txns are not losers");
     }
 
@@ -318,7 +354,7 @@ mod tests {
         ]);
         let a = analyze(&log, 0).unwrap();
         assert!(a.in_doubt.is_empty());
-        assert_eq!(a.redo.len(), 1);
+        assert_eq!(a.replay.len(), 1);
     }
 
     #[test]
@@ -369,31 +405,93 @@ mod tests {
         assert_eq!(find_redo_start(&log).unwrap(), 0);
     }
 
+    type Model = std::collections::HashMap<(u32, u64), Vec<u8>>;
+
+    fn undo_model(model: &mut Model, op: &UndoOp) {
+        match op {
+            UndoOp::Revert { table, key, before } => {
+                if model.contains_key(&(*table, *key)) {
+                    model.insert((*table, *key), before.clone());
+                }
+            }
+            UndoOp::Remove { table, key } => {
+                model.remove(&(*table, *key));
+            }
+        }
+    }
+
     /// Apply an analysis to a key→row model the way recovery applies it to
-    /// the store: redo in LSN order, undo in reverse.
-    fn apply_model(model: &mut std::collections::HashMap<(u32, u64), Vec<u8>>, a: &LogAnalysis) {
-        for (_, _, op) in &a.redo {
+    /// the store: the forward pass in LSN order, then loser undo in reverse.
+    fn apply_model(model: &mut Model, a: &LogAnalysis) {
+        for (_, _, op) in &a.replay {
             match op {
-                RedoOp::Insert { table, key, data } => {
+                ReplayOp::Redo(RedoOp::Insert { table, key, data }) => {
                     model.entry((*table, *key)).or_insert_with(|| data.clone());
                 }
-                RedoOp::Update { table, key, after } => {
+                ReplayOp::Redo(RedoOp::Update { table, key, after }) => {
                     model.insert((*table, *key), after.clone());
                 }
+                ReplayOp::Rollback(undo) => undo_model(model, undo),
             }
         }
         for (_, _, op) in a.undo.iter().rev() {
-            match op {
-                UndoOp::Revert { table, key, before } => {
-                    if model.contains_key(&(*table, *key)) {
-                        model.insert((*table, *key), before.clone());
-                    }
-                }
-                UndoOp::Remove { table, key } => {
-                    model.remove(&(*table, *key));
-                }
-            }
+            undo_model(model, op);
         }
+    }
+
+    #[test]
+    fn commit_after_an_abort_on_the_same_row_survives_replay() {
+        let t1 = LogPayload::Update {
+            table: 1,
+            key: 5,
+            before: vec![0],
+            after: vec![1],
+        };
+        let t2 = LogPayload::Update {
+            table: 1,
+            key: 5,
+            before: vec![0],
+            after: vec![2],
+        };
+        let log = build(&[
+            (1, LogPayload::Begin),
+            (1, t1),
+            (1, LogPayload::Abort),
+            (2, LogPayload::Begin),
+            (2, t2),
+            (2, LogPayload::Commit),
+        ]);
+        let a = analyze(&log, 0).unwrap();
+        assert!(a.undo.is_empty(), "an aborted txn is not a loser");
+        let mut model = Model::from([((1, 5), vec![0])]);
+        apply_model(&mut model, &a);
+        assert_eq!(model[&(1, 5)], vec![2], "T2's committed image must survive");
+        // Same shape with inserts: the aborted insert's removal must not
+        // take the later committed row with it.
+        let log = build(&[
+            (1, ins(9)),
+            (1, LogPayload::Abort),
+            (2, ins(9)),
+            (2, LogPayload::Commit),
+        ]);
+        let mut model = Model::new();
+        apply_model(&mut model, &analyze(&log, 0).unwrap());
+        assert_eq!(model.get(&(1, 9)), Some(&vec![9]));
+    }
+
+    #[test]
+    fn aborted_txn_rolls_back_newest_image_first() {
+        let step = |before: u8, after: u8| LogPayload::Update {
+            table: 1,
+            key: 5,
+            before: vec![before],
+            after: vec![after],
+        };
+        // A stolen page carried the aborted txn's last write into the store.
+        let log = build(&[(1, step(0, 1)), (1, step(1, 2)), (1, LogPayload::Abort)]);
+        let mut model = Model::from([((1, 5), vec![2])]);
+        apply_model(&mut model, &analyze(&log, 0).unwrap());
+        assert_eq!(model[&(1, 5)], vec![0]);
     }
 
     proptest::proptest! {
@@ -453,7 +551,7 @@ mod tests {
         assert_eq!(start, snapshot_lsn);
         let a = analyze(&log, start).unwrap();
         // Only txn 2's insert is redone; txn 1 is in the snapshot.
-        assert_eq!(a.redo.len(), 1);
-        assert_eq!(a.redo[0].1, TxnId(2));
+        assert_eq!(a.replay.len(), 1);
+        assert_eq!(a.replay[0].1, TxnId(2));
     }
 }

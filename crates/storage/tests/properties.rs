@@ -36,7 +36,7 @@ proptest! {
     #[test]
     fn btree_matches_model(ops in prop::collection::vec(tree_op(), 1..300)) {
         let pool = BufferPool::new(Arc::new(MemStore::new()), 512);
-        pool.set_wal_barrier(Arc::new(|| {}));
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
         let tree = BTree::create_with_fanout(pool, 5).unwrap(); // deep trees
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for op in ops {
