@@ -6,15 +6,21 @@
 //! The multi-process deployment (`islands-server`'s `deploy` module) spawns
 //! one process per partition; each process serves its engine over the wire:
 //!
-//! * **Local transactions** (all keys inside the range) commit entirely here
-//!   via [`submit_local`](PartitionEngine::submit_local), retrying contention
-//!   aborts like [`NativeCluster::submit`](super::NativeCluster::submit).
-//! * **Distributed branches** arrive as 2PC `Prepare` frames: the engine
-//!   executes the branch's operations and runs participant-side phase 1
-//!   ([`prepare_branch`](PartitionEngine::prepare_branch)), handing the
-//!   prepared [`TxnHandle`] back to the session, which holds it in-doubt
-//!   until the coordinator's decision (or presumes abort on connection
-//!   loss).
+//! * **Local transactions** (every row inside the range) commit entirely
+//!   here via [`submit_plan_local`](PartitionEngine::submit_plan_local),
+//!   retrying contention aborts like
+//!   [`NativeCluster::submit`](super::NativeCluster::submit).
+//! * **Distributed branches** arrive as 2PC prepare frames: the engine
+//!   executes the branch's steps and runs participant-side phase 1
+//!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)),
+//!   handing the prepared [`TxnHandle`] to the connection's
+//!   [`LockedSession`], which holds it in-doubt until the coordinator's
+//!   decision (or presumes abort when the connection closes).
+//!
+//! A [`PlanRequest`] is the only request shape executed here; the
+//! batch-taking [`submit_local`](PartitionEngine::submit_local) and
+//! [`prepare_branch`](PartitionEngine::prepare_branch) lower their
+//! [`TxnRequest`] with [`to_plan`](TxnRequest::to_plan) and call the above.
 //!
 //! Keys stay **global**: the engine checks range membership instead of
 //! translating, so a request routed to the wrong process is a typed error,
@@ -25,13 +31,16 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use islands_dtxn::{Participant, ParticipantEvent, Vote};
+use islands_obs::BreakdownCategory;
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
 use islands_storage::wal::{DiscardLogDevice, FileLogDevice, LogDevice};
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle};
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
-use islands_workload::{tpcc, OpKind, TxnRequest};
+use islands_workload::{tpcc, TxnRequest};
 
+use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::{SubmitOutcome, MICRO_TABLE_NAME};
 
 /// TPC-C mode for a partition: which warehouse sub-range `[w_lo, w_hi)` of
@@ -112,8 +121,8 @@ pub enum BranchOutcome {
 /// conflicting work exactly as the old incarnation's X locks did.
 struct RecoveredBranch {
     branch: InDoubt,
-    /// Footprint in plan-table-id space, comparable against
-    /// [`PlanRequest::conflict_keys`] and micro keys.
+    /// Footprint in plan-table-id space, comparable against incoming plans
+    /// ([`PlanRequest::conflicts_with`]).
     keys: Vec<(u32, u64)>,
     parked_at: Instant,
 }
@@ -285,29 +294,13 @@ impl PartitionEngine {
         gtids
     }
 
-    /// Whether any parked recovered branch's footprint intersects `keys`
-    /// (plan-table-id space).
-    pub fn recovered_conflict(&self, keys: &[(u32, u64)]) -> bool {
-        let map = self.recovered_map();
-        if map.is_empty() {
-            return false;
-        }
-        map.values()
-            .any(|rb| rb.keys.iter().any(|k| keys.contains(k)))
-    }
-
-    /// [`recovered_conflict`](Self::recovered_conflict) for micro-table
-    /// requests, whose keys are bare row ids.
-    pub fn recovered_conflict_micro(&self, keys: &[u64]) -> bool {
-        let map = self.recovered_map();
-        if map.is_empty() {
-            return false;
-        }
-        map.values().any(|rb| {
-            rb.keys
-                .iter()
-                .any(|&(t, k)| t == islands_workload::plan::MICRO_TABLE && keys.contains(&k))
-        })
+    /// Whether `plan` touches a row some parked recovered branch claims.
+    /// With nothing parked — every moment outside a recovery window — this
+    /// is one uncontended lock and no footprint is built.
+    fn recovered_conflict(&self, plan: &PlanRequest) -> bool {
+        self.recovered_map()
+            .values()
+            .any(|rb| plan.conflicts_with(&rb.keys))
     }
 
     /// Apply the coordinator's decision to a branch parked by restart
@@ -328,6 +321,19 @@ impl PartitionEngine {
         metrics.record_parked(rb.parked_at.elapsed().as_nanos() as u64);
         metrics.record_in_doubt_resolved(commit);
         Ok(true)
+    }
+
+    /// A decision for a gtid no live session holds: it may belong to a
+    /// branch re-parked by restart replay. Both engine modes end their
+    /// `decide` here, so an unknown gtid gets the same presumed-abort
+    /// answer everywhere.
+    pub(crate) fn decide_recovered(&self, gtid: u64, commit: bool) -> DecideOutcome {
+        match self.resolve_recovered(gtid, commit) {
+            Ok(true) => DecideOutcome::Applied,
+            Ok(false) if !commit => DecideOutcome::AbortNoop,
+            Ok(false) => DecideOutcome::UnknownCommit,
+            Err(e) => DecideOutcome::Failed(e.to_string()),
+        }
     }
 
     /// The key range `[lo, hi)` this partition owns.
@@ -352,118 +358,22 @@ impl PartitionEngine {
         self.inst.set_lockcheck_scope(scope);
     }
 
-    pub(crate) fn check_keys(&self, req: &TxnRequest) -> Result<(), StorageError> {
-        match req.keys.iter().find(|&&k| !self.owns(k)) {
-            Some(&k) => Err(StorageError::KeyNotFound(k)),
-            None => Ok(()),
-        }
-    }
-
-    /// Run `req`'s operations inside `txn` (same semantics as the in-process
-    /// cluster: reads fetch the row, updates increment the audit counter in
-    /// the first 8 bytes).
-    fn run_ops(&self, txn: &mut TxnHandle, req: &TxnRequest) -> Result<(), StorageError> {
-        for &key in &req.keys {
-            match req.kind {
-                OpKind::Read => {
-                    txn.read(MICRO_TABLE_NAME, key)?
-                        .ok_or(StorageError::KeyNotFound(key))?;
-                }
-                OpKind::Update => {
-                    let mut row = txn
-                        .read(MICRO_TABLE_NAME, key)?
-                        .ok_or(StorageError::KeyNotFound(key))?;
-                    let v = super::audit_counter(&row) + 1;
-                    row[..8].copy_from_slice(&v.to_le_bytes());
-                    txn.update(MICRO_TABLE_NAME, key, &row)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute a fully-local request to completion, retrying contention
-    /// aborts up to `retry_limit` times. `Err` only for requests this
-    /// partition can never satisfy (a key outside `[lo, hi)`).
+    /// [`submit_plan_local`](Self::submit_plan_local) for a micro batch.
     pub fn submit_local(
         &self,
         req: &TxnRequest,
         retry_limit: u32,
     ) -> Result<SubmitOutcome, StorageError> {
-        self.check_keys(req)?;
-        let mut retries = 0u32;
-        loop {
-            // A recovered in-doubt branch covering one of our keys is a
-            // contention abort, not an error: the branch resolves soon, so
-            // raced submits retry under the normal backoff.
-            if self.recovered_conflict_micro(&req.keys) {
-                if retries >= retry_limit {
-                    return Ok(SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries,
-                    });
-                }
-                retries += 1;
-                super::contention_backoff(retries);
-                continue;
-            }
-            let mut txn = self.inst.begin();
-            let attempt = self.run_ops(&mut txn, req).and_then(|()| txn.commit());
-            match attempt {
-                Ok(()) => {
-                    return Ok(SubmitOutcome {
-                        committed: true,
-                        distributed: false,
-                        retries,
-                    })
-                }
-                Err(StorageError::Deadlock(_))
-                | Err(StorageError::LockTimeout(_))
-                | Err(StorageError::MustAbort(_)) => {
-                    if retries >= retry_limit {
-                        return Ok(SubmitOutcome {
-                            committed: false,
-                            distributed: false,
-                            retries,
-                        });
-                    }
-                    retries += 1;
-                    super::contention_backoff(retries);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.submit_plan_local(&req.to_plan(), retry_limit)
     }
 
-    /// Execute one 2PC branch and run participant phase 1: force the prepare
-    /// record and vote. Contention failures abort the branch locally and
-    /// vote No (the coordinator retries the whole global transaction); `Err`
-    /// is reserved for misrouted branches (key outside this partition).
+    /// [`prepare_plan_branch`](Self::prepare_plan_branch) for a micro batch.
     pub fn prepare_branch(
         &self,
         gtid: u64,
         req: &TxnRequest,
     ) -> Result<BranchOutcome, StorageError> {
-        self.check_keys(req)?;
-        // Rows claimed by a recovered in-doubt branch are as locked as the
-        // old incarnation left them: vote No, the coordinator retries.
-        if self.recovered_conflict_micro(&req.keys) {
-            return Ok(BranchOutcome::No);
-        }
-        let mut txn = self.inst.begin();
-        if self.run_ops(&mut txn, req).is_err() {
-            let _ = txn.abort();
-            return Ok(BranchOutcome::No);
-        }
-        match txn.prepare(gtid) {
-            Ok(PrepareVote::Yes) => Ok(BranchOutcome::Prepared(txn)),
-            Ok(PrepareVote::ReadOnly) => Ok(BranchOutcome::ReadOnly),
-            Err(_) => {
-                let _ = txn.abort();
-                Ok(BranchOutcome::No)
-            }
-        }
+        self.prepare_plan_branch(gtid, &req.to_plan())
     }
 
     /// Catalog name and row width for a plan table id under this engine's
@@ -502,7 +412,7 @@ impl PartitionEngine {
 
     /// Reject plans this partition can never satisfy: an unknown/foreign
     /// table id or any row outside the owned range — typed errors before a
-    /// single operation runs, mirroring [`check_keys`](Self::check_keys).
+    /// single operation runs.
     pub(crate) fn check_plan(&self, plan: &PlanRequest) -> Result<(), StorageError> {
         for step in &plan.steps {
             self.plan_table(step.table)?;
@@ -550,9 +460,9 @@ impl PartitionEngine {
         Ok(())
     }
 
-    /// Execute a fully-local multi-step plan to completion, retrying
-    /// contention aborts up to `retry_limit` times — the plan analogue of
-    /// [`submit_local`](Self::submit_local).
+    /// Execute a fully-local plan to completion, retrying contention aborts
+    /// up to `retry_limit` times. `Err` only for plans this partition can
+    /// never satisfy (a foreign table, a row outside the owned range).
     pub fn submit_plan_local(
         &self,
         plan: &PlanRequest,
@@ -561,58 +471,53 @@ impl PartitionEngine {
         self.check_plan(plan)?;
         let mut retries = 0u32;
         loop {
-            if self.recovered_conflict(&plan.conflict_keys()) {
-                if retries >= retry_limit {
-                    return Ok(SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries,
-                    });
-                }
-                retries += 1;
-                super::contention_backoff(retries);
-                continue;
-            }
-            let mut txn = self.inst.begin();
-            let attempt = self.run_plan(&mut txn, plan).and_then(|()| txn.commit());
-            match attempt {
-                Ok(()) => {
-                    return Ok(SubmitOutcome {
-                        committed: true,
-                        distributed: false,
-                        retries,
-                    })
-                }
-                Err(StorageError::Deadlock(_))
-                | Err(StorageError::LockTimeout(_))
-                | Err(StorageError::MustAbort(_)) => {
-                    if retries >= retry_limit {
+            if !self.recovered_conflict(plan) {
+                let mut txn = self.inst.begin();
+                match self.run_plan(&mut txn, plan).and_then(|()| txn.commit()) {
+                    Ok(()) => {
                         return Ok(SubmitOutcome {
-                            committed: false,
+                            committed: true,
                             distributed: false,
                             retries,
-                        });
+                        })
                     }
-                    retries += 1;
-                    super::contention_backoff(retries);
+                    Err(StorageError::Deadlock(_))
+                    | Err(StorageError::LockTimeout(_))
+                    | Err(StorageError::MustAbort(_)) => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
             }
+            // Contention: a lock conflict, or a row a recovered in-doubt
+            // branch still claims. That is an abort, not an error — the
+            // branch resolves soon — so both retry under the same backoff.
+            if retries >= retry_limit {
+                return Ok(SubmitOutcome {
+                    committed: false,
+                    distributed: false,
+                    retries,
+                });
+            }
+            retries += 1;
+            super::contention_backoff(retries);
         }
     }
 
-    /// Execute one plan branch and run participant phase 1 — the plan
-    /// analogue of [`prepare_branch`](Self::prepare_branch). Dependent reads
-    /// (range scans) run *before* the prepare record is forced, so a parked
-    /// branch holds their S locks alongside its write locks until the
-    /// decision.
+    /// Execute one 2PC branch and run participant phase 1: force the prepare
+    /// record and vote. Dependent reads (range scans) run *before* the
+    /// prepare record is forced, so a parked branch holds their S locks
+    /// alongside its write locks until the decision. Contention failures
+    /// abort the branch locally and vote No (the coordinator retries the
+    /// whole global transaction); `Err` is reserved for misrouted branches
+    /// (a row outside this partition).
     pub fn prepare_plan_branch(
         &self,
         gtid: u64,
         plan: &PlanRequest,
     ) -> Result<BranchOutcome, StorageError> {
         self.check_plan(plan)?;
-        if self.recovered_conflict(&plan.conflict_keys()) {
+        // Rows claimed by a recovered in-doubt branch are as locked as the
+        // old incarnation left them: vote No, the coordinator retries.
+        if self.recovered_conflict(plan) {
             return Ok(BranchOutcome::No);
         }
         let mut txn = self.inst.begin();
@@ -653,6 +558,105 @@ impl PartitionEngine {
             }
         }
         Ok(sum)
+    }
+}
+
+impl Engine for PartitionEngine {
+    fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
+        Box::new(LockedSession {
+            engine: self,
+            retry_limit,
+            in_doubt: HashMap::new(),
+        })
+    }
+
+    fn audit_sum(&self) -> Result<u64, ExecError> {
+        Ok(PartitionEngine::audit_sum(self)?)
+    }
+
+    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        Ok(PartitionEngine::recovered_gtids(self))
+    }
+}
+
+/// A connection's session on the locked engine: requests execute inline on
+/// the calling thread under 2PL, and the branches the connection prepared
+/// wait here, holding their locks, for its coordinator's decision.
+///
+/// The in-doubt map is session-local because a branch's coordinator speaks
+/// on this connection: no cross-session locking, and the presumed-abort
+/// rule has a precise trigger — whatever is still here at
+/// [`close`](Session::close) has lost its coordinator. Each branch rides
+/// with its [`Participant`] state machine, so phase 2 can only happen on a
+/// genuinely prepared branch.
+pub struct LockedSession<'e> {
+    engine: &'e PartitionEngine,
+    retry_limit: u32,
+    in_doubt: HashMap<u64, (Participant, TxnHandle)>,
+}
+
+impl Session for LockedSession<'_> {
+    fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
+        // The work happens on this thread, so the management span here
+        // catches what nested storage spans don't claim.
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        Ok(self.engine.submit_plan_local(plan, self.retry_limit)?)
+    }
+
+    fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        if self.in_doubt.contains_key(&gtid) {
+            return Err(ExecError::DuplicateGtid(gtid));
+        }
+        // A misrouted branch (row outside this partition) is the
+        // coordinator's routing bug: a typed error, not a vote.
+        Ok(match self.engine.prepare_plan_branch(gtid, plan)? {
+            BranchOutcome::Prepared(handle) => {
+                let mut participant = Participant::new(gtid);
+                let ev = participant.on_prepare(true, true);
+                debug_assert!(matches!(
+                    ev,
+                    ParticipantEvent::ForcePrepareAndVote {
+                        vote: Vote::Yes,
+                        ..
+                    }
+                ));
+                self.in_doubt.insert(gtid, (participant, handle));
+                Vote::Yes
+            }
+            BranchOutcome::ReadOnly => Vote::ReadOnly,
+            BranchOutcome::No => Vote::No,
+        })
+    }
+
+    fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        let Some((mut participant, handle)) = self.in_doubt.remove(&gtid) else {
+            return Ok(self.engine.decide_recovered(gtid, commit));
+        };
+        let ev = participant.on_decision(commit);
+        debug_assert!(matches!(ev, ParticipantEvent::ApplyDecisionAndAck { .. }));
+        Ok(match handle.decide(commit) {
+            Ok(()) => DecideOutcome::Applied,
+            Err(e) => DecideOutcome::Failed(e.to_string()),
+        })
+    }
+
+    fn close(&mut self) -> u64 {
+        // Presumed abort: the coordinator is gone without a decision, so
+        // absence of evidence is evidence of abort. Rolling the branches
+        // back releases their locks and keeps the partition serviceable.
+        let orphaned = self.in_doubt.len() as u64;
+        for (_, (_, handle)) in self.in_doubt.drain() {
+            let _ = handle.decide(false);
+        }
+        orphaned
+    }
+}
+
+impl Drop for LockedSession<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

@@ -50,10 +50,11 @@ use std::time::Instant;
 use islands_dtxn::Vote;
 use islands_obs::{metrics, BreakdownCategory, TxnClass};
 use islands_storage::{StorageError, TxnHandle};
-use islands_workload::plan::{PlanRequest, MICRO_TABLE};
+use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
 use super::engine::{BranchOutcome, PartitionConfig, PartitionEngine};
+use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::SubmitOutcome;
 
 /// How a partition instance executes its transactions.
@@ -119,52 +120,6 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Why an executor call failed (distinct from a well-formed transaction
-/// merely aborting, which is a [`SubmitOutcome`] / [`Vote::No`]).
-#[derive(Debug)]
-pub enum ExecError {
-    /// The request is one this partition can never satisfy (key outside its
-    /// range, unknown table).
-    Storage(StorageError),
-    /// A branch with this gtid is already prepared here.
-    DuplicateGtid(u64),
-    /// The executor thread is gone (shut down or crashed).
-    Gone,
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Storage(e) => write!(f, "{e}"),
-            ExecError::DuplicateGtid(g) => write!(f, "gtid {g} is already prepared here"),
-            ExecError::Gone => write!(f, "partition executor is shut down"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-impl From<StorageError> for ExecError {
-    fn from(e: StorageError) -> Self {
-        ExecError::Storage(e)
-    }
-}
-
-/// Outcome of applying a coordinator decision on the executor.
-#[derive(Debug)]
-pub enum DecideOutcome {
-    /// The in-doubt branch was found and the decision applied.
-    Applied,
-    /// Abort for an unknown gtid: under presumed abort the branch may
-    /// already be gone (or never prepared here); aborting nothing is the
-    /// decreed outcome.
-    AbortNoop,
-    /// Commit for an unknown gtid — a protocol error.
-    UnknownCommit,
-    /// The branch existed but applying the decision failed.
-    Failed(String),
-}
-
 /// One prepared, in-doubt 2PC branch parked on the executor.
 struct Branch {
     handle: TxnHandle,
@@ -187,20 +142,10 @@ fn retire_branch(b: &Branch) {
 
 enum Job {
     Submit {
-        req: TxnRequest,
-        done: SyncSender<Result<SubmitOutcome, StorageError>>,
-    },
-    Prepare {
-        session: u64,
-        gtid: u64,
-        req: TxnRequest,
-        done: SyncSender<Result<Vote, ExecError>>,
-    },
-    SubmitPlan {
         plan: PlanRequest,
         done: SyncSender<Result<SubmitOutcome, StorageError>>,
     },
-    PreparePlan {
+    Prepare {
         session: u64,
         gtid: u64,
         plan: PlanRequest,
@@ -315,23 +260,13 @@ impl PartitionExecutor {
         &self,
         scope: std::sync::Arc<islands_storage::lockcheck::Scope>,
     ) -> Result<(), ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::SetLockcheckScope { scope, done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        call(&self.tx, |done| Job::SetLockcheckScope { scope, done })
     }
 
     /// Sum of the audit counters across the partition's rows (serialized
     /// through the queue, so it observes a consistent point).
     pub fn audit_sum(&self) -> Result<u64, ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::AuditSum { done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
+        Ok(call(&self.tx, |done| Job::AuditSum { done })??)
     }
 
     /// Gtids of in-doubt branches restart replay re-parked on the engine,
@@ -339,30 +274,56 @@ impl PartitionExecutor {
     /// [`ExecutorSession::decide`] — the decision falls through to the
     /// recovered branch when no live branch holds the gtid.
     pub fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        let (done, wait) = sync_channel(1);
-        self.tx
-            .send(Job::RecoveredGtids { done })
-            .map_err(|_| ExecError::Gone)?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        call(&self.tx, |done| Job::RecoveredGtids { done })
     }
 
     /// Stop the executor: drain the queue up to this point, presume-abort
     /// any branch still in-doubt, and join the thread.
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(Job::Shutdown);
-        if let Some(h) = self.join.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for PartitionExecutor {
     fn drop(&mut self) {
         if let Some(h) = self.join.take() {
-            let _ = self.tx.send(Job::Shutdown);
+            let _ = enqueue(&self.tx, Job::Shutdown);
             let _ = h.join();
         }
     }
+}
+
+impl Engine for PartitionExecutor {
+    /// Serial execution never contends, so the retry budget is moot.
+    fn session(&self, _retry_limit: u32) -> Box<dyn Session + '_> {
+        Box::new(PartitionExecutor::session(self))
+    }
+
+    fn audit_sum(&self) -> Result<u64, ExecError> {
+        PartitionExecutor::audit_sum(self)
+    }
+
+    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        PartitionExecutor::recovered_gtids(self)
+    }
+}
+
+/// Enqueue one job, counting it into the queue-depth gauge; the serve loop
+/// counts it back out when it dequeues.
+fn enqueue(tx: &SyncSender<Job>, job: Job) -> Result<(), ExecError> {
+    metrics().queue_depth().inc();
+    tx.send(job).map_err(|_| {
+        metrics().queue_depth().dec();
+        ExecError::Gone
+    })
+}
+
+/// Enqueue the job `make` builds around a completion slot and block until
+/// the executor thread fills the slot (enqueue + rendezvous).
+fn call<T>(tx: &SyncSender<Job>, make: impl FnOnce(SyncSender<T>) -> Job) -> Result<T, ExecError> {
+    let (done, wait) = sync_channel(1);
+    enqueue(tx, make(done))?;
+    wait.recv().map_err(|_| ExecError::Gone)
 }
 
 /// One producer's channel to a [`PartitionExecutor`]. Calls block until the
@@ -375,100 +336,44 @@ pub struct ExecutorSession {
 }
 
 impl ExecutorSession {
-    /// Execute one fully-local request serially on the executor.
-    ///
-    /// A request whose keys intersect an in-doubt branch reports
-    /// `committed: false` immediately — the same outcome wait-die hands a
-    /// conflicting newcomer under the locked engine.
+    /// [`submit_plan`](Self::submit_plan) for a micro batch.
     pub fn submit(&self, req: &TxnRequest) -> Result<SubmitOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Submit {
-                req: req.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
+        self.submit_plan(&req.to_plan())
+    }
+
+    /// [`prepare_plan`](Self::prepare_plan) for a micro batch.
+    pub fn prepare(&self, gtid: u64, req: &TxnRequest) -> Result<Vote, ExecError> {
+        self.prepare_plan(gtid, &req.to_plan())
+    }
+
+    /// Execute one fully-local plan serially on the executor.
+    ///
+    /// A plan touching a row some in-doubt branch covers (range reads
+    /// expanded) reports `committed: false` immediately — the same outcome
+    /// wait-die hands a conflicting newcomer under the locked engine.
+    pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
+        let plan = plan.clone();
+        Ok(call(&self.tx, |done| Job::Submit { plan, done })??)
     }
 
     /// Execute one 2PC branch and run participant phase 1 on the executor.
-    /// `Ok(Vote::Yes)` parks the branch in-doubt until [`decide`](Self::decide)
-    /// (from any session) or this session's close presumed-aborts it.
-    pub fn prepare(&self, gtid: u64, req: &TxnRequest) -> Result<Vote, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Prepare {
-                session: self.id,
-                gtid,
-                req: req.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)?
-    }
-
-    /// Execute one fully-local multi-step plan serially on the executor —
-    /// the plan analogue of [`submit`](Self::submit), with the conflict
-    /// check running over `(table, key)` pairs (range reads expanded).
-    pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::SubmitPlan {
-                plan: plan.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv()
-            .map_err(|_| ExecError::Gone)?
-            .map_err(ExecError::Storage)
-    }
-
-    /// Execute one plan branch and run participant phase 1 on the executor —
-    /// the plan analogue of [`prepare`](Self::prepare). A `Vote::Yes` parks
-    /// the branch with its full `(table, key)` footprint, dependent reads
-    /// included, so conflicting work aborts until the decision.
+    /// `Ok(Vote::Yes)` parks the branch with its full `(table, key)`
+    /// footprint, dependent reads included, so conflicting work aborts
+    /// until [`decide`](Self::decide) (from any session) or this session's
+    /// close presumed-aborts it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::PreparePlan {
-                session: self.id,
-                gtid,
-                plan: plan.clone(),
-                done,
-            })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)?
+        let (session, plan) = (self.id, plan.clone());
+        call(&self.tx, |done| Job::Prepare {
+            session,
+            gtid,
+            plan,
+            done,
+        })?
     }
 
     /// Apply a coordinator decision to the in-doubt branch with this gtid.
     pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
-        let (done, wait) = sync_channel(1);
-        metrics().queue_depth().inc();
-        self.tx
-            .send(Job::Decide { gtid, commit, done })
-            .map_err(|_| {
-                metrics().queue_depth().dec();
-                ExecError::Gone
-            })?;
-        wait.recv().map_err(|_| ExecError::Gone)
+        call(&self.tx, |done| Job::Decide { gtid, commit, done })
     }
 
     /// End the session: every branch it prepared that is still in-doubt is
@@ -479,18 +384,8 @@ impl ExecutorSession {
             return 0;
         }
         self.closed = true;
-        let (done, wait) = sync_channel(1);
-        if self
-            .tx
-            .send(Job::SessionClosed {
-                session: self.id,
-                done,
-            })
-            .is_err()
-        {
-            return 0;
-        }
-        wait.recv().unwrap_or(0)
+        let session = self.id;
+        call(&self.tx, |done| Job::SessionClosed { session, done }).unwrap_or(0)
     }
 }
 
@@ -500,23 +395,30 @@ impl Drop for ExecutorSession {
     }
 }
 
-/// Whether `keys` intersect any in-doubt branch's `(table, key)` set.
-/// Branch counts are small (one per outstanding 2PC transaction on this
-/// partition), so a linear scan beats maintaining an index.
-fn conflicts(branches: &HashMap<u64, Branch>, keys: &[(u32, u64)]) -> bool {
-    branches
-        .values()
-        .any(|b| keys.iter().any(|k| b.keys.contains(k)))
+impl Session for ExecutorSession {
+    fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
+        self.submit_plan(plan)
+    }
+
+    fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
+        self.prepare_plan(gtid, plan)
+    }
+
+    fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
+        ExecutorSession::decide(self, gtid, commit)
+    }
+
+    fn close(&mut self) -> u64 {
+        ExecutorSession::close(self)
+    }
 }
 
-/// [`conflicts`] for a micro request, whose keys all live in the micro
-/// table; avoids materializing pairs on the fast path.
-fn conflicts_micro(branches: &HashMap<u64, Branch>, keys: &[u64]) -> bool {
-    branches.values().any(|b| {
-        b.keys
-            .iter()
-            .any(|&(t, k)| t == MICRO_TABLE && keys.contains(&k))
-    })
+/// Whether `plan` touches a row some in-doubt branch's footprint covers.
+/// Branch counts are small (one per outstanding 2PC transaction on this
+/// partition), so a linear scan beats maintaining an index — and with
+/// nothing parked, the common case, it is no work at all.
+fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
+    branches.values().any(|b| plan.conflicts_with(&b.keys))
 }
 
 /// The executor thread's serve loop: drain jobs until shutdown, then
@@ -524,19 +426,19 @@ fn conflicts_micro(branches: &HashMap<u64, Branch>, keys: &[u64]) -> bool {
 fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
     let mut branches: HashMap<u64, Branch> = HashMap::new();
     while let Ok(job) = rx.recv() {
+        metrics().queue_depth().dec();
         match job {
-            Job::Submit { req, done } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(if req.multisite {
+            Job::Submit { plan, done } => {
+                islands_obs::set_txn_class(if plan.multisite {
                     TxnClass::Multisite
                 } else {
                     TxnClass::Local
                 });
                 let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts_micro(&branches, &req.keys) {
-                    // Keys held by an in-doubt branch: abort now, exactly as
+                let outcome = if conflicts(&branches, &plan) {
+                    // Rows held by an in-doubt branch: abort now, exactly as
                     // wait-die would kill the younger conflicting txn.
-                    engine.check_keys(&req).map(|()| SubmitOutcome {
+                    engine.check_plan(&plan).map(|()| SubmitOutcome {
                         committed: false,
                         distributed: false,
                         retries: 0,
@@ -544,80 +446,21 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                 } else {
                     // Lock-free engine: contention errors cannot occur, so
                     // the retry budget is moot.
-                    engine.submit_local(&req, 0)
+                    engine.submit_plan_local(&plan, 0)
                 };
                 let _ = done.send(outcome);
             }
             Job::Prepare {
                 session,
                 gtid,
-                req,
-                done,
-            } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let reply = if branches.contains_key(&gtid) {
-                    Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts_micro(&branches, &req.keys) {
-                    engine
-                        .check_keys(&req)
-                        .map(|()| Vote::No)
-                        .map_err(ExecError::Storage)
-                } else {
-                    match engine.prepare_branch(gtid, &req) {
-                        Ok(BranchOutcome::Prepared(handle)) => {
-                            metrics().in_doubt().inc();
-                            branches.insert(
-                                gtid,
-                                Branch {
-                                    handle,
-                                    session,
-                                    keys: req.keys.iter().map(|&k| (MICRO_TABLE, k)).collect(),
-                                    parked_at: Instant::now(),
-                                },
-                            );
-                            Ok(Vote::Yes)
-                        }
-                        Ok(BranchOutcome::ReadOnly) => Ok(Vote::ReadOnly),
-                        Ok(BranchOutcome::No) => Ok(Vote::No),
-                        Err(e) => Err(ExecError::Storage(e)),
-                    }
-                };
-                let _ = done.send(reply);
-            }
-            Job::SubmitPlan { plan, done } => {
-                metrics().queue_depth().dec();
-                islands_obs::set_txn_class(if plan.multisite {
-                    TxnClass::Multisite
-                } else {
-                    TxnClass::Local
-                });
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts(&branches, &plan.conflict_keys()) {
-                    engine.check_plan(&plan).map(|()| SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries: 0,
-                    })
-                } else {
-                    engine.submit_plan_local(&plan, 0)
-                };
-                let _ = done.send(outcome);
-            }
-            Job::PreparePlan {
-                session,
-                gtid,
                 plan,
                 done,
             } => {
-                metrics().queue_depth().dec();
                 islands_obs::set_txn_class(TxnClass::Multisite);
                 let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let footprint = plan.conflict_keys();
                 let reply = if branches.contains_key(&gtid) {
                     Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts(&branches, &footprint) {
+                } else if conflicts(&branches, &plan) {
                     engine
                         .check_plan(&plan)
                         .map(|()| Vote::No)
@@ -631,7 +474,7 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                                 Branch {
                                     handle,
                                     session,
-                                    keys: footprint,
+                                    keys: plan.conflict_keys(),
                                     parked_at: Instant::now(),
                                 },
                             );
@@ -645,7 +488,6 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                 let _ = done.send(reply);
             }
             Job::Decide { gtid, commit, done } => {
-                metrics().queue_depth().dec();
                 islands_obs::set_txn_class(TxnClass::Multisite);
                 let _span = islands_obs::enter(BreakdownCategory::XctManagement);
                 let outcome = match branches.remove(&gtid) {
@@ -656,14 +498,7 @@ fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
                             Err(e) => DecideOutcome::Failed(e.to_string()),
                         }
                     }
-                    // No live branch: the gtid may belong to an in-doubt
-                    // branch re-parked by restart replay.
-                    None => match engine.resolve_recovered(gtid, commit) {
-                        Ok(true) => DecideOutcome::Applied,
-                        Ok(false) if !commit => DecideOutcome::AbortNoop,
-                        Ok(false) => DecideOutcome::UnknownCommit,
-                        Err(e) => DecideOutcome::Failed(e.to_string()),
-                    },
+                    None => engine.decide_recovered(gtid, commit),
                 };
                 let _ = done.send(outcome);
             }

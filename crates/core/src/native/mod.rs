@@ -22,18 +22,19 @@ use islands_storage::store::MemStore;
 use islands_storage::wal::record::LogPayload;
 use islands_storage::wal::DiscardLogDevice;
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnId};
+use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
 use crate::partition::{instance_of_site, RangeSites, SiteMap};
-use crate::plan::{plan_micro, OpType, TxnPlan, MICRO_TABLE};
+use crate::plan::{plan_from_request, plan_micro, OpType, TxnPlan, MICRO_TABLE};
 
 pub mod engine;
 pub mod executor;
+pub mod session;
 
-pub use engine::{BranchOutcome, PartitionConfig, PartitionEngine, TpccPartition};
-pub use executor::{
-    DecideOutcome, EngineMode, ExecError, ExecutorConfig, ExecutorSession, PartitionExecutor,
-};
+pub use engine::{BranchOutcome, LockedSession, PartitionConfig, PartitionEngine, TpccPartition};
+pub use executor::{EngineMode, ExecutorConfig, ExecutorSession, PartitionExecutor};
+pub use session::{DecideOutcome, Engine, ExecError, Session};
 
 /// Delay before the `retries`-th re-attempt of a contention-aborted
 /// transaction: `None` for the first few attempts (just yield — the
@@ -482,6 +483,61 @@ impl NativeCluster {
             distributed: distributed.load(Ordering::Relaxed),
             elapsed: start.elapsed(),
         }
+    }
+}
+
+impl Engine for NativeCluster {
+    fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
+        Box::new(ClusterSession {
+            cluster: self,
+            retry_limit,
+        })
+    }
+
+    fn audit_sum(&self) -> Result<u64, ExecError> {
+        Ok(NativeCluster::audit_sum(self)?)
+    }
+
+    /// The cluster's logs are volatile: nothing is ever re-parked.
+    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        Ok(Vec::new())
+    }
+}
+
+/// A session on the whole in-process cluster: submissions route and run
+/// 2PC inside [`NativeCluster::submit_plan`], so the cluster is never
+/// itself a participant and holds nothing in doubt.
+struct ClusterSession<'c> {
+    cluster: &'c NativeCluster,
+    retry_limit: u32,
+}
+
+impl Session for ClusterSession<'_> {
+    fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
+        let _span = islands_obs::enter(islands_obs::BreakdownCategory::XctManagement);
+        // The cluster range-partitions only the micro table; TPC-C plans
+        // belong on partition instances.
+        if let Some(s) = plan.steps.iter().find(|s| s.table != MICRO_TABLE) {
+            return Err(ExecError::Storage(StorageError::NoSuchTable(format!(
+                "plan table id {} not served by the in-process cluster",
+                s.table
+            ))));
+        }
+        Ok(self
+            .cluster
+            .submit_plan(&plan_from_request(plan), self.retry_limit)?)
+    }
+
+    fn prepare(&mut self, _gtid: u64, _plan: &PlanRequest) -> Result<Vote, ExecError> {
+        Err(ExecError::NotAParticipant)
+    }
+
+    fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<DecideOutcome, ExecError> {
+        Err(ExecError::NotAParticipant)
+    }
+
+    fn close(&mut self) -> u64 {
+        0
     }
 }
 

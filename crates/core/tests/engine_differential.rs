@@ -1,22 +1,29 @@
 //! Differential test: the locked engine and the serial executor are
 //! result-equivalent.
 //!
-//! One `MicroSpec`-generated trace is replayed through both engine modes:
-//! the locked [`PartitionEngine`] (2PL, wait-die) driven directly, and the
-//! [`PartitionExecutor`] (serial, no lock table) driven through a session.
-//! The trace interleaves local submissions *inside* the in-doubt window of
-//! prepared 2PC branches — including branches later decided **abort** and
-//! deliberately conflicting locals — and the claim under test is exact
-//! per-step outcome equality, equal commit counts, and equal `audit_sum()`.
+//! One `MicroSpec`-generated trace is replayed through both engine modes —
+//! the locked [`PartitionEngine`] (2PL, wait-die) and the
+//! [`PartitionExecutor`] (serial, no lock table) — by **one** `replay`
+//! written against the [`Engine`]/[`Session`] surface: nothing in it knows
+//! which mode it drives. The trace interleaves local submissions *inside*
+//! the in-doubt window of prepared 2PC branches — including branches later
+//! decided **abort**, deliberately conflicting locals, and branches whose
+//! engine is killed after the vote and rebuilt over its WAL, so the
+//! decision lands on a branch restart replay re-parked — and the claim
+//! under test is exact per-step outcome equality, equal commit counts, and
+//! equal `audit_sum()`.
 //!
 //! Why equality holds: under the locked engine an in-doubt branch is the
 //! *oldest* holder of its row locks, so wait-die kills every conflicting
 //! newcomer immediately; the executor answers a conflicting request with an
-//! immediate abort off its in-doubt key set. Same observable behavior, no
-//! locks on the serial side.
+//! immediate abort off its in-doubt key set. A re-parked branch guards its
+//! footprint the same way in both modes (the engine's recovered map). Same
+//! observable behavior, no locks on the serial side.
+
+use std::path::{Path, PathBuf};
 
 use islands_core::native::{
-    BranchOutcome, DecideOutcome, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
+    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
     PartitionExecutor,
 };
 use islands_dtxn::Vote;
@@ -26,6 +33,8 @@ use rand::SeedableRng;
 
 const ROWS: u64 = 240;
 const SITES: u64 = 4;
+/// Retry budget of local submissions (moot for the serial executor).
+const RETRIES: u32 = 4;
 
 /// One step of the replay script.
 enum Step {
@@ -40,6 +49,10 @@ enum Step {
         /// deliberately reuse the branch's home key to force conflicts.
         interleave: Vec<TxnRequest>,
         commit: bool,
+        /// Kill the engine once the branch has voted Yes and rebuild it
+        /// over the WAL: the interleave and the decision then meet the
+        /// branch as restart replay re-parked it.
+        restart: bool,
     },
 }
 
@@ -57,21 +70,48 @@ enum Outcome {
     },
 }
 
-fn partition_config() -> PartitionConfig {
+fn partition_config(wal: Option<&Path>) -> PartitionConfig {
     PartitionConfig {
         lo: 0,
         hi: ROWS,
         row_size: 16,
         buffer_frames: 512,
+        wal: wal.map(Path::to_path_buf),
         ..Default::default()
     }
+}
+
+/// The one place a mode is named: everything downstream sees `dyn Engine`.
+fn build(mode: EngineMode, wal: Option<&Path>) -> Box<dyn Engine> {
+    match mode {
+        EngineMode::Locked => Box::new(PartitionEngine::build(&partition_config(wal)).unwrap()),
+        EngineMode::Serial => Box::new(
+            PartitionExecutor::spawn(ExecutorConfig {
+                partition: partition_config(wal),
+                ..Default::default()
+            })
+            .unwrap(),
+        ),
+    }
+}
+
+/// Fresh scratch WAL path for one replay.
+fn temp_wal(mode: EngineMode, kind: OpKind) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "islands-differential-{}-{mode}-{}.wal",
+        std::process::id(),
+        kind.label()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 /// Build the script from a generated request stream. Multisite requests
 /// become branches; the locals that follow are pulled inside their in-doubt
 /// window; every third branch additionally gets a synthesized conflicting
-/// local (its own home key plus fresh fillers), and every third branch is
-/// decided abort.
+/// local (its own home key plus fresh fillers), every third branch is
+/// decided abort, and every fourth is decided across an engine restart
+/// (so restarts meet commits, aborts and forced conflicts alike).
 fn build_script(kind: OpKind) -> Vec<Step> {
     let spec = MicroSpec {
         kind,
@@ -113,103 +153,74 @@ fn build_script(kind: OpKind) -> Vec<Step> {
             req,
             interleave,
             commit: !gtid.is_multiple_of(3),
+            restart: gtid.is_multiple_of(4),
         });
         gtid += 1;
     }
     steps
 }
 
-/// Replay through the locked engine, driven directly (2PL does the work).
-fn replay_locked(steps: &[Step]) -> (Vec<Outcome>, u64) {
-    let engine = PartitionEngine::build(&partition_config()).unwrap();
+/// Replay the script through one engine mode, entirely on the session
+/// surface. Returns the per-step outcomes and the final audit sum.
+fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64) {
+    let wal = temp_wal(mode, kind);
+    let mut engine = build(mode, Some(&wal));
+    let mut session = engine.session(RETRIES);
     let mut outcomes = Vec::new();
     for step in steps {
         match step {
             Step::Local(req) => outcomes.push(Outcome::Local {
-                committed: engine.submit_local(req, 4).unwrap().committed,
+                committed: session.submit(&req.to_plan()).unwrap().committed,
             }),
             Step::Branch {
                 gtid,
                 req,
                 interleave,
                 commit,
+                restart,
             } => {
-                let branch = engine.prepare_branch(*gtid, req).unwrap();
-                let prepared = matches!(branch, BranchOutcome::Prepared(_));
-                let mut interleaved = Vec::new();
-                for il in interleave {
-                    interleaved.push(engine.submit_local(il, 4).unwrap().committed);
+                let vote = session.prepare(*gtid, &req.to_plan()).unwrap();
+                if *restart && vote == Vote::Yes {
+                    // kill -9: no session close, no engine shutdown —
+                    // either would log the presumed abort a crash never
+                    // writes. The dead incarnation is leaked, not dropped.
+                    std::mem::forget(session);
+                    std::mem::forget(engine);
+                    engine = build(mode, Some(&wal));
+                    assert_eq!(engine.recovered_gtids().unwrap(), [*gtid]);
+                    session = engine.session(RETRIES);
                 }
-                let committed = match branch {
-                    BranchOutcome::Prepared(handle) => {
-                        handle.decide(*commit).unwrap();
+                let interleaved = interleave
+                    .iter()
+                    .map(|il| session.submit(&il.to_plan()).unwrap().committed)
+                    .collect();
+                let committed = match vote {
+                    Vote::Yes => {
+                        assert_eq!(
+                            session.decide(*gtid, *commit).unwrap(),
+                            DecideOutcome::Applied
+                        );
                         *commit
                     }
                     // Read-only branches committed at prepare; No-voting
                     // branches rolled back (neither occurs with conflicts
                     // scripted only against already-prepared branches).
-                    BranchOutcome::ReadOnly => true,
-                    BranchOutcome::No => false,
-                };
-                outcomes.push(Outcome::Branch {
-                    prepared,
-                    interleaved,
-                    committed,
-                });
-            }
-        }
-    }
-    let audit = engine.audit_sum().unwrap();
-    (outcomes, audit)
-}
-
-/// Replay through the serial executor, driven through one producer session.
-fn replay_serial(steps: &[Step]) -> (Vec<Outcome>, u64) {
-    let exec = PartitionExecutor::spawn(ExecutorConfig {
-        partition: partition_config(),
-        ..Default::default()
-    })
-    .unwrap();
-    let session = exec.session();
-    let mut outcomes = Vec::new();
-    for step in steps {
-        match step {
-            Step::Local(req) => outcomes.push(Outcome::Local {
-                committed: session.submit(req).unwrap().committed,
-            }),
-            Step::Branch {
-                gtid,
-                req,
-                interleave,
-                commit,
-            } => {
-                let vote = session.prepare(*gtid, req).unwrap();
-                let prepared = vote == Vote::Yes;
-                let mut interleaved = Vec::new();
-                for il in interleave {
-                    interleaved.push(session.submit(il).unwrap().committed);
-                }
-                let committed = match vote {
-                    Vote::Yes => {
-                        assert!(matches!(
-                            session.decide(*gtid, *commit).unwrap(),
-                            DecideOutcome::Applied
-                        ));
-                        *commit
-                    }
                     Vote::ReadOnly => true,
                     Vote::No => false,
                 };
                 outcomes.push(Outcome::Branch {
-                    prepared,
+                    prepared: vote == Vote::Yes,
                     interleaved,
                     committed,
                 });
             }
         }
     }
+    assert_eq!(session.close(), 0, "every branch was decided");
     drop(session);
-    let audit = exec.audit_sum().unwrap();
+    assert!(engine.recovered_gtids().unwrap().is_empty());
+    let audit = engine.audit_sum().unwrap();
+    let _ = std::fs::remove_file(&wal);
     (outcomes, audit)
 }
 
@@ -242,9 +253,18 @@ fn run_differential(kind: OpKind) {
         .filter(|s| matches!(s, Step::Branch { commit: false, .. }))
         .count();
     assert!(aborted_branches >= 5, "script must abort branches");
+    let restarted = |commit| {
+        steps
+            .iter()
+            .any(|s| matches!(s, Step::Branch { commit: c, restart: true, .. } if *c == commit))
+    };
+    assert!(
+        kind == OpKind::Read || (restarted(true) && restarted(false)),
+        "script must decide re-parked branches both ways"
+    );
 
-    let (locked, locked_audit) = replay_locked(&steps);
-    let (serial, serial_audit) = replay_serial(&steps);
+    let (locked, locked_audit) = replay(EngineMode::Locked, kind, &steps);
+    let (serial, serial_audit) = replay(EngineMode::Serial, kind, &steps);
 
     assert_eq!(locked.len(), serial.len(), "both engines replay every step");
     for (i, (l, s)) in locked.iter().zip(&serial).enumerate() {
@@ -293,36 +313,25 @@ fn conflicting_locals_abort_identically_in_both_engines() {
         multisite: false,
     };
 
-    let engine = PartitionEngine::build(&partition_config()).unwrap();
-    let BranchOutcome::Prepared(handle) = engine.prepare_branch(1, &req).unwrap() else {
-        panic!("writer branch must prepare");
+    let run = |mode| {
+        let engine = build(mode, None);
+        let mut session = engine.session(RETRIES);
+        assert_eq!(session.prepare(1, &req.to_plan()).unwrap(), Vote::Yes);
+        let blocked = session.submit(&conflicting.to_plan()).unwrap().committed;
+        assert_eq!(session.decide(1, false).unwrap(), DecideOutcome::Applied);
+        let after = session.submit(&conflicting.to_plan()).unwrap().committed;
+        drop(session);
+        (blocked, after, engine.audit_sum().unwrap())
     };
-    let locked_blocked = engine.submit_local(&conflicting, 4).unwrap().committed;
-    handle.decide(false).unwrap();
-    let locked_after = engine.submit_local(&conflicting, 4).unwrap().committed;
-
-    let exec = PartitionExecutor::spawn(ExecutorConfig {
-        partition: partition_config(),
-        ..Default::default()
-    })
-    .unwrap();
-    let session = exec.session();
-    assert_eq!(session.prepare(1, &req).unwrap(), Vote::Yes);
-    let serial_blocked = session.submit(&conflicting).unwrap().committed;
-    assert!(matches!(
-        session.decide(1, false).unwrap(),
-        DecideOutcome::Applied
-    ));
-    let serial_after = session.submit(&conflicting).unwrap().committed;
+    let (locked_blocked, locked_after, locked_audit) = run(EngineMode::Locked);
+    let (serial_blocked, serial_after, serial_audit) = run(EngineMode::Serial);
 
     assert_eq!(locked_blocked, serial_blocked);
     assert!(!locked_blocked, "in-doubt keys must block the local txn");
     assert_eq!(locked_after, serial_after);
     assert!(locked_after, "aborted branch must release the keys");
-    drop(session);
     assert_eq!(
-        engine.audit_sum().unwrap(),
-        exec.audit_sum().unwrap(),
+        locked_audit, serial_audit,
         "conflict corner leaves identical state"
     );
 }

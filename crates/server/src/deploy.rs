@@ -7,22 +7,25 @@
 //! (Porobic et al., §3, Figs. 9–12). [`Deployment::spawn`] stands such a
 //! topology up for real:
 //!
-//! * **One process per instance.** Each child runs a
-//!   [`PartitionEngine`] owning a
-//!   contiguous key range, served over the wire protocol
-//!   ([`Backend::Partition`]). Children are re-executions of the host
+//! * **One process per instance.** Each child runs one partition — a
+//!   contiguous key (or warehouse) range — in the configured
+//!   [`EngineMode`], served over the wire protocol ([`Backend::Partition`]
+//!   or [`Backend::Executor`]). Children are re-executions of the host
 //!   binary ([`SpawnMode::SelfExec`]) or a dedicated `islands-instance`
 //!   binary ([`SpawnMode::Binary`]).
 //! * **Topology-pinned.** Instance `i` is pinned (via `taskset`, when
 //!   available) to the cores `hwtopo`'s island placement assigns it on the
 //!   *detected host* topology — the paper's "N islands" layout, not a
 //!   simulated one.
-//! * **Wire-level 2PC.** Single-site requests go straight to the owning
-//!   instance as `Submit` frames. Multisite requests run presumed-abort
-//!   two-phase commit: the [`DeployClient`] coordinator splits the request
-//!   into per-instance branches, fans out `Prepare` frames, collects
-//!   `Vote`s, forces commit decisions to the coordinator log, delivers
-//!   `Decision`s, and collects `Ack`s — driving the pure
+//! * **One route, wire-level 2PC.** [`DeployClient::submit_plan`] is the
+//!   only routing path; a micro batch is lowered onto it on entry
+//!   ([`DeployClient::submit`]), so micro and TPC-C traffic cross the same
+//!   code and the same frames. A plan whose steps all live on one instance
+//!   goes straight to it as a `SubmitPlan` frame. A plan spanning instances
+//!   runs presumed-abort two-phase commit: the [`DeployClient`] coordinator
+//!   splits it into per-instance branches, fans out `PreparePlan` frames,
+//!   collects `Vote`s, forces commit decisions to the coordinator log,
+//!   delivers `Decision`s, and collects `Ack`s — driving the pure
 //!   [`islands_dtxn::Coordinator`] state machine with bytes on sockets
 //!   instead of function calls.
 //! * **Presumed abort under failure.** A participant that cannot be
@@ -51,13 +54,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use islands_core::native::{
-    EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor, TpccPartition,
+    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
+    PartitionExecutor, TpccPartition,
 };
 use islands_core::partition::{warehouse_range, SiteMap, WarehouseSites};
 use islands_core::plan::MICRO_TABLE;
 use islands_dtxn::{Action, Coordinator, DecisionLog, Vote};
 use islands_hwtopo::{island_cpu_lists, HostTopology};
-use islands_workload::{PlanBranch, PlanRequest, TxnBranch, TxnRequest};
+use islands_workload::{PlanBranch, PlanRequest, TxnRequest};
 
 use crate::client::Client;
 use crate::server::{Backend, Conn, Endpoint, Server, ServerConfig};
@@ -251,9 +255,11 @@ fn owner_of(key: u64, instances: usize, total_rows: u64) -> usize {
     ((key / per) as usize).min(instances - 1)
 }
 
-/// Split a multisite request into per-instance branches, preserving key
+/// Split a multisite batch into per-instance branches, preserving key
 /// order within each branch. Returns `(participants-in-first-touch-order,
-/// branch-per-participant)`.
+/// branch-per-participant)`. Routing itself goes through
+/// [`split_plan_by_owner`]; this is the batch-shaped reference that split
+/// is tested against.
 pub fn split_by_owner(
     req: &TxnRequest,
     instances: usize,
@@ -1244,90 +1250,10 @@ impl DeployClient {
         self.conns[i] = None;
     }
 
-    /// Route one request: single-site requests go straight to the owner,
-    /// multisite requests run wire-level 2PC with this client as
-    /// coordinator.
+    /// Route one micro batch: lowered onto the plan path, like every other
+    /// entry point that still accepts one.
     pub fn submit(&mut self, req: &TxnRequest) -> io::Result<DeployReply> {
-        let n = self.deploy.instances();
-        let (order, branches) = split_by_owner(req, n, self.deploy.total_rows());
-        if order.len() <= 1 {
-            let target = order.first().copied().unwrap_or(0);
-            return self.submit_single(target, req);
-        }
-
-        let mut retries = 0u32;
-        loop {
-            match self.try_2pc(&order, &branches)? {
-                TwoPc::Commit => {
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: true,
-                        distributed: true,
-                        retries,
-                        presumed_abort: false,
-                    }))
-                }
-                TwoPc::Abort => {
-                    if retries >= self.deploy.retry_limit {
-                        return Ok(DeployReply::Outcome(DeployOutcome {
-                            committed: false,
-                            distributed: true,
-                            retries,
-                            presumed_abort: false,
-                        }));
-                    }
-                    retries += 1;
-                    std::thread::yield_now();
-                }
-                TwoPc::PresumedAbort => {
-                    self.deploy.presumed_aborts.fetch_add(1, Ordering::Relaxed);
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: false,
-                        distributed: true,
-                        retries,
-                        presumed_abort: true,
-                    }));
-                }
-                TwoPc::Error(message) => return Ok(DeployReply::ServerError(message)),
-            }
-        }
-    }
-
-    fn submit_single(&mut self, target: usize, req: &TxnRequest) -> io::Result<DeployReply> {
-        let Ok(conn) = self.conn(target) else {
-            return Ok(DeployReply::InstanceDown(target));
-        };
-        if conn.send_request(&Request::Submit(req.clone())).is_err() {
-            self.mark_dead(target);
-            return Ok(DeployReply::InstanceDown(target));
-        }
-        let deadline = self.deploy.submit_timeout;
-        match self.recv_deadline(target, deadline) {
-            Ok(Reply::Committed {
-                distributed,
-                retries,
-                ..
-            }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: true,
-                distributed,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Aborted { retries }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: false,
-                distributed: false,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Error { message }) => Ok(DeployReply::ServerError(message)),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply to submit: {other:?}"),
-            )),
-            Err(_) => {
-                self.mark_dead(target);
-                Ok(DeployReply::InstanceDown(target))
-            }
-        }
+        self.submit_plan(&req.to_plan())
     }
 
     /// Read a reply with the vote/ack deadline armed; any failure poisons
@@ -1348,24 +1274,9 @@ impl DeployClient {
         reply
     }
 
-    /// One round of wire-level 2PC for `gtid`'s branches.
+    /// One round of wire-level 2PC: a fresh gtid, one `PreparePlan` frame
+    /// per participant carrying its step list.
     fn try_2pc(
-        &mut self,
-        parts: &[usize],
-        branches: &HashMap<usize, TxnRequest>,
-    ) -> io::Result<TwoPc> {
-        let gtid = self.deploy.next_gtid();
-        drive_2pc(self, gtid, parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-    }
-
-    /// One round of wire-level 2PC for a plan's branches: the same driver,
-    /// with `PreparePlan` frames carrying each participant's step list.
-    fn try_2pc_plan(
         &mut self,
         parts: &[usize],
         branches: &HashMap<usize, PlanRequest>,
@@ -1379,9 +1290,10 @@ impl DeployClient {
         })
     }
 
-    /// Route one multi-step plan: single-instance plans go straight to the
-    /// owner as a `SubmitPlan` frame; plans spanning instances (remote-
-    /// warehouse Payments) run wire-level 2PC with `PreparePlan` branches.
+    /// Route one plan: if every step lives on one instance it goes straight
+    /// to the owner as a `SubmitPlan` frame; a plan spanning instances (a
+    /// multisite micro batch, a remote-warehouse Payment) runs wire-level
+    /// 2PC with this client as coordinator.
     pub fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         let deploy = Arc::clone(&self.deploy);
         let (order, branches) = split_plan_by_owner(plan, |t, k| deploy.owner_of_step(t, k));
@@ -1392,7 +1304,7 @@ impl DeployClient {
 
         let mut retries = 0u32;
         loop {
-            match self.try_2pc_plan(&order, &branches)? {
+            match self.try_2pc(&order, &branches)? {
                 TwoPc::Commit => {
                     return Ok(DeployReply::Outcome(DeployOutcome {
                         committed: true,
@@ -1607,9 +1519,8 @@ fn collect_acks<L: TwoPcLink>(
 /// One full round of 2PC over `link`: prepare fan-out, vote collection,
 /// decision fan-out, ack collection, with participant failures reported to
 /// the [`Coordinator`] state machine as they surface. `prepare_frame`
-/// builds participant `to`'s phase-1 frame — a micro [`Request::Prepare`]
-/// or a multi-step [`Request::PreparePlan`]; everything from the votes on
-/// is branch-type-agnostic.
+/// builds participant `to`'s phase-1 frame (a [`Request::PreparePlan`] from
+/// the live client).
 fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     link: &mut L,
     gtid: u64,
@@ -1840,34 +1751,25 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         wal,
         ..Default::default()
     };
-    // Serial mode: keep a handle to the executor so it can be shut down
-    // (and its thread joined) after the server drains. Locked mode keeps
-    // the engine handle for recovery resolution and leak accounting.
-    let mut executor: Option<Arc<PartitionExecutor>> = None;
-    let mut engine: Option<Arc<PartitionEngine>> = None;
     let backend = match engine_mode {
-        EngineMode::Locked => {
-            let built = PartitionEngine::build(&partition)
-                .map_err(|e| io::Error::other(format!("partition build failed: {e}")))?;
-            let built = Arc::new(built);
-            engine = Some(Arc::clone(&built));
-            Backend::Partition(built)
-        }
-        EngineMode::Serial => {
-            // The child process is already taskset-pinned to its island's
-            // cores; --pin-cpus re-pins the executor thread to the same
-            // list explicitly (and records the fact in its stats).
-            let exec = PartitionExecutor::spawn(ExecutorConfig {
+        EngineMode::Locked => Backend::Partition(Arc::new(
+            PartitionEngine::build(&partition)
+                .map_err(|e| io::Error::other(format!("partition build failed: {e}")))?,
+        )),
+        // The child process is already taskset-pinned to its island's
+        // cores; --pin-cpus re-pins the executor thread to the same list
+        // explicitly (and records the fact in its stats).
+        EngineMode::Serial => Backend::Executor(Arc::new(
+            PartitionExecutor::spawn(ExecutorConfig {
                 partition,
                 pin_cpus,
                 ..Default::default()
             })
-            .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?;
-            let exec = Arc::new(exec);
-            executor = Some(Arc::clone(&exec));
-            Backend::Executor(exec)
-        }
+            .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?,
+        )),
     };
+    let engine = backend.engine();
+    let parked = || engine.recovered_gtids().map_err(io::Error::other);
 
     // Crash recovery rejoin, before READY: WAL replay parked any branch
     // that was prepared-but-undecided when the previous incarnation died.
@@ -1875,15 +1777,15 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
     // unknown gtid answers abort). Without a reachable coordinator the
     // branches stay parked — never presume abort unilaterally; the leak is
     // then visible in the drain accounting below.
-    let recovered = recovered_gtids(&engine, &executor)?;
+    let recovered = parked()?;
     if !recovered.is_empty() {
         match &coord {
             Some(coord) => {
-                if let Err(e) = resolve_with_coordinator(coord, &recovered, &engine, &executor) {
+                if let Err(e) = resolve_with_coordinator(coord, &recovered, engine) {
                     eprintln!(
                         "islands-instance: in-doubt resolution failed \
                          ({} branch(es) stay parked): {e}",
-                        recovered_gtids(&engine, &executor)?.len()
+                        parked()?.len()
                     );
                 }
             }
@@ -1896,7 +1798,7 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
     }
 
     let handle = Server::spawn_backend(
-        backend,
+        backend.clone(),
         endpoint,
         ServerConfig {
             retry_limit,
@@ -1936,48 +1838,29 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         let _ = printer.join();
     }
     // Recovered branches the resolver never settled are in-doubt leaks just
-    // like session-parked ones: fold them into the drain accounting before
-    // the executor (whose thread answers the query) shuts down.
-    stats.in_doubt += recovered_gtids(&engine, &executor)?.len() as u64;
-    // All sessions have exited (join waits for them), so the Arc the
-    // acceptor held is gone: reclaim the executor and join its thread.
-    if let Some(exec) = executor {
-        if let Ok(exec) = Arc::try_unwrap(exec) {
-            exec.shutdown();
-        }
-    }
+    // like session-parked ones: fold them into the drain accounting.
+    stats.in_doubt += parked()?.len() as u64;
+    // All sessions have exited (join waits for them), so this is the last
+    // handle on the engine: dropping it joins a serial executor's thread.
+    drop(backend);
     let mut out = io::stdout().lock();
     writeln!(out, "{}", format_stats(&stats))?;
     out.flush()?;
     Ok(stats.in_doubt != 0)
 }
 
-/// The gtids of in-doubt branches WAL replay parked on this instance's
-/// engine (whichever mode owns it).
-fn recovered_gtids(
-    engine: &Option<Arc<PartitionEngine>>,
-    executor: &Option<Arc<PartitionExecutor>>,
-) -> io::Result<Vec<u64>> {
-    match (engine, executor) {
-        (Some(e), _) => Ok(e.recovered_gtids()),
-        (_, Some(x)) => x
-            .recovered_gtids()
-            .map_err(|e| io::Error::other(e.to_string())),
-        _ => Ok(Vec::new()),
-    }
-}
-
 /// Ask the coordinator's resolver for each parked gtid's verdict and apply
-/// it. Stops at the first failure, leaving the remaining branches parked
-/// for a later attempt (or the drain leak check).
+/// it through a session of the engine's own — it prepared nothing, so
+/// closing it rolls back nothing. Stops at the first failure, leaving the
+/// remaining branches parked for a later attempt (or the drain leak check).
 fn resolve_with_coordinator(
     coord: &Endpoint,
     gtids: &[u64],
-    engine: &Option<Arc<PartitionEngine>>,
-    executor: &Option<Arc<PartitionExecutor>>,
+    engine: &dyn Engine,
 ) -> io::Result<()> {
     let mut conn = Client::connect_with_retry(coord, Duration::from_secs(5))?;
     conn.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let mut session = engine.session(0);
     for &gtid in gtids {
         conn.send_request(&Request::ResolveGtid { gtid })?;
         let commit = match conn.recv_reply()? {
@@ -1989,43 +1872,20 @@ fn resolve_with_coordinator(
                 ))
             }
         };
-        apply_verdict(gtid, commit, engine, executor)?;
+        match session.decide(gtid, commit) {
+            Ok(DecideOutcome::Applied | DecideOutcome::AbortNoop) => {}
+            Ok(DecideOutcome::UnknownCommit) => {
+                return Err(io::Error::other(format!(
+                    "commit verdict for gtid {gtid} found no parked branch"
+                )))
+            }
+            Ok(DecideOutcome::Failed(m)) => {
+                return Err(io::Error::other(format!("resolving gtid {gtid}: {m}")))
+            }
+            Err(e) => return Err(io::Error::other(format!("resolving gtid {gtid}: {e}"))),
+        }
     }
     Ok(())
-}
-
-/// Apply one resolved verdict to the parked branch.
-fn apply_verdict(
-    gtid: u64,
-    commit: bool,
-    engine: &Option<Arc<PartitionEngine>>,
-    executor: &Option<Arc<PartitionExecutor>>,
-) -> io::Result<()> {
-    match (engine, executor) {
-        (Some(e), _) => {
-            e.resolve_recovered(gtid, commit)
-                .map_err(|e| io::Error::other(format!("resolving gtid {gtid}: {e}")))?;
-            Ok(())
-        }
-        (_, Some(x)) => {
-            // A throwaway session: Decide falls through to the engine's
-            // recovered map on the executor thread. The session prepared
-            // nothing, so closing it on drop rolls back nothing.
-            use islands_core::native::DecideOutcome;
-            let session = x.session();
-            match session.decide(gtid, commit) {
-                Ok(DecideOutcome::Applied | DecideOutcome::AbortNoop) => Ok(()),
-                Ok(DecideOutcome::UnknownCommit) => Err(io::Error::other(format!(
-                    "commit verdict for gtid {gtid} found no parked branch"
-                ))),
-                Ok(DecideOutcome::Failed(m)) => {
-                    Err(io::Error::other(format!("resolving gtid {gtid}: {m}")))
-                }
-                Err(e) => Err(io::Error::other(format!("resolving gtid {gtid}: {e}"))),
-            }
-        }
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -2095,6 +1955,33 @@ mod tests {
                 covered = hi;
             }
             proptest::prop_assert_eq!(covered, rows);
+        }
+
+        /// Routing a lowered batch is routing the batch: the plan split the
+        /// client uses yields the participant order and per-branch keys of
+        /// the batch-shaped reference split, each branch being that
+        /// reference branch's own lowering.
+        #[test]
+        fn plan_split_of_a_lowered_batch_matches_the_batch_split(
+            n in 1usize..9,
+            extra in 0u64..500,
+            update in proptest::any::<bool>(),
+            picks in proptest::collection::vec(proptest::any::<u64>(), 0..12),
+        ) {
+            let rows = n as u64 + extra;
+            let req = TxnRequest {
+                kind: if update { OpKind::Update } else { OpKind::Read },
+                keys: picks.iter().map(|k| k % rows).collect(),
+                multisite: true,
+            };
+            let (order, branches) = split_by_owner(&req, n, rows);
+            let (plan_order, plan_branches) =
+                split_plan_by_owner(&req.to_plan(), |_, key| owner_of(key, n, rows));
+            proptest::prop_assert_eq!(&plan_order, &order);
+            proptest::prop_assert_eq!(plan_branches.len(), branches.len());
+            for (owner, branch) in &branches {
+                proptest::prop_assert_eq!(&plan_branches[owner], &branch.to_plan());
+            }
         }
     }
 
@@ -2342,20 +2229,17 @@ mod tests {
         }
     }
 
-    fn branch_map(parts: &[usize]) -> HashMap<usize, TxnRequest> {
-        parts
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    TxnRequest {
-                        kind: OpKind::Update,
-                        keys: vec![p as u64],
-                        multisite: true,
-                    },
-                )
-            })
-            .collect()
+    /// Phase-1 frame for participant `to`: a one-step plan branch.
+    fn prepare_frame(gtid: u64, to: usize) -> Request {
+        let req = TxnRequest {
+            kind: OpKind::Update,
+            keys: vec![to as u64],
+            multisite: true,
+        };
+        Request::PreparePlan(PlanBranch {
+            gtid,
+            plan: req.to_plan(),
+        })
     }
 
     #[test]
@@ -2417,14 +2301,7 @@ mod tests {
             );
             link.script(p, Ok(Reply::Ack { gtid }));
         }
-        let branches = branch_map(&parts);
-        let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-        .unwrap();
+        let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
         assert!(matches!(out, TwoPc::Commit));
         assert_eq!(link.forced, vec![gtid], "commit decision must be forced");
         for p in parts {
@@ -2448,14 +2325,7 @@ mod tests {
         );
         link.script(0, Ok(Reply::Ack { gtid }));
         link.script(1, Err(ScriptedLink::timeout()));
-        let branches = branch_map(&parts);
-        let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
-            Request::Prepare(TxnBranch {
-                gtid,
-                req: branches[&to].clone(),
-            })
-        })
-        .unwrap();
+        let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
         assert!(matches!(out, TwoPc::PresumedAbort));
         assert!(link.forced.is_empty(), "presumed abort forces nothing");
         assert_eq!(

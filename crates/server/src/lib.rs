@@ -9,22 +9,26 @@
 //!
 //! * [`wire`] — a hand-rolled length-prefixed wire protocol: framed
 //!   [`Request`]/[`Reply`] messages carrying
-//!   [`TxnRequest`](islands_workload::TxnRequest) submissions and typed
+//!   [`PlanRequest`](islands_workload::PlanRequest) submissions (and
+//!   [`TxnRequest`](islands_workload::TxnRequest) batches, which the
+//!   server lowers to plans on arrival) and typed
 //!   commit/abort/latency replies, with a streaming
 //!   [`FrameReader`] that makes pipelining natural and
 //!   rejects oversized or truncated traffic instead of trusting it.
 //! * [`server`] — a multi-threaded acceptor: one session thread per
-//!   connection, request pipelining with a group-commit batch window (all
-//!   replies of a batch flush in one write), live counters, and graceful
-//!   drain via a wire message or the local handle.
+//!   connection, each holding one engine
+//!   [`Session`](islands_core::native::Session) that every request frame
+//!   becomes a call on; request pipelining with a group-commit batch
+//!   window (all replies of a batch flush in one write), live counters,
+//!   and graceful drain via a wire message or the local handle.
 //! * [`client`] — the blocking client library: single connections
 //!   ([`Client`]), one-write pipelining, and a
 //!   checkout/checkin [`ClientPool`].
 //! * [`deploy`] — multi-process deployments: spawn one topology-pinned
 //!   server process per shared-nothing instance
-//!   ([`Deployment`]), route single-site traffic to the
+//!   ([`Deployment`]), route single-site plans to the
 //!   owner, and run presumed-abort two-phase commit across processes with
-//!   `Prepare`/`Vote`/`Decision`/`Ack` wire frames
+//!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames
 //!   ([`DeployClient`]).
 //!
 //! ```no_run

@@ -1,10 +1,20 @@
 //! The served deployment: acceptor, per-connection sessions, drain.
 //!
-//! [`Server::spawn`] binds a Unix-domain-socket or TCP endpoint in front of
-//! an [`Arc<NativeCluster>`] and returns a handle. An acceptor thread hands
+//! [`Server::spawn_backend`] binds a Unix-domain-socket or TCP endpoint in
+//! front of a [`Backend`] and returns a handle. An acceptor thread hands
 //! each connection to its own session thread — the paper's shared-nothing
 //! processes talk over exactly these transports, so a served `NativeCluster`
 //! is the in-process deployment plus a real IPC boundary.
+//!
+//! A connection is one engine [`Session`]: the session thread mints it from
+//! the backend's [`Engine`] when the connection opens and every Submit /
+//! Prepare / Decision frame is one call on it, whatever the backend. A
+//! [`PlanRequest`] is the only shape that crosses that call: the batch
+//! frames ([`Request::Submit`], [`Request::Prepare`]) are lowered with
+//! [`TxnRequest::to_plan`](islands_workload::TxnRequest::to_plan) as they
+//! arrive. When the connection ends — clean close, protocol error, drain —
+//! closing the session presumes abort for every branch it prepared that
+//! nobody decided: the coordinator spoke on this connection and is gone.
 //!
 //! Sessions implement **request pipelining with a group-commit batch
 //! window**: every complete frame already buffered on the socket is decoded
@@ -21,7 +31,6 @@
 //! [`ServerHandle::join`] returns the final counters once every thread is
 //! gone.
 
-use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -31,14 +40,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_core::native::{
-    BranchOutcome, DecideOutcome, ExecutorSession, NativeCluster, PartitionEngine,
-    PartitionExecutor, SubmitOutcome,
+    DecideOutcome, Engine, NativeCluster, PartitionEngine, PartitionExecutor, Session,
 };
-use islands_core::plan::{plan_from_request, MICRO_TABLE};
-use islands_dtxn::{Participant, ParticipantEvent, Vote};
+use islands_dtxn::Vote;
 use islands_obs::{BreakdownCategory, TxnClass};
-use islands_storage::{StorageError, TxnHandle};
-use islands_workload::{PlanBranch, TxnBranch};
+use islands_workload::PlanRequest;
 
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
@@ -122,6 +128,18 @@ pub enum Backend {
     /// fast path runs with no lock-table acquisition and connection count
     /// is decoupled from execution threads.
     Executor(Arc<PartitionExecutor>),
+}
+
+impl Backend {
+    /// The engine surface behind this backend: the one place the variants
+    /// are told apart.
+    pub(crate) fn engine(&self) -> &dyn Engine {
+        match self {
+            Backend::Cluster(cluster) => &**cluster,
+            Backend::Partition(engine) => &**engine,
+            Backend::Executor(executor) => &**executor,
+        }
+    }
 }
 
 /// Monotonic counters, updated by sessions, readable any time.
@@ -546,15 +564,6 @@ fn accept_loop(
     Ok(())
 }
 
-/// Prepared 2PC branches held by one session, keyed by gtid.
-///
-/// A branch's coordinator speaks on this session's connection, so the map is
-/// session-local: no cross-session locking, and the presumed-abort rule has
-/// a precise trigger — when the session ends (clean close, protocol error,
-/// drain) every branch still here is in-doubt with its coordinator gone,
-/// and is rolled back.
-type InDoubtBranches = HashMap<u64, (Participant, TxnHandle)>;
-
 /// Serve one connection until it closes, errors fatally, or a drain lands.
 fn session(
     conn: Conn,
@@ -563,56 +572,26 @@ fn session(
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
 ) -> io::Result<()> {
-    let mut in_doubt = InDoubtBranches::new();
-    // Executor backends: this session is a producer onto the partition's
-    // executor thread; the session id scopes the presumed-abort rule for
-    // branches prepared over this connection.
-    let mut exec = match &backend {
-        Backend::Executor(e) => Some(e.session()),
-        _ => None,
-    };
-    let result = session_loop(
-        conn,
-        &backend,
-        exec.as_ref(),
-        &config,
-        &shutdown,
-        &counters,
-        &mut in_doubt,
-    );
-    // Presumed abort: the coordinator's connection is gone without a
-    // decision, so absence of evidence is evidence of abort. Rolling the
-    // branches back releases their locks and keeps this instance
-    // serviceable for everyone else.
-    for (_, (_, handle)) in in_doubt.drain() {
-        let _ = handle.decide(false);
-        counters.presumed_aborts.fetch_add(1, Ordering::Relaxed);
-        counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
-    }
-    // Same rule on the executor: closing the producer session rolls back
-    // every branch it prepared that nobody decided (executed on the
-    // executor thread, so the count comes back from there).
-    if let Some(mut s) = exec.take() {
-        let aborted = s.close();
-        if aborted > 0 {
-            counters
-                .presumed_aborts
-                .fetch_add(aborted, Ordering::Relaxed);
-            counters.in_doubt.fetch_sub(aborted, Ordering::Relaxed);
-        }
-    }
+    let engine = backend.engine();
+    let mut session = engine.session(config.retry_limit);
+    let result = session_loop(conn, engine, &mut *session, &config, &shutdown, &counters);
+    // Presumed abort: whatever this connection prepared and nobody decided
+    // has lost its coordinator (see `Session::close`).
+    let aborted = session.close();
+    counters
+        .presumed_aborts
+        .fetch_add(aborted, Ordering::Relaxed);
+    counters.in_doubt.fetch_sub(aborted, Ordering::Relaxed);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn session_loop(
     mut conn: Conn,
-    backend: &Backend,
-    exec: Option<&ExecutorSession>,
+    engine: &dyn Engine,
+    session: &mut dyn Session,
     config: &ServerConfig,
     shutdown: &AtomicBool,
     counters: &Counters,
-    in_doubt: &mut InDoubtBranches,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new();
     let mut batch: Vec<Request> = Vec::new();
@@ -714,164 +693,49 @@ fn session_loop(
         let mut drain_after_flush = false;
         for req in &batch {
             counters.requests.fetch_add(1, Ordering::Relaxed);
-            match req {
-                Request::Ping => Reply::Pong.encode_frame(&mut out),
+            let reply = match req {
+                Request::Ping => Reply::Pong,
                 Request::Drain => {
                     drain_after_flush = true;
-                    Reply::Draining.encode_frame(&mut out);
+                    Reply::Draining
                 }
                 Request::Stats => Reply::Stats {
                     server: counters.snapshot(),
                     obs: Box::new(islands_obs::metrics().snapshot()),
-                }
-                .encode_frame(&mut out),
+                },
+                Request::Submit(txn) => handle_submit(session, &txn.to_plan(), counters),
+                Request::SubmitPlan(plan) => handle_submit(session, plan, counters),
                 Request::Prepare(branch) => {
-                    counters.prepares.fetch_add(1, Ordering::Relaxed);
-                    islands_obs::set_txn_class(TxnClass::Multisite);
-                    let started = Instant::now();
-                    // Inline backends do the work on this thread, so the
-                    // management span here catches what nested storage spans
-                    // don't claim; an executor backend spans itself on the
-                    // executor thread (the rendezvous wait stays unclaimed).
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let reply = match exec {
-                        Some(s) => handle_prepare_exec(s, branch, counters),
-                        None => handle_prepare(backend, branch, in_doubt, counters),
-                    };
-                    islands_obs::metrics().record_prepare(started.elapsed().as_nanos() as u64);
-                    if matches!(reply, Reply::Error { .. }) {
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    reply.encode_frame(&mut out);
-                }
-                Request::Decision { gtid, commit } => {
-                    counters.decisions.fetch_add(1, Ordering::Relaxed);
-                    islands_obs::set_txn_class(TxnClass::Multisite);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let reply = match exec {
-                        Some(s) => handle_decision_exec(s, *gtid, *commit, counters),
-                        None => handle_decision(backend, *gtid, *commit, in_doubt, counters),
-                    };
-                    islands_obs::metrics().record_decision(started.elapsed().as_nanos() as u64);
-                    if matches!(reply, Reply::Error { .. }) {
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    reply.encode_frame(&mut out);
-                }
-                Request::Submit(txn) => {
-                    let class = if txn.multisite {
-                        TxnClass::Multisite
-                    } else {
-                        TxnClass::Local
-                    };
-                    islands_obs::set_txn_class(class);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let outcome: Result<SubmitOutcome, String> = match (backend, exec) {
-                        (Backend::Cluster(cluster), _) => cluster
-                            .submit(txn, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Partition(engine), _) => engine
-                            .submit_local(txn, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Executor(_), Some(s)) => s.submit(txn).map_err(|e| e.to_string()),
-                        (Backend::Executor(_), None) => {
-                            unreachable!("executor backend always has a session")
-                        }
-                    };
-                    encode_submit_outcome(outcome, started, counters, &mut out);
-                    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
-                }
-                Request::SubmitPlan(plan) => {
-                    let class = if plan.multisite {
-                        TxnClass::Multisite
-                    } else {
-                        TxnClass::Local
-                    };
-                    islands_obs::set_txn_class(class);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let outcome: Result<SubmitOutcome, String> = match (backend, exec) {
-                        (Backend::Cluster(cluster), _) => {
-                            // The in-process cluster range-partitions only
-                            // the micro table; TPC-C plans belong on
-                            // partition/executor instances.
-                            if plan.steps.iter().all(|s| s.table == MICRO_TABLE) {
-                                cluster
-                                    .submit_plan(&plan_from_request(plan), config.retry_limit)
-                                    .map_err(|e| e.to_string())
-                            } else {
-                                Err("cluster backend serves only micro-table plans".into())
-                            }
-                        }
-                        (Backend::Partition(engine), _) => engine
-                            .submit_plan_local(plan, config.retry_limit)
-                            .map_err(|e| e.to_string()),
-                        (Backend::Executor(_), Some(s)) => {
-                            s.submit_plan(plan).map_err(|e| e.to_string())
-                        }
-                        (Backend::Executor(_), None) => {
-                            unreachable!("executor backend always has a session")
-                        }
-                    };
-                    encode_submit_outcome(outcome, started, counters, &mut out);
-                    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
+                    handle_prepare(session, branch.gtid, &branch.req.to_plan(), counters)
                 }
                 Request::PreparePlan(branch) => {
-                    counters.prepares.fetch_add(1, Ordering::Relaxed);
-                    islands_obs::set_txn_class(TxnClass::Multisite);
-                    let started = Instant::now();
-                    let _span = exec
-                        .is_none()
-                        .then(|| islands_obs::enter(BreakdownCategory::XctManagement));
-                    let reply = match exec {
-                        Some(s) => handle_prepare_plan_exec(s, branch, counters),
-                        None => handle_prepare_plan(backend, branch, in_doubt, counters),
-                    };
-                    islands_obs::metrics().record_prepare(started.elapsed().as_nanos() as u64);
-                    if matches!(reply, Reply::Error { .. }) {
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    reply.encode_frame(&mut out);
+                    handle_prepare(session, branch.gtid, &branch.plan, counters)
                 }
-                Request::ResolveGtid { gtid } => {
-                    // Outcome resolution is the coordinator's job (it owns
-                    // the decision log); an instance server has no authority
-                    // to answer, and presuming abort here would let a
-                    // misdirected query contradict a forced commit.
-                    counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Reply::Error {
-                        message: format!(
-                            "gtid {gtid} resolution is answered by the coordinator, \
-                             not an instance server"
-                        ),
-                    }
-                    .encode_frame(&mut out);
+                Request::Decision { gtid, commit } => {
+                    handle_decision(session, *gtid, *commit, counters)
                 }
-                Request::Audit => {
-                    let sum = match backend {
-                        Backend::Cluster(c) => c.audit_sum().map_err(|e| e.to_string()),
-                        Backend::Partition(p) => p.audit_sum().map_err(|e| e.to_string()),
-                        Backend::Executor(e) => e.audit_sum().map_err(|e| e.to_string()),
-                    };
-                    match sum {
-                        Ok(sum) => Reply::AuditSum { sum }.encode_frame(&mut out),
-                        Err(message) => {
-                            counters.errors.fetch_add(1, Ordering::Relaxed);
-                            Reply::Error { message }.encode_frame(&mut out);
-                        }
-                    }
-                }
+                // Outcome resolution is the coordinator's job (it owns the
+                // decision log); an instance server has no authority to
+                // answer, and presuming abort here would let a misdirected
+                // query contradict a forced commit.
+                Request::ResolveGtid { gtid } => Reply::Error {
+                    message: format!(
+                        "gtid {gtid} resolution is answered by the coordinator, \
+                         not an instance server"
+                    ),
+                },
+                Request::Audit => match engine.audit_sum() {
+                    Ok(sum) => Reply::AuditSum { sum },
+                    Err(e) => Reply::Error {
+                        message: e.to_string(),
+                    },
+                },
+            };
+            // Malformed or unsatisfiable, whichever arm said so.
+            if matches!(reply, Reply::Error { .. }) {
+                counters.errors.fetch_add(1, Ordering::Relaxed);
             }
+            reply.encode_frame(&mut out);
         }
         {
             let _wire = islands_obs::enter(BreakdownCategory::Communication);
@@ -903,159 +767,67 @@ fn session_loop(
     Ok(())
 }
 
-/// Encode the reply for a submit-style request (micro batch or multi-step
-/// plan): committed/aborted with retry counts, or the typed storage error's
-/// message for requests the engine can never satisfy.
-fn encode_submit_outcome(
-    outcome: Result<SubmitOutcome, String>,
-    started: Instant,
-    counters: &Counters,
-    out: &mut Vec<u8>,
-) {
-    match outcome {
+/// Run one local transaction through the session and map its outcome:
+/// committed/aborted with retry counts, or the typed error's message for a
+/// plan the engine can never satisfy.
+fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Counters) -> Reply {
+    let class = if plan.multisite {
+        TxnClass::Multisite
+    } else {
+        TxnClass::Local
+    };
+    islands_obs::set_txn_class(class);
+    let started = Instant::now();
+    let reply = match session.submit(plan) {
+        Ok(outcome) if outcome.committed => {
+            counters.commits.fetch_add(1, Ordering::Relaxed);
+            Reply::Committed {
+                distributed: outcome.distributed,
+                retries: outcome.retries,
+                server_micros: started.elapsed().as_micros() as u64,
+            }
+        }
         Ok(outcome) => {
-            let reply = if outcome.committed {
-                counters.commits.fetch_add(1, Ordering::Relaxed);
-                Reply::Committed {
-                    distributed: outcome.distributed,
-                    retries: outcome.retries,
-                    server_micros: started.elapsed().as_micros() as u64,
-                }
-            } else {
-                counters.aborts.fetch_add(1, Ordering::Relaxed);
-                Reply::Aborted {
-                    retries: outcome.retries,
-                }
-            };
-            reply.encode_frame(out);
-        }
-        Err(message) => {
-            counters.errors.fetch_add(1, Ordering::Relaxed);
-            Reply::Error { message }.encode_frame(out);
-        }
-    }
-}
-
-/// 2PC phase 1: execute the branch, force the prepare record, vote. The
-/// storage layer does the work; the [`Participant`] state machine enforces
-/// protocol order and rides along in the in-doubt map so phase 2 can only
-/// happen on a genuinely prepared branch.
-fn handle_prepare(
-    backend: &Backend,
-    branch: &TxnBranch,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
-    let Backend::Partition(engine) = backend else {
-        return Reply::Error {
-            message: "2PC prepare requires a partition instance backend".into(),
-        };
-    };
-    if in_doubt.contains_key(&branch.gtid) {
-        return Reply::Error {
-            message: format!(
-                "gtid {} is already prepared on this connection",
-                branch.gtid
-            ),
-        };
-    }
-    park_prepare_outcome(
-        branch.gtid,
-        engine.prepare_branch(branch.gtid, &branch.req),
-        in_doubt,
-        counters,
-    )
-}
-
-/// 2PC phase 1 for a multi-step *plan* branch on a locked partition
-/// backend: same protocol, same in-doubt map — a parked plan branch holds
-/// the locks guarding its dependent reads (range scans included) until the
-/// decision frame arrives on this connection.
-fn handle_prepare_plan(
-    backend: &Backend,
-    branch: &PlanBranch,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
-    let Backend::Partition(engine) = backend else {
-        return Reply::Error {
-            message: "2PC prepare requires a partition instance backend".into(),
-        };
-    };
-    if in_doubt.contains_key(&branch.gtid) {
-        return Reply::Error {
-            message: format!(
-                "gtid {} is already prepared on this connection",
-                branch.gtid
-            ),
-        };
-    }
-    park_prepare_outcome(
-        branch.gtid,
-        engine.prepare_plan_branch(branch.gtid, &branch.plan),
-        in_doubt,
-        counters,
-    )
-}
-
-/// Shared phase-1 tail for micro and plan branches: map the engine's branch
-/// outcome to a vote, parking Yes-voters (with their [`Participant`] state
-/// machine) in the session's in-doubt map.
-fn park_prepare_outcome(
-    gtid: u64,
-    outcome: Result<BranchOutcome, StorageError>,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
-    let mut participant = Participant::new(gtid);
-    match outcome {
-        Ok(BranchOutcome::Prepared(handle)) => {
-            let ev = participant.on_prepare(true, true);
-            debug_assert!(matches!(
-                ev,
-                ParticipantEvent::ForcePrepareAndVote {
-                    vote: Vote::Yes,
-                    ..
-                }
-            ));
-            in_doubt.insert(gtid, (participant, handle));
-            counters.in_doubt.fetch_add(1, Ordering::Relaxed);
-            Reply::Vote {
-                gtid,
-                vote: Vote::Yes,
+            counters.aborts.fetch_add(1, Ordering::Relaxed);
+            Reply::Aborted {
+                retries: outcome.retries,
             }
         }
-        Ok(BranchOutcome::ReadOnly) => {
-            let ev = participant.on_prepare(false, true);
-            debug_assert!(matches!(
-                ev,
-                ParticipantEvent::SendVote {
-                    vote: Vote::ReadOnly,
-                    ..
-                }
-            ));
-            Reply::Vote {
-                gtid,
-                vote: Vote::ReadOnly,
-            }
-        }
-        Ok(BranchOutcome::No) => {
-            let ev = participant.on_prepare(true, false);
-            debug_assert!(matches!(
-                ev,
-                ParticipantEvent::SendVote { vote: Vote::No, .. }
-            ));
-            Reply::Vote {
-                gtid,
-                vote: Vote::No,
-            }
-        }
-        // Misrouted branch (key outside this partition): the coordinator
-        // has a routing bug; answer with the typed error instead of a vote.
         Err(e) => Reply::Error {
             message: e.to_string(),
         },
-    }
+    };
+    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
+    reply
+}
+
+/// 2PC phase 1: the session executes the branch, forces the prepare record
+/// and votes; a Yes vote leaves the branch parked in the session (dependent
+/// reads and all), so this side only relays the vote and keeps the gauge.
+fn handle_prepare(
+    session: &mut dyn Session,
+    gtid: u64,
+    plan: &PlanRequest,
+    counters: &Counters,
+) -> Reply {
+    counters.prepares.fetch_add(1, Ordering::Relaxed);
+    islands_obs::set_txn_class(TxnClass::Multisite);
+    let started = Instant::now();
+    let reply = match session.prepare(gtid, plan) {
+        Ok(vote) => {
+            if vote == Vote::Yes {
+                counters.in_doubt.fetch_add(1, Ordering::Relaxed);
+            }
+            Reply::Vote { gtid, vote }
+        }
+        // Misrouted branch, duplicate gtid: the coordinator has a bug;
+        // answer with the typed error instead of a vote.
+        Err(e) => Reply::Error {
+            message: e.to_string(),
+        },
+    };
+    islands_obs::metrics().record_prepare(started.elapsed().as_nanos() as u64);
+    reply
 }
 
 /// 2PC phase 2: apply the coordinator's decision to the in-doubt branch.
@@ -1063,99 +835,15 @@ fn park_prepare_outcome(
 /// abort the branch may already have been rolled back (or never prepared
 /// here at all), and aborting nothing is the decreed outcome.
 fn handle_decision(
-    backend: &Backend,
-    gtid: u64,
-    commit: bool,
-    in_doubt: &mut InDoubtBranches,
-    counters: &Counters,
-) -> Reply {
-    if !matches!(backend, Backend::Partition(_)) {
-        return Reply::Error {
-            message: "2PC decision requires a partition instance backend".into(),
-        };
-    }
-    match in_doubt.remove(&gtid) {
-        Some((mut participant, handle)) => {
-            counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
-            let ev = participant.on_decision(commit);
-            debug_assert!(matches!(ev, ParticipantEvent::ApplyDecisionAndAck { .. }));
-            match handle.decide(commit) {
-                Ok(()) => {
-                    if commit {
-                        counters.commits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        counters.aborts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Reply::Ack { gtid }
-                }
-                Err(e) => Reply::Error {
-                    message: format!("decision for gtid {gtid} failed: {e}"),
-                },
-            }
-        }
-        None if !commit => Reply::Ack { gtid },
-        None => Reply::Error {
-            message: format!("commit decision for unknown gtid {gtid}"),
-        },
-    }
-}
-
-/// 2PC phase 1 on a serial-executor backend: the branch executes and
-/// prepares on the partition's executor thread; a Yes vote parks it there
-/// (keyed by this session for the presumed-abort rule), so the session only
-/// relays the vote and keeps the gauges.
-fn handle_prepare_exec(exec: &ExecutorSession, branch: &TxnBranch, counters: &Counters) -> Reply {
-    match exec.prepare(branch.gtid, &branch.req) {
-        Ok(vote) => {
-            if vote == Vote::Yes {
-                counters.in_doubt.fetch_add(1, Ordering::Relaxed);
-            }
-            Reply::Vote {
-                gtid: branch.gtid,
-                vote,
-            }
-        }
-        Err(e) => Reply::Error {
-            message: e.to_string(),
-        },
-    }
-}
-
-/// 2PC phase 1 for a multi-step *plan* branch on a serial-executor backend:
-/// the branch (dependent reads and all) executes and parks on the
-/// partition's executor thread; the session relays the vote and keeps the
-/// gauges, exactly as for micro branches.
-fn handle_prepare_plan_exec(
-    exec: &ExecutorSession,
-    branch: &PlanBranch,
-    counters: &Counters,
-) -> Reply {
-    match exec.prepare_plan(branch.gtid, &branch.plan) {
-        Ok(vote) => {
-            if vote == Vote::Yes {
-                counters.in_doubt.fetch_add(1, Ordering::Relaxed);
-            }
-            Reply::Vote {
-                gtid: branch.gtid,
-                vote,
-            }
-        }
-        Err(e) => Reply::Error {
-            message: e.to_string(),
-        },
-    }
-}
-
-/// 2PC phase 2 on a serial-executor backend. The executor owns the in-doubt
-/// branches (they are instance-global there, so a coordinator that
-/// reconnected can still decide); this session applies the counter deltas.
-fn handle_decision_exec(
-    exec: &ExecutorSession,
+    session: &mut dyn Session,
     gtid: u64,
     commit: bool,
     counters: &Counters,
 ) -> Reply {
-    match exec.decide(gtid, commit) {
+    counters.decisions.fetch_add(1, Ordering::Relaxed);
+    islands_obs::set_txn_class(TxnClass::Multisite);
+    let started = Instant::now();
+    let reply = match session.decide(gtid, commit) {
         Ok(DecideOutcome::Applied) => {
             counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
             if commit {
@@ -1170,10 +858,9 @@ fn handle_decision_exec(
             message: format!("commit decision for unknown gtid {gtid}"),
         },
         Ok(DecideOutcome::Failed(message)) => {
-            // The executor removed the branch before the decision failed
-            // (mirroring the locked path, which un-maps before deciding),
-            // so it is no longer in-doubt — without this decrement the
-            // gauge would report a phantom leak forever.
+            // The branch was un-parked before the decision failed, so it is
+            // no longer in-doubt — without this decrement the gauge would
+            // report a phantom leak forever.
             counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
             Reply::Error {
                 message: format!("decision for gtid {gtid} failed: {message}"),
@@ -1182,7 +869,9 @@ fn handle_decision_exec(
         Err(e) => Reply::Error {
             message: e.to_string(),
         },
-    }
+    };
+    islands_obs::metrics().record_decision(started.elapsed().as_nanos() as u64);
+    reply
 }
 
 #[cfg(test)]

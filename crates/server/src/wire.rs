@@ -141,17 +141,19 @@ impl From<WireError> for io::Error {
 /// answers them with [`Reply::Error`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Run this transaction to completion and report the outcome.
+    /// Run this micro batch to completion and report the outcome. The
+    /// server lowers it to a plan on arrival: the same request as a
+    /// [`Request::SubmitPlan`] of
+    /// [`to_plan`](islands_workload::TxnRequest::to_plan).
     Submit(TxnRequest),
     /// Liveness / latency-floor probe.
     Ping,
     /// Ask the server to stop accepting connections and shut down once
     /// in-flight work has drained.
     Drain,
-    /// 2PC phase 1: execute this branch, force the prepare record, and
-    /// answer with [`Reply::Vote`]. A Yes-voting participant holds the
-    /// branch in-doubt (locks included) until the decision arrives or the
-    /// connection dies (presumed abort).
+    /// 2PC phase 1 for a micro-batch branch, lowered on arrival like
+    /// [`Request::Submit`]: the same request as a [`Request::PreparePlan`]
+    /// of the lowered branch.
     Prepare(TxnBranch),
     /// 2PC phase 2: apply the coordinator's decision to the in-doubt branch
     /// and answer with [`Reply::Ack`]. An abort for an unknown gtid is
@@ -166,14 +168,14 @@ pub enum Request {
     /// Scrape the server's live counters and observability snapshot
     /// ([`Reply::Stats`]) without disturbing the run.
     Stats,
-    /// Run this multi-step transaction plan (TPC-C NewOrder/Payment or a
-    /// generic step list) to completion and report the outcome. The
-    /// multi-plan analogue of [`Request::Submit`].
+    /// Run this transaction plan (TPC-C NewOrder/Payment, a lowered micro
+    /// batch, or any step list) to completion and report the outcome.
     SubmitPlan(PlanRequest),
-    /// 2PC phase 1 for one *plan* branch: the multi-step analogue of
-    /// [`Request::Prepare`]. A Yes-voting participant parks the branch —
-    /// including the locks guarding its dependent reads — until the
-    /// [`Request::Decision`] frame (phase 2 is shared with micro branches).
+    /// 2PC phase 1: execute this branch, force the prepare record, and
+    /// answer with [`Reply::Vote`]. A Yes-voting participant parks the
+    /// branch in-doubt — including the locks guarding its dependent reads —
+    /// until the [`Request::Decision`] frame arrives or the connection dies
+    /// (presumed abort).
     PreparePlan(PlanBranch),
     /// Scrape the audit sum (total committed row writes across every
     /// table) for consistency checks; answered with [`Reply::AuditSum`].

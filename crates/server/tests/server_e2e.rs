@@ -13,7 +13,7 @@ use islands_core::native::{
 use islands_server::{
     Backend, Client, ClientPool, Endpoint, Reply, Request, Server, ServerConfig, ServerHandle,
 };
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, TxnBranch, TxnRequest};
 
 static NEXT_SOCK: AtomicU32 = AtomicU32::new(0);
 
@@ -264,8 +264,8 @@ fn bad_frame_mid_pipeline_gets_prior_replies_then_error() {
     handle.join().unwrap();
 }
 
-fn spawn_partition(lo: u64, hi: u64) -> (std::sync::Arc<PartitionEngine>, ServerHandle) {
-    let engine = std::sync::Arc::new(
+fn spawn_partition_engine(lo: u64, hi: u64) -> Arc<PartitionEngine> {
+    Arc::new(
         PartitionEngine::build(&PartitionConfig {
             lo,
             hi,
@@ -274,7 +274,11 @@ fn spawn_partition(lo: u64, hi: u64) -> (std::sync::Arc<PartitionEngine>, Server
             ..Default::default()
         })
         .unwrap(),
-    );
+    )
+}
+
+fn spawn_partition(lo: u64, hi: u64) -> (std::sync::Arc<PartitionEngine>, ServerHandle) {
+    let engine = spawn_partition_engine(lo, hi);
     let handle = Server::spawn_backend(
         Backend::Partition(std::sync::Arc::clone(&engine)),
         uds_endpoint(),
@@ -462,8 +466,8 @@ fn connection_churn_is_survived_and_counted() {
 // its own pinned thread with no lock-table acquisition.
 // ---------------------------------------------------------------------------
 
-fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
-    let exec = Arc::new(
+fn spawn_executor_engine(lo: u64, hi: u64) -> Arc<PartitionExecutor> {
+    Arc::new(
         PartitionExecutor::spawn(ExecutorConfig {
             partition: PartitionConfig {
                 lo,
@@ -475,7 +479,11 @@ fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
             ..Default::default()
         })
         .unwrap(),
-    );
+    )
+}
+
+fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
+    let exec = spawn_executor_engine(lo, hi);
     let handle = Server::spawn_backend(
         Backend::Executor(Arc::clone(&exec)),
         uds_endpoint(),
@@ -614,6 +622,136 @@ fn executor_backend_presumes_abort_when_coordinator_vanishes() {
     let stats = handle.join().unwrap();
     assert_eq!(stats.presumed_aborts, 1);
     assert_eq!(stats.in_doubt, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Wire equivalence: a batch frame and the plan frame of its lowering are the
+// same request to either partition backend.
+// ---------------------------------------------------------------------------
+
+/// Run one fixed conversation — local commits, a misrouted key, a 2PC branch
+/// decided commit with a conflicting local inside its in-doubt window, a
+/// read-only branch, a branch decided abort, a branch orphaned by its
+/// coordinator, an audit — sending batches either as `Submit`/`Prepare`
+/// frames or as the `SubmitPlan`/`PreparePlan` frames of their lowering.
+/// Returns every reply (server timing zeroed) and the final counters.
+fn wire_conversation(backend: Backend, lowered: bool) -> (Vec<Reply>, islands_server::ServerStats) {
+    let submit = |keys: &[u64]| {
+        let req = update(keys);
+        if lowered {
+            Request::SubmitPlan(req.to_plan())
+        } else {
+            Request::Submit(req)
+        }
+    };
+    let prepare = |gtid: u64, kind: OpKind, keys: &[u64]| {
+        let req = TxnRequest {
+            kind,
+            keys: keys.to_vec(),
+            multisite: true,
+        };
+        if lowered {
+            Request::PreparePlan(PlanBranch {
+                gtid,
+                plan: req.to_plan(),
+            })
+        } else {
+            Request::Prepare(TxnBranch { gtid, req })
+        }
+    };
+    let decision = |gtid, commit| Request::Decision { gtid, commit };
+    let handle = Server::spawn_backend(backend, uds_endpoint(), ServerConfig::default()).unwrap();
+    let mut replies = Vec::new();
+    let mut ask = |client: &mut Client, frame: Request| {
+        client.send_request(&frame).unwrap();
+        replies.push(match client.recv_reply().unwrap() {
+            Reply::Committed {
+                distributed,
+                retries,
+                ..
+            } => Reply::Committed {
+                distributed,
+                retries,
+                server_micros: 0,
+            },
+            other => other,
+        });
+    };
+
+    let mut coord = Client::connect(handle.endpoint()).unwrap();
+    let mut local = Client::connect(handle.endpoint()).unwrap();
+    ask(&mut local, submit(&[1, 2]));
+    ask(&mut local, submit(&[999]));
+    ask(&mut coord, prepare(7, OpKind::Update, &[3, 4]));
+    ask(&mut local, submit(&[4, 5]));
+    ask(&mut coord, decision(7, true));
+    ask(&mut local, submit(&[4, 5]));
+    ask(&mut coord, prepare(8, OpKind::Read, &[6]));
+    ask(&mut coord, prepare(9, OpKind::Update, &[7]));
+    ask(&mut coord, prepare(9, OpKind::Update, &[8]));
+    ask(&mut coord, decision(9, false));
+    ask(&mut coord, prepare(10, OpKind::Update, &[200]));
+    ask(&mut coord, prepare(11, OpKind::Update, &[9]));
+    drop(coord);
+    // The orphaned branch is rolled back when the server notices the
+    // hangup; wait for that, not for a guess at how long it takes.
+    while handle.stats().presumed_aborts == 0 {
+        std::thread::yield_now();
+    }
+    ask(&mut local, submit(&[9]));
+    ask(&mut local, Request::Audit);
+    local.drain_server().unwrap();
+    (replies, handle.join().unwrap())
+}
+
+#[test]
+fn batch_frames_and_their_lowered_plan_frames_are_the_same_request() {
+    use islands_dtxn::Vote;
+    let partition: fn() -> Backend = || Backend::Partition(spawn_partition_engine(0, 100));
+    let executor: fn() -> Backend = || Backend::Executor(spawn_executor_engine(0, 100));
+    for (name, backend) in [("partition", partition), ("executor", executor)] {
+        let (batch_replies, batch_stats) = wire_conversation(backend(), false);
+        let (plan_replies, plan_stats) = wire_conversation(backend(), true);
+        assert_eq!(batch_replies, plan_replies, "{name}: replies diverged");
+        assert_eq!(batch_stats, plan_stats, "{name}: counters diverged");
+        // Spot-check the conversation did what its comment says (both
+        // backends agree on everything but retry counts).
+        let shape: Vec<String> = batch_replies
+            .iter()
+            .map(|r| match r {
+                Reply::Committed { .. } => "committed".into(),
+                Reply::Aborted { .. } => "aborted".into(),
+                Reply::Error { .. } => "error".into(),
+                Reply::Vote { vote, .. } => format!("{vote:?}"),
+                Reply::Ack { .. } => "ack".into(),
+                Reply::AuditSum { sum } => format!("audit {sum}"),
+                other => panic!("{name}: unexpected reply {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                "committed",
+                "error",
+                &format!("{:?}", Vote::Yes),
+                "aborted",
+                "ack",
+                "committed",
+                &format!("{:?}", Vote::ReadOnly),
+                &format!("{:?}", Vote::Yes),
+                "error",
+                "ack",
+                "error",
+                &format!("{:?}", Vote::Yes),
+                "committed",
+                "audit 7",
+            ],
+            "{name}"
+        );
+        assert_eq!(batch_stats.presumed_aborts, 1, "{name}");
+        assert_eq!(batch_stats.in_doubt, 0, "{name}");
+        assert_eq!(batch_stats.errors, 3, "{name}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,12 +59,25 @@ impl NativeLockManager {
         self.order.on_request(txn, id);
         let decision = {
             let mut t = self.table.lock();
-            t.acquire(txn, id, mode)
+            match t.acquire(txn, id, mode) {
+                Acquire::Granted => Ok(None),
+                Acquire::Die => Err(StorageError::Deadlock(txn)),
+                // Register the wait cell before the table lock drops: the
+                // release that grants this request can then only run
+                // afterwards, and finds the cell. Registered any later, its
+                // wakeup is lost and the waiter sleeps out the whole timeout
+                // holding a lock it does not know it has.
+                Acquire::Wait => {
+                    let cell = Arc::new(WaitCell::default());
+                    self.cells.lock().insert(txn, Arc::clone(&cell));
+                    Ok(Some(cell))
+                }
+            }
         };
         let granted = match decision {
-            Acquire::Granted => Ok(()),
-            Acquire::Die => Err(StorageError::Deadlock(txn)),
-            Acquire::Wait => self.wait(txn, id),
+            Ok(None) => Ok(()),
+            Ok(Some(cell)) => self.wait(txn, id, &cell),
+            Err(e) => Err(e),
         };
         #[cfg(feature = "lockcheck")]
         if granted.is_ok() {
@@ -73,12 +86,10 @@ impl NativeLockManager {
         granted
     }
 
-    fn wait(&self, txn: TxnId, id: LockId) -> Result<()> {
-        let cell = Arc::new(WaitCell::default());
-        self.cells.lock().insert(txn, Arc::clone(&cell));
+    fn wait(&self, txn: TxnId, id: LockId, cell: &WaitCell) -> Result<()> {
         let mut st = cell.state.lock();
         while *st == WaitState::Waiting {
-            if self.cv_wait(&cell, &mut st) {
+            if self.cv_wait(cell, &mut st) {
                 continue; // woken (or spurious); loop re-checks
             }
             // Timed out: resolve the race against a concurrent grant under
@@ -89,20 +100,15 @@ impl NativeLockManager {
             let woken = t.take_deferred_wakeups();
             drop(t);
             self.wake(&woken);
-            st = cell.state.lock();
-            if *st == WaitState::Granted {
-                break; // granted at the last moment
-            }
             if still_waiting {
                 self.cells.lock().remove(&txn);
                 return Err(StorageError::LockTimeout(txn));
             }
-            // Not waiting and not granted should be impossible, but treat it
-            // as a timeout rather than hang.
-            self.cells.lock().remove(&txn);
-            return Err(StorageError::LockTimeout(txn));
+            // No longer queued: a release granted the request at the last
+            // moment. The lock is held, whether or not that releaser has
+            // reached this cell with its wakeup yet.
+            break;
         }
-        drop(st);
         self.cells.lock().remove(&txn);
         Ok(())
     }
@@ -216,30 +222,29 @@ mod tests {
         let id = LockId::Key(T, 42);
         let counter = Arc::new(Mutex::new(0u64));
         let mut handles = Vec::new();
-        // Descending ids: later (older-numbered) threads may need to wait.
         for i in 0..8u64 {
             let m = Arc::clone(&m);
             let counter = Arc::clone(&counter);
             handles.push(thread::spawn(move || {
-                let mut done = 0;
-                let mut attempt = 0u64;
-                while done < 50 {
-                    // Unique, increasing txn ids per attempt; retries on Die.
-                    let txn = TxnId(1 + i + 8 * attempt);
-                    attempt += 1;
-                    match m.lock(txn, id, LockMode::X) {
-                        Ok(()) => {
-                            let mut c = counter.lock();
-                            *c += 1;
-                            drop(c);
-                            m.unlock_all(txn);
-                            done += 1;
+                for done in 0..50u64 {
+                    // One id per increment, kept across its retries: wait-die
+                    // is starvation-free only if a victim comes back with
+                    // its original timestamp and so ages into the oldest
+                    // waiter. A fresh (younger) id per attempt can die
+                    // forever.
+                    let txn = TxnId(1 + i + 8 * done);
+                    loop {
+                        match m.lock(txn, id, LockMode::X) {
+                            Ok(()) => break,
+                            Err(StorageError::Deadlock(_)) => {
+                                m.unlock_all(txn);
+                                thread::yield_now();
+                            }
+                            Err(e) => panic!("unexpected: {e}"),
                         }
-                        Err(StorageError::Deadlock(_)) => {
-                            m.unlock_all(txn);
-                        }
-                        Err(e) => panic!("unexpected: {e}"),
                     }
+                    *counter.lock() += 1;
+                    m.unlock_all(txn);
                 }
             }));
         }

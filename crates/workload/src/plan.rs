@@ -1,6 +1,6 @@
 //! Multi-step transaction plans: the generalized request model.
 //!
-//! [`TxnRequest`](crate::TxnRequest) describes one *batch* — N keys, one
+//! [`TxnRequest`] describes one *batch* — N keys, one
 //! operation kind, one table. That shape cannot express TPC-C: Payment
 //! touches four tables with different operations per row, NewOrder inserts
 //! into one table while updating another, and 60 % of Payments locate the
@@ -35,12 +35,17 @@
 //! inside the server's 64 KiB frame cap with room for the frame header and
 //! the 8-byte gtid of a [`PlanBranch`].
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, MAX_KEYS_PER_REQUEST};
+use crate::spec::{OpKind, TxnRequest};
 
 /// Upper bound on steps per plan: a decoder-side guard against a hostile or
 /// corrupt count causing a giant allocation, sized so a maximal plan still
 /// fits one wire frame.
 pub const MAX_STEPS_PER_PLAN: u32 = 4096;
+
+// `TxnRequest::to_plan` is total only while every decodable batch fits a
+// plan.
+const _: () = assert!(MAX_KEYS_PER_REQUEST == MAX_STEPS_PER_PLAN);
 
 /// Bytes in a plan header (`class`, `multisite`, `n_steps`).
 const PLAN_HEADER: usize = 6;
@@ -234,6 +239,18 @@ impl PlanRequest {
         out
     }
 
+    /// Whether any row this plan touches (range reads expanded) is in
+    /// `footprint`, a parked branch's [`conflict_keys`](Self::conflict_keys)
+    /// — the same answer as intersecting the two key sets, without
+    /// materializing this plan's.
+    pub fn conflicts_with(&self, footprint: &[(u32, u64)]) -> bool {
+        self.steps.iter().any(|s| {
+            footprint
+                .iter()
+                .any(|&(table, key)| table == s.table && key.wrapping_sub(s.key) < s.rows())
+        })
+    }
+
     /// Append the byte form to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.steps.len() <= MAX_STEPS_PER_PLAN as usize);
@@ -307,6 +324,28 @@ impl PlanRequest {
             },
             total,
         ))
+    }
+}
+
+impl TxnRequest {
+    /// Lower a microbenchmark batch onto the plan model: one point step per
+    /// key on [`MICRO_TABLE`], in key order, same `multisite` flag. Every
+    /// layer below the entry points executes, parks and routes only plans,
+    /// so a batch becomes one on the first line of whatever accepts it.
+    pub fn to_plan(&self) -> PlanRequest {
+        let op = match self.kind {
+            OpKind::Read => StepOp::Read,
+            OpKind::Update => StepOp::Update,
+        };
+        PlanRequest {
+            class: PlanClass::Generic,
+            multisite: self.multisite,
+            steps: self
+                .keys
+                .iter()
+                .map(|&key| PlanStep::point(MICRO_TABLE, key, op))
+                .collect(),
+        }
     }
 }
 
@@ -520,5 +559,33 @@ mod tests {
         assert!(keys.contains(&(TPCC_CUSTOMER, 99_003)));
         assert_eq!(p.write_rows(), 4);
         assert!(!p.is_read_only());
+    }
+
+    #[test]
+    fn conflicts_with_agrees_with_the_materialized_footprint() {
+        let parked = payment_like().conflict_keys();
+        let touching = |table, key, span| PlanRequest {
+            class: PlanClass::Generic,
+            multisite: false,
+            steps: vec![
+                PlanStep::point(TPCC_STOCK, 1, StepOp::Read),
+                PlanStep::range(table, key, span),
+            ],
+        };
+        // A scan ending on the first scanned customer, one starting on the
+        // last, and a wrapping one all hit; neighbours and other tables miss.
+        for (plan, hit) in [
+            (touching(TPCC_CUSTOMER, 98_998, 3), true),
+            (touching(TPCC_CUSTOMER, 99_003, 2), true),
+            (touching(TPCC_CUSTOMER, 98_990, 10), false),
+            (touching(TPCC_CUSTOMER, 99_004, 255), false),
+            (touching(TPCC_DISTRICT, 99_000, 4), false),
+            (touching(TPCC_WAREHOUSE, u64::MAX, 4), true),
+        ] {
+            assert_eq!(plan.conflicts_with(&parked), hit, "{plan:?}");
+            let keys = plan.conflict_keys();
+            assert_eq!(keys.iter().any(|k| parked.contains(k)), hit, "{plan:?}");
+        }
+        assert!(!payment_like().conflicts_with(&[]));
     }
 }

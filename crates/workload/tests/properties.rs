@@ -1,9 +1,10 @@
 //! Property-based tests on workload generation invariants and the plan
 //! codec (round trips, chunked reassembly, typed truncation failures).
 
+use islands_workload::plan::MICRO_TABLE;
 use islands_workload::{
     CodecError, MicroGenerator, MicroSpec, OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep,
-    StepOp, Zipf,
+    StepOp, TxnRequest, Zipf,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -232,6 +233,34 @@ proptest! {
                 other => prop_assert!(false, "branch cut {cut}: got {other:?}"),
             }
         }
+    }
+
+    /// `to_plan` is the only logic between a micro batch and the plan path:
+    /// one point step per key on the micro table, in key order, with the
+    /// batch's kind, `multisite` flag and write count, and an encoding that
+    /// decodes back to the same plan.
+    #[test]
+    fn lowering_a_batch_preserves_keys_kind_and_flags(
+        update in any::<bool>(),
+        keys in prop::collection::vec(any::<u64>(), 0..24),
+        multisite in any::<bool>(),
+    ) {
+        let kind = if update { OpKind::Update } else { OpKind::Read };
+        let req = TxnRequest { kind, keys, multisite };
+        let plan = req.to_plan();
+        prop_assert_eq!(plan.class, PlanClass::Generic);
+        prop_assert_eq!(plan.multisite, multisite);
+        let op = if update { StepOp::Update } else { StepOp::Read };
+        let expected: Vec<PlanStep> =
+            req.keys.iter().map(|&k| PlanStep::point(MICRO_TABLE, k, op)).collect();
+        prop_assert_eq!(&plan.steps, &expected);
+        prop_assert_eq!(plan.write_rows(), if update { req.keys.len() as u64 } else { 0 });
+        prop_assert_eq!(plan.is_read_only(), !update || req.keys.is_empty());
+        let mut buf = Vec::new();
+        plan.encode_into(&mut buf);
+        let (back, used) = PlanRequest::decode_from(&buf).expect("lowered plan decodes");
+        prop_assert_eq!(back, plan);
+        prop_assert_eq!(used, buf.len());
     }
 
     /// Site ranges tile the keyspace exactly.
