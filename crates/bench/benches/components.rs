@@ -1,11 +1,14 @@
 //! Criterion microbenchmarks of the core substrates: B+tree, lock table,
-//! log buffer, WAL commit, Zipf sampling, and the DES kernel.
+//! log buffer, WAL commit, the session and executor hops, Zipf sampling,
+//! and the DES kernel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
+use islands_server::{Backend, Client, Endpoint, Server, ServerConfig, ServerHandle};
 use islands_sim::Sim;
 use islands_storage::btree::BTree;
 use islands_storage::buffer::BufferPool;
@@ -15,7 +18,7 @@ use islands_storage::wal::buffer::LogBuffer;
 use islands_storage::wal::record::LogPayload;
 use islands_storage::wal::{DiscardLogDevice, LogDevice, LogManager};
 use islands_storage::TxnId;
-use islands_workload::Zipf;
+use islands_workload::{OpKind, TxnRequest, Zipf};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -132,6 +135,67 @@ fn wal_commit_case(c: &mut Criterion, name: &str, committers: u64, device: Arc<d
     });
 }
 
+/// The two hops between a client's frame and the engine, each on its own
+/// and stacked: a `Ping` is the session alone (read, decode, reply, flush —
+/// the UDS round trip plus whatever the session adds), a 1-step `submit`
+/// adds the engine behind either backend, and the bare
+/// `ExecutorSession::submit_plan` is the serial backend's share of that
+/// with no socket in the way.
+fn bench_session_roundtrip(c: &mut Criterion) {
+    let partition = || PartitionConfig {
+        lo: 0,
+        hi: 1_000,
+        ..Default::default()
+    };
+    let plan = TxnRequest {
+        kind: OpKind::Update,
+        keys: vec![7],
+        multisite: false,
+    }
+    .to_plan();
+    let serve = |name: &str, backend: Backend| -> (ServerHandle, Client) {
+        let socket = std::env::temp_dir().join(format!(
+            "islands-components-{}-{name}.sock",
+            std::process::id()
+        ));
+        let handle =
+            Server::spawn_backend(backend, Endpoint::Uds(socket), ServerConfig::default()).unwrap();
+        let client = Client::connect(handle.endpoint()).unwrap();
+        (handle, client)
+    };
+    let stop = |handle: ServerHandle, mut client: Client| {
+        client.drain_server().unwrap();
+        handle.join().unwrap();
+    };
+
+    let locked = Arc::new(PartitionEngine::build(&partition()).unwrap());
+    let (handle, mut client) = serve("partition", Backend::Partition(locked));
+    c.bench_function("session_roundtrip/ping", |b| {
+        b.iter(|| client.ping().unwrap())
+    });
+    c.bench_function("session_roundtrip/submit_partition", |b| {
+        b.iter(|| client.submit_plan(&plan).unwrap())
+    });
+    stop(handle, client);
+
+    let serial = Arc::new(
+        PartitionExecutor::spawn(ExecutorConfig {
+            partition: partition(),
+        })
+        .unwrap(),
+    );
+    let session = serial.session();
+    c.bench_function("session_roundtrip/executor_submit_plan", |b| {
+        b.iter(|| session.submit_plan(&plan).unwrap())
+    });
+    drop(session);
+    let (handle, mut client) = serve("executor", Backend::Executor(serial));
+    c.bench_function("session_roundtrip/submit_executor", |b| {
+        b.iter(|| client.submit_plan(&plan).unwrap())
+    });
+    stop(handle, client);
+}
+
 fn bench_zipf(c: &mut Criterion) {
     let z = Zipf::new(240_000, 0.99);
     let mut rng = SmallRng::seed_from_u64(3);
@@ -163,7 +227,7 @@ criterion_group! {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_btree, bench_lock_table, bench_log_buffer, bench_wal_commit, bench_zipf,
-        bench_des
+    targets = bench_btree, bench_lock_table, bench_log_buffer, bench_wal_commit,
+        bench_session_roundtrip, bench_zipf, bench_des
 }
 criterion_main!(benches);

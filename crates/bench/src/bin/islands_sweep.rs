@@ -51,7 +51,7 @@ OPTIONS:
                         {0,20,80}% (explicit flags still win)
   --engine LIST         comma-separated engine modes to sweep: locked
                         (sessions execute inline under 2PL) and/or serial
-                        (one pinned executor thread per partition, no
+                        (one transaction at a time per partition, no
                         lock table on local transactions; default locked).
                         Listing both prints the locked-vs-serial
                         comparison (both tps and the serial/locked
@@ -728,8 +728,8 @@ fn gate_against_baseline(path: &str, tolerance: f64, cells: &[Cell]) -> Result<(
 /// The paper-style locked-vs-serial comparison: for every workload point
 /// swept under both engine modes, one line with both committed throughputs
 /// and the serial/locked ratio. A record, not a gate: which engine leads at
-/// 0% multisite depends on what the serial hand-off costs against what 2PL
-/// costs on the box at hand (EXPERIMENTS.md, "Locked vs serial").
+/// 0% multisite depends on what running alone buys against what 2PL costs
+/// on the box at hand (EXPERIMENTS.md, "Locked vs serial").
 fn engine_comparison(cells: &[Cell]) {
     let mut printed_header = false;
     for locked in cells.iter().filter(|c| c.engine == EngineMode::Locked) {

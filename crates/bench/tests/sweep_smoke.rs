@@ -112,7 +112,7 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
 #[test]
 fn serial_engine_cell_runs_clean_and_carries_its_engine_label() {
     // The --engine axis end to end: a serial-executor cell spawns real
-    // instance processes whose partitions execute on dedicated threads,
+    // instance processes whose partitions execute one transaction at a time,
     // commits transactions, drains clean, and stamps its cells with the
     // engine label (what baseline matching keys on).
     let json_path =

@@ -358,6 +358,13 @@ impl PartitionEngine {
         self.inst.set_lockcheck_scope(scope);
     }
 
+    /// Own the partition's instance on the calling thread until the claim
+    /// drops (the serial executor does, around each critical section).
+    #[cfg(feature = "lockcheck")]
+    pub(crate) fn lockcheck_claim(&self) -> islands_storage::lockcheck::Claim<'_> {
+        self.inst.lockcheck_claim()
+    }
+
     /// [`submit_plan_local`](Self::submit_plan_local) for a micro batch.
     pub fn submit_local(
         &self,

@@ -1,54 +1,55 @@
-//! Serial partition executors: one pinned thread owns one partition and
-//! executes local transactions with **no lock-table acquisition**.
+//! Serial partition executors: a partition is a unit of mutual exclusion,
+//! and the thread that receives a request runs it.
 //!
 //! The paper's fine-grained shared-nothing configurations win on local-only
-//! workloads precisely because a partition owned by a single thread needs no
-//! latching or lock-manager traffic (§6.2, §7.1.1; the H-Store-style design
-//! it benchmarks against makes serial per-partition execution the fast
-//! path). A [`PartitionExecutor`] realizes that: it spawns one dedicated
-//! thread (optionally pinned to a `taskset`-style cpu list from `hwtopo`),
-//! builds a [`PartitionEngine`] with locking elided
-//! (`single_threaded: true`), and drains a **bounded MPSC queue** of
-//! requests. Server sessions become producers — they enqueue decoded
-//! requests with a completion slot instead of executing inline — so the
-//! number of client connections is decoupled from the number of execution
-//! threads.
+//! workloads precisely because a partition that runs one transaction at a
+//! time needs no latching or lock-manager traffic (§6.2, §7.1.1; the
+//! H-Store-style design it benchmarks against makes serial per-partition
+//! execution the fast path). A [`PartitionExecutor`] realizes that: it
+//! builds a [`PartitionEngine`] with locking elided (`single_threaded:
+//! true`) and puts it, together with the partition's parked 2PC branches,
+//! behind **one mutex**. An [`ExecutorSession`] call takes that mutex and
+//! runs the transaction start-to-finish on the calling thread — the session
+//! thread that decoded the frame — exactly as the paper's single-threaded
+//! instance process runs the message it just received. There is no executor
+//! thread, no queue and no hand-off: an uncontended call costs one
+//! compare-and-swap more than calling the engine directly.
 //!
 //! ## Why serial execution is correct without 2PL
 //!
-//! Single-owner execution makes two-phase locking vacuous for the local
-//! fast path: every transaction runs start-to-finish on the executor
-//! thread, so there is no interleaving for locks to order. The one place
-//! concurrency re-enters is **two-phase commit**: a prepared multisite
-//! branch must stay in-doubt across Prepare→Decision while the executor
-//! keeps serving other requests. The locked engine holds the branch's row
-//! locks for that window; the executor instead remembers the branch's key
-//! set and answers any conflicting request the way wait-die would have —
-//! the newcomer aborts immediately (a local submit reports
-//! `committed: false`, a conflicting prepare votes No). The coordinator's
-//! decision (or the presumed-abort rule when its connection dies) clears
-//! the key set. This mirrors the locked engine exactly: there the in-doubt
-//! branch is the *oldest* lock holder, so wait-die kills every conflicting
-//! newcomer on first contact, too — which is what makes the two engines
+//! Holding the partition for a whole transaction makes two-phase locking
+//! vacuous for the local fast path: transactions never interleave, so there
+//! is nothing for locks to order. The one place concurrency re-enters is
+//! **two-phase commit**: a prepared multisite branch must stay in-doubt
+//! across Prepare→Decision while the partition keeps serving other
+//! requests. The locked engine holds the branch's row locks for that
+//! window; the executor instead remembers the branch's key set and answers
+//! any conflicting request the way wait-die would have — the newcomer
+//! aborts immediately (a local submit reports `committed: false`, a
+//! conflicting prepare votes No). The coordinator's decision (or the
+//! presumed-abort rule when its connection dies) clears the key set. This
+//! mirrors the locked engine exactly: there the in-doubt branch is the
+//! *oldest* lock holder, so wait-die kills every conflicting newcomer on
+//! first contact, too — which is what makes the two engines
 //! trace-equivalent (see `tests/engine_differential.rs`).
 //!
-//! ## Queue sizing
+//! ## What the lock gives up, and when
 //!
-//! The queue is a bounded [`std::sync::mpsc::sync_channel`]: when
-//! `queue_depth` requests are already waiting, producers block in `send`,
-//! which is exactly the backpressure a saturated partition should exert on
-//! its sessions. Depth trades memory and burst absorption against how far
-//! offered load can run ahead of a stalled executor; the default of 1024
-//! comfortably covers every session's pipeline window at the server's
-//! default batch size.
+//! Sessions on different cores take turns on the partition, so its cache
+//! lines follow whichever session thread ran last. On a one-core island —
+//! the paper's finest grain, and what a pinned serial instance is — every
+//! session thread shares that core and nothing moves. A session that panics
+//! while holding the partition poisons the mutex: the transaction it was in
+//! the middle of is unknowable, so every later call answers
+//! [`ExecError::Gone`] instead of running on top of it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use islands_dtxn::Vote;
-use islands_obs::{metrics, BreakdownCategory, TxnClass};
+use islands_obs::{metrics, BreakdownCategory};
 use islands_storage::{StorageError, TxnHandle};
 use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
@@ -60,12 +61,12 @@ use super::SubmitOutcome;
 /// How a partition instance executes its transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Shared-everything style: sessions execute inline, 2PL via the
+    /// Shared-everything style: sessions execute concurrently, 2PL via the
     /// instance's lock manager.
     #[default]
     Locked,
-    /// H-Store style: one dedicated executor thread per partition, serial
-    /// execution, no lock-table acquisition on the local fast path.
+    /// H-Store style: one transaction at a time per partition, no
+    /// lock-table acquisition on the local fast path.
     Serial,
 }
 
@@ -95,35 +96,17 @@ impl std::fmt::Display for EngineMode {
 }
 
 /// Construction knobs for a [`PartitionExecutor`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutorConfig {
     /// The partition the executor owns. `single_threaded` is forced on —
     /// serial ownership is the whole point.
     pub partition: PartitionConfig,
-    /// Bounded request-queue depth; full queues block producers (see module
-    /// docs on queue sizing).
-    pub queue_depth: usize,
-    /// `taskset`-style cpu list to pin the executor thread to (via the
-    /// `hwtopo` core lists of the deployment layer). `None` inherits the
-    /// process affinity — in a spawned deployment the child process is
-    /// already pinned to its island.
-    pub pin_cpus: Option<String>,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            partition: PartitionConfig::default(),
-            queue_depth: 1024,
-            pin_cpus: None,
-        }
-    }
 }
 
 /// One prepared, in-doubt 2PC branch parked on the executor.
 struct Branch {
     handle: TxnHandle,
-    /// Producer session that prepared it (the presumed-abort scope).
+    /// Session that prepared it (the presumed-abort scope).
     session: u64,
     /// `(table, key)` pairs the branch wrote/read (range reads expanded):
     /// the executor's stand-in for the locks the branch would hold under
@@ -133,122 +116,77 @@ struct Branch {
     parked_at: Instant,
 }
 
-/// Retire an in-doubt branch for observability: drop the gauge and record
-/// how long it sat parked between Prepare and the decision.
-fn retire_branch(b: &Branch) {
-    metrics().in_doubt().dec();
-    metrics().record_parked(b.parked_at.elapsed().as_nanos() as u64);
+impl Branch {
+    /// Leave the in-doubt set with the decision applied: drop the gauge,
+    /// record how long the branch sat parked between Prepare and now.
+    fn retire(self, commit: bool) -> Result<(), StorageError> {
+        metrics().in_doubt().dec();
+        metrics().record_parked(self.parked_at.elapsed().as_nanos() as u64);
+        self.handle.decide(commit)
+    }
 }
 
-enum Job {
-    Submit {
-        plan: PlanRequest,
-        done: SyncSender<Result<SubmitOutcome, StorageError>>,
-    },
-    Prepare {
-        session: u64,
-        gtid: u64,
-        plan: PlanRequest,
-        done: SyncSender<Result<Vote, ExecError>>,
-    },
-    Decide {
-        gtid: u64,
-        commit: bool,
-        done: SyncSender<DecideOutcome>,
-    },
-    /// A producer session ended; presume-abort every branch it prepared.
-    /// Replies with the number of branches rolled back.
-    SessionClosed {
-        session: u64,
-        done: SyncSender<u64>,
-    },
-    AuditSum {
-        done: SyncSender<Result<u64, StorageError>>,
-    },
-    /// Gtids of in-doubt branches the engine re-parked during restart
-    /// replay (each resolves through a normal `Decide`).
-    RecoveredGtids {
-        done: SyncSender<Vec<u64>>,
-    },
-    /// Register the engine into a `lockcheck` ownership scope (runs on the
-    /// executor thread like everything else that touches the engine).
+/// What the partition lock guards: the engine nobody else may touch, and
+/// the in-doubt branches parked on it, keyed by gtid.
+struct Partition {
+    /// `None` once the executor has shut down.
+    engine: Option<PartitionEngine>,
+    branches: HashMap<u64, Branch>,
+}
+
+/// Take the partition and run `f` on it, on the calling thread. The
+/// `queue_depth` gauge counts callers waiting for their turn.
+fn hold<T>(
+    partition: &Mutex<Partition>,
+    f: impl FnOnce(&PartitionEngine, &mut HashMap<u64, Branch>) -> T,
+) -> Result<T, ExecError> {
+    metrics().queue_depth().inc();
+    let held = partition.lock();
+    metrics().queue_depth().dec();
+    // Poisoned: a session panicked mid-transaction (see module docs).
+    let mut held = held.map_err(|_| ExecError::Gone)?;
+    let Partition {
+        engine: Some(engine),
+        branches,
+    } = &mut *held
+    else {
+        return Err(ExecError::Gone);
+    };
     #[cfg(feature = "lockcheck")]
-    SetLockcheckScope {
-        scope: std::sync::Arc<islands_storage::lockcheck::Scope>,
-        done: SyncSender<()>,
-    },
-    Shutdown,
+    let _owner = engine.lockcheck_claim();
+    Ok(f(engine, branches))
 }
 
-/// Handle to one partition's serial executor. Clone-free by design: share
-/// it behind an [`Arc`](std::sync::Arc) and mint one [`ExecutorSession`]
-/// per producer.
+/// Handle to one partition in serial mode. Clone-free by design: share it
+/// behind an [`Arc`] and mint one [`ExecutorSession`] per connection.
 pub struct PartitionExecutor {
-    tx: SyncSender<Job>,
-    join: Option<std::thread::JoinHandle<()>>,
+    partition: Arc<Mutex<Partition>>,
     next_session: AtomicU64,
-    range: (u64, u64),
-    pinned: bool,
 }
 
 impl PartitionExecutor {
-    /// Spawn the executor thread, pin it (best effort), build the engine on
-    /// it, and wait until the partition is loaded and serving.
+    /// Build and load the partition's engine; the executor is serving when
+    /// this returns.
     pub fn spawn(cfg: ExecutorConfig) -> Result<PartitionExecutor, StorageError> {
-        assert!(cfg.queue_depth >= 1, "executor queue needs a slot");
-        let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
-        let (ready_tx, ready_rx) = sync_channel::<Result<bool, StorageError>>(1);
-        let range = (cfg.partition.lo, cfg.partition.hi);
-        let join = std::thread::Builder::new()
-            .name("islands-exec".into())
-            .spawn(move || {
-                let pinned = cfg
-                    .pin_cpus
-                    .as_deref()
-                    .map(pin_current_thread)
-                    .unwrap_or(false);
-                let pcfg = PartitionConfig {
-                    single_threaded: true,
-                    ..cfg.partition
-                };
-                match PartitionEngine::build(&pcfg) {
-                    Ok(engine) => {
-                        let _ = ready_tx.send(Ok(pinned));
-                        serve(&engine, &rx);
-                    }
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(e));
-                    }
-                }
-            })?;
-        let pinned = ready_rx.recv().unwrap_or(Err(StorageError::CorruptCatalog(
-            "executor thread died before ready".into(),
-        )))?;
+        let engine = PartitionEngine::build(&PartitionConfig {
+            single_threaded: true,
+            ..cfg.partition
+        })?;
         Ok(PartitionExecutor {
-            tx,
-            join: Some(join),
+            partition: Arc::new(Mutex::new(Partition {
+                engine: Some(engine),
+                branches: HashMap::new(),
+            })),
             next_session: AtomicU64::new(1),
-            range,
-            pinned,
         })
     }
 
-    /// The key range `[lo, hi)` this executor's partition owns.
-    pub fn range(&self) -> (u64, u64) {
-        self.range
-    }
-
-    /// Whether the executor thread was actually pinned.
-    pub fn pinned(&self) -> bool {
-        self.pinned
-    }
-
-    /// Mint a producer session. Each connection/producer holds its own; the
-    /// session id scopes the presumed-abort rule for branches it prepares.
+    /// Mint a session. Each connection holds its own; the session id scopes
+    /// the presumed-abort rule for branches it prepares.
     pub fn session(&self) -> ExecutorSession {
         ExecutorSession {
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
-            tx: self.tx.clone(),
+            partition: Arc::clone(&self.partition),
             closed: false,
         }
     }
@@ -258,15 +196,17 @@ impl PartitionExecutor {
     #[cfg(feature = "lockcheck")]
     pub fn set_lockcheck_scope(
         &self,
-        scope: std::sync::Arc<islands_storage::lockcheck::Scope>,
+        scope: Arc<islands_storage::lockcheck::Scope>,
     ) -> Result<(), ExecError> {
-        call(&self.tx, |done| Job::SetLockcheckScope { scope, done })
+        hold(&self.partition, |engine, _| {
+            engine.set_lockcheck_scope(scope)
+        })
     }
 
-    /// Sum of the audit counters across the partition's rows (serialized
-    /// through the queue, so it observes a consistent point).
+    /// Sum of the audit counters across the partition's rows (taken under
+    /// the partition lock, so it observes a consistent point).
     pub fn audit_sum(&self) -> Result<u64, ExecError> {
-        Ok(call(&self.tx, |done| Job::AuditSum { done })??)
+        Ok(hold(&self.partition, |engine, _| engine.audit_sum())??)
     }
 
     /// Gtids of in-doubt branches restart replay re-parked on the engine,
@@ -274,11 +214,11 @@ impl PartitionExecutor {
     /// [`ExecutorSession::decide`] — the decision falls through to the
     /// recovered branch when no live branch holds the gtid.
     pub fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        call(&self.tx, |done| Job::RecoveredGtids { done })
+        hold(&self.partition, |engine, _| engine.recovered_gtids())
     }
 
-    /// Stop the executor: drain the queue up to this point, presume-abort
-    /// any branch still in-doubt, and join the thread.
+    /// Stop the executor: presume-abort any branch still in-doubt and drop
+    /// the engine. Sessions that outlive it answer [`ExecError::Gone`].
     pub fn shutdown(self) {
         drop(self);
     }
@@ -286,10 +226,17 @@ impl PartitionExecutor {
 
 impl Drop for PartitionExecutor {
     fn drop(&mut self) {
-        if let Some(h) = self.join.take() {
-            let _ = enqueue(&self.tx, Job::Shutdown);
-            let _ = h.join();
+        // A poisoned partition is never touched again; what it holds is
+        // freed with the last session.
+        let Ok(mut partition) = self.partition.lock() else {
+            return;
+        };
+        // Anything still in-doubt has no coordinator left to decide it:
+        // presumed abort releases the partition's state cleanly.
+        for (_, b) in partition.branches.drain() {
+            let _ = b.retire(false);
         }
+        partition.engine = None;
     }
 }
 
@@ -308,30 +255,11 @@ impl Engine for PartitionExecutor {
     }
 }
 
-/// Enqueue one job, counting it into the queue-depth gauge; the serve loop
-/// counts it back out when it dequeues.
-fn enqueue(tx: &SyncSender<Job>, job: Job) -> Result<(), ExecError> {
-    metrics().queue_depth().inc();
-    tx.send(job).map_err(|_| {
-        metrics().queue_depth().dec();
-        ExecError::Gone
-    })
-}
-
-/// Enqueue the job `make` builds around a completion slot and block until
-/// the executor thread fills the slot (enqueue + rendezvous).
-fn call<T>(tx: &SyncSender<Job>, make: impl FnOnce(SyncSender<T>) -> Job) -> Result<T, ExecError> {
-    let (done, wait) = sync_channel(1);
-    enqueue(tx, make(done))?;
-    wait.recv().map_err(|_| ExecError::Gone)
-}
-
-/// One producer's channel to a [`PartitionExecutor`]. Calls block until the
-/// executor answers (enqueue + rendezvous), which keeps the producer's
-/// request pipeline depth bounded by the executor queue.
+/// One connection's turn-taking handle on a [`PartitionExecutor`]. Every
+/// call takes the partition lock and runs on the calling thread.
 pub struct ExecutorSession {
     id: u64,
-    tx: SyncSender<Job>,
+    partition: Arc<Mutex<Partition>>,
     closed: bool,
 }
 
@@ -346,34 +274,77 @@ impl ExecutorSession {
         self.prepare_plan(gtid, &req.to_plan())
     }
 
-    /// Execute one fully-local plan serially on the executor.
+    /// Execute one fully-local plan serially on the partition.
     ///
     /// A plan touching a row some in-doubt branch covers (range reads
     /// expanded) reports `committed: false` immediately — the same outcome
     /// wait-die hands a conflicting newcomer under the locked engine.
     pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        let plan = plan.clone();
-        Ok(call(&self.tx, |done| Job::Submit { plan, done })??)
+        Ok(hold(&self.partition, |engine, branches| {
+            let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+            if conflicts(branches, plan) {
+                // Rows held by an in-doubt branch: abort now, exactly as
+                // wait-die would kill the younger conflicting txn.
+                engine.check_plan(plan).map(|()| SubmitOutcome {
+                    committed: false,
+                    distributed: false,
+                    retries: 0,
+                })
+            } else {
+                // Lock-free engine: contention errors cannot occur, so
+                // the retry budget is moot.
+                engine.submit_plan_local(plan, 0)
+            }
+        })??)
     }
 
-    /// Execute one 2PC branch and run participant phase 1 on the executor.
+    /// Execute one 2PC branch and run participant phase 1 on the partition.
     /// `Ok(Vote::Yes)` parks the branch with its full `(table, key)`
     /// footprint, dependent reads included, so conflicting work aborts
     /// until [`decide`](Self::decide) (from any session) or this session's
     /// close presumed-aborts it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
-        let (session, plan) = (self.id, plan.clone());
-        call(&self.tx, |done| Job::Prepare {
-            session,
-            gtid,
-            plan,
-            done,
+        hold(&self.partition, |engine, branches| {
+            let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+            if branches.contains_key(&gtid) {
+                return Err(ExecError::DuplicateGtid(gtid));
+            }
+            if conflicts(branches, plan) {
+                engine.check_plan(plan)?;
+                return Ok(Vote::No);
+            }
+            Ok(match engine.prepare_plan_branch(gtid, plan)? {
+                BranchOutcome::Prepared(handle) => {
+                    metrics().in_doubt().inc();
+                    branches.insert(
+                        gtid,
+                        Branch {
+                            handle,
+                            session: self.id,
+                            keys: plan.conflict_keys(),
+                            parked_at: Instant::now(),
+                        },
+                    );
+                    Vote::Yes
+                }
+                BranchOutcome::ReadOnly => Vote::ReadOnly,
+                BranchOutcome::No => Vote::No,
+            })
         })?
     }
 
     /// Apply a coordinator decision to the in-doubt branch with this gtid.
     pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
-        call(&self.tx, |done| Job::Decide { gtid, commit, done })
+        hold(&self.partition, |engine, branches| {
+            let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+            match branches.remove(&gtid) {
+                Some(b) => match b.retire(commit) {
+                    Ok(()) => DecideOutcome::Applied,
+                    Err(e) => DecideOutcome::Failed(e.to_string()),
+                },
+                None => engine.decide_recovered(gtid, commit),
+            }
+        })
     }
 
     /// End the session: every branch it prepared that is still in-doubt is
@@ -384,8 +355,15 @@ impl ExecutorSession {
             return 0;
         }
         self.closed = true;
-        let session = self.id;
-        call(&self.tx, |done| Job::SessionClosed { session, done }).unwrap_or(0)
+        hold(&self.partition, |_, branches| {
+            let mut aborted = 0;
+            for (_, b) in branches.extract_if(|_, b| b.session == self.id) {
+                let _ = b.retire(false);
+                aborted += 1;
+            }
+            aborted
+        })
+        .unwrap_or(0)
     }
 }
 
@@ -421,148 +399,6 @@ fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
     branches.values().any(|b| plan.conflicts_with(&b.keys))
 }
 
-/// The executor thread's serve loop: drain jobs until shutdown, then
-/// presume-abort any branch still parked.
-fn serve(engine: &PartitionEngine, rx: &Receiver<Job>) {
-    let mut branches: HashMap<u64, Branch> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        metrics().queue_depth().dec();
-        match job {
-            Job::Submit { plan, done } => {
-                islands_obs::set_txn_class(if plan.multisite {
-                    TxnClass::Multisite
-                } else {
-                    TxnClass::Local
-                });
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = if conflicts(&branches, &plan) {
-                    // Rows held by an in-doubt branch: abort now, exactly as
-                    // wait-die would kill the younger conflicting txn.
-                    engine.check_plan(&plan).map(|()| SubmitOutcome {
-                        committed: false,
-                        distributed: false,
-                        retries: 0,
-                    })
-                } else {
-                    // Lock-free engine: contention errors cannot occur, so
-                    // the retry budget is moot.
-                    engine.submit_plan_local(&plan, 0)
-                };
-                let _ = done.send(outcome);
-            }
-            Job::Prepare {
-                session,
-                gtid,
-                plan,
-                done,
-            } => {
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let reply = if branches.contains_key(&gtid) {
-                    Err(ExecError::DuplicateGtid(gtid))
-                } else if conflicts(&branches, &plan) {
-                    engine
-                        .check_plan(&plan)
-                        .map(|()| Vote::No)
-                        .map_err(ExecError::Storage)
-                } else {
-                    match engine.prepare_plan_branch(gtid, &plan) {
-                        Ok(BranchOutcome::Prepared(handle)) => {
-                            metrics().in_doubt().inc();
-                            branches.insert(
-                                gtid,
-                                Branch {
-                                    handle,
-                                    session,
-                                    keys: plan.conflict_keys(),
-                                    parked_at: Instant::now(),
-                                },
-                            );
-                            Ok(Vote::Yes)
-                        }
-                        Ok(BranchOutcome::ReadOnly) => Ok(Vote::ReadOnly),
-                        Ok(BranchOutcome::No) => Ok(Vote::No),
-                        Err(e) => Err(ExecError::Storage(e)),
-                    }
-                };
-                let _ = done.send(reply);
-            }
-            Job::Decide { gtid, commit, done } => {
-                islands_obs::set_txn_class(TxnClass::Multisite);
-                let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-                let outcome = match branches.remove(&gtid) {
-                    Some(b) => {
-                        retire_branch(&b);
-                        match b.handle.decide(commit) {
-                            Ok(()) => DecideOutcome::Applied,
-                            Err(e) => DecideOutcome::Failed(e.to_string()),
-                        }
-                    }
-                    None => engine.decide_recovered(gtid, commit),
-                };
-                let _ = done.send(outcome);
-            }
-            Job::SessionClosed { session, done } => {
-                let doomed: Vec<u64> = branches
-                    .iter()
-                    .filter(|(_, b)| b.session == session)
-                    .map(|(&g, _)| g)
-                    .collect();
-                let mut aborted = 0u64;
-                for gtid in doomed {
-                    if let Some(b) = branches.remove(&gtid) {
-                        retire_branch(&b);
-                        let _ = b.handle.decide(false);
-                        aborted += 1;
-                    }
-                }
-                let _ = done.send(aborted);
-            }
-            Job::AuditSum { done } => {
-                let _ = done.send(engine.audit_sum());
-            }
-            Job::RecoveredGtids { done } => {
-                let _ = done.send(engine.recovered_gtids());
-            }
-            #[cfg(feature = "lockcheck")]
-            Job::SetLockcheckScope { scope, done } => {
-                engine.set_lockcheck_scope(scope);
-                let _ = done.send(());
-            }
-            Job::Shutdown => break,
-        }
-    }
-    // Anything still in-doubt at shutdown has no coordinator left to decide
-    // it: presumed abort releases the partition's state cleanly.
-    for (_, b) in branches.drain() {
-        retire_branch(&b);
-        let _ = b.handle.decide(false);
-    }
-}
-
-/// Best-effort pin of the calling thread to a `taskset`-style cpu list.
-///
-/// There is no libc binding in this workspace, so the pin goes through the
-/// same tool the deployment layer uses for child processes: `taskset -p`
-/// against the thread id read from `/proc/thread-self/stat` (Linux-only;
-/// anywhere that file or the tool is missing, the thread simply runs
-/// unpinned and we report so).
-fn pin_current_thread(cpus: &str) -> bool {
-    let Some(tid) = std::fs::read_to_string("/proc/thread-self/stat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next().map(str::to_owned))
-    else {
-        return false;
-    };
-    std::process::Command::new("taskset")
-        .args(["-p", "-c", cpus, &tid])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +413,6 @@ mod tests {
                 buffer_frames: 256,
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap()
     }
@@ -708,38 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_executor_reports_its_pin_and_still_serves() {
-        // The deployment layer hands serial instance children their island
-        // cpu list; the executor thread pins itself to it via taskset -p.
-        // Where the tool works, spawn must report the pin; either way the
-        // executor serves normally.
-        let taskset_works = std::process::Command::new("taskset")
-            .arg("-V")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false);
-        let e = PartitionExecutor::spawn(ExecutorConfig {
-            partition: PartitionConfig {
-                lo: 0,
-                hi: 100,
-                row_size: 16,
-                buffer_frames: 256,
-                ..Default::default()
-            },
-            pin_cpus: Some("0".into()),
-            ..Default::default()
-        })
-        .unwrap();
-        if taskset_works {
-            assert!(e.pinned(), "taskset works but the executor did not pin");
-        }
-        assert!(e.session().submit(&update(&[50])).unwrap().committed);
-        assert_eq!(e.audit_sum().unwrap(), 1);
-    }
-
-    #[test]
     fn engine_mode_round_trips_its_labels() {
         for mode in [EngineMode::Locked, EngineMode::Serial] {
             assert_eq!(EngineMode::parse(mode.label()), Ok(mode));
@@ -759,6 +562,108 @@ mod tests {
         e.shutdown();
     }
 
+    #[test]
+    fn sessions_on_many_threads_take_turns_on_the_partition() {
+        // The partition lock is the only thing between 8 session threads
+        // and a lock-free engine: every committed write must be counted
+        // exactly once, 2PC branches included, and nobody may see `Gone`.
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 2_000;
+        let e = Arc::new(executor());
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (e, start) = (Arc::clone(&e), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let s = e.session();
+                    let mut written = 0u64;
+                    start.wait();
+                    for i in 0..ROUNDS {
+                        // 4 shared keys, so in-doubt footprints do abort
+                        // other threads' work.
+                        let key = 100 + (t + i) % 4;
+                        if i % 8 == 0 {
+                            let gtid = t * ROUNDS + i;
+                            let commit = i % 16 == 0;
+                            if s.prepare(gtid, &update(&[key])).unwrap() == Vote::Yes {
+                                let decided = s.decide(gtid, commit).unwrap();
+                                assert_eq!(decided, DecideOutcome::Applied);
+                                written += commit as u64;
+                            }
+                        } else if s.submit(&update(&[key])).unwrap().committed {
+                            written += 1;
+                        }
+                    }
+                    written
+                })
+            })
+            .collect();
+        let written: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        // How many attempts an in-doubt footprint aborted is up to the
+        // scheduler; that every committed one is counted once is not.
+        assert!(written > 0);
+        assert_eq!(e.audit_sum().unwrap(), written);
+        // Nobody is left waiting for the partition. The gauge is
+        // process-global, so a test running beside this one may be seen
+        // mid-call: it must read zero soon, not at once.
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while metrics().queue_depth().get() != 0 {
+            assert!(Instant::now() < deadline, "queue_depth stuck above zero");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_session_that_dies_holding_the_partition_leaves_it_gone() {
+        let e = executor();
+        let mut survivor = e.session();
+        assert!(survivor.submit(&update(&[110])).unwrap().committed);
+        let partition = Arc::clone(&e.partition);
+        let died = std::thread::spawn(move || {
+            let _held = partition.lock().unwrap();
+            panic!("session died mid-transaction");
+        })
+        .join();
+        assert!(died.is_err());
+        // Typed errors from every entry point: no hang, no second panic.
+        assert!(matches!(
+            survivor.submit(&update(&[111])),
+            Err(ExecError::Gone)
+        ));
+        assert!(matches!(
+            survivor.prepare(1, &update(&[112])),
+            Err(ExecError::Gone)
+        ));
+        assert!(matches!(survivor.decide(1, true), Err(ExecError::Gone)));
+        assert!(matches!(
+            e.session().submit(&update(&[113])),
+            Err(ExecError::Gone)
+        ));
+        assert!(matches!(e.audit_sum(), Err(ExecError::Gone)));
+        assert!(matches!(e.recovered_gtids(), Err(ExecError::Gone)));
+        assert_eq!(survivor.close(), 0);
+        e.shutdown();
+    }
+
+    #[cfg(feature = "lockcheck")]
+    #[test]
+    #[should_panic(expected = "lockcheck: cross-thread access")]
+    fn a_handle_used_outside_the_partition_lock_is_caught() {
+        let e = executor();
+        let mut txn = hold(&e.partition, |engine, _| engine.instance().begin()).unwrap();
+        // Same thread, but the partition is no longer held: any other
+        // session may be running a transaction on it right now.
+        let _ = txn.read(crate::native::MICRO_TABLE_NAME, 110);
+    }
+
+    #[test]
+    fn sessions_outliving_the_executor_answer_gone() {
+        let e = executor();
+        let s = e.session();
+        e.shutdown();
+        assert!(matches!(s.submit(&update(&[110])), Err(ExecError::Gone)));
+    }
+
     fn tpcc_executor() -> PartitionExecutor {
         use super::super::engine::TpccPartition;
         PartitionExecutor::spawn(ExecutorConfig {
@@ -771,7 +676,6 @@ mod tests {
                 }),
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap()
     }
@@ -863,11 +767,7 @@ mod tests {
             };
             std::mem::forget(handle);
         }
-        let e2 = PartitionExecutor::spawn(ExecutorConfig {
-            partition,
-            ..Default::default()
-        })
-        .unwrap();
+        let e2 = PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap();
         assert_eq!(e2.recovered_gtids().unwrap(), vec![77]);
         let s = e2.session();
         // The recovered branch guards its key against new work.

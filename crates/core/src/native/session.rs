@@ -3,10 +3,11 @@
 //! Every entry point that accepts a transaction — a wire frame in
 //! `islands-server`, a `DeployClient` call, an embedding test — lowers it to
 //! a [`PlanRequest`] and hands it to a [`Session`] minted by an [`Engine`].
-//! Which engine mode executes it (2PL on the calling thread, or the
-//! partition's serial executor thread) is the engine's business: the caller
-//! sees the same four calls, the same [`Vote`]s and [`DecideOutcome`]s, and
-//! the same presumed-abort rule when the session closes.
+//! Both engine modes execute it on the calling thread; whether that happens
+//! under 2PL beside other sessions or alone under the partition's lock is
+//! the engine's business: the caller sees the same four calls, the same
+//! [`Vote`]s and [`DecideOutcome`]s, and the same presumed-abort rule when
+//! the session closes.
 
 use islands_dtxn::Vote;
 use islands_storage::StorageError;
@@ -23,7 +24,8 @@ pub enum ExecError {
     Storage(StorageError),
     /// A branch with this gtid is already prepared here.
     DuplicateGtid(u64),
-    /// The executor thread is gone (shut down or crashed).
+    /// The serial partition is gone: its executor shut down, or a session
+    /// panicked while holding it.
     Gone,
     /// A 2PC frame reached an engine that is not a 2PC participant (the
     /// in-process cluster coordinates its own distributed transactions).
@@ -35,7 +37,10 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Storage(e) => write!(f, "{e}"),
             ExecError::DuplicateGtid(g) => write!(f, "gtid {g} is already prepared here"),
-            ExecError::Gone => write!(f, "partition executor is shut down"),
+            ExecError::Gone => write!(
+                f,
+                "partition is gone (shut down, or a session died holding it)"
+            ),
             ExecError::NotAParticipant => {
                 write!(f, "2PC frames require a partition instance backend")
             }
@@ -67,7 +72,7 @@ pub enum DecideOutcome {
     Failed(String),
 }
 
-/// One connection's (or one producer's) view of an engine. A session scopes
+/// One connection's view of an engine. A session scopes
 /// the presumed-abort rule: a branch it prepared that nobody decided is
 /// rolled back when the session closes, because its coordinator spoke on
 /// this connection and is gone.

@@ -88,7 +88,6 @@ fn build(mode: EngineMode, wal: Option<&Path>) -> Box<dyn Engine> {
         EngineMode::Serial => Box::new(
             PartitionExecutor::spawn(ExecutorConfig {
                 partition: partition_config(wal),
-                ..Default::default()
             })
             .unwrap(),
         ),

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use islands_core::native::{EngineMode, ExecutorConfig, PartitionConfig, PartitionExecutor};
+use islands_core::native::{
+    EngineMode, ExecError, ExecutorConfig, PartitionConfig, PartitionExecutor,
+};
 use islands_storage::lockcheck::Scope;
 use islands_workload::{OpKind, TxnRequest};
 
@@ -19,7 +21,6 @@ fn executor(lo: u64, hi: u64) -> PartitionExecutor {
             buffer_frames: 256,
             ..Default::default()
         },
-        ..Default::default()
     })
     .expect("spawn executor")
 }
@@ -68,13 +69,17 @@ fn mis_routed_key_in_the_serial_engine_is_caught() {
     assert!(sa.submit(&update(&[60])).unwrap().committed, "first owner");
 
     // The mis-route: the same key reaches partition B. The detector panics
-    // on B's executor thread, which surfaces to the producer as the
-    // executor being gone (and the panic message names the key).
-    let result = sb.submit(&update(&[60]));
+    // on the session thread that ran it (the message names the key), and
+    // the partition it died holding answers `Gone` from then on.
+    let misrouted = std::thread::spawn(move || sb.submit(&update(&[60]))).join();
     assert!(
-        result.is_err(),
-        "lockcheck must kill the executor that accepted a mis-routed key"
+        misrouted.is_err(),
+        "lockcheck must kill the session that ran a mis-routed key"
     );
+    assert!(matches!(
+        b.session().submit(&update(&[120])),
+        Err(ExecError::Gone)
+    ));
 
     // Partition A is untouched and keeps serving.
     assert!(sa.submit(&update(&[10])).unwrap().committed);

@@ -113,14 +113,14 @@ mod tests {
 
     #[test]
     fn unix_sockets_beat_tcp_locally() {
-        // The paper's observation; also holds on loopback virtually always.
-        let u = measure_unix_sockets(500).unwrap();
-        let t = measure_tcp(500).unwrap();
-        assert!(
-            u.msgs_per_sec > t.msgs_per_sec * 0.8,
-            "unix {:.0} vs tcp {:.0} (allowing noise)",
-            u.msgs_per_sec,
-            t.msgs_per_sec
-        );
+        // The paper's observation. Interference on a shared box only ever
+        // slows a round down, so each transport is judged by the best of
+        // three interleaved rounds, not by one race.
+        let (mut u, mut t) = (0f64, 0f64);
+        for _ in 0..3 {
+            u = u.max(measure_unix_sockets(500).unwrap().msgs_per_sec);
+            t = t.max(measure_tcp(500).unwrap().msgs_per_sec);
+        }
+        assert!(u > t * 0.8, "unix {u:.0} vs tcp {t:.0} msgs/s (best of 3)");
     }
 }

@@ -3,8 +3,8 @@
 //! [`Client`] is one connection speaking the wire protocol: submit a
 //! transaction and wait ([`submit`](Client::submit)), or ship a whole
 //! pipeline of requests in one write and collect the replies in order
-//! ([`submit_pipelined`](Client::submit_pipelined)) — the latter is what
-//! lets the server's group-commit batch window actually form groups.
+//! ([`submit_pipelined`](Client::submit_pipelined)) — the server runs
+//! what arrives together back-to-back and answers it in one write.
 //!
 //! [`ClientPool`] is a small checkout/checkin pool for sharing connections
 //! across threads; a connection that hits an I/O error is discarded rather
@@ -25,6 +25,8 @@ pub struct Client {
     conn: Conn,
     reader: FrameReader,
     scratch: Vec<u8>,
+    /// The read timeout currently armed on the socket.
+    read_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -34,6 +36,7 @@ impl Client {
             conn: Conn::connect(endpoint)?,
             reader: FrameReader::new(),
             scratch: Vec::new(),
+            read_timeout: None,
         })
     }
 
@@ -97,11 +100,17 @@ impl Client {
         self.read_reply()
     }
 
-    /// Bound how long [`recv_reply`](Self::recv_reply) blocks. `None` waits
-    /// forever. A timed-out read surfaces as `WouldBlock`/`TimedOut`; the
-    /// coordinator treats that as a participant failure (presumed abort).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.conn.set_read_timeout(timeout)
+    /// Bound how long [`recv_reply`](Self::recv_reply) blocks, from now
+    /// until the next call (a `setsockopt` only when the value changes).
+    /// `None` waits forever. A timed-out read surfaces as
+    /// `WouldBlock`/`TimedOut`; the coordinator treats that as a participant
+    /// failure (presumed abort).
+    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.read_timeout != timeout {
+            self.conn.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Pipeline many transactions in one write; replies come back in

@@ -725,12 +725,6 @@ impl Deployment {
             }
             if cfg.engine == EngineMode::Serial {
                 args.extend(["--engine".into(), EngineMode::Serial.label().into()]);
-                // The child's executor thread re-pins itself to the same
-                // island list the process is wrapped in (keeps the pin if
-                // something else in the child widens the process mask).
-                if let (true, Some(cpus)) = (taskset, &pins[i]) {
-                    args.extend(["--pin-cpus".into(), cpus.clone()]);
-                }
             }
             args
         };
@@ -1267,11 +1261,7 @@ impl DeployClient {
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "participant dead"))?;
         conn.set_read_timeout(Some(timeout))?;
-        let reply = conn.recv_reply();
-        if reply.is_ok() {
-            conn.set_read_timeout(None)?;
-        }
-        reply
+        conn.recv_reply()
     }
 
     /// One round of wire-level 2PC: a fresh gtid, one `PreparePlan` frame
@@ -1388,6 +1378,8 @@ impl DeployClient {
         let mut sum = 0u64;
         for i in 0..self.deploy.instances() {
             let conn = self.conn(i)?;
+            // A scan of every table is not a vote: no deadline.
+            conn.set_read_timeout(None)?;
             sum += conn.audit()?;
         }
         Ok(sum)
@@ -1659,7 +1651,6 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
     let mut lock_ms = 200u64;
     let mut single_threaded = false;
     let mut engine_mode = EngineMode::Locked;
-    let mut pin_cpus: Option<String> = None;
     let mut stats_every_ms = 500u64;
     let mut obs = true;
     let mut wal: Option<PathBuf> = None;
@@ -1713,7 +1704,6 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
                 let v = value("--engine")?;
                 engine_mode = EngineMode::parse(v).map_err(io::Error::other)?;
             }
-            "--pin-cpus" => pin_cpus = Some(value("--pin-cpus")?.clone()),
             "--wal" => wal = Some(PathBuf::from(value("--wal")?)),
             "--coord" => {
                 let v = value("--coord")?;
@@ -1756,16 +1746,9 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
             PartitionEngine::build(&partition)
                 .map_err(|e| io::Error::other(format!("partition build failed: {e}")))?,
         )),
-        // The child process is already taskset-pinned to its island's
-        // cores; --pin-cpus re-pins the executor thread to the same list
-        // explicitly (and records the fact in its stats).
         EngineMode::Serial => Backend::Executor(Arc::new(
-            PartitionExecutor::spawn(ExecutorConfig {
-                partition,
-                pin_cpus,
-                ..Default::default()
-            })
-            .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?,
+            PartitionExecutor::spawn(ExecutorConfig { partition })
+                .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?,
         )),
     };
     let engine = backend.engine();
@@ -1798,7 +1781,7 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
     }
 
     let handle = Server::spawn_backend(
-        backend.clone(),
+        backend,
         endpoint,
         ServerConfig {
             retry_limit,
@@ -1832,17 +1815,13 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         });
         (stop_tx, printer)
     });
-    let mut stats = handle.join()?;
+    // The gauge started at the recovered branches the resolver never
+    // settled, so those count as in-doubt leaks like session-parked ones.
+    let stats = handle.join()?;
     if let Some((stop_tx, printer)) = heartbeat {
         drop(stop_tx);
         let _ = printer.join();
     }
-    // Recovered branches the resolver never settled are in-doubt leaks just
-    // like session-parked ones: fold them into the drain accounting.
-    stats.in_doubt += parked()?.len() as u64;
-    // All sessions have exited (join waits for them), so this is the last
-    // handle on the engine: dropping it joins a serial executor's thread.
-    drop(backend);
     let mut out = io::stdout().lock();
     writeln!(out, "{}", format_stats(&stats))?;
     out.flush()?;

@@ -18,9 +18,11 @@
 //! * [`server`] — a multi-threaded acceptor: one session thread per
 //!   connection, each holding one engine
 //!   [`Session`](islands_core::native::Session) that every request frame
-//!   becomes a call on; request pipelining with a group-commit batch
-//!   window (all replies of a batch flush in one write), live counters,
-//!   and graceful drain via a wire message or the local handle.
+//!   becomes a call on, run on that session thread in both engine modes;
+//!   request pipelining (frames that arrive together run back-to-back
+//!   and their replies flush in one write; nothing waits for frames that
+//!   have not arrived), live counters, and graceful drain via a wire
+//!   message or the local handle.
 //! * [`client`] — the blocking client library: single connections
 //!   ([`Client`]), one-write pipelining, and a
 //!   checkout/checkin [`ClientPool`].

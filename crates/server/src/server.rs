@@ -16,14 +16,13 @@
 //! closing the session presumes abort for every branch it prepared that
 //! nobody decided: the coordinator spoke on this connection and is gone.
 //!
-//! Sessions implement **request pipelining with a group-commit batch
-//! window**: every complete frame already buffered on the socket is decoded
-//! into one batch, and when a batch is still smaller than
-//! [`ServerConfig::max_batch`], the session waits up to
-//! [`ServerConfig::batch_window`] for more pipelined frames before
-//! executing. The whole batch then runs back-to-back and all replies are
-//! flushed in a single write — one syscall amortized over the group, the
-//! socket-level analogue of group commit.
+//! Sessions **pipeline without waiting**: every complete frame already
+//! buffered on the socket (up to [`ServerConfig::max_batch`]) is decoded
+//! into one batch, the batch runs back-to-back, and all replies are flushed
+//! in a single write — one syscall amortized over whatever a pipelining
+//! client shipped together. A session executes what has arrived and never
+//! waits for what has not: a closed-loop client's lone request runs the
+//! moment it is read.
 //!
 //! **Drain**: a [`Request::Drain`] (or [`ServerHandle::initiate_shutdown`])
 //! flips the shared shutdown flag. The acceptor stops accepting, sessions
@@ -92,9 +91,6 @@ pub struct ServerConfig {
     pub retry_limit: u32,
     /// Largest request batch one session executes between flushes.
     pub max_batch: usize,
-    /// How long a session waits for more pipelined requests before executing
-    /// a non-full batch. Zero executes immediately.
-    pub batch_window: Duration,
     /// Poll granularity for noticing shutdown while idle; also the upper
     /// bound on how long a drain waits for idle sessions.
     pub poll_interval: Duration,
@@ -105,7 +101,6 @@ impl Default for ServerConfig {
         ServerConfig {
             retry_limit: 64,
             max_batch: 64,
-            batch_window: Duration::from_micros(50),
             poll_interval: Duration::from_millis(25),
         }
     }
@@ -123,10 +118,9 @@ pub enum Backend {
     /// side 2PC, with presumed abort when a coordinator connection dies.
     Partition(Arc<PartitionEngine>),
     /// One shared-nothing instance in **serial executor** mode: sessions
-    /// become producers that enqueue decoded requests onto the partition's
-    /// dedicated executor thread instead of executing inline, so the local
-    /// fast path runs with no lock-table acquisition and connection count
-    /// is decoupled from execution threads.
+    /// take turns on the partition — each request runs on its session
+    /// thread under the partition's one lock — so the local fast path runs
+    /// with no lock-table acquisition.
     Executor(Arc<PartitionExecutor>),
 }
 
@@ -153,7 +147,8 @@ struct Counters {
     prepares: AtomicU64,
     decisions: AtomicU64,
     presumed_aborts: AtomicU64,
-    /// Gauge: prepared branches currently awaiting a decision.
+    /// Gauge: branches parked here awaiting a decision — prepared by a live
+    /// session, or re-parked by restart replay.
     in_doubt: AtomicU64,
 }
 
@@ -211,9 +206,10 @@ pub struct ServerStats {
     /// In-doubt branches rolled back because their coordinator's connection
     /// died without a decision (the presumed-abort rule, applied live).
     pub presumed_aborts: u64,
-    /// Gauge: branches currently prepared and awaiting a decision. Must be
-    /// zero after a clean drain — anything else is a leaked in-doubt
-    /// transaction still holding locks.
+    /// Gauge: branches currently prepared and awaiting a decision, those
+    /// restart replay re-parked included. Must be zero after a clean drain
+    /// — anything else is a leaked in-doubt transaction still holding
+    /// locks.
     pub in_doubt: u64,
 }
 
@@ -317,13 +313,6 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(t),
         }
     }
-
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Uds(s) => s.set_nonblocking(nb),
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-        }
-    }
 }
 
 impl Read for Conn {
@@ -383,7 +372,14 @@ impl Server {
         let listener = Listener::bind(&endpoint)?;
         let resolved = listener.local_endpoint()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        // Branches restart replay re-parked are in-doubt here as much as
+        // any a session prepares, and a wire `Decision` may settle them:
+        // they start on the gauge.
+        let recovered = backend.engine().recovered_gtids().unwrap_or_default();
+        let counters = Arc::new(Counters {
+            in_doubt: AtomicU64::new(recovered.len() as u64),
+            ..Default::default()
+        });
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
@@ -641,51 +637,6 @@ fn session_loop(
                 Err(e) => return Err(e),
             }
             continue;
-        }
-
-        // Group-commit window: a non-full batch waits briefly for more
-        // pipelined requests so their replies share one flush. Socket read
-        // timeouts round up to scheduler-tick granularity (milliseconds), so
-        // a microsecond window must poll nonblocking reads instead.
-        if !config.batch_window.is_zero() && batch.len() < config.max_batch && pending_err.is_none()
-        {
-            let window_ends = Instant::now() + config.batch_window;
-            conn.set_nonblocking(true)?;
-            'window: loop {
-                match reader.fill_from(&mut conn) {
-                    Ok(0) => break, // EOF; the final batch still executes
-                    Ok(_) => {
-                        while batch.len() < config.max_batch {
-                            match reader.next_message::<Request>() {
-                                Ok(Some(req)) => batch.push(req),
-                                Ok(None) => break,
-                                Err(e) => {
-                                    // The frame was already consumed from the
-                                    // stream; remember the error so it is
-                                    // answered after this batch, not dropped.
-                                    pending_err = Some(e);
-                                    break 'window;
-                                }
-                            }
-                        }
-                        if batch.len() >= config.max_batch {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        if Instant::now() >= window_ends {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        conn.set_nonblocking(false)?;
-                        return Err(e);
-                    }
-                }
-            }
-            conn.set_nonblocking(false)?;
         }
 
         // Execute the batch back-to-back, then flush all replies at once.

@@ -462,8 +462,8 @@ fn connection_churn_is_survived_and_counted() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-executor backend: sessions are producers, the partition executes on
-// its own pinned thread with no lock-table acquisition.
+// Serial-executor backend: sessions take turns on the partition, each request
+// running on its session thread with no lock-table acquisition.
 // ---------------------------------------------------------------------------
 
 fn spawn_executor_engine(lo: u64, hi: u64) -> Arc<PartitionExecutor> {
@@ -476,7 +476,6 @@ fn spawn_executor_engine(lo: u64, hi: u64) -> Arc<PartitionExecutor> {
                 buffer_frames: 512,
                 ..Default::default()
             },
-            ..Default::default()
         })
         .unwrap(),
     )
@@ -496,8 +495,7 @@ fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
 #[test]
 fn executor_backend_serves_local_submissions_from_many_connections() {
     let (exec, handle) = spawn_executor(0, 100);
-    // Several concurrent connections all enqueue onto the one executor:
-    // connection count is decoupled from the single execution thread.
+    // Several concurrent connections all take turns on the one partition.
     let mut clients: Vec<Client> = (0..4)
         .map(|_| Client::connect(handle.endpoint()).unwrap())
         .collect();
@@ -752,6 +750,138 @@ fn batch_frames_and_their_lowered_plan_frames_are_the_same_request() {
         assert_eq!(batch_stats.in_doubt, 0, "{name}");
         assert_eq!(batch_stats.errors, 3, "{name}");
     }
+}
+
+#[test]
+fn decision_for_a_branch_recovered_from_the_wal_leaves_the_gauge_at_zero() {
+    // Regression: a branch re-parked by restart replay was never counted by
+    // a Prepare frame, so the Decision that settled it wrapped the
+    // `in_doubt` gauge to u64::MAX and the drain reported a phantom leak.
+    for serial in [false, true] {
+        let wal = std::env::temp_dir().join(format!(
+            "islands-e2e-{}-recovered-{serial}.wal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&wal);
+        let partition = PartitionConfig {
+            lo: 0,
+            hi: 100,
+            row_size: 16,
+            buffer_frames: 512,
+            single_threaded: serial,
+            wal: Some(wal.clone()),
+            ..Default::default()
+        };
+        // First incarnation: votes Yes on gtid 77, then dies undecided.
+        {
+            let engine = PartitionEngine::build(&partition).unwrap();
+            let islands_core::native::BranchOutcome::Prepared(branch) =
+                engine.prepare_branch(77, &update(&[50])).unwrap()
+            else {
+                panic!("writer branch must prepare");
+            };
+            std::mem::forget(branch);
+        }
+        let backend = if serial {
+            Backend::Executor(Arc::new(
+                PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap(),
+            ))
+        } else {
+            Backend::Partition(Arc::new(PartitionEngine::build(&partition).unwrap()))
+        };
+        let handle =
+            Server::spawn_backend(backend, uds_endpoint(), ServerConfig::default()).unwrap();
+        assert_eq!(handle.stats().in_doubt, 1, "serial={serial}: recovered");
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        client
+            .send_request(&Request::Decision {
+                gtid: 77,
+                commit: true,
+            })
+            .unwrap();
+        assert_eq!(client.recv_reply().unwrap(), Reply::Ack { gtid: 77 });
+        assert_eq!(client.audit().unwrap(), 1, "serial={serial}: redone");
+        client.drain_server().unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.in_doubt, 0, "serial={serial}: {stats:?}");
+        let _ = std::fs::remove_file(&wal);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pipelining without a window: what arrives together is answered together,
+// and a lone request waits for nothing.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fifty_frames_in_one_write_are_answered_in_order_in_one_burst() {
+    use islands_server::{FrameReader, WireMessage};
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
+    let (engine, handle) = spawn_partition(0, 100);
+    let Endpoint::Uds(path) = handle.endpoint().clone() else {
+        panic!("uds endpoint");
+    };
+    let mut conn = UnixStream::connect(path).unwrap();
+    // One server write is one read here: it fits a socket buffer.
+    let mut burst = |frames: &[Request]| -> Vec<Reply> {
+        let mut out = Vec::new();
+        for f in frames {
+            f.encode_frame(&mut out);
+        }
+        conn.write_all(&out).unwrap();
+        let mut buf = vec![0u8; 64 * 1024];
+        let n = conn.read(&mut buf).unwrap();
+        let mut reader = FrameReader::new();
+        reader.fill_from(&mut &buf[..n]).unwrap();
+        std::iter::from_fn(|| reader.next_message::<Reply>().unwrap()).collect()
+    };
+    // Votes and acks carry their gtid, so order is checkable.
+    let prepares: Vec<Request> = (0..50).map(|g| prepare(g, &[g])).collect();
+    let votes: Vec<Reply> = (0..50)
+        .map(|gtid| Reply::Vote {
+            gtid,
+            vote: islands_dtxn::Vote::Yes,
+        })
+        .collect();
+    assert_eq!(burst(&prepares), votes);
+    let decisions: Vec<Request> = (0..50)
+        .map(|gtid| Request::Decision { gtid, commit: true })
+        .collect();
+    let acks: Vec<Reply> = (0..50).map(|gtid| Reply::Ack { gtid }).collect();
+    assert_eq!(burst(&decisions), acks);
+    assert_eq!(engine.audit_sum().unwrap(), 50);
+    handle.initiate_shutdown();
+    drop(conn);
+    let stats = handle.join().unwrap();
+    assert_eq!((stats.requests, stats.in_doubt), (100, 0));
+}
+
+#[test]
+fn a_lone_ping_costs_a_socket_round_trip_not_a_batch_window() {
+    // The session used to spin 50 us for more frames before answering
+    // anything. A ping on an idle session must now sit within 30 us of a
+    // bare 64-byte UDS ping-pong — a margin the window alone exceeded, so
+    // it tells the two designs apart without a tight race. Interference
+    // only ever adds time, so each side is judged by the quietest of five
+    // interleaved attempts.
+    const ROUNDS: usize = 200;
+    let (_engine, handle) = spawn_partition(0, 100);
+    let mut client = Client::connect(handle.endpoint()).unwrap();
+    let (mut floor_us, mut ping_us) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let floor = islands_net::live::measure_unix_sockets(ROUNDS as u32).unwrap();
+        floor_us = floor_us.min(2e6 / floor.msgs_per_sec);
+        let mut pings: Vec<Duration> = (0..ROUNDS).map(|_| client.ping().unwrap()).collect();
+        pings.sort_unstable();
+        ping_us = ping_us.min(pings[ROUNDS / 2].as_secs_f64() * 1e6);
+    }
+    assert!(
+        ping_us < floor_us + 30.0,
+        "median ping {ping_us:.0} us against a {floor_us:.0} us UDS round trip"
+    );
+    client.drain_server().unwrap();
+    handle.join().unwrap();
 }
 
 // ---------------------------------------------------------------------------

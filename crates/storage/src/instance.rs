@@ -143,6 +143,14 @@ impl StorageInstance {
         self.lockcheck.set_scope(scope);
     }
 
+    /// Make the calling thread this `single_threaded` instance's owner until
+    /// the claim drops; see [`lockcheck`](crate::lockcheck) on thread
+    /// ownership.
+    #[cfg(feature = "lockcheck")]
+    pub fn lockcheck_claim(&self) -> crate::lockcheck::Claim<'_> {
+        self.lockcheck.claim()
+    }
+
     /// Dirty-page steal honors the write-ahead rule by forcing the whole log
     /// first (coarse but correct; stealing is rare when the pool fits the
     /// working set, as in the paper's setup).

@@ -2,15 +2,20 @@
 //! (compiled only with `--features lockcheck`; zero cost otherwise).
 //!
 //! The serial engine's safety argument is *ownership*: one partition is
-//! touched by exactly one executor thread, and one key lives in exactly one
+//! touched by exactly one thread at a time, and one key lives in exactly one
 //! partition. Both halves are conventions the type system cannot see — a
-//! routing bug that lands a key on two instances, or a stray thread calling
-//! into a `single_threaded` instance, silently corrupts data instead of
+//! routing bug that lands a key on two instances, or a thread calling into
+//! a `single_threaded` instance it does not hold, silently corrupts data
+//! instead of
 //! failing. This module turns those conventions into checked invariants:
 //!
-//! * **Thread ownership** — the first transactional access to a
-//!   `single_threaded` instance records the owning thread; any later access
-//!   from a different thread panics.
+//! * **Thread ownership** — a `single_threaded` instance is touched only
+//!   by the thread that owns it. A serial partition executor
+//!   [`claim`](crate::StorageInstance::lockcheck_claim)s the instance for
+//!   the calling thread while it holds the partition lock, and an access
+//!   from any other thread — or from any thread once the claim is released —
+//!   panics. An instance nobody ever claims belongs to the first thread that
+//!   touches it, for good.
 //! * **Partition ownership** — instances registered into a shared [`Scope`]
 //!   record the first instance to touch each key; a different instance
 //!   touching the same key panics (a mis-routed request).
@@ -52,19 +57,40 @@ impl Scope {
     }
 }
 
+/// Who may touch a `single_threaded` instance right now.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// Never claimed, never touched: the first access takes it for good.
+    Unowned,
+    /// The first toucher, or the thread currently holding a [`Claim`].
+    Thread(ThreadId),
+    /// A [`Claim`] ended: nobody, until the next claim.
+    Released,
+}
+
 /// Per-instance detector state, embedded in `StorageInstance`.
 #[derive(Debug)]
 pub(crate) struct InstanceCheck {
     id: u64,
-    owner_thread: Mutex<Option<ThreadId>>,
+    owner: Mutex<Owner>,
     scope: Mutex<Option<Arc<Scope>>>,
+}
+
+/// The calling thread's ownership of a `single_threaded` instance; dropping
+/// it leaves the instance owned by nobody.
+pub struct Claim<'a>(&'a InstanceCheck);
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        *self.0.owner.lock() = Owner::Released;
+    }
 }
 
 impl InstanceCheck {
     pub(crate) fn new() -> InstanceCheck {
         InstanceCheck {
             id: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            owner_thread: Mutex::new(None),
+            owner: Mutex::new(Owner::Unowned),
             scope: Mutex::new(None),
         }
     }
@@ -73,17 +99,24 @@ impl InstanceCheck {
         *self.scope.lock() = Some(scope);
     }
 
+    /// Hand the instance to the calling thread until the claim drops (the
+    /// caller holds whatever lock makes it the partition's only user).
+    pub(crate) fn claim(&self) -> Claim<'_> {
+        *self.owner.lock() = Owner::Thread(thread::current().id());
+        Claim(self)
+    }
+
     /// Called on every transactional key access (read/update/insert).
     pub(crate) fn on_access(&self, single_threaded: bool, key: u64) {
         if single_threaded {
             let me = thread::current().id();
-            let mut owner = self.owner_thread.lock();
+            let mut owner = self.owner.lock();
             match *owner {
-                None => *owner = Some(me),
-                Some(o) if o == me => {}
-                Some(o) => panic!(
+                Owner::Unowned => *owner = Owner::Thread(me),
+                Owner::Thread(o) if o == me => {}
+                held => panic!(
                     "lockcheck: cross-thread access to single-threaded instance {}: \
-                     key {key} touched from {me:?} but the instance is owned by {o:?}",
+                     key {key} touched from {me:?} but its owner is {held:?}",
                     self.id
                 ),
             }

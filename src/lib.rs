@@ -30,7 +30,7 @@
 //!   skew) and TPC-C-lite Payment.
 //! * [`server`] — socket-served deployments: a length-prefixed wire
 //!   protocol over Unix domain sockets / TCP, a multi-threaded server with
-//!   request pipelining and a group-commit batch window, and a blocking
+//!   request pipelining, and a blocking
 //!   client library with a connection pool (drive it with the `loadgen`
 //!   binary in `islands-bench`).
 //!
