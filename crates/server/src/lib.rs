@@ -60,6 +60,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod coordinator;
 pub mod deploy;
 pub mod server;
 pub mod wire;
