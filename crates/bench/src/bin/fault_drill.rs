@@ -56,7 +56,8 @@ OPTIONS:
   --fault-point P         where the victim dies: pre-prepare (before it can
                           vote), post-prepare (voted Yes, decision never
                           arrives - the headline in-doubt case), or
-                          post-decision (decision sent, ack never returns)
+                          post-decision (right behind its decision frame:
+                          the transaction was already answered commit)
                           (default post-prepare)
   --victim I              instance to kill (default: last instance)
   --wal-dir PATH          WAL directory (default: fresh dir under the system

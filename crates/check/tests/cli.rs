@@ -67,7 +67,7 @@ fn mutants_catches_every_seeded_bug() {
     let out = islands_check(&["mutants", "--max", "2"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("6/6 seeded bugs caught"), "{stdout}");
+    assert!(stdout.contains("8/8 seeded bugs caught"), "{stdout}");
 }
 
 #[test]

@@ -302,8 +302,13 @@ impl NativeCluster {
                         txn.decide(commit)?;
                         queue.extend(coord.on_ack(to));
                     }
+                    // Permission to drop the decision record; the home
+                    // WAL keeps its records, so there is nothing to do.
+                    Action::Forget { .. } => {}
                     Action::Finish { commit } => {
-                        // Any never-prepared leftovers (shouldn't exist).
+                        // A Yes-voter that prepared after a No decided the
+                        // abort: its own abort decision is queued behind
+                        // this Finish, so settle it here.
                         for (_, txn) in prepared.drain() {
                             let _ = txn.decide(commit);
                         }

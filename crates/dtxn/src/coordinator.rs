@@ -1,4 +1,13 @@
 //! Coordinator state machine (presumed abort).
+//!
+//! The outcome of a global transaction is fixed the moment its decision is
+//! made — for a commit, the moment [`Action::ForceCommitDecision`] has been
+//! carried out — so [`Action::Finish`] rides right behind the decision
+//! fan-out and the caller can be answered then. Acks come afterwards and
+//! serve one purpose: once **every** participant that was sent a commit
+//! decision has acknowledged it, nobody can ask about the gtid again and
+//! the decision record may be dropped ([`Action::Forget`]). A lost ack
+//! never changes the outcome; it only means the record must be kept.
 
 use crate::{Gtid, Vote};
 
@@ -12,8 +21,15 @@ pub enum Action {
     ForceCommitDecision { gtid: Gtid },
     /// Send the decision to participant `to`.
     SendDecision { to: usize, commit: bool },
-    /// The global transaction is finished with this outcome.
+    /// The outcome is fixed: answer the caller. Emitted exactly once, behind
+    /// the decision fan-out (and the force, for a commit) of the step that
+    /// decided — not at the last ack.
     Finish { commit: bool },
+    /// Every participant that was sent the commit decision has acknowledged
+    /// it: no recovering participant can ask about `gtid` any more, so the
+    /// forced decision record may be dropped. Never emitted once an ack was
+    /// lost, and never for aborts (presumed abort has no record to drop).
+    Forget { gtid: Gtid },
 }
 
 /// Coordinator phases.
@@ -21,9 +37,10 @@ pub enum Action {
 pub enum CoordinatorState {
     /// Prepares sent, collecting votes.
     WaitVotes,
-    /// Decision sent to Yes-voters, collecting acks.
+    /// Decided, caller answered, decisions sent to Yes-voters; acks still
+    /// owed.
     WaitAcks { commit: bool },
-    /// Done.
+    /// Decided and nothing left to wait for (every ack in, or lost).
     Finished { commit: bool },
 }
 
@@ -35,6 +52,9 @@ pub struct Coordinator {
     state: CoordinatorState,
     votes: Vec<Option<Vote>>,
     acks_pending: Vec<usize>,
+    /// A participant owed a decision or an ack was lost: it may still ask
+    /// about the gtid on recovery, so [`Action::Forget`] is off the table.
+    ack_lost: bool,
 }
 
 impl Coordinator {
@@ -54,6 +74,7 @@ impl Coordinator {
                 state: CoordinatorState::WaitVotes,
                 votes: vec![None; n],
                 acks_pending: Vec::new(),
+                ack_lost: false,
             },
             actions,
         )
@@ -76,6 +97,12 @@ impl Coordinator {
     /// Participants whose phase-2 ack is still outstanding.
     pub fn acks_pending(&self) -> &[usize] {
         &self.acks_pending
+    }
+
+    /// Whether a participant was lost while it owed an ack (observability;
+    /// part of the model checker's state encoding).
+    pub fn ack_lost(&self) -> bool {
+        self.ack_lost
     }
 
     fn index_of(&self, from: usize) -> usize {
@@ -124,12 +151,12 @@ impl Coordinator {
                 .into_iter()
                 .map(|to| Action::SendDecision { to, commit: false })
                 .collect();
-            if self.acks_pending.is_empty() {
-                self.state = CoordinatorState::Finished { commit: false };
-                actions.push(Action::Finish { commit: false });
+            self.state = if self.acks_pending.is_empty() {
+                CoordinatorState::Finished { commit: false }
             } else {
-                self.state = CoordinatorState::WaitAcks { commit: false };
-            }
+                CoordinatorState::WaitAcks { commit: false }
+            };
+            actions.push(Action::Finish { commit: false });
             return actions;
         }
 
@@ -158,6 +185,7 @@ impl Coordinator {
                 .into_iter()
                 .map(|to| Action::SendDecision { to, commit: true }),
         );
+        actions.push(Action::Finish { commit: true });
         actions
     }
 
@@ -170,8 +198,8 @@ impl Coordinator {
         }
         // A prepared participant surfaced after the abort was decided: it
         // holds locks until it hears the decision, so send the abort (no
-        // force; presumed abort). If the abort had already finished, the
-        // driver sees a second Finish once this ack lands — same outcome.
+        // force; presumed abort). The caller was answered when the abort
+        // was decided; this only reopens the wait for one more ack.
         self.acks_pending.push(from);
         self.state = CoordinatorState::WaitAcks { commit: false };
         vec![Action::SendDecision {
@@ -183,8 +211,9 @@ impl Coordinator {
     /// The driver lost a participant (connection closed, vote or ack timed
     /// out). Presumed abort turns absence into a No vote: a participant that
     /// never voted counts as No; one that is owed a decision or an ack is
-    /// forgotten (it resolves itself on recovery — no decision record means
-    /// abort, a forced commit record means commit).
+    /// dropped from the wait (it resolves itself on recovery — no decision
+    /// record means abort, a forced commit record means commit — which is
+    /// why its loss rules out [`Action::Forget`]).
     pub fn on_participant_failure(&mut self, from: usize) -> Vec<Action> {
         let idx = self.index_of(from);
         match self.state {
@@ -202,18 +231,18 @@ impl Coordinator {
                     return Vec::new();
                 };
                 self.acks_pending.swap_remove(pos);
+                self.ack_lost = true;
                 if self.acks_pending.is_empty() {
                     self.state = CoordinatorState::Finished { commit };
-                    vec![Action::Finish { commit }]
-                } else {
-                    Vec::new()
                 }
+                Vec::new()
             }
             CoordinatorState::Finished { .. } => Vec::new(),
         }
     }
 
-    /// Feed a phase-2 ack.
+    /// Feed a phase-2 ack. The last one of a commit whose acks all arrived
+    /// yields [`Action::Forget`]; nothing else depends on acks.
     pub fn on_ack(&mut self, from: usize) -> Vec<Action> {
         let commit = match self.state {
             CoordinatorState::WaitAcks { commit } => commit,
@@ -225,9 +254,12 @@ impl Coordinator {
             .position(|&p| p == from)
             .unwrap_or_else(|| panic!("unexpected ack from {from}"));
         self.acks_pending.swap_remove(pos);
-        if self.acks_pending.is_empty() {
-            self.state = CoordinatorState::Finished { commit };
-            vec![Action::Finish { commit }]
+        if !self.acks_pending.is_empty() {
+            return Vec::new();
+        }
+        self.state = CoordinatorState::Finished { commit };
+        if commit && !self.ack_lost {
+            vec![Action::Forget { gtid: self.gtid }]
         } else {
             Vec::new()
         }
@@ -246,15 +278,17 @@ mod tests {
         assert!(c.on_vote(2, Vote::Yes).is_empty());
         let actions = c.on_vote(3, Vote::Yes);
         assert_eq!(actions[0], Action::ForceCommitDecision { gtid: 9 });
-        let sends: Vec<_> = actions[1..].to_vec();
-        assert_eq!(sends.len(), 3);
+        let sends: Vec<_> = actions[1..4].to_vec();
         assert!(sends
             .iter()
             .all(|a| matches!(a, Action::SendDecision { commit: true, .. })));
-        // Acks finish it.
+        // The caller is answered behind the fan-out, with every ack owed.
+        assert_eq!(actions[4..], [Action::Finish { commit: true }]);
+        assert_eq!(c.state(), CoordinatorState::WaitAcks { commit: true });
+        // The acks only earn the right to forget.
         assert!(c.on_ack(1).is_empty());
         assert!(c.on_ack(2).is_empty());
-        assert_eq!(c.on_ack(3), vec![Action::Finish { commit: true }]);
+        assert_eq!(c.on_ack(3), vec![Action::Forget { gtid: 9 }]);
         assert_eq!(c.state(), CoordinatorState::Finished { commit: true });
     }
 
@@ -268,13 +302,18 @@ mod tests {
             .iter()
             .all(|a| !matches!(a, Action::ForceCommitDecision { .. })));
         assert_eq!(
-            actions[0],
-            Action::SendDecision {
-                to: 1,
-                commit: false
-            }
+            actions,
+            vec![
+                Action::SendDecision {
+                    to: 1,
+                    commit: false
+                },
+                Action::Finish { commit: false }
+            ]
         );
-        assert_eq!(c.on_ack(1), vec![Action::Finish { commit: false }]);
+        // An abort has no record, so its last ack forgets nothing.
+        assert!(c.on_ack(1).is_empty());
+        assert_eq!(c.state(), CoordinatorState::Finished { commit: false });
     }
 
     #[test]
@@ -310,7 +349,8 @@ mod tests {
                 commit: true
             }]
         );
-        assert_eq!(c.on_ack(3), vec![Action::Finish { commit: true }]);
+        assert_eq!(actions.last(), Some(&Action::Finish { commit: true }));
+        assert_eq!(c.on_ack(3), vec![Action::Forget { gtid: 5 }]);
     }
 
     #[test]
@@ -322,11 +362,16 @@ mod tests {
         let actions = c.on_vote(2, Vote::No);
         assert_eq!(
             actions,
-            vec![Action::SendDecision {
-                to: 1,
-                commit: false
-            }]
+            vec![
+                Action::SendDecision {
+                    to: 1,
+                    commit: false
+                },
+                Action::Finish { commit: false }
+            ]
         );
+        // The caller already has its answer: the late voter gets its abort
+        // and nothing is announced twice.
         let late = c.on_vote(3, Vote::Yes);
         assert_eq!(
             late,
@@ -336,7 +381,8 @@ mod tests {
             }]
         );
         assert!(c.on_ack(1).is_empty());
-        assert_eq!(c.on_ack(3), vec![Action::Finish { commit: false }]);
+        assert!(c.on_ack(3).is_empty());
+        assert_eq!(c.state(), CoordinatorState::Finished { commit: false });
     }
 
     #[test]
@@ -367,7 +413,8 @@ mod tests {
             }]
         );
         assert_eq!(c.state(), CoordinatorState::WaitAcks { commit: false });
-        assert_eq!(c.on_ack(2), vec![Action::Finish { commit: false }]);
+        assert!(c.on_ack(2).is_empty());
+        assert_eq!(c.state(), CoordinatorState::Finished { commit: false });
     }
 
     #[test]
@@ -377,10 +424,13 @@ mod tests {
         let actions = c.on_participant_failure(2);
         assert_eq!(
             actions,
-            vec![Action::SendDecision {
-                to: 1,
-                commit: false
-            }]
+            vec![
+                Action::SendDecision {
+                    to: 1,
+                    commit: false
+                },
+                Action::Finish { commit: false }
+            ]
         );
         assert!(actions
             .iter()
@@ -388,21 +438,28 @@ mod tests {
     }
 
     #[test]
-    fn participant_failure_while_awaiting_its_ack_finishes() {
-        let (mut c, _) = Coordinator::new(5, vec![1, 2]);
-        assert!(c.on_vote(1, Vote::Yes).is_empty());
-        let actions = c.on_vote(2, Vote::Yes);
-        assert!(matches!(actions[0], Action::ForceCommitDecision { .. }));
-        assert!(c.on_ack(1).is_empty());
-        // Participant 2 died after the commit decision was forced: the
-        // global outcome is still commit; 2 recovers from the decision log.
-        assert_eq!(
-            c.on_participant_failure(2),
-            vec![Action::Finish { commit: true }]
-        );
-        assert_eq!(c.state(), CoordinatorState::Finished { commit: true });
-        // Repeated failure reports are idempotent.
-        assert!(c.on_participant_failure(2).is_empty());
+    fn participant_lost_while_owing_its_ack_keeps_the_record() {
+        for lost_first in [true, false] {
+            let (mut c, _) = Coordinator::new(5, vec![1, 2]);
+            assert!(c.on_vote(1, Vote::Yes).is_empty());
+            let actions = c.on_vote(2, Vote::Yes);
+            assert!(matches!(actions[0], Action::ForceCommitDecision { .. }));
+            assert_eq!(actions.last(), Some(&Action::Finish { commit: true }));
+            // Participant 2 died after the commit decision was forced: the
+            // outcome the caller was given stands, and 2 recovers from the
+            // decision log — so no ack order may yield a Forget.
+            if lost_first {
+                assert!(c.on_participant_failure(2).is_empty());
+                assert!(c.on_ack(1).is_empty());
+            } else {
+                assert!(c.on_ack(1).is_empty());
+                assert!(c.on_participant_failure(2).is_empty());
+            }
+            assert!(c.ack_lost());
+            assert_eq!(c.state(), CoordinatorState::Finished { commit: true });
+            // Repeated failure reports are idempotent.
+            assert!(c.on_participant_failure(2).is_empty());
+        }
     }
 
     #[test]

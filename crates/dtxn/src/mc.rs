@@ -26,11 +26,20 @@
 //! * E2 — no gtid is both committed and aborted across participants.
 //! * E3 — once the commit decision is forced, no participant aborts.
 //! * E4 — buffered effects reach the database only under a commit record.
+//! * E5 — the caller is answered when the decision fan-out is emitted
+//!   ([`Action::Finish`]), not at the last ack, and that answer is final:
+//!   no participant ever holds the opposite local outcome, and at every
+//!   quiescent completion — coordinator crashed with acks outstanding, acks
+//!   dropped or duplicated, a decision overtaken by a participant's
+//!   recovery — told *commit* means every writer's effect is applied exactly
+//!   once and told *abort* means no effect survives.
 //!
 //! And at every **quiescent** state (no frames in flight, every crash
 //! observed), the run is finished off the way a real deployment would —
 //! unresolved prepared branches consult the coordinator log via
-//! [`crate::recovery::resolve_in_doubt`] — and the final state must satisfy:
+//! [`crate::recovery::resolve_in_doubt`] (a log the coordinator may have
+//! *forgotten* once [`Action::Forget`] said every ack was in) — and the
+//! final state must satisfy:
 //!
 //! * Q1 — global commit (forced decision record) ⟹ every writer's effect is
 //!   applied exactly once; global abort ⟹ no effect survives anywhere.
@@ -93,16 +102,25 @@ pub enum Mutation {
     /// Forget an abort immediately: never send abort decisions to
     /// prepared Yes-voters.
     SkipDecisionOnAbort,
+    /// Answer the caller "commit" before the decision record is forced: a
+    /// coordinator crash in between leaves a told commit nobody can prove.
+    TellBeforeForce,
+    /// Drop the decision record when the decisions are written instead of
+    /// when they are all acknowledged: a participant that recovers before
+    /// its decision arrives finds nothing and presumes abort.
+    ForgetBeforeAck,
 }
 
 impl Mutation {
-    pub const ALL: [Mutation; 6] = [
+    pub const ALL: [Mutation; 8] = [
         Mutation::CommitOnMissingVote,
         Mutation::SkipAbortUndo,
         Mutation::DecisionWithoutForce,
         Mutation::AckWithoutApply,
         Mutation::PresumeCommit,
         Mutation::SkipDecisionOnAbort,
+        Mutation::TellBeforeForce,
+        Mutation::ForgetBeforeAck,
     ];
 
     pub fn name(self) -> &'static str {
@@ -113,6 +131,8 @@ impl Mutation {
             Mutation::AckWithoutApply => "ack-without-apply",
             Mutation::PresumeCommit => "presume-commit",
             Mutation::SkipDecisionOnAbort => "skip-decision-on-abort",
+            Mutation::TellBeforeForce => "tell-before-force",
+            Mutation::ForgetBeforeAck => "forget-before-ack",
         }
     }
 }
@@ -258,6 +278,13 @@ struct World {
     /// Coordinator's durable log: a forced commit decision for [`GTID`].
     /// Survives coordinator crashes.
     forced_commit: bool,
+    /// What the caller was told, once [`Action::Finish`] was carried out.
+    told: Option<bool>,
+    /// The coordinator dropped its decision record: recovery finds nothing.
+    forgotten: bool,
+    /// Actions a driver seeded with [`Mutation::TellBeforeForce`] has yet
+    /// to carry out after answering the caller (always empty otherwise).
+    deferred: Vec<Action>,
     parts: Vec<PartNode>,
     net: Vec<Msg>,
     // Remaining fault budgets.
@@ -280,6 +307,9 @@ impl World {
             seen_ack: vec![false; n],
             dead_mark: vec![false; n],
             forced_commit: false,
+            told: None,
+            forgotten: false,
+            deferred: Vec::new(),
             parts: cfg
                 .dispositions
                 .iter()
@@ -306,6 +336,21 @@ impl World {
     /// send to a dead-marked peer fails immediately and is reported back as
     /// a participant failure.
     fn process_actions(&mut self, actions: Vec<Action>, mutation: Option<Mutation>) {
+        if mutation == Some(Mutation::TellBeforeForce)
+            && actions
+                .iter()
+                .any(|a| matches!(a, Action::ForceCommitDecision { .. }))
+        {
+            // Seeded bug: the caller hears "commit" first; the force and
+            // the fan-out are a later step a crash can pre-empt.
+            self.told = Some(true);
+            self.deferred = actions;
+            return;
+        }
+        self.carry_out(actions, mutation);
+    }
+
+    fn carry_out(&mut self, actions: Vec<Action>, mutation: Option<Mutation>) {
         let mut work: VecDeque<Action> = actions.into();
         while let Some(a) = work.pop_front() {
             match a {
@@ -325,13 +370,17 @@ impl World {
                     if !commit && mutation == Some(Mutation::SkipDecisionOnAbort) {
                         continue; // seeded bug: prepared voters never hear the abort
                     }
+                    if commit && mutation == Some(Mutation::ForgetBeforeAck) {
+                        self.forgotten = true; // seeded bug: written is not acked
+                    }
                     if self.dead_mark[to] {
                         work.extend(self.coord.on_participant_failure(to));
                     } else {
                         self.net.push(Msg::Decision { to, commit });
                     }
                 }
-                Action::Finish { .. } => {}
+                Action::Finish { commit } => self.told = Some(commit),
+                Action::Forget { .. } => self.forgotten = true,
             }
         }
     }
@@ -430,6 +479,7 @@ impl World {
     /// injects another fault.
     fn quiescent(&self) -> bool {
         self.net.is_empty()
+            && (self.deferred.is_empty() || !self.coord_alive)
             && (!self.coord_live_unfinished()
                 || self
                     .parts
@@ -476,6 +526,12 @@ impl World {
             w.coord_alive = false;
             out.push(("crash coordinator".to_string(), w));
         }
+        if self.coord_alive && !self.deferred.is_empty() {
+            let mut w = self.clone();
+            let deferred = std::mem::take(&mut w.deferred);
+            w.carry_out(deferred, mutation);
+            out.push(("coordinator forces and fans out".to_string(), w));
+        }
         if self.coord_live_unfinished() {
             for i in 0..self.parts.len() {
                 if self.dead_mark[i] {
@@ -516,6 +572,12 @@ impl World {
         pending.sort_unstable();
         k.push(pending.len() as u8);
         k.extend(pending.iter().map(|&p| p as u8));
+        k.push(
+            self.told.map_or(0, |c| 1 + c as u8)
+                | (self.forgotten as u8) << 2
+                | (self.coord.ack_lost() as u8) << 3
+                | (self.deferred.is_empty() as u8) << 4,
+        );
         for i in 0..self.parts.len() {
             let p = &self.parts[i];
             k.push(
@@ -589,6 +651,18 @@ impl World {
                 ));
             }
         }
+        if let Some(told) = self.told {
+            let opposite = if told { aborted } else { committed };
+            if let Some(i) = opposite {
+                return Err((
+                    "E5/told-outcome-is-final",
+                    format!(
+                        "caller told commit={told} but participant {i} logged {:?}",
+                        self.parts[i].plog
+                    ),
+                ));
+            }
+        }
         for (i, p) in self.parts.iter().enumerate() {
             if p.applied != 0 && p.plog != PLog::Committed {
                 return Err((
@@ -612,7 +686,9 @@ impl World {
         mutation: Option<Mutation>,
     ) -> Result<(), (&'static str, String)> {
         let global_commit = self.forced_commit;
-        let decisions: HashMap<Gtid, bool> = if self.forced_commit {
+        // What recovery can still read: a forced record the coordinator has
+        // not dropped.
+        let decisions: HashMap<Gtid, bool> = if self.forced_commit && !self.forgotten {
             HashMap::from([(GTID, true)])
         } else {
             HashMap::new()
@@ -649,6 +725,26 @@ impl World {
                     "Q1/abort-applies-nowhere",
                     format!("global abort but participant {i} ended with {fin} applied effects"),
                 ));
+            }
+            // E5: the same, keyed on what the caller heard.
+            match self.told {
+                Some(true) if p.disp == Disposition::Writer && fin != 1 => {
+                    return Err((
+                        "E5/told-commit-applies-everywhere",
+                        format!(
+                            "caller told commit but writer {i} ended with {fin} applied effects"
+                        ),
+                    ));
+                }
+                Some(false) if fin != 0 => {
+                    return Err((
+                        "E5/told-abort-applies-nowhere",
+                        format!(
+                            "caller told abort but participant {i} ended with {fin} applied effects"
+                        ),
+                    ));
+                }
+                _ => {}
             }
             sum += fin;
         }

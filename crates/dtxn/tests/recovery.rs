@@ -142,6 +142,8 @@ struct Run {
     /// Phase-2 decisions as (participant id, commit).
     decisions: Vec<(usize, bool)>,
     finish: Option<bool>,
+    /// The last ack of a fully acknowledged commit released the record.
+    forgot: bool,
 }
 
 /// Drive a coordinator for `votes` (indexed by participant), delivering in
@@ -162,6 +164,7 @@ fn drive(votes: &[Vote], order: &[usize]) -> Run {
         forced_commit: false,
         decisions: Vec::new(),
         finish: None,
+        forgot: false,
     };
     let mut queue: Vec<Action> = Vec::new();
     for &idx in order {
@@ -188,6 +191,12 @@ fn drive(votes: &[Vote], order: &[usize]) -> Run {
                 Action::Finish { commit } => {
                     assert!(run.finish.is_none(), "finished twice");
                     run.finish = Some(commit);
+                }
+                Action::Forget { gtid } => {
+                    assert_eq!(gtid, 7);
+                    assert!(run.forced_commit, "forgot a record never forced");
+                    assert!(!run.forgot, "forgot twice");
+                    run.forgot = true;
                 }
             }
             i += 1;
@@ -256,6 +265,7 @@ fn check(votes: &[Vote], order: &[usize]) {
         assert_eq!(run.delivered.len(), pos + 1, "No decides instantly: {case}");
         assert_eq!(run.finish, Some(false), "{case}");
         assert!(!run.forced_commit, "aborts are never forced: {case}");
+        assert!(!run.forgot, "aborts have no record to forget: {case}");
         // Fan-out order follows the coordinator's participant order, not
         // delivery order; the contract is about the *set* of recipients.
         let mut targets: Vec<usize> = run.decisions.iter().map(|&(id, _)| id).collect();
@@ -282,6 +292,10 @@ fn check(votes: &[Vote], order: &[usize]) {
             run.forced_commit,
             !yes_ids.is_empty(),
             "commit is forced iff some participant is bound by it: {case}"
+        );
+        assert_eq!(
+            run.forgot, run.forced_commit,
+            "every decision was acked, so a forced record is released: {case}"
         );
         let mut targets: Vec<usize> = run.decisions.iter().map(|&(id, _)| id).collect();
         targets.sort_unstable();

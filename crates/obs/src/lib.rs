@@ -371,7 +371,9 @@ impl Metrics {
         self.txn_us[class.index()].record_ns(ns);
     }
 
-    /// Prepare→Vote latency (participant handling or coordinator RTT).
+    /// Prepare→Vote latency: a participant's handling, or the
+    /// coordinator's fan-out to last vote (a round trip, plus reading any
+    /// acks the links owed from earlier rounds).
     #[inline]
     pub fn record_prepare(&self, ns: u64) {
         if self.enabled() {
@@ -379,7 +381,9 @@ impl Metrics {
         }
     }
 
-    /// Decision→Ack latency (participant handling or coordinator RTT).
+    /// Decision phase: a participant's Decision→Ack handling, or the
+    /// coordinator's decision force plus fan-out writes — not a round trip,
+    /// the coordinator answers its caller without waiting for acks.
     #[inline]
     pub fn record_decision(&self, ns: u64) {
         if self.enabled() {

@@ -90,7 +90,9 @@ impl Client {
 
     /// Ship one raw request without waiting for the reply. Lower-level than
     /// [`submit`](Self::submit): a 2PC coordinator uses this to fan a
-    /// `Prepare` out to every participant before collecting any votes.
+    /// `Prepare` out to every participant before collecting any votes, and
+    /// to write a `Decision` whose `Ack` it will only read — still in
+    /// request order — ahead of the reply to whatever it sends next.
     pub fn send_request(&mut self, request: &Request) -> io::Result<()> {
         self.send(std::slice::from_ref(request))
     }

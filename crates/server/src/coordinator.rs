@@ -3,16 +3,21 @@
 //! 2PC driver ([`drive_2pc`]) that runs the pure [`islands_dtxn::Coordinator`]
 //! machine over a [`TwoPcLink`] — [`DeployClient`](crate::DeployClient)'s
 //! sockets in a live deployment, a scripted mock in the tests below.
+//!
+//! A round answers its caller when the decision frames are written. The
+//! `Ack`s they will bring are a debt each link carries ([`AckDebt`]) and the
+//! next exchange on that link settles: its frame goes out first, then the
+//! owed acks are read in order, then its own reply.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use islands_dtxn::{Action, Coordinator, DecisionLog, Vote};
+use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Vote};
 
 use crate::deploy::{lock_clean, remove_uds_file};
 use crate::server::{Conn, Endpoint};
@@ -22,9 +27,16 @@ use crate::wire::{FrameReader, Reply, Request, WireMessage};
 /// optionally written through a durable [`DecisionLog`] *before* any
 /// `Decision` frame leaves the coordinator. Resolution queries apply the
 /// presumed-abort rule: no record means abort.
+///
+/// A record is needed until every participant it binds has acknowledged the
+/// decision ([`forget`](Self::forget)). A volatile store drops it then —
+/// nothing can ask it anything, so keeping one entry per committed 2PC was
+/// only growth; a durable store keeps answering from what its log holds.
 pub(crate) struct DecisionStore {
     decided: Mutex<HashMap<u64, bool>>,
     log: Option<DecisionLog>,
+    /// Decisions ever recorded, forgotten or not (a reopened log counts).
+    forced: AtomicU64,
 }
 
 impl DecisionStore {
@@ -33,19 +45,16 @@ impl DecisionStore {
     /// resumes its verdicts, which is what lets a restarted deployment keep
     /// answering for transactions it decided in a previous life.
     pub(crate) fn open(wal_dir: Option<&Path>) -> io::Result<DecisionStore> {
-        match wal_dir {
-            None => Ok(DecisionStore {
-                decided: Mutex::new(HashMap::new()),
-                log: None,
-            }),
-            Some(dir) => {
-                let log = DecisionLog::open(&dir.join("coordinator.decisions"))?;
-                Ok(DecisionStore {
-                    decided: Mutex::new(log.decisions()),
-                    log: Some(log),
-                })
-            }
-        }
+        let log = match wal_dir {
+            None => None,
+            Some(dir) => Some(DecisionLog::open(&dir.join("coordinator.decisions"))?),
+        };
+        let decided = log.as_ref().map(DecisionLog::decisions).unwrap_or_default();
+        Ok(DecisionStore {
+            forced: AtomicU64::new(decided.len() as u64),
+            decided: Mutex::new(decided),
+            log,
+        })
     }
 
     /// Durably record a decision. Fail-stop on a log write error: acting on
@@ -58,6 +67,14 @@ impl DecisionStore {
             }
         }
         lock_clean(&self.decided).insert(gtid, commit);
+        self.forced.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every participant bound by `gtid`'s decision has acknowledged it.
+    pub(crate) fn forget(&self, gtid: u64) {
+        if self.log.is_none() {
+            lock_clean(&self.decided).remove(&gtid);
+        }
     }
 
     /// The presumed-abort verdict for one gtid: commit only if a commit
@@ -69,8 +86,14 @@ impl DecisionStore {
             .unwrap_or(false)
     }
 
+    /// Decisions recorded so far; never decreases.
     pub(crate) fn decided_count(&self) -> u64 {
-        lock_clean(&self.decided).len() as u64
+        self.forced.load(Ordering::Relaxed)
+    }
+
+    /// Records currently held in memory.
+    pub(crate) fn remembered(&self) -> usize {
+        lock_clean(&self.decided).len()
     }
 }
 
@@ -196,36 +219,138 @@ pub(crate) enum TwoPc {
     Error(String),
 }
 
+/// The acks a coordinator has been promised and not yet read.
+///
+/// Each link remembers, oldest first, the gtids whose `Ack` it owes; each
+/// decided round stays here as its [`Coordinator`] until its last ack is in
+/// or lost, because that machine is what knows whether the decision record
+/// may be forgotten.
+pub(crate) struct AckDebt {
+    owed: Vec<VecDeque<u64>>,
+    rounds: Vec<Coordinator>,
+}
+
+impl AckDebt {
+    pub(crate) fn new(links: usize) -> AckDebt {
+        AckDebt {
+            owed: vec![VecDeque::new(); links],
+            rounds: Vec::new(),
+        }
+    }
+
+    /// The gtid whose ack `from`'s link owes next.
+    fn next_owed(&self, from: usize) -> Option<u64> {
+        self.owed[from].front().copied()
+    }
+
+    /// A decision for `gtid` was written to `to`.
+    fn owe(&mut self, to: usize, gtid: u64) {
+        self.owed[to].push_back(gtid);
+    }
+
+    /// The round was answered with acks still owed: keep its machine.
+    fn defer(&mut self, coord: Coordinator) {
+        if matches!(coord.state(), CoordinatorState::WaitAcks { .. }) {
+            self.rounds.push(coord);
+        }
+    }
+
+    /// Feed one event to `gtid`'s round and retire it once nothing is owed.
+    fn feed(&mut self, gtid: u64, event: impl FnOnce(&mut Coordinator) -> Vec<Action>) -> bool {
+        let Some(at) = self.rounds.iter().position(|c| c.gtid() == gtid) else {
+            return false;
+        };
+        let forget = event(&mut self.rounds[at]).contains(&Action::Forget { gtid });
+        if matches!(self.rounds[at].state(), CoordinatorState::Finished { .. }) {
+            self.rounds.swap_remove(at);
+        }
+        forget
+    }
+
+    /// `from` delivered the ack it owed next. Returns the gtid when that
+    /// was the last ack of a commit every participant acknowledged.
+    fn acked(&mut self, from: usize) -> Option<u64> {
+        let gtid = self.owed[from].pop_front()?;
+        self.feed(gtid, |c| c.on_ack(from)).then_some(gtid)
+    }
+
+    /// `to`'s link is gone and what it owed will never be read.
+    fn lost(&mut self, to: usize) {
+        for gtid in std::mem::take(&mut self.owed[to]) {
+            self.feed(gtid, |c| c.on_participant_failure(to));
+        }
+    }
+}
+
 /// The transport seam the 2PC driver runs against. The live implementation
-/// is [`DeployClient`]'s per-instance connections; tests substitute a
-/// scripted mock to pin driver invariants that need injected failures (a
-/// decision written without its ack read leaves a stale frame that
-/// desynchronizes the connection for the next round).
+/// is [`DeployClient`](crate::DeployClient)'s per-instance connections;
+/// tests substitute a scripted mock to pin driver invariants that need
+/// injected failures (an ack left unread desynchronizes the connection for
+/// whatever is read from it next).
 pub(crate) trait TwoPcLink {
     /// Ship one frame to participant `to`.
     fn send(&mut self, to: usize, frame: &Request) -> io::Result<()>;
-    /// Read the next reply from `to` with the vote/ack deadline armed.
-    fn recv(&mut self, from: usize) -> io::Result<Reply>;
-    /// Poison `to`'s connection (unreachable or desynchronized).
-    fn mark_dead(&mut self, to: usize);
+    /// Read the next reply frame from `from`, owed ack or not, under the
+    /// deadline armed when the frame it answers was sent.
+    fn recv_frame(&mut self, from: usize) -> io::Result<Reply>;
+    /// Drop `to`'s connection.
+    fn disconnect(&mut self, to: usize);
     /// Force a commit decision record for `gtid` to the coordinator log.
     fn force_commit(&mut self, gtid: u64);
+    /// Every participant has acknowledged `gtid`'s commit decision.
+    fn forget(&mut self, gtid: u64);
+    /// The acks these links still owe.
+    fn debt(&mut self) -> &mut AckDebt;
+
+    /// Poison `to`'s connection (unreachable or desynchronized); the acks it
+    /// owed stay unread, so their decision records are never forgotten.
+    fn mark_dead(&mut self, to: usize) {
+        self.debt().lost(to);
+        self.disconnect(to);
+    }
+
+    /// Read every ack `from` owes, in the order its decisions were sent.
+    /// Anything else in that position means the stream is desynchronized;
+    /// the caller poisons the link as for any failed read.
+    fn settle(&mut self, from: usize) -> io::Result<()> {
+        while let Some(gtid) = self.debt().next_owed(from) {
+            match self.recv_frame(from)? {
+                Reply::Ack { gtid: g } if g == gtid => {
+                    if let Some(done) = self.debt().acked(from) {
+                        self.forget(done);
+                    }
+                }
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("participant {from} owed Ack({gtid}), sent {other:?}"),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Read `from`'s reply to the frame just sent: the acks it owes come
+    /// first on the wire, so they are settled first.
+    fn recv(&mut self, from: usize) -> io::Result<Reply> {
+        self.settle(from)?;
+        self.recv_frame(from)
+    }
 }
 
 /// Carry out coordinator actions in FIFO order (`ForceCommitDecision` must
-/// hit the log before any decision message leaves). Every decision sent
-/// pushes its participant onto `ack_wait` — **always** the live wait list,
-/// so acks owed for follow-up decisions are collected no matter which phase
-/// emitted them.
+/// hit the log before any decision message leaves). Every decision written
+/// puts its ack on that link's debt; returns how many were.
 fn process_actions<L: TwoPcLink>(
     link: &mut L,
     coord: &mut Coordinator,
-    gtid: u64,
     actions: Vec<Action>,
-    ack_wait: &mut Vec<usize>,
     outcome: &mut Option<bool>,
-) {
-    let mut queue: std::collections::VecDeque<Action> = actions.into();
+) -> usize {
+    let gtid = coord.gtid();
+    let mut written = 0;
+    let mut queue: VecDeque<Action> = actions.into();
     while let Some(action) = queue.pop_front() {
         match action {
             Action::SendPrepare { .. } => unreachable!("prepares already sent"),
@@ -233,7 +358,10 @@ fn process_actions<L: TwoPcLink>(
             Action::SendDecision { to, commit } => {
                 let frame = Request::Decision { gtid, commit };
                 match link.send(to, &frame) {
-                    Ok(()) => ack_wait.push(to),
+                    Ok(()) => {
+                        link.debt().owe(to, gtid);
+                        written += 1;
+                    }
                     Err(_) => {
                         link.mark_dead(to);
                         queue.extend(coord.on_participant_failure(to));
@@ -241,48 +369,17 @@ fn process_actions<L: TwoPcLink>(
                 }
             }
             Action::Finish { commit } => *outcome = Some(commit),
+            Action::Forget { .. } => unreachable!("acks are fed to a deferred round only"),
         }
     }
+    written
 }
 
-/// Phase 2: collect an ack for every decision sent. `ack_wait` is a live
-/// worklist, not a snapshot — handling one participant's failure can emit a
-/// follow-up decision, and that decision's ack must be read too (it used to
-/// be pushed into a throwaway `Vec`, leaving the ack unread: the stale frame
-/// desynchronized the connection and the next 2PC round misread it as a
-/// vote, turning into a spurious presumed abort). Returns whether any
-/// participant failed during the phase.
-fn collect_acks<L: TwoPcLink>(
-    link: &mut L,
-    coord: &mut Coordinator,
-    gtid: u64,
-    ack_wait: &mut Vec<usize>,
-    outcome: &mut Option<bool>,
-) -> bool {
-    let mut ack_failure = false;
-    let mut next = 0;
-    while next < ack_wait.len() {
-        let to = ack_wait[next];
-        next += 1;
-        match link.recv(to) {
-            Ok(Reply::Ack { gtid: g }) if g == gtid => {
-                let actions = coord.on_ack(to);
-                process_actions(link, coord, gtid, actions, ack_wait, outcome);
-            }
-            _ => {
-                link.mark_dead(to);
-                ack_failure = true;
-                let actions = coord.on_participant_failure(to);
-                process_actions(link, coord, gtid, actions, ack_wait, outcome);
-            }
-        }
-    }
-    ack_failure
-}
-
-/// One full round of 2PC over `link`: prepare fan-out, vote collection,
-/// decision fan-out, ack collection, with participant failures reported to
-/// the [`Coordinator`] state machine as they surface. `prepare_frame`
+/// One round of 2PC over `link`: prepare fan-out, vote collection, decision
+/// fan-out, with participant failures reported to the [`Coordinator`] state
+/// machine as they surface. It returns as soon as the decisions are written
+/// — the outcome was fixed when the decision was made (and forced, for a
+/// commit) — and leaves their acks on the links' debt. `prepare_frame`
 /// builds participant `to`'s phase-1 frame (a [`Request::PreparePlan`] from
 /// the live client).
 pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
@@ -296,8 +393,9 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     // Phase 1 fan-out, exactly as the state machine instructs. The phase
     // timers feed the *coordinator process's* registry: where the instance
     // side records handler durations, this side records what the paper's
-    // multisite client actually waits — prepare fan-out to last vote, and
-    // decision fan-out to last ack, wire time included.
+    // multisite client actually waits — prepare fan-out to last vote (wire
+    // time and any acks owed from earlier rounds included), then the
+    // decision force and fan-out.
     let prepare_started = Instant::now();
     let mut sent: Vec<usize> = Vec::new();
     let mut unreachable: Vec<usize> = Vec::new();
@@ -320,7 +418,8 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
         unreachable.push(to);
     }
 
-    // Collect votes from everyone actually prepared.
+    // Collect votes from everyone actually prepared; each link settles what
+    // it owed from earlier rounds on the way to its vote.
     let mut votes: Vec<(usize, Vote)> = Vec::new();
     let mut failed: Vec<usize> = unreachable;
     let mut server_error: Option<String> = None;
@@ -346,35 +445,33 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     }
 
     // Drive the state machine: votes first, then failures; carry out every
-    // action it emits. Decisions are sent immediately; their acks are
-    // collected afterwards (phase 2 is pipelined like phase 1).
+    // action it emits.
     let decision_started = Instant::now();
-    let mut ack_wait: Vec<usize> = Vec::new();
+    let mut written = 0;
     let mut outcome: Option<bool> = None;
     for (p, vote) in votes {
         let actions = coord.on_vote(p, vote);
-        process_actions(link, &mut coord, gtid, actions, &mut ack_wait, &mut outcome);
+        written += process_actions(link, &mut coord, actions, &mut outcome);
     }
     let any_failure = !failed.is_empty();
     for p in failed {
         let actions = coord.on_participant_failure(p);
-        process_actions(link, &mut coord, gtid, actions, &mut ack_wait, &mut outcome);
+        written += process_actions(link, &mut coord, actions, &mut outcome);
     }
-
-    let ack_failure = collect_acks(link, &mut coord, gtid, &mut ack_wait, &mut outcome);
-    if !ack_wait.is_empty() {
+    if written > 0 {
         islands_obs::metrics().record_decision(decision_started.elapsed().as_nanos() as u64);
     }
+    link.debt().defer(coord);
 
     match outcome {
-        // A forced commit stays a commit even if an ack never arrived:
-        // the decision record is what counts (the participant resolves
-        // itself from it on recovery).
+        // A forced commit is a commit whatever becomes of its acks: the
+        // decision record is what counts (a participant that never hears
+        // the frame resolves itself from it on recovery).
         Some(true) => Ok(TwoPc::Commit),
         Some(false) => {
             if let Some(message) = server_error {
                 Ok(TwoPc::Error(message))
-            } else if any_failure || ack_failure {
+            } else if any_failure {
                 Ok(TwoPc::PresumedAbort)
             } else {
                 Ok(TwoPc::Abort)
@@ -390,14 +487,18 @@ mod tests {
     use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 
     /// Scripted [`TwoPcLink`]: per-participant reply queues plus a full log
-    /// of sends/recvs, for driving [`drive_2pc`]/[`collect_acks`] through
-    /// failure interleavings a live deployment cannot produce on demand.
+    /// of sends/recvs over a volatile [`DecisionStore`], for driving
+    /// [`drive_2pc`] and the ack debt through failure interleavings a live
+    /// deployment cannot produce on demand.
     struct ScriptedLink {
-        replies: Vec<std::collections::VecDeque<io::Result<Reply>>>,
+        replies: Vec<VecDeque<io::Result<Reply>>>,
         sent: Vec<Vec<Request>>,
         recvs: Vec<usize>,
         dead: Vec<bool>,
         forced: Vec<u64>,
+        forgotten: Vec<u64>,
+        store: DecisionStore,
+        debt: AckDebt,
     }
 
     impl ScriptedLink {
@@ -408,15 +509,25 @@ mod tests {
                 recvs: vec![0; participants],
                 dead: vec![false; participants],
                 forced: Vec::new(),
+                forgotten: Vec::new(),
+                store: DecisionStore::open(None).unwrap(),
+                debt: AckDebt::new(participants),
             }
         }
 
-        fn script(&mut self, from: usize, reply: io::Result<Reply>) {
-            self.replies[from].push_back(reply);
+        fn script(&mut self, from: usize, reply: Reply) {
+            self.replies[from].push_back(Ok(reply));
         }
 
-        fn timeout() -> io::Error {
-            io::Error::new(io::ErrorKind::TimedOut, "scripted timeout")
+        fn script_timeout(&mut self, from: usize) {
+            self.replies[from].push_back(Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "scripted timeout",
+            )));
+        }
+
+        fn owed(&self, from: usize) -> Vec<u64> {
+            self.debt.owed[from].iter().copied().collect()
         }
     }
 
@@ -429,7 +540,7 @@ mod tests {
             Ok(())
         }
 
-        fn recv(&mut self, from: usize) -> io::Result<Reply> {
+        fn recv_frame(&mut self, from: usize) -> io::Result<Reply> {
             if self.dead[from] {
                 return Err(io::Error::new(io::ErrorKind::NotConnected, "dead"));
             }
@@ -439,12 +550,22 @@ mod tests {
             })
         }
 
-        fn mark_dead(&mut self, to: usize) {
+        fn disconnect(&mut self, to: usize) {
             self.dead[to] = true;
         }
 
         fn force_commit(&mut self, gtid: u64) {
             self.forced.push(gtid);
+            self.store.force(gtid, true);
+        }
+
+        fn forget(&mut self, gtid: u64) {
+            self.forgotten.push(gtid);
+            self.store.forget(gtid);
+        }
+
+        fn debt(&mut self) -> &mut AckDebt {
+            &mut self.debt
         }
     }
 
@@ -459,6 +580,10 @@ mod tests {
             gtid,
             plan: req.to_plan(),
         })
+    }
+
+    fn vote(gtid: u64, vote: Vote) -> Reply {
+        Reply::Vote { gtid, vote }
     }
 
     #[test]
@@ -485,14 +610,7 @@ mod tests {
             .collect();
         let mut link = ScriptedLink::new(2);
         for p in parts {
-            link.script(
-                p,
-                Ok(Reply::Vote {
-                    gtid,
-                    vote: Vote::Yes,
-                }),
-            );
-            link.script(p, Ok(Reply::Ack { gtid }));
+            link.script(p, vote(gtid, Vote::Yes));
         }
         let out = drive_2pc(&mut link, gtid, &parts, |gtid, to| {
             Request::PreparePlan(PlanBranch {
@@ -517,88 +635,104 @@ mod tests {
     }
 
     #[test]
-    fn ack_phase_follow_up_decision_gets_its_ack_collected() {
-        // Regression: the ack loop used to hand `process` a throwaway
-        // `&mut Vec::new()`, so a decision emitted while handling an
-        // ack-phase participant failure was written but its ack never read,
-        // leaving a stale frame on that connection. The wait list is now a
-        // live worklist.
-        //
-        // Construct the coordinator mid-flight: participant 1 voted Yes;
-        // participant 0 is still owed a reply the driver is waiting on.
-        let gtid = 7;
-        let (mut coord, _) = Coordinator::new(gtid, vec![0, 1]);
-        assert!(coord.on_vote(1, Vote::Yes).is_empty());
-        let mut link = ScriptedLink::new(2);
-        // Participant 0 times out during ack collection -> its failure
-        // counts as a No vote -> the coordinator emits the abort decision
-        // for participant 1 *inside the ack phase*.
-        link.script(0, Err(ScriptedLink::timeout()));
-        link.script(1, Ok(Reply::Ack { gtid }));
-
-        let mut ack_wait = vec![0];
-        let mut outcome = None;
-        let failed = collect_acks(&mut link, &mut coord, gtid, &mut ack_wait, &mut outcome);
-
-        assert!(failed, "participant 0's timeout must be reported");
-        assert_eq!(
-            link.sent[1],
-            vec![Request::Decision {
-                gtid,
-                commit: false
-            }],
-            "the follow-up abort decision must reach participant 1"
-        );
-        // The heart of the regression: participant 1's ack must be *read*,
-        // not left rotting on the connection for the next round to misread.
-        assert_eq!(
-            link.recvs[1], 1,
-            "the follow-up decision's ack was never collected"
-        );
-        assert!(!link.dead[1], "participant 1 stays healthy");
-        assert_eq!(outcome, Some(false));
-        assert_eq!(ack_wait, vec![0, 1], "wait list is live, not a snapshot");
-    }
-
-    #[test]
-    fn scripted_unanimous_yes_commits_and_reads_every_ack() {
-        let gtid = 11;
+    fn commit_returns_at_decision_and_the_next_round_reads_ack_then_vote() {
+        let (g1, g2) = (11, 12);
         let parts = [0usize, 1, 2];
         let mut link = ScriptedLink::new(3);
         for p in parts {
-            link.script(
-                p,
-                Ok(Reply::Vote {
-                    gtid,
-                    vote: Vote::Yes,
-                }),
-            );
-            link.script(p, Ok(Reply::Ack { gtid }));
+            link.script(p, vote(g1, Vote::Yes));
         }
-        let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
+        let out = drive_2pc(&mut link, g1, &parts, prepare_frame).unwrap();
         assert!(matches!(out, TwoPc::Commit));
-        assert_eq!(link.forced, vec![gtid], "commit decision must be forced");
+        assert_eq!(link.forced, vec![g1], "commit decision must be forced");
         for p in parts {
-            assert_eq!(link.recvs[p], 2, "vote + ack read from {p}");
+            assert_eq!(link.recvs[p], 1, "only the vote was read from {p}");
             assert_eq!(link.sent[p].len(), 2, "prepare + decision sent to {p}");
+            assert_eq!(link.owed(p), vec![g1], "{p} owes the ack");
             assert!(!link.dead[p]);
         }
+        assert!(
+            link.forgotten.is_empty(),
+            "nothing acked, nothing forgotten"
+        );
+        assert_eq!(link.store.remembered(), 1);
+
+        // The next round's frames go out first; each link then pays Ack(g1)
+        // ahead of its Vote(g2) — the order the participant answered in.
+        for p in parts {
+            link.script(p, Reply::Ack { gtid: g1 });
+            link.script(p, vote(g2, Vote::Yes));
+        }
+        let out = drive_2pc(&mut link, g2, &parts, prepare_frame).unwrap();
+        assert!(matches!(out, TwoPc::Commit));
+        for p in parts {
+            assert_eq!(link.recvs[p], 3, "vote, then ack + vote, from {p}");
+            assert!(
+                matches!(&link.sent[p][2], Request::PreparePlan(b) if b.gtid == g2),
+                "{p}'s next prepare was written before its ack was read"
+            );
+            assert_eq!(link.owed(p), vec![g2]);
+        }
+        assert_eq!(
+            link.forgotten,
+            vec![g1],
+            "the last ack released g1's record"
+        );
+        assert_eq!(link.store.remembered(), 1, "only g2 is still needed");
+        assert_eq!(link.store.decided_count(), 2);
     }
 
     #[test]
-    fn scripted_vote_timeout_presumes_abort_and_settles_survivors() {
+    fn late_yes_abort_decisions_join_the_same_debt() {
+        // Votes are in-order replies on per-participant links, so 0's No
+        // decides the abort while 1's and 2's Yes are already on the wire:
+        // each late Yes earns its own abort decision, and those acks are
+        // owed exactly like a commit's.
+        let (g1, g2) = (7, 8);
+        let parts = [0usize, 1, 2];
+        let mut link = ScriptedLink::new(3);
+        link.script(0, vote(g1, Vote::No));
+        link.script(1, vote(g1, Vote::Yes));
+        link.script(2, vote(g1, Vote::Yes));
+        let out = drive_2pc(&mut link, g1, &parts, prepare_frame).unwrap();
+        assert!(matches!(out, TwoPc::Abort));
+        assert!(link.forced.is_empty(), "aborts force nothing");
+        assert!(link.owed(0).is_empty(), "a No voter is owed no decision");
+        for p in [1, 2] {
+            assert_eq!(
+                link.sent[p].last(),
+                Some(&Request::Decision {
+                    gtid: g1,
+                    commit: false
+                })
+            );
+            assert_eq!(link.recvs[p], 1, "its ack was not waited for");
+            assert_eq!(link.owed(p), vec![g1]);
+        }
+
+        // The retry settles them on the way to its votes.
+        link.script(0, vote(g2, Vote::Yes));
+        for p in [1, 2] {
+            link.script(p, Reply::Ack { gtid: g1 });
+            link.script(p, vote(g2, Vote::Yes));
+        }
+        let out = drive_2pc(&mut link, g2, &parts, prepare_frame).unwrap();
+        assert!(matches!(out, TwoPc::Commit));
+        assert_eq!(link.recvs, vec![2, 3, 3]);
+        assert!(link.dead.iter().all(|d| !d));
+        assert!(
+            link.forgotten.is_empty(),
+            "an abort has no record to forget"
+        );
+    }
+
+    #[test]
+    fn vote_timeout_presumes_abort_and_the_survivors_ack_is_owed() {
         let gtid = 13;
         let parts = [0usize, 1];
         let mut link = ScriptedLink::new(2);
-        link.script(
-            0,
-            Ok(Reply::Vote {
-                gtid,
-                vote: Vote::Yes,
-            }),
-        );
-        link.script(0, Ok(Reply::Ack { gtid }));
-        link.script(1, Err(ScriptedLink::timeout()));
+        link.script(0, vote(gtid, Vote::Yes));
+        link.script_timeout(1);
         let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
         assert!(matches!(out, TwoPc::PresumedAbort));
         assert!(link.forced.is_empty(), "presumed abort forces nothing");
@@ -610,8 +744,136 @@ mod tests {
             }),
             "survivor must receive the abort decision"
         );
-        assert_eq!(link.recvs[0], 2, "survivor's abort ack must be read");
+        assert_eq!(link.owed(0), vec![gtid], "and owes its ack");
         assert!(link.dead[1]);
+    }
+
+    #[test]
+    fn an_abort_whose_ack_is_lost_is_a_plain_abort_and_the_retry_finds_out() {
+        let (g1, g2) = (31, 32);
+        let parts = [0usize, 1];
+        let mut link = ScriptedLink::new(2);
+        link.script(0, vote(g1, Vote::Yes));
+        link.script(1, vote(g1, Vote::No));
+        let out = drive_2pc(&mut link, g1, &parts, prepare_frame).unwrap();
+        assert!(
+            matches!(out, TwoPc::Abort),
+            "decided by votes: retryable, whatever becomes of 0's ack"
+        );
+
+        // The ack never comes. The retry's prepare still goes out; settling
+        // on the way to 0's vote hits the timeout, which poisons the link
+        // and costs 0 its vote in this round.
+        link.script_timeout(0);
+        link.script(1, vote(g2, Vote::Yes));
+        let out = drive_2pc(&mut link, g2, &parts, prepare_frame).unwrap();
+        assert!(matches!(out, TwoPc::PresumedAbort));
+        assert!(link.dead[0]);
+        assert!(link.owed(0).is_empty(), "the debt died with the link");
+        assert_eq!(
+            link.sent[1].last(),
+            Some(&Request::Decision {
+                gtid: g2,
+                commit: false
+            })
+        );
+        assert_eq!(link.owed(1), vec![g2]);
+    }
+
+    #[test]
+    fn a_link_owing_several_acks_pays_them_in_order() {
+        // Three abort rounds whose only Yes voter was 0, none settled yet.
+        let owe_three = |link: &mut ScriptedLink| {
+            for gtid in [3, 4, 5] {
+                let (mut coord, _) = Coordinator::new(gtid, vec![0, 1]);
+                coord.on_vote(0, Vote::Yes);
+                coord.on_vote(1, Vote::No);
+                link.debt().owe(0, gtid);
+                link.debt().defer(coord);
+            }
+        };
+
+        let mut link = ScriptedLink::new(2);
+        owe_three(&mut link);
+        for gtid in [3, 4, 5] {
+            link.script(0, Reply::Ack { gtid });
+        }
+        link.script(0, Reply::Pong);
+        assert_eq!(link.recv(0).unwrap(), Reply::Pong);
+        assert_eq!(link.recvs[0], 4, "three acks, then the reply asked for");
+        assert!(link.owed(0).is_empty());
+        assert!(link.debt.rounds.is_empty(), "settled rounds are retired");
+
+        // Out of order is a desynchronized stream, not a reordering.
+        let mut link = ScriptedLink::new(2);
+        owe_three(&mut link);
+        link.script(0, Reply::Ack { gtid: 4 });
+        let err = link.recv(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_wrong_reply_in_the_debt_poisons_the_link_and_fails_the_participant() {
+        let (g1, g2) = (41, 42);
+        let parts = [0usize, 1];
+        for wrong in [
+            Reply::Ack { gtid: 999 },
+            Reply::Error {
+                message: "scripted".into(),
+            },
+        ] {
+            let mut link = ScriptedLink::new(2);
+            for p in parts {
+                link.script(p, vote(g1, Vote::Yes));
+            }
+            let out = drive_2pc(&mut link, g1, &parts, prepare_frame).unwrap();
+            assert!(matches!(out, TwoPc::Commit));
+
+            link.script(0, wrong.clone());
+            link.script(1, Reply::Ack { gtid: g1 });
+            link.script(1, vote(g2, Vote::Yes));
+            let out = drive_2pc(&mut link, g2, &parts, prepare_frame).unwrap();
+            assert!(
+                matches!(out, TwoPc::PresumedAbort),
+                "{wrong:?} where Ack({g1}) was owed fails participant 0"
+            );
+            assert!(link.dead[0] && !link.dead[1]);
+            assert_eq!(link.recvs[0], 2, "nothing is read past the bad frame");
+            // g1 stays committed and stays remembered: 0 never acknowledged
+            // it, so it may yet ask.
+            assert_eq!(link.forced, vec![g1]);
+            assert!(link.forgotten.is_empty());
+            assert_eq!(link.store.remembered(), 1);
+        }
+    }
+
+    #[test]
+    fn ten_thousand_commit_rounds_leave_nothing_remembered() {
+        // The settled ack is the permission to forget: the volatile map used
+        // to gain one entry per committed 2PC and lose none.
+        let parts = [0usize, 1];
+        let mut link = ScriptedLink::new(2);
+        for gtid in 1..=10_000u64 {
+            for p in parts {
+                if gtid > 1 {
+                    link.script(p, Reply::Ack { gtid: gtid - 1 });
+                }
+                link.script(p, vote(gtid, Vote::Yes));
+            }
+            let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
+            assert!(matches!(out, TwoPc::Commit));
+            assert_eq!(link.store.remembered(), 1, "round {gtid}");
+            for p in parts {
+                link.sent[p].clear();
+            }
+        }
+        for p in parts {
+            link.script(p, Reply::Ack { gtid: 10_000 });
+            link.settle(p).unwrap();
+        }
+        assert_eq!(link.store.remembered(), 0);
+        assert_eq!(link.store.decided_count(), 10_000);
+        assert!(link.debt.rounds.is_empty());
     }
 
     #[test]
@@ -628,6 +890,10 @@ mod tests {
         store.force(8, false);
         assert!(store.commit_verdict(7));
         assert!(!store.commit_verdict(8));
+        // A durable store answers from its log for as long as the log holds
+        // the record: acknowledged everywhere or not, 7 stays.
+        store.forget(7);
+        assert!(store.commit_verdict(7));
         drop(store);
 
         // A second coordinator life over the same directory keeps answering

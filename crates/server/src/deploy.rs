@@ -25,19 +25,22 @@
 //!   runs presumed-abort two-phase commit: the [`DeployClient`] coordinator
 //!   splits it into per-instance branches, fans out `PreparePlan` frames,
 //!   collects `Vote`s, forces commit decisions to the coordinator log,
-//!   delivers `Decision`s, and collects `Ack`s — driving the pure
+//!   writes the `Decision`s and answers its caller — driving the pure
 //!   [`islands_dtxn::Coordinator`] state machine with bytes on sockets
-//!   instead of function calls.
+//!   instead of function calls (the driver lives in `coordinator.rs`). The
+//!   `Ack`s are not waited for: each connection remembers which it is owed
+//!   and the next exchange on it reads them ahead of its own reply.
 //! * **Presumed abort under failure.** A participant that cannot be
-//!   reached (connection refused/reset, vote or ack timeout) is reported
-//!   to the state machine as a failure: an undecided transaction aborts,
-//!   and surviving participants receive abort decisions. On the instance
+//!   reached (connection refused/reset, vote timeout) is reported to the
+//!   state machine as a failure: an undecided transaction aborts, and
+//!   surviving participants receive abort decisions. An owed ack that never
+//!   arrives poisons its connection and changes no outcome. On the instance
 //!   side, a coordinator connection that dies leaving prepared branches
 //!   behind triggers the same rule (see `server.rs`): the branches roll
 //!   back, locks release, and the instance stays serviceable.
 //!
 //! The coordinator's forced decision log lives in the coordinator process
-//! (`Deployment::decided`); `islands_dtxn::recovery` holds the rule a
+//! (`coordinator::DecisionStore`); `islands_dtxn::recovery` holds the rule a
 //! restarted participant applies against it, tested in that crate. What
 //! this module adds is the *live* half: no process exits with in-doubt
 //! transactions still holding locks, which the instance processes verify
@@ -62,7 +65,7 @@ use islands_hwtopo::{island_cpu_lists, HostTopology};
 use islands_workload::{PlanBranch, PlanRequest, TxnRequest};
 
 use crate::client::Client;
-use crate::coordinator::{drive_2pc, DecisionStore, Resolver, TwoPc, TwoPcLink};
+use crate::coordinator::{drive_2pc, AckDebt, DecisionStore, Resolver, TwoPc, TwoPcLink};
 use crate::server::{Backend, Endpoint, Server, ServerConfig};
 use crate::wire::{Reply, Request};
 
@@ -373,8 +376,10 @@ pub enum FaultPoint {
     /// WAL), before its `Decision` frame is sent — the canonical in-doubt
     /// window.
     PostPreparePreDecision,
-    /// After the victim's `Decision` frame was written, before its ack is
-    /// read.
+    /// Right after the victim's `Decision` frame was written. Nobody is
+    /// waiting for the ack: the round answers its caller regardless, the
+    /// victim may or may not have applied the frame, and the loss surfaces
+    /// on the next exchange that tries to read what the link owes.
     PostDecisionPreAck,
 }
 
@@ -711,9 +716,18 @@ impl Deployment {
         self.presumed_aborts.load(Ordering::Relaxed)
     }
 
-    /// Number of commit decisions forced to the coordinator log.
+    /// Number of commit decisions forced to the coordinator log so far
+    /// (monotone: forgetting a fully acknowledged one does not lower it).
     pub fn decided_commits(&self) -> u64 {
         self.decisions.decided_count()
+    }
+
+    /// Decision records the coordinator still holds in memory. A volatile
+    /// deployment drops each one when the last `Ack` it was owed is read,
+    /// so this is the number of commits not yet acknowledged everywhere; a
+    /// durable one ([`DeployConfig::wal_dir`]) keeps them all.
+    pub fn remembered_decisions(&self) -> usize {
+        self.decisions.remembered()
     }
 
     /// Arm a scripted fault: the next 2PC exchange that reaches
@@ -757,6 +771,7 @@ impl Deployment {
             )?));
         }
         Ok(DeployClient {
+            debt: AckDebt::new(conns.len()),
             deploy: Arc::clone(self),
             conns,
         })
@@ -1016,9 +1031,19 @@ pub enum DeployReply {
 }
 
 /// One coordinator: a connection to every instance plus the 2PC driver.
+///
+/// A 2PC submit returns when its `Decision` frames are written; the `Ack`s
+/// are read by the next exchange on each link (any submit, an audit), or on
+/// drop. Until then a *different* connection scraping a participant — an
+/// [`audit_total`](Self::audit_total) from another client, a `Stats` probe
+/// — can observe it a decision behind. Transactions cannot: on any
+/// connection they wait (locked engine) or abort and retry (serial) behind
+/// the parked branch until the decision, already in the socket, is applied.
 pub struct DeployClient {
     deploy: Arc<Deployment>,
     conns: Vec<Option<Client>>,
+    /// The acks each connection is still owed (dropped with it).
+    debt: AckDebt,
 }
 
 /// First pause of the reconnect backoff ladder.
@@ -1061,28 +1086,41 @@ impl DeployClient {
             .ok_or_else(|| io::Error::other("connection slot empty after connect"))
     }
 
-    fn mark_dead(&mut self, i: usize) {
-        self.conns[i] = None;
-    }
-
     /// Route one micro batch: lowered onto the plan path, like every other
     /// entry point that still accepts one.
     pub fn submit(&mut self, req: &TxnRequest) -> io::Result<DeployReply> {
         self.submit_plan(&req.to_plan())
     }
 
-    /// Read a reply with the vote/ack deadline armed; any failure poisons
-    /// the connection (a timed-out reply would desynchronize the stream).
-    fn recv_timed(&mut self, i: usize) -> io::Result<Reply> {
-        self.recv_deadline(i, self.deploy.vote_timeout)
+    /// Write `frame` to instance `i` and arm `timeout` for what comes back
+    /// (the acks the link owes, then the frame's own reply).
+    fn send_armed(
+        &mut self,
+        i: usize,
+        frame: &Request,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
+        let conn = self.conn(i)?;
+        conn.set_read_timeout(timeout)?;
+        conn.send_request(frame)
     }
 
-    fn recv_deadline(&mut self, i: usize, timeout: Duration) -> io::Result<Reply> {
-        let conn = self.conns[i]
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "participant dead"))?;
-        conn.set_read_timeout(Some(timeout))?;
-        conn.recv_reply()
+    /// One exchange on link `i`: `frame` out, owed acks in, its reply in.
+    /// Any failure poisons the connection (a timed-out or misplaced reply
+    /// would desynchronize the stream).
+    fn exchange(
+        &mut self,
+        i: usize,
+        frame: &Request,
+        timeout: Option<Duration>,
+    ) -> io::Result<Reply> {
+        let reply = self
+            .send_armed(i, frame, timeout)
+            .and_then(|()| self.recv(i));
+        if reply.is_err() {
+            self.mark_dead(i);
+        }
+        reply
     }
 
     /// One round of wire-level 2PC: a fresh gtid, one `PreparePlan` frame
@@ -1151,18 +1189,8 @@ impl DeployClient {
     }
 
     fn submit_plan_single(&mut self, target: usize, plan: &PlanRequest) -> io::Result<DeployReply> {
-        let Ok(conn) = self.conn(target) else {
-            return Ok(DeployReply::InstanceDown(target));
-        };
-        if conn
-            .send_request(&Request::SubmitPlan(plan.clone()))
-            .is_err()
-        {
-            self.mark_dead(target);
-            return Ok(DeployReply::InstanceDown(target));
-        }
-        let deadline = self.deploy.submit_timeout;
-        match self.recv_deadline(target, deadline) {
+        let frame = Request::SubmitPlan(plan.clone());
+        match self.exchange(target, &frame, Some(self.deploy.submit_timeout)) {
             Ok(Reply::Committed {
                 distributed,
                 retries,
@@ -1184,26 +1212,44 @@ impl DeployClient {
                 io::ErrorKind::InvalidData,
                 format!("unexpected reply to submit_plan: {other:?}"),
             )),
-            Err(_) => {
-                self.mark_dead(target);
-                Ok(DeployReply::InstanceDown(target))
-            }
+            Err(_) => Ok(DeployReply::InstanceDown(target)),
         }
     }
 
     /// Deployment-wide audit sum: every instance's committed-row-write total
     /// added up. The consistency check a TPC-C run ends with — the total
     /// must equal the sum of `write_rows()` over every committed plan (both
-    /// branches of a committed remote Payment included).
+    /// branches of a committed remote Payment included). Each instance's
+    /// scrape rides behind whatever acks its link owes, so the sum covers
+    /// every transaction this client has been answered for.
     pub fn audit_total(&mut self) -> io::Result<u64> {
         let mut sum = 0u64;
         for i in 0..self.deploy.instances() {
-            let conn = self.conn(i)?;
             // A scan of every table is not a vote: no deadline.
-            conn.set_read_timeout(None)?;
-            sum += conn.audit()?;
+            match self.exchange(i, &Request::Audit, None)? {
+                Reply::AuditSum { sum: part } => sum += part,
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("expected AuditSum, instance {i} sent {other:?}"),
+                    ))
+                }
+            }
         }
         Ok(sum)
+    }
+}
+
+impl Drop for DeployClient {
+    /// Read the acks still owed before the sockets close, so that whoever
+    /// connects next finds every decision this client's callers were told
+    /// about applied. A link that cannot pay is dropped like any other.
+    fn drop(&mut self) {
+        for i in 0..self.conns.len() {
+            if self.settle(i).is_err() {
+                self.mark_dead(i);
+            }
+        }
     }
 }
 
@@ -1222,7 +1268,7 @@ impl TwoPcLink for DeployClient {
             }
             _ => {}
         }
-        let sent = self.conn(to).and_then(|c| c.send_request(frame));
+        let sent = self.send_armed(to, frame, Some(self.deploy.vote_timeout));
         if sent.is_ok() && matches!(frame, Request::Decision { .. }) {
             self.deploy
                 .maybe_fire_fault(FaultPoint::PostDecisionPreAck, to);
@@ -1230,18 +1276,29 @@ impl TwoPcLink for DeployClient {
         sent
     }
 
-    fn recv(&mut self, from: usize) -> io::Result<Reply> {
-        self.recv_timed(from)
+    fn recv_frame(&mut self, from: usize) -> io::Result<Reply> {
+        self.conns[from]
+            .as_mut()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "participant dead"))?
+            .recv_reply()
     }
 
-    fn mark_dead(&mut self, to: usize) {
-        DeployClient::mark_dead(self, to);
+    fn disconnect(&mut self, to: usize) {
+        self.conns[to] = None;
     }
 
     fn force_commit(&mut self, gtid: u64) {
         // Write-through BEFORE any Decision frame leaves: recovery must
         // reach the same verdict the live protocol acted on.
         self.deploy.decisions.force(gtid, true);
+    }
+
+    fn forget(&mut self, gtid: u64) {
+        self.deploy.decisions.forget(gtid);
+    }
+
+    fn debt(&mut self) -> &mut AckDebt {
+        &mut self.debt
     }
 }
 

@@ -158,7 +158,9 @@ pub enum Request {
     /// 2PC phase 2: apply the coordinator's decision to the in-doubt branch
     /// and answer with [`Reply::Ack`]. An abort for an unknown gtid is
     /// acknowledged silently (presumed abort made it a no-op); a commit for
-    /// an unknown gtid is a protocol error.
+    /// an unknown gtid is a protocol error. The coordinator does not wait
+    /// for the answer: whatever it sends next on this connection is
+    /// executed after the decision and answered after the ack.
     Decision {
         /// Global transaction id the decision is for.
         gtid: u64,
@@ -218,7 +220,11 @@ pub enum Reply {
         vote: Vote,
     },
     /// Answer to [`Request::Decision`]: the decision was applied (or was a
-    /// presumed-abort no-op).
+    /// presumed-abort no-op). It tells the coordinator nothing about the
+    /// outcome — that was fixed when the decision was made — only that this
+    /// participant will never ask about the gtid again, so the decision
+    /// record may be dropped once every participant has said so. The
+    /// coordinator reads it ahead of the reply to its next frame.
     Ack {
         /// Global transaction id the ack is for.
         gtid: u64,

@@ -650,3 +650,227 @@ fn killed_participant_rejoins_and_resolves_in_doubt_in_both_engines() {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
 }
+
+/// One instance's live wire counters, scraped on a connection of its own.
+fn scrape(deploy: &Deployment, i: usize) -> islands_server::ServerStats {
+    Client::connect(&deploy.endpoint(i))
+        .unwrap()
+        .stats()
+        .unwrap()
+        .0
+}
+
+#[test]
+fn back_to_back_commits_are_all_applied_once_their_client_is_gone_in_both_engines() {
+    // A 2PC submit returns when its Decision frames are written; the acks
+    // are read by the next exchange on each link. Nobody may ever see the
+    // difference: after `drop(client)` a *fresh* connection finds every
+    // decision applied, and the client's own audit rides behind its acks.
+    for engine in [EngineMode::Locked, EngineMode::Serial] {
+        let deploy = Arc::new(
+            Deployment::spawn(&DeployConfig {
+                engine,
+                ..config(2, Transport::Uds)
+            })
+            .unwrap(),
+        );
+        let mut client = deploy.client().unwrap();
+        let base = client.audit_total().unwrap();
+        let run = |client: &mut islands_server::DeployClient| {
+            for i in 0..200u64 {
+                let k = i % 100;
+                let done = outcome(client.submit(&update(&[k, 399 - k])).unwrap());
+                assert!(
+                    done.committed && done.distributed,
+                    "[{engine:?}] commit {i}: {done:?}"
+                );
+            }
+        };
+
+        // (a) Drop the client, then look from a new one.
+        run(&mut client);
+        assert_eq!(deploy.decided_commits(), 200, "[{engine:?}]");
+        assert_eq!(
+            deploy.remembered_decisions(),
+            1,
+            "[{engine:?}] only the last round's acks are still owed"
+        );
+        drop(client);
+        assert_eq!(
+            deploy.remembered_decisions(),
+            0,
+            "[{engine:?}] drop settles what was owed"
+        );
+        for i in 0..2 {
+            let s = scrape(&deploy, i);
+            assert_eq!(
+                (
+                    s.prepares,
+                    s.decisions,
+                    s.in_doubt,
+                    s.errors,
+                    s.presumed_aborts
+                ),
+                (200, 200, 0, 0, 0),
+                "[{engine:?}] instance {i} after the client left: {s:?}"
+            );
+        }
+        let mut fresh = deploy.client().unwrap();
+        assert_eq!(
+            fresh.audit_total().unwrap() - base,
+            400,
+            "[{engine:?}] a fresh client must see every acknowledged write"
+        );
+
+        // (b) No drop: the client's own audit settles its own debt.
+        run(&mut fresh);
+        assert_eq!(
+            fresh.audit_total().unwrap() - base,
+            800,
+            "[{engine:?}] own audit"
+        );
+        assert_eq!(deploy.decided_commits(), 400, "[{engine:?}] monotone");
+        assert_eq!(deploy.remembered_decisions(), 0, "[{engine:?}]");
+        assert_eq!(deploy.presumed_aborts(), 0);
+
+        drop(fresh);
+        let reports = Arc::try_unwrap(deploy)
+            .ok()
+            .expect("no other refs")
+            .shutdown();
+        for r in &reports {
+            assert!(
+                r.clean,
+                "[{engine:?}] instance {} unclean: {}",
+                r.index, r.detail
+            );
+            let s = r.stats.expect("stats parsed");
+            assert_eq!(
+                (
+                    s.prepares,
+                    s.decisions,
+                    s.in_doubt,
+                    s.errors,
+                    s.presumed_aborts
+                ),
+                (400, 400, 0, 0, 0),
+                "[{engine:?}] instance {} at drain",
+                r.index
+            );
+        }
+    }
+}
+
+#[test]
+fn a_local_submit_to_a_participant_that_owes_an_ack_gets_its_own_reply() {
+    for engine in [EngineMode::Locked, EngineMode::Serial] {
+        let deploy = Arc::new(
+            Deployment::spawn(&DeployConfig {
+                engine,
+                ..config(2, Transport::Uds)
+            })
+            .unwrap(),
+        );
+        let mut client = deploy.client().unwrap();
+        let base = client.audit_total().unwrap();
+        assert!(outcome(client.submit(&update(&[10, 350])).unwrap()).committed);
+        assert_eq!(deploy.remembered_decisions(), 1, "[{engine:?}] acks owed");
+
+        // Both links owe Ack(1). A single-site plan on either must come
+        // back as that plan's outcome — on the very keys the branch held —
+        // with the ack read and discarded ahead of it.
+        for key in [10, 350] {
+            let local = outcome(client.submit(&update(&[key])).unwrap());
+            assert!(
+                local.committed && !local.distributed,
+                "[{engine:?}] local on {key}: {local:?}"
+            );
+        }
+        assert_eq!(deploy.remembered_decisions(), 0, "[{engine:?}] both paid");
+
+        // The links are still in step: another round and an audit agree.
+        assert!(outcome(client.submit(&update(&[11, 351])).unwrap()).committed);
+        assert_eq!(client.audit_total().unwrap() - base, 6, "[{engine:?}]");
+        assert_eq!(deploy.presumed_aborts(), 0);
+
+        drop(client);
+        let reports = Arc::try_unwrap(deploy)
+            .ok()
+            .expect("no other refs")
+            .shutdown();
+        for r in &reports {
+            assert!(r.clean, "[{engine:?}] {}", r.detail);
+            let s = r.stats.expect("stats parsed");
+            assert_eq!((s.in_doubt, s.errors, s.presumed_aborts), (0, 0, 0));
+        }
+    }
+}
+
+#[test]
+fn participant_killed_behind_its_decision_frame_keeps_the_acknowledged_commit() {
+    // `PostDecisionPreAck`: the victim dies the instant its commit Decision
+    // is written. The submit has nothing left to wait for — it returns
+    // commit, as the forced record entitles it to. The loss surfaces once,
+    // on the next use of that link, and after a restart the victim holds
+    // the write whether it had applied the frame or recovery had to ask.
+    for engine in [EngineMode::Locked, EngineMode::Serial] {
+        let wal_dir = temp_wal_dir(&format!("post-decision-{engine:?}"));
+        let deploy = Arc::new(
+            Deployment::spawn(&DeployConfig {
+                engine,
+                wal_dir: Some(wal_dir.clone()),
+                ..config(2, Transport::Uds)
+            })
+            .unwrap(),
+        );
+        let mut client = deploy.client().unwrap();
+        let base = client.audit_total().unwrap();
+        assert!(outcome(client.submit(&update(&[10, 350])).unwrap()).committed);
+
+        deploy.arm_fault(FaultPlan {
+            point: FaultPoint::PostDecisionPreAck,
+            victim: 1,
+        });
+        let decided = outcome(client.submit(&update(&[20, 360])).unwrap());
+        assert!(
+            decided.committed && !decided.presumed_abort,
+            "[{engine:?}] the forced commit is the answer: {decided:?}"
+        );
+        assert_eq!(deploy.faults_fired(), 1, "[{engine:?}] fault must fire");
+        assert_eq!(deploy.decided_commits(), 2);
+
+        // The dead link says so exactly once...
+        match client.submit(&update(&[370])).unwrap() {
+            DeployReply::InstanceDown(1) => {}
+            other => panic!("[{engine:?}] expected InstanceDown(1), got {other:?}"),
+        }
+        // ...while the survivor's link, which also owed an ack, just pays.
+        let local = outcome(client.submit(&update(&[20])).unwrap());
+        assert!(local.committed, "[{engine:?}] survivor: {local:?}");
+
+        deploy.restart_instance(1).unwrap();
+        let freed = submit_until_committed(&mut client, &update(&[370]));
+        assert!(!freed.distributed);
+        // 2 + 2 rows from the two commits, 1 + 1 from the locals.
+        assert_eq!(
+            client.audit_total().unwrap() - base,
+            6,
+            "[{engine:?}] the acknowledged write survived its participant"
+        );
+
+        drop(client);
+        let reports = Arc::try_unwrap(deploy)
+            .ok()
+            .expect("no other refs")
+            .shutdown();
+        for r in &reports {
+            assert!(
+                r.clean,
+                "[{engine:?}] instance {} unclean: {}",
+                r.index, r.detail
+            );
+            assert_eq!(r.stats.expect("stats parsed").in_doubt, 0);
+        }
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}

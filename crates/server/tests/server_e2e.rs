@@ -813,29 +813,35 @@ fn decision_for_a_branch_recovered_from_the_wal_leaves_the_gauge_at_zero() {
 // and a lone request waits for nothing.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn fifty_frames_in_one_write_are_answered_in_order_in_one_burst() {
+/// Write `frames` in one write and decode whatever one read returns. One
+/// server write is one read here: it fits a socket buffer.
+fn burst(conn: &mut std::os::unix::net::UnixStream, frames: &[Request]) -> Vec<Reply> {
     use islands_server::{FrameReader, WireMessage};
     use std::io::Read;
-    use std::os::unix::net::UnixStream;
-    let (engine, handle) = spawn_partition(0, 100);
+    let mut out = Vec::new();
+    for f in frames {
+        f.encode_frame(&mut out);
+    }
+    conn.write_all(&out).unwrap();
+    let mut buf = vec![0u8; 64 * 1024];
+    let n = conn.read(&mut buf).unwrap();
+    let mut reader = FrameReader::new();
+    reader.fill_from(&mut &buf[..n]).unwrap();
+    std::iter::from_fn(|| reader.next_message::<Reply>().unwrap()).collect()
+}
+
+fn connect_raw(handle: &ServerHandle) -> std::os::unix::net::UnixStream {
     let Endpoint::Uds(path) = handle.endpoint().clone() else {
         panic!("uds endpoint");
     };
-    let mut conn = UnixStream::connect(path).unwrap();
-    // One server write is one read here: it fits a socket buffer.
-    let mut burst = |frames: &[Request]| -> Vec<Reply> {
-        let mut out = Vec::new();
-        for f in frames {
-            f.encode_frame(&mut out);
-        }
-        conn.write_all(&out).unwrap();
-        let mut buf = vec![0u8; 64 * 1024];
-        let n = conn.read(&mut buf).unwrap();
-        let mut reader = FrameReader::new();
-        reader.fill_from(&mut &buf[..n]).unwrap();
-        std::iter::from_fn(|| reader.next_message::<Reply>().unwrap()).collect()
-    };
+    std::os::unix::net::UnixStream::connect(path).unwrap()
+}
+
+#[test]
+fn fifty_frames_in_one_write_are_answered_in_order_in_one_burst() {
+    let (engine, handle) = spawn_partition(0, 100);
+    let mut conn = connect_raw(&handle);
+    let mut burst = |frames: &[Request]| burst(&mut conn, frames);
     // Votes and acks carry their gtid, so order is checkable.
     let prepares: Vec<Request> = (0..50).map(|g| prepare(g, &[g])).collect();
     let votes: Vec<Reply> = (0..50)
@@ -855,6 +861,59 @@ fn fifty_frames_in_one_write_are_answered_in_order_in_one_burst() {
     drop(conn);
     let stats = handle.join().unwrap();
     assert_eq!((stats.requests, stats.in_doubt), (100, 0));
+}
+
+#[test]
+fn a_decision_and_the_next_request_in_one_write_come_back_ack_first_in_one_read() {
+    // What a coordinator that answers at decision time puts on a link: the
+    // Decision of one round and the first frame of the next, back to back.
+    // The session must apply the decision *before* it runs the frame behind
+    // it — both touch key 5 here, so the wrong order waits out the branch's
+    // own lock — and answer both in one write, ack first, which is the
+    // order the coordinator settles its debt in.
+    let partition: fn() -> Backend = || Backend::Partition(spawn_partition_engine(0, 100));
+    let executor: fn() -> Backend = || Backend::Executor(spawn_executor_engine(0, 100));
+    for backend in [partition, executor] {
+        let handle =
+            Server::spawn_backend(backend(), uds_endpoint(), ServerConfig::default()).unwrap();
+        let mut conn = connect_raw(&handle);
+        let yes = |gtid| Reply::Vote {
+            gtid,
+            vote: islands_dtxn::Vote::Yes,
+        };
+        let commit = |gtid| Request::Decision { gtid, commit: true };
+        assert_eq!(burst(&mut conn, &[prepare(1, &[5])]), vec![yes(1)]);
+        assert_eq!(
+            burst(&mut conn, &[commit(1), prepare(2, &[5])]),
+            vec![Reply::Ack { gtid: 1 }, yes(2)],
+            "ack and vote in one read, in request order"
+        );
+        // The same holds for a local plan behind an owed ack.
+        let replies = burst(&mut conn, &[commit(2), Request::Submit(update(&[5]))]);
+        assert!(
+            matches!(
+                replies[..],
+                [Reply::Ack { gtid: 2 }, Reply::Committed { retries: 0, .. }]
+            ),
+            "{replies:?}"
+        );
+        assert_eq!(
+            burst(&mut conn, &[Request::Audit]),
+            vec![Reply::AuditSum { sum: 3 }]
+        );
+        handle.initiate_shutdown();
+        drop(conn);
+        let stats = handle.join().unwrap();
+        assert_eq!(
+            (
+                stats.prepares,
+                stats.decisions,
+                stats.in_doubt,
+                stats.errors
+            ),
+            (2, 2, 0, 0)
+        );
+    }
 }
 
 #[test]
