@@ -10,8 +10,9 @@
 //!   deployment up, drives it, tears it down, and verifies no process
 //!   leaked an in-doubt transaction.
 //! * `--deploy inproc`: one server process fronting an in-process
-//!   `NativeCluster` (2PC by function call), as served by PR 2 — the
-//!   baseline the multi-process numbers are compared against.
+//!   `Cluster` — the same instances, router and 2PC driver with direct
+//!   calls where the sockets are — the baseline the multi-process numbers
+//!   are compared against.
 //!
 //! ```sh
 //! cargo run --release -p islands-bench --bin loadgen -- \
@@ -36,11 +37,13 @@ use islands_bench::drive::{
     class_json, drive, instance_json, percentile, shutdown_deployment, ClassTally, DriveConfig,
     DriveTarget, DriveWorkload,
 };
-use islands_core::native::{EngineMode, NativeCluster, NativeClusterConfig};
 use islands_server::deploy::{
     self, DeployConfig, DeployWorkload, Deployment, SpawnMode, Transport,
 };
-use islands_server::{Client, Endpoint, InstanceExit, Server, ServerConfig, ServerHandle};
+use islands_server::{
+    Client, Cluster, ClusterConfig, Endpoint, EngineMode, InstanceExit, Server, ServerConfig,
+    ServerHandle,
+};
 use islands_workload::{MicroSpec, OpKind, TpccSpec};
 
 const USAGE: &str = "loadgen - drive a served islands deployment
@@ -51,9 +54,10 @@ USAGE:
 OPTIONS:
   --deploy proc|inproc  proc (default): N pinned server processes, one per
                         instance, wire-level 2PC for multisite txns;
-                        inproc: one server process around a NativeCluster
+                        inproc: one server process around an in-process
+                        cluster of the same instances
   --engine locked|serial
-                        how spawned instance processes execute (proc mode):
+                        how each instance executes (proc and inproc):
                         locked (default) runs sessions inline under 2PL;
                         serial runs one transaction at a time per
                         partition with no lock-table acquisition
@@ -260,11 +264,8 @@ fn parse_args() -> Result<Args, String> {
     } else if args.warehouses != 0 {
         return Err("--warehouses applies only with --workload tpcc".into());
     }
-    if args.engine == EngineMode::Serial && (args.deploy != "proc" || args.connect.is_some()) {
-        return Err(
-            "--engine serial applies to spawned instance processes (--deploy proc, no --connect)"
-                .into(),
-        );
+    if args.engine == EngineMode::Serial && args.connect.is_some() {
+        return Err("--engine applies to instances this run builds (no --connect)".into());
     }
     if args.clients == 0 {
         return Err("--clients must be >= 1".into());
@@ -329,17 +330,14 @@ where
     s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
-fn spawn_inproc_server(args: &Args) -> std::io::Result<(ServerHandle, Endpoint)> {
-    let cluster = Arc::new(
-        NativeCluster::build_micro(&NativeClusterConfig {
-            n_instances: args.instances,
-            total_rows: args.rows,
-            row_size: 64,
-            workers_per_instance: args.clients.div_ceil(args.instances.max(1)).max(2),
-            ..Default::default()
-        })
-        .map_err(|e| std::io::Error::other(format!("cluster build failed: {e}")))?,
-    );
+fn spawn_inproc_server(args: &Args) -> std::io::Result<(Arc<Cluster>, ServerHandle)> {
+    let cluster = Arc::new(Cluster::build(&ClusterConfig {
+        n_instances: args.instances,
+        total_rows: args.rows,
+        row_size: 64,
+        engine: args.engine,
+        ..Default::default()
+    })?);
     let endpoint = if args.transport == "tcp" {
         Endpoint::Tcp("127.0.0.1:0".parse().expect("loopback addr"))
     } else {
@@ -354,23 +352,22 @@ fn spawn_inproc_server(args: &Args) -> std::io::Result<(ServerHandle, Endpoint)>
         Endpoint::Uds(path)
     };
     let handle = Server::spawn(
-        cluster,
+        Arc::clone(&cluster),
         endpoint,
         ServerConfig {
             retry_limit: args.retry_limit,
             ..Default::default()
         },
     )?;
-    let resolved = handle.endpoint().clone();
-    Ok((handle, resolved))
+    Ok((cluster, handle))
 }
 
 /// What the run drove, so teardown knows what to drain.
 enum Target {
     /// A multi-process deployment we own.
     Deployment(Arc<Deployment>),
-    /// A single server we spawned in-process.
-    Inproc(ServerHandle, Endpoint),
+    /// A single server we spawned in-process, and the cluster behind it.
+    Inproc(Arc<Cluster>, ServerHandle),
     /// Someone else's server (not drained).
     External(Endpoint),
 }
@@ -521,8 +518,9 @@ fn run() -> Result<bool, String> {
             Target::Deployment(Arc::new(deployment))
         }
         (None, _) => {
-            let (h, ep) = spawn_inproc_server(&args).map_err(|e| format!("spawn server: {e}"))?;
-            Target::Inproc(h, ep)
+            let (cluster, handle) =
+                spawn_inproc_server(&args).map_err(|e| format!("spawn server: {e}"))?;
+            Target::Inproc(cluster, handle)
         }
     };
 
@@ -538,7 +536,7 @@ fn run() -> Result<bool, String> {
             if d.pinned() { "pinned" } else { "unpinned" },
             args.engine,
         ),
-        Target::Inproc(_, ep) => format!("{ep} (inproc)"),
+        Target::Inproc(_, handle) => format!("{} (inproc)", handle.endpoint()),
         Target::External(ep) => format!("{ep} (external)"),
     };
     if args.workload == "tpcc" {
@@ -597,7 +595,8 @@ fn run() -> Result<bool, String> {
     };
     let result = match &target {
         Target::Deployment(d) => drive(&DriveTarget::Deployment(d), &cfg)?,
-        Target::Inproc(_, ep) | Target::External(ep) => drive(&DriveTarget::Endpoint(ep), &cfg)?,
+        Target::Inproc(_, handle) => drive(&DriveTarget::Endpoint(handle.endpoint()), &cfg)?,
+        Target::External(ep) => drive(&DriveTarget::Endpoint(ep), &cfg)?,
     };
     let elapsed = result.elapsed;
     let client_failures = result.client_failures;
@@ -638,17 +637,26 @@ fn run() -> Result<bool, String> {
     let mut pinned = false;
     match target {
         Target::External(_) => {}
-        Target::Inproc(handle, endpoint) => {
-            let mut closer =
-                Client::connect(&endpoint).map_err(|e| format!("drain connect failed: {e}"))?;
+        Target::Inproc(cluster, handle) => {
+            let mut closer = Client::connect(handle.endpoint())
+                .map_err(|e| format!("drain connect failed: {e}"))?;
             closer
                 .drain_server()
                 .map_err(|e| format!("drain request failed: {e}"))?;
             let stats = handle
                 .join()
                 .map_err(|e| format!("server join failed: {e}"))?;
+            // Every session is gone; whatever an instance still counts as
+            // parked has no coordinator left to decide it.
+            let in_doubt_leaks: u64 = (0..cluster.n_instances())
+                .map(|i| cluster.stats(i).in_doubt)
+                .sum();
+            if in_doubt_leaks > 0 {
+                return Err(format!("{in_doubt_leaks} in-doubt transaction(s) leaked"));
+            }
             println!(
-                "server drained cleanly: connections={} requests={} commits={} aborts={} errors={}",
+                "server drained cleanly: connections={} requests={} commits={} aborts={} \
+                 errors={} in_doubt_leaks=0",
                 stats.connections, stats.requests, stats.commits, stats.aborts, stats.errors,
             );
             if stats.commits != committed {

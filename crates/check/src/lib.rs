@@ -44,6 +44,7 @@ const NO_UNWRAP_SCOPES: &[&str] = &[
 /// latency bugs that the paper's measurements would surface.
 const HOT_LOOP_FILES: &[&str] = &[
     "crates/server/src/server.rs",
+    "crates/server/src/cluster.rs",
     "crates/core/src/native/mod.rs",
     "crates/core/src/native/executor.rs",
 ];

@@ -1,16 +1,19 @@
 //! OLTP deployments on hardware islands — the paper's primary contribution.
 //!
 //! This crate assembles the substrates (`islands-storage`, `islands-sim`,
-//! `islands-memsim`, `islands-net`, `islands-dtxn`) into deployable OLTP
-//! clusters:
+//! `islands-memsim`, `islands-net`, `islands-dtxn`) into the pieces a
+//! deployment is made of:
 //!
-//! * [`plan`] — transaction plans: the operations a transaction performs,
-//!   produced from the microbenchmark and TPC-C request generators.
-//! * [`partition`] — logical sites, range partitioning, and the
-//!   site → instance mapping for any `NISL` configuration.
-//! * [`native`] — a real multi-threaded cluster: `N` storage instances,
-//!   worker threads, channel transport, and two-phase commit. This is the
-//!   embeddable library a downstream user runs.
+//! * [`partition`] — logical sites, range and warehouse partitioning, the
+//!   site → instance mapping for any `NISL` configuration, and the one
+//!   split of a plan into per-owner branches. What a transaction *does* is
+//!   an [`islands_workload::PlanRequest`]; this module says *where*.
+//! * [`native`] — one real partition: a storage instance behind the
+//!   [`Engine`](native::Engine) / [`Session`](native::Session) surface, in
+//!   locked (2PL) or serial (one mutex) mode, executing on the calling
+//!   thread. `islands-server` assembles N of them into deployments —
+//!   spawned processes over sockets, or an in-process cluster over direct
+//!   calls — behind one router and one 2PC driver.
 //! * [`simrt`] — the same execution logic on the deterministic simulator
 //!   with the calibrated NUMA cost model: every figure of the paper is
 //!   regenerated through this runtime.
@@ -30,10 +33,8 @@ pub mod counterbench;
 pub mod metrics;
 pub mod native;
 pub mod partition;
-pub mod plan;
 pub mod simrt;
 
 pub use advisor::{recommend, Recommendation};
 pub use metrics::{Breakdown, BreakdownCategory, RunResult};
 pub use partition::{instance_of_site, SiteMap};
-pub use plan::{OpType, PlanOp, TxnPlan};

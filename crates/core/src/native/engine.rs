@@ -3,13 +3,15 @@
 //!
 //! A [`PartitionEngine`] is one [`StorageInstance`] owning a contiguous key
 //! sub-range `[lo, hi)` of the globally partitioned microbenchmark table.
-//! The multi-process deployment (`islands-server`'s `deploy` module) spawns
-//! one process per partition; each process serves its engine over the wire:
+//! A spawned deployment (`islands-server`'s `deploy` module) runs one process
+//! per partition and serves its engine over the wire; the in-process cluster
+//! (`cluster` module) holds N of them and hands each the same frames by
+//! direct call:
 //!
 //! * **Local transactions** (every row inside the range) commit entirely
 //!   here via [`submit_plan_local`](PartitionEngine::submit_plan_local),
-//!   retrying contention aborts like
-//!   [`NativeCluster::submit`](super::NativeCluster::submit).
+//!   which retries contention aborts under
+//!   [`contention_backoff`](super::contention_backoff) within a budget.
 //! * **Distributed branches** arrive as 2PC prepare frames: the engine
 //!   executes the branch's steps and runs participant-side phase 1
 //!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)),

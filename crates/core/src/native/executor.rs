@@ -209,6 +209,14 @@ impl PartitionExecutor {
         Ok(hold(&self.partition, |engine, _| engine.audit_sum())??)
     }
 
+    /// `(acquires, waits, deadlock-kills)` of the partition's lock manager:
+    /// all zero however much has run, which is what serial mode is for.
+    pub fn lock_stats(&self) -> Result<(u64, u64, u64), ExecError> {
+        hold(&self.partition, |engine, _| {
+            engine.instance().locks().stats()
+        })
+    }
+
     /// Gtids of in-doubt branches restart replay re-parked on the engine,
     /// still awaiting a coordinator decision. Resolve each with
     /// [`ExecutorSession::decide`] — the decision falls through to the

@@ -1,8 +1,9 @@
 //! The one surface requests cross below the entry points.
 //!
 //! Every entry point that accepts a transaction — a wire frame in
-//! `islands-server`, a `DeployClient` call, an embedding test — lowers it to
-//! a [`PlanRequest`] and hands it to a [`Session`] minted by an [`Engine`].
+//! `islands-server`, a frame its in-process cluster hands over by direct
+//! call, an embedding test — lowers it to a [`PlanRequest`] and hands it to
+//! a [`Session`] minted by an [`Engine`].
 //! Both engine modes execute it on the calling thread; whether that happens
 //! under 2PL beside other sessions or alone under the partition's lock is
 //! the engine's business: the caller sees the same four calls, the same
@@ -30,6 +31,10 @@ pub enum ExecError {
     /// A 2PC frame reached an engine that is not a 2PC participant (the
     /// in-process cluster coordinates its own distributed transactions).
     NotAParticipant,
+    /// An instance of the in-process cluster refused the plan. The cluster's
+    /// instances answer frames, so their typed error arrives as the message
+    /// a wire client would have read.
+    Rejected(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -44,6 +49,7 @@ impl std::fmt::Display for ExecError {
             ExecError::NotAParticipant => {
                 write!(f, "2PC frames require a partition instance backend")
             }
+            ExecError::Rejected(message) => f.write_str(message),
         }
     }
 }

@@ -6,8 +6,17 @@
 //! physically distributed only if its sites fall in different instances —
 //! this is why coarse configurations execute fewer distributed
 //! transactions.
+//!
+//! This module is the one place a `(table, key)` becomes an owner: the
+//! simulator, a spawned deployment and the in-process cluster all route
+//! through a [`SiteMap`] and split plans with [`split_plan_by_owner`]. The
+//! even-range arithmetic itself lives beside the request generator
+//! ([`even_range`] / [`even_owner`]), which draws keys by the same rule.
 
-use islands_workload::tpcc;
+use std::collections::HashMap;
+
+use islands_workload::plan::PlanRequest;
+use islands_workload::{even_owner, even_range, tpcc};
 
 /// Maps `(table, key)` to a logical site.
 pub trait SiteMap {
@@ -16,7 +25,8 @@ pub trait SiteMap {
 }
 
 /// Contiguous range partitioning of a single keyspace (the microbenchmark
-/// table).
+/// table): [`even_range`] per site, whatever the table id says. A key past
+/// the end belongs to the last site, whose engine rejects it.
 #[derive(Debug, Clone)]
 pub struct RangeSites {
     pub total_rows: u64,
@@ -29,17 +39,7 @@ impl SiteMap for RangeSites {
     }
 
     fn site_of(&self, _table: u32, key: u64) -> usize {
-        debug_assert!(key < self.total_rows);
-        // Truncated-per with the remainder in the last site: the same
-        // ownership rule `NativeCluster::build_micro` loads rows by,
-        // `MicroGenerator` homes them by, and multi-process deployments
-        // partition by (`islands-server`'s deploy module), so a key has one
-        // owner across every layer even when rows % n_sites != 0. (The
-        // previous proportional mapping disagreed with all three at range
-        // boundaries for non-divisible row counts, routing boundary keys to
-        // instances that never loaded them.)
-        let per = (self.total_rows / self.n_sites as u64).max(1);
-        ((key / per) as usize).min(self.n_sites - 1)
+        even_owner(key, self.n_sites, self.total_rows)
     }
 }
 
@@ -81,6 +81,43 @@ pub fn warehouse_range(warehouses: u64, n_sites: usize, site: usize) -> (u64, u6
     (lo, hi)
 }
 
+/// The site map of one workload: what a deployment of either kind routes
+/// by, statically dispatched.
+#[derive(Debug, Clone)]
+pub enum Sites {
+    /// The microbenchmark table, by key range.
+    Range(RangeSites),
+    /// The TPC-C tables, by warehouse.
+    Warehouse(WarehouseSites),
+}
+
+impl Sites {
+    /// What `site` loads: its key range, or its warehouse range — the
+    /// inverse of [`site_of`](SiteMap::site_of) either way.
+    pub fn range_of(&self, site: usize) -> (u64, u64) {
+        match self {
+            Sites::Range(r) => even_range(site, r.n_sites, r.total_rows),
+            Sites::Warehouse(w) => warehouse_range(w.warehouses, w.n_sites, site),
+        }
+    }
+}
+
+impl SiteMap for Sites {
+    fn n_sites(&self) -> usize {
+        match self {
+            Sites::Range(r) => r.n_sites,
+            Sites::Warehouse(w) => w.n_sites,
+        }
+    }
+
+    fn site_of(&self, table: u32, key: u64) -> usize {
+        match self {
+            Sites::Range(r) => r.site_of(table, key),
+            Sites::Warehouse(w) => w.site_of(table, key),
+        }
+    }
+}
+
 /// Physical instance owning logical `site` when `n_sites` are grouped into
 /// `n_instances` contiguous blocks.
 #[inline]
@@ -89,27 +126,60 @@ pub fn instance_of_site(site: usize, n_sites: usize, n_instances: usize) -> usiz
     (site * n_instances) / n_sites
 }
 
-/// The set of distinct instances a plan touches, home first.
-pub fn participants(
-    plan: &crate::plan::TxnPlan,
-    sites: &dyn SiteMap,
-    n_instances: usize,
-) -> Vec<usize> {
-    let n_sites = sites.n_sites();
-    let mut out = Vec::with_capacity(2);
-    for op in &plan.ops {
-        let inst = instance_of_site(sites.site_of(op.table, op.key), n_sites, n_instances);
-        if !out.contains(&inst) {
-            out.push(inst);
-        }
+/// Split a multi-step plan into per-instance branches, preserving step
+/// order within each branch (`owner` maps `(table, key)` to an instance).
+/// Returns the participants in first-touch order — the home instance, which
+/// owns `steps[0]`, first — and each one's branch. Branches keep the plan's
+/// class and are marked multisite, so a parked remote-Payment branch records
+/// its class in each participant's stats.
+pub fn split_plan_by_owner<F: Fn(u32, u64) -> usize>(
+    plan: &PlanRequest,
+    owner: F,
+) -> (Vec<usize>, HashMap<usize, PlanRequest>) {
+    let mut order = Vec::new();
+    let mut branches: HashMap<usize, PlanRequest> = HashMap::new();
+    for step in &plan.steps {
+        let inst = owner(step.table, step.key);
+        let branch = branches.entry(inst).or_insert_with(|| {
+            order.push(inst);
+            PlanRequest {
+                class: plan.class,
+                multisite: true,
+                steps: Vec::new(),
+            }
+        });
+        branch.steps.push(*step);
     }
-    out
+    (order, branches)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{OpType, PlanOp, TxnPlan};
+    use islands_workload::plan::{
+        PlanClass, PlanStep, StepOp, MICRO_TABLE, TPCC_CUSTOMER, TPCC_DISTRICT, TPCC_HISTORY,
+        TPCC_ORDER, TPCC_STOCK, TPCC_WAREHOUSE,
+    };
+
+    fn reads(keys: &[u64]) -> PlanRequest {
+        PlanRequest {
+            class: PlanClass::Generic,
+            multisite: keys.len() > 1,
+            steps: keys
+                .iter()
+                .map(|&k| PlanStep::point(MICRO_TABLE, k, StepOp::Read))
+                .collect(),
+        }
+    }
+
+    /// The instances `plan` touches, home first, when `sites` are grouped
+    /// into `n_instances`.
+    fn participants(plan: &PlanRequest, sites: &RangeSites, n_instances: usize) -> Vec<usize> {
+        split_plan_by_owner(plan, |t, k| {
+            instance_of_site(sites.site_of(t, k), sites.n_sites, n_instances)
+        })
+        .0
+    }
 
     #[test]
     fn range_sites_are_contiguous_and_balanced() {
@@ -148,24 +218,46 @@ mod tests {
             total_rows: 24_000,
             n_sites: 24,
         };
-        // Keys in sites 0 and 1.
-        let plan = TxnPlan {
-            ops: vec![
-                PlanOp {
-                    table: 0,
-                    key: 10,
-                    op: OpType::Read,
-                },
-                PlanOp {
-                    table: 0,
-                    key: 1_500,
-                    op: OpType::Read,
-                },
-            ],
-        };
-        // Fine-grained: two participants; 4ISL: one.
+        // Keys in sites 0 and 1. Fine-grained: two participants; 4ISL: one.
+        let plan = reads(&[10, 1_500]);
         assert_eq!(participants(&plan, &sites, 24).len(), 2);
         assert_eq!(participants(&plan, &sites, 4).len(), 1);
+    }
+
+    #[test]
+    fn home_instance_is_first_participant() {
+        let sites = RangeSites {
+            total_rows: 1000,
+            n_sites: 10,
+        };
+        // Sites 9, then 0.
+        assert_eq!(participants(&reads(&[950, 10]), &sites, 10), vec![9, 0]);
+    }
+
+    #[test]
+    fn site_maps_load_what_they_route() {
+        // `range_of` is the inverse of `site_of` for both workloads, at a
+        // shape where neither divides evenly.
+        let range = Sites::Range(RangeSites {
+            total_rows: 403,
+            n_sites: 4,
+        });
+        let warehouse = Sites::Warehouse(WarehouseSites {
+            warehouses: 7,
+            n_sites: 3,
+        });
+        for (sites, table, total) in [(range, MICRO_TABLE, 403), (warehouse, TPCC_WAREHOUSE, 7)] {
+            let mut covered = 0u64;
+            for s in 0..sites.n_sites() {
+                let (lo, hi) = sites.range_of(s);
+                assert_eq!(lo, covered, "gap/overlap at site {s}");
+                covered = hi;
+                for k in lo..hi {
+                    assert_eq!(sites.site_of(table, k), s);
+                }
+            }
+            assert_eq!(covered, total);
+        }
     }
 
     #[test]
@@ -174,7 +266,6 @@ mod tests {
             warehouses: 24,
             n_sites: 24,
         };
-        use crate::plan::*;
         assert_eq!(sites.site_of(TPCC_WAREHOUSE, 7), 7);
         assert_eq!(sites.site_of(TPCC_DISTRICT, tpcc::district_key(7, 3)), 7);
         assert_eq!(
@@ -200,7 +291,7 @@ mod tests {
                 covered = hi;
                 for w in lo..hi {
                     assert_eq!(
-                        sites.site_of(crate::plan::TPCC_WAREHOUSE, w),
+                        sites.site_of(TPCC_WAREHOUSE, w),
                         s,
                         "{warehouses}w/{n_sites}s: warehouse {w}"
                     );
@@ -211,26 +302,33 @@ mod tests {
     }
 
     #[test]
-    fn home_instance_is_first_participant() {
-        let sites = RangeSites {
-            total_rows: 1000,
-            n_sites: 10,
+    fn split_plan_follows_warehouses_not_raw_keys() {
+        // 4 warehouses over 2 instances: w 0..2 -> 0, w 2..4 -> 1. A remote
+        // Payment homed at w1 paying a w3 customer splits exactly at the
+        // customer + history steps.
+        let sites = WarehouseSites {
+            warehouses: 4,
+            n_sites: 2,
         };
-        let plan = TxnPlan {
-            ops: vec![
-                PlanOp {
-                    table: 0,
-                    key: 950, // site 9
-                    op: OpType::Read,
-                },
-                PlanOp {
-                    table: 0,
-                    key: 10, // site 0
-                    op: OpType::Read,
-                },
+        let plan = PlanRequest {
+            class: PlanClass::Payment,
+            multisite: true,
+            steps: vec![
+                PlanStep::point(TPCC_WAREHOUSE, 1, StepOp::Update),
+                PlanStep::point(TPCC_DISTRICT, tpcc::district_key(1, 4), StepOp::Update),
+                PlanStep::range(TPCC_CUSTOMER, tpcc::customer_key(3, 2, 16), 4),
+                PlanStep::point(TPCC_CUSTOMER, tpcc::customer_key(3, 2, 17), StepOp::Update),
+                PlanStep::point(TPCC_HISTORY, 1 << 32, StepOp::Insert),
             ],
         };
-        let p = participants(&plan, &sites, 10);
-        assert_eq!(p, vec![9, 0]);
+        let (order, branches) = split_plan_by_owner(&plan, |t, k| sites.site_of(t, k));
+        assert_eq!(order, vec![0, 1], "home instance first");
+        assert_eq!(branches[&0].steps.len(), 3, "W + D + history insert");
+        assert_eq!(branches[&1].steps.len(), 2, "customer scan + update");
+        assert!(branches.values().all(|b| b.multisite));
+        assert!(branches.values().all(|b| b.class == PlanClass::Payment));
+        // Step order within each branch is the plan's order.
+        assert_eq!(branches[&1].steps[0].op, StepOp::RangeRead);
+        assert_eq!(branches[&1].steps[1].op, StepOp::Update);
     }
 }

@@ -28,14 +28,16 @@ use islands_sim::sync::{Event, SimMutex};
 use islands_sim::{Sim, SimTime};
 use islands_storage::lock::{Acquire, LockId, LockMode, LockTable};
 use islands_storage::TxnId;
+use islands_workload::plan::{self, PlanRequest, PlanStep};
 use islands_workload::tpcc::{self, PaymentGenerator};
 use islands_workload::{MicroGenerator, MicroSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::metrics::{Breakdown, BreakdownCategory as Cat, RunResult};
-use crate::partition::{instance_of_site, RangeSites, SiteMap, WarehouseSites};
-use crate::plan::{self, OpType, PlanOp, TxnPlan};
+use crate::partition::{
+    instance_of_site, split_plan_by_owner, RangeSites, SiteMap, Sites, WarehouseSites,
+};
 use crate::simrt::costs::CostParams;
 use crate::simrt::log::SimLog;
 
@@ -124,7 +126,7 @@ enum Msg {
     ExecutePrepare {
         gtid: u64,
         from: usize,
-        ops: Vec<PlanOp>,
+        steps: Vec<PlanStep>,
     },
     Vote {
         gtid: u64,
@@ -163,7 +165,7 @@ struct Instance {
     /// (the paper notes locking is mandatory once transactions can be
     /// distributed, Section 7.1.2).
     locks_off: bool,
-    client_q: RefCell<std::collections::VecDeque<TxnPlan>>,
+    client_q: RefCell<std::collections::VecDeque<PlanRequest>>,
     q_notify: islands_sim::sync::Notify,
     home_socket: Option<SocketId>,
     tables: HashMap<u32, SimTable>,
@@ -186,20 +188,6 @@ struct Instance {
     io_miss_prob: f64,
     /// Shared engine state (lock manager, latches, buffer-pool hash).
     engine_region: Region,
-}
-
-enum Sites {
-    Range(RangeSites),
-    Warehouse(WarehouseSites),
-}
-
-impl Sites {
-    fn map(&self) -> &dyn SiteMap {
-        match self {
-            Sites::Range(r) => r,
-            Sites::Warehouse(w) => w,
-        }
-    }
 }
 
 enum Gen {
@@ -548,26 +536,27 @@ impl Cluster {
         }
     }
 
-    fn participants_of(&self, plan: &TxnPlan) -> Vec<usize> {
-        crate::partition::participants(plan, self.sites.map(), self.instances.len())
+    /// The instance owning `(table, key)`: its logical site's group.
+    fn owner_of(&self, table: u32, key: u64) -> usize {
+        instance_of_site(
+            self.sites.site_of(table, key),
+            self.sites.n_sites(),
+            self.instances.len(),
+        )
     }
 
-    fn gen_plan(&self) -> TxnPlan {
+    fn gen_plan(&self) -> PlanRequest {
         let mut rng = self.rng.borrow_mut();
         match &*self.gen.borrow() {
-            Gen::Micro(g) => plan::plan_micro(&g.next(&mut *rng)),
+            Gen::Micro(g) => g.next(&mut *rng).to_plan(),
             Gen::Payment(g) => {
                 let home = rng.gen_range(0..g.warehouses);
                 let p = g.next(&mut *rng, home);
                 // History rows are homed at the paying warehouse.
-                let home_inst = instance_of_site(
-                    self.sites.map().site_of(plan::TPCC_WAREHOUSE, p.w_id),
-                    self.sites.map().n_sites(),
-                    self.instances.len(),
-                );
+                let home_inst = self.owner_of(plan::TPCC_WAREHOUSE, p.w_id);
                 let ctr = self.instances[home_inst].hist_ctr.get();
                 self.instances[home_inst].hist_ctr.set(ctr + 1);
-                plan::plan_payment(&p, (p.w_id << 32) | ctr)
+                p.plan((p.w_id << 32) | ctr, false)
             }
         }
     }
@@ -632,28 +621,21 @@ fn release_locks(cl: &Cluster, inst: &Instance, txn: TxnId) {
     let _ = cl;
 }
 
-/// Execute one row operation at `inst`. Returns whether it wrote.
+/// Execute one plan step at `inst`. Returns whether it wrote. A range read
+/// takes one lock and one index probe (the scan's entry point), then pays a
+/// heap read per covered row.
 async fn do_op(
     cl: &Cluster,
     inst: &Instance,
     core_idx: usize,
     txn: TxnId,
-    op: &PlanOp,
+    op: &PlanStep,
     applied: &mut Vec<(u32, u64)>,
     last_lsn: &mut u64,
 ) -> Result<bool, Died> {
     let core = inst.cores[core_idx];
     if !inst.locks_off {
-        acquire_row_lock(
-            cl,
-            inst,
-            core_idx,
-            txn,
-            op.table,
-            op.key,
-            op.op != OpType::Read,
-        )
-        .await?;
+        acquire_row_lock(cl, inst, core_idx, txn, op.table, op.key, op.is_write()).await?;
     }
     let table = match inst.tables.get(&op.table) {
         Some(t) => t,
@@ -686,52 +668,50 @@ async fn do_op(
             }
         }
     }
-    match op.op {
-        OpType::Read => {
+    if !op.is_write() {
+        for _ in 0..op.rows() {
             let mem = cl
                 .cost
                 .charge_region(core, &table.heap_region, cl.costs.row_lines, false);
             let ps = mem + cl.cost.charge_instr(core, cl.costs.instr_row_read);
             busy(cl, inst, core_idx, Cat::XctExecution, ps).await;
-            Ok(false)
         }
-        OpType::Update | OpType::Insert => {
-            // Writers to the same heap page serialize on its latch.
-            let latch = if inst.cores.len() > 1 {
-                let page = ((op.key - table.base_key) / table.rows_per_page) as usize
-                    % table.page_latches.len();
-                let t0 = cl.sim.now();
-                let g = table.page_latches[page].lock().await;
-                note_wait(cl, Cat::Locking, cl.sim.now().since(t0));
-                Some(g)
-            } else {
-                None
-            };
-            let mem = cl
-                .cost
-                .charge_region(core, &table.heap_region, cl.costs.row_lines, true);
-            let ps = mem + cl.cost.charge_instr(core, cl.costs.instr_row_update);
-            busy(cl, inst, core_idx, Cat::XctExecution, ps).await;
-            if let Some(counters) = &table.counters {
-                let slot = (op.key - table.base_key) as usize;
-                let mut c = counters.borrow_mut();
-                if slot < c.len() {
-                    c[slot] += 1;
-                }
-            }
-            applied.push((op.table, op.key));
-            // Log record: head line + build + bytes (latch held: the page
-            // update and its log record are one atomic action).
-            let log_ps = cl.cost.charge_line(core, &inst.log_line)
-                + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
-            busy(cl, inst, core_idx, Cat::Logging, log_ps).await;
-            *last_lsn = inst
-                .log
-                .append(table.row_size as u64 * 2 + cl.costs.log_record_overhead);
-            drop(latch);
-            Ok(true)
+        return Ok(false);
+    }
+    // Writers to the same heap page serialize on its latch.
+    let latch = if inst.cores.len() > 1 {
+        let page =
+            ((op.key - table.base_key) / table.rows_per_page) as usize % table.page_latches.len();
+        let t0 = cl.sim.now();
+        let g = table.page_latches[page].lock().await;
+        note_wait(cl, Cat::Locking, cl.sim.now().since(t0));
+        Some(g)
+    } else {
+        None
+    };
+    let mem = cl
+        .cost
+        .charge_region(core, &table.heap_region, cl.costs.row_lines, true);
+    let ps = mem + cl.cost.charge_instr(core, cl.costs.instr_row_update);
+    busy(cl, inst, core_idx, Cat::XctExecution, ps).await;
+    if let Some(counters) = &table.counters {
+        let slot = (op.key - table.base_key) as usize;
+        let mut c = counters.borrow_mut();
+        if slot < c.len() {
+            c[slot] += 1;
         }
     }
+    applied.push((op.table, op.key));
+    // Log record: head line + build + bytes (latch held: the page update
+    // and its log record are one atomic action).
+    let log_ps = cl.cost.charge_line(core, &inst.log_line)
+        + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
+    busy(cl, inst, core_idx, Cat::Logging, log_ps).await;
+    *last_lsn = inst
+        .log
+        .append(table.row_size as u64 * 2 + cl.costs.log_record_overhead);
+    drop(latch);
+    Ok(true)
 }
 
 /// Undo applied operations after a wait-die kill or a global abort.
@@ -780,10 +760,10 @@ async fn send_msg(cl: &Cluster, from: &Instance, core_idx: usize, to: usize, msg
 async fn poller(cl: Rc<Cluster>, idx: usize, rx: Receiver<Msg>) {
     while let Some(msg) = rx.recv().await {
         match msg {
-            Msg::ExecutePrepare { gtid, from, ops } => {
+            Msg::ExecutePrepare { gtid, from, steps } => {
                 let cl2 = Rc::clone(&cl);
                 cl.sim
-                    .spawn(async move { participant_execute(cl2, idx, gtid, from, ops).await });
+                    .spawn(async move { participant_execute(cl2, idx, gtid, from, steps).await });
             }
             Msg::Decision { gtid, commit } => {
                 let cl2 = Rc::clone(&cl);
@@ -819,13 +799,13 @@ async fn poller(cl: Rc<Cluster>, idx: usize, rx: Receiver<Msg>) {
     }
 }
 
-/// Participant side: execute the coordinator's ops, prepare, vote.
+/// Participant side: execute the coordinator's branch, prepare, vote.
 async fn participant_execute(
     cl: Rc<Cluster>,
     idx: usize,
     gtid: u64,
     from: usize,
-    ops: Vec<PlanOp>,
+    steps: Vec<PlanStep>,
 ) {
     let inst = Rc::clone(&cl.instances[idx]);
     let core_idx = cl.pick_core(&inst);
@@ -840,7 +820,7 @@ async fn participant_execute(
     let mut last_lsn = 0u64;
     let mut wrote = false;
     let mut died = false;
-    for op in &ops {
+    for op in &steps {
         match do_op(&cl, &inst, core_idx, txn, op, &mut applied, &mut last_lsn).await {
             Ok(w) => wrote |= w,
             Err(Died) => {
@@ -942,7 +922,7 @@ async fn execute_txn(
     cl: &Rc<Cluster>,
     inst: &Rc<Instance>,
     core_idx: usize,
-    plan: &TxnPlan,
+    plan: &PlanRequest,
 ) -> bool {
     let home = inst.idx;
     let core = inst.cores[core_idx];
@@ -972,27 +952,12 @@ async fn execute_txn(
     }
 
     let txn = cl.alloc_txn();
-    let home_ops: Vec<PlanOp>;
-    let mut remote_ops: Vec<(usize, Vec<PlanOp>)> = Vec::new();
-    {
-        let sites = cl.sites.map();
-        let n_inst = cl.instances.len();
-        let mut order: Vec<usize> = Vec::new();
-        let mut split: HashMap<usize, Vec<PlanOp>> = HashMap::new();
-        for op in &plan.ops {
-            let dest = instance_of_site(sites.site_of(op.table, op.key), sites.n_sites(), n_inst);
-            if !split.contains_key(&dest) {
-                order.push(dest);
-            }
-            split.entry(dest).or_default().push(*op);
-        }
-        home_ops = split.remove(&home).unwrap_or_default();
-        for p in order {
-            if let Some(ops) = split.remove(&p) {
-                remote_ops.push((p, ops));
-            }
-        }
-    }
+    let (order, mut branches) = split_plan_by_owner(plan, |t, k| cl.owner_of(t, k));
+    let home_ops = branches.remove(&home).map(|b| b.steps).unwrap_or_default();
+    let remote_ops: Vec<(usize, Vec<PlanStep>)> = order
+        .into_iter()
+        .filter_map(|p| branches.remove(&p).map(|b| (p, b.steps)))
+        .collect();
 
     // Local phase.
     let mut applied = Vec::new();
@@ -1053,7 +1018,7 @@ async fn execute_txn(
             Msg::ExecutePrepare {
                 gtid,
                 from: home,
-                ops: ops.clone(),
+                steps: ops.clone(),
             },
         )
         .await;
@@ -1114,11 +1079,11 @@ fn inst_log_end(inst: &Instance) -> u64 {
     inst.log.append(0)
 }
 
-fn finish_commit(cl: &Cluster, plan: &TxnPlan, distributed: bool) {
+fn finish_commit(cl: &Cluster, plan: &PlanRequest, distributed: bool) {
     cl.stats.commits.set(cl.stats.commits.get() + 1);
     cl.stats
         .committed_writes
-        .set(cl.stats.committed_writes.get() + plan.writes() as u64);
+        .set(cl.stats.committed_writes.get() + plan.write_rows());
     if distributed {
         cl.stats.distributed.set(cl.stats.distributed.get() + 1);
     }
@@ -1130,7 +1095,9 @@ fn admit_next(cl: &Rc<Cluster>) {
         return;
     }
     let plan = cl.gen_plan();
-    let home = cl.participants_of(&plan)[0];
+    // The home is whoever owns the first step (generated plans have one).
+    let first = plan.steps[0];
+    let home = cl.owner_of(first.table, first.key);
     let inst = &cl.instances[home];
     inst.client_q.borrow_mut().push_back(plan);
     inst.q_notify.notify_one();

@@ -25,7 +25,7 @@ pub enum RecoveredOutcome {
     PresumedAbort,
     /// An explicit abort decision happened to survive in the log (possible
     /// but never required: aborts are not forced). Same fate as
-    /// [`PresumedAbort`], kept distinct for observability.
+    /// [`PresumedAbort`](Self::PresumedAbort), kept distinct for observability.
     LoggedAbort,
 }
 

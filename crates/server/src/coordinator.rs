@@ -1,8 +1,11 @@
-//! The coordinator half of wire-level 2PC: the decision store and the
-//! resolver socket that answers recovering participants from it, and the one
-//! 2PC driver ([`drive_2pc`]) that runs the pure [`islands_dtxn::Coordinator`]
-//! machine over a [`TwoPcLink`] — [`DeployClient`](crate::DeployClient)'s
-//! sockets in a live deployment, a scripted mock in the tests below.
+//! The coordinator half of a deployment: the decision store and the resolver
+//! socket that answers recovering participants from it, the one router
+//! ([`Coordination::submit`]) and the one 2PC driver ([`drive_2pc`]), which
+//! runs the pure [`islands_dtxn::Coordinator`] machine over a [`TwoPcLink`].
+//! Three things implement that link: [`DeployClient`](crate::DeployClient)'s
+//! sockets in a spawned deployment, [`ClusterClient`](crate::ClusterClient)'s
+//! direct calls in the in-process cluster, and a scripted mock in the tests
+//! below.
 //!
 //! A round answers its caller when the decision frames are written. The
 //! `Ack`s they will bring are a debt each link carries ([`AckDebt`]) and the
@@ -17,9 +20,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use islands_core::partition::{split_plan_by_owner, SiteMap, Sites};
 use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Vote};
+use islands_workload::{PlanBranch, PlanRequest};
 
-use crate::deploy::{lock_clean, remove_uds_file};
+use crate::deploy::{lock_clean, remove_uds_file, DeployOutcome, DeployReply};
 use crate::server::{Conn, Endpoint};
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
@@ -282,13 +287,16 @@ impl AckDebt {
     }
 }
 
-/// The transport seam the 2PC driver runs against. The live implementation
-/// is [`DeployClient`](crate::DeployClient)'s per-instance connections;
-/// tests substitute a scripted mock to pin driver invariants that need
-/// injected failures (an ack left unread desynchronizes the connection for
-/// whatever is read from it next).
+/// The transport seam the router and the 2PC driver run against: one link
+/// per instance, frames out, replies back in order. The live implementations
+/// are [`DeployClient`](crate::DeployClient)'s per-instance connections and
+/// [`ClusterClient`](crate::ClusterClient)'s per-instance sessions; tests
+/// substitute a scripted mock to pin driver invariants that need injected
+/// failures (an ack left unread desynchronizes the connection for whatever
+/// is read from it next).
 pub(crate) trait TwoPcLink {
-    /// Ship one frame to participant `to`.
+    /// Ship one frame to participant `to`, arming whatever deadline its
+    /// reply deserves.
     fn send(&mut self, to: usize, frame: &Request) -> io::Result<()>;
     /// Read the next reply frame from `from`, owed ack or not, under the
     /// deadline armed when the frame it answers was sent.
@@ -336,6 +344,138 @@ pub(crate) trait TwoPcLink {
     fn recv(&mut self, from: usize) -> io::Result<Reply> {
         self.settle(from)?;
         self.recv_frame(from)
+    }
+
+    /// One exchange on link `to`: `frame` out, owed acks in, its reply in.
+    /// Any failure poisons the link (a timed-out or misplaced reply would
+    /// desynchronize the stream).
+    fn exchange(&mut self, to: usize, frame: &Request) -> io::Result<Reply> {
+        let reply = self.send(to, frame).and_then(|()| self.recv(to));
+        if reply.is_err() {
+            self.mark_dead(to);
+        }
+        reply
+    }
+
+    /// Read the acks every one of the `links` still owes, so that whoever
+    /// talks to the participants next finds every decision this
+    /// coordinator's callers were told about applied. A link that cannot
+    /// pay is dropped like any other.
+    fn settle_all(&mut self, links: usize) {
+        for i in 0..links {
+            if self.settle(i).is_err() {
+                self.mark_dead(i);
+            }
+        }
+    }
+}
+
+/// What the coordinators of one deployment share, whatever carries their
+/// frames: the routing rule, the gtid sequence, the decision store, and the
+/// count of aborts presumed after a participant failure.
+pub(crate) struct Coordination {
+    /// One site per instance: a site *is* its owner here.
+    pub(crate) sites: Sites,
+    next_gtid: AtomicU64,
+    /// Aborts presumed so far (participant unreachable or timed out
+    /// mid-protocol).
+    pub(crate) presumed_aborts: AtomicU64,
+    /// The forced decision log: gtid → commit. Presumed abort forces commits
+    /// only, so this holds every committed gtid not yet acknowledged
+    /// everywhere and nothing else.
+    pub(crate) decisions: Arc<DecisionStore>,
+}
+
+impl Coordination {
+    pub(crate) fn new(sites: Sites, decisions: Arc<DecisionStore>) -> Coordination {
+        Coordination {
+            sites,
+            next_gtid: AtomicU64::new(1),
+            presumed_aborts: AtomicU64::new(0),
+            decisions,
+        }
+    }
+
+    /// Route one plan over `link`: if every step lives on one instance it
+    /// goes straight to the owner as a `SubmitPlan` frame; a plan spanning
+    /// instances (a multisite micro batch, a remote-warehouse Payment) runs
+    /// 2PC rounds with the caller as coordinator, re-attempting a round the
+    /// votes aborted up to `retry_limit` times.
+    pub(crate) fn submit<L: TwoPcLink>(
+        &self,
+        link: &mut L,
+        plan: &PlanRequest,
+        retry_limit: u32,
+    ) -> io::Result<DeployReply> {
+        let (order, branches) = split_plan_by_owner(plan, |t, k| self.sites.site_of(t, k));
+        if order.len() <= 1 {
+            let target = order.first().copied().unwrap_or(0);
+            return submit_single(link, target, plan);
+        }
+
+        let mut retries = 0u32;
+        loop {
+            // One round: a fresh gtid, one `PreparePlan` frame per
+            // participant carrying its step list.
+            let gtid = self.next_gtid.fetch_add(1, Ordering::Relaxed);
+            let round = drive_2pc(link, gtid, &order, |gtid, to| {
+                Request::PreparePlan(PlanBranch {
+                    gtid,
+                    plan: branches[&to].clone(),
+                })
+            })?;
+            match round {
+                TwoPc::Commit => return outcome(true, true, retries, false),
+                TwoPc::Abort if retries >= retry_limit => {
+                    return outcome(false, true, retries, false)
+                }
+                TwoPc::Abort => {
+                    retries += 1;
+                    std::thread::yield_now();
+                }
+                TwoPc::PresumedAbort => {
+                    self.presumed_aborts.fetch_add(1, Ordering::Relaxed);
+                    return outcome(false, true, retries, true);
+                }
+                TwoPc::Error(message) => return Ok(DeployReply::ServerError(message)),
+            }
+        }
+    }
+}
+
+fn outcome(
+    committed: bool,
+    distributed: bool,
+    retries: u32,
+    presumed_abort: bool,
+) -> io::Result<DeployReply> {
+    Ok(DeployReply::Outcome(DeployOutcome {
+        committed,
+        distributed,
+        retries,
+        presumed_abort,
+    }))
+}
+
+/// Hand a single-owner plan to its owner and map what comes back.
+fn submit_single<L: TwoPcLink>(
+    link: &mut L,
+    target: usize,
+    plan: &PlanRequest,
+) -> io::Result<DeployReply> {
+    match link.exchange(target, &Request::SubmitPlan(plan.clone())) {
+        Ok(Reply::Committed {
+            distributed,
+            retries,
+            ..
+        }) => outcome(true, distributed, retries, false),
+        Ok(Reply::Aborted { retries }) => outcome(false, false, retries, false),
+        Ok(Reply::Error { message }) => Ok(DeployReply::ServerError(message)),
+        Ok(other) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected reply to submit_plan: {other:?}"),
+        )),
+        Err(_) => Ok(DeployReply::InstanceDown(target)),
     }
 }
 
@@ -600,7 +740,7 @@ mod tests {
                         class: PlanClass::Payment,
                         multisite: true,
                         steps: vec![PlanStep::point(
-                            islands_core::plan::TPCC_WAREHOUSE,
+                            islands_workload::plan::TPCC_WAREHOUSE,
                             p as u64,
                             StepOp::Update,
                         )],

@@ -18,7 +18,9 @@
 //!   *detected host* topology — the paper's "N islands" layout, not a
 //!   simulated one.
 //! * **One route, wire-level 2PC.** [`DeployClient::submit_plan`] is the
-//!   only routing path; a micro batch is lowered onto it on entry
+//!   only routing path — the router it calls is the one the in-process
+//!   [`Cluster`](crate::Cluster) runs over direct calls; a micro batch is
+//!   lowered onto it on entry
 //!   ([`DeployClient::submit`]), so micro and TPC-C traffic cross the same
 //!   code and the same frames. A plan whose steps all live on one instance
 //!   goes straight to it as a `SubmitPlan` frame. A plan spanning instances
@@ -55,17 +57,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use islands_core::native::{
-    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
-    PartitionExecutor, TpccPartition,
-};
-use islands_core::partition::{warehouse_range, SiteMap, WarehouseSites};
-use islands_core::plan::MICRO_TABLE;
+use islands_core::native::{DecideOutcome, Engine, EngineMode, PartitionConfig, TpccPartition};
+pub use islands_core::partition::split_plan_by_owner;
+use islands_core::partition::{RangeSites, SiteMap, Sites, WarehouseSites};
 use islands_hwtopo::{island_cpu_lists, HostTopology};
-use islands_workload::{PlanBranch, PlanRequest, TxnRequest};
+use islands_workload::{even_owner, PlanRequest, TxnRequest};
 
 use crate::client::Client;
-use crate::coordinator::{drive_2pc, AckDebt, DecisionStore, Resolver, TwoPc, TwoPcLink};
+use crate::coordinator::{AckDebt, Coordination, DecisionStore, Resolver, TwoPcLink};
 use crate::server::{Backend, Endpoint, Server, ServerConfig};
 use crate::wire::{Reply, Request};
 
@@ -101,8 +100,8 @@ pub enum DeployWorkload {
     /// evenly across instances.
     Micro,
     /// TPC-C-lite: warehouses (with their districts, customers, and stock)
-    /// partitioned contiguously across instances via
-    /// [`warehouse_range`]; NewOrder runs local, remote-warehouse Payments
+    /// partitioned contiguously across instances
+    /// ([`WarehouseSites`]); NewOrder runs local, remote-warehouse Payments
     /// run wire-level 2PC.
     Tpcc {
         /// Scale factor: number of warehouses across the whole deployment.
@@ -129,8 +128,8 @@ pub struct DeployConfig {
     /// Run instances without locking (only sound for one client).
     pub single_threaded: bool,
     /// How each instance executes: [`EngineMode::Locked`] (sessions execute
-    /// inline under 2PL) or [`EngineMode::Serial`] (one pinned executor
-    /// thread per partition, no lock table on the local fast path).
+    /// inline under 2PL) or [`EngineMode::Serial`] (sessions take turns on
+    /// the partition's one mutex, no lock table on the local fast path).
     pub engine: EngineMode,
     /// Pin instance processes to island core sets via `taskset`.
     pub pin: bool,
@@ -171,15 +170,7 @@ impl DeployConfig {
     /// range is empty), which is exactly the shape under which ownership
     /// arithmetic divergence bugs hide. Reject it before any process spawns.
     pub fn validate(&self) -> Result<(), String> {
-        if self.instances == 0 {
-            return Err("a deployment needs at least one instance".into());
-        }
-        if self.total_rows < self.instances as u64 {
-            return Err(format!(
-                "{} rows cannot partition across {} instances (need rows >= instances)",
-                self.total_rows, self.instances
-            ));
-        }
+        check_partitionable(self.instances, self.total_rows)?;
         if self.row_size == 0 {
             return Err("row_size must be nonzero".into());
         }
@@ -226,42 +217,44 @@ impl Default for DeployConfig {
     }
 }
 
-/// Rows per instance under the even range partitioning — the **single**
-/// source of truth both [`range_of`] and [`owner_of`] divide by. The two
-/// used to clamp differently (`owner_of` had a `.max(1)` that `range_of`
-/// lacked), so with `rows < instances` keys routed to instances whose
-/// loaded range was the empty `[0, 0)`; [`DeployConfig::validate`] now
-/// rejects that shape outright and the clamp is gone.
-fn rows_per_instance(rows: u64, instances: usize) -> u64 {
-    debug_assert!(instances >= 1);
-    debug_assert!(
-        rows >= instances as u64,
-        "{rows} rows cannot partition across {instances} instances"
-    );
-    rows / instances as u64
+/// Whether `total_rows` keys range-partition over `instances`, for a spawned
+/// deployment and the in-process cluster alike. With fewer rows than
+/// instances some range would be empty, and routing has no divisor.
+pub(crate) fn check_partitionable(instances: usize, total_rows: u64) -> Result<(), String> {
+    if instances == 0 {
+        return Err("a deployment needs at least one instance".into());
+    }
+    if total_rows < instances as u64 {
+        return Err(format!(
+            "{total_rows} rows cannot partition across {instances} instances \
+             (need rows >= instances)"
+        ));
+    }
+    Ok(())
 }
 
-/// Key range `[lo, hi)` of instance `i` among `n` over `rows` (the same
-/// arithmetic as the generator's logical sites).
-fn range_of(i: usize, n: usize, rows: u64) -> (u64, u64) {
-    let per = rows_per_instance(rows, n);
-    let lo = i as u64 * per;
-    let hi = if i + 1 == n { rows } else { lo + per };
-    (lo, hi)
-}
-
-/// The instance owning `key` under the even range partitioning of
-/// [`range_of`].
-fn owner_of(key: u64, instances: usize, total_rows: u64) -> usize {
-    let per = rows_per_instance(total_rows, instances);
-    ((key / per) as usize).min(instances - 1)
+impl DeployWorkload {
+    /// The site map a deployment of `instances` routes and loads by: one
+    /// site per instance.
+    fn sites(self, instances: usize, total_rows: u64) -> Sites {
+        match self {
+            DeployWorkload::Micro => Sites::Range(RangeSites {
+                total_rows,
+                n_sites: instances,
+            }),
+            DeployWorkload::Tpcc { warehouses } => Sites::Warehouse(WarehouseSites {
+                warehouses,
+                n_sites: instances,
+            }),
+        }
+    }
 }
 
 /// Split a multisite batch into per-instance branches, preserving key
 /// order within each branch. Returns `(participants-in-first-touch-order,
 /// branch-per-participant)`. Routing itself goes through
-/// [`split_plan_by_owner`]; this is the batch-shaped reference that split
-/// is tested against.
+/// [`split_plan_by_owner`] (re-exported here from `core::partition`); this
+/// is the batch-shaped reference that split is tested against.
 pub fn split_by_owner(
     req: &TxnRequest,
     instances: usize,
@@ -270,7 +263,7 @@ pub fn split_by_owner(
     let mut order = Vec::new();
     let mut branches: HashMap<usize, TxnRequest> = HashMap::new();
     for &key in &req.keys {
-        let owner = owner_of(key, instances, total_rows);
+        let owner = even_owner(key, instances, total_rows);
         let branch = branches.entry(owner).or_insert_with(|| {
             order.push(owner);
             TxnRequest {
@@ -280,32 +273,6 @@ pub fn split_by_owner(
             }
         });
         branch.keys.push(key);
-    }
-    (order, branches)
-}
-
-/// Split a multi-step plan into per-instance branches, preserving step
-/// order within each branch (`owner` maps `(table, key)` to an instance —
-/// see [`Deployment::owner_of_step`]). Branches keep the plan's class and
-/// are marked multisite, so a parked remote-Payment branch records its
-/// class in each participant's stats.
-pub fn split_plan_by_owner<F: Fn(u32, u64) -> usize>(
-    plan: &PlanRequest,
-    owner: F,
-) -> (Vec<usize>, HashMap<usize, PlanRequest>) {
-    let mut order = Vec::new();
-    let mut branches: HashMap<usize, PlanRequest> = HashMap::new();
-    for step in &plan.steps {
-        let inst = owner(step.table, step.key);
-        let branch = branches.entry(inst).or_insert_with(|| {
-            order.push(inst);
-            PlanRequest {
-                class: plan.class,
-                multisite: true,
-                steps: Vec::new(),
-            }
-        });
-        branch.steps.push(*step);
     }
     (order, branches)
 }
@@ -433,8 +400,6 @@ struct Member {
 pub struct Deployment {
     members: Vec<Member>,
     exe: PathBuf,
-    total_rows: u64,
-    workload: DeployWorkload,
     retry_limit: u32,
     vote_timeout: Duration,
     /// Reply deadline for plain submissions: unlike a vote (one execution
@@ -443,16 +408,12 @@ pub struct Deployment {
     /// that budget plus the vote timeout.
     submit_timeout: Duration,
     pinned: bool,
-    next_gtid: AtomicU64,
-    /// Coordinator-observed presumed aborts (participant unreachable or
-    /// timed out mid-protocol).
-    presumed_aborts: AtomicU64,
-    /// The coordinator's forced decision log: gtid → commit. Presumed abort
-    /// forces commits only, so this holds every committed gtid and nothing
-    /// else. With [`DeployConfig::wal_dir`] set it is written through a
-    /// durable [`DecisionLog`]; `islands_dtxn::recovery::resolve_in_doubt`
-    /// is the rule participants apply against it.
-    decisions: Arc<DecisionStore>,
+    /// What every [`DeployClient`] of this deployment routes and decides
+    /// by. With [`DeployConfig::wal_dir`] set its decision store is written
+    /// through a durable [`DecisionLog`](islands_dtxn::DecisionLog);
+    /// `islands_dtxn::recovery::resolve_in_doubt` is the rule participants
+    /// apply against it.
+    coord: Coordination,
     /// The resolver socket answering recovering instances (wal deployments
     /// only). Dropped last-ish: children are killed first in both shutdown
     /// paths, so nothing is left asking.
@@ -562,17 +523,12 @@ impl Deployment {
             args
         };
 
+        let sites = cfg.workload.sites(cfg.instances, cfg.total_rows);
         let mut spawned: Vec<Member> = Vec::new();
         for (i, pin) in pins.iter().enumerate().take(cfg.instances) {
             // In TPC-C mode the "range" a member reports is its warehouse
-            // range; the micro row range flags are still passed (the child
-            // ignores them once --warehouses is set).
-            let range = match cfg.workload {
-                DeployWorkload::Micro => range_of(i, cfg.instances, cfg.total_rows),
-                DeployWorkload::Tpcc { warehouses } => {
-                    warehouse_range(warehouses, cfg.instances, i)
-                }
-            };
+            // range.
+            let range = sites.range_of(i);
             let args = child_args(i, range);
             let cpus = if taskset { pin.clone() } else { None };
             match spawn_child(&exe, cpus.as_deref(), &args) {
@@ -629,15 +585,11 @@ impl Deployment {
         Ok(Deployment {
             members,
             exe,
-            total_rows: cfg.total_rows,
-            workload: cfg.workload,
             retry_limit: cfg.retry_limit,
             vote_timeout: cfg.vote_timeout,
             submit_timeout: cfg.vote_timeout + cfg.lock_timeout * (cfg.retry_limit + 1),
             pinned: taskset,
-            next_gtid: AtomicU64::new(1),
-            presumed_aborts: AtomicU64::new(0),
-            decisions,
+            coord: Coordination::new(sites, decisions),
             resolver,
             fault: Mutex::new(None),
             faults_fired: AtomicU64::new(0),
@@ -646,10 +598,6 @@ impl Deployment {
 
     pub fn instances(&self) -> usize {
         self.members.len()
-    }
-
-    pub fn total_rows(&self) -> u64 {
-        self.total_rows
     }
 
     /// Whether children were actually wrapped in `taskset`.
@@ -680,46 +628,22 @@ impl Deployment {
         self.members[i].range
     }
 
-    /// The instance owning `key`.
-    pub fn owner_of(&self, key: u64) -> usize {
-        owner_of(key, self.members.len(), self.total_rows)
-    }
-
-    /// What the instances are loaded with.
-    pub fn workload(&self) -> DeployWorkload {
-        self.workload
-    }
-
     /// The instance owning `(table, key)` under the deployment's workload:
-    /// micro keys by row range, TPC-C keys by their warehouse (via the same
-    /// proportional map [`warehouse_range`] inverts for loading).
+    /// micro keys by row range, TPC-C keys by their warehouse — the site
+    /// map each member's loaded range is the inverse of.
     pub fn owner_of_step(&self, table: u32, key: u64) -> usize {
-        match self.workload {
-            DeployWorkload::Micro => {
-                debug_assert_eq!(table, MICRO_TABLE);
-                self.owner_of(key)
-            }
-            DeployWorkload::Tpcc { warehouses } => WarehouseSites {
-                warehouses,
-                n_sites: self.members.len(),
-            }
-            .site_of(table, key),
-        }
-    }
-
-    fn next_gtid(&self) -> u64 {
-        self.next_gtid.fetch_add(1, Ordering::Relaxed)
+        self.coord.sites.site_of(table, key)
     }
 
     /// Coordinator-observed presumed aborts so far.
     pub fn presumed_aborts(&self) -> u64 {
-        self.presumed_aborts.load(Ordering::Relaxed)
+        self.coord.presumed_aborts.load(Ordering::Relaxed)
     }
 
     /// Number of commit decisions forced to the coordinator log so far
     /// (monotone: forgetting a fully acknowledged one does not lower it).
     pub fn decided_commits(&self) -> u64 {
-        self.decisions.decided_count()
+        self.coord.decisions.decided_count()
     }
 
     /// Decision records the coordinator still holds in memory. A volatile
@@ -727,7 +651,7 @@ impl Deployment {
     /// so this is the number of commits not yet acknowledged everywhere; a
     /// durable one ([`DeployConfig::wal_dir`]) keeps them all.
     pub fn remembered_decisions(&self) -> usize {
-        self.decisions.remembered()
+        self.coord.decisions.remembered()
     }
 
     /// Arm a scripted fault: the next 2PC exchange that reaches
@@ -1092,128 +1016,13 @@ impl DeployClient {
         self.submit_plan(&req.to_plan())
     }
 
-    /// Write `frame` to instance `i` and arm `timeout` for what comes back
-    /// (the acks the link owes, then the frame's own reply).
-    fn send_armed(
-        &mut self,
-        i: usize,
-        frame: &Request,
-        timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        let conn = self.conn(i)?;
-        conn.set_read_timeout(timeout)?;
-        conn.send_request(frame)
-    }
-
-    /// One exchange on link `i`: `frame` out, owed acks in, its reply in.
-    /// Any failure poisons the connection (a timed-out or misplaced reply
-    /// would desynchronize the stream).
-    fn exchange(
-        &mut self,
-        i: usize,
-        frame: &Request,
-        timeout: Option<Duration>,
-    ) -> io::Result<Reply> {
-        let reply = self
-            .send_armed(i, frame, timeout)
-            .and_then(|()| self.recv(i));
-        if reply.is_err() {
-            self.mark_dead(i);
-        }
-        reply
-    }
-
-    /// One round of wire-level 2PC: a fresh gtid, one `PreparePlan` frame
-    /// per participant carrying its step list.
-    fn try_2pc(
-        &mut self,
-        parts: &[usize],
-        branches: &HashMap<usize, PlanRequest>,
-    ) -> io::Result<TwoPc> {
-        let gtid = self.deploy.next_gtid();
-        drive_2pc(self, gtid, parts, |gtid, to| {
-            Request::PreparePlan(PlanBranch {
-                gtid,
-                plan: branches[&to].clone(),
-            })
-        })
-    }
-
     /// Route one plan: if every step lives on one instance it goes straight
     /// to the owner as a `SubmitPlan` frame; a plan spanning instances (a
     /// multisite micro batch, a remote-warehouse Payment) runs wire-level
     /// 2PC with this client as coordinator.
     pub fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         let deploy = Arc::clone(&self.deploy);
-        let (order, branches) = split_plan_by_owner(plan, |t, k| deploy.owner_of_step(t, k));
-        if order.len() <= 1 {
-            let target = order.first().copied().unwrap_or(0);
-            return self.submit_plan_single(target, plan);
-        }
-
-        let mut retries = 0u32;
-        loop {
-            match self.try_2pc(&order, &branches)? {
-                TwoPc::Commit => {
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: true,
-                        distributed: true,
-                        retries,
-                        presumed_abort: false,
-                    }))
-                }
-                TwoPc::Abort => {
-                    if retries >= self.deploy.retry_limit {
-                        return Ok(DeployReply::Outcome(DeployOutcome {
-                            committed: false,
-                            distributed: true,
-                            retries,
-                            presumed_abort: false,
-                        }));
-                    }
-                    retries += 1;
-                    std::thread::yield_now();
-                }
-                TwoPc::PresumedAbort => {
-                    self.deploy.presumed_aborts.fetch_add(1, Ordering::Relaxed);
-                    return Ok(DeployReply::Outcome(DeployOutcome {
-                        committed: false,
-                        distributed: true,
-                        retries,
-                        presumed_abort: true,
-                    }));
-                }
-                TwoPc::Error(message) => return Ok(DeployReply::ServerError(message)),
-            }
-        }
-    }
-
-    fn submit_plan_single(&mut self, target: usize, plan: &PlanRequest) -> io::Result<DeployReply> {
-        let frame = Request::SubmitPlan(plan.clone());
-        match self.exchange(target, &frame, Some(self.deploy.submit_timeout)) {
-            Ok(Reply::Committed {
-                distributed,
-                retries,
-                ..
-            }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: true,
-                distributed,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Aborted { retries }) => Ok(DeployReply::Outcome(DeployOutcome {
-                committed: false,
-                distributed: false,
-                retries,
-                presumed_abort: false,
-            })),
-            Ok(Reply::Error { message }) => Ok(DeployReply::ServerError(message)),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply to submit_plan: {other:?}"),
-            )),
-            Err(_) => Ok(DeployReply::InstanceDown(target)),
-        }
+        deploy.coord.submit(self, plan, deploy.retry_limit)
     }
 
     /// Deployment-wide audit sum: every instance's committed-row-write total
@@ -1225,8 +1034,7 @@ impl DeployClient {
     pub fn audit_total(&mut self) -> io::Result<u64> {
         let mut sum = 0u64;
         for i in 0..self.deploy.instances() {
-            // A scan of every table is not a vote: no deadline.
-            match self.exchange(i, &Request::Audit, None)? {
+            match self.exchange(i, &Request::Audit)? {
                 Reply::AuditSum { sum: part } => sum += part,
                 other => {
                     return Err(io::Error::new(
@@ -1245,11 +1053,7 @@ impl Drop for DeployClient {
     /// connects next finds every decision this client's callers were told
     /// about applied. A link that cannot pay is dropped like any other.
     fn drop(&mut self) {
-        for i in 0..self.conns.len() {
-            if self.settle(i).is_err() {
-                self.mark_dead(i);
-            }
-        }
+        self.settle_all(self.conns.len());
     }
 }
 
@@ -1268,7 +1072,17 @@ impl TwoPcLink for DeployClient {
             }
             _ => {}
         }
-        let sent = self.send_armed(to, frame, Some(self.deploy.vote_timeout));
+        let timeout = match frame {
+            // Unlike a vote (one execution attempt), a submit may burn the
+            // instance's whole retry × lock-wait budget before answering.
+            Request::Submit(_) | Request::SubmitPlan(_) => Some(self.deploy.submit_timeout),
+            // A scan of every table is not a vote: no deadline.
+            Request::Audit => None,
+            _ => Some(self.deploy.vote_timeout),
+        };
+        let conn = self.conn(to)?;
+        conn.set_read_timeout(timeout)?;
+        let sent = conn.send_request(frame);
         if sent.is_ok() && matches!(frame, Request::Decision { .. }) {
             self.deploy
                 .maybe_fire_fault(FaultPoint::PostDecisionPreAck, to);
@@ -1290,11 +1104,11 @@ impl TwoPcLink for DeployClient {
     fn force_commit(&mut self, gtid: u64) {
         // Write-through BEFORE any Decision frame leaves: recovery must
         // reach the same verdict the live protocol acted on.
-        self.deploy.decisions.force(gtid, true);
+        self.deploy.coord.decisions.force(gtid, true);
     }
 
     fn forget(&mut self, gtid: u64) {
-        self.deploy.decisions.forget(gtid);
+        self.deploy.coord.decisions.forget(gtid);
     }
 
     fn debt(&mut self) -> &mut AckDebt {
@@ -1431,16 +1245,8 @@ fn run_instance(args: &[String]) -> io::Result<bool> {
         wal,
         ..Default::default()
     };
-    let backend = match engine_mode {
-        EngineMode::Locked => Backend::Partition(Arc::new(
-            PartitionEngine::build(&partition)
-                .map_err(|e| io::Error::other(format!("partition build failed: {e}")))?,
-        )),
-        EngineMode::Serial => Backend::Executor(Arc::new(
-            PartitionExecutor::spawn(ExecutorConfig { partition })
-                .map_err(|e| io::Error::other(format!("executor build failed: {e}")))?,
-        )),
-    };
+    let backend = Backend::build(engine_mode, partition)
+        .map_err(|e| io::Error::other(format!("{engine_mode} partition build failed: {e}")))?;
     let engine = backend.engine();
     let parked = || engine.recovered_gtids().map_err(io::Error::other);
 
@@ -1565,9 +1371,9 @@ mod tests {
 
     #[test]
     fn rows_fewer_than_instances_is_rejected_not_misrouted() {
-        // Regression: owner_of used to clamp `per` with `.max(1)` while
-        // range_of did not, so rows < instances routed keys to instances
-        // whose loaded range was empty. The shape is now rejected up front.
+        // Regression: routing used to clamp its divisor with `.max(1)` while
+        // loading did not, so rows < instances routed keys to instances
+        // whose loaded range was empty. The shape is rejected up front.
         let cfg = DeployConfig {
             instances: 8,
             total_rows: 4,
@@ -1603,30 +1409,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// For every partitionable shape (rows >= instances), the range map
-        /// and the ownership map are the same function: every key of
-        /// instance i's loaded range is owned by i, and the ranges tile the
-        /// keyspace with no instance left empty.
-        #[test]
-        fn range_of_and_owner_of_agree(n in 1usize..24, extra in 0u64..2_000) {
-            let rows = n as u64 + extra; // rows >= n by construction
-            let mut covered = 0u64;
-            for i in 0..n {
-                let (lo, hi) = range_of(i, n, rows);
-                proptest::prop_assert_eq!(lo, covered, "ranges must tile");
-                proptest::prop_assert!(hi > lo, "instance {} loads an empty range", i);
-                // Endpoints and a sample of interior keys all route home.
-                for key in [lo, (lo + hi) / 2, hi - 1] {
-                    proptest::prop_assert_eq!(
-                        owner_of(key, n, rows), i,
-                        "key {} with {} instances over {} rows", key, n, rows
-                    );
-                }
-                covered = hi;
-            }
-            proptest::prop_assert_eq!(covered, rows);
-        }
-
         /// Routing a lowered batch is routing the batch: the plan split the
         /// client uses yields the participant order and per-branch keys of
         /// the batch-shaped reference split, each branch being that
@@ -1646,40 +1428,11 @@ mod tests {
             };
             let (order, branches) = split_by_owner(&req, n, rows);
             let (plan_order, plan_branches) =
-                split_plan_by_owner(&req.to_plan(), |_, key| owner_of(key, n, rows));
+                split_plan_by_owner(&req.to_plan(), |_, key| even_owner(key, n, rows));
             proptest::prop_assert_eq!(&plan_order, &order);
             proptest::prop_assert_eq!(plan_branches.len(), branches.len());
             for (owner, branch) in &branches {
                 proptest::prop_assert_eq!(&plan_branches[owner], &branch.to_plan());
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_tile_the_keyspace() {
-        let n = 4;
-        let rows = 403; // deliberately not divisible
-        let mut covered = 0u64;
-        for i in 0..n {
-            let (lo, hi) = range_of(i, n, rows);
-            assert_eq!(lo, covered);
-            covered = hi;
-        }
-        assert_eq!(covered, rows);
-    }
-
-    #[test]
-    fn owner_of_agrees_with_range_of_for_every_key() {
-        for (n, rows) in [(1usize, 10u64), (4, 403), (7, 100), (3, 3)] {
-            for i in 0..n {
-                let (lo, hi) = range_of(i, n, rows);
-                for key in lo..hi {
-                    assert_eq!(
-                        owner_of(key, n, rows),
-                        i,
-                        "key {key} with {n} instances over {rows} rows"
-                    );
-                }
             }
         }
     }
@@ -1698,40 +1451,6 @@ mod tests {
         assert_eq!(branches[&1].keys, vec![120]);
         assert!(branches.values().all(|b| b.multisite));
         assert!(branches.values().all(|b| b.kind == OpKind::Update));
-    }
-
-    #[test]
-    fn split_plan_follows_warehouses_not_raw_keys() {
-        use islands_core::plan::{TPCC_CUSTOMER, TPCC_DISTRICT, TPCC_HISTORY, TPCC_WAREHOUSE};
-        use islands_workload::plan::{PlanClass, PlanStep, StepOp};
-        use islands_workload::tpcc;
-        // 4 warehouses over 2 instances: w 0..2 -> 0, w 2..4 -> 1. A remote
-        // Payment homed at w1 paying a w3 customer splits exactly at the
-        // customer + history steps.
-        let sites = WarehouseSites {
-            warehouses: 4,
-            n_sites: 2,
-        };
-        let plan = PlanRequest {
-            class: PlanClass::Payment,
-            multisite: true,
-            steps: vec![
-                PlanStep::point(TPCC_WAREHOUSE, 1, StepOp::Update),
-                PlanStep::point(TPCC_DISTRICT, tpcc::district_key(1, 4), StepOp::Update),
-                PlanStep::range(TPCC_CUSTOMER, tpcc::customer_key(3, 2, 16), 4),
-                PlanStep::point(TPCC_CUSTOMER, tpcc::customer_key(3, 2, 17), StepOp::Update),
-                PlanStep::point(TPCC_HISTORY, 1 << 32, StepOp::Insert),
-            ],
-        };
-        let (order, branches) = split_plan_by_owner(&plan, |t, k| sites.site_of(t, k));
-        assert_eq!(order, vec![0, 1], "home instance first");
-        assert_eq!(branches[&0].steps.len(), 3, "W + D + history insert");
-        assert_eq!(branches[&1].steps.len(), 2, "customer scan + update");
-        assert!(branches.values().all(|b| b.multisite));
-        assert!(branches.values().all(|b| b.class == PlanClass::Payment));
-        // Step order within each branch is the plan's order.
-        assert_eq!(branches[&1].steps[0].op, StepOp::RangeRead);
-        assert_eq!(branches[&1].steps[1].op, StepOp::Update);
     }
 
     #[test]

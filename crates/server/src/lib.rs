@@ -1,11 +1,12 @@
-//! Socket-served shared-nothing deployments.
+//! Shared-nothing deployments: N partition instances, one router, one 2PC
+//! driver, spawned over sockets or assembled in-process.
 //!
 //! The paper's shared-nothing configurations are separate OS processes
 //! exchanging messages over IPC — Unix domain sockets above all (Figure 6
-//! measures exactly that axis). The in-process
-//! [`NativeCluster`](islands_core::native::NativeCluster) replaces those
-//! messages with function calls; this crate puts the messages back. It
-//! fronts a cluster with a real served API over Unix domain sockets or TCP:
+//! measures exactly that axis). A [`Deployment`] is that for real; the
+//! in-process [`Cluster`] is the same instances, routing and commit
+//! protocol with each message replaced by the function call that answers
+//! it, and can itself be fronted by a server:
 //!
 //! * [`wire`] — a hand-rolled length-prefixed wire protocol: framed
 //!   [`Request`]/[`Reply`] messages carrying
@@ -32,14 +33,16 @@
 //!   owner, and run presumed-abort two-phase commit across processes with
 //!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames
 //!   ([`DeployClient`]).
+//! * [`cluster`] — the same deployment in one process: the instances a
+//!   child would serve, held directly ([`Cluster`]), and a coordinator whose
+//!   links are engine sessions instead of sockets ([`ClusterClient`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use islands_core::native::{NativeCluster, NativeClusterConfig};
-//! use islands_server::{Client, Endpoint, Server, ServerConfig};
+//! use islands_server::{Client, Cluster, ClusterConfig, Endpoint, Server, ServerConfig};
 //! use islands_workload::{OpKind, TxnRequest};
 //!
-//! let cluster = Arc::new(NativeCluster::build_micro(&NativeClusterConfig::default()).unwrap());
+//! let cluster = Arc::new(Cluster::build(&ClusterConfig::default()).unwrap());
 //! let handle = Server::spawn(
 //!     cluster,
 //!     Endpoint::Uds("/tmp/islands.sock".into()),
@@ -60,12 +63,14 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod cluster;
 mod coordinator;
 pub mod deploy;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientPool, PooledClient};
+pub use cluster::{Cluster, ClusterClient, ClusterConfig, ClusterRunResult};
 pub use deploy::{
     DeployClient, DeployConfig, DeployOutcome, DeployReply, Deployment, InstanceExit,
     InstanceStats, SpawnMode, Transport,

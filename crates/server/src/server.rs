@@ -3,12 +3,14 @@
 //! [`Server::spawn_backend`] binds a Unix-domain-socket or TCP endpoint in
 //! front of a [`Backend`] and returns a handle. An acceptor thread hands
 //! each connection to its own session thread — the paper's shared-nothing
-//! processes talk over exactly these transports, so a served `NativeCluster`
+//! processes talk over exactly these transports, so a served [`Cluster`]
 //! is the in-process deployment plus a real IPC boundary.
 //!
 //! A connection is one engine [`Session`]: the session thread mints it from
 //! the backend's [`Engine`] when the connection opens and every Submit /
-//! Prepare / Decision frame is one call on it, whatever the backend. A
+//! Prepare / Decision frame is one call on it, whatever the backend
+//! (`answer` — which is also how the in-process cluster's instances answer
+//! the frames their coordinator hands them by direct call). A
 //! [`PlanRequest`] is the only shape that crosses that call: the batch
 //! frames ([`Request::Submit`], [`Request::Prepare`]) are lowered with
 //! [`TxnRequest::to_plan`](islands_workload::TxnRequest::to_plan) as they
@@ -39,12 +41,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_core::native::{
-    DecideOutcome, Engine, NativeCluster, PartitionEngine, PartitionExecutor, Session,
+    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
+    PartitionExecutor, Session,
 };
 use islands_dtxn::Vote;
 use islands_obs::{BreakdownCategory, TxnClass};
+use islands_storage::StorageError;
 use islands_workload::PlanRequest;
 
+use crate::cluster::Cluster;
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
 /// Where a server listens / a client connects.
@@ -111,8 +116,9 @@ impl Default for ServerConfig {
 #[derive(Clone)]
 pub enum Backend {
     /// The embeddable deployment: routing and 2PC happen inside this
-    /// process; the wire carries only submissions.
-    Cluster(Arc<NativeCluster>),
+    /// process, over the cluster's own partition instances; the wire carries
+    /// only submissions.
+    Cluster(Arc<Cluster>),
     /// One shared-nothing instance. Local submissions commit here;
     /// [`Request::Prepare`]/[`Request::Decision`] frames drive participant-
     /// side 2PC, with presumed abort when a coordinator connection dies.
@@ -125,6 +131,19 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Build and load one partition instance in `mode`: what a deployment
+    /// child serves, and what the in-process cluster holds N of.
+    pub fn build(mode: EngineMode, partition: PartitionConfig) -> Result<Backend, StorageError> {
+        Ok(match mode {
+            EngineMode::Locked => Backend::Partition(Arc::new(PartitionEngine::build(&partition)?)),
+            EngineMode::Serial => {
+                Backend::Executor(Arc::new(PartitionExecutor::spawn(ExecutorConfig {
+                    partition,
+                })?))
+            }
+        })
+    }
+
     /// The engine surface behind this backend: the one place the variants
     /// are told apart.
     pub(crate) fn engine(&self) -> &dyn Engine {
@@ -138,7 +157,7 @@ impl Backend {
 
 /// Monotonic counters, updated by sessions, readable any time.
 #[derive(Debug, Default)]
-struct Counters {
+pub(crate) struct Counters {
     connections: AtomicU64,
     requests: AtomicU64,
     commits: AtomicU64,
@@ -153,7 +172,13 @@ struct Counters {
 }
 
 impl Counters {
-    fn snapshot(&self) -> ServerStats {
+    /// A session closed and rolled back `aborted` branches nobody decided.
+    pub(crate) fn presumed_abort(&self, aborted: u64) {
+        self.presumed_aborts.fetch_add(aborted, Ordering::Relaxed);
+        self.in_doubt.fetch_sub(aborted, Ordering::Relaxed);
+    }
+
+    pub(crate) fn snapshot(&self) -> ServerStats {
         ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -356,7 +381,7 @@ pub struct Server;
 impl Server {
     /// Bind `endpoint` and serve `cluster` until drained.
     pub fn spawn(
-        cluster: Arc<NativeCluster>,
+        cluster: Arc<Cluster>,
         endpoint: Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
@@ -573,11 +598,7 @@ fn session(
     let result = session_loop(conn, engine, &mut *session, &config, &shutdown, &counters);
     // Presumed abort: whatever this connection prepared and nobody decided
     // has lost its coordinator (see `Session::close`).
-    let aborted = session.close();
-    counters
-        .presumed_aborts
-        .fetch_add(aborted, Ordering::Relaxed);
-    counters.in_doubt.fetch_sub(aborted, Ordering::Relaxed);
+    counters.presumed_abort(session.close());
     result
 }
 
@@ -643,50 +664,8 @@ fn session_loop(
         out.clear();
         let mut drain_after_flush = false;
         for req in &batch {
-            counters.requests.fetch_add(1, Ordering::Relaxed);
-            let reply = match req {
-                Request::Ping => Reply::Pong,
-                Request::Drain => {
-                    drain_after_flush = true;
-                    Reply::Draining
-                }
-                Request::Stats => Reply::Stats {
-                    server: counters.snapshot(),
-                    obs: Box::new(islands_obs::metrics().snapshot()),
-                },
-                Request::Submit(txn) => handle_submit(session, &txn.to_plan(), counters),
-                Request::SubmitPlan(plan) => handle_submit(session, plan, counters),
-                Request::Prepare(branch) => {
-                    handle_prepare(session, branch.gtid, &branch.req.to_plan(), counters)
-                }
-                Request::PreparePlan(branch) => {
-                    handle_prepare(session, branch.gtid, &branch.plan, counters)
-                }
-                Request::Decision { gtid, commit } => {
-                    handle_decision(session, *gtid, *commit, counters)
-                }
-                // Outcome resolution is the coordinator's job (it owns the
-                // decision log); an instance server has no authority to
-                // answer, and presuming abort here would let a misdirected
-                // query contradict a forced commit.
-                Request::ResolveGtid { gtid } => Reply::Error {
-                    message: format!(
-                        "gtid {gtid} resolution is answered by the coordinator, \
-                         not an instance server"
-                    ),
-                },
-                Request::Audit => match engine.audit_sum() {
-                    Ok(sum) => Reply::AuditSum { sum },
-                    Err(e) => Reply::Error {
-                        message: e.to_string(),
-                    },
-                },
-            };
-            // Malformed or unsatisfiable, whichever arm said so.
-            if matches!(reply, Reply::Error { .. }) {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            reply.encode_frame(&mut out);
+            drain_after_flush |= matches!(req, Request::Drain);
+            answer(engine, session, req, counters).encode_frame(&mut out);
         }
         {
             let _wire = islands_obs::enter(BreakdownCategory::Communication);
@@ -716,6 +695,58 @@ fn session_loop(
         }
     }
     Ok(())
+}
+
+/// Answer one request frame from `session`: the whole mapping from frames to
+/// engine calls and back, counters included. A socket session calls it per
+/// decoded frame; the in-process cluster's coordinator calls it directly,
+/// which is what makes its function call the message. [`Request::Drain`] is
+/// only acknowledged here — stopping is up to whoever owns the connection.
+pub(crate) fn answer(
+    engine: &dyn Engine,
+    session: &mut dyn Session,
+    req: &Request,
+    counters: &Counters,
+) -> Reply {
+    counters.requests.fetch_add(1, Ordering::Relaxed);
+    let reply = match req {
+        Request::Ping => Reply::Pong,
+        Request::Drain => Reply::Draining,
+        Request::Stats => Reply::Stats {
+            server: counters.snapshot(),
+            obs: Box::new(islands_obs::metrics().snapshot()),
+        },
+        Request::Submit(txn) => handle_submit(session, &txn.to_plan(), counters),
+        Request::SubmitPlan(plan) => handle_submit(session, plan, counters),
+        Request::Prepare(branch) => {
+            handle_prepare(session, branch.gtid, &branch.req.to_plan(), counters)
+        }
+        Request::PreparePlan(branch) => {
+            handle_prepare(session, branch.gtid, &branch.plan, counters)
+        }
+        Request::Decision { gtid, commit } => handle_decision(session, *gtid, *commit, counters),
+        // Outcome resolution is the coordinator's job (it owns the decision
+        // log); an instance server has no authority to answer, and presuming
+        // abort here would let a misdirected query contradict a forced
+        // commit.
+        Request::ResolveGtid { gtid } => Reply::Error {
+            message: format!(
+                "gtid {gtid} resolution is answered by the coordinator, \
+                 not an instance server"
+            ),
+        },
+        Request::Audit => match engine.audit_sum() {
+            Ok(sum) => Reply::AuditSum { sum },
+            Err(e) => Reply::Error {
+                message: e.to_string(),
+            },
+        },
+    };
+    // Malformed or unsatisfiable, whichever arm said so.
+    if matches!(reply, Reply::Error { .. }) {
+        counters.errors.fetch_add(1, Ordering::Relaxed);
+    }
+    reply
 }
 
 /// Run one local transaction through the session and map its outcome:

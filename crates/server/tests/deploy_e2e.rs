@@ -12,6 +12,7 @@ use islands_server::deploy::{
     Transport,
 };
 use islands_server::{Client, Endpoint, EngineMode, Reply, Request};
+use islands_workload::plan::{PlanClass, PlanRequest, PlanStep, StepOp, MICRO_TABLE};
 use islands_workload::tpcc::{NewOrder, Payment};
 use islands_workload::{OpKind, TxnBranch, TxnRequest};
 
@@ -106,6 +107,24 @@ fn four_process_uds_deployment_commits_local_and_multisite() {
         1,
         "read-only 2PC must not force a decision"
     );
+    // Nor does it send one: read-only voters are excluded from phase 2 on
+    // the wire, so the only Decision frames so far went to the 3 writers.
+    assert_eq!(decision_frames_received(&deploy, &mut client), 3);
+
+    // One read-only branch beside a writing one: a single decision frame,
+    // to the writer, behind a single forced record.
+    let mixed = PlanRequest {
+        class: PlanClass::Generic,
+        multisite: true,
+        steps: vec![
+            PlanStep::point(MICRO_TABLE, 30, StepOp::Read),
+            PlanStep::point(MICRO_TABLE, 260, StepOp::Update),
+        ],
+    };
+    let mixed = outcome(client.submit_plan(&mixed).unwrap());
+    assert!(mixed.committed && mixed.distributed);
+    assert_eq!(deploy.decided_commits(), 2);
+    assert_eq!(decision_frames_received(&deploy, &mut client), 4);
 
     drop(client);
     let reports = Arc::try_unwrap(deploy)
@@ -122,10 +141,24 @@ fn four_process_uds_deployment_commits_local_and_multisite() {
         commits += stats.commits;
         prepares += stats.prepares;
     }
-    // 1 local commit + 3 committed update branches; the read-only branches
-    // commit nothing. Prepares: 3 update branches + 2 read-only branches.
-    assert_eq!(commits, 4);
-    assert_eq!(prepares, 5);
+    // 1 local commit + 3 committed update branches + the mixed plan's
+    // writer; read-only branches commit nothing. Prepares: 3 update
+    // branches + 2 read-only branches + the mixed plan's 2.
+    assert_eq!(commits, 5);
+    assert_eq!(prepares, 7);
+}
+
+/// `Decision` frames the instances have processed, summed. The audit first
+/// settles every ack `client`'s links are owed, so each decision it was
+/// answered for has been applied — and counted — by the time of the scrape.
+fn decision_frames_received(deploy: &Deployment, client: &mut islands_server::DeployClient) -> u64 {
+    client.audit_total().unwrap();
+    (0..deploy.instances())
+        .map(|i| {
+            let mut probe = Client::connect(&deploy.endpoint(i)).unwrap();
+            probe.stats().unwrap().0.decisions
+        })
+        .sum()
 }
 
 #[test]

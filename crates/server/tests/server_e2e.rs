@@ -1,4 +1,5 @@
-//! End-to-end tests: a served NativeCluster over real sockets.
+//! End-to-end tests: a served in-process cluster, and single partition
+//! instances, over real sockets.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -6,12 +7,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use islands_core::native::{
-    ExecutorConfig, NativeCluster, NativeClusterConfig, PartitionConfig, PartitionEngine,
-    PartitionExecutor,
-};
+use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
 use islands_server::{
-    Backend, Client, ClientPool, Endpoint, Reply, Request, Server, ServerConfig, ServerHandle,
+    Backend, Client, ClientPool, Cluster, ClusterConfig, Endpoint, Reply, Request, Server,
+    ServerConfig, ServerHandle,
 };
 use islands_workload::{OpKind, PlanBranch, TxnBranch, TxnRequest};
 
@@ -24,13 +23,12 @@ fn uds_endpoint() -> Endpoint {
     Endpoint::Uds(p)
 }
 
-fn cluster() -> Arc<NativeCluster> {
+fn cluster() -> Arc<Cluster> {
     Arc::new(
-        NativeCluster::build_micro(&NativeClusterConfig {
+        Cluster::build(&ClusterConfig {
             n_instances: 4,
             total_rows: 400,
             row_size: 16,
-            workers_per_instance: 2,
             buffer_frames: 512,
             ..Default::default()
         })
@@ -38,7 +36,7 @@ fn cluster() -> Arc<NativeCluster> {
     )
 }
 
-fn spawn(endpoint: Endpoint) -> (Arc<NativeCluster>, ServerHandle) {
+fn spawn(endpoint: Endpoint) -> (Arc<Cluster>, ServerHandle) {
     let c = cluster();
     let h = Server::spawn(Arc::clone(&c), endpoint, ServerConfig::default()).unwrap();
     (c, h)

@@ -27,7 +27,7 @@ pub mod zipf;
 
 pub use codec::{CodecError, TxnBranch, MAX_KEYS_PER_REQUEST};
 pub use plan::{PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp, MAX_STEPS_PER_PLAN};
-pub use spec::{MicroGenerator, MicroSpec, OpKind, TxnRequest};
+pub use spec::{even_owner, even_range, MicroGenerator, MicroSpec, OpKind, TxnRequest};
 pub use tpcc::{TpccGenerator, TpccSpec};
 pub use zipf::Zipf;
 

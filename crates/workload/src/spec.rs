@@ -144,6 +144,35 @@ impl MicroSpec {
     }
 }
 
+/// Rows per part under the even range partitioning — the one divisor
+/// [`even_range`] and [`even_owner`] share, so loading and routing cannot
+/// disagree at a boundary. `rows < parts` would leave parts empty; every
+/// config that reaches here has rejected that shape already.
+fn even_share(parts: usize, rows: u64) -> u64 {
+    debug_assert!(
+        parts >= 1 && rows >= parts as u64,
+        "{rows} rows cannot partition across {parts} parts"
+    );
+    rows / parts as u64
+}
+
+/// Key range `[lo, hi)` of part `part` when `rows` keys are split evenly
+/// over `parts`: a truncated share each, the remainder to the last. The
+/// generator's logical sites, the simulator's site map, a deployment's
+/// instances and the in-process cluster's loader all partition by this.
+pub fn even_range(part: usize, parts: usize, rows: u64) -> (u64, u64) {
+    let per = even_share(parts, rows);
+    let lo = part as u64 * per;
+    let hi = if part + 1 == parts { rows } else { lo + per };
+    (lo, hi)
+}
+
+/// The part owning `key` under [`even_range`]. A key at or past `rows` lands
+/// on the last part, whose engine rejects it with a typed error.
+pub fn even_owner(key: u64, parts: usize, rows: u64) -> usize {
+    ((key / even_share(parts, rows)) as usize).min(parts - 1)
+}
+
 /// A generated transaction request. The *home site* is the partition owning
 /// `keys[0]`; a request is distributed iff any other key maps to a
 /// different physical instance.
@@ -193,20 +222,12 @@ impl MicroGenerator {
 
     /// Key range `[lo, hi)` of logical site `s`.
     pub fn site_range(&self, s: u64) -> (u64, u64) {
-        let per = self.spec.total_rows / self.n_sites;
-        let lo = s * per;
-        let hi = if s + 1 == self.n_sites {
-            self.spec.total_rows
-        } else {
-            lo + per
-        };
-        (lo, hi)
+        even_range(s as usize, self.n_sites as usize, self.spec.total_rows)
     }
 
     /// Logical site owning `key`.
     pub fn site_of(&self, key: u64) -> u64 {
-        let per = self.spec.total_rows / self.n_sites;
-        (key / per).min(self.n_sites - 1)
+        even_owner(key, self.n_sites as usize, self.spec.total_rows) as u64
     }
 
     /// Generate the next request.
@@ -341,6 +362,37 @@ mod tests {
             assert_eq!(g.site_of(hi - 1), s);
         }
         assert_eq!(covered, 24_000);
+    }
+
+    #[test]
+    fn ranges_tile_the_keyspace() {
+        let n = 4;
+        let rows = 403; // deliberately not divisible
+        let mut covered = 0u64;
+        for i in 0..n {
+            let (lo, hi) = even_range(i, n, rows);
+            assert_eq!(lo, covered);
+            covered = hi;
+        }
+        assert_eq!(covered, rows);
+    }
+
+    #[test]
+    fn owner_of_agrees_with_range_of_for_every_key() {
+        for (n, rows) in [(1usize, 10u64), (4, 403), (7, 100), (3, 3)] {
+            for i in 0..n {
+                let (lo, hi) = even_range(i, n, rows);
+                for key in lo..hi {
+                    assert_eq!(
+                        even_owner(key, n, rows),
+                        i,
+                        "key {key} with {n} parts over {rows} rows"
+                    );
+                }
+            }
+            // Past the end clamps to the last part (which rejects it).
+            assert_eq!(even_owner(rows + 7, n, rows), n - 1);
+        }
     }
 
     #[test]

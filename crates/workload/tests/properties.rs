@@ -3,8 +3,8 @@
 
 use islands_workload::plan::MICRO_TABLE;
 use islands_workload::{
-    CodecError, MicroGenerator, MicroSpec, OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep,
-    StepOp, TxnRequest, Zipf,
+    even_owner, even_range, CodecError, MicroGenerator, MicroSpec, OpKind, PlanBranch, PlanClass,
+    PlanRequest, PlanStep, StepOp, TxnRequest, Zipf,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -261,6 +261,29 @@ proptest! {
         let (back, used) = PlanRequest::decode_from(&buf).expect("lowered plan decodes");
         prop_assert_eq!(back, plan);
         prop_assert_eq!(used, buf.len());
+    }
+
+    /// For every partitionable shape (rows >= parts), the range map and the
+    /// ownership map are the same function: every key of part i's range is
+    /// owned by i, and the ranges tile the keyspace with no part left empty.
+    #[test]
+    fn even_range_and_even_owner_agree(n in 1usize..24, extra in 0u64..2_000) {
+        let rows = n as u64 + extra; // rows >= n by construction
+        let mut covered = 0u64;
+        for i in 0..n {
+            let (lo, hi) = even_range(i, n, rows);
+            prop_assert_eq!(lo, covered, "ranges must tile");
+            prop_assert!(hi > lo, "part {} owns an empty range", i);
+            // Endpoints and a sample of interior keys all route home.
+            for key in [lo, (lo + hi) / 2, hi - 1] {
+                prop_assert_eq!(
+                    even_owner(key, n, rows), i,
+                    "key {} with {} parts over {} rows", key, n, rows
+                );
+            }
+            covered = hi;
+        }
+        prop_assert_eq!(covered, rows);
     }
 
     /// Site ranges tile the keyspace exactly.

@@ -1,80 +1,56 @@
-//! Quickstart: build a native shared-nothing deployment, run local and
+//! Quickstart: build an in-process shared-nothing deployment, run local and
 //! distributed transactions, then a short closed-loop burst.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-use oltp_islands::core::plan::{OpType, PlanOp, TxnPlan, MICRO_TABLE};
+use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+use oltp_islands::workload::{OpKind, PlanRequest, TxnRequest};
+
+fn update(keys: &[u64]) -> PlanRequest {
+    TxnRequest {
+        kind: OpKind::Update,
+        keys: keys.to_vec(),
+        multisite: keys.len() > 1,
+    }
+    .to_plan()
+}
 
 fn main() {
-    // 4 instances, 40k rows, 2 workers each (locking enabled).
-    let cfg = NativeClusterConfig {
+    // 4 locked (2PL) instances over 40k rows.
+    let cfg = ClusterConfig {
         n_instances: 4,
         total_rows: 40_000,
         row_size: 64,
-        workers_per_instance: 2,
         ..Default::default()
     };
-    let cluster = Arc::new(NativeCluster::build_micro(&cfg).unwrap());
+    let cluster = Cluster::build(&cfg).unwrap();
     println!(
         "built {} instances over {} rows",
         cluster.n_instances(),
         cfg.total_rows
     );
 
+    // One coordinator: a session on every instance, as a deployment's
+    // client holds a socket to every process.
+    let mut client = cluster.client(64);
+    let mut run = |what: &str, plan: &PlanRequest| match client.submit_plan(plan).unwrap() {
+        DeployReply::Outcome(o) if o.committed => {
+            println!("{what} txn committed (2pc = {})", o.distributed)
+        }
+        other => panic!("{what} txn did not commit: {other:?}"),
+    };
     // A local transaction (all keys in instance 0).
-    let local = TxnPlan {
-        ops: (0..4)
-            .map(|k| PlanOp {
-                table: MICRO_TABLE,
-                key: k,
-                op: OpType::Update,
-            })
-            .collect(),
-    };
-    let was_2pc = cluster.execute(&local).unwrap();
-    println!("local txn committed (2pc = {was_2pc})");
-
+    run("local", &update(&[0, 1, 2, 3]));
     // A distributed transaction (keys span instances -> 2PC).
-    let distributed = TxnPlan {
-        ops: vec![
-            PlanOp {
-                table: MICRO_TABLE,
-                key: 5,
-                op: OpType::Update,
-            },
-            PlanOp {
-                table: MICRO_TABLE,
-                key: 35_000,
-                op: OpType::Update,
-            },
-        ],
-    };
-    let was_2pc = cluster.execute(&distributed).unwrap();
-    println!("cross-instance txn committed (2pc = {was_2pc})");
+    run("cross-instance", &update(&[5, 35_000]));
 
     // Closed-loop workers for half a second.
     let total_rows = cfg.total_rows;
     let result = cluster.run_closed_loop(4, Duration::from_millis(500), move |t, seq| {
         let a = (t as u64 * 977 + seq * 13) % total_rows;
-        let b = (a + 911) % total_rows;
-        TxnPlan {
-            ops: vec![
-                PlanOp {
-                    table: MICRO_TABLE,
-                    key: a,
-                    op: OpType::Update,
-                },
-                PlanOp {
-                    table: MICRO_TABLE,
-                    key: b,
-                    op: OpType::Update,
-                },
-            ],
-        }
+        update(&[a, (a + 911) % total_rows])
     });
     println!(
         "closed loop: {} commits ({} distributed, {} aborts) -> {:.0} tps",

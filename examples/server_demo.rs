@@ -1,6 +1,6 @@
 //! Server demo: a socket-served shared-nothing deployment end to end.
 //!
-//! Spawns a 4-instance `NativeCluster` behind a Unix-domain-socket server,
+//! Spawns a 4-instance in-process `Cluster` behind a Unix-domain-socket server,
 //! connects a client, runs local and distributed transactions plus a
 //! pipelined batch, prints the typed replies, then drains the server and
 //! verifies the audit invariant.
@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-use oltp_islands::server::{Client, Endpoint, Reply, Server, ServerConfig};
+use oltp_islands::server::{Client, Cluster, ClusterConfig, Endpoint, Reply, Server, ServerConfig};
 use oltp_islands::workload::{OpKind, TxnRequest};
 
 fn update(keys: &[u64]) -> TxnRequest {
@@ -24,14 +23,13 @@ fn update(keys: &[u64]) -> TxnRequest {
 fn main() {
     // The deployment: 4 shared-nothing instances over 40k rows, exactly the
     // in-process quickstart cluster...
-    let cfg = NativeClusterConfig {
+    let cfg = ClusterConfig {
         n_instances: 4,
         total_rows: 40_000,
         row_size: 64,
-        workers_per_instance: 2,
         ..Default::default()
     };
-    let cluster = Arc::new(NativeCluster::build_micro(&cfg).unwrap());
+    let cluster = Arc::new(Cluster::build(&cfg).unwrap());
 
     // ...but served over a Unix domain socket, the paper's IPC of choice.
     let mut sock = std::env::temp_dir();
@@ -76,8 +74,8 @@ fn main() {
         other => panic!("unexpected reply {other:?}"),
     }
 
-    // Pipelining: 32 transactions in one write; the server executes them as
-    // a batch and flushes all replies at once (its group-commit window).
+    // Pipelining: 32 transactions in one write; the server executes them
+    // back-to-back and flushes all replies at once.
     let batch: Vec<TxnRequest> = (0..32).map(|i| update(&[i * 1_000])).collect();
     let replies = client.submit_pipelined(&batch).unwrap();
     let committed = replies

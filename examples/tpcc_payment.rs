@@ -1,15 +1,14 @@
-//! TPC-C-lite Payment on the native engine: shared-everything vs
-//! fine-grained shared-nothing on real threads (functional demonstration of
-//! the paper's Figure 7 setup; the calibrated NUMA shapes live in the
-//! simulated benches).
+//! TPC-C-lite Payment on the in-process cluster: shared-everything (one
+//! locked instance) vs fine-grained shared-nothing (four serial islands) on
+//! real threads (functional demonstration of the paper's Figure 7 setup;
+//! the calibrated NUMA shapes live in the simulated benches).
 //!
 //! Run with: `cargo run --release --example tpcc_payment`
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-use oltp_islands::core::plan::{OpType, PlanOp, TxnPlan, MICRO_TABLE};
+use oltp_islands::server::{Cluster, ClusterConfig, EngineMode};
+use oltp_islands::workload::plan::{PlanClass, PlanRequest, PlanStep, StepOp, MICRO_TABLE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,7 +20,7 @@ fn payment_plan(
     rows: u64,
     home: u64,
     remote_pct: f64,
-) -> TxnPlan {
+) -> PlanRequest {
     let w_row = home; // warehouse rows live at keys 0..warehouses
     let d_row = warehouses + home * 10 + rng.gen_range(0..10u64);
     let c_w = if rng.gen_bool(remote_pct) {
@@ -32,43 +31,31 @@ fn payment_plan(
     let c_row = warehouses * 11
         + (c_w * (rows - warehouses * 11) / warehouses)
         + rng.gen_range(0..(rows - warehouses * 11) / warehouses);
-    TxnPlan {
-        ops: vec![
-            PlanOp {
-                table: MICRO_TABLE,
-                key: w_row,
-                op: OpType::Update,
-            },
-            PlanOp {
-                table: MICRO_TABLE,
-                key: d_row,
-                op: OpType::Update,
-            },
-            PlanOp {
-                table: MICRO_TABLE,
-                key: c_row,
-                op: OpType::Update,
-            },
-        ],
+    PlanRequest {
+        class: PlanClass::Payment,
+        multisite: c_w != home,
+        steps: [w_row, d_row, c_row]
+            .into_iter()
+            .map(|key| PlanStep::point(MICRO_TABLE, key, StepOp::Update))
+            .collect(),
     }
 }
 
 fn main() {
     let rows = 44_000u64;
     let warehouses = 4u64;
-    for (label, n_instances, workers) in
-        [("shared-everything", 1usize, 4usize), ("4 islands", 4, 1)]
-    {
-        let cluster = Arc::new(
-            NativeCluster::build_micro(&NativeClusterConfig {
-                n_instances,
-                total_rows: rows,
-                row_size: 64,
-                workers_per_instance: workers,
-                ..Default::default()
-            })
-            .unwrap(),
-        );
+    for (label, n_instances, engine) in [
+        ("shared-everything", 1usize, EngineMode::Locked),
+        ("4 islands", 4, EngineMode::Serial),
+    ] {
+        let cluster = Cluster::build(&ClusterConfig {
+            n_instances,
+            total_rows: rows,
+            row_size: 64,
+            engine,
+            ..Default::default()
+        })
+        .unwrap();
         let r = cluster.run_closed_loop(4, Duration::from_millis(600), move |t, seq| {
             let mut rng = SmallRng::seed_from_u64((t as u64) << 32 | seq);
             // Each worker is a terminal homed at one warehouse.

@@ -22,26 +22,30 @@
 //! * [`sim`] / [`memsim`] — a deterministic discrete-event simulator and a
 //!   NUMA memory-hierarchy cost model standing in for the paper's hardware
 //!   (see DESIGN.md for the substitution argument).
-//! * [`core`] — deployments: the native threaded cluster
-//!   ([`core::native::NativeCluster`]) and the simulated cluster
-//!   ([`core::simrt`]) that regenerates every figure, plus the island
+//! * [`core`] — what a deployment is made of: the partition engine in its
+//!   locked and serial modes ([`core::native`]), site maps and plan
+//!   splitting ([`core::partition`]), the simulated cluster
+//!   ([`core::simrt`]) that regenerates every figure, and the island
 //!   advisor ([`core::advisor`]).
 //! * [`workload`] — the paper's microbenchmarks (multisite %, Zipfian
-//!   skew) and TPC-C-lite Payment.
-//! * [`server`] — socket-served deployments: a length-prefixed wire
-//!   protocol over Unix domain sockets / TCP, a multi-threaded server with
-//!   request pipelining, and a blocking
-//!   client library with a connection pool (drive it with the `loadgen`
-//!   binary in `islands-bench`).
+//!   skew), TPC-C-lite NewOrder/Payment, and the multi-step plan every
+//!   layer executes, routes and simulates.
+//! * [`server`] — deployments: N partition instances behind one router and
+//!   one 2PC driver, spawned as pinned processes over Unix domain sockets /
+//!   TCP ([`server::Deployment`]) or assembled in this process
+//!   ([`server::Cluster`]); the wire protocol, the multi-threaded server
+//!   with request pipelining, and a blocking client library with a
+//!   connection pool (drive it with the `loadgen` binary in
+//!   `islands-bench`).
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-//! use oltp_islands::core::plan::{OpType, PlanOp, TxnPlan, MICRO_TABLE};
+//! use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+//! use oltp_islands::workload::{OpKind, TxnRequest};
 //!
 //! // Four shared-nothing instances over 4000 rows.
-//! let cluster = NativeCluster::build_micro(&NativeClusterConfig {
+//! let cluster = Cluster::build(&ClusterConfig {
 //!     n_instances: 4,
 //!     total_rows: 4_000,
 //!     row_size: 32,
@@ -49,13 +53,15 @@
 //! }).unwrap();
 //!
 //! // A cross-instance update runs two-phase commit transparently.
-//! let distributed = cluster.execute(&TxnPlan {
-//!     ops: vec![
-//!         PlanOp { table: MICRO_TABLE, key: 10,    op: OpType::Update },
-//!         PlanOp { table: MICRO_TABLE, key: 3_900, op: OpType::Update },
-//!     ],
-//! }).unwrap();
-//! assert!(distributed);
+//! let plan = TxnRequest {
+//!     kind: OpKind::Update,
+//!     keys: vec![10, 3_900],
+//!     multisite: true,
+//! }.to_plan();
+//! let DeployReply::Outcome(out) = cluster.client(8).submit_plan(&plan).unwrap() else {
+//!     panic!("a well-formed plan gets an outcome");
+//! };
+//! assert!(out.committed && out.distributed);
 //! assert_eq!(cluster.audit_sum().unwrap(), 2);
 //! ```
 

@@ -1,10 +1,10 @@
 //! The facade crate's re-exports ARE the public API: examples, docs, and
 //! downstream users reach every subsystem through `oltp_islands::{core,
-//! storage, sim, memsim, net, hwtopo, dtxn, workload}`. These tests pin those
+//! storage, sim, memsim, net, hwtopo, dtxn, workload, server}`. These tests pin those
 //! paths so a facade refactor that breaks them fails loudly.
 
-use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-use oltp_islands::core::plan::{OpType, PlanOp, TxnPlan, MICRO_TABLE};
+use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+use oltp_islands::workload::{OpKind, TxnRequest};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -46,15 +46,19 @@ fn reexported_module_paths_resolve() {
     }
 
     // core: crate-root re-exports of the deployment vocabulary.
-    let plan = oltp_islands::core::TxnPlan { ops: vec![] };
-    assert!(plan.is_read_only());
+    assert_eq!(oltp_islands::core::instance_of_site(23, 24, 4), 3);
+    let sites = oltp_islands::core::partition::RangeSites {
+        total_rows: 100,
+        n_sites: 4,
+    };
+    assert_eq!(oltp_islands::core::SiteMap::site_of(&sites, 0, 99), 3);
 }
 
-/// A one-op transaction through the facade: build a tiny native cluster,
-/// commit a single local update, and read it back via the audit.
+/// A one-op transaction through the facade: build a tiny in-process
+/// cluster, commit a single local update, and read it back via the audit.
 #[test]
 fn native_cluster_one_op_round_trip() {
-    let cluster = NativeCluster::build_micro(&NativeClusterConfig {
+    let cluster = Cluster::build(&ClusterConfig {
         n_instances: 2,
         total_rows: 200,
         row_size: 16,
@@ -62,16 +66,17 @@ fn native_cluster_one_op_round_trip() {
     })
     .unwrap();
 
-    let was_2pc = cluster
-        .execute(&TxnPlan {
-            ops: vec![PlanOp {
-                table: MICRO_TABLE,
-                key: 7,
-                op: OpType::Update,
-            }],
-        })
-        .unwrap();
-    assert!(!was_2pc, "single-key txn must stay local");
+    let plan = TxnRequest {
+        kind: OpKind::Update,
+        keys: vec![7],
+        multisite: false,
+    }
+    .to_plan();
+    let DeployReply::Outcome(out) = cluster.client(8).submit_plan(&plan).unwrap() else {
+        panic!("a well-formed plan gets an outcome");
+    };
+    assert!(out.committed);
+    assert!(!out.distributed, "single-key txn must stay local");
     assert_eq!(cluster.n_instances(), 2);
     assert_eq!(cluster.audit_sum().unwrap(), 1, "exactly one row updated");
 }

@@ -4,55 +4,58 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use oltp_islands::core::native::{NativeCluster, NativeClusterConfig};
-use oltp_islands::core::plan::{OpType, PlanOp, TxnPlan, MICRO_TABLE};
 use oltp_islands::core::simrt::{run_with_audit, SimClusterConfig, SimWorkload};
 use oltp_islands::hwtopo::Machine;
+use oltp_islands::server::{
+    Backend, Cluster, ClusterClient, ClusterConfig, DeployOutcome, DeployReply, EngineMode,
+};
 use oltp_islands::storage::store::MemStore;
 use oltp_islands::storage::wal::MemLogDevice;
 use oltp_islands::storage::{InstanceOptions, StorageInstance};
-use oltp_islands::workload::{MicroSpec, OpKind};
+use oltp_islands::workload::{MicroSpec, OpKind, PlanRequest, TxnRequest};
 
-fn upd(keys: &[u64]) -> TxnPlan {
-    TxnPlan {
-        ops: keys
-            .iter()
-            .map(|&key| PlanOp {
-                table: MICRO_TABLE,
-                key,
-                op: OpType::Update,
-            })
-            .collect(),
+fn upd(keys: &[u64]) -> PlanRequest {
+    TxnRequest {
+        kind: OpKind::Update,
+        keys: keys.to_vec(),
+        multisite: keys.len() > 1,
+    }
+    .to_plan()
+}
+
+fn run(client: &mut ClusterClient<'_>, plan: &PlanRequest) -> DeployOutcome {
+    match client.submit_plan(plan).unwrap() {
+        DeployReply::Outcome(o) => o,
+        other => panic!("expected an outcome, got {other:?}"),
     }
 }
 
 #[test]
 fn native_2pc_is_atomic_across_instances() {
-    let cluster = NativeCluster::build_micro(&NativeClusterConfig {
+    let cluster = Cluster::build(&ClusterConfig {
         n_instances: 8,
         total_rows: 8_000,
         row_size: 16,
-        workers_per_instance: 2,
         ..Default::default()
     })
     .unwrap();
     // Touch all 8 instances in one transaction.
     let keys: Vec<u64> = (0..8).map(|i| i * 1_000 + 5).collect();
-    assert!(cluster.execute(&upd(&keys)).unwrap());
+    let out = run(&mut cluster.client(8), &upd(&keys));
+    assert!(out.committed && out.distributed);
     assert_eq!(cluster.audit_sum().unwrap(), 8, "all-or-nothing");
 }
 
 #[test]
 fn native_concurrent_mixed_load_conserves_updates() {
-    let cfg = NativeClusterConfig {
+    let cfg = ClusterConfig {
         n_instances: 4,
         total_rows: 2_000,
         row_size: 16,
-        workers_per_instance: 2,
         ..Default::default()
     };
     let rows = cfg.total_rows;
-    let cluster = Arc::new(NativeCluster::build_micro(&cfg).unwrap());
+    let cluster = Cluster::build(&cfg).unwrap();
     let r = cluster.run_closed_loop(6, Duration::from_millis(400), move |t, seq| {
         let a = (t as u64 * 37 + seq * 11) % rows;
         let b = (a + 501) % rows;
@@ -191,23 +194,27 @@ fn headline_results_hold() {
 
 #[test]
 fn native_single_threaded_fine_grained_optimization() {
-    // One worker per instance disables locking entirely; throughput path
-    // still correct.
-    let cluster = NativeCluster::build_micro(&NativeClusterConfig {
+    // Serial islands run one transaction at a time, which disables locking
+    // entirely; the throughput path — 2PC branches included — stays correct.
+    let cluster = Cluster::build(&ClusterConfig {
         n_instances: 2,
         total_rows: 200,
         row_size: 16,
-        workers_per_instance: 1,
+        engine: EngineMode::Serial,
         ..Default::default()
     })
     .unwrap();
+    let mut client = cluster.client(8);
     for k in 0..10 {
-        cluster.execute(&upd(&[k])).unwrap();
+        assert!(run(&mut client, &upd(&[k])).committed);
     }
-    let (acquires, _, _) = cluster.instance(0).locks().stats();
-    assert_eq!(
-        acquires, 0,
-        "single-threaded instances skip the lock manager"
-    );
-    assert_eq!(cluster.audit_sum().unwrap(), 10);
+    assert!(run(&mut client, &upd(&[50, 150])).distributed);
+    for i in 0..2 {
+        let Backend::Executor(island) = cluster.instance(i) else {
+            panic!("serial clusters are made of executors");
+        };
+        let (acquires, _, _) = island.lock_stats().unwrap();
+        assert_eq!(acquires, 0, "serial instances skip the lock manager");
+    }
+    assert_eq!(cluster.audit_sum().unwrap(), 12);
 }
