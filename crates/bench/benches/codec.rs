@@ -1,27 +1,29 @@
-//! Criterion microbenchmarks of the `workload::codec` byte codecs.
+//! Criterion microbenchmarks of the `workload::plan` byte codecs.
 //!
 //! Every request a served deployment processes passes through
-//! [`TxnRequest`]'s encoder and decoder, and every wire-level 2PC branch
-//! additionally through [`TxnBranch`]'s — so a regression here taxes the
+//! [`PlanRequest`]'s encoder and decoder, and every wire-level 2PC branch
+//! additionally through [`PlanBranch`]'s — so a regression here taxes the
 //! whole serving stack. These benches pin the encode and decode costs of
 //! both frame bodies (plus a full round trip) so `cargo bench` surfaces
 //! codec regressions directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
 
-fn request(keys: usize) -> TxnRequest {
+/// A micro update batch as it reaches the wire: lowered to a plan.
+fn request(keys: usize) -> PlanRequest {
     TxnRequest {
         kind: OpKind::Update,
         keys: (0..keys as u64).map(|k| k * 1_031).collect(),
         multisite: keys > 1,
     }
+    .to_plan()
 }
 
-fn branch(keys: usize) -> TxnBranch {
-    TxnBranch {
+fn branch(keys: usize) -> PlanBranch {
+    PlanBranch {
         gtid: 0xDEAD_BEEF,
-        req: request(keys),
+        plan: request(keys),
     }
 }
 
@@ -45,7 +47,7 @@ fn bench_request_decode(c: &mut Criterion) {
         let mut buf = Vec::new();
         req.encode_into(&mut buf);
         c.bench_function(&format!("codec_request_decode_{keys}keys"), |b| {
-            b.iter(|| std::hint::black_box(TxnRequest::decode_from(&buf).unwrap()))
+            b.iter(|| std::hint::black_box(PlanRequest::decode_from(&buf).unwrap()))
         });
     }
 }
@@ -57,7 +59,7 @@ fn bench_branch_round_trip(c: &mut Criterion) {
         b.iter(|| {
             buf.clear();
             br.encode_into(&mut buf);
-            std::hint::black_box(TxnBranch::decode_from(&buf).unwrap())
+            std::hint::black_box(PlanBranch::decode_from(&buf).unwrap())
         })
     });
 }

@@ -5,7 +5,7 @@
 //! increment and a histogram record should each land under ~20 ns, and a
 //! whole phase-span enter/exit (two `Instant::now()` calls plus the
 //! thread-local stack) under ~100 ns. EXPERIMENTS.md records measured
-//! numbers next to the `loadgen --no-obs` A/B overhead check.
+//! numbers next to the `islands-sweep --no-obs` A/B overhead check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use islands_obs::{metrics, BreakdownCategory, Counter, TxnClass};

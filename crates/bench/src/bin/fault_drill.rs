@@ -37,7 +37,8 @@ use islands_server::deploy::{
     self, DeployConfig, DeployReply, Deployment, FaultPlan, FaultPoint, SpawnMode, Transport,
 };
 use islands_server::{Client, DeployClient, Request};
-use islands_workload::{OpKind, TxnBranch, TxnRequest};
+use islands_workload::plan::MICRO_TABLE;
+use islands_workload::{PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -172,11 +173,14 @@ where
     s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
-fn update(keys: Vec<u64>) -> TxnRequest {
-    TxnRequest {
+fn update(keys: &[u64]) -> PlanRequest {
+    PlanRequest {
+        class: PlanClass::Generic,
         multisite: keys.len() > 1,
-        kind: OpKind::Update,
-        keys,
+        steps: keys
+            .iter()
+            .map(|&key| PlanStep::point(MICRO_TABLE, key, StepOp::Update))
+            .collect(),
     }
 }
 
@@ -208,15 +212,15 @@ fn drive_mixed(
         let req = if rng.gen_bool(multisite_pct / 100.0) {
             let a = rng.gen_range(0..n);
             let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-            update(vec![key_of(deploy, a, rng), key_of(deploy, b, rng)])
+            update(&[key_of(deploy, a, rng), key_of(deploy, b, rng)])
         } else {
             let i = rng.gen_range(0..n);
-            update(vec![key_of(deploy, i, rng)])
+            update(&[key_of(deploy, i, rng)])
         };
-        match client.submit(&req) {
+        match client.submit_plan(&req) {
             Ok(DeployReply::Outcome(o)) if o.committed => {
                 tally.committed += 1;
-                tally.expected_rows += req.keys.len() as u64;
+                tally.expected_rows += req.write_rows();
             }
             Ok(DeployReply::Outcome(_)) => tally.aborted += 1,
             Ok(DeployReply::InstanceDown(_)) => tally.down += 1,
@@ -237,14 +241,14 @@ fn key_of(deploy: &Deployment, i: usize, rng: &mut SmallRng) -> u64 {
 /// reconnect-with-backoff path.
 fn submit_retrying(
     client: &mut DeployClient,
-    req: &TxnRequest,
+    req: &PlanRequest,
     tally: &mut Tally,
 ) -> Result<(), String> {
     for _ in 0..50 {
-        match client.submit(req) {
+        match client.submit_plan(req) {
             Ok(DeployReply::Outcome(o)) if o.committed => {
                 tally.committed += 1;
-                tally.expected_rows += req.keys.len() as u64;
+                tally.expected_rows += req.write_rows();
                 return Ok(());
             }
             Ok(_) | Err(_) => std::thread::sleep(Duration::from_millis(50)),
@@ -334,9 +338,9 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     let mut zombie =
         Client::connect(&deploy.endpoint(victim)).map_err(|e| format!("zombie: {e}"))?;
     zombie
-        .send_request(&Request::Prepare(TxnBranch {
+        .send_request(&Request::PreparePlan(PlanBranch {
             gtid: ZOMBIE_GTID,
-            req: update(vec![zombie_key]),
+            plan: update(&[zombie_key]),
         }))
         .map_err(|e| format!("zombie prepare: {e}"))?;
     match zombie
@@ -364,18 +368,18 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     let mut faulted_committed = 0u64;
     while deploy.faults_fired() == 0 {
         let other = (victim + 1) % args.instances;
-        let req = update(vec![
+        let req = update(&[
             key_of(&deploy, other, &mut rng),
             key_of(&deploy, victim, &mut rng),
         ]);
         let reply = client
-            .submit(&req)
+            .submit_plan(&req)
             .map_err(|e| format!("fault submit: {e}"))?;
         let fired = deploy.faults_fired() > 0;
         match reply {
             DeployReply::Outcome(o) if o.committed => {
                 fault.committed += 1;
-                fault.expected_rows += req.keys.len() as u64;
+                fault.expected_rows += req.write_rows();
                 if fired {
                     faulted_committed = 1;
                 }
@@ -419,7 +423,7 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     // released its footprint; mixed load proves the rejoined instance
     // serves both classes again.
     let mut verify = Tally::default();
-    submit_retrying(&mut client, &update(vec![zombie_key]), &mut verify)?;
+    submit_retrying(&mut client, &update(&[zombie_key]), &mut verify)?;
     drive_mixed(
         &mut client,
         &deploy,

@@ -8,103 +8,144 @@
 //! multisite transaction spread (Figs. 9–10), and skew (Fig. 13). This
 //! binary derives those granularities from the detected host topology
 //! (`islands_hwtopo::granularity_configs`), then runs the cross-product
-//! `granularity × multisite% × sites × skew`, each cell a **real spawned
-//! multi-process deployment** (pinned instance processes, wire-level 2PC)
-//! driven by the shared `islands_bench::drive` engine and torn down with
-//! leak verification.
+//! `granularity × engine × multisite% × sites × skew`. Every list flag takes
+//! a single value too, so one served deployment is a one-cell sweep.
+//!
+//! Each cell has one lifecycle: stand the deployment up (`--deploy proc`,
+//! the default: pinned instance processes with wire-level 2PC; `--deploy
+//! inproc`: one server in this process around an in-process `Cluster`;
+//! `--connect EP`: someone else's server), drive it through the shared
+//! `islands_bench::drive` engine, scrape every instance's live stats, tear
+//! it down, and judge it.
 //!
 //! ```sh
 //! cargo run --release -p islands-bench --bin islands-sweep -- --quick
+//! cargo run --release -p islands-bench --bin islands-sweep -- \
+//!     --instances 4 --multisite 20 --clients 8 --secs 2
 //! ```
 //!
 //! Output: a Markdown table on stdout and one `islands-sweep/1` JSON
 //! document (default `BENCH_sweep.json`) with one line per cell. The run
-//! exits nonzero if any cell had an unclean instance exit, a leaked
-//! in-doubt transaction, zero commits, or (with `--baseline`) throughput
-//! below the tolerance band of a previous run's JSON.
+//! exits nonzero if any cell committed nothing, lost a client, had an
+//! unclean instance exit, leaked an in-doubt transaction, or (inproc)
+//! counted different commits on the server than its clients saw. It is a
+//! correctness gate and a figure-shaped report; throughput is gated by
+//! `benchmark/` (BENCHMARK.json), not here.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use islands_bench::drive::{
-    class_json, drive, instance_json, percentile, shutdown_deployment, ClassTally, DriveConfig,
-    DriveResult, DriveTarget, DriveWorkload, TeardownReport,
+    class_json, drive, instance_json, percentile, ClassTally, DriveConfig, DriveResult,
+    DriveTarget, DriveWorkload, TeardownReport,
 };
-use islands_bench::jsonscan::{int_field, num_field, str_field};
 use islands_core::native::EngineMode;
 use islands_hwtopo::{granularity_configs, HostTopology};
 use islands_obs::{BreakdownCategory, Snapshot};
 use islands_server::deploy::{
     self, DeployConfig, DeployWorkload, Deployment, SpawnMode, Transport,
 };
-use islands_server::{Client, ServerStats};
+use islands_server::{
+    Client, Cluster, ClusterConfig, Endpoint, Server, ServerConfig, ServerHandle, ServerStats,
+};
 use islands_workload::{MicroSpec, OpKind, TpccSpec};
 
-const USAGE: &str = "islands-sweep - granularity sweeps over real deployments (Figs. 6-10, 13)
+const USAGE: &str = "islands-sweep - granularity sweeps over served deployments (Figs. 6-10, 13)
 
 USAGE:
   islands-sweep [OPTIONS]
 
+Every LIST is comma-separated; a single value is a one-entry list, so
+`--instances 4 --multisite 20` drives exactly one deployment.
+
 OPTIONS:
   --quick               reduced sweep: 0.5s cells, 4 clients, multisite
                         {0,20,80}% (explicit flags still win)
-  --engine LIST         comma-separated engine modes to sweep: locked
-                        (sessions execute inline under 2PL) and/or serial
-                        (one transaction at a time per partition, no
-                        lock table on local transactions; default locked).
-                        Listing both prints the locked-vs-serial
-                        comparison (both tps and the serial/locked
-                        ratio) per granularity; recorded, never gated
+  --deploy proc|inproc  proc (default): one pinned server process per
+                        instance, wire-level 2PC for multisite txns;
+                        inproc: one server in this process around an
+                        in-process cluster of the same instances (its cells
+                        share this process's obs registry, so breakdown
+                        columns accumulate across a multi-cell sweep)
+  --connect EP          drive an existing single server instead of standing
+                        one up; EP is uds:/path/to.sock or tcp:HOST:PORT
+                        (needs --rows and a single --instances matching the
+                        server's dataset and partition count; the server is
+                        scraped but NOT drained afterwards)
+  --engine LIST         engine modes to sweep: locked (sessions execute
+                        inline under 2PL) and/or serial (one transaction at
+                        a time per partition, no lock table on local
+                        transactions; default locked). Listing both prints
+                        the locked-vs-serial comparison (both tps and the
+                        serial/locked ratio) per granularity
   --workload micro|tpcc micro (default): single-shot read/update batches;
                         tpcc: NewOrder/Payment multi-step plans partitioned
-                        by warehouse — the --multisite axis becomes the
-                        remote-payment probability (Figs. 3 and 7), and
-                        --kind/--rows-per-txn/--sites/--skew/--rows are
-                        micro-only
+                        by warehouse (needs --deploy proc) — the --multisite
+                        axis becomes the remote-payment probability (Figs. 3
+                        and 7), and --kind/--rows-per-txn/--sites/--skew/
+                        --rows are micro-only
   --warehouses N        tpcc scale factor (default: 2 x the finest
                         granularity's instance count; must cover every
                         granularity so each instance owns a warehouse)
-  --transport uds|tcp   transport for instance processes (default uds)
+  --transport uds|tcp   transport for the served instances (default uds)
   --clients N           concurrent clients per cell (default 8; quick 4)
   --secs S              measured seconds per cell (default 2; quick 0.5)
+  --open RATE           open-loop arrival rate, txn/s aggregate; latency is
+                        charged from the scheduled send (default: closed loop)
   --kind read|update    transaction kind (default update)
   --rows-per-txn N      rows touched per transaction (default 4)
-  --multisite LIST      comma-separated multisite percentages
+  --multisite LIST      multisite percentages
                         (default 0,20,50,80,100; quick 0,20,80)
-  --sites LIST          comma-separated multisite spreads; each entry is a
-                        distinct-site count >= 2, or 0 for the paper's
-                        unconstrained whole-range draw (default 0). Inert
-                        at 0% multisite, where only the first entry runs.
-  --skew LIST           comma-separated Zipfian skews (default 0)
+  --sites LIST          multisite spreads; each entry is a distinct-site
+                        count >= 2, or 0 for the paper's unconstrained
+                        whole-range draw (default 0). Inert at 0% multisite,
+                        where only the first entry runs.
+  --skew LIST           Zipfian skews (default 0)
   --instances LIST      override the topology-derived granularities with
                         explicit instance counts (labelled e.g. 4isl)
   --rows N              total rows loaded/partitioned (default 40000)
   --retry-limit N       server-side retry budget per txn (default 64)
-  --pin on|off          pin instance processes via taskset (default on)
+  --pin on|off          pin instance processes via taskset (proc; default on)
+  --no-obs              disable the observability registry in every serving
+                        process (A/B baseline for obs overhead; wire counters
+                        and final stats stay on)
   --json PATH           islands-sweep/1 output (default BENCH_sweep.json)
-  --markdown PATH       also write the Markdown table to PATH
   --scrape-out PATH     write the raw per-instance islands-obs/1 snapshot
                         lines scraped from each live cell to PATH (what the
                         CI sweep job uploads as its artifact)
-  --baseline PATH       gate each cell's throughput against a previous
-                        islands-sweep/1 JSON (cells matched on granularity,
-                        instances, multisite%, sites, skew)
-  --tolerance FRAC      allowed fractional shortfall vs the baseline before
-                        the gate fails, 0-1 (default 0.7: fail only below
-                        30% of baseline; faster never fails)
   -h, --help            print this help
 ";
+
+/// Where a cell's instances live.
+#[derive(Debug, Clone, PartialEq)]
+enum Deploy {
+    Proc,
+    Inproc,
+    External(Endpoint),
+}
+
+impl Deploy {
+    fn label(&self) -> &'static str {
+        match self {
+            Deploy::Proc => "proc",
+            Deploy::Inproc => "inproc",
+            Deploy::External(_) => "external",
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Args {
     quick: bool,
+    deploy: Deploy,
     engines: Vec<EngineMode>,
     workload: String,
     warehouses: u64,
     transport: String,
     clients: Option<usize>,
     secs: Option<f64>,
+    open_rate: Option<f64>,
     kind: OpKind,
     rows_per_txn: usize,
     multisite: Option<Vec<f64>>,
@@ -114,23 +155,23 @@ struct Args {
     rows: u64,
     retry_limit: u32,
     pin: bool,
+    obs: bool,
     json: String,
-    markdown: Option<String>,
     scrape_out: Option<String>,
-    baseline: Option<String>,
-    tolerance: f64,
 }
 
 impl Default for Args {
     fn default() -> Self {
         Args {
             quick: false,
+            deploy: Deploy::Proc,
             engines: vec![EngineMode::Locked],
             workload: "micro".into(),
             warehouses: 0,
             transport: "uds".into(),
             clients: None,
             secs: None,
+            open_rate: None,
             kind: OpKind::Update,
             rows_per_txn: 4,
             multisite: None,
@@ -140,11 +181,9 @@ impl Default for Args {
             rows: 40_000,
             retry_limit: 64,
             pin: true,
+            obs: true,
             json: "BENCH_sweep.json".into(),
-            markdown: None,
             scrape_out: None,
-            baseline: None,
-            tolerance: 0.7,
         }
     }
 }
@@ -173,11 +212,20 @@ where
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
+    let mut connect = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--quick" => args.quick = true,
+            "--deploy" => {
+                args.deploy = match value("--deploy")?.as_str() {
+                    "proc" => Deploy::Proc,
+                    "inproc" => Deploy::Inproc,
+                    other => return Err(format!("--deploy proc|inproc, got {other}")),
+                }
+            }
+            "--connect" => connect = Some(Endpoint::parse(&value("--connect")?)?),
             "--engine" => {
                 let list = value("--engine")?;
                 let engines: Vec<EngineMode> = list
@@ -195,6 +243,7 @@ fn parse_args() -> Result<Args, String> {
             "--transport" => args.transport = value("--transport")?,
             "--clients" => args.clients = Some(num(&value("--clients")?)?),
             "--secs" => args.secs = Some(num(&value("--secs")?)?),
+            "--open" => args.open_rate = Some(num(&value("--open")?)?),
             "--kind" => {
                 args.kind = match value("--kind")?.as_str() {
                     "read" => OpKind::Read,
@@ -216,17 +265,30 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("--pin on|off, got {other}")),
                 }
             }
+            "--no-obs" => args.obs = false,
             "--json" => args.json = value("--json")?,
-            "--markdown" => args.markdown = Some(value("--markdown")?),
             "--scrape-out" => args.scrape_out = Some(value("--scrape-out")?),
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--tolerance" => args.tolerance = num(&value("--tolerance")?)?,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other} (see --help)")),
         }
+    }
+    if let Some(ep) = connect {
+        // The external server's shape is whatever it was started with: this
+        // run can only be told it, once.
+        if args.instances_override.as_ref().map(Vec::len) != Some(1) {
+            return Err(
+                "--connect needs a single --instances N: the external server's \
+                        partition count"
+                    .into(),
+            );
+        }
+        if args.engines != [EngineMode::Locked] {
+            return Err("--engine applies to instances this run builds (no --connect)".into());
+        }
+        args.deploy = Deploy::External(ep);
     }
     if args.transport != "uds" && args.transport != "tcp" {
         return Err(format!("--transport uds|tcp, got {}", args.transport));
@@ -235,6 +297,13 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("--workload micro|tpcc, got {}", args.workload));
     }
     if args.workload == "tpcc" {
+        if args.deploy != Deploy::Proc {
+            return Err(
+                "--workload tpcc needs a spawned multi-process deployment (--deploy proc, \
+                 no --connect): only its instances load the TPC-C tables"
+                    .into(),
+            );
+        }
         // The micro-only axes must stay at their defaults: tpcc's multisite
         // class is remote payments, its skew is TPC-C's own access pattern.
         if args.sites != vec![0] {
@@ -270,8 +339,8 @@ fn parse_args() -> Result<Args, String> {
             return Err("--instances entries must be >= 1".into());
         }
     }
-    if !(0.0..=1.0).contains(&args.tolerance) {
-        return Err("--tolerance must be 0-1".into());
+    if args.open_rate.is_some_and(|r| !r.is_finite() || r <= 0.0) {
+        return Err("--open must be a positive rate in txn/s".into());
     }
     {
         let mut seen = Vec::new();
@@ -292,18 +361,53 @@ struct Config {
     instances: usize,
 }
 
-/// One completed sweep cell.
-struct Cell {
+/// What every cell of one sweep shares, resolved once from the flags and the
+/// host: so each granularity is judged on the same request stream.
+struct Shared {
+    clients: usize,
+    secs: f64,
+    /// Logical sites micro requests are generated over: the finest instance
+    /// count under comparison, stretched to fit the widest `--sites` spread.
+    n_sites: u64,
+    /// TPC-C scale factor; 0 for micro sweeps.
+    warehouses: u64,
+}
+
+/// The coordinates of one cell in the sweep's cross-product.
+#[derive(Debug, Clone, PartialEq)]
+struct Point {
     label: String,
     instances: usize,
     engine: EngineMode,
-    /// `"micro"` or `"tpcc"` — part of the cell's baseline identity.
-    workload: String,
-    /// TPC-C scale factor; 0 for micro cells.
-    warehouses: u64,
     multisite_pct: f64,
     sites: usize, // 0 = unconstrained
     skew: f64,
+}
+
+impl std::fmt::Display for Point {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} x{} engine={} multisite={}% sites={} skew={}",
+            self.label,
+            self.instances,
+            self.engine,
+            self.multisite_pct,
+            sites_label(self.sites),
+            self.skew
+        )
+    }
+}
+
+/// One completed sweep cell.
+struct Cell {
+    point: Point,
+    /// `"micro"` or `"tpcc"`.
+    workload: String,
+    /// TPC-C scale factor; 0 for micro cells.
+    warehouses: u64,
+    /// `"proc"`, `"inproc"` or `"external"`.
+    deploy: &'static str,
     result: DriveResult,
     coordinator_presumed_aborts: u64,
     teardown: TeardownReport,
@@ -314,11 +418,32 @@ struct Cell {
     scrapes: Vec<(ServerStats, Snapshot)>,
     /// The instance snapshots merged — the cell's Fig. 11 breakdown.
     obs: Snapshot,
+    /// Everything that makes the cell unclean, in words; empty is the
+    /// verdict "clean".
+    faults: Vec<String>,
 }
 
 impl Cell {
     fn clean(&self) -> bool {
-        self.teardown.clean() && self.result.client_failures == 0 && self.result.committed() > 0
+        self.faults.is_empty()
+    }
+
+    /// The fields that say which cell this is, shared by the cell's own JSON
+    /// line and each of its scrape lines.
+    fn identity_json(&self) -> String {
+        format!(
+            "\"workload\":\"{}\",\"warehouses\":{},\"deploy\":\"{}\",\"granularity\":\"{}\",\
+             \"instances\":{},\"engine\":\"{}\",\"multisite_pct\":{},\"sites\":{},\"skew\":{}",
+            self.workload,
+            self.warehouses,
+            self.deploy,
+            self.point.label,
+            self.point.instances,
+            self.point.engine,
+            self.point.multisite_pct,
+            self.point.sites,
+            self.point.skew,
+        )
     }
 }
 
@@ -343,108 +468,234 @@ fn derive_configs(args: &Args, topo: &HostTopology) -> Vec<Config> {
 
 /// The workload of one sweep cell (one construction point, so pre-flight
 /// validation and the drive loop cannot diverge).
-fn cell_spec(args: &Args, pct: f64, sites: usize, skew: f64) -> MicroSpec {
-    MicroSpec {
-        kind: args.kind,
-        rows_per_txn: args.rows_per_txn,
-        multisite_pct: pct / 100.0,
-        skew,
-        multisite_sites: (sites >= 2).then_some(sites),
-        total_rows: args.rows,
-        row_size: 64,
+fn cell_workload(args: &Args, shared: &Shared, p: &Point) -> DriveWorkload {
+    if args.workload == "tpcc" {
+        DriveWorkload::Tpcc(TpccSpec {
+            warehouses: shared.warehouses,
+            remote_pct: p.multisite_pct / 100.0,
+        })
+    } else {
+        DriveWorkload::Micro(MicroSpec {
+            kind: args.kind,
+            rows_per_txn: args.rows_per_txn,
+            multisite_pct: p.multisite_pct / 100.0,
+            skew: p.skew,
+            multisite_sites: (p.sites >= 2).then_some(p.sites),
+            total_rows: args.rows,
+            row_size: 64,
+        })
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    args: &Args,
-    config: &Config,
-    engine: EngineMode,
-    warehouses: u64,
-    pct: f64,
-    sites: usize,
-    skew: f64,
-    n_sites: u64,
-    clients: usize,
-    secs: f64,
-    seed: u64,
-) -> Result<Cell, String> {
-    let transport = if args.transport == "tcp" {
-        Transport::Tcp
-    } else {
-        Transport::Uds
-    };
+/// What a cell stands up, drives and tears down.
+enum Stand {
+    /// Spawned instance processes this run coordinates 2PC over.
+    Proc(Arc<Deployment>),
+    /// One server in this process, and the cluster behind it.
+    Inproc(Arc<Cluster>, ServerHandle),
+    /// Someone else's server: driven and scraped, never drained.
+    External(Endpoint),
+}
+
+impl Stand {
+    fn up(args: &Args, shared: &Shared, p: &Point) -> Result<Stand, String> {
+        let tcp = args.transport == "tcp";
+        match &args.deploy {
+            Deploy::External(ep) => Ok(Stand::External(ep.clone())),
+            Deploy::Proc => Deployment::spawn(&DeployConfig {
+                instances: p.instances,
+                transport: if tcp { Transport::Tcp } else { Transport::Uds },
+                total_rows: args.rows,
+                row_size: 64,
+                retry_limit: args.retry_limit,
+                engine: p.engine,
+                workload: if args.workload == "tpcc" {
+                    DeployWorkload::Tpcc {
+                        warehouses: shared.warehouses,
+                    }
+                } else {
+                    DeployWorkload::Micro
+                },
+                pin: args.pin,
+                obs: args.obs,
+                spawn: SpawnMode::SelfExec,
+                ..Default::default()
+            })
+            .map(|d| Stand::Proc(Arc::new(d)))
+            .map_err(|e| format!("spawn {} x{}: {e}", p.label, p.instances)),
+            Deploy::Inproc => {
+                let cluster = Cluster::build(&ClusterConfig {
+                    n_instances: p.instances,
+                    total_rows: args.rows,
+                    row_size: 64,
+                    engine: p.engine,
+                    ..Default::default()
+                })
+                .map_err(|e| format!("build cluster x{}: {e}", p.instances))?;
+                let cluster = Arc::new(cluster);
+                let endpoint = if tcp {
+                    Endpoint::Tcp(([127, 0, 0, 1], 0).into())
+                } else {
+                    let sock = format!("islands-sweep-{}.sock", std::process::id());
+                    Endpoint::Uds(std::env::temp_dir().join(sock))
+                };
+                let config = ServerConfig {
+                    retry_limit: args.retry_limit,
+                    ..Default::default()
+                };
+                let handle = Server::spawn(Arc::clone(&cluster), endpoint, config)
+                    .map_err(|e| format!("spawn server: {e}"))?;
+                Ok(Stand::Inproc(cluster, handle))
+            }
+        }
+    }
+
+    fn target(&self) -> DriveTarget<'_> {
+        match self {
+            Stand::Proc(d) => DriveTarget::Deployment(d),
+            Stand::Inproc(_, handle) => DriveTarget::Endpoint(handle.endpoint()),
+            Stand::External(ep) => DriveTarget::Endpoint(ep),
+        }
+    }
+
+    /// Where a `Stats` scrape (this run's, or `islands-top`'s) reaches each
+    /// serving process.
+    fn endpoints(&self) -> Vec<Endpoint> {
+        match self {
+            Stand::Proc(d) => (0..d.instances()).map(|i| d.endpoint(i)).collect(),
+            Stand::Inproc(_, handle) => vec![handle.endpoint().clone()],
+            Stand::External(ep) => vec![ep.clone()],
+        }
+    }
+
+    /// Name the serving endpoints before the drive starts, so `islands-top`
+    /// can be pointed at a cell while it runs.
+    fn banner(&self, unit: &str) {
+        match self {
+            Stand::Proc(d) => {
+                for i in 0..d.instances() {
+                    let (lo, hi) = d.range(i);
+                    let cpus = d.cpus_of(i).map(|c| format!(" cpus {c}"));
+                    let ep = d.endpoint(i);
+                    println!(
+                        "  instance {i}: {unit} {lo}..{hi} at {ep}{}",
+                        cpus.unwrap_or_default()
+                    );
+                }
+            }
+            Stand::Inproc(_, handle) => println!("  server (inproc) at {}", handle.endpoint()),
+            Stand::External(_) => {}
+        }
+    }
+
+    /// Drain what this run stood up and report how every instance ended,
+    /// plus — where one server saw every request — its commit count.
+    fn down(self) -> Result<(TeardownReport, Option<u64>), String> {
+        match self {
+            Stand::Proc(d) => {
+                let d = Arc::try_unwrap(d).ok().expect("all drive clients joined");
+                Ok((TeardownReport::of(d.shutdown()), None))
+            }
+            Stand::Inproc(cluster, handle) => {
+                handle.initiate_shutdown();
+                let server = handle.join().map_err(|e| format!("server join: {e}"))?;
+                // Every session is gone; whatever an instance still counts
+                // as parked has no coordinator left to decide it. No process
+                // exited, so there are no exits to report.
+                let report = TeardownReport {
+                    in_doubt_leaks: (0..cluster.n_instances())
+                        .map(|i| cluster.stats(i).in_doubt)
+                        .sum(),
+                    ..TeardownReport::of(Vec::new())
+                };
+                Ok((report, Some(server.commits)))
+            }
+            Stand::External(_) => Ok((TeardownReport::of(Vec::new()), None)),
+        }
+    }
+}
+
+/// One cell, start to finish: stand up → drive → scrape → tear down → judge.
+fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Cell, String> {
+    let stand = Stand::up(args, shared, point)?;
     let tpcc = args.workload == "tpcc";
-    let deployment = Deployment::spawn(&DeployConfig {
-        instances: config.instances,
-        transport,
-        total_rows: args.rows,
-        row_size: 64,
-        retry_limit: args.retry_limit,
-        engine,
-        workload: if tpcc {
-            DeployWorkload::Tpcc { warehouses }
-        } else {
-            DeployWorkload::Micro
-        },
-        pin: args.pin,
-        spawn: SpawnMode::SelfExec,
-        ..Default::default()
-    })
-    .map_err(|e| format!("spawn {} x{}: {e}", config.label, config.instances))?;
-    let pinned = deployment.pinned();
-    let deployment = Arc::new(deployment);
-
-    let workload = if tpcc {
-        DriveWorkload::Tpcc(TpccSpec {
-            warehouses,
-            remote_pct: pct / 100.0,
-        })
-    } else {
-        DriveWorkload::Micro(cell_spec(args, pct, sites, skew))
-    };
+    stand.banner(if tpcc { "warehouses" } else { "keys" });
     let cfg = DriveConfig {
+        open_rate: args.open_rate,
         seed,
-        ..DriveConfig::closed(clients, secs, workload, n_sites)
+        ..DriveConfig::closed(
+            shared.clients,
+            shared.secs,
+            cell_workload(args, shared, point),
+            shared.n_sites,
+        )
     };
-    let result = drive(&DriveTarget::Deployment(&deployment), &cfg)?;
-    let coordinator_presumed_aborts = deployment.presumed_aborts();
-
     // Scrape every instance's live stats while the deployment still serves
     // (drive has finished, teardown has not begun): the cell's Fig. 11
-    // breakdown, straight from the phase spans each child accumulated.
+    // breakdown, straight from the phase spans each instance accumulated.
+    let driven = drive(&stand.target(), &cfg).and_then(|result| {
+        let scrapes = stand
+            .endpoints()
+            .iter()
+            .enumerate()
+            .map(|(i, ep)| {
+                Client::connect(ep)
+                    .and_then(|mut c| c.stats())
+                    .map_err(|e| format!("scrape instance {i}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((result, scrapes))
+    });
+    let (pinned, coordinator_presumed_aborts) = match &stand {
+        Stand::Proc(d) => (d.pinned(), d.presumed_aborts()),
+        _ => (false, 0),
+    };
+    // Tear down whatever the drive said: a failed cell must not leave its
+    // instances serving under the next one.
+    let (teardown, server_commits) = stand.down()?;
+    let (result, scrapes) = driven?;
+
     let mut obs = Snapshot {
         enabled: false,
         ..Snapshot::default()
     };
-    let mut scrapes = Vec::with_capacity(deployment.instances());
-    for i in 0..deployment.instances() {
-        let (server, snap) = Client::connect(&deployment.endpoint(i))
-            .and_then(|mut c| c.stats())
-            .map_err(|e| format!("scrape instance {i}: {e}"))?;
-        obs.merge(&snap);
-        scrapes.push((server, snap));
+    for (_, snap) in &scrapes {
+        obs.merge(snap);
     }
-
-    let deployment = Arc::try_unwrap(deployment)
-        .ok()
-        .expect("all drive clients joined");
-    let teardown = shutdown_deployment(deployment);
+    let mut faults = Vec::new();
+    if result.committed() == 0 {
+        faults.push("zero committed transactions".to_string());
+    }
+    if result.client_failures > 0 {
+        faults.push(format!("{} client(s) failed", result.client_failures));
+    }
+    for r in teardown.instances.iter().filter(|r| !r.clean) {
+        faults.push(format!("instance {} unclean: {}", r.index, r.detail));
+    }
+    if teardown.in_doubt_leaks > 0 {
+        faults.push(format!(
+            "{} in-doubt transaction(s) leaked",
+            teardown.in_doubt_leaks
+        ));
+    }
+    if let Some(n) = server_commits.filter(|&n| n != result.committed()) {
+        faults.push(format!(
+            "server counted {n} commits but clients saw {}",
+            result.committed()
+        ));
+    }
     Ok(Cell {
-        label: config.label.clone(),
-        instances: config.instances,
-        engine,
+        point: point.clone(),
         workload: args.workload.clone(),
-        warehouses: if tpcc { warehouses } else { 0 },
-        multisite_pct: pct,
-        sites,
-        skew,
+        warehouses: shared.warehouses,
+        deploy: args.deploy.label(),
         result,
         coordinator_presumed_aborts,
         teardown,
         pinned,
         scrapes,
         obs,
+        faults,
     })
 }
 
@@ -480,12 +731,12 @@ fn markdown_table(cells: &[Cell]) -> String {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.0} | {} | {:.1} | {:.1} | \
              {:.1} | {:.1} | {:.1} | {} | {} | {} |\n",
-            c.label,
-            c.instances,
-            c.engine,
-            c.multisite_pct,
-            sites_label(c.sites),
-            c.skew,
+            c.point.label,
+            c.point.instances,
+            c.point.engine,
+            c.point.multisite_pct,
+            sites_label(c.point.sites),
+            c.point.skew,
             c.result.throughput_tps(),
             class_tput(&c.result.local, c),
             class_tput(&c.result.multi, c),
@@ -528,27 +779,18 @@ fn cell_json(c: &Cell) -> String {
         String::new()
     };
     format!(
-        "{{\"workload\":\"{}\",\"warehouses\":{},\"granularity\":\"{}\",\"instances\":{},\
-         \"engine\":\"{}\",\"multisite_pct\":{},\
-         \"sites\":{},\
-         \"skew\":{},\"committed\":{},\"throughput_tps\":{:.1},\
+        "{{{},\"committed\":{},\"throughput_tps\":{:.1},\
          \"coordinator_presumed_aborts\":{},\"unclean_instances\":{},\"in_doubt_leaks\":{},\
-         \"client_failures\":{},\"pinned\":{},\"elapsed_secs\":{:.3},{},\
+         \"client_failures\":{},\"clean\":{},\"pinned\":{},\"elapsed_secs\":{:.3},{},\
          \"local\":{},\"multisite\":{}{tpcc_classes},\"instance_exits\":[{}]}}",
-        c.workload,
-        c.warehouses,
-        c.label,
-        c.instances,
-        c.engine,
-        c.multisite_pct,
-        c.sites,
-        c.skew,
+        c.identity_json(),
         c.result.committed(),
         c.result.throughput_tps(),
         c.coordinator_presumed_aborts,
         c.teardown.unclean,
         c.teardown.in_doubt_leaks,
         c.result.client_failures,
+        c.clean(),
         c.pinned,
         c.result.elapsed.as_secs_f64(),
         // The merged obs snapshot's flat fields (breakdown percentages,
@@ -567,19 +809,10 @@ fn cell_json(c: &Cell) -> String {
 fn scrape_lines(c: &Cell, out: &mut String) {
     for (i, (server, snap)) in c.scrapes.iter().enumerate() {
         out.push_str(&format!(
-            "{{\"schema\":\"islands-obs/1\",\"workload\":\"{}\",\"warehouses\":{},\
-             \"granularity\":\"{}\",\"instances\":{},\
-             \"engine\":\"{}\",\"multisite_pct\":{},\"sites\":{},\"skew\":{},\
+            "{{\"schema\":\"islands-obs/1\",{},\
              \"instance\":{i},\"commits\":{},\"aborts\":{},\"prepares\":{},\
              \"decisions\":{},\"in_doubt\":{},{}}}\n",
-            c.workload,
-            c.warehouses,
-            c.label,
-            c.instances,
-            c.engine,
-            c.multisite_pct,
-            c.sites,
-            c.skew,
+            c.identity_json(),
             server.commits,
             server.aborts,
             server.prepares,
@@ -590,15 +823,12 @@ fn scrape_lines(c: &Cell, out: &mut String) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     args: &Args,
+    shared: &Shared,
     topo: &HostTopology,
     cells: &[Cell],
-    n_sites: u64,
-    clients: usize,
-    secs: f64,
 ) -> std::io::Result<()> {
     let committed: u64 = cells.iter().map(|c| c.result.committed()).sum();
     let unclean: u64 = cells.iter().map(|c| c.teardown.unclean).sum();
@@ -617,18 +847,27 @@ fn write_json(
         .map(|e| format!("\"{e}\""))
         .collect::<Vec<_>>()
         .join(",");
-    let warehouses = cells.iter().map(|c| c.warehouses).max().unwrap_or(0);
+    let mode = match args.open_rate {
+        Some(rate) => format!("open@{rate:.0}"),
+        None => "closed".into(),
+    };
     out.push_str(&format!(
-        "  \"config\": {{\"workload\":\"{}\",\"warehouses\":{warehouses},\
+        "  \"config\": {{\"workload\":\"{}\",\"warehouses\":{},\"deploy\":\"{}\",\
          \"transport\":\"{}\",\"engines\":[{engines}],\
-         \"clients\":{clients},\"secs\":{secs},\
-         \"kind\":\"{}\",\"rows_per_txn\":{},\"rows\":{},\"n_sites\":{n_sites},\
+         \"clients\":{},\"secs\":{},\"mode\":\"{mode}\",\"obs\":{},\
+         \"kind\":\"{}\",\"rows_per_txn\":{},\"rows\":{},\"n_sites\":{},\
          \"quick\":{}}},\n",
         args.workload,
+        shared.warehouses,
+        args.deploy.label(),
         args.transport,
+        shared.clients,
+        shared.secs,
+        args.obs,
         args.kind.label(),
         args.rows_per_txn,
         args.rows,
+        shared.n_sites,
         args.quick,
     ));
     out.push_str(&format!(
@@ -647,84 +886,6 @@ fn write_json(
     f.write_all(out.as_bytes())
 }
 
-/// Gate `cells` against a previous run's JSON: a cell fails if its matching
-/// baseline cell (same granularity/instances/multisite/sites/skew) ran more
-/// than `tolerance` fractionally faster than this run. Unmatched cells are
-/// reported and skipped; faster-than-baseline never fails.
-fn gate_against_baseline(path: &str, tolerance: f64, cells: &[Cell]) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-    let baseline_cells: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"granularity\":"))
-        .collect();
-    if baseline_cells.is_empty() {
-        return Err(format!("baseline {path} holds no sweep cells"));
-    }
-    let mut failures = Vec::new();
-    let mut matched = 0usize;
-    for c in cells {
-        let found = baseline_cells.iter().find(|l| {
-            str_field(l, "granularity") == Some(c.label.as_str())
-                && int_field(l, "instances") == Some(c.instances as i64)
-                // Baselines written before the engine axis existed carry no
-                // engine field; they were all locked-engine runs. Likewise
-                // pre-workload-axis baselines were all micro runs.
-                && str_field(l, "engine").unwrap_or(EngineMode::Locked.label())
-                    == c.engine.label()
-                && str_field(l, "workload").unwrap_or("micro") == c.workload
-                && int_field(l, "warehouses").unwrap_or(0) == c.warehouses as i64
-                && num_field(l, "multisite_pct") == Some(c.multisite_pct)
-                && int_field(l, "sites") == Some(c.sites as i64)
-                && num_field(l, "skew") == Some(c.skew)
-        });
-        let Some(line) = found else {
-            println!(
-                "baseline: no cell for {} x{} engine={} multisite={} sites={} skew={} (skipped)",
-                c.label,
-                c.instances,
-                c.engine,
-                c.multisite_pct,
-                sites_label(c.sites),
-                c.skew
-            );
-            continue;
-        };
-        let Some(base_tput) = num_field(line, "throughput_tps") else {
-            return Err(format!("baseline cell lacks throughput_tps: {line}"));
-        };
-        matched += 1;
-        let floor = base_tput * (1.0 - tolerance);
-        let got = c.result.throughput_tps();
-        if got < floor {
-            failures.push(format!(
-                "{} x{} engine={} multisite={} sites={} skew={}: {got:.0} tps < floor \
-                 {floor:.0} (baseline {base_tput:.0}, tolerance {tolerance})",
-                c.label,
-                c.instances,
-                c.engine,
-                c.multisite_pct,
-                sites_label(c.sites),
-                c.skew,
-            ));
-        }
-    }
-    if matched == 0 {
-        return Err(format!(
-            "baseline {path} matched none of this sweep's {} cells",
-            cells.len()
-        ));
-    }
-    println!("baseline: {matched} cell(s) compared against {path}");
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "throughput below the baseline band:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
-}
-
 /// The paper-style locked-vs-serial comparison: for every workload point
 /// swept under both engine modes, one line with both committed throughputs
 /// and the serial/locked ratio. A record, not a gate: which engine leads at
@@ -732,15 +893,15 @@ fn gate_against_baseline(path: &str, tolerance: f64, cells: &[Cell]) -> Result<(
 /// on the box at hand (EXPERIMENTS.md, "Locked vs serial").
 fn engine_comparison(cells: &[Cell]) {
     let mut printed_header = false;
-    for locked in cells.iter().filter(|c| c.engine == EngineMode::Locked) {
-        let Some(serial) = cells.iter().find(|c| {
-            c.engine == EngineMode::Serial
-                && c.label == locked.label
-                && c.instances == locked.instances
-                && c.multisite_pct == locked.multisite_pct
-                && c.sites == locked.sites
-                && c.skew == locked.skew
-        }) else {
+    for locked in cells
+        .iter()
+        .filter(|c| c.point.engine == EngineMode::Locked)
+    {
+        let as_serial = Point {
+            engine: EngineMode::Serial,
+            ..locked.point.clone()
+        };
+        let Some(serial) = cells.iter().find(|c| c.point == as_serial) else {
             continue;
         };
         if !printed_header {
@@ -750,19 +911,23 @@ fn engine_comparison(cells: &[Cell]) {
         let l = locked.result.throughput_tps();
         let s = serial.result.throughput_tps();
         let ratio = s / l.max(f64::MIN_POSITIVE);
+        let p = &locked.point;
         println!(
             "  {} x{} multisite={}% sites={} skew={}: locked {l:.0} serial {s:.0} (serial/locked {ratio:.2}x)",
-            locked.label,
-            locked.instances,
-            locked.multisite_pct,
-            sites_label(locked.sites),
-            locked.skew,
+            p.label,
+            p.instances,
+            p.multisite_pct,
+            sites_label(p.sites),
+            p.skew,
         );
     }
 }
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
+    // This process's own registry too: inproc cells serve from here, and a
+    // proc cell's coordinator records 2PC phase latencies here.
+    islands_obs::set_enabled(args.obs);
     let clients = args.clients.unwrap_or(if args.quick { 4 } else { 8 });
     let secs = args.secs.unwrap_or(if args.quick { 0.5 } else { 2.0 });
     let multisite = args.multisite.clone().unwrap_or_else(|| {
@@ -789,45 +954,39 @@ fn run() -> Result<(), String> {
             ));
         }
     }
-    // One logical-site count for the *whole* sweep, so every granularity is
-    // judged on the same request stream: the finest instance count under
-    // comparison, stretched to fit the widest --sites spread.
-    let n_sites = configs
+    let finest = configs
         .iter()
         .map(|c| c.instances as u64)
-        .chain(args.sites.iter().map(|&s| s as u64))
         .max()
-        .unwrap_or(1)
-        .max(1);
-    if n_sites > args.rows {
+        .unwrap_or(1);
+    let shared = Shared {
+        clients,
+        secs,
+        n_sites: args
+            .sites
+            .iter()
+            .map(|&s| s as u64)
+            .fold(finest, u64::max)
+            .max(1),
+        // Two warehouses per instance of the finest granularity by default.
+        warehouses: match (args.workload.as_str(), args.warehouses) {
+            ("tpcc", 0) => finest * 2,
+            ("tpcc", n) => n,
+            _ => 0,
+        },
+    };
+    if shared.n_sites > args.rows {
         return Err(format!(
-            "--rows {} cannot back {n_sites} logical sites (the widest of \
+            "--rows {} cannot back {} logical sites (the widest of \
              --instances and --sites)",
-            args.rows
+            args.rows, shared.n_sites
         ));
     }
-    // TPC-C scale: one warehouse count for the *whole* sweep, so every
-    // granularity runs the identical workload — defaulting to two
-    // warehouses per instance of the finest granularity under comparison.
-    let warehouses = if args.workload == "tpcc" {
-        if args.warehouses > 0 {
-            args.warehouses
-        } else {
-            configs
-                .iter()
-                .map(|c| c.instances as u64)
-                .max()
-                .unwrap_or(1)
-                * 2
-        }
-    } else {
-        0
-    };
     // Enumerate the cells up front. The --sites axis is inert in
     // 0%-multisite cells (no multisite transactions exist to spread), so
     // only its first entry runs there — duplicate deployments would spend
     // full spawn/drive/teardown cycles measuring the same workload.
-    let mut plan: Vec<(&Config, EngineMode, f64, usize, f64)> = Vec::new();
+    let mut plan: Vec<Point> = Vec::new();
     for config in &configs {
         for &engine in &args.engines {
             for &pct in &multisite {
@@ -836,7 +995,14 @@ fn run() -> Result<(), String> {
                         continue;
                     }
                     for &skew in &args.skews {
-                        plan.push((config, engine, pct, sites, skew));
+                        plan.push(Point {
+                            label: config.label.clone(),
+                            instances: config.instances,
+                            engine,
+                            multisite_pct: pct,
+                            sites,
+                            skew,
+                        });
                     }
                 }
             }
@@ -846,74 +1012,48 @@ fn run() -> Result<(), String> {
     // check (the single source of truth the generator asserts), so an
     // unsatisfiable combination is a clean CLI error instead of a worker
     // panic mid-sweep.
-    for &(config, _, pct, sites, skew) in &plan {
-        if args.workload == "tpcc" {
-            TpccSpec {
-                warehouses,
-                remote_pct: pct / 100.0,
-            }
-            .check(config.instances)
-            .map_err(|e| {
-                format!(
-                    "{} x{} multisite={pct}%: {e}",
-                    config.label, config.instances
-                )
-            })?;
-        } else {
-            cell_spec(&args, pct, sites, skew)
-                .check(n_sites)
-                .map_err(|e| {
-                    format!(
-                        "multisite={pct}% sites={} skew={skew}: {e}",
-                        sites_label(sites)
-                    )
-                })?;
+    for p in &plan {
+        match cell_workload(&args, &shared, p) {
+            DriveWorkload::Tpcc(spec) => spec.check(p.instances),
+            DriveWorkload::Micro(spec) => spec.check(shared.n_sites),
         }
+        .map_err(|e| format!("{p}: {e}"))?;
     }
 
     let total_cells = plan.len();
     let scale = if args.workload == "tpcc" {
-        format!("{warehouses} warehouses")
+        format!("{} warehouses", shared.warehouses)
     } else {
-        format!("{} rows, n_sites={n_sites}", args.rows)
+        format!("{} rows, n_sites={}", args.rows, shared.n_sites)
     };
     println!(
-        "islands-sweep: host {} socket(s) x {} core(s); workload={}; {} config(s) x \
+        "islands-sweep: host {} socket(s) x {} core(s); workload={}; deploy={}; {} config(s) x \
          {} engine(s) x {} multisite x {} sites x {} skew = {total_cells} cells \
-         ({} clients, {secs}s each, {scale})",
+         ({clients} clients, {secs}s each, {scale})",
         topo.machine.sockets,
         topo.machine.total_cores(),
         args.workload,
+        args.deploy.label(),
         configs.len(),
         args.engines.len(),
         multisite.len(),
         args.sites.len(),
         args.skews.len(),
-        clients,
     );
     for c in &configs {
-        println!("  config {}: {} instance process(es)", c.label, c.instances);
+        println!("  config {}: {} instance(s)", c.label, c.instances);
     }
 
     let mut cells: Vec<Cell> = Vec::with_capacity(total_cells);
-    let mut cell_errors: Vec<String> = Vec::new();
-    for (config, engine, pct, sites, skew) in plan {
-        // Seed from the *attempt* index (completed + failed), so a failed
-        // cell does not shift every later cell onto a reused seed and
-        // break run-to-run reproducibility.
-        let attempt = (cells.len() + cell_errors.len()) as u64 + 1;
+    let mut cell_errors = 0usize;
+    for (i, point) in plan.iter().enumerate() {
+        // Seed from the cell's place in the plan, so a failed cell does not
+        // shift every later cell onto a reused seed and break run-to-run
+        // reproducibility.
+        let attempt = i as u64 + 1;
         let seed = 0x5eed ^ (attempt * 0x9e37_79b9);
-        print!(
-            "cell {attempt}/{total_cells}: {} x{} engine={engine} multisite={pct}% \
-             sites={} skew={skew} ... ",
-            config.label,
-            config.instances,
-            sites_label(sites),
-        );
-        std::io::stdout().flush().ok();
-        match run_cell(
-            &args, config, engine, warehouses, pct, sites, skew, n_sites, clients, secs, seed,
-        ) {
+        println!("cell {attempt}/{total_cells}: {point}");
+        match run_cell(&args, &shared, point, seed) {
             Ok(cell) => {
                 let breakout = if cell.workload == "tpcc" {
                     format!(
@@ -926,30 +1066,28 @@ fn run() -> Result<(), String> {
                     String::new()
                 };
                 println!(
-                    "{:.0} tps (local {:.0}, multi {:.0}){breakout}, leaks={}, {}",
+                    "  {:.0} tps (local {:.0}, multi {:.0}){breakout}, leaks={}, {}",
                     cell.result.throughput_tps(),
                     class_tput(&cell.result.local, &cell),
                     class_tput(&cell.result.multi, &cell),
                     cell.teardown.in_doubt_leaks,
                     if cell.clean() { "clean" } else { "UNCLEAN" },
                 );
+                for fault in &cell.faults {
+                    println!("  UNCLEAN: {fault}");
+                }
                 cells.push(cell);
             }
             Err(e) => {
-                println!("FAILED: {e}");
-                cell_errors.push(e);
+                println!("  FAILED: {e}");
+                cell_errors += 1;
             }
         }
     }
 
     println!();
-    let table = markdown_table(&cells);
-    print!("{table}");
-    if let Some(path) = &args.markdown {
-        std::fs::write(path, &table).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    write_json(&args.json, &args, &topo, &cells, n_sites, clients, secs)
+    print!("{}", markdown_table(&cells));
+    write_json(&args.json, &args, &shared, &topo, &cells)
         .map_err(|e| format!("write {}: {e}", args.json))?;
     println!("wrote {}", args.json);
     if let Some(path) = &args.scrape_out {
@@ -963,18 +1101,15 @@ fn run() -> Result<(), String> {
 
     engine_comparison(&cells);
 
-    if !cell_errors.is_empty() {
-        return Err(format!("{} cell(s) failed to run", cell_errors.len()));
+    if cell_errors > 0 {
+        return Err(format!("{cell_errors} cell(s) failed to run"));
     }
-    let unclean: Vec<&Cell> = cells.iter().filter(|c| !c.clean()).collect();
-    if !unclean.is_empty() {
+    let unclean = cells.iter().filter(|c| !c.clean()).count();
+    if unclean > 0 {
         return Err(format!(
-            "{} cell(s) unclean (instance exits, leaks, client failures, or zero commits)",
-            unclean.len()
+            "{unclean} cell(s) unclean (zero commits, client failures, instance exits, \
+             leaks, or a commit-count mismatch)"
         ));
-    }
-    if let Some(baseline) = &args.baseline {
-        gate_against_baseline(baseline, args.tolerance, &cells)?;
     }
     println!(
         "sweep complete: {} cells, all drained clean, zero in-doubt leaks",

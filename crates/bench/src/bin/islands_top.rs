@@ -1,9 +1,9 @@
 //! Live per-instance observability viewer for running deployments.
 //!
 //! Point it at the endpoints of a served deployment (the `READY` lines or
-//! `loadgen`'s "instance i: ... at EP" banner name them) and it scrapes a
-//! `Stats` frame from each instance every interval — non-disruptively, on
-//! its own connection, while the run continues:
+//! `islands-sweep`'s "instance i: ... at EP" banner name them) and it
+//! scrapes a `Stats` frame from each instance every interval —
+//! non-disruptively, on its own connection, while the run continues:
 //!
 //! ```sh
 //! islands-top uds:/tmp/islands-inst-1234-0-0.sock tcp:127.0.0.1:40133

@@ -1,13 +1,12 @@
 //! Reusable load-driving engine for served islands deployments.
 //!
-//! `loadgen` (one configuration, rich CLI) and `islands-sweep` (the paper's
-//! granularity × multisite × skew cross-product) both drive deployments
-//! through this module: spawn one thread per client, submit open- or
-//! closed-loop traffic from a [`MicroGenerator`], tally outcomes **per
-//! transaction class** (local vs multisite — the paper's served comparisons
-//! hinge on how the multisite class degrades while the local class holds),
-//! and verify teardown (every instance drained clean, zero in-doubt 2PC
-//! leaks).
+//! `islands-sweep` drives every cell of the paper's granularity × multisite
+//! × skew cross-product through this module: spawn one thread per client,
+//! submit open- or closed-loop plans from a [`MicroGenerator`] or
+//! [`TpccGenerator`], tally outcomes **per transaction class** (local vs
+//! multisite — the paper's served comparisons hinge on how the multisite
+//! class degrades while the local class holds), and verify teardown (every
+//! instance drained clean, zero in-doubt 2PC leaks).
 //!
 //! Closed loop (default): each client submits its next transaction the
 //! moment the previous reply arrives — offered load tracks capacity. Open
@@ -24,21 +23,21 @@ use islands_server::{
     Client, DeployClient, DeployReply, Deployment, Endpoint, InstanceExit, Reply,
 };
 use islands_workload::{
-    MicroGenerator, MicroSpec, PlanClass, PlanRequest, TpccGenerator, TpccSpec, TxnRequest,
+    MicroGenerator, MicroSpec, PlanClass, PlanRequest, TpccGenerator, TpccSpec,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// The request stream a run drives: the micro-benchmark's single-shot
-/// read/update batches, or TPC-C's multi-step transaction plans
-/// (NewOrder/Payment through the plan codec, remote payments as wire-level
-/// 2PC).
+/// read/update batches, or TPC-C's multi-step transactions (NewOrder and
+/// Payment, remote payments as wire-level 2PC). Both reach the wire as
+/// [`PlanRequest`]s.
 #[derive(Debug, Clone)]
 pub enum DriveWorkload {
-    /// Single-shot micro-benchmark batches ([`TxnRequest`]).
+    /// Single-shot micro-benchmark batches, lowered with `to_plan()`.
     Micro(MicroSpec),
-    /// TPC-C NewOrder/Payment plans ([`PlanRequest`]); the multisite axis is
-    /// the remote-payment probability.
+    /// TPC-C NewOrder/Payment plans; the multisite axis is the
+    /// remote-payment probability.
     Tpcc(TpccSpec),
 }
 
@@ -235,13 +234,6 @@ fn proc_done(reply: DeployReply) -> Done {
 }
 
 impl Submitter {
-    fn submit(&mut self, req: &TxnRequest) -> io::Result<Done> {
-        match self {
-            Submitter::Wire(client) => wire_done(client.submit(req)?),
-            Submitter::Proc(client) => Ok(proc_done(client.submit(req)?)),
-        }
-    }
-
     fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<Done> {
         match self {
             Submitter::Wire(client) => wire_done(client.submit_plan(plan)?),
@@ -300,27 +292,17 @@ fn drive_client(
                 due
             }
         };
-        let (done, tally) = match &mut gen {
-            Generator::Micro(g) => {
-                let req = g.next(&mut rng);
-                let done = submitter.submit(&req)?;
-                let tally = if req.multisite {
-                    &mut result.multi
-                } else {
-                    &mut result.local
-                };
-                (done, tally)
-            }
-            Generator::Tpcc(g) => {
-                let plan = g.next(&mut rng);
-                let done = submitter.submit_plan(&plan)?;
-                let tally = match (plan.class, plan.multisite) {
-                    (PlanClass::Payment, true) => &mut result.payment_multisite,
-                    (PlanClass::Payment, false) => &mut result.payment_local,
-                    _ => &mut result.neworder,
-                };
-                (done, tally)
-            }
+        let plan = match &mut gen {
+            Generator::Micro(g) => g.next(&mut rng).to_plan(),
+            Generator::Tpcc(g) => g.next(&mut rng),
+        };
+        let done = submitter.submit_plan(&plan)?;
+        let tally = match (plan.class, plan.multisite) {
+            (PlanClass::Generic, false) => &mut result.local,
+            (PlanClass::Generic, true) => &mut result.multi,
+            (PlanClass::NewOrder, _) => &mut result.neworder,
+            (PlanClass::Payment, false) => &mut result.payment_local,
+            (PlanClass::Payment, true) => &mut result.payment_multisite,
         };
         if done.committed {
             tally.committed += 1;
@@ -416,7 +398,7 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
     Ok(result)
 }
 
-/// Aggregated teardown verdict for a multi-process deployment.
+/// How a cell's instances ended, aggregated.
 #[derive(Debug)]
 pub struct TeardownReport {
     pub instances: Vec<InstanceExit>,
@@ -427,28 +409,23 @@ pub struct TeardownReport {
 }
 
 impl TeardownReport {
-    pub fn clean(&self) -> bool {
-        self.unclean == 0 && self.in_doubt_leaks == 0
+    /// Aggregate the exits a teardown produced
+    /// ([`Deployment::shutdown`]'s, or an in-process cluster's equivalent).
+    pub fn of(instances: Vec<InstanceExit>) -> TeardownReport {
+        let unclean = instances.iter().filter(|r| !r.clean).count() as u64;
+        let in_doubt_leaks = instances
+            .iter()
+            .map(|r| r.stats.map(|s| s.in_doubt).unwrap_or(0))
+            .sum();
+        TeardownReport {
+            instances,
+            unclean,
+            in_doubt_leaks,
+        }
     }
 }
 
-/// Drain and reap every instance of `deployment`, aggregating the verdict.
-pub fn shutdown_deployment(deployment: Deployment) -> TeardownReport {
-    let instances = deployment.shutdown();
-    let unclean = instances.iter().filter(|r| !r.clean).count() as u64;
-    let in_doubt_leaks = instances
-        .iter()
-        .map(|r| r.stats.map(|s| s.in_doubt).unwrap_or(0))
-        .sum();
-    TeardownReport {
-        instances,
-        unclean,
-        in_doubt_leaks,
-    }
-}
-
-/// One class's tallies as a JSON object (schema shared by
-/// `islands-loadgen/1` and `islands-sweep/1`).
+/// One class's tallies as a JSON object (the `islands-sweep/1` class shape).
 pub fn class_json(tally: &ClassTally, elapsed: Duration) -> String {
     // Sort a copy: correctness here must not depend on any report having
     // sorted the live tally first.

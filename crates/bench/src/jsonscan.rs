@@ -1,11 +1,12 @@
 //! Minimal field scanner for the bench harness's own JSON output.
 //!
 //! The offline build has no JSON library, and the only JSON this repo needs
-//! to *read back* is JSON it wrote itself (`islands-sweep/1` baselines and
-//! smoke-test output), which is emitted one object per line with top-level
-//! fields before any nested object. Under that discipline, scanning for the
-//! **first** occurrence of `"key":` in a line is exact — this is not a JSON
-//! parser and must not be pointed at foreign documents.
+//! to *read back* is JSON it wrote itself (the `islands-sweep/1` document
+//! the smoke test checks, `islands-obs/1` scrape lines), which is emitted
+//! one object per line with top-level fields before any nested object.
+//! Under that discipline, scanning for the **first** occurrence of `"key":`
+//! in a line is exact — this is not a JSON parser and must not be pointed at
+//! foreign documents.
 
 /// The raw text following `"key":` in `line`, up to the next delimiter
 /// (`,`, `}`, `]`) at top level of the value. Strings return their unquoted

@@ -1,49 +1,48 @@
-//! End-to-end smoke test for the `islands-sweep` experiment driver: run a
-//! minimal 2-cell sweep over real spawned instance processes, then check
-//! the `islands-sweep/1` JSON it emits — schema identity, coherent
+//! End-to-end smoke test for the `islands-sweep` experiment driver: run
+//! minimal sweeps over real served deployments — spawned instance processes
+//! in both engine modes, an in-process cluster, an open-loop schedule, a
+//! single-value "one deployment" invocation — then check the
+//! `islands-sweep/1` JSON each emits: schema identity, coherent
 //! non-negative counters, and zero in-doubt 2PC leaks.
 
 use std::process::Command;
 
 use islands_bench::jsonscan::{int_field, num_field, str_field};
 
-#[test]
-fn minimal_sweep_runs_clean_and_emits_coherent_json() {
+/// Run `islands-sweep` over a small dataset with `flags`, require exit 0 and
+/// the closing verdict line, and return the JSON document it wrote.
+fn sweep(tag: &str, flags: &str) -> String {
     let json_path =
-        std::env::temp_dir().join(format!("islands-sweep-smoke-{}.json", std::process::id()));
+        std::env::temp_dir().join(format!("islands-sweep-{tag}-{}.json", std::process::id()));
     let output = Command::new(env!("CARGO_BIN_EXE_islands-sweep"))
-        .args([
-            "--instances",
-            "2",
-            "--multisite",
-            "0,100",
-            "--sites",
-            "2",
-            "--secs",
-            "0.3",
-            "--clients",
-            "2",
-            "--rows",
-            "400",
-            "--rows-per-txn",
-            "2",
-            "--pin",
-            "off",
-            "--json",
-        ])
+        .args(flags.split_whitespace())
+        .args(["--secs", "0.3", "--clients", "2", "--rows", "400"])
+        .args(["--rows-per-txn", "2", "--pin", "off", "--json"])
         .arg(&json_path)
         .output()
         .expect("run islands-sweep");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
         output.status.success(),
-        "islands-sweep failed:\n{stdout}\n{}",
+        "islands-sweep {flags} failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&output.stderr),
     );
     assert!(stdout.contains("sweep complete"), "{stdout}");
-
     let text = std::fs::read_to_string(&json_path).expect("sweep JSON written");
     let _ = std::fs::remove_file(&json_path);
+    text
+}
+
+/// The one-line-per-cell objects of a sweep document.
+fn cells(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| l.contains("\"granularity\":"))
+        .collect()
+}
+
+#[test]
+fn minimal_sweep_runs_clean_and_emits_coherent_json() {
+    let text = sweep("smoke", "--instances 2 --multisite 0,100 --sites 2");
 
     // Document-level schema identity and totals.
     assert!(text.contains("\"schema\": \"islands-sweep/1\""), "{text}");
@@ -58,14 +57,12 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
     assert!(total_committed > 0, "a sweep must commit transactions");
 
     // Cell-level checks: one line per cell, counters coherent.
-    let cells: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"granularity\":"))
-        .collect();
+    let cells = cells(&text);
     assert_eq!(cells.len(), 2, "expected 2 cells:\n{text}");
     let mut committed_sum = 0i64;
     for cell in &cells {
         assert_eq!(str_field(cell, "granularity"), Some("2isl"));
+        assert_eq!(str_field(cell, "deploy"), Some("proc"));
         assert_eq!(int_field(cell, "instances"), Some(2));
         assert_eq!(int_field(cell, "sites"), Some(2));
 
@@ -99,7 +96,12 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
             // them are physically distributed.
             let distributed = int_field(multi, "distributed").unwrap();
             assert_eq!(distributed, multi_committed, "{cell}");
+            // Every one of them parked a branch on each (locked) instance
+            // between its vote and the decision, and the instances' obs
+            // registries saw them come and go.
+            assert!(int_field(cell, "parked_count").unwrap() > 0, "{cell}");
         }
+        assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
 
         // Per-instance exits are present and leak-free.
         let exits = &cell[cell.find("\"instance_exits\":").expect("exits")..];
@@ -111,54 +113,37 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
 
 #[test]
 fn serial_engine_cell_runs_clean_and_carries_its_engine_label() {
-    // The --engine axis end to end: a serial-executor cell spawns real
-    // instance processes whose partitions execute one transaction at a time,
-    // commits transactions, drains clean, and stamps its cells with the
-    // engine label (what baseline matching keys on).
-    let json_path =
-        std::env::temp_dir().join(format!("islands-sweep-serial-{}.json", std::process::id()));
-    let output = Command::new(env!("CARGO_BIN_EXE_islands-sweep"))
-        .args([
-            "--instances",
-            "2",
-            "--multisite",
-            "0,50",
-            "--engine",
-            "serial",
-            "--secs",
-            "0.3",
-            "--clients",
-            "2",
-            "--rows",
-            "400",
-            "--rows-per-txn",
-            "2",
-            "--pin",
-            "off",
-            "--json",
-        ])
-        .arg(&json_path)
-        .output()
-        .expect("run islands-sweep");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "serial sweep failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&output.stderr),
-    );
-    assert!(stdout.contains("sweep complete"), "{stdout}");
+    // The --engine axis end to end: a serial-executor cell commits
+    // transactions, drains clean, and stamps its cells with the engine
+    // label — over spawned instance processes whose partitions execute one
+    // transaction at a time, and over the in-process cluster of the same
+    // instances behind one server.
+    for deploy in ["proc", "inproc"] {
+        let flags = format!("--instances 2 --multisite 0,50 --engine serial --deploy {deploy}");
+        let text = sweep(deploy, &flags);
+        let cells = cells(&text);
+        assert_eq!(cells.len(), 2, "{text}");
+        for cell in &cells {
+            assert_eq!(str_field(cell, "engine"), Some("serial"), "{cell}");
+            assert_eq!(str_field(cell, "deploy"), Some(deploy), "{cell}");
+            assert!(int_field(cell, "committed").unwrap() > 0, "{cell}");
+            assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
+            assert_eq!(int_field(cell, "unclean_instances"), Some(0), "{cell}");
+            assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
+        }
+    }
+}
 
-    let text = std::fs::read_to_string(&json_path).expect("sweep JSON written");
-    let _ = std::fs::remove_file(&json_path);
-    let cells: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"granularity\":"))
-        .collect();
-    assert_eq!(cells.len(), 2, "{text}");
-    for cell in &cells {
-        assert_eq!(str_field(cell, "engine"), Some("serial"), "{cell}");
-        assert!(int_field(cell, "committed").unwrap() > 0, "{cell}");
-        assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
-        assert_eq!(int_field(cell, "unclean_instances"), Some(0), "{cell}");
+#[test]
+fn single_values_make_a_one_cell_sweep_open_or_closed_loop() {
+    // Every list flag takes a bare value: one deployment is a one-cell
+    // sweep. Closed loop, then the same cell on an open-loop schedule.
+    for (open, mode) in [("", "closed"), ("--open 2000", "open@2000")] {
+        let text = sweep("single", &format!("--multisite 20 --instances 2 {open}"));
+        let cells = cells(&text);
+        assert_eq!(cells.len(), 1, "{text}");
+        assert_eq!(num_field(cells[0], "multisite_pct"), Some(20.0));
+        assert!(int_field(cells[0], "committed").unwrap() > 0, "{text}");
+        assert!(text.contains(&format!("\"mode\":\"{mode}\"")), "{text}");
     }
 }

@@ -117,6 +117,35 @@ pub enum BranchOutcome {
     No,
 }
 
+/// A prepared branch parked between its Yes vote and the coordinator's
+/// decision. Both session types hold their in-doubt branches as this, so
+/// the `in_doubt` gauge and the parked-time histogram see every branch
+/// whichever engine parked it.
+pub(crate) struct Parked {
+    handle: TxnHandle,
+    parked_at: Instant,
+}
+
+impl Parked {
+    /// `handle` just voted Yes: it is in-doubt from now.
+    pub(crate) fn new(handle: TxnHandle) -> Parked {
+        islands_obs::metrics().in_doubt().inc();
+        Parked {
+            handle,
+            parked_at: Instant::now(),
+        }
+    }
+
+    /// Leave the in-doubt set with the decision applied: drop the gauge,
+    /// record how long the branch sat parked between Prepare and now.
+    pub(crate) fn retire(self, commit: bool) -> Result<(), StorageError> {
+        let metrics = islands_obs::metrics();
+        metrics.in_doubt().dec();
+        metrics.record_parked(self.parked_at.elapsed().as_nanos() as u64);
+        self.handle.decide(commit)
+    }
+}
+
 /// A 2PC branch surfaced by restart replay: prepared by the previous
 /// incarnation, parked here until the coordinator's decision arrives (over
 /// the wire or via startup resolution). Its key footprint blocks new
@@ -601,7 +630,7 @@ impl Engine for PartitionEngine {
 pub struct LockedSession<'e> {
     engine: &'e PartitionEngine,
     retry_limit: u32,
-    in_doubt: HashMap<u64, (Participant, TxnHandle)>,
+    in_doubt: HashMap<u64, (Participant, Parked)>,
 }
 
 impl Session for LockedSession<'_> {
@@ -630,7 +659,8 @@ impl Session for LockedSession<'_> {
                         ..
                     }
                 ));
-                self.in_doubt.insert(gtid, (participant, handle));
+                self.in_doubt
+                    .insert(gtid, (participant, Parked::new(handle)));
                 Vote::Yes
             }
             BranchOutcome::ReadOnly => Vote::ReadOnly,
@@ -640,12 +670,12 @@ impl Session for LockedSession<'_> {
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
         let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        let Some((mut participant, handle)) = self.in_doubt.remove(&gtid) else {
+        let Some((mut participant, parked)) = self.in_doubt.remove(&gtid) else {
             return Ok(self.engine.decide_recovered(gtid, commit));
         };
         let ev = participant.on_decision(commit);
         debug_assert!(matches!(ev, ParticipantEvent::ApplyDecisionAndAck { .. }));
-        Ok(match handle.decide(commit) {
+        Ok(match parked.retire(commit) {
             Ok(()) => DecideOutcome::Applied,
             Err(e) => DecideOutcome::Failed(e.to_string()),
         })
@@ -656,8 +686,8 @@ impl Session for LockedSession<'_> {
         // absence of evidence is evidence of abort. Rolling the branches
         // back releases their locks and keeps the partition serviceable.
         let orphaned = self.in_doubt.len() as u64;
-        for (_, (_, handle)) in self.in_doubt.drain() {
-            let _ = handle.decide(false);
+        for (_, (_, parked)) in self.in_doubt.drain() {
+            let _ = parked.retire(false);
         }
         orphaned
     }

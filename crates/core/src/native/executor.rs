@@ -46,15 +46,14 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use islands_dtxn::Vote;
 use islands_obs::{metrics, BreakdownCategory};
-use islands_storage::{StorageError, TxnHandle};
+use islands_storage::StorageError;
 use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
-use super::engine::{BranchOutcome, PartitionConfig, PartitionEngine};
+use super::engine::{BranchOutcome, Parked, PartitionConfig, PartitionEngine};
 use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::SubmitOutcome;
 
@@ -105,25 +104,13 @@ pub struct ExecutorConfig {
 
 /// One prepared, in-doubt 2PC branch parked on the executor.
 struct Branch {
-    handle: TxnHandle,
+    parked: Parked,
     /// Session that prepared it (the presumed-abort scope).
     session: u64,
     /// `(table, key)` pairs the branch wrote/read (range reads expanded):
     /// the executor's stand-in for the locks the branch would hold under
     /// 2PL.
     keys: Vec<(u32, u64)>,
-    /// When the branch went in-doubt (Prepare→Decision parked time).
-    parked_at: Instant,
-}
-
-impl Branch {
-    /// Leave the in-doubt set with the decision applied: drop the gauge,
-    /// record how long the branch sat parked between Prepare and now.
-    fn retire(self, commit: bool) -> Result<(), StorageError> {
-        metrics().in_doubt().dec();
-        metrics().record_parked(self.parked_at.elapsed().as_nanos() as u64);
-        self.handle.decide(commit)
-    }
 }
 
 /// What the partition lock guards: the engine nobody else may touch, and
@@ -242,7 +229,7 @@ impl Drop for PartitionExecutor {
         // Anything still in-doubt has no coordinator left to decide it:
         // presumed abort releases the partition's state cleanly.
         for (_, b) in partition.branches.drain() {
-            let _ = b.retire(false);
+            let _ = b.parked.retire(false);
         }
         partition.engine = None;
     }
@@ -323,14 +310,12 @@ impl ExecutorSession {
             }
             Ok(match engine.prepare_plan_branch(gtid, plan)? {
                 BranchOutcome::Prepared(handle) => {
-                    metrics().in_doubt().inc();
                     branches.insert(
                         gtid,
                         Branch {
-                            handle,
+                            parked: Parked::new(handle),
                             session: self.id,
                             keys: plan.conflict_keys(),
-                            parked_at: Instant::now(),
                         },
                     );
                     Vote::Yes
@@ -346,7 +331,7 @@ impl ExecutorSession {
         hold(&self.partition, |engine, branches| {
             let _span = islands_obs::enter(BreakdownCategory::XctManagement);
             match branches.remove(&gtid) {
-                Some(b) => match b.retire(commit) {
+                Some(b) => match b.parked.retire(commit) {
                     Ok(()) => DecideOutcome::Applied,
                     Err(e) => DecideOutcome::Failed(e.to_string()),
                 },
@@ -366,7 +351,7 @@ impl ExecutorSession {
         hold(&self.partition, |_, branches| {
             let mut aborted = 0;
             for (_, b) in branches.extract_if(|_, b| b.session == self.id) {
-                let _ = b.retire(false);
+                let _ = b.parked.retire(false);
                 aborted += 1;
             }
             aborted
@@ -411,6 +396,7 @@ fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
 mod tests {
     use super::*;
     use islands_workload::OpKind;
+    use std::time::Instant;
 
     fn executor() -> PartitionExecutor {
         PartitionExecutor::spawn(ExecutorConfig {

@@ -1,24 +1,23 @@
-//! Blocking client library: single connections and a connection pool.
+//! Blocking client library: one connection per [`Client`].
 //!
 //! [`Client`] is one connection speaking the wire protocol: submit a
-//! transaction and wait ([`submit`](Client::submit)), or ship a whole
-//! pipeline of requests in one write and collect the replies in order
+//! transaction and wait ([`submit_plan`](Client::submit_plan)), or ship a
+//! whole pipeline of requests in one write and collect the replies in order
 //! ([`submit_pipelined`](Client::submit_pipelined)) — the server runs
 //! what arrives together back-to-back and answers it in one write.
-//!
-//! [`ClientPool`] is a small checkout/checkin pool for sharing connections
-//! across threads; a connection that hits an I/O error is discarded rather
-//! than returned, so the pool never hands out a stream with undrained
-//! replies on it.
 
 use std::io::{self, Write};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use islands_workload::{PlanRequest, TxnRequest};
 
 use crate::server::{Conn, Endpoint};
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
+
+/// First pause of [`Client::connect_with_retry`]; each later one doubles.
+const RETRY_PAUSE_START: Duration = Duration::from_millis(1);
+/// Where the doubling stops: 1 → 2 → … → 64 ms, then 64 ms per attempt.
+const RETRY_PAUSE_CAP: Duration = Duration::from_millis(64);
 
 /// One blocking connection to a served deployment.
 pub struct Client {
@@ -40,18 +39,21 @@ impl Client {
         })
     }
 
-    /// Connect, retrying for up to `timeout` while the endpoint refuses or
-    /// does not exist yet — for racing a just-spawned server.
-    pub fn connect_with_retry(endpoint: &Endpoint, timeout: Duration) -> io::Result<Self> {
-        let deadline = Instant::now() + timeout;
+    /// Connect, retrying while the endpoint refuses or does not exist yet —
+    /// a just-spawned server, an instance mid-restart. The first attempt is
+    /// immediate, later ones wait out a capped doubling pause, and the last
+    /// error is returned once `budget` is spent.
+    pub fn connect_with_retry(endpoint: &Endpoint, budget: Duration) -> io::Result<Self> {
+        let deadline = Instant::now() + budget;
+        let mut pause = RETRY_PAUSE_START;
         loop {
             match Client::connect(endpoint) {
                 Ok(c) => return Ok(c),
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(5));
+                Err(e) if Instant::now() >= deadline => return Err(e),
+                Err(_) => {
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(RETRY_PAUSE_CAP);
                 }
-                Err(e) => return Err(e),
             }
         }
     }
@@ -176,112 +178,39 @@ fn unexpected(wanted: &str, got: &Reply) -> io::Error {
     )
 }
 
-/// Checkout/checkin pool of [`Client`] connections to one endpoint.
-///
-/// Connections are created lazily up to no particular cap — the pool's job
-/// is reuse, not admission control. [`get`](ClientPool::get) hands out a
-/// [`PooledClient`] guard that returns the connection on drop unless it was
-/// [`discard`](PooledClient::discard)ed (or observed an error via the
-/// `submit` helpers, which discard automatically).
-pub struct ClientPool {
-    endpoint: Endpoint,
-    idle: Mutex<Vec<Client>>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixListener;
 
-impl ClientPool {
-    pub fn new(endpoint: Endpoint) -> Self {
-        ClientPool {
-            endpoint,
-            idle: Mutex::new(Vec::new()),
-        }
-    }
+    #[test]
+    fn connect_with_retry_waits_out_a_late_binding_listener() {
+        let sock = std::env::temp_dir().join(format!(
+            "islands-backoff-{}-{:?}.sock",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&sock);
 
-    /// Endpoint this pool connects to.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
+        // Nothing listens and nothing will: the budget must bound the wait.
+        let endpoint = Endpoint::Uds(sock.clone());
+        assert!(Client::connect_with_retry(&endpoint, Duration::from_millis(50)).is_err());
 
-    /// Number of idle pooled connections.
-    pub fn idle_count(&self) -> usize {
-        self.idle_guard().len()
-    }
-
-    /// The idle list survives a holder's panic structurally intact (it only
-    /// ever sees `push`/`pop` of plain connections), so recover from mutex
-    /// poisoning instead of cascading the panic into every later caller.
-    fn idle_guard(&self) -> std::sync::MutexGuard<'_, Vec<Client>> {
-        self.idle.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Check out an idle connection or open a new one.
-    pub fn get(&self) -> io::Result<PooledClient<'_>> {
-        let reused = self.idle_guard().pop();
-        let client = match reused {
-            Some(c) => c,
-            None => Client::connect(&self.endpoint)?,
+        // A listener that binds late — the restart window — must be reached
+        // by a connect that starts before the bind.
+        let binder = {
+            let sock = sock.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                let listener = UnixListener::bind(&sock).unwrap();
+                let _ = listener.accept();
+            })
         };
-        Ok(PooledClient {
-            pool: self,
-            client: Some(client),
-        })
-    }
-
-    /// Convenience: check out, submit, check in (discarding on error).
-    pub fn submit(&self, txn: &TxnRequest) -> io::Result<Reply> {
-        let mut c = self.get()?;
-        match c.submit(txn) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                c.discard();
-                Err(e)
-            }
-        }
-    }
-
-    fn put_back(&self, client: Client) {
-        self.idle_guard().push(client);
-    }
-}
-
-/// RAII guard over a pooled connection.
-pub struct PooledClient<'a> {
-    pool: &'a ClientPool,
-    client: Option<Client>,
-}
-
-impl PooledClient<'_> {
-    /// Drop the connection instead of returning it to the pool (use after
-    /// any I/O error: the stream may hold half-read replies).
-    pub fn discard(&mut self) {
-        self.client = None;
-    }
-}
-
-impl std::ops::Deref for PooledClient<'_> {
-    type Target = Client;
-    fn deref(&self) -> &Client {
-        match self.client.as_ref() {
-            Some(c) => c,
-            // `discard` is the guard's final use in every caller; getting
-            // here is a bug in this module, not a runtime condition.
-            None => unreachable!("pooled client used after discard"),
-        }
-    }
-}
-
-impl std::ops::DerefMut for PooledClient<'_> {
-    fn deref_mut(&mut self) -> &mut Client {
-        match self.client.as_mut() {
-            Some(c) => c,
-            None => unreachable!("pooled client used after discard"),
-        }
-    }
-}
-
-impl Drop for PooledClient<'_> {
-    fn drop(&mut self) {
-        if let Some(c) = self.client.take() {
-            self.pool.put_back(c);
-        }
+        assert!(
+            Client::connect_with_retry(&endpoint, Duration::from_secs(5)).is_ok(),
+            "backoff must outlast a 100ms bind delay"
+        );
+        binder.join().unwrap();
+        let _ = std::fs::remove_file(&sock);
     }
 }

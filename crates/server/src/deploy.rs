@@ -146,7 +146,7 @@ pub struct DeployConfig {
     /// bytes a line, comfortably over five minutes.
     pub stats_every_ms: u64,
     /// Run instances with the observability registry enabled. Disabling it
-    /// (`loadgen --no-obs`) turns every counter/span into a load-and-branch
+    /// (`islands-sweep --no-obs`) turns every counter/span into a load-and-branch
     /// for overhead A/B measurements; heartbeats and final stats still
     /// print (wire counters are always on).
     pub obs: bool,
@@ -970,32 +970,10 @@ pub struct DeployClient {
     debt: AckDebt,
 }
 
-/// First pause of the reconnect backoff ladder.
-const RECONNECT_BACKOFF_START: Duration = Duration::from_millis(1);
-/// Per-attempt pause cap: the ladder doubles 1 → 2 → … → 64 ms, then stays.
-const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(64);
-/// Default total reconnect budget per [`DeployClient::conn`] call — long
-/// enough to ride out an instance respawn, short enough that a permanently
-/// dead instance still surfaces as [`DeployReply::InstanceDown`] promptly.
+/// Total reconnect budget per [`DeployClient::conn`] call — long enough to
+/// ride out an instance respawn, short enough that a permanently dead
+/// instance still surfaces as [`DeployReply::InstanceDown`] promptly.
 const RECONNECT_BUDGET: Duration = Duration::from_secs(1);
-
-/// Connect with capped exponential backoff: immediate first attempt, then
-/// doubling pauses up to [`RECONNECT_BACKOFF_CAP`], giving up (with the
-/// last error) once `budget` is spent.
-fn connect_backoff(endpoint: &Endpoint, budget: Duration) -> io::Result<Client> {
-    let deadline = Instant::now() + budget;
-    let mut pause = RECONNECT_BACKOFF_START;
-    loop {
-        match Client::connect(endpoint) {
-            Ok(c) => return Ok(c),
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => {
-                std::thread::sleep(pause);
-                pause = (pause * 2).min(RECONNECT_BACKOFF_CAP);
-            }
-        }
-    }
-}
 
 impl DeployClient {
     fn conn(&mut self, i: usize) -> io::Result<&mut Client> {
@@ -1003,7 +981,10 @@ impl DeployClient {
             // Reconnect with backoff: a raced submit that lands while
             // instance `i` restarts rides out the respawn instead of
             // failing on the first refused connect.
-            self.conns[i] = Some(connect_backoff(&self.deploy.endpoint(i), RECONNECT_BUDGET)?);
+            self.conns[i] = Some(Client::connect_with_retry(
+                &self.deploy.endpoint(i),
+                RECONNECT_BUDGET,
+            )?);
         }
         self.conns[i]
             .as_mut()
@@ -1367,7 +1348,6 @@ fn resolve_with_coordinator(
 mod tests {
     use super::*;
     use islands_workload::OpKind;
-    use std::os::unix::net::UnixListener;
 
     #[test]
     fn rows_fewer_than_instances_is_rejected_not_misrouted() {
@@ -1526,36 +1506,5 @@ mod tests {
         }
         assert!(FaultPoint::parse("mid-prepare").is_err());
         assert!(FaultPoint::parse("").is_err());
-    }
-
-    #[test]
-    fn connect_backoff_waits_out_a_late_binding_listener() {
-        let sock = std::env::temp_dir().join(format!(
-            "islands-backoff-{}-{:?}.sock",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&sock);
-
-        // Nothing listens and nothing will: the budget must bound the wait.
-        let endpoint = Endpoint::Uds(sock.clone());
-        assert!(connect_backoff(&endpoint, Duration::from_millis(50)).is_err());
-
-        // A listener that binds late — the restart window — must be reached
-        // by a connect that starts before the bind.
-        let binder = {
-            let sock = sock.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(100));
-                let listener = UnixListener::bind(&sock).unwrap();
-                let _ = listener.accept();
-            })
-        };
-        assert!(
-            connect_backoff(&endpoint, Duration::from_secs(5)).is_ok(),
-            "backoff must outlast a 100ms bind delay"
-        );
-        binder.join().unwrap();
-        let _ = std::fs::remove_file(&sock);
     }
 }

@@ -25,8 +25,7 @@
 //!   have not arrived), live counters, and graceful drain via a wire
 //!   message or the local handle.
 //! * [`client`] — the blocking client library: single connections
-//!   ([`Client`]), one-write pipelining, and a
-//!   checkout/checkin [`ClientPool`].
+//!   ([`Client`]), one-write pipelining, connect-with-backoff.
 //! * [`deploy`] — multi-process deployments: spawn one topology-pinned
 //!   server process per shared-nothing instance
 //!   ([`Deployment`]), route single-site plans to the
@@ -69,7 +68,7 @@ pub mod deploy;
 pub mod server;
 pub mod wire;
 
-pub use client::{Client, ClientPool, PooledClient};
+pub use client::Client;
 pub use cluster::{Cluster, ClusterClient, ClusterConfig, ClusterRunResult};
 pub use deploy::{
     DeployClient, DeployConfig, DeployOutcome, DeployReply, Deployment, InstanceExit,

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
 use islands_server::{
-    Backend, Client, ClientPool, Cluster, ClusterConfig, Endpoint, Reply, Request, Server,
-    ServerConfig, ServerHandle,
+    Backend, Client, Cluster, ClusterConfig, Endpoint, Reply, Request, Server, ServerConfig,
+    ServerHandle,
 };
 use islands_workload::{OpKind, PlanBranch, TxnBranch, TxnRequest};
 
@@ -155,34 +155,6 @@ fn oversized_frame_is_answered_with_error_and_hangup() {
         other => panic!("unexpected reply {other:?}"),
     }
     handle.initiate_shutdown();
-    handle.join().unwrap();
-}
-
-#[test]
-fn pool_shares_connections_across_threads() {
-    let (cluster, handle) = spawn(uds_endpoint());
-    let pool = Arc::new(ClientPool::new(handle.endpoint().clone()));
-    let mut workers = Vec::new();
-    for t in 0..4u64 {
-        let pool = Arc::clone(&pool);
-        workers.push(std::thread::spawn(move || {
-            for i in 0..25u64 {
-                let key = (t * 100 + i) % 400;
-                match pool.submit(&update(&[key])).unwrap() {
-                    Reply::Committed { .. } | Reply::Aborted { .. } => {}
-                    other => panic!("unexpected reply {other:?}"),
-                }
-            }
-        }));
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-    // Checked-in connections are reused, not reopened per request.
-    assert!(pool.idle_count() >= 1);
-    let committed = handle.stats().commits;
-    assert_eq!(cluster.audit_sum().unwrap(), committed);
-    pool.get().unwrap().drain_server().unwrap();
     handle.join().unwrap();
 }
 

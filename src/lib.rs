@@ -34,9 +34,8 @@
 //!   one 2PC driver, spawned as pinned processes over Unix domain sockets /
 //!   TCP ([`server::Deployment`]) or assembled in this process
 //!   ([`server::Cluster`]); the wire protocol, the multi-threaded server
-//!   with request pipelining, and a blocking client library with a
-//!   connection pool (drive it with the `loadgen` binary in
-//!   `islands-bench`).
+//!   with request pipelining, and a blocking client library (drive a
+//!   served deployment with the `islands-sweep` binary in `islands-bench`).
 //!
 //! ## Quickstart
 //!
