@@ -1,5 +1,6 @@
-//! Criterion microbenchmarks of the core substrates: B+tree, lock table,
-//! log buffer, WAL commit, the session and executor hops, Zipf sampling,
+//! Criterion microbenchmarks of the core substrates: B+tree, buffer pool,
+//! lock table and manager (alone and beside three more callers), log
+//! buffer, WAL commit, the session and executor hops, Zipf sampling,
 //! and the DES kernel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +13,7 @@ use islands_server::{Backend, Client, Endpoint, Server, ServerConfig, ServerHand
 use islands_sim::Sim;
 use islands_storage::btree::BTree;
 use islands_storage::buffer::BufferPool;
-use islands_storage::lock::{LockId, LockMode, LockTable};
+use islands_storage::lock::{LockId, LockMode, LockTable, NativeLockManager};
 use islands_storage::store::MemStore;
 use islands_storage::wal::buffer::LogBuffer;
 use islands_storage::wal::record::LogPayload;
@@ -22,6 +23,42 @@ use islands_workload::{OpKind, TxnRequest, Zipf};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Time `op(0, i)` on this thread while `others` more threads run
+/// `op(thread, i)` flat out: what one caller pays for a shared structure
+/// when it really is shared. `i` counts each thread's own calls.
+fn beside(c: &mut Criterion, id: &str, others: u64, op: impl Fn(u64, u64) + Sync) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for t in 1..=others {
+            let (op, stop) = (&op, &stop);
+            s.spawn(move || {
+                let mut i = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    i += 1;
+                    op(t, i);
+                }
+            });
+        }
+        let mut i = 0;
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                i += 1;
+                op(0, i)
+            })
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// [`beside`] alone and with three others: `ID/1x` and `ID/4x`.
+fn alone_and_4x(c: &mut Criterion, id: &str, op: impl Fn(u64, u64) + Sync) {
+    for callers in [1, 4] {
+        beside(c, &format!("{id}/{callers}x"), callers - 1, &op);
+    }
+}
+
+/// A point lookup in a 100k-key tree the pool holds: every caller crosses
+/// the same root.
 fn bench_btree(c: &mut Criterion) {
     let pool = BufferPool::new(Arc::new(MemStore::new()), 8192);
     pool.set_wal_barrier(Arc::new(|| Ok(())));
@@ -29,12 +66,19 @@ fn bench_btree(c: &mut Criterion) {
     for k in 0..100_000u64 {
         tree.insert(k, k).unwrap();
     }
-    let mut k = 0u64;
-    c.bench_function("btree_get_100k", |b| {
-        b.iter(|| {
-            k = (k + 7919) % 100_000;
-            std::hint::black_box(tree.get(k).unwrap())
-        })
+    alone_and_4x(c, "btree_get", |t, i| {
+        let k = (t * 25_000 + i * 7919) % 100_000;
+        std::hint::black_box(tree.get(k).unwrap());
+    });
+}
+
+/// A hit on a resident page: the callers' pages differ, the pool is one.
+fn bench_buffer_fetch(c: &mut Criterion) {
+    let pool = BufferPool::new(Arc::new(MemStore::new()), 8192);
+    let pids: Vec<_> = (0..1024).map(|_| pool.new_page().unwrap().pid).collect();
+    alone_and_4x(c, "buffer_fetch_hit", |t, i| {
+        let pid = pids[(t * 256 + i % 256) as usize];
+        std::hint::black_box(pool.fetch(pid).unwrap().pid);
     });
 }
 
@@ -48,6 +92,18 @@ fn bench_lock_table(c: &mut Criterion) {
             lt.acquire(txn, LockId::Key(1, t % 64), LockMode::X);
             lt.release_all(txn);
         })
+    });
+    // The blocking manager as a transaction uses it: one table intent, four
+    // row locks, one release. Callers share the table lock and nothing else.
+    let locks = NativeLockManager::new(Duration::from_millis(200));
+    alone_and_4x(c, "lock_acquire", |t, i| {
+        let txn = TxnId(i * 4 + t + 1);
+        let mut held = locks.lock(txn, LockId::Table(1), LockMode::IX).unwrap();
+        for row in 0..4 {
+            let key = (t << 32) | ((i * 4 + row) % 40_000);
+            held |= locks.lock(txn, LockId::Key(1, key), LockMode::X).unwrap();
+        }
+        locks.unlock(txn, held);
     });
 }
 
@@ -114,24 +170,10 @@ fn bench_wal_commit(c: &mut Criterion) {
 
 fn wal_commit_case(c: &mut Criterion, name: &str, committers: u64, device: Arc<dyn LogDevice>) {
     let wal = LogManager::new(device, 64 << 10, Duration::ZERO);
-    let commit = |txn: u64| {
+    let id = format!("wal_commit/{committers}x_{name}");
+    beside(c, &id, committers - 1, |txn, _| {
         let lsn = wal.append(TxnId(txn), &LogPayload::Commit);
         wal.commit_durable(lsn).unwrap();
-    };
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for t in 1..committers {
-            let (commit, stop) = (&commit, &stop);
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    commit(t);
-                }
-            });
-        }
-        c.bench_function(&format!("wal_commit/{committers}x_{name}"), |b| {
-            b.iter(|| commit(0))
-        });
-        stop.store(true, Ordering::Relaxed);
     });
 }
 
@@ -227,7 +269,7 @@ criterion_group! {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500))
         .sample_size(20);
-    targets = bench_btree, bench_lock_table, bench_log_buffer, bench_wal_commit,
+    targets = bench_btree, bench_buffer_fetch, bench_lock_table, bench_log_buffer, bench_wal_commit,
         bench_session_roundtrip, bench_zipf, bench_des
 }
 criterion_main!(benches);

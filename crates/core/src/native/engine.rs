@@ -37,6 +37,7 @@ use islands_dtxn::{Participant, ParticipantEvent, Vote};
 use islands_obs::BreakdownCategory;
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
+use islands_storage::table::Table;
 use islands_storage::wal::{DiscardLogDevice, FileLogDevice, LogDevice};
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle};
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
@@ -158,14 +159,20 @@ struct RecoveredBranch {
     parked_at: Instant,
 }
 
+/// Plan table ids are small and dense (`MICRO_TABLE` = 0 up to
+/// `TPCC_STOCK` = 6): a partition's tables sit in an array indexed by them.
+const PLAN_TABLES: usize = islands_workload::plan::TPCC_STOCK as usize + 1;
+
 /// One shared-nothing partition: a storage instance plus its key range
 /// (microbenchmark mode) or warehouse range (TPC-C mode).
 pub struct PartitionEngine {
     inst: Arc<StorageInstance>,
     lo: u64,
     hi: u64,
-    row_size: usize,
     tpcc: Option<TpccPartition>,
+    /// The tables this partition serves, by plan table id, resolved once:
+    /// the row path never goes through the catalog.
+    tables: [Option<Arc<Table>>; PLAN_TABLES],
     /// In-doubt branches re-parked by restart replay, keyed by gtid.
     recovered: Mutex<HashMap<u64, RecoveredBranch>>,
 }
@@ -205,6 +212,8 @@ impl PartitionEngine {
                 ..Default::default()
             },
         );
+        use islands_workload::plan as p;
+        let mut tables: [Option<Arc<Table>>; PLAN_TABLES] = Default::default();
         match &cfg.tpcc {
             None => {
                 assert!(cfg.lo < cfg.hi, "empty partition {}..{}", cfg.lo, cfg.hi);
@@ -214,6 +223,7 @@ impl PartitionEngine {
                 for key in cfg.lo..cfg.hi {
                     inst.load_row(&table, key, &payload)?;
                 }
+                tables[p::MICRO_TABLE as usize] = Some(table);
             }
             Some(t) => {
                 assert!(
@@ -223,13 +233,18 @@ impl PartitionEngine {
                     t.w_hi,
                     t.warehouses
                 );
-                let warehouse = inst.create_table(tpcc::T_WAREHOUSE, tpcc::WAREHOUSE_ROW)?;
-                let district = inst.create_table(tpcc::T_DISTRICT, tpcc::DISTRICT_ROW)?;
-                let customer = inst.create_table(tpcc::T_CUSTOMER, tpcc::CUSTOMER_ROW)?;
-                let stock = inst.create_table(tpcc::T_STOCK, tpcc::STOCK_ROW)?;
+                let mut create = |plan_id: u32, name, row| {
+                    let table = inst.create_table(name, row)?;
+                    tables[plan_id as usize] = Some(Arc::clone(&table));
+                    Ok::<_, StorageError>(table)
+                };
+                let warehouse = create(p::TPCC_WAREHOUSE, tpcc::T_WAREHOUSE, tpcc::WAREHOUSE_ROW)?;
+                let district = create(p::TPCC_DISTRICT, tpcc::T_DISTRICT, tpcc::DISTRICT_ROW)?;
+                let customer = create(p::TPCC_CUSTOMER, tpcc::T_CUSTOMER, tpcc::CUSTOMER_ROW)?;
+                let stock = create(p::TPCC_STOCK, tpcc::T_STOCK, tpcc::STOCK_ROW)?;
                 // Append-only tables start empty; inserts create their rows.
-                inst.create_table(tpcc::T_HISTORY, tpcc::HISTORY_ROW)?;
-                inst.create_table(tpcc::T_ORDER, tpcc::ORDER_ROW)?;
+                create(p::TPCC_HISTORY, tpcc::T_HISTORY, tpcc::HISTORY_ROW)?;
+                create(p::TPCC_ORDER, tpcc::T_ORDER, tpcc::ORDER_ROW)?;
                 let w_row = vec![0u8; tpcc::WAREHOUSE_ROW];
                 let d_row = vec![0u8; tpcc::DISTRICT_ROW];
                 let c_row = vec![0u8; tpcc::CUSTOMER_ROW];
@@ -252,8 +267,8 @@ impl PartitionEngine {
             inst,
             lo: cfg.lo,
             hi: cfg.hi,
-            row_size: cfg.row_size,
             tpcc: cfg.tpcc.clone(),
+            tables,
             recovered: Mutex::new(HashMap::new()),
         };
         if prior.is_empty() {
@@ -294,25 +309,15 @@ impl PartitionEngine {
     /// unknown catalog id keeps its raw value — at worst a false conflict,
     /// never a missed one.
     fn plan_space_keys(&self, branch: &InDoubt) -> Vec<(u32, u64)> {
-        use islands_workload::plan as p;
         branch
             .keys()
             .into_iter()
             .map(|(cat_id, key)| {
-                let plan_id = match self.inst.table_by_id(cat_id) {
-                    Some(t) => match t.name.as_str() {
-                        MICRO_TABLE_NAME => p::MICRO_TABLE,
-                        tpcc::T_WAREHOUSE => p::TPCC_WAREHOUSE,
-                        tpcc::T_DISTRICT => p::TPCC_DISTRICT,
-                        tpcc::T_CUSTOMER => p::TPCC_CUSTOMER,
-                        tpcc::T_HISTORY => p::TPCC_HISTORY,
-                        tpcc::T_ORDER => p::TPCC_ORDER,
-                        tpcc::T_STOCK => p::TPCC_STOCK,
-                        _ => cat_id,
-                    },
-                    None => cat_id,
-                };
-                (plan_id, key)
+                let served = |t: &Option<Arc<Table>>| t.as_ref().is_some_and(|t| t.id == cat_id);
+                match self.tables.iter().position(served) {
+                    Some(plan_id) => (plan_id as u32, key),
+                    None => (cat_id, key),
+                }
             })
             .collect()
     }
@@ -414,22 +419,14 @@ impl PartitionEngine {
         self.prepare_plan_branch(gtid, &req.to_plan())
     }
 
-    /// Catalog name and row width for a plan table id under this engine's
-    /// mode; table ids from the other mode (or unknown ids) are typed
-    /// errors, so a plan routed at the wrong kind of deployment can never
-    /// touch a row.
-    fn plan_table(&self, table: u32) -> Result<(&'static str, usize), StorageError> {
-        use islands_workload::plan as p;
-        match (&self.tpcc, table) {
-            (None, p::MICRO_TABLE) => Ok((MICRO_TABLE_NAME, self.row_size)),
-            (Some(_), p::TPCC_WAREHOUSE) => Ok((tpcc::T_WAREHOUSE, tpcc::WAREHOUSE_ROW)),
-            (Some(_), p::TPCC_DISTRICT) => Ok((tpcc::T_DISTRICT, tpcc::DISTRICT_ROW)),
-            (Some(_), p::TPCC_CUSTOMER) => Ok((tpcc::T_CUSTOMER, tpcc::CUSTOMER_ROW)),
-            (Some(_), p::TPCC_HISTORY) => Ok((tpcc::T_HISTORY, tpcc::HISTORY_ROW)),
-            (Some(_), p::TPCC_ORDER) => Ok((tpcc::T_ORDER, tpcc::ORDER_ROW)),
-            (Some(_), p::TPCC_STOCK) => Ok((tpcc::T_STOCK, tpcc::STOCK_ROW)),
-            (_, t) => Err(StorageError::NoSuchTable(format!(
-                "plan table id {t} not served by this partition"
+    /// The table a plan table id names on this partition; ids from the
+    /// other mode (or unknown ids) are typed errors, so a plan routed at the
+    /// wrong kind of deployment can never touch a row.
+    fn plan_table(&self, table: u32) -> Result<&Table, StorageError> {
+        match self.tables.get(table as usize) {
+            Some(Some(t)) => Ok(t),
+            _ => Err(StorageError::NoSuchTable(format!(
+                "plan table id {table} not served by this partition"
             ))),
         }
     }
@@ -462,35 +459,31 @@ impl PartitionEngine {
     }
 
     /// Run a plan's steps inside `txn`: reads fetch, updates bump the audit
-    /// counter, inserts create a fresh audited row, range reads fetch each
-    /// covered row in order (the dependent-read shape).
+    /// counter where the row lies, inserts create a fresh audited row, range
+    /// reads fetch each covered row in order (the dependent-read shape).
     fn run_plan(&self, txn: &mut TxnHandle, plan: &PlanRequest) -> Result<(), StorageError> {
+        let found = |row: Option<Vec<u8>>, key| row.ok_or(StorageError::KeyNotFound(key));
         for step in &plan.steps {
-            let (name, width) = self.plan_table(step.table)?;
+            let table = self.plan_table(step.table)?;
             match step.op {
                 StepOp::Read => {
-                    txn.read(name, step.key)?
-                        .ok_or(StorageError::KeyNotFound(step.key))?;
+                    found(txn.read_row(table, step.key)?, step.key)?;
                 }
-                StepOp::Update => {
-                    let mut row = txn
-                        .read(name, step.key)?
-                        .ok_or(StorageError::KeyNotFound(step.key))?;
-                    let v = super::audit_counter(&row) + 1;
+                StepOp::Update => txn.modify(table, step.key, |row| {
+                    let v = super::audit_counter(row) + 1;
                     row[..8].copy_from_slice(&v.to_le_bytes());
-                    txn.update(name, step.key, &row)?;
-                }
+                })?,
                 StepOp::Insert => {
                     // A freshly inserted row counts itself: audit_sum equals
                     // committed row writes (updates + inserts) either way.
-                    let mut row = vec![0u8; width];
+                    let mut row = vec![0u8; table.row_size];
                     row[..8].copy_from_slice(&1u64.to_le_bytes());
-                    txn.insert(name, step.key, &row)?;
+                    txn.insert_row(table, step.key, &row)?;
                 }
                 StepOp::RangeRead => {
                     for i in 0..step.span as u64 {
                         let key = step.key.wrapping_add(i);
-                        txn.read(name, key)?.ok_or(StorageError::KeyNotFound(key))?;
+                        found(txn.read_row(table, key)?, key)?;
                     }
                 }
             }
@@ -577,20 +570,8 @@ impl PartitionEngine {
     /// in TPC-C mode — equal to the number of committed row writes (updates
     /// plus inserts) applied here.
     pub fn audit_sum(&self) -> Result<u64, StorageError> {
-        let names: &[&str] = match &self.tpcc {
-            None => &[MICRO_TABLE_NAME],
-            Some(_) => &[
-                tpcc::T_WAREHOUSE,
-                tpcc::T_DISTRICT,
-                tpcc::T_CUSTOMER,
-                tpcc::T_STOCK,
-                tpcc::T_HISTORY,
-                tpcc::T_ORDER,
-            ],
-        };
         let mut sum = 0u64;
-        for name in names {
-            let table = self.inst.table(name)?;
+        for table in self.tables.iter().flatten() {
             for (_, payload) in table.range(0, u64::MAX)? {
                 sum += super::audit_counter(&payload);
             }
@@ -702,7 +683,9 @@ impl Drop for LockedSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islands_workload::plan::MICRO_TABLE;
     use islands_workload::OpKind;
+    use std::sync::atomic::Ordering;
 
     fn engine() -> PartitionEngine {
         PartitionEngine::build(&PartitionConfig {
@@ -836,6 +819,69 @@ mod tests {
         assert!(out.committed);
         // District + 5 stock updates + order insert.
         assert_eq!(e.audit_sum().unwrap(), 7);
+    }
+
+    /// Lock-manager acquires and buffer-pool fetches one committed plan
+    /// costs on `e`: counts, so they repeat exactly.
+    fn plan_cost(e: &PartitionEngine, plan: &PlanRequest) -> (u64, u64) {
+        let inst = e.instance();
+        let fetches = || inst.pool().hits() + inst.pool().stats.misses.load(Ordering::Relaxed);
+        let before = (inst.locks().stats().0, fetches());
+        assert!(e.submit_plan_local(plan, 0).unwrap().committed);
+        (inst.locks().stats().0 - before.0, fetches() - before.1)
+    }
+
+    #[test]
+    fn a_row_update_is_one_lock_one_descent_and_one_heap_page() {
+        // Enough rows for an index with a root above its leaves.
+        let e = PartitionEngine::build(&PartitionConfig {
+            lo: 0,
+            hi: 2_000,
+            row_size: 16,
+            buffer_frames: 256,
+            ..Default::default()
+        })
+        .unwrap();
+        let height = e.plan_table(MICRO_TABLE).unwrap().index_height() as u64;
+        assert_eq!(height, 2);
+        let (acquires, fetches) = plan_cost(&e, &update(&[3, 700, 1_400, 1_999]).to_plan());
+        assert_eq!(
+            acquires,
+            4 + 1,
+            "an X lock per row under one IX on the table"
+        );
+        assert_eq!(
+            fetches,
+            4 * (height + 1),
+            "per row: the descent and the heap page"
+        );
+    }
+
+    #[test]
+    fn tpcc_plans_take_each_table_intent_once() {
+        let e = tpcc_engine();
+        let order = tpcc::NewOrder {
+            w_id: 2,
+            d_id: 0,
+            c_id: 100,
+            items: vec![1, 2, 3, 4, 5],
+        };
+        // IS on warehouse and customer, IX on district, stock and order: five
+        // tables, five intents; then a lock per row — 3 + 5 order lines + 1.
+        assert_eq!(plan_cost(&e, &order.plan((2 << 32) | 7)).0, 5 + 9);
+        let payment = tpcc::Payment {
+            w_id: 2,
+            d_id: 5,
+            c_w_id: 2,
+            c_d_id: 5,
+            c_id: 17,
+            amount: 9,
+        };
+        // By id: warehouse, district, customer, history — IX and X each.
+        assert_eq!(plan_cost(&e, &payment.plan((2 << 32) | 1, false)).0, 4 + 4);
+        // By name: four customer rows are read under IS before the update
+        // raises the table to IX — the one intent a plan asks for twice.
+        assert_eq!(plan_cost(&e, &payment.plan((2 << 32) | 2, true)).0, 5 + 8);
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! moment it is read.
 //!
 //! **Drain**: a [`Request::Drain`] (or [`ServerHandle::initiate_shutdown`])
-//! flips the shared shutdown flag. The acceptor stops accepting, sessions
-//! finish the batch in flight, flush, and exit at their next poll tick, and
-//! [`ServerHandle::join`] returns the final counters once every thread is
-//! gone.
+//! raises the shared shutdown flag and connects to the server's own
+//! endpoint once: the acceptor sleeps in `accept` and that connection is its
+//! wake-up call. It stops accepting, sessions finish the batch in flight,
+//! flush, and exit at their next poll tick, and [`ServerHandle::join`]
+//! returns the final counters once every thread is gone.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -96,8 +97,8 @@ pub struct ServerConfig {
     pub retry_limit: u32,
     /// Largest request batch one session executes between flushes.
     pub max_batch: usize,
-    /// Poll granularity for noticing shutdown while idle; also the upper
-    /// bound on how long a drain waits for idle sessions.
+    /// How often an idle session looks for a shutdown; also the upper bound
+    /// on how long a drain waits for idle sessions.
     pub poll_interval: Duration,
 }
 
@@ -270,15 +271,9 @@ impl Listener {
                 if path.exists() && UnixStream::connect(path).is_err() {
                     let _ = std::fs::remove_file(path);
                 }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Uds(l, path.clone()))
+                Ok(Listener::Uds(UnixListener::bind(path)?, path.clone()))
             }
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
+            Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
         }
     }
 
@@ -291,14 +286,9 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Uds(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Conn::Uds(s))
-            }
+            Listener::Uds(l, _) => Ok(Conn::Uds(l.accept()?.0)),
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
                 s.set_nodelay(true)?;
                 Ok(Conn::Tcp(s))
             }
@@ -369,10 +359,31 @@ impl Write for Conn {
 /// server; call [`initiate_shutdown`](Self::initiate_shutdown) +
 /// [`join`](Self::join) (or have a client send [`Request::Drain`]).
 pub struct ServerHandle {
-    endpoint: Endpoint,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     counters: Arc<Counters>,
     acceptor: Option<std::thread::JoinHandle<io::Result<()>>>,
+}
+
+/// The drain flag, and the way raising it reaches an acceptor that sleeps in
+/// `accept` until somebody connects.
+struct Shutdown {
+    raised: AtomicBool,
+    /// The server's own resolved endpoint.
+    endpoint: Endpoint,
+}
+
+impl Shutdown {
+    fn raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Raise the flag; whoever raises it first also wakes the acceptor with
+    /// a connection it accepts, finds the flag up, and drops.
+    fn raise(&self) {
+        if !self.raised.swap(true, Ordering::SeqCst) {
+            let _ = Conn::connect(&self.endpoint);
+        }
+    }
 }
 
 /// Namespace for [`Server::spawn`].
@@ -395,8 +406,10 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
         let listener = Listener::bind(&endpoint)?;
-        let resolved = listener.local_endpoint()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown {
+            raised: AtomicBool::new(false),
+            endpoint: listener.local_endpoint()?,
+        });
         // Branches restart replay re-parked are in-doubt here as much as
         // any a session prepares, and a wire `Decision` may settle them:
         // they start on the gauge.
@@ -414,7 +427,6 @@ impl Server {
                 .spawn(move || accept_loop(listener, backend, config, shutdown, counters))?
         };
         Ok(ServerHandle {
-            endpoint: resolved,
             shutdown,
             counters,
             acceptor: Some(acceptor),
@@ -425,7 +437,7 @@ impl Server {
 impl ServerHandle {
     /// The resolved endpoint (actual TCP port when bound to port 0).
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        &self.shutdown.endpoint
     }
 
     /// Current counter snapshot.
@@ -443,12 +455,12 @@ impl ServerHandle {
 
     /// Whether a drain/shutdown has been initiated.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.raised()
     }
 
     /// Begin a drain, as if a client had sent [`Request::Drain`].
     pub fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
     }
 
     /// Wait for the acceptor and every session to exit; returns the final
@@ -472,10 +484,8 @@ const SESSION_PRUNE_WATERMARK: usize = 64;
 /// Bookkeeping for spawned session threads.
 ///
 /// Finished handles are pruned whenever a push finds the list at the
-/// watermark — not only on the accept loop's idle tick. Under sustained
-/// connection churn `accept` may never return `WouldBlock`, and the old
-/// idle-tick-only pruning let the list grow by one `JoinHandle` per
-/// connection ever accepted, without bound.
+/// watermark, so the list stays O(live sessions) under connection churn
+/// instead of growing by one `JoinHandle` per connection ever accepted.
 struct SessionSet {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -510,74 +520,40 @@ impl SessionSet {
     }
 }
 
-/// `WouldBlock` streak length the acceptor spends just yielding before it
-/// starts sleeping: a connection arriving moments after the last one is
-/// accepted with sub-scheduler-tick latency.
-const ACCEPT_SPIN_YIELDS: u32 = 64;
-
-/// Ceiling on the adaptive accept sleep. The old fixed
-/// `poll_interval.min(5ms)` nap added up to 5 ms of connect latency per
-/// accept; capping the park at 250 µs keeps a fresh connection's accept
-/// wait well under a millisecond while an idle acceptor still wakes only a
-/// few thousand times per second.
-const ACCEPT_PARK_CAP: Duration = Duration::from_micros(250);
-
-/// Adaptive idle wait for the accept loop: spin (yield) through short gaps,
-/// then escalate a 1 µs sleep exponentially up to [`ACCEPT_PARK_CAP`]
-/// (never past `poll_interval`, which stays the shutdown-notice bound).
-/// `None` means yield without sleeping.
-fn accept_idle_wait(streak: u32, poll_interval: Duration) -> Option<Duration> {
-    if streak <= ACCEPT_SPIN_YIELDS {
-        return None;
-    }
-    let exp = (streak - ACCEPT_SPIN_YIELDS - 1).min(8);
-    Some(
-        Duration::from_micros(1 << exp)
-            .min(ACCEPT_PARK_CAP)
-            .min(poll_interval),
-    )
-}
-
+/// Accept connections, one session thread each, until a drain. The thread
+/// sleeps in `accept` between connections — no poll, no wake-ups on the
+/// cpus its sessions run on — and [`Shutdown::raise`] connects to wake it.
 fn accept_loop(
     listener: Listener,
     backend: Backend,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     counters: Arc<Counters>,
 ) -> io::Result<()> {
     let mut sessions = SessionSet::new();
-    let mut idle_streak = 0u32;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                idle_streak = 0;
-                counters.connections.fetch_add(1, Ordering::Relaxed);
-                let backend = backend.clone();
-                let config = config.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let counters = Arc::clone(&counters);
-                sessions.push(
-                    std::thread::Builder::new()
-                        .name("islands-session".into())
-                        .spawn(move || {
-                            // Per-connection errors end that session only.
-                            let _ = session(conn, backend, config, shutdown, counters);
-                        })?,
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                idle_streak = idle_streak.saturating_add(1);
-                match accept_idle_wait(idle_streak, config.poll_interval) {
-                    None => std::thread::yield_now(),
-                    Some(park) => {
-                        // Genuinely idle: housekeeping is free here.
-                        sessions.prune();
-                        std::thread::sleep(park);
-                    }
-                }
-            }
+    loop {
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        if shutdown.raised() {
+            // The drain's wake-up call, or a client that raced it.
+            break;
         }
+        counters.connections.fetch_add(1, Ordering::Relaxed);
+        let backend = backend.clone();
+        let config = config.clone();
+        let shutdown = Arc::clone(&shutdown);
+        let counters = Arc::clone(&counters);
+        sessions.push(
+            std::thread::Builder::new()
+                .name("islands-session".into())
+                .spawn(move || {
+                    // Per-connection errors end that session only.
+                    let _ = session(conn, backend, config, shutdown, counters);
+                })?,
+        );
     }
     // Drain: stop accepting (listener drops below), let sessions finish.
     drop(listener);
@@ -590,7 +566,7 @@ fn session(
     conn: Conn,
     backend: Backend,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     counters: Arc<Counters>,
 ) -> io::Result<()> {
     let engine = backend.engine();
@@ -607,7 +583,7 @@ fn session_loop(
     engine: &dyn Engine,
     session: &mut dyn Session,
     config: &ServerConfig,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     counters: &Counters,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new();
@@ -650,7 +626,7 @@ fn session_loop(
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if shutdown.raised() {
                         return Ok(()); // drained while idle
                     }
                 }
@@ -684,10 +660,10 @@ fn session_loop(
             return Ok(());
         }
         if drain_after_flush {
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.raise();
             break 'conn;
         }
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.raised() {
             // A drain landed elsewhere while this batch ran: the in-flight
             // work is answered, so this session exits even though its client
             // may still be sending.
@@ -861,44 +837,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accept_idle_wait_spins_then_parks_capped() {
-        let poll = Duration::from_millis(25);
-        // Short gaps: pure yields, zero added latency.
-        for streak in 0..=ACCEPT_SPIN_YIELDS {
-            assert_eq!(accept_idle_wait(streak, poll), None, "streak {streak}");
-        }
-        // Escalation starts at 1 us and doubles...
-        assert_eq!(
-            accept_idle_wait(ACCEPT_SPIN_YIELDS + 1, poll),
-            Some(Duration::from_micros(1))
-        );
-        assert_eq!(
-            accept_idle_wait(ACCEPT_SPIN_YIELDS + 2, poll),
-            Some(Duration::from_micros(2))
-        );
-        // ...and is capped sub-millisecond no matter how long the idle
-        // stretch: the old fixed 5 ms nap is the regression under test.
-        let mut prev = Duration::ZERO;
-        for streak in ACCEPT_SPIN_YIELDS + 1..ACCEPT_SPIN_YIELDS + 10_000 {
-            let park = accept_idle_wait(streak, poll).unwrap();
-            assert!(park >= prev, "park regressed at streak {streak}");
-            assert!(park <= ACCEPT_PARK_CAP, "park over cap at streak {streak}");
-            assert!(park < Duration::from_millis(1));
-            prev = park;
-        }
-        // A tighter poll_interval wins over the cap (shutdown notice bound).
-        assert_eq!(
-            accept_idle_wait(u32::MAX, Duration::from_micros(10)),
-            Some(Duration::from_micros(10))
-        );
-    }
-
-    #[test]
     fn session_set_stays_bounded_under_sustained_churn() {
-        // Regression: handles used to be pruned only on the accept loop's
-        // WouldBlock idle tick, so a server accepting connections
-        // back-to-back accumulated one JoinHandle per connection forever.
-        // Pushing past the watermark must prune finished handles itself.
+        // Regression: a server accepting connections back-to-back used to
+        // accumulate one JoinHandle per connection forever. Pushing past the
+        // watermark must prune finished handles itself.
         let mut set = SessionSet::new();
         for i in 0..1_000 {
             let h = std::thread::Builder::new()

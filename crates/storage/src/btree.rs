@@ -153,24 +153,26 @@ fn int_insert_after(p: &mut Page, left_idx: usize, sep: u64, right: PageId) {
 // Latched node wrappers
 // ---------------------------------------------------------------------------
 
-struct RNode {
+// Latch before pin in both: fields drop in order, and a frame must stay
+// pinned for as long as it is latched.
+struct RNode<'a> {
+    g: PageRead<'a>,
     /// Keeps the frame pinned while the latch is held.
-    _pin: PinnedPage,
-    g: PageRead,
+    _pin: PinnedPage<'a>,
 }
 
-struct WNode {
-    pin: PinnedPage,
-    g: PageWrite,
+struct WNode<'a> {
+    g: PageWrite<'a>,
+    pin: PinnedPage<'a>,
 }
 
-impl RNode {
+impl RNode<'_> {
     fn page(&self) -> &Page {
         &self.g
     }
 }
 
-impl WNode {
+impl WNode<'_> {
     fn page(&self) -> &Page {
         &self.g
     }
@@ -207,13 +209,11 @@ impl BTree {
     /// Create a tree whose nodes hold at most `max_keys` entries.
     pub fn create_with_fanout(pool: Arc<BufferPool>, max_keys: usize) -> Result<BTree> {
         assert!((4..=MAX_FANOUT).contains(&max_keys), "fanout out of range");
-        let root = pool.new_page()?;
-        {
-            let mut w = root.write();
-            init_leaf(&mut w);
-        }
-        root.mark_dirty();
-        let pid = root.pid;
+        let pid = {
+            let root = pool.new_page()?;
+            init_leaf(&mut root.write());
+            root.pid
+        };
         Ok(BTree {
             pool,
             root: RwLock::new(pid),
@@ -253,20 +253,20 @@ impl BTree {
         self.len() == 0
     }
 
-    fn rlatch(&self, pid: PageId) -> Result<RNode> {
+    fn rlatch(&self, pid: PageId) -> Result<RNode<'_>> {
         let pin = self.pool.fetch(pid)?;
         let g = pin.read();
         Ok(RNode { _pin: pin, g })
     }
 
-    fn wlatch(&self, pid: PageId) -> Result<WNode> {
+    fn wlatch(&self, pid: PageId) -> Result<WNode<'_>> {
         let pin = self.pool.fetch(pid)?;
         let g = pin.write();
         Ok(WNode { pin, g })
     }
 
     /// Latch the root for reading, immune to concurrent root replacement.
-    fn rlatch_root(&self) -> Result<RNode> {
+    fn rlatch_root(&self) -> Result<RNode<'_>> {
         let rg = self.root.read();
         self.rlatch(*rg)
     }
@@ -333,7 +333,7 @@ impl BTree {
         }
     }
 
-    fn leaf_try_insert(&self, leaf: &mut WNode, key: u64, val: u64) -> Result<bool> {
+    fn leaf_try_insert(&self, leaf: &mut WNode<'_>, key: u64, val: u64) -> Result<bool> {
         match leaf_search(leaf.page(), key) {
             Ok(_) => Err(StorageError::DuplicateKey(key)),
             Err(pos) => {
@@ -411,7 +411,12 @@ impl BTree {
 
     /// Split full node `child` (the `child_idx`-th child of `parent`),
     /// inserting the separator into `parent`. Both stay write-latched.
-    fn split_child(&self, parent: &mut WNode, child_idx: usize, child: &mut WNode) -> Result<()> {
+    fn split_child(
+        &self,
+        parent: &mut WNode<'_>,
+        child_idx: usize,
+        child: &mut WNode<'_>,
+    ) -> Result<()> {
         let right_pin = self.pool.new_page()?;
         let right_pid = right_pin.pid;
         let mut right_g = right_pin.write();
@@ -493,7 +498,7 @@ impl BTree {
         }
     }
 
-    fn leaf_remove(&self, mut leaf: WNode, key: u64) -> bool {
+    fn leaf_remove(&self, mut leaf: WNode<'_>, key: u64) -> bool {
         match leaf_search(leaf.page(), key) {
             Ok(i) => {
                 let n = nkeys(leaf.page());

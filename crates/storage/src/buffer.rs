@@ -5,6 +5,14 @@
 //! * **Latches are the frame `RwLock`s.** B+tree traversal latch-couples on
 //!   them; the fine-grained single-threaded configurations bypass contention
 //!   naturally because only one thread ever runs per instance.
+//! * **Pins and latches borrow the pool.** A [`PinnedPage`] is a reference
+//!   to its frame plus a pin count; the latches it hands out are the frame
+//!   lock's own guards. A hit touches the page's shard, the frame's pin and
+//!   the frame's latch — no reference count shared with every other page.
+//! * **The page map is sharded by page id**, each shard owning its own
+//!   frames and clock hand. A miss — victim search, the 8 KB copy, a dirty
+//!   steal's WAL barrier — runs under its shard's lock and stalls only hits
+//!   on that shard's pages.
 //! * **Steal with a WAL barrier.** Evicting a dirty page first invokes the
 //!   registered WAL barrier (which makes the whole log durable), upholding
 //!   the write-ahead rule; if the barrier fails the page is not written and
@@ -12,16 +20,16 @@
 //!   may carry uncommitted data; recovery (see `wal::recovery`) therefore
 //!   runs a logical undo pass using logged before-images. With no barrier
 //!   registered the pool is strictly no-steal and fails with
-//!   [`StorageError::BufferFull`] when every frame is dirty or pinned.
-//! * **Clock eviction** with a reference bit; dirty victims are written back
-//!   through the store on eviction.
+//!   [`StorageError::BufferFull`] when every frame of the page's shard is
+//!   dirty or pinned.
+//! * **Clock eviction** with a reference bit, per shard; dirty victims are
+//!   written back through the store on eviction.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{Mutex, RawRwLock, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId};
@@ -30,23 +38,34 @@ use crate::store::PageStore;
 /// The write-ahead hook a dirty-page steal calls first.
 pub type WalBarrier = Arc<dyn Fn() -> Result<()> + Send + Sync>;
 
-/// Read guard bundling the pin with the latch.
-pub type PageRead = ArcRwLockReadGuard<RawRwLock, Page>;
-/// Write guard bundling the pin with the latch.
-pub type PageWrite = ArcRwLockWriteGuard<RawRwLock, Page>;
+/// Read latch on a pinned page.
+pub type PageRead<'a> = RwLockReadGuard<'a, Page>;
+/// Write latch on a pinned page.
+pub type PageWrite<'a> = RwLockWriteGuard<'a, Page>;
 
+/// Most shards a pool is cut into.
+const MAX_SHARDS: usize = 16;
+/// Fewest frames a shard may own: a B+tree split pins a handful of pages at
+/// once and they may all hash to one shard. Small (test) pools are one shard.
+const MIN_SHARD_FRAMES: usize = 64;
+
+/// A frame on cache lines of its own: neighbouring frames hold unrelated
+/// pages, and one page's pin traffic is no business of the next one's.
+#[repr(align(64))]
 struct Frame {
-    page: Arc<RwLock<Page>>,
-    pid: Mutex<Option<PageId>>,
+    page: RwLock<Page>,
+    /// The resident page, [`PageId::INVALID`] while free. Written under the
+    /// shard lock *and* the write latch, so either is enough to read it.
+    pid: AtomicU64,
     pin: AtomicU32,
     dirty: AtomicBool,
     referenced: AtomicBool,
 }
 
-/// Buffer pool statistics.
+/// Buffer pool statistics (hits are counted per shard: see
+/// [`BufferPool::hits`]).
 #[derive(Debug, Default)]
 pub struct PoolStats {
-    pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub evictions: AtomicU64,
     pub writebacks: AtomicU64,
@@ -55,9 +74,8 @@ pub struct PoolStats {
 /// The buffer pool.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    /// page id -> frame index, plus the clock hand; one map lock (coarse but
-    /// simple; frame latches do the heavy lifting).
-    map: Mutex<PoolMap>,
+    /// A power of two of them; a page lives in `shard_of(pid)` only.
+    shards: Vec<Shard>,
     store: Arc<dyn PageStore>,
     /// Called before a dirty page is stolen; must make the WAL durable or
     /// say why it could not.
@@ -65,62 +83,91 @@ pub struct BufferPool {
     pub stats: PoolStats,
 }
 
-struct PoolMap {
+/// One slice of the page map with the frames it alone fills and evicts.
+#[repr(align(64))]
+struct Shard {
+    /// The frames `first..first + len` of the pool belong to this shard.
+    first: usize,
+    len: usize,
+    map: Mutex<ShardMap>,
+}
+
+struct ShardMap {
+    /// page id -> frame index (pool-wide).
     table: HashMap<PageId, usize>,
+    /// Clock hand, relative to the shard's first frame.
     hand: usize,
+    /// Counted here because the lock is already held: a pool-wide counter
+    /// would be one more line every fetch on every thread writes.
+    hits: u64,
 }
 
 /// A pinned page: keeps the frame resident; take `read()`/`write()` latches
-/// through it. Unpins on drop.
-pub struct PinnedPage {
-    pool: Arc<BufferPool>,
-    frame_idx: usize,
+/// through it. Unpins on drop — drop the latch first.
+pub struct PinnedPage<'a> {
+    frame: &'a Frame,
     pub pid: PageId,
 }
 
-impl PinnedPage {
-    pub fn read(&self) -> PageRead {
-        let f = &self.pool.frames[self.frame_idx];
-        f.page.read_arc()
+impl<'a> PinnedPage<'a> {
+    pub fn read(&self) -> PageRead<'a> {
+        self.frame.page.read()
     }
 
-    pub fn write(&self) -> PageWrite {
-        let f = &self.pool.frames[self.frame_idx];
-        f.page.write_arc()
+    pub fn write(&self) -> PageWrite<'a> {
+        self.frame.page.write()
     }
 
     /// Mark the page dirty (call while or after holding the write latch).
     pub fn mark_dirty(&self) {
-        self.pool.frames[self.frame_idx]
-            .dirty
-            .store(true, Ordering::Release);
+        set_if_clear(&self.frame.dirty);
     }
 }
 
-impl Drop for PinnedPage {
+impl Drop for PinnedPage<'_> {
     fn drop(&mut self) {
-        let f = &self.pool.frames[self.frame_idx];
-        f.pin.fetch_sub(1, Ordering::AcqRel);
+        self.frame.pin.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Raise a flag that is usually up already without dirtying its cache line.
+fn set_if_clear(flag: &AtomicBool) {
+    if !flag.load(Ordering::Acquire) {
+        flag.store(true, Ordering::Release);
     }
 }
 
 impl BufferPool {
     pub fn new(store: Arc<dyn PageStore>, frames: usize) -> Arc<Self> {
         assert!(frames >= 2, "pool needs at least two frames");
+        let mut shards = 1;
+        while shards < MAX_SHARDS && frames / (shards * 2) >= MIN_SHARD_FRAMES {
+            shards *= 2;
+        }
         Arc::new(BufferPool {
             frames: (0..frames)
                 .map(|_| Frame {
-                    page: Arc::new(RwLock::new(Page::new())),
-                    pid: Mutex::new(None),
+                    page: RwLock::new(Page::new()),
+                    pid: AtomicU64::new(PageId::INVALID.0),
                     pin: AtomicU32::new(0),
                     dirty: AtomicBool::new(false),
                     referenced: AtomicBool::new(false),
                 })
                 .collect(),
-            map: Mutex::new(PoolMap {
-                table: HashMap::new(),
-                hand: 0,
-            }),
+            shards: (0..shards)
+                .map(|s| {
+                    let first = s * frames / shards;
+                    Shard {
+                        first,
+                        len: (s + 1) * frames / shards - first,
+                        map: Mutex::new(ShardMap {
+                            table: HashMap::new(),
+                            hand: 0,
+                            hits: 0,
+                        }),
+                    }
+                })
+                .collect(),
             store,
             wal_barrier: RwLock::new(None),
             stats: PoolStats::default(),
@@ -140,76 +187,81 @@ impl BufferPool {
         &self.store
     }
 
+    /// Fetches answered from a resident frame.
+    pub fn hits(&self) -> u64 {
+        self.shards.iter().map(|s| s.map.lock().hits).sum()
+    }
+
+    fn shard_of(&self, pid: PageId) -> &Shard {
+        // Fibonacci hashing: consecutive page ids (a table's heap and index
+        // pages interleave as it loads) spread evenly over the shards.
+        let h = pid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        &self.shards[h as usize & (self.shards.len() - 1)]
+    }
+
     /// Fetch `pid`, reading it from the store on a miss.
-    pub fn fetch(self: &Arc<Self>, pid: PageId) -> Result<PinnedPage> {
-        let mut map = self.map.lock();
+    pub fn fetch(&self, pid: PageId) -> Result<PinnedPage<'_>> {
+        let shard = self.shard_of(pid);
+        let mut map = shard.map.lock();
         if let Some(&idx) = map.table.get(&pid) {
-            let f = &self.frames[idx];
-            f.pin.fetch_add(1, Ordering::AcqRel);
-            f.referenced.store(true, Ordering::Release);
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PinnedPage {
-                pool: Arc::clone(self),
-                frame_idx: idx,
-                pid,
-            });
+            let frame = &self.frames[idx];
+            frame.pin.fetch_add(1, Ordering::AcqRel);
+            set_if_clear(&frame.referenced);
+            map.hits += 1;
+            return Ok(PinnedPage { frame, pid });
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let idx = self.take_victim(&mut map)?;
-        // Load under the map lock: coarse, but guarantees no two threads
-        // load the same page into different frames.
-        {
-            let f = &self.frames[idx];
-            let mut page = f.page.write();
-            self.store.read_page(pid, &mut page)?;
-            *f.pid.lock() = Some(pid);
-            f.pin.store(1, Ordering::Release);
-            f.dirty.store(false, Ordering::Release);
-            f.referenced.store(true, Ordering::Release);
-        }
-        map.table.insert(pid, idx);
-        Ok(PinnedPage {
-            pool: Arc::clone(self),
-            frame_idx: idx,
-            pid,
-        })
+        // Load under the shard lock: no two threads can load the same page
+        // into different frames, and only this shard's pages wait.
+        self.install(shard, &mut map, pid, |page| self.store.read_page(pid, page))
     }
 
     /// Allocate a brand-new zeroed page and pin it.
-    pub fn new_page(self: &Arc<Self>) -> Result<PinnedPage> {
+    pub fn new_page(&self) -> Result<PinnedPage<'_>> {
         let pid = self.store.allocate()?;
-        let mut map = self.map.lock();
-        let idx = self.take_victim(&mut map)?;
-        {
-            let f = &self.frames[idx];
-            let mut page = f.page.write();
+        let shard = self.shard_of(pid);
+        let pinned = self.install(shard, &mut shard.map.lock(), pid, |page| {
             page.data.fill(0);
-            *f.pid.lock() = Some(pid);
-            f.pin.store(1, Ordering::Release);
-            f.dirty.store(true, Ordering::Release);
-            f.referenced.store(true, Ordering::Release);
-        }
-        map.table.insert(pid, idx);
-        Ok(PinnedPage {
-            pool: Arc::clone(self),
-            frame_idx: idx,
-            pid,
-        })
+            Ok(())
+        })?;
+        pinned.mark_dirty();
+        Ok(pinned)
     }
 
-    /// Pick a free or evictable (clean, unpinned) frame; clock with one
-    /// full sweep of second chances.
-    fn take_victim(&self, map: &mut PoolMap) -> Result<usize> {
-        let n = self.frames.len();
+    /// Claim a frame of `shard` for `pid`, fill it, and pin it once.
+    fn install(
+        &self,
+        shard: &Shard,
+        map: &mut ShardMap,
+        pid: PageId,
+        fill: impl FnOnce(&mut Page) -> Result<()>,
+    ) -> Result<PinnedPage<'_>> {
+        let idx = self.take_victim(shard, map)?;
+        let frame = &self.frames[idx];
+        {
+            let mut page = frame.page.write();
+            fill(&mut page)?;
+            frame.pid.store(pid.0, Ordering::Release);
+        }
+        frame.pin.store(1, Ordering::Release);
+        frame.referenced.store(true, Ordering::Release);
+        map.table.insert(pid, idx);
+        Ok(PinnedPage { frame, pid })
+    }
+
+    /// Pick a free or evictable (clean, unpinned) frame of `shard`, leaving
+    /// it free; clock with one full sweep of second chances.
+    fn take_victim(&self, shard: &Shard, map: &mut ShardMap) -> Result<usize> {
+        let n = shard.len;
         for pass in 0..2 * n {
-            let idx = map.hand;
+            let idx = shard.first + map.hand;
             map.hand = (map.hand + 1) % n;
             let f = &self.frames[idx];
             if f.pin.load(Ordering::Acquire) != 0 {
                 continue;
             }
-            let occupied = f.pid.lock().is_some();
-            if !occupied {
+            let resident = PageId(f.pid.load(Ordering::Acquire));
+            if !resident.is_valid() {
                 return Ok(idx);
             }
             if f.referenced.swap(false, Ordering::AcqRel) && pass < n {
@@ -220,16 +272,13 @@ impl BufferPool {
                 let barrier = self.wal_barrier.read().clone();
                 let Some(barrier) = barrier else { continue };
                 barrier()?;
-                let pid = f.pid.lock().expect("occupied above");
-                let page = f.page.read();
-                self.store.write_page(pid, &page)?;
-                drop(page);
+                self.store.write_page(resident, &f.page.read())?;
                 f.dirty.store(false, Ordering::Release);
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
             // Evict.
-            let old = f.pid.lock().take().unwrap();
-            map.table.remove(&old);
+            f.pid.store(PageId::INVALID.0, Ordering::Release);
+            map.table.remove(&resident);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             return Ok(idx);
         }
@@ -243,11 +292,14 @@ impl BufferPool {
             if !f.dirty.load(Ordering::Acquire) {
                 continue;
             }
-            let pid = match *f.pid.lock() {
-                Some(p) => p,
-                None => continue,
-            };
+            // No shard lock: a writer may hold this latch while it fetches
+            // another page of the same shard. The latch alone pins down
+            // which page the frame holds.
             let page = f.page.read();
+            let pid = PageId(f.pid.load(Ordering::Acquire));
+            if !pid.is_valid() || !f.dirty.load(Ordering::Acquire) {
+                continue;
+            }
             self.store.write_page(pid, &page)?;
             f.dirty.store(false, Ordering::Release);
             self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
@@ -300,7 +352,7 @@ mod tests {
         drop(p);
         let _a = pool.fetch(pid).unwrap();
         let _b = pool.fetch(pid).unwrap();
-        assert_eq!(pool.stats.hits.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.hits(), 2);
         assert_eq!(pool.stats.misses.load(Ordering::Relaxed), 0);
     }
 
@@ -382,5 +434,136 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// A WAL-less pool that may steal dirty frames.
+    fn stealing_pool(frames: usize) -> Arc<BufferPool> {
+        let pool = pool(frames);
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
+        pool
+    }
+
+    /// Every resident page sits in exactly one frame, and the page map of
+    /// its shard says which.
+    fn assert_one_frame_per_page(pool: &BufferPool) {
+        let mut seen = std::collections::HashSet::new();
+        for (idx, f) in pool.frames.iter().enumerate() {
+            let pid = PageId(f.pid.load(Ordering::Acquire));
+            if pid.is_valid() {
+                assert!(seen.insert(pid), "{pid:?} is resident twice");
+                assert_eq!(pool.shard_of(pid).map.lock().table.get(&pid), Some(&idx));
+            }
+        }
+        let mapped: usize = pool.shards.iter().map(|s| s.map.lock().table.len()).sum();
+        assert_eq!(mapped, seen.len(), "page map names a frame that moved on");
+    }
+
+    #[test]
+    fn concurrent_fetch_dirty_evict_keeps_pages_whole() {
+        const FRAMES: usize = 256; // four shards
+        const PAGES: u64 = 4 * FRAMES as u64;
+        const THREADS: u64 = 4;
+        let pool = stealing_pool(FRAMES);
+        assert_eq!(pool.shards.len(), 4);
+        // Each page carries its own number and a write counter.
+        let pids: Vec<PageId> = (0..PAGES)
+            .map(|n| {
+                let p = pool.new_page().unwrap();
+                p.write().write_u64(16, n);
+                p.pid
+            })
+            .collect();
+        // Thread t alone writes pages n = t (mod THREADS) and reads any.
+        let written: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (pool, pids) = (&pool, &pids);
+                    s.spawn(move || {
+                        let mut mine = vec![0u64; (PAGES / THREADS) as usize];
+                        let mut x = 0x9E37_79B9u64 + t;
+                        for _ in 0..20_000 {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let slot = (x >> 33) % (PAGES / THREADS);
+                            let n = slot * THREADS + t;
+                            {
+                                let pin = pool.fetch(pids[n as usize]).expect("never BufferFull");
+                                let mut w = pin.write();
+                                assert_eq!(w.read_u64(16), n, "wrong page in the frame");
+                                assert_eq!(w.read_u64(24), mine[slot as usize], "lost a write");
+                                w.write_u64(24, mine[slot as usize] + 1);
+                                drop(w);
+                                pin.mark_dirty();
+                                mine[slot as usize] += 1;
+                            }
+                            let other = (x >> 13) % PAGES;
+                            let pin = pool.fetch(pids[other as usize]).expect("never BufferFull");
+                            assert_eq!(pin.read().read_u64(16), other, "wrong page in the frame");
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            pool.stats.evictions.load(Ordering::Relaxed) > PAGES,
+            "pool too roomy"
+        );
+        assert!(
+            pool.stats.writebacks.load(Ordering::Relaxed) > 0,
+            "nothing was stolen"
+        );
+        assert_one_frame_per_page(&pool);
+        // Every write survived its evictions.
+        for (t, mine) in written.iter().enumerate() {
+            for (slot, &count) in mine.iter().enumerate() {
+                let n = slot * THREADS as usize + t;
+                assert_eq!(pool.fetch(pids[n]).unwrap().read().read_u64(24), count);
+            }
+        }
+        assert_eq!(
+            pool.hits() + pool.stats.misses.load(Ordering::Relaxed),
+            2 * THREADS * 20_000 + PAGES,
+            "every fetch is a hit or a miss"
+        );
+    }
+
+    #[test]
+    fn buffer_full_means_every_frame_of_the_shard_is_pinned() {
+        let pool = stealing_pool(128); // two shards of 64
+        assert_eq!(pool.shards.len(), 2);
+        let all_pinned = |s: &Shard| {
+            (s.first..s.first + s.len).all(|i| pool.frames[i].pin.load(Ordering::Acquire) > 0)
+        };
+        // The page `new_page` allocated last, served or refused.
+        let last = || PageId(pool.store.num_pages() - 1);
+        // Pin pages until one is refused: its shard has nothing left to give.
+        let mut pins = Vec::new();
+        let full = loop {
+            match pool.new_page() {
+                Ok(p) => pins.push(p),
+                Err(StorageError::BufferFull) => break pool.shard_of(last()),
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        };
+        assert!(all_pinned(full), "refused with an unpinned frame to give");
+        // One unpin there and that shard serves again — whatever the other
+        // shard, which may be just as full, says about its own pages.
+        let in_full = |p: &PinnedPage<'_>| std::ptr::eq(pool.shard_of(p.pid), full);
+        pins.swap_remove(pins.iter().position(in_full).unwrap());
+        loop {
+            match pool.new_page() {
+                Ok(p) if in_full(&p) => break,
+                Ok(_) => {}
+                Err(StorageError::BufferFull) => {
+                    let refusing = pool.shard_of(last());
+                    assert!(!std::ptr::eq(refusing, full) && all_pinned(refusing));
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert_one_frame_per_page(&pool);
     }
 }

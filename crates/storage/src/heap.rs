@@ -29,13 +29,11 @@ struct HeapState {
 impl HeapFile {
     /// Create a heap file with one empty page.
     pub fn create(pool: Arc<BufferPool>) -> Result<HeapFile> {
-        let first = pool.new_page()?;
-        {
-            let mut w = first.write();
-            w.init_slotted();
-        }
-        first.mark_dirty();
-        let pid = first.pid;
+        let pid = {
+            let first = pool.new_page()?;
+            first.write().init_slotted();
+            first.pid
+        };
         Ok(HeapFile {
             pool,
             state: Mutex::new(HeapState {
@@ -154,6 +152,15 @@ impl HeapFile {
         }
         pin.mark_dirty();
         Ok(())
+    }
+
+    /// Rewrite the record at `rid` in place under one write latch; `f` may
+    /// read the old bytes before it overwrites them.
+    pub fn modify<T>(&self, rid: Rid, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
+        let pin = self.pool.fetch(rid.page)?;
+        let out = f(pin.write().record_mut(rid.slot)?);
+        pin.mark_dirty();
+        Ok(out)
     }
 
     /// Tombstone the record at `rid`.

@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::lock::{LockId, LockMode, NativeLockManager};
+use crate::lock::{LockId, LockMode, NativeLockManager, ShardSet};
 use crate::page::{Page, PageId, PAGE_TYPE_CATALOG};
 use crate::store::PageStore;
 use crate::table::{Table, TableMeta};
@@ -219,6 +219,8 @@ impl StorageInstance {
             wrote: false,
             last_lsn: 0,
             undo: Vec::new(),
+            lock_shards: ShardSet::default(),
+            intents: Vec::new(),
         }
     }
 
@@ -535,16 +537,15 @@ enum TxnState {
     Finished,
 }
 
-enum UndoEntry {
-    Update {
-        table: Arc<Table>,
-        key: u64,
-        before: Vec<u8>,
-    },
-    Insert {
-        table: Arc<Table>,
-        key: u64,
-    },
+/// What rolls one write back. Tables go by catalog id: a clone of the
+/// table's `Arc` per write would have every session bumping the same
+/// reference count.
+struct UndoEntry {
+    table: u32,
+    key: u64,
+    /// The image an update overwrote; `None` for an insert, which is rolled
+    /// back by removing the row.
+    before: Option<Vec<u8>>,
 }
 
 /// A live transaction. Dropping an unfinished handle aborts it (RAII).
@@ -555,6 +556,13 @@ pub struct TxnHandle {
     wrote: bool,
     last_lsn: Lsn,
     undo: Vec<UndoEntry>,
+    /// Lock-manager shards this transaction holds locks in: the only ones
+    /// its release visits.
+    lock_shards: ShardSet,
+    /// Table intent locks already held (`IS` or `IX` per catalog id). A
+    /// transaction touches a handful of tables many times each; the lock
+    /// manager hears about each once.
+    intents: Vec<(u32, LockMode)>,
 }
 
 impl TxnHandle {
@@ -569,11 +577,31 @@ impl TxnHandle {
         }
     }
 
-    fn lock(&self, id: LockId, mode: LockMode) -> Result<()> {
+    fn lock(&mut self, id: LockId, mode: LockMode) -> Result<()> {
+        self.lock_shards |= self.instance.locks.lock(self.id, id, mode)?;
+        Ok(())
+    }
+
+    /// Lock row `key` of `table` in `mode` (`S` or `X`) under the matching
+    /// table intent.
+    fn lock_row(&mut self, table: u32, key: u64, mode: LockMode) -> Result<()> {
         if self.instance.opts.single_threaded {
             return Ok(());
         }
-        self.instance.locks.lock(self.id, id, mode)
+        let intent = match mode {
+            LockMode::X => LockMode::IX,
+            _ => LockMode::IS,
+        };
+        let held = self.intents.iter().position(|(t, _)| *t == table);
+        if !held.is_some_and(|i| self.intents[i].1.covers(intent)) {
+            self.lock(LockId::Table(table), intent)?;
+            match held {
+                // Not covered means IS held, IX wanted: IX now.
+                Some(i) => self.intents[i].1 = intent,
+                None => self.intents.push((table, intent)),
+            }
+        }
+        self.lock(LockId::Key(table, key), mode)
     }
 
     /// Race-detector hook on every transactional key access (no-op unless
@@ -589,64 +617,93 @@ impl TxnHandle {
     }
 
     /// Read one row (S lock on the key, IS on the table).
-    pub fn read(&mut self, table: &str, key: u64) -> Result<Option<Vec<u8>>> {
+    pub fn read_row(&mut self, table: &Table, key: u64) -> Result<Option<Vec<u8>>> {
         let _span = islands_obs::enter(BreakdownCategory::XctExecution);
         self.check_active()?;
         self.lockcheck_access(key);
-        let t = self.instance.table(table)?;
-        self.lock(LockId::Table(t.id), LockMode::IS)?;
-        self.lock(LockId::Key(t.id, key), LockMode::S)?;
-        t.get(key)
+        self.lock_row(table.id, key, LockMode::S)?;
+        table.get(key)
     }
 
-    /// Overwrite one row (X lock on the key, IX on the table), logging
-    /// before/after images.
-    pub fn update(&mut self, table: &str, key: u64, payload: &[u8]) -> Result<()> {
+    /// Rewrite one row in place (X lock on the key, IX on the table),
+    /// logging before/after images: the read-modify-write of a row as one
+    /// lock request, one index descent and one page latch. A transaction
+    /// that reads under S and then updates pays each of those twice and
+    /// can die on the S→X upgrade with its work half done.
+    pub fn modify(&mut self, table: &Table, key: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let _span = islands_obs::enter(BreakdownCategory::XctExecution);
         self.check_active()?;
         self.lockcheck_access(key);
-        let t = self.instance.table(table)?;
-        self.lock(LockId::Table(t.id), LockMode::IX)?;
-        self.lock(LockId::Key(t.id, key), LockMode::X)?;
-        let before = t.update(key, payload)?;
+        self.lock_row(table.id, key, LockMode::X)?;
+        let (before, after) = table.modify(key, |row| {
+            let before = row.to_vec();
+            f(row);
+            (before, row.to_vec())
+        })?;
         self.last_lsn = self.instance.wal.append(
             self.id,
             &LogPayload::Update {
-                table: t.id,
+                table: table.id,
                 key,
                 before: before.clone(),
-                after: payload.to_vec(),
+                after,
             },
         );
         self.wrote = true;
-        self.undo.push(UndoEntry::Update {
-            table: t,
+        self.undo.push(UndoEntry {
+            table: table.id,
             key,
-            before,
+            before: Some(before),
         });
         Ok(())
     }
 
+    /// Overwrite one row (see [`modify`](Self::modify)).
+    pub fn update_row(&mut self, table: &Table, key: u64, payload: &[u8]) -> Result<()> {
+        table.check_payload(payload)?;
+        self.modify(table, key, |row| row.copy_from_slice(payload))
+    }
+
     /// Insert a new row.
-    pub fn insert(&mut self, table: &str, key: u64, payload: &[u8]) -> Result<()> {
+    pub fn insert_row(&mut self, table: &Table, key: u64, payload: &[u8]) -> Result<()> {
         let _span = islands_obs::enter(BreakdownCategory::XctExecution);
         self.check_active()?;
         self.lockcheck_access(key);
-        let t = self.instance.table(table)?;
-        self.lock(LockId::Table(t.id), LockMode::IX)?;
-        self.lock(LockId::Key(t.id, key), LockMode::X)?;
-        t.insert_row(key, payload)?;
+        self.lock_row(table.id, key, LockMode::X)?;
+        table.insert_row(key, payload)?;
         self.last_lsn = self.instance.wal.append(
             self.id,
             &LogPayload::Insert {
-                table: t.id,
+                table: table.id,
                 key,
                 data: payload.to_vec(),
             },
         );
         self.wrote = true;
-        self.undo.push(UndoEntry::Insert { table: t, key });
+        self.undo.push(UndoEntry {
+            table: table.id,
+            key,
+            before: None,
+        });
         Ok(())
+    }
+
+    /// [`read_row`](Self::read_row) on the table called `table`.
+    pub fn read(&mut self, table: &str, key: u64) -> Result<Option<Vec<u8>>> {
+        let table = self.instance.table(table)?;
+        self.read_row(&table, key)
+    }
+
+    /// [`update_row`](Self::update_row) on the table called `table`.
+    pub fn update(&mut self, table: &str, key: u64, payload: &[u8]) -> Result<()> {
+        let table = self.instance.table(table)?;
+        self.update_row(&table, key, payload)
+    }
+
+    /// [`insert_row`](Self::insert_row) on the table called `table`.
+    pub fn insert(&mut self, table: &str, key: u64, payload: &[u8]) -> Result<()> {
+        let table = self.instance.table(table)?;
+        self.insert_row(&table, key, payload)
     }
 
     /// Commit: force the commit record if the transaction wrote (group
@@ -677,12 +734,16 @@ impl TxnHandle {
         if self.state == TxnState::Finished {
             return Ok(());
         }
-        for entry in self.undo.drain(..).rev() {
-            match entry {
-                UndoEntry::Update { table, key, before } => {
+        for UndoEntry { table, key, before } in self.undo.drain(..).rev() {
+            let table = self
+                .instance
+                .table_by_id(table)
+                .ok_or_else(|| StorageError::NoSuchTable(format!("table id {table}")))?;
+            match before {
+                Some(before) => {
                     table.update(key, &before)?;
                 }
-                UndoEntry::Insert { table, key } => {
+                None => {
                     table.delete_row(key)?;
                 }
             }
@@ -733,7 +794,10 @@ impl TxnHandle {
 
     fn release(&mut self, end_state: TxnState) {
         if !self.instance.opts.single_threaded {
-            self.instance.locks.unlock_all(self.id);
+            self.instance
+                .locks
+                .unlock(self.id, std::mem::take(&mut self.lock_shards));
+            self.intents.clear();
         }
         if self.state != TxnState::Finished {
             self.instance.active_txns.fetch_sub(1, Ordering::SeqCst);
@@ -836,6 +900,81 @@ mod tests {
         assert!(matches!(err, StorageError::Deadlock(_)));
         t2.abort().unwrap();
         t1.commit().unwrap();
+    }
+
+    /// An instance with a 64-row table: a transaction over all of it holds
+    /// locks in (nearly) every shard of the lock manager.
+    fn wide(lock_timeout: Duration) -> Arc<StorageInstance> {
+        let inst = fresh(InstanceOptions {
+            lock_timeout,
+            ..small_opts()
+        });
+        let t = inst.create_table("a", 8).unwrap();
+        for k in 0..64 {
+            inst.load_row(&t, k, &[0u8; 8]).unwrap();
+        }
+        inst
+    }
+
+    fn update_all_but(txn: &mut TxnHandle, skip: u64) {
+        for k in (0..64).filter(|&k| k != skip) {
+            txn.update("a", k, &[1u8; 8]).unwrap();
+        }
+    }
+
+    #[test]
+    fn commit_releases_locks_in_every_shard_it_touched() {
+        let inst = wide(Duration::from_secs(2));
+        let mut txn = inst.begin();
+        update_all_but(&mut txn, 64);
+        assert_eq!(inst.locks().active_locks(), 64 + 1, "rows + the table");
+        txn.commit().unwrap();
+        assert_eq!(inst.locks().active_locks(), 0);
+    }
+
+    #[test]
+    fn a_killed_transaction_releases_every_shard_it_touched() {
+        let inst = wide(Duration::from_secs(2));
+        let mut old = inst.begin();
+        let mut young = inst.begin();
+        old.update("a", 7, &[1u8; 8]).unwrap();
+        update_all_but(&mut young, 7);
+        assert!(matches!(
+            young.update("a", 7, &[2u8; 8]),
+            Err(StorageError::Deadlock(_))
+        ));
+        young.abort().unwrap();
+        assert_eq!(
+            inst.locks().active_locks(),
+            1 + 1,
+            "the survivor's row + table"
+        );
+        old.commit().unwrap();
+        assert_eq!(inst.locks().active_locks(), 0);
+    }
+
+    #[test]
+    fn a_timed_out_transaction_releases_every_shard_and_its_queued_wait() {
+        let inst = wide(Duration::from_millis(50));
+        let mut old = inst.begin();
+        let mut young = inst.begin();
+        young.update("a", 7, &[1u8; 8]).unwrap();
+        update_all_but(&mut old, 7);
+        // Older than the holder, so it waits — and nobody releases.
+        assert!(matches!(
+            old.update("a", 7, &[2u8; 8]),
+            Err(StorageError::LockTimeout(_))
+        ));
+        old.abort().unwrap();
+        assert_eq!(
+            inst.locks().active_locks(),
+            1 + 1,
+            "the holder's row + table"
+        );
+        young.commit().unwrap();
+        assert_eq!(inst.locks().active_locks(), 0);
+        let (_, waits, dies) = inst.locks().stats();
+        assert_eq!((waits, dies), (1, 0));
     }
 
     #[test]

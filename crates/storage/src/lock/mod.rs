@@ -20,5 +20,5 @@
 pub mod native;
 pub mod table;
 
-pub use native::NativeLockManager;
+pub use native::{NativeLockManager, ShardSet};
 pub use table::{Acquire, LockId, LockMode, LockTable};

@@ -73,13 +73,61 @@ struct Entry {
     waiting: VecDeque<(TxnId, LockMode)>,
 }
 
+/// What each transaction holds and waits for — kept apart from the entries
+/// so an entry and the ledger can be borrowed together.
+#[derive(Debug, Default)]
+struct Ledger {
+    held: HashMap<TxnId, Vec<LockId>>,
+    /// The request each blocked transaction has queued. A transaction
+    /// blocks while it waits, so it never has more than one.
+    waiting_on: HashMap<TxnId, LockId>,
+    /// Emptied `held` lists, kept for the next transactions.
+    spare: Vec<Vec<LockId>>,
+}
+
+impl Ledger {
+    /// Spare lists worth keeping: about as many as transactions run at once.
+    const SPARES: usize = 64;
+
+    fn note_held(&mut self, txn: TxnId, id: LockId) {
+        let spare = &mut self.spare;
+        self.held
+            .entry(txn)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(id);
+    }
+
+    /// Everything `txn` holds or waits for, forgotten. Hand the list back
+    /// through [`recycle`](Self::recycle).
+    fn take(&mut self, txn: TxnId) -> Vec<LockId> {
+        // A release without a shard set visits every shard, and most hold
+        // nothing of anybody's: answer those before hashing anything.
+        if self.held.is_empty() && self.waiting_on.is_empty() {
+            return Vec::new();
+        }
+        let mut touched = self.held.remove(&txn).unwrap_or_default();
+        // The txn may also be waiting on one more lock (at abort time).
+        if !self.waiting_on.is_empty() {
+            touched.extend(self.waiting_on.remove(&txn));
+        }
+        touched
+    }
+
+    fn recycle(&mut self, mut list: Vec<LockId>) {
+        if list.capacity() > 0 && self.spare.len() < Self::SPARES {
+            list.clear();
+            self.spare.push(list);
+        }
+    }
+}
+
 /// The pure lock table. All methods are non-blocking; `Wait` outcomes are
 /// parked by the caller and resolved through the wake lists returned by
 /// [`LockTable::release_all`].
 #[derive(Debug, Default)]
 pub struct LockTable {
     entries: HashMap<LockId, Entry>,
-    held: HashMap<TxnId, Vec<LockId>>,
+    ledger: Ledger,
     /// Wakeups produced by `cancel_wait`, delivered via
     /// [`LockTable::take_deferred_wakeups`].
     deferred_wakeups: Vec<TxnId>,
@@ -129,8 +177,7 @@ impl LockTable {
                 // Upgrades queue at the front so they cannot deadlock behind
                 // fresh requests for the same lock.
                 entry.waiting.push_front((txn, target));
-                self.waits += 1;
-                return Acquire::Wait;
+                return self.wait(txn, id);
             }
             self.dies += 1;
             return Acquire::Die;
@@ -146,7 +193,7 @@ impl LockTable {
             .collect();
         if holder_conflicts.is_empty() && entry.waiting.is_empty() {
             entry.granted.push((txn, mode));
-            self.held.entry(txn).or_default().push(id);
+            self.ledger.note_held(txn, id);
             return Acquire::Granted;
         }
         // Wait-die: may wait only if older than every conflicting holder and
@@ -155,39 +202,37 @@ impl LockTable {
             && entry.waiting.iter().all(|(t, _)| txn < *t);
         if older_than_all {
             entry.waiting.push_back((txn, mode));
-            self.waits += 1;
-            Acquire::Wait
+            self.wait(txn, id)
         } else {
             self.dies += 1;
             Acquire::Die
         }
     }
 
+    /// `txn`'s request for `id` has just been queued.
+    fn wait(&mut self, txn: TxnId, id: LockId) -> Acquire {
+        let queued = self.ledger.waiting_on.insert(txn, id);
+        debug_assert!(queued.is_none(), "{txn} queued twice: {queued:?}, {id:?}");
+        self.waits += 1;
+        Acquire::Wait
+    }
+
     /// Release everything `txn` holds or waits for; returns transactions
     /// whose pending requests became granted (to be woken), in grant order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
         let mut woken = Vec::new();
-        let ids = self.held.remove(&txn).unwrap_or_default();
-        let mut touched: Vec<LockId> = ids;
-        // The txn may also be waiting on one more lock (at abort time).
-        let waiting_on: Vec<LockId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.waiting.iter().any(|(t, _)| *t == txn))
-            .map(|(id, _)| *id)
-            .collect();
-        touched.extend(waiting_on);
-        for id in touched {
+        let touched = self.ledger.take(txn);
+        for &id in &touched {
             let Some(entry) = self.entries.get_mut(&id) else {
                 continue;
             };
             entry.granted.retain(|(t, _)| *t != txn);
             entry.waiting.retain(|(t, _)| *t != txn);
-            Self::promote(entry, &mut self.held, id, &mut woken);
-            if entry.granted.is_empty() && entry.waiting.is_empty() {
+            if Self::promote(entry, &mut self.ledger, id, &mut woken) {
                 self.entries.remove(&id);
             }
         }
+        self.ledger.recycle(touched);
         woken
     }
 
@@ -201,23 +246,20 @@ impl LockTable {
         let was_waiting = entry.waiting.iter().any(|(t, _)| *t == txn);
         if was_waiting {
             entry.waiting.retain(|(t, _)| *t != txn);
-            // Removing a waiter can unblock those behind it.
-            let mut woken = Vec::new();
-            Self::promote(entry, &mut self.held, id, &mut woken);
-            // Callers of cancel_wait run under the same external mutex as
-            // release_all; report wakeups through take_deferred_wakeups.
-            self.deferred_wakeups.extend(woken);
+            self.ledger.waiting_on.remove(&txn);
+            // Removing a waiter can unblock those behind it. Callers of
+            // cancel_wait run under the same external mutex as release_all;
+            // report wakeups through take_deferred_wakeups.
+            if Self::promote(entry, &mut self.ledger, id, &mut self.deferred_wakeups) {
+                self.entries.remove(&id);
+            }
         }
         was_waiting
     }
 
-    /// Grant queued requests that are now compatible, strictly FIFO.
-    fn promote(
-        entry: &mut Entry,
-        held: &mut HashMap<TxnId, Vec<LockId>>,
-        id: LockId,
-        woken: &mut Vec<TxnId>,
-    ) {
+    /// Grant queued requests that are now compatible, strictly FIFO. Returns
+    /// whether the entry is left with nobody holding or wanting it.
+    fn promote(entry: &mut Entry, ledger: &mut Ledger, id: LockId, woken: &mut Vec<TxnId>) -> bool {
         while let Some(&(t, m)) = entry.waiting.front() {
             let upgrade = entry.granted.iter().any(|(g, _)| *g == t);
             let ok = entry
@@ -229,15 +271,17 @@ impl LockTable {
                 break;
             }
             entry.waiting.pop_front();
+            ledger.waiting_on.remove(&t);
             if upgrade {
                 let slot = entry.granted.iter_mut().find(|(g, _)| *g == t).unwrap();
                 slot.1 = m;
             } else {
                 entry.granted.push((t, m));
-                held.entry(t).or_default().push(id);
+                ledger.note_held(t, id);
             }
             woken.push(t);
         }
+        entry.granted.is_empty() && entry.waiting.is_empty()
     }
 
     /// Wakeups produced by [`LockTable::cancel_wait`]; drain and deliver.
@@ -255,7 +299,7 @@ impl LockTable {
 
     /// Number of locks `txn` currently holds.
     pub fn held_count(&self, txn: TxnId) -> usize {
-        self.held.get(&txn).map(|v| v.len()).unwrap_or(0)
+        self.ledger.held.get(&txn).map(|v| v.len()).unwrap_or(0)
     }
 
     /// Total number of lock entries with any holder or waiter.

@@ -222,8 +222,8 @@ impl Page {
         Some(slot)
     }
 
-    /// Read the record in `slot`.
-    pub fn get_record(&self, slot: u16) -> Result<&[u8]> {
+    /// Byte range of the live record in `slot`.
+    fn record_span(&self, slot: u16) -> Result<std::ops::Range<usize>> {
         if slot >= self.slot_count() {
             return Err(StorageError::NoSuchPage(slot as u64));
         }
@@ -233,25 +233,29 @@ impl Page {
         if len == DEAD {
             return Err(StorageError::KeyNotFound(slot as u64));
         }
-        Ok(&self.data[off..off + len as usize])
+        Ok(off..off + len as usize)
+    }
+
+    /// Read the record in `slot`.
+    pub fn get_record(&self, slot: u16) -> Result<&[u8]> {
+        Ok(&self.data[self.record_span(slot)?])
+    }
+
+    /// The record in `slot`, to rewrite in place (fixed-size rows, as in the
+    /// paper's microbenchmark tables: a record never changes length).
+    pub fn record_mut(&mut self, slot: u16) -> Result<&mut [u8]> {
+        let span = self.record_span(slot)?;
+        Ok(&mut self.data[span])
     }
 
     /// Overwrite the record in `slot`; the new record must have the same
-    /// length (fixed-size rows, as in the paper's microbenchmark tables).
+    /// length.
     pub fn update_record(&mut self, slot: u16, rec: &[u8]) -> Result<()> {
-        if slot >= self.slot_count() {
-            return Err(StorageError::NoSuchPage(slot as u64));
-        }
-        let dir = self.slot_dir_off(slot);
-        let off = self.read_u16(dir) as usize;
-        let len = self.read_u16(dir + 2);
-        if len == DEAD {
-            return Err(StorageError::KeyNotFound(slot as u64));
-        }
-        if rec.len() != len as usize {
+        let old = self.record_mut(slot)?;
+        if rec.len() != old.len() {
             return Err(StorageError::RecordTooLarge(rec.len()));
         }
-        self.data[off..off + rec.len()].copy_from_slice(rec);
+        old.copy_from_slice(rec);
         Ok(())
     }
 

@@ -68,7 +68,7 @@ impl Table {
         }
     }
 
-    fn check_payload(&self, payload: &[u8]) -> Result<()> {
+    pub(crate) fn check_payload(&self, payload: &[u8]) -> Result<()> {
         if payload.len() != self.row_size {
             return Err(StorageError::RecordTooLarge(payload.len()));
         }
@@ -105,14 +105,20 @@ impl Table {
     /// Overwrite a row's payload, returning the before image.
     pub fn update(&self, key: u64, payload: &[u8]) -> Result<Vec<u8>> {
         self.check_payload(payload)?;
+        self.modify(key, |row| {
+            let before = row.to_vec();
+            row.copy_from_slice(payload);
+            before
+        })
+    }
+
+    /// Rewrite a row's payload where it lies: one index descent and one
+    /// heap write latch, where a `get` followed by an `update` pays two
+    /// descents and three heap fetches.
+    pub fn modify<T>(&self, key: u64, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
         let packed = self.index.get(key)?.ok_or(StorageError::KeyNotFound(key))?;
-        let rid = Rid::unpack(packed);
-        let before = self.heap.with_record(rid, |rec| rec[8..].to_vec())?;
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&key.to_le_bytes());
-        rec.extend_from_slice(payload);
-        self.heap.update(rid, &rec)?;
-        Ok(before)
+        self.heap
+            .modify(Rid::unpack(packed), |rec| f(&mut rec[8..]))
     }
 
     /// Physically remove a row (used by abort-undo of inserts).

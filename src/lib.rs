@@ -69,6 +69,7 @@ pub use islands_dtxn as dtxn;
 pub use islands_hwtopo as hwtopo;
 pub use islands_memsim as memsim;
 pub use islands_net as net;
+pub use islands_obs as obs;
 pub use islands_server as server;
 pub use islands_sim as sim;
 pub use islands_storage as storage;
