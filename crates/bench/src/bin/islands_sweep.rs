@@ -46,9 +46,7 @@ use islands_obs::{BreakdownCategory, Snapshot};
 use islands_server::deploy::{
     self, DeployConfig, DeployWorkload, Deployment, SpawnMode, Transport,
 };
-use islands_server::{
-    Client, Cluster, ClusterConfig, Endpoint, Server, ServerConfig, ServerHandle, ServerStats,
-};
+use islands_server::{Client, Cluster, Endpoint, Server, ServerConfig, ServerHandle, ServerStats};
 use islands_workload::{MicroSpec, OpKind, TpccSpec};
 
 const USAGE: &str = "islands-sweep - granularity sweeps over served deployments (Figs. 6-10, 13)
@@ -81,7 +79,7 @@ OPTIONS:
                         serial/locked ratio) per granularity
   --workload micro|tpcc micro (default): single-shot read/update batches;
                         tpcc: NewOrder/Payment multi-step plans partitioned
-                        by warehouse (needs --deploy proc) — the --multisite
+                        by warehouse (not with --connect) — the --multisite
                         axis becomes the remote-payment probability (Figs. 3
                         and 7), and --kind/--rows-per-txn/--sites/--skew/
                         --rows are micro-only
@@ -297,10 +295,10 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("--workload micro|tpcc, got {}", args.workload));
     }
     if args.workload == "tpcc" {
-        if args.deploy != Deploy::Proc {
+        if matches!(args.deploy, Deploy::External(_)) {
             return Err(
-                "--workload tpcc needs a spawned multi-process deployment (--deploy proc, \
-                 no --connect): only its instances load the TPC-C tables"
+                "--workload tpcc needs a deployment this run builds (no --connect): \
+                 nothing says an external server loaded the TPC-C tables"
                     .into(),
             );
         }
@@ -500,38 +498,35 @@ enum Stand {
 impl Stand {
     fn up(args: &Args, shared: &Shared, p: &Point) -> Result<Stand, String> {
         let tcp = args.transport == "tcp";
+        // One description of the cell's deployment, whichever way it is
+        // stood up.
+        let cfg = DeployConfig {
+            instances: p.instances,
+            transport: if tcp { Transport::Tcp } else { Transport::Uds },
+            total_rows: args.rows,
+            row_size: 64,
+            retry_limit: args.retry_limit,
+            engine: p.engine,
+            workload: if args.workload == "tpcc" {
+                DeployWorkload::Tpcc {
+                    warehouses: shared.warehouses,
+                }
+            } else {
+                DeployWorkload::Micro
+            },
+            pin: args.pin,
+            obs: args.obs,
+            spawn: SpawnMode::SelfExec,
+            ..Default::default()
+        };
         match &args.deploy {
             Deploy::External(ep) => Ok(Stand::External(ep.clone())),
-            Deploy::Proc => Deployment::spawn(&DeployConfig {
-                instances: p.instances,
-                transport: if tcp { Transport::Tcp } else { Transport::Uds },
-                total_rows: args.rows,
-                row_size: 64,
-                retry_limit: args.retry_limit,
-                engine: p.engine,
-                workload: if args.workload == "tpcc" {
-                    DeployWorkload::Tpcc {
-                        warehouses: shared.warehouses,
-                    }
-                } else {
-                    DeployWorkload::Micro
-                },
-                pin: args.pin,
-                obs: args.obs,
-                spawn: SpawnMode::SelfExec,
-                ..Default::default()
-            })
-            .map(|d| Stand::Proc(Arc::new(d)))
-            .map_err(|e| format!("spawn {} x{}: {e}", p.label, p.instances)),
+            Deploy::Proc => Deployment::spawn(&cfg)
+                .map(|d| Stand::Proc(Arc::new(d)))
+                .map_err(|e| format!("spawn {} x{}: {e}", p.label, p.instances)),
             Deploy::Inproc => {
-                let cluster = Cluster::build(&ClusterConfig {
-                    n_instances: p.instances,
-                    total_rows: args.rows,
-                    row_size: 64,
-                    engine: p.engine,
-                    ..Default::default()
-                })
-                .map_err(|e| format!("build cluster x{}: {e}", p.instances))?;
+                let cluster = Cluster::build(&cfg)
+                    .map_err(|e| format!("build cluster x{}: {e}", p.instances))?;
                 let cluster = Arc::new(cluster);
                 let endpoint = if tcp {
                     Endpoint::Tcp(([127, 0, 0, 1], 0).into())
@@ -541,7 +536,6 @@ impl Stand {
                 };
                 let config = ServerConfig {
                     retry_limit: args.retry_limit,
-                    ..Default::default()
                 };
                 let handle = Server::spawn(Arc::clone(&cluster), endpoint, config)
                     .map_err(|e| format!("spawn server: {e}"))?;

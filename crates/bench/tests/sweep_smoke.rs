@@ -1,7 +1,8 @@
 //! End-to-end smoke test for the `islands-sweep` experiment driver: run
 //! minimal sweeps over real served deployments — spawned instance processes
-//! in both engine modes, an in-process cluster, an open-loop schedule, a
-//! single-value "one deployment" invocation — then check the
+//! in both engine modes, an in-process cluster (micro and TPC-C), an
+//! open-loop schedule, a single-value "one deployment" invocation — then
+//! check the
 //! `islands-sweep/1` JSON each emits: schema identity, coherent
 //! non-negative counters, and zero in-doubt 2PC leaks.
 
@@ -146,4 +147,29 @@ fn single_values_make_a_one_cell_sweep_open_or_closed_loop() {
         assert!(int_field(cells[0], "committed").unwrap() > 0, "{text}");
         assert!(text.contains(&format!("\"mode\":\"{mode}\"")), "{text}");
     }
+}
+
+#[test]
+fn an_inproc_tpcc_cell_runs_clean_with_remote_payments_as_2pc() {
+    // The in-process cluster is built from the same deployment description
+    // as the spawned one, TPC-C tables included: NewOrder and Payment plans
+    // through one server in the sweep's own process, remote payments across
+    // its two instances as direct-call 2PC.
+    let text = sweep(
+        "inproc-tpcc",
+        "--deploy inproc --workload tpcc --instances 2 --multisite 50",
+    );
+    let cells = cells(&text);
+    assert_eq!(cells.len(), 1, "{text}");
+    let cell = cells[0];
+    assert_eq!(str_field(cell, "workload"), Some("tpcc"), "{cell}");
+    assert_eq!(str_field(cell, "deploy"), Some("inproc"), "{cell}");
+    assert_eq!(int_field(cell, "warehouses"), Some(4), "{cell}");
+    assert!(int_field(cell, "committed").unwrap() > 0, "{cell}");
+    assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
+    assert_eq!(int_field(cell, "client_failures"), Some(0), "{cell}");
+    assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
+    let remote = &cell[cell.find("\"payment_multisite\":").expect("tpcc classes")..];
+    assert!(int_field(remote, "committed").unwrap() > 0, "{cell}");
+    assert!(int_field(remote, "distributed").unwrap() > 0, "{cell}");
 }

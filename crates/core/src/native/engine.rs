@@ -48,7 +48,7 @@ use super::{SubmitOutcome, MICRO_TABLE_NAME};
 
 /// TPC-C mode for a partition: which warehouse sub-range `[w_lo, w_hi)` of
 /// the `warehouses`-warehouse deployment this instance loads and owns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpccPartition {
     /// Total warehouses across the whole deployment.
     pub warehouses: u64,
@@ -59,7 +59,7 @@ pub struct TpccPartition {
 }
 
 /// Construction knobs for one partition's engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionConfig {
     /// First key this partition owns (inclusive).
     pub lo: u64,

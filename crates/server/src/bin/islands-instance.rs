@@ -4,12 +4,14 @@
 //! the wire protocol: local submissions commit here, 2PC `Prepare`/
 //! `Decision` frames drive participant-side distributed commit. Normally
 //! spawned by `islands_server::deploy::Deployment` (which passes
-//! `--instance-child` plus the partition/endpoint flags and reads the
-//! `READY`/`STATS` lines off stdout), but it can be started by hand:
+//! `--instance-child` plus `ChildSpec::to_args` and reads the
+//! `READY`/`STATS` lines off stdout), but it can be started by hand — with
+//! the whole command line, since the child has no defaults of its own:
 //!
 //! ```sh
-//! islands-instance --instance-child \
-//!     --endpoint uds:/tmp/inst0.sock --lo 0 --hi 10000 --row-size 64
+//! islands-instance --endpoint uds:/tmp/inst0.sock --engine locked \
+//!     --lo 0 --hi 10000 --row-size 64 --lock-ms 200 --retry-limit 64 \
+//!     --stats-every-ms 0
 //! ```
 
 use std::process::ExitCode;

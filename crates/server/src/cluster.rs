@@ -1,9 +1,8 @@
 //! The in-process deployment: a spawned deployment's parts in one process.
 //!
-//! A [`Cluster`] is N partition instances — the [`Backend`]s a deployment
-//! child serves, [`PartitionEngine`](islands_core::native::PartitionEngine)s
-//! or [`PartitionExecutor`](islands_core::native::PartitionExecutor)s over
-//! the even key ranges — plus the `Coordination` every
+//! A [`Cluster`] is the N partition instances of a [`DeployConfig`] — the
+//! [`Backend`]s its children would serve, built from the same
+//! [`DeployConfig::partition`] — plus the `Coordination` every
 //! [`Deployment`](crate::Deployment) has. A [`ClusterClient`] is its
 //! [`DeployClient`](crate::DeployClient): one engine session per instance
 //! where the sockets would be, implementing the same `TwoPcLink`, so the
@@ -20,45 +19,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use islands_core::native::{
-    DecideOutcome, Engine, EngineMode, ExecError, PartitionConfig, Session, SubmitOutcome,
-};
-use islands_core::partition::{RangeSites, Sites};
+use islands_core::native::{DecideOutcome, Engine, ExecError, Session, SubmitOutcome};
 use islands_dtxn::Vote;
 use islands_obs::BreakdownCategory;
 use islands_workload::PlanRequest;
 
 use crate::coordinator::{AckDebt, Coordination, DecisionStore, TwoPcLink};
-use crate::deploy::{check_partitionable, DeployReply};
+use crate::deploy::{DeployConfig, DeployReply};
 use crate::server::{answer, Backend, Counters, ServerStats};
 use crate::wire::{Reply, Request};
-
-/// Configuration for an in-process microbenchmark cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    pub n_instances: usize,
-    pub total_rows: u64,
-    pub row_size: usize,
-    /// How each instance executes. Either mode is safe under any number of
-    /// calling threads: locked instances order them with 2PL, serial ones
-    /// with the partition's mutex.
-    pub engine: EngineMode,
-    pub lock_timeout: Duration,
-    pub buffer_frames: usize,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            n_instances: 4,
-            total_rows: 40_000,
-            row_size: 64,
-            engine: EngineMode::Locked,
-            lock_timeout: Duration::from_millis(200),
-            buffer_frames: 4096,
-        }
-    }
-}
 
 /// One instance of the cluster: the engine and the counters its server
 /// process would keep.
@@ -71,6 +40,9 @@ struct Instance {
 pub struct Cluster {
     instances: Vec<Instance>,
     coord: Coordination,
+    /// [`DeployConfig::retry_limit`]: what [`client`](Self::client)s retry
+    /// by.
+    retry_limit: u32,
 }
 
 /// Outcome counters from [`Cluster::run_closed_loop`].
@@ -89,45 +61,35 @@ impl ClusterRunResult {
     }
 }
 
-/// Retry budget of [`Cluster::run_closed_loop`]'s clients:
-/// [`DeployConfig`](crate::DeployConfig)'s default.
-const CLOSED_LOOP_RETRY_LIMIT: u32 = 64;
-
 impl Cluster {
-    /// Build the instances and load the microbenchmark table,
-    /// range-partitioned exactly as a spawned deployment's children load it.
-    pub fn build(cfg: &ClusterConfig) -> io::Result<Cluster> {
-        check_partitionable(cfg.n_instances, cfg.total_rows)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let sites = Sites::Range(RangeSites {
-            total_rows: cfg.total_rows,
-            n_sites: cfg.n_instances,
-        });
-        let mut instances = Vec::with_capacity(cfg.n_instances);
-        for i in 0..cfg.n_instances {
-            let (lo, hi) = sites.range_of(i);
-            let backend = Backend::build(
-                cfg.engine,
-                PartitionConfig {
-                    lo,
-                    hi,
-                    row_size: cfg.row_size,
-                    buffer_frames: cfg.buffer_frames,
-                    lock_timeout: cfg.lock_timeout,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| io::Error::other(format!("instance {i} build failed: {e}")))?;
-            instances.push(Instance {
-                backend,
-                counters: Counters::default(),
-            });
+    /// Build and load the instances `cfg` describes, each exactly as the
+    /// spawned deployment's child `i` would load it. The fields that
+    /// describe processes are ignored (see [`DeployConfig`]); a `wal_dir`
+    /// is refused, since nothing here could ever replay it.
+    pub fn build(cfg: &DeployConfig) -> io::Result<Cluster> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+        cfg.validate().map_err(invalid)?;
+        if cfg.wal_dir.is_some() {
+            return Err(invalid(
+                "an in-process cluster has no restart to replay a wal_dir for".into(),
+            ));
         }
+        let instances = (0..cfg.instances)
+            .map(|i| {
+                let backend = Backend::build(cfg.engine, cfg.partition(i))
+                    .map_err(|e| io::Error::other(format!("instance {i} build failed: {e}")))?;
+                Ok(Instance {
+                    backend,
+                    counters: Counters::default(),
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         // Volatile logs on every instance, so a volatile decision store.
         let decisions = Arc::new(DecisionStore::open(None)?);
         Ok(Cluster {
             instances,
-            coord: Coordination::new(sites, decisions),
+            coord: Coordination::new(cfg.sites(), decisions),
+            retry_limit: cfg.retry_limit,
         })
     }
 
@@ -152,10 +114,14 @@ impl Cluster {
     }
 
     /// Open one coordinator: a session on every instance. Each calling
-    /// thread holds its own. `retry_limit` is the budget both for a local
-    /// transaction's contention retries at its instance and for 2PC rounds
-    /// the votes aborted.
-    pub fn client(&self, retry_limit: u32) -> ClusterClient<'_> {
+    /// thread holds its own. [`DeployConfig::retry_limit`] is its budget
+    /// both for a local transaction's contention retries at its instance
+    /// and for 2PC rounds the votes aborted.
+    pub fn client(&self) -> ClusterClient<'_> {
+        self.coordinator(self.retry_limit)
+    }
+
+    fn coordinator(&self, retry_limit: u32) -> ClusterClient<'_> {
         ClusterClient {
             cluster: self,
             retry_limit,
@@ -194,7 +160,7 @@ impl Cluster {
                 .map(|t| {
                     let (stop, gen) = (&stop, &gen);
                     scope.spawn(move || {
-                        let mut client = self.client(CLOSED_LOOP_RETRY_LIMIT);
+                        let mut client = self.client();
                         let (mut commits, mut aborts, mut distributed) = (0u64, 0u64, 0u64);
                         let mut seq = 0u64;
                         while !stop.load(Ordering::Relaxed) {
@@ -238,8 +204,9 @@ impl Cluster {
 }
 
 impl Engine for Cluster {
+    /// A server fronting the cluster passes its own budget here.
     fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
-        Box::new(self.client(retry_limit))
+        Box::new(self.coordinator(retry_limit))
     }
 
     fn audit_sum(&self) -> Result<u64, ExecError> {
@@ -370,6 +337,7 @@ impl Session for ClusterClient<'_> {
 mod tests {
     use super::*;
     use crate::deploy::DeployOutcome;
+    use islands_core::native::EngineMode;
     use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE};
     use std::sync::atomic::AtomicU64;
 
@@ -388,12 +356,12 @@ mod tests {
 
     /// 4 instances over 400 rows: keys 0..100 live in instance 0, and so on.
     fn small(engine: EngineMode) -> Cluster {
-        Cluster::build(&ClusterConfig {
-            n_instances: 4,
+        Cluster::build(&DeployConfig {
+            instances: 4,
             total_rows: 400,
             row_size: 16,
             engine,
-            buffer_frames: 512,
+            retry_limit: 8,
             ..Default::default()
         })
         .unwrap()
@@ -418,7 +386,7 @@ mod tests {
     fn local_reads_and_updates() {
         for mode in MODES {
             let c = small(mode);
-            let mut client = c.client(8);
+            let mut client = c.client();
             let read = run(&mut client, &plan(&[1, 2, 3], StepOp::Read));
             assert!(read.committed && !read.distributed);
             let update = run(&mut client, &plan(&[5, 6], StepOp::Update));
@@ -433,7 +401,7 @@ mod tests {
         for mode in MODES {
             let c = small(mode);
             // Keys in instances 0, 1, 3.
-            let out = run(&mut c.client(8), &plan(&[10, 150, 390], StepOp::Update));
+            let out = run(&mut c.client(), &plan(&[10, 150, 390], StepOp::Update));
             assert!(out.committed && out.distributed, "{mode}: {out:?}");
             assert_eq!(c.audit_sum().unwrap(), 3);
             assert_eq!(c.decided_commits(), 1, "one forced commit decision");
@@ -448,7 +416,7 @@ mod tests {
     fn distributed_read_uses_read_only_optimization() {
         for mode in MODES {
             let c = small(mode);
-            let out = run(&mut c.client(8), &plan(&[10, 150], StepOp::Read));
+            let out = run(&mut c.client(), &plan(&[10, 150], StepOp::Read));
             assert!(out.committed && out.distributed);
             assert_eq!(c.audit_sum().unwrap(), 0);
             assert_eq!(c.decided_commits(), 0, "read-only 2PC forces nothing");
@@ -473,7 +441,7 @@ mod tests {
                     PlanStep::point(MICRO_TABLE, 150, StepOp::Update),
                 ],
             };
-            let out = run(&mut c.client(8), &mixed);
+            let out = run(&mut c.client(), &mixed);
             assert!(out.committed && out.distributed);
             assert_eq!(c.audit_sum().unwrap(), 1);
             assert_eq!(c.decided_commits(), 1);
@@ -540,7 +508,7 @@ mod tests {
     fn unsatisfiable_requests_are_typed_errors_not_outcomes() {
         for mode in MODES {
             let c = small(mode);
-            let mut client = c.client(8);
+            let mut client = c.client();
             // Alone, and as one branch of a 2PC whose other branch is fine.
             for keys in [&[999_999u64][..], &[10, 999_999]] {
                 match client.submit_plan(&plan(keys, StepOp::Update)).unwrap() {
@@ -572,16 +540,15 @@ mod tests {
         // loading at every boundary, or boundary keys are "not found" on
         // the instance they were routed to.
         for mode in MODES {
-            let c = Cluster::build(&ClusterConfig {
-                n_instances: 4,
+            let c = Cluster::build(&DeployConfig {
+                instances: 4,
                 total_rows: 403,
                 row_size: 16,
                 engine: mode,
-                buffer_frames: 512,
                 ..Default::default()
             })
             .unwrap();
-            let mut client = c.client(8);
+            let mut client = c.client();
             for key in [0, 99, 100, 101, 199, 200, 300, 399, 400, 402] {
                 let out = run(&mut client, &plan(&[key], StepOp::Update));
                 assert!(
@@ -594,15 +561,21 @@ mod tests {
     }
 
     #[test]
-    fn rows_fewer_than_instances_is_rejected_not_misrouted() {
-        let err = Cluster::build(&ClusterConfig {
-            n_instances: 8,
-            total_rows: 4,
-            ..Default::default()
-        })
-        .err()
-        .expect("build must reject rows < instances");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    fn shapes_nothing_could_be_built_from_are_invalid_input() {
+        for cfg in [
+            DeployConfig {
+                instances: 8,
+                total_rows: 4,
+                ..Default::default()
+            },
+            DeployConfig {
+                wal_dir: Some(std::env::temp_dir()),
+                ..Default::default()
+            },
+        ] {
+            let err = Cluster::build(&cfg).err().expect("build must refuse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -612,26 +585,25 @@ mod tests {
         // could burn their whole budget in a storm. With capped exponential
         // backoff, every submission against a single contended key must
         // commit, and the aggregate retry count stays far below the budget.
-        let c = Cluster::build(&ClusterConfig {
-            n_instances: 1,
+        // Generous budget: wait-die re-stamps a victim younger on every
+        // retry, so under sustained contention individual victims can lose
+        // many rounds — the storm bound below is the real assertion.
+        let c = Cluster::build(&DeployConfig {
+            instances: 1,
             total_rows: 64,
             row_size: 16,
-            buffer_frames: 256,
             lock_timeout: Duration::from_millis(50),
+            retry_limit: 2048,
             ..Default::default()
         })
         .unwrap();
         const THREADS: u64 = 4;
         const TXNS: u64 = 50;
-        // Generous budget: wait-die re-stamps a victim younger on every
-        // retry, so under sustained contention individual victims can lose
-        // many rounds — the storm bound below is the real assertion.
-        const BUDGET: u32 = 2048;
         let total_retries = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 scope.spawn(|| {
-                    let mut client = c.client(BUDGET);
+                    let mut client = c.client();
                     for _ in 0..TXNS {
                         let out = run(&mut client, &plan(&[7], StepOp::Update));
                         assert!(out.committed, "hot-key submission exhausted its budget");
@@ -653,15 +625,14 @@ mod tests {
 
     #[test]
     fn shared_everything_single_instance_works() {
-        let c = Cluster::build(&ClusterConfig {
-            n_instances: 1,
+        let c = Cluster::build(&DeployConfig {
+            instances: 1,
             total_rows: 100,
             row_size: 16,
-            buffer_frames: 256,
             ..Default::default()
         })
         .unwrap();
-        let out = run(&mut c.client(8), &plan(&[5, 95], StepOp::Update));
+        let out = run(&mut c.client(), &plan(&[5, 95], StepOp::Update));
         assert!(out.committed && !out.distributed);
         assert_eq!(c.audit_sum().unwrap(), 2);
     }

@@ -13,20 +13,19 @@
 //! owed acks are read in order, then its own reply.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::os::unix::net::UnixListener;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use islands_core::partition::{split_plan_by_owner, SiteMap, Sites};
 use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Vote};
 use islands_workload::{PlanBranch, PlanRequest};
 
-use crate::deploy::{lock_clean, remove_uds_file, DeployOutcome, DeployReply};
-use crate::server::{Conn, Endpoint};
-use crate::wire::{FrameReader, Reply, Request, WireMessage};
+use crate::deploy::{lock_clean, DeployOutcome, DeployReply};
+use crate::server::{serve, session_loop, Counters, Endpoint, ServerHandle, SessionFn};
+use crate::wire::{Reply, Request};
 
 /// The coordinator's decision verdicts: an in-memory gtid → commit map,
 /// optionally written through a durable [`DecisionLog`] *before* any
@@ -102,118 +101,52 @@ impl DecisionStore {
     }
 }
 
-/// The coordinator-side resolver: a UDS listener answering
+/// The coordinator-side resolver: a socket answering
 /// [`Request::ResolveGtid`] frames from the decision store, so a restarted
-/// instance can settle the in-doubt branches its WAL replay parked. One
-/// thread per connection; connections are rare (instance startups only).
+/// instance can settle the in-doubt branches its WAL replay parked. It is
+/// served by the acceptor and session loop every instance server runs, with
+/// [`resolve`] where an instance has its engine; connections are rare
+/// (instance startups only). Dropping it drains it.
 pub(crate) struct Resolver {
     pub(crate) endpoint: Endpoint,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    server: Option<ServerHandle>,
 }
 
 impl Resolver {
     pub(crate) fn spawn(socket: PathBuf, store: Arc<DecisionStore>) -> io::Result<Resolver> {
-        let _ = std::fs::remove_file(&socket);
-        let listener = UnixListener::bind(&socket)?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("islands-resolver".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let store = Arc::clone(&store);
-                                let shutdown = Arc::clone(&shutdown);
-                                let _ = std::thread::Builder::new()
-                                    .name("islands-resolver-conn".into())
-                                    .spawn(move || {
-                                        let _ = resolver_session(stream, &store, &shutdown);
-                                    });
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                })?
-        };
+        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
+            session_loop(conn, shutdown, counters, |req| resolve(&store, req))
+        });
+        let server = serve(&Endpoint::Uds(socket), Counters::default(), session)?;
         Ok(Resolver {
-            endpoint: Endpoint::Uds(socket),
-            shutdown,
-            acceptor: Some(acceptor),
+            endpoint: server.endpoint().clone(),
+            server: Some(server),
         })
     }
 }
 
 impl Drop for Resolver {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        if let Some(server) = self.server.take() {
+            server.initiate_shutdown();
+            let _ = server.join();
         }
-        remove_uds_file(&self.endpoint);
     }
 }
 
-/// Serve one resolver connection until EOF: `ResolveGtid` frames answered
-/// with `Resolved` verdicts, `Ping` with `Pong`; anything else is an error
-/// reply (the resolver is not an instance server).
-fn resolver_session(
-    stream: std::os::unix::net::UnixStream,
-    store: &DecisionStore,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut conn = Conn::Uds(stream);
-    let mut reader = FrameReader::new();
-    let mut out = Vec::new();
-    loop {
-        out.clear();
-        loop {
-            match reader.next_message::<Request>() {
-                Ok(Some(Request::ResolveGtid { gtid })) => Reply::Resolved {
-                    gtid,
-                    commit: store.commit_verdict(gtid),
-                }
-                .encode_frame(&mut out),
-                Ok(Some(Request::Ping)) => Reply::Pong.encode_frame(&mut out),
-                Ok(Some(other)) => Reply::Error {
-                    message: format!("resolver answers only ResolveGtid, got {other:?}"),
-                }
-                .encode_frame(&mut out),
-                Ok(None) => break,
-                Err(e) => {
-                    Reply::Error {
-                        message: format!("protocol error: {e}"),
-                    }
-                    .encode_frame(&mut out);
-                    conn.write_all(&out)?;
-                    return Ok(());
-                }
-            }
-        }
-        if !out.is_empty() {
-            conn.write_all(&out)?;
-            conn.flush()?;
-        }
-        match reader.fill_from(&mut conn) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+/// The resolver's answer to one frame: a verdict for `ResolveGtid`, `Pong`
+/// for `Ping`, an error for anything else — it is not an instance server,
+/// and a stray `Drain` does not stop it.
+fn resolve(store: &DecisionStore, req: &Request) -> Reply {
+    match req {
+        Request::ResolveGtid { gtid } => Reply::Resolved {
+            gtid: *gtid,
+            commit: store.commit_verdict(*gtid),
+        },
+        Request::Ping => Reply::Pong,
+        other => Reply::Error {
+            message: format!("resolver answers only ResolveGtid, got {other:?}"),
+        },
     }
 }
 

@@ -26,22 +26,26 @@
 //!   message or the local handle.
 //! * [`client`] — the blocking client library: single connections
 //!   ([`Client`]), one-write pipelining, connect-with-backoff.
-//! * [`deploy`] — multi-process deployments: spawn one topology-pinned
-//!   server process per shared-nothing instance
-//!   ([`Deployment`]), route single-site plans to the
-//!   owner, and run presumed-abort two-phase commit across processes with
-//!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames
-//!   ([`DeployClient`]).
-//! * [`cluster`] — the same deployment in one process: the instances a
-//!   child would serve, held directly ([`Cluster`]), and a coordinator whose
-//!   links are engine sessions instead of sockets ([`ClusterClient`]).
+//! * [`deploy`] — what a deployment is ([`DeployConfig`], lowered to one
+//!   partition per instance by [`DeployConfig::partition`]) and the
+//!   multi-process way to run one: spawn one topology-pinned server process
+//!   per instance ([`Deployment`]), route single-site plans to the owner,
+//!   and run presumed-abort two-phase commit across processes with
+//!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames ([`DeployClient`]).
+//! * [`cluster`] — the same [`DeployConfig`] in one process: the partitions
+//!   its children would serve, held directly ([`Cluster`]), and a
+//!   coordinator whose links are engine sessions instead of sockets
+//!   ([`ClusterClient`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use islands_server::{Client, Cluster, ClusterConfig, Endpoint, Server, ServerConfig};
+//! use islands_server::{Client, Cluster, DeployConfig, Endpoint, Server, ServerConfig};
 //! use islands_workload::{OpKind, TxnRequest};
 //!
-//! let cluster = Arc::new(Cluster::build(&ClusterConfig::default()).unwrap());
+//! // 4 instances over 40 000 rows; `Deployment::spawn(&cfg)` would run the
+//! // same four partitions as pinned processes.
+//! let cfg = DeployConfig::default();
+//! let cluster = Arc::new(Cluster::build(&cfg).unwrap());
 //! let handle = Server::spawn(
 //!     cluster,
 //!     Endpoint::Uds("/tmp/islands.sock".into()),
@@ -69,10 +73,10 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use cluster::{Cluster, ClusterClient, ClusterConfig, ClusterRunResult};
+pub use cluster::{Cluster, ClusterClient, ClusterRunResult};
 pub use deploy::{
-    DeployClient, DeployConfig, DeployOutcome, DeployReply, Deployment, InstanceExit,
-    InstanceStats, SpawnMode, Transport,
+    DeployClient, DeployConfig, DeployOutcome, DeployReply, DeployWorkload, Deployment,
+    InstanceExit, SpawnMode, Transport,
 };
 pub use islands_core::native::EngineMode;
 pub use server::{Backend, Endpoint, Server, ServerConfig, ServerHandle, ServerStats, StatsProbe};

@@ -19,7 +19,7 @@
 //! nobody decided: the coordinator spoke on this connection and is gone.
 //!
 //! Sessions **pipeline without waiting**: every complete frame already
-//! buffered on the socket (up to [`ServerConfig::max_batch`]) is decoded
+//! buffered on the socket (up to `MAX_BATCH`) is decoded
 //! into one batch, the batch runs back-to-back, and all replies are flushed
 //! in a single write — one syscall amortized over whatever a pipelining
 //! client shipped together. A session executes what has arrived and never
@@ -90,25 +90,23 @@ impl Endpoint {
     }
 }
 
-/// Tuning knobs for a served deployment.
+/// Largest request batch one session executes between flushes.
+const MAX_BATCH: usize = 64;
+
+/// How often an idle session looks for a shutdown; also the upper bound on
+/// how long a drain waits for idle sessions.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// What a served deployment can be told.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Server-side retry budget per submitted transaction.
     pub retry_limit: u32,
-    /// Largest request batch one session executes between flushes.
-    pub max_batch: usize,
-    /// How often an idle session looks for a shutdown; also the upper bound
-    /// on how long a drain waits for idle sessions.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            retry_limit: 64,
-            max_batch: 64,
-            poll_interval: Duration::from_millis(25),
-        }
+        ServerConfig { retry_limit: 64 }
     }
 }
 
@@ -240,20 +238,69 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// The counters' names, in [`slots`](Self::slots) order: the keys of the
+    /// `STATS` line.
+    const NAMES: [&'static str; 9] = [
+        "connections",
+        "requests",
+        "commits",
+        "aborts",
+        "errors",
+        "prepares",
+        "decisions",
+        "presumed_aborts",
+        "in_doubt",
+    ];
+
+    /// Every counter, in declaration order — the one list the line format,
+    /// the wire format and [`absorb`](Self::absorb) walk.
+    pub(crate) fn slots(&mut self) -> [&mut u64; 9] {
+        [
+            &mut self.connections,
+            &mut self.requests,
+            &mut self.commits,
+            &mut self.aborts,
+            &mut self.errors,
+            &mut self.prepares,
+            &mut self.decisions,
+            &mut self.presumed_aborts,
+            &mut self.in_doubt,
+        ]
+    }
+
+    /// The counters as one `STATS k=v ...` line: what an instance process
+    /// prints on stdout as its heartbeat and as its last word at drain.
+    pub fn to_line(mut self) -> String {
+        let pairs = Self::NAMES.iter().zip(self.slots());
+        pairs.fold(String::from("STATS"), |line, (name, v)| {
+            format!("{line} {name}={v}")
+        })
+    }
+
+    /// Parse [`to_line`](Self::to_line)'s form back; `None` for any other
+    /// line. A key this build has no field for is skipped, not fatal: a
+    /// newer child may print more than an older parent reads.
+    pub fn from_line(line: &str) -> Option<ServerStats> {
+        let mut stats = ServerStats::default();
+        for pair in line.strip_prefix("STATS ")?.split_whitespace() {
+            let (k, v) = pair.split_once('=')?;
+            let v: u64 = v.parse().ok()?;
+            if let Some(at) = Self::NAMES.iter().position(|name| *name == k) {
+                *stats.slots()[at] = v;
+            }
+        }
+        Some(stats)
+    }
+
     /// Add another instance's counters into this one — the deployment-wide
     /// totals a scraper's `SUM` row shows (`in_doubt` is a gauge, but the
     /// sum of gauges is the deployment-wide backlog, so plain addition is
     /// the right aggregation for every field).
     pub fn absorb(&mut self, other: &ServerStats) {
-        self.connections += other.connections;
-        self.requests += other.requests;
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        self.errors += other.errors;
-        self.prepares += other.prepares;
-        self.decisions += other.decisions;
-        self.presumed_aborts += other.presumed_aborts;
-        self.in_doubt += other.in_doubt;
+        let mut other = *other;
+        for (mine, theirs) in self.slots().into_iter().zip(other.slots()) {
+            *mine += *theirs;
+        }
     }
 }
 
@@ -366,7 +413,7 @@ pub struct ServerHandle {
 
 /// The drain flag, and the way raising it reaches an acceptor that sleeps in
 /// `accept` until somebody connects.
-struct Shutdown {
+pub(crate) struct Shutdown {
     raised: AtomicBool,
     /// The server's own resolved endpoint.
     endpoint: Endpoint,
@@ -405,33 +452,51 @@ impl Server {
         endpoint: Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        let listener = Listener::bind(&endpoint)?;
-        let shutdown = Arc::new(Shutdown {
-            raised: AtomicBool::new(false),
-            endpoint: listener.local_endpoint()?,
-        });
         // Branches restart replay re-parked are in-doubt here as much as
         // any a session prepares, and a wire `Decision` may settle them:
         // they start on the gauge.
         let recovered = backend.engine().recovered_gtids().unwrap_or_default();
-        let counters = Arc::new(Counters {
+        let counters = Counters {
             in_doubt: AtomicU64::new(recovered.len() as u64),
             ..Default::default()
-        });
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let counters = Arc::clone(&counters);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("islands-acceptor".into())
-                .spawn(move || accept_loop(listener, backend, config, shutdown, counters))?
         };
-        Ok(ServerHandle {
-            shutdown,
-            counters,
-            acceptor: Some(acceptor),
-        })
+        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
+            session(conn, &backend, config.retry_limit, shutdown, counters)
+        });
+        serve(&endpoint, counters, session)
     }
+}
+
+/// What [`serve`] runs on a thread per accepted connection.
+pub(crate) type SessionFn = dyn Fn(Conn, &Shutdown, &Counters) -> io::Result<()> + Send + Sync;
+
+/// Bind `endpoint` and run `session` on every accepted connection until
+/// drained: the acceptor, the drain and the session bookkeeping everything
+/// served here shares — an instance's [`Backend`], and the coordinator's
+/// resolver.
+pub(crate) fn serve(
+    endpoint: &Endpoint,
+    counters: Counters,
+    session: Arc<SessionFn>,
+) -> io::Result<ServerHandle> {
+    let listener = Listener::bind(endpoint)?;
+    let shutdown = Arc::new(Shutdown {
+        raised: AtomicBool::new(false),
+        endpoint: listener.local_endpoint()?,
+    });
+    let counters = Arc::new(counters);
+    let acceptor = {
+        let shutdown = Arc::clone(&shutdown);
+        let counters = Arc::clone(&counters);
+        std::thread::Builder::new()
+            .name("islands-acceptor".into())
+            .spawn(move || accept_loop(listener, session, shutdown, counters))?
+    };
+    Ok(ServerHandle {
+        shutdown,
+        counters,
+        acceptor: Some(acceptor),
+    })
 }
 
 impl ServerHandle {
@@ -525,8 +590,7 @@ impl SessionSet {
 /// cpus its sessions run on — and [`Shutdown::raise`] connects to wake it.
 fn accept_loop(
     listener: Listener,
-    backend: Backend,
-    config: ServerConfig,
+    session: Arc<SessionFn>,
     shutdown: Arc<Shutdown>,
     counters: Arc<Counters>,
 ) -> io::Result<()> {
@@ -542,8 +606,7 @@ fn accept_loop(
             break;
         }
         counters.connections.fetch_add(1, Ordering::Relaxed);
-        let backend = backend.clone();
-        let config = config.clone();
+        let session = Arc::clone(&session);
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
         sessions.push(
@@ -551,7 +614,7 @@ fn accept_loop(
                 .name("islands-session".into())
                 .spawn(move || {
                     // Per-connection errors end that session only.
-                    let _ = session(conn, backend, config, shutdown, counters);
+                    let _ = session(conn, &shutdown, &counters);
                 })?,
         );
     }
@@ -561,37 +624,41 @@ fn accept_loop(
     Ok(())
 }
 
-/// Serve one connection until it closes, errors fatally, or a drain lands.
+/// Serve one connection of `backend` until it closes, errors fatally, or a
+/// drain lands.
 fn session(
     conn: Conn,
-    backend: Backend,
-    config: ServerConfig,
-    shutdown: Arc<Shutdown>,
-    counters: Arc<Counters>,
+    backend: &Backend,
+    retry_limit: u32,
+    shutdown: &Shutdown,
+    counters: &Counters,
 ) -> io::Result<()> {
     let engine = backend.engine();
-    let mut session = engine.session(config.retry_limit);
-    let result = session_loop(conn, engine, &mut *session, &config, &shutdown, &counters);
+    let mut session = engine.session(retry_limit);
+    let result = session_loop(conn, shutdown, counters, |req| {
+        answer(engine, &mut *session, req, counters)
+    });
     // Presumed abort: whatever this connection prepared and nobody decided
     // has lost its coordinator (see `Session::close`).
     counters.presumed_abort(session.close());
     result
 }
 
-fn session_loop(
+/// One connection's read–answer–flush loop, whatever `answer` does with a
+/// frame. A [`Reply::Draining`] answer raises the shutdown once it is
+/// flushed.
+pub(crate) fn session_loop(
     mut conn: Conn,
-    engine: &dyn Engine,
-    session: &mut dyn Session,
-    config: &ServerConfig,
     shutdown: &Shutdown,
     counters: &Counters,
+    mut answer: impl FnMut(&Request) -> Reply,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new();
     let mut batch: Vec<Request> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
-    conn.set_read_timeout(Some(config.poll_interval))?;
+    conn.set_read_timeout(Some(POLL_INTERVAL))?;
     'conn: loop {
-        // Gather a batch: everything already buffered, up to max_batch. A
+        // Gather a batch: everything already buffered, up to MAX_BATCH. A
         // wire error anywhere is fatal for the connection, but only after
         // the requests decoded before it have been executed and answered —
         // otherwise a pipelining client would hang waiting for replies the
@@ -607,7 +674,7 @@ fn session_loop(
                 match reader.next_message::<Request>() {
                     Ok(Some(req)) => {
                         batch.push(req);
-                        if batch.len() >= config.max_batch {
+                        if batch.len() >= MAX_BATCH {
                             break;
                         }
                     }
@@ -640,8 +707,9 @@ fn session_loop(
         out.clear();
         let mut drain_after_flush = false;
         for req in &batch {
-            drain_after_flush |= matches!(req, Request::Drain);
-            answer(engine, session, req, counters).encode_frame(&mut out);
+            let reply = answer(req);
+            drain_after_flush |= matches!(reply, Reply::Draining);
+            reply.encode_frame(&mut out);
         }
         {
             let _wire = islands_obs::enter(BreakdownCategory::Communication);
@@ -677,7 +745,8 @@ fn session_loop(
 /// engine calls and back, counters included. A socket session calls it per
 /// decoded frame; the in-process cluster's coordinator calls it directly,
 /// which is what makes its function call the message. [`Request::Drain`] is
-/// only acknowledged here — stopping is up to whoever owns the connection.
+/// only acknowledged here — stopping is up to whoever owns the connection
+/// (a socket session stops on the [`Reply::Draining`] it flushes).
 pub(crate) fn answer(
     engine: &dyn Engine,
     session: &mut dyn Session,
@@ -835,6 +904,28 @@ fn handle_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_line_round_trips() {
+        let stats = ServerStats {
+            connections: 4,
+            requests: 31,
+            commits: 10,
+            aborts: 2,
+            errors: 1,
+            prepares: 7,
+            decisions: 6,
+            presumed_aborts: 1,
+            in_doubt: 3,
+        };
+        assert_eq!(ServerStats::from_line(&stats.to_line()), Some(stats));
+        assert_eq!(ServerStats::from_line("STATS commits=nope"), None);
+        assert_eq!(ServerStats::from_line("READY uds:/tmp/x.sock"), None);
+        // Heartbeats from a newer child may carry keys this parent has no
+        // slot for; they are skipped, not fatal.
+        let tolerant = ServerStats::from_line("STATS commits=3 p99_us=412 in_doubt=1").unwrap();
+        assert_eq!((tolerant.commits, tolerant.in_doubt), (3, 1));
+    }
 
     #[test]
     fn session_set_stays_bounded_under_sustained_churn() {

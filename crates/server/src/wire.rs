@@ -454,17 +454,8 @@ impl WireMessage for Reply {
             }
             Reply::Stats { server, obs } => {
                 buf.push(TAG_STATS_REPLY);
-                for v in [
-                    server.connections,
-                    server.requests,
-                    server.commits,
-                    server.aborts,
-                    server.errors,
-                    server.prepares,
-                    server.decisions,
-                    server.presumed_aborts,
-                    server.in_doubt,
-                ] {
+                let mut server = *server;
+                for v in server.slots() {
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
                 obs.encode_into(buf);
@@ -543,8 +534,8 @@ impl WireMessage for Reply {
             }
             TAG_STATS_REPLY => {
                 exactly(tag, body, STATS_BODY_LEN)?;
-                let mut f = [0u64; 9];
-                for (i, slot) in f.iter_mut().enumerate() {
+                let mut server = ServerStats::default();
+                for (i, slot) in server.slots().into_iter().enumerate() {
                     *slot = u64_le(&body[i * 8..]);
                 }
                 let obs = Snapshot::decode(&body[SERVER_STATS_LEN..]).map_err(|_| {
@@ -555,17 +546,7 @@ impl WireMessage for Reply {
                     }
                 })?;
                 Ok(Reply::Stats {
-                    server: ServerStats {
-                        connections: f[0],
-                        requests: f[1],
-                        commits: f[2],
-                        aborts: f[3],
-                        errors: f[4],
-                        prepares: f[5],
-                        decisions: f[6],
-                        presumed_aborts: f[7],
-                        in_doubt: f[8],
-                    },
+                    server,
                     obs: Box::new(obs),
                 })
             }

@@ -177,6 +177,47 @@ fn tcp_deployment_round_trips() {
 }
 
 #[test]
+fn heartbeats_past_a_pipe_full_do_not_wedge_the_drain() {
+    // Regression: the parent used to read a child's stdout only after it
+    // had exited. Once 64 KiB of heartbeats sat unread the printer thread
+    // blocked in `write`, the drained child waited on it forever, and the
+    // parent killed it after 10 s and reported an unclean exit. At one
+    // heartbeat a millisecond and ~100 bytes a line, three seconds is
+    // several pipes' worth.
+    let deploy = Arc::new(
+        Deployment::spawn(&DeployConfig {
+            stats_every_ms: 1,
+            ..config(2, Transport::Uds)
+        })
+        .unwrap(),
+    );
+    let mut client = deploy.client().unwrap();
+    let started = std::time::Instant::now();
+    let mut commits = 0u64;
+    while started.elapsed() < Duration::from_secs(3) {
+        assert!(outcome(client.submit(&update(&[10, 350])).unwrap()).committed);
+        commits += 1;
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(client);
+    let drain_started = std::time::Instant::now();
+    let reports = Arc::try_unwrap(deploy)
+        .ok()
+        .expect("no other refs")
+        .shutdown();
+    assert!(
+        drain_started.elapsed() < Duration::from_secs(5),
+        "a drain is not a timeout: {:?}",
+        drain_started.elapsed()
+    );
+    for r in &reports {
+        assert!(r.clean, "instance {} unclean: {}", r.index, r.detail);
+        let stats = r.stats.expect("final stats, not a stale heartbeat");
+        assert_eq!((stats.commits, stats.in_doubt), (commits, 0));
+    }
+}
+
+#[test]
 fn killed_participant_mid_prepare_presumes_abort_and_survivors_serve() {
     let deploy = Arc::new(Deployment::spawn(&config(2, Transport::Uds)).unwrap());
     let mut client = deploy.client().unwrap();

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
 use islands_server::{
-    Backend, Client, Cluster, ClusterConfig, Endpoint, Reply, Request, Server, ServerConfig,
+    Backend, Client, Cluster, DeployConfig, Endpoint, Reply, Request, Server, ServerConfig,
     ServerHandle,
 };
 use islands_workload::{OpKind, PlanBranch, TxnBranch, TxnRequest};
@@ -25,11 +25,10 @@ fn uds_endpoint() -> Endpoint {
 
 fn cluster() -> Arc<Cluster> {
     Arc::new(
-        Cluster::build(&ClusterConfig {
-            n_instances: 4,
+        Cluster::build(&DeployConfig {
+            instances: 4,
             total_rows: 400,
             row_size: 16,
-            buffer_frames: 512,
             ..Default::default()
         })
         .unwrap(),

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+use oltp_islands::server::{Cluster, DeployConfig, DeployReply};
 use oltp_islands::workload::{OpKind, PlanRequest, TxnRequest};
 
 fn update(keys: &[u64]) -> PlanRequest {
@@ -19,8 +19,8 @@ fn update(keys: &[u64]) -> PlanRequest {
 
 fn main() {
     // 4 locked (2PL) instances over 40k rows.
-    let cfg = ClusterConfig {
-        n_instances: 4,
+    let cfg = DeployConfig {
+        instances: 4,
         total_rows: 40_000,
         row_size: 64,
         ..Default::default()
@@ -34,7 +34,7 @@ fn main() {
 
     // One coordinator: a session on every instance, as a deployment's
     // client holds a socket to every process.
-    let mut client = cluster.client(64);
+    let mut client = cluster.client();
     let mut run = |what: &str, plan: &PlanRequest| match client.submit_plan(plan).unwrap() {
         DeployReply::Outcome(o) if o.committed => {
             println!("{what} txn committed (2pc = {})", o.distributed)

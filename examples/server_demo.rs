@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use oltp_islands::server::{Client, Cluster, ClusterConfig, Endpoint, Reply, Server, ServerConfig};
+use oltp_islands::server::{Client, Cluster, DeployConfig, Endpoint, Reply, Server, ServerConfig};
 use oltp_islands::workload::{OpKind, TxnRequest};
 
 fn update(keys: &[u64]) -> TxnRequest {
@@ -23,8 +23,8 @@ fn update(keys: &[u64]) -> TxnRequest {
 fn main() {
     // The deployment: 4 shared-nothing instances over 40k rows, exactly the
     // in-process quickstart cluster...
-    let cfg = ClusterConfig {
-        n_instances: 4,
+    let cfg = DeployConfig {
+        instances: 4,
         total_rows: 40_000,
         row_size: 64,
         ..Default::default()

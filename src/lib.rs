@@ -40,12 +40,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+//! use oltp_islands::server::{Cluster, DeployConfig, DeployReply};
 //! use oltp_islands::workload::{OpKind, TxnRequest};
 //!
 //! // Four shared-nothing instances over 4000 rows.
-//! let cluster = Cluster::build(&ClusterConfig {
-//!     n_instances: 4,
+//! let cluster = Cluster::build(&DeployConfig {
+//!     instances: 4,
 //!     total_rows: 4_000,
 //!     row_size: 32,
 //!     ..Default::default()
@@ -57,7 +57,7 @@
 //!     keys: vec![10, 3_900],
 //!     multisite: true,
 //! }.to_plan();
-//! let DeployReply::Outcome(out) = cluster.client(8).submit_plan(&plan).unwrap() else {
+//! let DeployReply::Outcome(out) = cluster.client().submit_plan(&plan).unwrap() else {
 //!     panic!("a well-formed plan gets an outcome");
 //! };
 //! assert!(out.committed && out.distributed);

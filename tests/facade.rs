@@ -3,7 +3,7 @@
 //! storage, sim, memsim, net, hwtopo, dtxn, workload, server}`. These tests pin those
 //! paths so a facade refactor that breaks them fails loudly.
 
-use oltp_islands::server::{Cluster, ClusterConfig, DeployReply};
+use oltp_islands::server::{Cluster, DeployConfig, DeployReply};
 use oltp_islands::workload::{OpKind, TxnRequest};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -58,8 +58,8 @@ fn reexported_module_paths_resolve() {
 /// cluster, commit a single local update, and read it back via the audit.
 #[test]
 fn native_cluster_one_op_round_trip() {
-    let cluster = Cluster::build(&ClusterConfig {
-        n_instances: 2,
+    let cluster = Cluster::build(&DeployConfig {
+        instances: 2,
         total_rows: 200,
         row_size: 16,
         ..Default::default()
@@ -72,7 +72,7 @@ fn native_cluster_one_op_round_trip() {
         multisite: false,
     }
     .to_plan();
-    let DeployReply::Outcome(out) = cluster.client(8).submit_plan(&plan).unwrap() else {
+    let DeployReply::Outcome(out) = cluster.client().submit_plan(&plan).unwrap() else {
         panic!("a well-formed plan gets an outcome");
     };
     assert!(out.committed);

@@ -7,7 +7,7 @@ use std::time::Duration;
 use oltp_islands::core::simrt::{run_with_audit, SimClusterConfig, SimWorkload};
 use oltp_islands::hwtopo::Machine;
 use oltp_islands::server::{
-    Backend, Cluster, ClusterClient, ClusterConfig, DeployOutcome, DeployReply, EngineMode,
+    Backend, Cluster, ClusterClient, DeployConfig, DeployOutcome, DeployReply, EngineMode,
 };
 use oltp_islands::storage::store::MemStore;
 use oltp_islands::storage::wal::MemLogDevice;
@@ -32,8 +32,8 @@ fn run(client: &mut ClusterClient<'_>, plan: &PlanRequest) -> DeployOutcome {
 
 #[test]
 fn native_2pc_is_atomic_across_instances() {
-    let cluster = Cluster::build(&ClusterConfig {
-        n_instances: 8,
+    let cluster = Cluster::build(&DeployConfig {
+        instances: 8,
         total_rows: 8_000,
         row_size: 16,
         ..Default::default()
@@ -41,15 +41,15 @@ fn native_2pc_is_atomic_across_instances() {
     .unwrap();
     // Touch all 8 instances in one transaction.
     let keys: Vec<u64> = (0..8).map(|i| i * 1_000 + 5).collect();
-    let out = run(&mut cluster.client(8), &upd(&keys));
+    let out = run(&mut cluster.client(), &upd(&keys));
     assert!(out.committed && out.distributed);
     assert_eq!(cluster.audit_sum().unwrap(), 8, "all-or-nothing");
 }
 
 #[test]
 fn native_concurrent_mixed_load_conserves_updates() {
-    let cfg = ClusterConfig {
-        n_instances: 4,
+    let cfg = DeployConfig {
+        instances: 4,
         total_rows: 2_000,
         row_size: 16,
         ..Default::default()
@@ -196,15 +196,15 @@ fn headline_results_hold() {
 fn native_single_threaded_fine_grained_optimization() {
     // Serial islands run one transaction at a time, which disables locking
     // entirely; the throughput path — 2PC branches included — stays correct.
-    let cluster = Cluster::build(&ClusterConfig {
-        n_instances: 2,
+    let cluster = Cluster::build(&DeployConfig {
+        instances: 2,
         total_rows: 200,
         row_size: 16,
         engine: EngineMode::Serial,
         ..Default::default()
     })
     .unwrap();
-    let mut client = cluster.client(8);
+    let mut client = cluster.client();
     for k in 0..10 {
         assert!(run(&mut client, &upd(&[k])).committed);
     }
