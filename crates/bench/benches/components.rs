@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the core substrates: B+tree, buffer pool,
-//! lock table and manager (alone and beside three more callers), log
+//! lock table and manager (alone, beside one and beside three more
+//! callers), log
 //! buffer, WAL commit, the session and executor hops, Zipf sampling,
 //! and the DES kernel.
 
@@ -50,9 +51,11 @@ fn beside(c: &mut Criterion, id: &str, others: u64, op: impl Fn(u64, u64) + Sync
     });
 }
 
-/// [`beside`] alone and with three others: `ID/1x` and `ID/4x`.
-fn alone_and_4x(c: &mut Criterion, id: &str, op: impl Fn(u64, u64) + Sync) {
-    for callers in [1, 4] {
+/// [`beside`] alone, with one other and with three others: `ID/1x`, `ID/2x`
+/// and `ID/4x`. On a two-cpu box `/2x` is one caller per cpu — what sharing
+/// the line costs — while `/4x` adds time-slicing on top.
+fn by_callers(c: &mut Criterion, id: &str, op: impl Fn(u64, u64) + Sync) {
+    for callers in [1, 2, 4] {
         beside(c, &format!("{id}/{callers}x"), callers - 1, &op);
     }
 }
@@ -66,7 +69,7 @@ fn bench_btree(c: &mut Criterion) {
     for k in 0..100_000u64 {
         tree.insert(k, k).unwrap();
     }
-    alone_and_4x(c, "btree_get", |t, i| {
+    by_callers(c, "btree_get", |t, i| {
         let k = (t * 25_000 + i * 7919) % 100_000;
         std::hint::black_box(tree.get(k).unwrap());
     });
@@ -76,7 +79,7 @@ fn bench_btree(c: &mut Criterion) {
 fn bench_buffer_fetch(c: &mut Criterion) {
     let pool = BufferPool::new(Arc::new(MemStore::new()), 8192);
     let pids: Vec<_> = (0..1024).map(|_| pool.new_page().unwrap().pid).collect();
-    alone_and_4x(c, "buffer_fetch_hit", |t, i| {
+    by_callers(c, "buffer_fetch_hit", |t, i| {
         let pid = pids[(t * 256 + i % 256) as usize];
         std::hint::black_box(pool.fetch(pid).unwrap().pid);
     });
@@ -93,10 +96,12 @@ fn bench_lock_table(c: &mut Criterion) {
             lt.release_all(txn);
         })
     });
-    // The blocking manager as a transaction uses it: one table intent, four
-    // row locks, one release. Callers share the table lock and nothing else.
+    // The blocking manager as a direct caller may use it: one table intent,
+    // four row locks, one release. Callers share the table lock and nothing
+    // else — the line a transaction stopped writing when `TxnHandle` dropped
+    // its intents, kept here so the cost stays measured.
     let locks = NativeLockManager::new(Duration::from_millis(200));
-    alone_and_4x(c, "lock_acquire", |t, i| {
+    by_callers(c, "lock_acquire", |t, i| {
         let txn = TxnId(i * 4 + t + 1);
         let mut held = locks.lock(txn, LockId::Table(1), LockMode::IX).unwrap();
         for row in 0..4 {

@@ -845,11 +845,7 @@ mod tests {
         let height = e.plan_table(MICRO_TABLE).unwrap().index_height() as u64;
         assert_eq!(height, 2);
         let (acquires, fetches) = plan_cost(&e, &update(&[3, 700, 1_400, 1_999]).to_plan());
-        assert_eq!(
-            acquires,
-            4 + 1,
-            "an X lock per row under one IX on the table"
-        );
+        assert_eq!(acquires, 4, "an X lock per row and no table intent");
         assert_eq!(
             fetches,
             4 * (height + 1),
@@ -857,8 +853,31 @@ mod tests {
         );
     }
 
+    /// Lock requests `plan` makes on `e`, and the lock entries it holds just
+    /// before it commits.
+    fn plan_locks(e: &PartitionEngine, plan: &PlanRequest) -> (u64, usize) {
+        let locks = e.instance().locks();
+        let before = locks.stats().0;
+        let mut txn = e.instance().begin();
+        e.run_plan(&mut txn, plan).unwrap();
+        let held = locks.active_locks();
+        txn.commit().unwrap();
+        (locks.stats().0 - before, held)
+    }
+
+    /// Rows `plan` touches, counted per touch and once each.
+    fn plan_rows(plan: &PlanRequest) -> (u64, usize) {
+        let rows: Vec<(u32, u64)> = plan
+            .steps
+            .iter()
+            .flat_map(|s| (0..s.rows()).map(move |i| (s.table, s.key.wrapping_add(i))))
+            .collect();
+        let distinct = rows.iter().collect::<std::collections::HashSet<_>>().len();
+        (rows.len() as u64, distinct)
+    }
+
     #[test]
-    fn tpcc_plans_take_each_table_intent_once() {
+    fn tpcc_plans_take_one_lock_per_row_and_no_table_entry() {
         let e = tpcc_engine();
         let order = tpcc::NewOrder {
             w_id: 2,
@@ -866,9 +885,6 @@ mod tests {
             c_id: 100,
             items: vec![1, 2, 3, 4, 5],
         };
-        // IS on warehouse and customer, IX on district, stock and order: five
-        // tables, five intents; then a lock per row — 3 + 5 order lines + 1.
-        assert_eq!(plan_cost(&e, &order.plan((2 << 32) | 7)).0, 5 + 9);
         let payment = tpcc::Payment {
             w_id: 2,
             d_id: 5,
@@ -877,11 +893,19 @@ mod tests {
             c_id: 17,
             amount: 9,
         };
-        // By id: warehouse, district, customer, history — IX and X each.
-        assert_eq!(plan_cost(&e, &payment.plan((2 << 32) | 1, false)).0, 4 + 4);
-        // By name: four customer rows are read under IS before the update
-        // raises the table to IX — the one intent a plan asks for twice.
-        assert_eq!(plan_cost(&e, &payment.plan((2 << 32) | 2, true)).0, 5 + 8);
+        for (plan, locks) in [
+            // Warehouse, district, customer, five stock rows, the order.
+            (order.plan((2 << 32) | 7), (9, 9)),
+            // By id: warehouse, district, customer, history.
+            (payment.plan((2 << 32) | 1, false), (4, 4)),
+            // By name: four customer rows read, one of them then updated.
+            (payment.plan((2 << 32) | 2, true), (8, 7)),
+        ] {
+            assert_eq!(plan_rows(&plan), locks);
+            // A request per row touched; an entry per row held, none for a
+            // table.
+            assert_eq!(plan_locks(&e, &plan), locks);
+        }
     }
 
     #[test]

@@ -577,7 +577,12 @@ fn executor_backend_presumes_abort_when_coordinator_vanishes() {
     } // coordinator connection dropped, decision never sent
 
     // The dying session's close presume-aborts its branch on the executor;
-    // the key is free again for ordinary traffic.
+    // the key is free again for ordinary traffic. A serial partition aborts
+    // a local transaction that meets a parked branch at once (no retries),
+    // so wait for the presumed abort, not for a guess at how long it takes.
+    while handle.stats().presumed_aborts == 0 {
+        std::thread::yield_now();
+    }
     let mut client = Client::connect(handle.endpoint()).unwrap();
     match client.submit(&update(&[9])).unwrap() {
         Reply::Committed { .. } => {}

@@ -7,12 +7,19 @@
 //!   naturally because only one thread ever runs per instance.
 //! * **Pins and latches borrow the pool.** A [`PinnedPage`] is a reference
 //!   to its frame plus a pin count; the latches it hands out are the frame
-//!   lock's own guards. A hit touches the page's shard, the frame's pin and
-//!   the frame's latch — no reference count shared with every other page.
-//! * **The page map is sharded by page id**, each shard owning its own
-//!   frames and clock hand. A miss — victim search, the 8 KB copy, a dirty
-//!   steal's WAL barrier — runs under its shard's lock and stalls only hits
-//!   on that shard's pages.
+//!   lock's own guards.
+//! * **A hit writes only its own frame's line.** The page map is a
+//!   lock-free page id → frame array: a hit loads the entry, pins the frame
+//!   by CAS and re-checks that the frame still holds the page — no shard
+//!   lock, no line another page's hit writes. The CAS never pins a frame the
+//!   victim search has *claimed* (pin `CLAIMED`), and a frame's page
+//!   changes only while it is claimed, so a pin that took holds its page
+//!   still. A hit that loses either race takes the locked path.
+//! * **Misses go through the page's shard lock**, each shard owning its own
+//!   frames and clock hand. Claiming a victim, the 8 KB copy, a dirty
+//!   steal's WAL barrier and the map writes all run under it: no page can be
+//!   loaded into two frames, and a miss stalls only misses on that shard's
+//!   pages.
 //! * **Steal with a WAL barrier.** Evicting a dirty page first invokes the
 //!   registered WAL barrier (which makes the whole log durable), upholding
 //!   the write-ahead rule; if the barrier fails the page is not written and
@@ -25,9 +32,8 @@
 //! * **Clock eviction** with a reference bit, per shard; dirty victims are
 //!   written back through the store on eviction.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -49,20 +55,115 @@ const MAX_SHARDS: usize = 16;
 /// once and they may all hash to one shard. Small (test) pools are one shard.
 const MIN_SHARD_FRAMES: usize = 64;
 
+/// The pin count of a frame the victim search owns: nothing pins it, and
+/// only its claimant changes which page it holds.
+const CLAIMED: u32 = u32::MAX;
+
+/// Page ids one chunk of the page map covers (32 KB of entries).
+const MAP_CHUNK: u64 = 1 << 13;
+/// Chunks the page map may grow to: its reach is 2^25 pages, 256 GB.
+const MAP_CHUNKS: u64 = 1 << 12;
+
 /// A frame on cache lines of its own: neighbouring frames hold unrelated
 /// pages, and one page's pin traffic is no business of the next one's.
 #[repr(align(64))]
 struct Frame {
     page: RwLock<Page>,
-    /// The resident page, [`PageId::INVALID`] while free. Written under the
-    /// shard lock *and* the write latch, so either is enough to read it.
+    /// The resident page, [`PageId::INVALID`] while free. Changed only while
+    /// the frame is [`CLAIMED`], so a pin holder reads a settled value.
     pid: AtomicU64,
+    /// Pins held, or [`CLAIMED`].
     pin: AtomicU32,
     dirty: AtomicBool,
     referenced: AtomicBool,
+    /// Fetches answered from this frame, counted on the line the pin has
+    /// just written: a pool-wide counter would be one more line every fetch
+    /// on every thread writes.
+    hits: AtomicU64,
 }
 
-/// Buffer pool statistics (hits are counted per shard: see
+impl Frame {
+    /// Pin the frame unless the victim search has claimed it. `Acquire`
+    /// pairs with the `Release` that ended the last claim (`install`'s
+    /// `pin = 1` or [`unclaim`](Self::unclaim)), so the `pid` read after a
+    /// pin is the one that claim left.
+    fn try_pin(&self) -> bool {
+        let mut pins = self.pin.load(Ordering::Relaxed);
+        while pins != CLAIMED {
+            match self.pin.compare_exchange_weak(
+                pins,
+                pins + 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(now) => pins = now,
+            }
+        }
+        false
+    }
+
+    /// Take an unpinned frame for the victim search (under its shard lock).
+    /// `Acquire` pairs with the `Release` of the last unpin.
+    fn claim(&self) -> bool {
+        self.pin
+            .compare_exchange(0, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Give a claimed frame back, unpinned and as it is.
+    fn unclaim(&self) {
+        self.pin.store(0, Ordering::Release);
+    }
+}
+
+/// page id → frame, read with one atomic load and no lock.
+///
+/// An entry is `frame + 1`, `0` while the page is not resident. Chunks are
+/// allocated by the first install into their range and kept. An entry is
+/// written only by `install` and eviction, under the lock of its page's
+/// shard; a lock-free reader treats what it loads as a hint and re-checks
+/// the frame after pinning it.
+struct PageMap {
+    chunks: Box<[OnceLock<Box<[AtomicU32]>>]>,
+}
+
+impl PageMap {
+    fn new() -> PageMap {
+        PageMap {
+            chunks: (0..MAP_CHUNKS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// `(chunk, slot)` of `pid`'s entry; a page beyond the map's reach is a
+    /// typed error.
+    fn locate(pid: PageId) -> Result<(usize, usize)> {
+        let chunk = pid.0 / MAP_CHUNK;
+        if chunk >= MAP_CHUNKS {
+            return Err(StorageError::NoSuchPage(pid.0));
+        }
+        Ok((chunk as usize, (pid.0 % MAP_CHUNK) as usize))
+    }
+
+    /// The frame `pid` was in when the entry was read.
+    fn get(&self, pid: PageId) -> Result<Option<usize>> {
+        let (chunk, slot) = Self::locate(pid)?;
+        Ok(self.chunks[chunk]
+            .get()
+            .and_then(|c| c[slot].load(Ordering::Acquire).checked_sub(1))
+            .map(|f| f as usize))
+    }
+
+    /// `pid`'s entry, its chunk allocated if need be.
+    fn entry(&self, pid: PageId) -> Result<&AtomicU32> {
+        let (chunk, slot) = Self::locate(pid)?;
+        let c =
+            self.chunks[chunk].get_or_init(|| (0..MAP_CHUNK).map(|_| AtomicU32::new(0)).collect());
+        Ok(&c[slot])
+    }
+}
+
+/// Buffer pool statistics (hits are counted per frame: see
 /// [`BufferPool::hits`]).
 #[derive(Debug, Default)]
 pub struct PoolStats {
@@ -74,6 +175,7 @@ pub struct PoolStats {
 /// The buffer pool.
 pub struct BufferPool {
     frames: Vec<Frame>,
+    map: PageMap,
     /// A power of two of them; a page lives in `shard_of(pid)` only.
     shards: Vec<Shard>,
     store: Arc<dyn PageStore>,
@@ -83,23 +185,15 @@ pub struct BufferPool {
     pub stats: PoolStats,
 }
 
-/// One slice of the page map with the frames it alone fills and evicts.
+/// The frames one shard alone fills and evicts.
 #[repr(align(64))]
 struct Shard {
     /// The frames `first..first + len` of the pool belong to this shard.
     first: usize,
     len: usize,
-    map: Mutex<ShardMap>,
-}
-
-struct ShardMap {
-    /// page id -> frame index (pool-wide).
-    table: HashMap<PageId, usize>,
-    /// Clock hand, relative to the shard's first frame.
-    hand: usize,
-    /// Counted here because the lock is already held: a pool-wide counter
-    /// would be one more line every fetch on every thread writes.
-    hits: u64,
+    /// The clock hand, relative to `first`. Holding it is what serializes
+    /// the shard's claims, installs, evictions and page-map writes.
+    hand: Mutex<usize>,
 }
 
 /// A pinned page: keeps the frame resident; take `read()`/`write()` latches
@@ -126,7 +220,9 @@ impl<'a> PinnedPage<'a> {
 
 impl Drop for PinnedPage<'_> {
     fn drop(&mut self) {
-        self.frame.pin.fetch_sub(1, Ordering::AcqRel);
+        // Pairs with `claim`'s `Acquire`: whoever claims the frame next sees
+        // everything done under this pin.
+        self.frame.pin.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -140,6 +236,10 @@ fn set_if_clear(flag: &AtomicBool) {
 impl BufferPool {
     pub fn new(store: Arc<dyn PageStore>, frames: usize) -> Arc<Self> {
         assert!(frames >= 2, "pool needs at least two frames");
+        assert!(
+            frames < CLAIMED as usize,
+            "a page-map entry names the frame"
+        );
         let mut shards = 1;
         while shards < MAX_SHARDS && frames / (shards * 2) >= MIN_SHARD_FRAMES {
             shards *= 2;
@@ -152,19 +252,17 @@ impl BufferPool {
                     pin: AtomicU32::new(0),
                     dirty: AtomicBool::new(false),
                     referenced: AtomicBool::new(false),
+                    hits: AtomicU64::new(0),
                 })
                 .collect(),
+            map: PageMap::new(),
             shards: (0..shards)
                 .map(|s| {
                     let first = s * frames / shards;
                     Shard {
                         first,
                         len: (s + 1) * frames / shards - first,
-                        map: Mutex::new(ShardMap {
-                            table: HashMap::new(),
-                            hand: 0,
-                            hits: 0,
-                        }),
+                        hand: Mutex::new(0),
                     }
                 })
                 .collect(),
@@ -189,7 +287,10 @@ impl BufferPool {
 
     /// Fetches answered from a resident frame.
     pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.map.lock().hits).sum()
+        self.frames
+            .iter()
+            .map(|f| f.hits.load(Ordering::Relaxed))
+            .sum()
     }
 
     fn shard_of(&self, pid: PageId) -> &Shard {
@@ -201,26 +302,58 @@ impl BufferPool {
 
     /// Fetch `pid`, reading it from the store on a miss.
     pub fn fetch(&self, pid: PageId) -> Result<PinnedPage<'_>> {
+        if let Some(idx) = self.map.get(pid)? {
+            if let Some(hit) = self.pin_if_holds(idx, pid) {
+                return Ok(hit);
+            }
+        }
+        self.fetch_locked(pid)
+    }
+
+    /// The lock-free hit: pin frame `idx` if it still holds `pid` — it may
+    /// have been claimed, or reused for another page, since the map said so.
+    fn pin_if_holds(&self, idx: usize, pid: PageId) -> Option<PinnedPage<'_>> {
+        let frame = &self.frames[idx];
+        if !frame.try_pin() {
+            return None;
+        }
+        let pinned = PinnedPage { frame, pid };
+        if frame.pid.load(Ordering::Acquire) != pid.0 {
+            return None; // unpinned by the drop
+        }
+        Some(Self::hit(pinned))
+    }
+
+    fn hit(pinned: PinnedPage<'_>) -> PinnedPage<'_> {
+        set_if_clear(&pinned.frame.referenced);
+        pinned.frame.hits.fetch_add(1, Ordering::Relaxed);
+        pinned
+    }
+
+    /// The fetch under `pid`'s shard lock: a hit the lock-free path lost to
+    /// a victim search, or a miss.
+    fn fetch_locked(&self, pid: PageId) -> Result<PinnedPage<'_>> {
         let shard = self.shard_of(pid);
-        let mut map = shard.map.lock();
-        if let Some(&idx) = map.table.get(&pid) {
+        let mut hand = shard.hand.lock();
+        if let Some(idx) = self.map.get(pid)? {
+            // Under the shard lock the map is exact and none of the shard's
+            // frames is claimed: pin outright.
             let frame = &self.frames[idx];
-            frame.pin.fetch_add(1, Ordering::AcqRel);
-            set_if_clear(&frame.referenced);
-            map.hits += 1;
-            return Ok(PinnedPage { frame, pid });
+            let pins = frame.pin.fetch_add(1, Ordering::Acquire);
+            debug_assert!(pins != CLAIMED && frame.pid.load(Ordering::Acquire) == pid.0);
+            return Ok(Self::hit(PinnedPage { frame, pid }));
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        // Load under the shard lock: no two threads can load the same page
-        // into different frames, and only this shard's pages wait.
-        self.install(shard, &mut map, pid, |page| self.store.read_page(pid, page))
+        self.install(shard, &mut hand, pid, |page| {
+            self.store.read_page(pid, page)
+        })
     }
 
     /// Allocate a brand-new zeroed page and pin it.
     pub fn new_page(&self) -> Result<PinnedPage<'_>> {
         let pid = self.store.allocate()?;
         let shard = self.shard_of(pid);
-        let pinned = self.install(shard, &mut shard.map.lock(), pid, |page| {
+        let pinned = self.install(shard, &mut shard.hand.lock(), pid, |page| {
             page.data.fill(0);
             Ok(())
         })?;
@@ -228,36 +361,43 @@ impl BufferPool {
         Ok(pinned)
     }
 
-    /// Claim a frame of `shard` for `pid`, fill it, and pin it once.
+    /// Claim a frame of `shard` for `pid`, fill it, map it and pin it once.
+    /// A failed fill leaves the frame free and unpinned.
     fn install(
         &self,
         shard: &Shard,
-        map: &mut ShardMap,
+        hand: &mut usize,
         pid: PageId,
         fill: impl FnOnce(&mut Page) -> Result<()>,
     ) -> Result<PinnedPage<'_>> {
-        let idx = self.take_victim(shard, map)?;
+        let entry = self.map.entry(pid)?;
+        let idx = self.take_victim(shard, hand)?;
         let frame = &self.frames[idx];
         {
             let mut page = frame.page.write();
-            fill(&mut page)?;
+            if let Err(e) = fill(&mut page) {
+                drop(page);
+                frame.unclaim();
+                return Err(e);
+            }
             frame.pid.store(pid.0, Ordering::Release);
         }
-        frame.pin.store(1, Ordering::Release);
         frame.referenced.store(true, Ordering::Release);
-        map.table.insert(pid, idx);
+        entry.store(idx as u32 + 1, Ordering::Release);
+        frame.pin.store(1, Ordering::Release);
         Ok(PinnedPage { frame, pid })
     }
 
-    /// Pick a free or evictable (clean, unpinned) frame of `shard`, leaving
-    /// it free; clock with one full sweep of second chances.
-    fn take_victim(&self, shard: &Shard, map: &mut ShardMap) -> Result<usize> {
+    /// Claim a free or evictable (clean, unpinned) frame of `shard`, leaving
+    /// it free and [`CLAIMED`]; clock with one full sweep of second chances.
+    /// Every frame the search lets go of is unpinned again.
+    fn take_victim(&self, shard: &Shard, hand: &mut usize) -> Result<usize> {
         let n = shard.len;
         for pass in 0..2 * n {
-            let idx = shard.first + map.hand;
-            map.hand = (map.hand + 1) % n;
+            let idx = shard.first + *hand;
+            *hand = (*hand + 1) % n;
             let f = &self.frames[idx];
-            if f.pin.load(Ordering::Acquire) != 0 {
+            if f.pin.load(Ordering::Relaxed) != 0 || !f.claim() {
                 continue;
             }
             let resident = PageId(f.pid.load(Ordering::Acquire));
@@ -265,20 +405,28 @@ impl BufferPool {
                 return Ok(idx);
             }
             if f.referenced.swap(false, Ordering::AcqRel) && pass < n {
-                continue; // second chance on the first sweep
+                f.unclaim(); // second chance on the first sweep
+                continue;
             }
             if f.dirty.load(Ordering::Acquire) {
                 // Steal requires the WAL barrier; without one, keep looking.
                 let barrier = self.wal_barrier.read().clone();
-                let Some(barrier) = barrier else { continue };
-                barrier()?;
-                self.store.write_page(resident, &f.page.read())?;
+                let Some(barrier) = barrier else {
+                    f.unclaim();
+                    continue;
+                };
+                let written =
+                    barrier().and_then(|()| self.store.write_page(resident, &f.page.read()));
+                if let Err(e) = written {
+                    f.unclaim();
+                    return Err(e);
+                }
                 f.dirty.store(false, Ordering::Release);
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
             // Evict.
+            self.map.entry(resident)?.store(0, Ordering::Release);
             f.pid.store(PageId::INVALID.0, Ordering::Release);
-            map.table.remove(&resident);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             return Ok(idx);
         }
@@ -443,19 +591,112 @@ mod tests {
         pool
     }
 
-    /// Every resident page sits in exactly one frame, and the page map of
-    /// its shard says which.
+    /// Every resident page sits in exactly one frame and the page map names
+    /// it; no map entry names a frame that holds another page.
     fn assert_one_frame_per_page(pool: &BufferPool) {
         let mut seen = std::collections::HashSet::new();
         for (idx, f) in pool.frames.iter().enumerate() {
             let pid = PageId(f.pid.load(Ordering::Acquire));
             if pid.is_valid() {
                 assert!(seen.insert(pid), "{pid:?} is resident twice");
-                assert_eq!(pool.shard_of(pid).map.lock().table.get(&pid), Some(&idx));
+                assert_eq!(pool.map.get(pid).unwrap(), Some(idx), "{pid:?} unmapped");
             }
         }
-        let mapped: usize = pool.shards.iter().map(|s| s.map.lock().table.len()).sum();
-        assert_eq!(mapped, seen.len(), "page map names a frame that moved on");
+        for (c, chunk) in pool.map.chunks.iter().enumerate() {
+            let entries = chunk.get().map_or(&[][..], |c| &c[..]);
+            for (slot, entry) in entries.iter().enumerate() {
+                if let Some(idx) = entry.load(Ordering::Acquire).checked_sub(1) {
+                    let pid = c as u64 * MAP_CHUNK + slot as u64;
+                    let held = pool.frames[idx as usize].pid.load(Ordering::Acquire);
+                    assert_eq!(held, pid, "page {pid} maps to a frame that moved on");
+                }
+            }
+        }
+    }
+
+    /// `pid`'s frame, which the page map names.
+    fn frame_of(pool: &BufferPool, pid: PageId) -> usize {
+        pool.map.get(pid).unwrap().expect("resident")
+    }
+
+    /// A new page carrying `n` at offset 16, written back and unpinned.
+    fn clean_page(pool: &BufferPool, n: u64) -> PageId {
+        let p = pool.new_page().unwrap();
+        p.write().write_u64(16, n);
+        let pid = p.pid;
+        drop(p);
+        pool.flush_all().unwrap();
+        pid
+    }
+
+    #[test]
+    fn a_hit_on_a_claimed_or_reused_frame_takes_the_locked_path() {
+        let pool = pool(2); // one shard, no steal
+        let (p, q) = (clean_page(&pool, 1), clean_page(&pool, 2));
+        let stale = frame_of(&pool, p);
+        let q_pin = pool.fetch(q).unwrap();
+
+        // The victim search claims p's frame (q's is pinned) and evicts p.
+        let shard = pool.shard_of(p);
+        let mut hand = shard.hand.lock();
+        assert_eq!(pool.take_victim(shard, &mut hand).unwrap(), stale);
+        let frame = &pool.frames[stale];
+        assert_eq!(frame.pin.load(Ordering::Acquire), CLAIMED);
+        // A hit that read the map before the claim gets nothing, and leaves
+        // the claim as it was.
+        assert!(pool.pin_if_holds(stale, p).is_none());
+        assert_eq!(frame.pin.load(Ordering::Acquire), CLAIMED);
+        frame.unclaim(); // as a failed fill would
+        drop(hand);
+        // The locked path reads p back, into the one free frame.
+        assert_eq!(pool.fetch_locked(p).unwrap().read().read_u64(16), 1);
+        assert_eq!(frame_of(&pool, p), stale);
+
+        // Now p is evicted again and its frame reused for a new page.
+        let r = pool.new_page().unwrap();
+        assert_eq!(frame_of(&pool, r.pid), stale);
+        assert!(pool.pin_if_holds(stale, p).is_none(), "pinned another page");
+        assert_eq!(frame.pin.load(Ordering::Acquire), 1, "r's pin alone");
+        drop((r, q_pin));
+        // r is dirty, so p comes back into q's frame.
+        let misses = pool.stats.misses.load(Ordering::Relaxed);
+        assert_eq!(pool.fetch(p).unwrap().read().read_u64(16), 1);
+        assert_eq!(pool.stats.misses.load(Ordering::Relaxed), misses + 1);
+        assert_one_frame_per_page(&pool);
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_the_frame_free_and_unpinned() {
+        let pool = pool(2);
+        let p = clean_page(&pool, 7);
+        let missing = PageId(pool.store.num_pages() + 10);
+        assert!(matches!(
+            pool.fetch(missing),
+            Err(StorageError::NoSuchPage(_))
+        ));
+        assert_eq!(pool.map.get(missing).unwrap(), None);
+        for f in &pool.frames {
+            assert_eq!(f.pin.load(Ordering::Acquire), 0);
+        }
+        assert_one_frame_per_page(&pool);
+        // Both frames still serve: p, and one more page pinned beside it.
+        let a = pool.fetch(p).unwrap();
+        let b = pool.new_page().unwrap();
+        assert_eq!(a.read().read_u64(16), 7);
+        drop((a, b));
+        assert_one_frame_per_page(&pool);
+    }
+
+    #[test]
+    fn a_page_beyond_the_map_is_a_typed_error() {
+        let pool = pool(2);
+        let far = PageId(MAP_CHUNK * MAP_CHUNKS);
+        assert!(matches!(pool.fetch(far), Err(StorageError::NoSuchPage(_))));
+        assert!(matches!(
+            pool.fetch(PageId(u64::MAX)),
+            Err(StorageError::NoSuchPage(_))
+        ));
+        assert_eq!(pool.stats.misses.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -220,7 +220,6 @@ impl StorageInstance {
             last_lsn: 0,
             undo: Vec::new(),
             lock_shards: ShardSet::default(),
-            intents: Vec::new(),
         }
     }
 
@@ -559,10 +558,6 @@ pub struct TxnHandle {
     /// Lock-manager shards this transaction holds locks in: the only ones
     /// its release visits.
     lock_shards: ShardSet,
-    /// Table intent locks already held (`IS` or `IX` per catalog id). A
-    /// transaction touches a handful of tables many times each; the lock
-    /// manager hears about each once.
-    intents: Vec<(u32, LockMode)>,
 }
 
 impl TxnHandle {
@@ -577,31 +572,22 @@ impl TxnHandle {
         }
     }
 
-    fn lock(&mut self, id: LockId, mode: LockMode) -> Result<()> {
-        self.lock_shards |= self.instance.locks.lock(self.id, id, mode)?;
-        Ok(())
-    }
-
-    /// Lock row `key` of `table` in `mode` (`S` or `X`) under the matching
-    /// table intent.
+    /// Lock row `key` of `table` in `mode` (`S` or `X`), and nothing else.
+    ///
+    /// No table intent: an `IS`/`IX` conflicts only with a table-level `S`
+    /// or `X`, and no transaction path requests one, so an intent would buy
+    /// no exclusion — only one more lock-table entry every session writes.
+    /// Whoever adds a table-level `S`/`X` request (a scan under a table
+    /// lock, a lock-escalation path) must bring the intents back here first.
     fn lock_row(&mut self, table: u32, key: u64, mode: LockMode) -> Result<()> {
         if self.instance.opts.single_threaded {
             return Ok(());
         }
-        let intent = match mode {
-            LockMode::X => LockMode::IX,
-            _ => LockMode::IS,
-        };
-        let held = self.intents.iter().position(|(t, _)| *t == table);
-        if !held.is_some_and(|i| self.intents[i].1.covers(intent)) {
-            self.lock(LockId::Table(table), intent)?;
-            match held {
-                // Not covered means IS held, IX wanted: IX now.
-                Some(i) => self.intents[i].1 = intent,
-                None => self.intents.push((table, intent)),
-            }
-        }
-        self.lock(LockId::Key(table, key), mode)
+        self.lock_shards |= self
+            .instance
+            .locks
+            .lock(self.id, LockId::Key(table, key), mode)?;
+        Ok(())
     }
 
     /// Race-detector hook on every transactional key access (no-op unless
@@ -616,7 +602,7 @@ impl TxnHandle {
         let _ = key;
     }
 
-    /// Read one row (S lock on the key, IS on the table).
+    /// Read one row (S lock on the key).
     pub fn read_row(&mut self, table: &Table, key: u64) -> Result<Option<Vec<u8>>> {
         let _span = islands_obs::enter(BreakdownCategory::XctExecution);
         self.check_active()?;
@@ -625,7 +611,7 @@ impl TxnHandle {
         table.get(key)
     }
 
-    /// Rewrite one row in place (X lock on the key, IX on the table),
+    /// Rewrite one row in place (X lock on the key),
     /// logging before/after images: the read-modify-write of a row as one
     /// lock request, one index descent and one page latch. A transaction
     /// that reads under S and then updates pays each of those twice and
@@ -797,7 +783,6 @@ impl TxnHandle {
             self.instance
                 .locks
                 .unlock(self.id, std::mem::take(&mut self.lock_shards));
-            self.intents.clear();
         }
         if self.state != TxnState::Finished {
             self.instance.active_txns.fetch_sub(1, Ordering::SeqCst);
@@ -927,7 +912,7 @@ mod tests {
         let inst = wide(Duration::from_secs(2));
         let mut txn = inst.begin();
         update_all_but(&mut txn, 64);
-        assert_eq!(inst.locks().active_locks(), 64 + 1, "rows + the table");
+        assert_eq!(inst.locks().active_locks(), 64, "the rows, no table");
         txn.commit().unwrap();
         assert_eq!(inst.locks().active_locks(), 0);
     }
@@ -944,11 +929,7 @@ mod tests {
             Err(StorageError::Deadlock(_))
         ));
         young.abort().unwrap();
-        assert_eq!(
-            inst.locks().active_locks(),
-            1 + 1,
-            "the survivor's row + table"
-        );
+        assert_eq!(inst.locks().active_locks(), 1, "the survivor's row");
         old.commit().unwrap();
         assert_eq!(inst.locks().active_locks(), 0);
     }
@@ -966,11 +947,7 @@ mod tests {
             Err(StorageError::LockTimeout(_))
         ));
         old.abort().unwrap();
-        assert_eq!(
-            inst.locks().active_locks(),
-            1 + 1,
-            "the holder's row + table"
-        );
+        assert_eq!(inst.locks().active_locks(), 1, "the holder's row");
         young.commit().unwrap();
         assert_eq!(inst.locks().active_locks(), 0);
         let (_, waits, dies) = inst.locks().stats();

@@ -7,14 +7,15 @@
 //!
 //! * [`page`] — 8 KB slotted pages with an LSN header.
 //! * [`store`] — page stores: in-memory and file-backed.
-//! * [`buffer`] — a pinning buffer pool with clock eviction (no-steal:
-//!   dirty pages are never evicted; see `wal::recovery` for why).
+//! * [`buffer`] — a pinning buffer pool with clock eviction, whose hits read
+//!   a lock-free page map (no-steal unless a WAL barrier is registered; see
+//!   `wal::recovery` for why).
 //! * [`btree`] — a page-based B+tree with latch-coupled traversal and
 //!   preemptive splits.
 //! * [`heap`] — heap files of records addressed by RID.
-//! * [`lock`] — hierarchical two-phase locking (IS/IX/S/X, table → row) as a
-//!   pure state machine plus a blocking native driver with wait-die deadlock
-//!   avoidance.
+//! * [`lock`] — two-phase locking over the IS/IX/S/X table → row lattice as
+//!   a pure state machine plus a blocking native driver with wait-die
+//!   deadlock avoidance; transactions take row `S`/`X` locks only.
 //! * [`wal`] — write-ahead log: records, a group-commit buffer (pure policy
 //!   object), a native leader/follower group-commit log manager, and logical
 //!   snapshot-plus-redo recovery (including 2PC prepare/decision records).

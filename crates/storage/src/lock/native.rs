@@ -201,9 +201,9 @@ impl NativeLockManager {
             .holds(txn, id, mode)
     }
 
-    /// Lock entries with any holder or waiter, over all shards.
-    #[cfg(test)]
-    pub(crate) fn active_locks(&self) -> usize {
+    /// Lock entries with any holder or waiter, over all shards (diagnostics
+    /// and tests: it visits every shard).
+    pub fn active_locks(&self) -> usize {
         self.shards.iter().map(|s| s.0.lock().active_locks()).sum()
     }
 
