@@ -2,8 +2,8 @@
 //! multisite, for read-only and update microbenchmarks.
 
 use islands_bench::{micro, sim_run};
-use islands_core::metrics::BreakdownCategory;
 use islands_hwtopo::Machine;
+use islands_obs::BreakdownCategory;
 use islands_workload::OpKind;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         for cat in BreakdownCategory::ALL {
             print!("{:>16} |", cat.label());
             for r in &runs {
-                let per = r.breakdown.get(cat) as f64 / r.commits.max(1) as f64 / 1e6;
+                let per = r.breakdown[cat.index()] as f64 / r.commits.max(1) as f64 / 1e6;
                 print!(" {per:>9.2}");
             }
             println!();

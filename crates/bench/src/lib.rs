@@ -10,10 +10,8 @@
 pub mod drive;
 pub mod jsonscan;
 
-use islands_core::metrics::RunResult;
-use islands_core::simrt::{run, SimClusterConfig, SimWorkload};
+use islands_core::simrt::{run, RunResult, SimClusterConfig, SimWorkload};
 use islands_hwtopo::Machine;
-use islands_sim::stats::RunningStats;
 use islands_workload::{MicroSpec, OpKind};
 
 /// Default virtual warmup/measure windows for bench sweeps (ms).
@@ -27,20 +25,6 @@ pub fn sim_run(machine: Machine, n: usize, workload: &SimWorkload, seed: u64) ->
     cfg.measure_ms = MEASURE_MS;
     cfg.seed = seed;
     run(&cfg, workload)
-}
-
-/// A configured run (caller sets everything).
-pub fn sim_run_cfg(cfg: &SimClusterConfig, workload: &SimWorkload) -> RunResult {
-    run(cfg, workload)
-}
-
-/// Repeat a run across seeds; returns (mean ktps, std dev).
-pub fn ktps_stats(mk: impl Fn(u64) -> RunResult, seeds: std::ops::Range<u64>) -> (f64, f64) {
-    let mut s = RunningStats::new();
-    for seed in seeds {
-        s.push(mk(seed).ktps());
-    }
-    (s.mean(), s.std_dev())
 }
 
 /// Microbenchmark spec shorthand.

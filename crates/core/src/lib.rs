@@ -14,14 +14,13 @@
 //!   thread. `islands-server` assembles N of them into deployments —
 //!   spawned processes over sockets, or an in-process cluster over direct
 //!   calls — behind one router and one 2PC driver.
-//! * [`simrt`] — the same execution logic on the deterministic simulator
-//!   with the calibrated NUMA cost model: every figure of the paper is
-//!   regenerated through this runtime.
+//! * [`simrt`] — the same plans, site maps and `islands-dtxn` 2PC machines
+//!   on the deterministic simulator with the calibrated NUMA cost model:
+//!   every figure of the paper is regenerated through this runtime, and its
+//!   [`simrt::RunResult`] carries throughput and the five-way time breakdown
+//!   of Figure 11, summed per `islands_obs::BreakdownCategory`.
 //! * [`counterbench`] — the lock-protected counter microbenchmark of
 //!   Figure 2 / Table 1.
-//! * [`metrics`] — throughput, per-transaction cost, and the five-way time
-//!   breakdown of Figure 11 (execution, locking, logging, communication,
-//!   transaction management).
 //! * [`advisor`] — the island advisor (the paper's future work, Section 8):
 //!   pick an island size for a machine and workload by simulating candidate
 //!   configurations.
@@ -30,11 +29,9 @@
 
 pub mod advisor;
 pub mod counterbench;
-pub mod metrics;
 pub mod native;
 pub mod partition;
 pub mod simrt;
 
 pub use advisor::{recommend, Recommendation};
-pub use metrics::{Breakdown, BreakdownCategory, RunResult};
 pub use partition::{instance_of_site, SiteMap};

@@ -10,18 +10,22 @@
 //! hot instance, reproducing the bottleneck behavior of Figure 13.
 //!
 //! Distributed transactions run presumed-abort 2PC with the read-only
-//! optimization: the `Execute` message carries the prepare request (the
-//! standard piggyback), so a read-only participant costs one round trip and
-//! an update participant two, matching the messaging asymmetry of
-//! Figure 11.
+//! optimization through the `islands-dtxn` machines the served stack runs
+//! (and `dtxn::mc` model-checks): the `Execute` message carries the prepare
+//! request (the standard piggyback), so a read-only participant costs one
+//! round trip and an update participant two, matching the messaging
+//! asymmetry of Figure 11.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use islands_dtxn::{
+    Action, Coordinator, CoordinatorState, Gtid, Participant, ParticipantEvent, Vote,
+};
 use islands_hwtopo::{CoreId, Machine, NislConfig, PlacementStyle, SocketId};
 use islands_memsim::{CostModel, CounterSnapshot, Line, Region, RegionSpec};
-use islands_net::IpcMechanism;
+use islands_obs::{BreakdownCategory as Cat, NCATS};
 use islands_sim::chan::{channel, Receiver, Sender};
 use islands_sim::disk::{Disk, DiskParams, Raid0};
 use islands_sim::sync::{Event, SimMutex};
@@ -34,7 +38,6 @@ use islands_workload::{MicroGenerator, MicroSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::{Breakdown, BreakdownCategory as Cat, RunResult};
 use crate::partition::{
     instance_of_site, split_plan_by_owner, RangeSites, SiteMap, Sites, WarehouseSites,
 };
@@ -122,38 +125,55 @@ struct SimTable {
     rows_per_page: u64,
 }
 
+/// 2PC messages between instances. The gtid is the coordinator's `TxnId`,
+/// so a remote branch locks with its transaction's wait-die age.
 enum Msg {
     ExecutePrepare {
-        gtid: u64,
+        gtid: Gtid,
         from: usize,
         steps: Vec<PlanStep>,
     },
     Vote {
-        gtid: u64,
+        gtid: Gtid,
         from: usize,
-        vote: islands_dtxn::Vote,
+        vote: Vote,
     },
     Decision {
-        gtid: u64,
+        gtid: Gtid,
+        from: usize,
         commit: bool,
     },
     Ack {
-        gtid: u64,
+        gtid: Gtid,
+        from: usize,
     },
 }
 
 struct PreparedPart {
-    txn: TxnId,
+    machine: Participant,
     applied: Vec<(u32, u64)>,
 }
 
+/// The coordinator's side of one distributed transaction. The poller feeds
+/// votes and acks into the machine and keeps the actions it emits; the
+/// coordinating task wakes once when every vote is in and once when the
+/// machine has finished.
 struct PendingCoord {
-    votes_expected: Cell<usize>,
-    yes_voters: RefCell<Vec<usize>>,
-    any_no: Cell<bool>,
-    votes_event: Event,
-    acks_expected: Cell<usize>,
-    acks_event: Event,
+    machine: RefCell<Coordinator>,
+    actions: RefCell<Vec<Action>>,
+    votes_in: Event,
+    finished: Event,
+}
+
+impl PendingCoord {
+    fn wake(&self, machine: &Coordinator) {
+        if machine.votes().iter().all(Option::is_some) {
+            self.votes_in.set();
+            if matches!(machine.state(), CoordinatorState::Finished { .. }) {
+                self.finished.set();
+            }
+        }
+    }
 }
 
 struct Instance {
@@ -181,8 +201,8 @@ struct Instance {
     xct_mutex: SimMutex<()>,
     log: Rc<SimLog>,
     inbox: Sender<Msg>,
-    prepared: RefCell<HashMap<u64, PreparedPart>>,
-    pending: RefCell<HashMap<u64, Rc<PendingCoord>>>,
+    prepared: RefCell<HashMap<Gtid, PreparedPart>>,
+    pending: RefCell<HashMap<Gtid, Rc<PendingCoord>>>,
     hist_ctr: Cell<u64>,
     /// Probability a row access misses the buffer pool and hits disk.
     io_miss_prob: f64,
@@ -212,13 +232,54 @@ struct Cluster {
     gen: RefCell<Gen>,
     rng: RefCell<SmallRng>,
     stats: Stats,
-    breakdown: Breakdown,
+    /// Picoseconds billed per Figure 11 category.
+    breakdown: Cell<[u64; NCATS]>,
     next_txn: Cell<u64>,
     raid: Option<Raid0>,
     os_scheduling: bool,
     os_migration_penalty_ps: u64,
     active_cores: Vec<CoreId>,
     end_time: Cell<SimTime>,
+}
+
+/// One measured run of the simulated cluster.
+#[derive(Debug, Clone)]
+pub struct RunResult {
+    pub label: String,
+    /// Committed transactions inside the measurement window.
+    pub commits: u64,
+    /// Aborted transaction attempts (wait-die kills, No votes).
+    pub aborts: u64,
+    /// Measurement window, picoseconds of virtual time.
+    pub window_ps: u64,
+    /// Picoseconds per Figure 11 category, indexed by
+    /// [`BreakdownCategory::index`](islands_obs::BreakdownCategory::index).
+    pub breakdown: [u64; NCATS],
+    /// Committed distributed transactions.
+    pub distributed: u64,
+    /// Perf-counter extras of the memory-hierarchy model (Figures 8, 12).
+    pub qpi_imc_ratio: f64,
+    pub ipc: f64,
+    pub stalled_frac: f64,
+    pub sibling_share_frac: f64,
+}
+
+impl RunResult {
+    /// Thousands of transactions per second (the paper's KTps axes).
+    pub fn ktps(&self) -> f64 {
+        if self.window_ps == 0 {
+            return 0.0;
+        }
+        self.commits as f64 / (self.window_ps as f64 / 1e12) / 1e3
+    }
+
+    /// Mean billed time per committed transaction, microseconds.
+    pub fn cost_per_txn_us(&self) -> f64 {
+        if self.commits == 0 {
+            return 0.0;
+        }
+        self.breakdown.iter().sum::<u64>() as f64 / self.commits as f64 / 1e6
+    }
 }
 
 /// Audit data for protocol-correctness tests.
@@ -496,7 +557,7 @@ fn build_cluster(cfg: &SimClusterConfig, workload: &SimWorkload) -> Rc<Cluster> 
             distributed: Cell::new(0),
             committed_writes: Cell::new(0),
         },
-        breakdown: Breakdown::default(),
+        breakdown: Cell::new([0; NCATS]),
         next_txn: Cell::new(1),
         raid,
         os_scheduling: cfg.os_scheduling,
@@ -565,14 +626,16 @@ impl Cluster {
 /// Occupy `core` of `inst` for `ps` of busy time under `cat`.
 async fn busy(cl: &Cluster, inst: &Instance, core_idx: usize, cat: Cat, ps: u64) {
     let guard = inst.core_slots[core_idx].lock().await;
-    cl.breakdown.add(cat, ps);
+    note_wait(cl, cat, ps);
     cl.sim.sleep(ps).await;
     drop(guard);
 }
 
 /// Record waiting time (not occupying a core).
 fn note_wait(cl: &Cluster, cat: Cat, ps: u64) {
-    cl.breakdown.add(cat, ps);
+    let mut sums = cl.breakdown.get();
+    sums[cat.index()] += ps;
+    cl.breakdown.set(sums);
 }
 
 /// Acquire a row lock; FIFO waits via per-transaction events.
@@ -765,34 +828,26 @@ async fn poller(cl: Rc<Cluster>, idx: usize, rx: Receiver<Msg>) {
                 cl.sim
                     .spawn(async move { participant_execute(cl2, idx, gtid, from, steps).await });
             }
-            Msg::Decision { gtid, commit } => {
+            Msg::Decision { gtid, from, commit } => {
                 let cl2 = Rc::clone(&cl);
                 cl.sim
-                    .spawn(async move { participant_decide(cl2, idx, gtid, commit).await });
+                    .spawn(async move { participant_decide(cl2, idx, gtid, from, commit).await });
             }
             Msg::Vote { gtid, from, vote } => {
-                let inst = &cl.instances[idx];
-                let pending = inst.pending.borrow();
-                if let Some(p) = pending.get(&gtid) {
-                    match vote {
-                        islands_dtxn::Vote::Yes => p.yes_voters.borrow_mut().push(from),
-                        islands_dtxn::Vote::No => p.any_no.set(true),
-                        islands_dtxn::Vote::ReadOnly => {}
-                    }
-                    p.votes_expected.set(p.votes_expected.get() - 1);
-                    if p.votes_expected.get() == 0 {
-                        p.votes_event.set();
-                    }
+                if let Some(p) = cl.instances[idx].pending.borrow().get(&gtid) {
+                    let mut machine = p.machine.borrow_mut();
+                    let actions = machine.on_vote(from, vote);
+                    p.actions.borrow_mut().extend(actions);
+                    p.wake(&machine);
                 }
             }
-            Msg::Ack { gtid } => {
-                let inst = &cl.instances[idx];
-                let pending = inst.pending.borrow();
-                if let Some(p) = pending.get(&gtid) {
-                    p.acks_expected.set(p.acks_expected.get() - 1);
-                    if p.acks_expected.get() == 0 {
-                        p.acks_event.set();
-                    }
+            Msg::Ack { gtid, from } => {
+                if let Some(p) = cl.instances[idx].pending.borrow().get(&gtid) {
+                    let mut machine = p.machine.borrow_mut();
+                    // `Forget` needs nothing: the simulated coordinator
+                    // keeps no decision log to trim.
+                    machine.on_ack(from);
+                    p.wake(&machine);
                 }
             }
         }
@@ -803,13 +858,14 @@ async fn poller(cl: Rc<Cluster>, idx: usize, rx: Receiver<Msg>) {
 async fn participant_execute(
     cl: Rc<Cluster>,
     idx: usize,
-    gtid: u64,
+    gtid: Gtid,
     from: usize,
     steps: Vec<PlanStep>,
 ) {
     let inst = Rc::clone(&cl.instances[idx]);
     let core_idx = cl.pick_core(&inst);
     let core = inst.cores[core_idx];
+    // The branch locks as its transaction, with that transaction's age.
     let txn = TxnId(gtid);
     // Receive + 2PC bookkeeping.
     let recv_ps = msg_cost(&cl, &inst, None).receiver_ps
@@ -829,64 +885,36 @@ async fn participant_execute(
             }
         }
     }
-    if died {
-        undo_applied(&inst, &applied);
-        release_locks(&cl, &inst, txn);
-        send_msg(
-            &cl,
-            &inst,
-            core_idx,
-            from,
-            Msg::Vote {
-                gtid,
-                from: idx,
-                vote: islands_dtxn::Vote::No,
-            },
-        )
-        .await;
-        return;
-    }
-    if wrote {
-        // Force the prepare record before voting yes.
-        let lsn = inst.log.append(64);
-        let t0 = cl.sim.now();
-        inst.log.commit_durable(lsn.max(last_lsn)).await;
-        note_wait(&cl, Cat::Logging, cl.sim.now().since(t0));
-        inst.prepared
-            .borrow_mut()
-            .insert(gtid, PreparedPart { txn, applied });
-        send_msg(
-            &cl,
-            &inst,
-            core_idx,
-            from,
-            Msg::Vote {
-                gtid,
-                from: idx,
-                vote: islands_dtxn::Vote::Yes,
-            },
-        )
-        .await;
-    } else {
-        // Read-only optimization: release now, skip phase 2.
-        release_locks(&cl, &inst, txn);
-        send_msg(
-            &cl,
-            &inst,
-            core_idx,
-            from,
-            Msg::Vote {
-                gtid,
-                from: idx,
-                vote: islands_dtxn::Vote::ReadOnly,
-            },
-        )
-        .await;
-    }
+    let mut machine = Participant::new(gtid);
+    let vote = match machine.on_prepare(wrote, !died) {
+        ParticipantEvent::ForcePrepareAndVote { vote, .. } => {
+            let lsn = inst.log.append(64);
+            let t0 = cl.sim.now();
+            inst.log.commit_durable(lsn.max(last_lsn)).await;
+            note_wait(&cl, Cat::Logging, cl.sim.now().since(t0));
+            inst.prepared
+                .borrow_mut()
+                .insert(gtid, PreparedPart { machine, applied });
+            vote
+        }
+        // No and ReadOnly end the branch here (a reader applied nothing).
+        ParticipantEvent::SendVote { vote, .. } => {
+            undo_applied(&inst, &applied);
+            release_locks(&cl, &inst, txn);
+            vote
+        }
+        other => unreachable!("prepare answered {other:?}"),
+    };
+    let reply = Msg::Vote {
+        gtid,
+        from: idx,
+        vote,
+    };
+    send_msg(&cl, &inst, core_idx, from, reply).await;
 }
 
 /// Participant side, phase 2.
-async fn participant_decide(cl: Rc<Cluster>, idx: usize, gtid: u64, commit: bool) {
+async fn participant_decide(cl: Rc<Cluster>, idx: usize, gtid: Gtid, from: usize, commit: bool) {
     let inst = Rc::clone(&cl.instances[idx]);
     let core_idx = cl.pick_core(&inst);
     let core = inst.cores[core_idx];
@@ -894,26 +922,30 @@ async fn participant_decide(cl: Rc<Cluster>, idx: usize, gtid: u64, commit: bool
         + cl.cost.charge_instr(core, cl.costs.instr_2pc_part / 2);
     busy(&cl, &inst, core_idx, Cat::Communication, ps).await;
     let part = inst.prepared.borrow_mut().remove(&gtid);
-    let Some(part) = part else { return };
-    if commit {
-        // Commit record, lazily flushed.
-        inst.log.append(32);
-    } else {
+    let Some(mut part) = part else { return };
+    let ParticipantEvent::ApplyDecisionAndAck { commit, .. } = part.machine.on_decision(commit)
+    else {
+        unreachable!("a prepared branch applies its decision")
+    };
+    if !commit {
         undo_applied(&inst, &part.applied);
-        inst.log.append(32);
     }
-    release_locks(&cl, &inst, part.txn);
-    let coordinator = instance_coordinator_hint(&cl, gtid);
-    send_msg(&cl, &inst, core_idx, coordinator, Msg::Ack { gtid }).await;
+    // Commit or abort record, lazily flushed.
+    inst.log.append(32);
+    release_locks(&cl, &inst, TxnId(gtid));
+    send_msg(&cl, &inst, core_idx, from, Msg::Ack { gtid, from: idx }).await;
 }
 
-/// The coordinator instance for `gtid` (encoded in the high bits).
-fn instance_coordinator_hint(cl: &Cluster, gtid: u64) -> usize {
-    (gtid >> 48) as usize % cl.instances.len()
-}
-
-fn make_gtid(coord_inst: usize, txn: TxnId) -> u64 {
-    ((coord_inst as u64) << 48) | (txn.0 & 0xFFFF_FFFF_FFFF)
+/// Force a decision record and everything logged before it.
+async fn force_decision(cl: &Cluster, inst: &Instance, core_idx: usize) {
+    let core = inst.cores[core_idx];
+    let core_ps = cl.cost.charge_line(core, &inst.log_line)
+        + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
+    busy(cl, inst, core_idx, Cat::Logging, core_ps).await;
+    inst.log.append(48);
+    let t0 = cl.sim.now();
+    inst.log.commit_durable(inst_log_end(inst)).await;
+    note_wait(cl, Cat::Logging, cl.sim.now().since(t0));
 }
 
 /// Execute one transaction attempt inline on `core_idx` of its home
@@ -954,10 +986,7 @@ async fn execute_txn(
     let txn = cl.alloc_txn();
     let (order, mut branches) = split_plan_by_owner(plan, |t, k| cl.owner_of(t, k));
     let home_ops = branches.remove(&home).map(|b| b.steps).unwrap_or_default();
-    let remote_ops: Vec<(usize, Vec<PlanStep>)> = order
-        .into_iter()
-        .filter_map(|p| branches.remove(&p).map(|b| (p, b.steps)))
-        .collect();
+    let participants: Vec<usize> = order.into_iter().filter(|p| *p != home).collect();
 
     // Local phase.
     let mut applied = Vec::new();
@@ -979,7 +1008,7 @@ async fn execute_txn(
         return false;
     }
 
-    if remote_ops.is_empty() {
+    if participants.is_empty() {
         // Purely local commit.
         if wrote_local {
             inst.log.append(32); // commit record
@@ -995,67 +1024,69 @@ async fn execute_txn(
     }
 
     // Distributed: presumed-abort 2PC, Execute carries the prepare.
-    let gtid = make_gtid(home, txn);
+    let gtid = txn.0;
+    let n_participants = participants.len() as u64;
+    let (machine, prepares) = Coordinator::new(gtid, participants);
     let pending = Rc::new(PendingCoord {
-        votes_expected: Cell::new(remote_ops.len()),
-        yes_voters: RefCell::new(Vec::new()),
-        any_no: Cell::new(false),
-        votes_event: Event::new(),
-        acks_expected: Cell::new(0),
-        acks_event: Event::new(),
+        machine: RefCell::new(machine),
+        actions: RefCell::new(Vec::new()),
+        votes_in: Event::new(),
+        finished: Event::new(),
     });
     inst.pending.borrow_mut().insert(gtid, Rc::clone(&pending));
     let coord_instr = cl
         .cost
-        .charge_instr(core, cl.costs.instr_2pc_coord * remote_ops.len() as u64);
+        .charge_instr(core, cl.costs.instr_2pc_coord * n_participants);
     busy(cl, inst, core_idx, Cat::XctManagement, coord_instr).await;
-    for (p, ops) in &remote_ops {
-        send_msg(
-            cl,
-            inst,
-            core_idx,
-            *p,
-            Msg::ExecutePrepare {
+    for action in prepares {
+        if let Action::SendPrepare { to } = action {
+            let steps = branches.remove(&to).map(|b| b.steps).unwrap_or_default();
+            let msg = Msg::ExecutePrepare {
                 gtid,
                 from: home,
-                steps: ops.clone(),
-            },
-        )
-        .await;
+                steps,
+            };
+            send_msg(cl, inst, core_idx, to, msg).await;
+        }
     }
-    // Await votes.
     let t0 = cl.sim.now();
-    pending.votes_event.wait().await;
+    pending.votes_in.wait().await;
     note_wait(cl, Cat::Communication, cl.sim.now().since(t0));
-    // Receive cost for the votes.
-    let recv = msg_cost(cl, inst, None).receiver_ps * remote_ops.len() as u64;
+    let recv = msg_cost(cl, inst, None).receiver_ps * n_participants;
     busy(cl, inst, core_idx, Cat::Communication, recv).await;
 
-    let yes_voters = pending.yes_voters.borrow().clone();
-    let commit = !pending.any_no.get();
-    let wrote_global = wrote_local || !yes_voters.is_empty();
-
-    if commit && wrote_global {
-        // Force the decision (covers the local commit too).
-        let core_ps = cl.cost.charge_line(core, &inst.log_line)
-            + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
-        busy(cl, inst, core_idx, Cat::Logging, core_ps).await;
-        inst.log.append(48);
-        let t0 = cl.sim.now();
-        inst.log.commit_durable(inst_log_end(inst)).await;
-        note_wait(cl, Cat::Logging, cl.sim.now().since(t0));
-    }
-
-    // Phase 2 to yes-voters only (read-only voters are already released).
-    if !yes_voters.is_empty() {
-        pending.acks_expected.set(yes_voters.len());
-        for &p in &yes_voters {
-            send_msg(cl, inst, core_idx, p, Msg::Decision { gtid, commit }).await;
+    // Carry out what the votes decided. The home branch is not a machine
+    // participant, so a commit that needs no decision force still forces
+    // when the home branch wrote.
+    let mut commit = false;
+    let mut forced = false;
+    let actions = pending.actions.take();
+    for action in actions {
+        match action {
+            Action::ForceCommitDecision { .. } => {
+                force_decision(cl, inst, core_idx).await;
+                forced = true;
+            }
+            Action::SendDecision { to, commit } => {
+                let msg = Msg::Decision {
+                    gtid,
+                    from: home,
+                    commit,
+                };
+                send_msg(cl, inst, core_idx, to, msg).await;
+            }
+            Action::Finish { commit: outcome } => {
+                if outcome && wrote_local && !forced {
+                    force_decision(cl, inst, core_idx).await;
+                }
+                commit = outcome;
+            }
+            Action::SendPrepare { .. } | Action::Forget { .. } => {}
         }
-        let t0 = cl.sim.now();
-        pending.acks_event.wait().await;
-        note_wait(cl, Cat::Communication, cl.sim.now().since(t0));
     }
+    let t0 = cl.sim.now();
+    pending.finished.wait().await;
+    note_wait(cl, Cat::Communication, cl.sim.now().since(t0));
     inst.pending.borrow_mut().remove(&gtid);
 
     // Local outcome.
@@ -1145,7 +1176,7 @@ struct Snapshot {
     commits: u64,
     aborts: u64,
     distributed: u64,
-    breakdown: [u64; 5],
+    breakdown: [u64; NCATS],
     counters: CounterSnapshot,
     qpi: u64,
     imc: u64,
@@ -1156,13 +1187,7 @@ fn take_snapshot(cl: &Cluster) -> Snapshot {
         commits: cl.stats.commits.get(),
         aborts: cl.stats.aborts.get(),
         distributed: cl.stats.distributed.get(),
-        breakdown: [
-            cl.breakdown.get(Cat::XctExecution),
-            cl.breakdown.get(Cat::Locking),
-            cl.breakdown.get(Cat::Logging),
-            cl.breakdown.get(Cat::Communication),
-            cl.breakdown.get(Cat::XctManagement),
-        ],
+        breakdown: cl.breakdown.get(),
         counters: cl.cost.counters().aggregate(cl.active_cores.iter()),
         qpi: cl.cost.counters().qpi_bytes.get(),
         imc: cl.cost.counters().imc_bytes.get(),
@@ -1193,17 +1218,7 @@ pub fn run_with_audit(cfg: &SimClusterConfig, workload: &SimWorkload) -> (RunRes
     let after = take_snapshot(&cl);
 
     let commits = after.commits - before.commits;
-    let breakdown = Breakdown::default();
-    let cats = [
-        Cat::XctExecution,
-        Cat::Locking,
-        Cat::Logging,
-        Cat::Communication,
-        Cat::XctManagement,
-    ];
-    for (i, &c) in cats.iter().enumerate() {
-        breakdown.add(c, after.breakdown[i] - before.breakdown[i]);
-    }
+    let breakdown = std::array::from_fn(|i| after.breakdown[i] - before.breakdown[i]);
     let d_instr = after.counters.instructions - before.counters.instructions;
     let d_busy = after.counters.busy_ps - before.counters.busy_ps;
     let d_stall = after.counters.stall_ps - before.counters.stall_ps;
@@ -1265,16 +1280,64 @@ pub fn run(cfg: &SimClusterConfig, workload: &SimWorkload) -> RunResult {
     run_with_audit(cfg, workload).0
 }
 
-/// Convenience: Unix-socket mechanism override for Figure 6 style sweeps.
-pub fn with_mechanism(mut cfg: SimClusterConfig, m: IpcMechanism) -> SimClusterConfig {
-    cfg.costs.mechanism = m;
-    cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islands_sim::PS_PER_MS;
+    use islands_workload::plan::StepOp;
     use islands_workload::OpKind;
+
+    #[test]
+    fn remote_branch_keeps_its_transactions_wait_die_age() {
+        // An older transaction coordinated on instance 1 sends a branch to
+        // instance 0, where a younger local transaction holds the row.
+        let cfg = SimClusterConfig::new(Machine::quad_socket(), 4);
+        let spec = MicroSpec::new(OpKind::Update, 1, 1.0);
+        let cl = build_cluster(&cfg, &SimWorkload::Micro(spec));
+        let older = cl.alloc_txn();
+        let younger = cl.alloc_txn();
+        let key = 7;
+        assert_eq!(cl.owner_of(plan::MICRO_TABLE, key), 0);
+        let inst = Rc::clone(&cl.instances[0]);
+        let row = LockId::Key(plan::MICRO_TABLE, key);
+        let held = inst
+            .lock_table
+            .borrow_mut()
+            .acquire(younger, row, LockMode::X);
+        assert_eq!(held, Acquire::Granted);
+
+        let steps = vec![PlanStep::point(plan::MICRO_TABLE, key, StepOp::Update)];
+        let cl2 = Rc::clone(&cl);
+        cl.sim
+            .spawn(async move { participant_execute(cl2, 0, older.0, 1, steps).await });
+        cl.sim.run_until(SimTime(PS_PER_MS));
+        assert!(
+            inst.lock_waiters.borrow().contains_key(&older),
+            "the older branch must wait for the younger holder, not die"
+        );
+        release_locks(&cl, &inst, younger);
+        cl.sim.run_until(SimTime(2 * PS_PER_MS));
+        assert!(inst.prepared.borrow().contains_key(&older.0));
+        cl.sim.shutdown();
+    }
+
+    #[test]
+    fn run_result_rates() {
+        let r = RunResult {
+            label: "x".into(),
+            commits: 500,
+            aborts: 100,
+            window_ps: 1_000_000_000_000, // 1 s
+            breakdown: [1_000_000, 0, 0, 2_000_000, 0],
+            distributed: 0,
+            qpi_imc_ratio: 0.0,
+            ipc: 0.0,
+            stalled_frac: 0.0,
+            sibling_share_frac: 0.0,
+        };
+        assert!((r.ktps() - 0.5).abs() < 1e-9);
+        assert!((r.cost_per_txn_us() - 3e6 / 500.0 / 1e6).abs() < 1e-12);
+    }
 
     fn quick(n_instances: usize, spec: MicroSpec) -> (RunResult, Audit) {
         let mut cfg = SimClusterConfig::new(Machine::quad_socket(), n_instances);

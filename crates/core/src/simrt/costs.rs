@@ -30,8 +30,6 @@ pub struct CostParams {
     pub instr_log_insert: u64,
     /// Lock manager acquire+release pair per row.
     pub instr_lock_pair: u64,
-    /// Intention (table) lock per transaction.
-    pub instr_intent_lock: u64,
     /// Coordinator-side 2PC bookkeeping per participant.
     pub instr_2pc_coord: u64,
     /// Participant-side 2PC bookkeeping per transaction.
@@ -74,7 +72,6 @@ impl Default for CostParams {
             instr_row_update: 11_000,
             instr_log_insert: 6_000,
             instr_lock_pair: 9_000,
-            instr_intent_lock: 2_500,
             instr_2pc_coord: 12_000,
             instr_2pc_part: 10_000,
             lock_buckets: 64,

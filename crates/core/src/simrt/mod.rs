@@ -4,5 +4,5 @@ pub mod cluster;
 pub mod costs;
 pub mod log;
 
-pub use cluster::{run, run_with_audit, with_mechanism, Audit, SimClusterConfig, SimWorkload};
+pub use cluster::{run, run_with_audit, Audit, RunResult, SimClusterConfig, SimWorkload};
 pub use costs::CostParams;

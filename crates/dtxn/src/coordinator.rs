@@ -105,6 +105,16 @@ impl Coordinator {
         self.ack_lost
     }
 
+    /// Participants that voted Yes so far, in participant order.
+    fn voted_yes(&self) -> Vec<usize> {
+        self.participants
+            .iter()
+            .zip(&self.votes)
+            .filter(|(_, v)| **v == Some(Vote::Yes))
+            .map(|(&p, _)| p)
+            .collect()
+    }
+
     fn index_of(&self, from: usize) -> usize {
         self.participants
             .iter()
@@ -139,13 +149,7 @@ impl Coordinator {
         // but later votes can't arrive once we've decided — driver stops
         // routing) gets an abort; presumed abort needs no force.
         if vote == Vote::No {
-            let decided: Vec<usize> = self
-                .participants
-                .iter()
-                .zip(&self.votes)
-                .filter(|(_, v)| **v == Some(Vote::Yes))
-                .map(|(&p, _)| p)
-                .collect();
+            let decided = self.voted_yes();
             self.acks_pending = decided.clone();
             let mut actions: Vec<Action> = decided
                 .into_iter()
@@ -166,22 +170,16 @@ impl Coordinator {
 
         // All voted, none No: commit. Yes-voters get phase 2; pure
         // read-only transactions skip the decision force entirely.
-        let yes_voters: Vec<usize> = self
-            .participants
-            .iter()
-            .zip(&self.votes)
-            .filter(|(_, v)| **v == Some(Vote::Yes))
-            .map(|(&p, _)| p)
-            .collect();
-        if yes_voters.is_empty() {
+        let prepared = self.voted_yes();
+        if prepared.is_empty() {
             self.state = CoordinatorState::Finished { commit: true };
             return vec![Action::Finish { commit: true }];
         }
-        self.acks_pending = yes_voters.clone();
+        self.acks_pending = prepared.clone();
         self.state = CoordinatorState::WaitAcks { commit: true };
         let mut actions = vec![Action::ForceCommitDecision { gtid: self.gtid }];
         actions.extend(
-            yes_voters
+            prepared
                 .into_iter()
                 .map(|to| Action::SendDecision { to, commit: true }),
         );
@@ -317,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn no_vote_with_no_yes_voters_finishes_immediately() {
+    fn no_vote_before_any_yes_finishes_immediately() {
         let (mut c, _) = Coordinator::new(5, vec![1]);
         let actions = c.on_vote(1, Vote::No);
         assert_eq!(actions, vec![Action::Finish { commit: false }]);

@@ -5,9 +5,10 @@
 //! (Section 5.1). This crate is that coordinator, written as **pure state
 //! machines**: inputs are votes/acks, outputs are [`Action`] lists (send
 //! this message, force that log record, finish). The same machines drive
-//! the native cluster (crossbeam channels, real threads) and the simulated
-//! cluster (virtual-time channels), so protocol behavior — and protocol
-//! bugs — are identical in both.
+//! the served deployments (wire frames over sockets between processes, or
+//! direct calls in the in-process cluster) and the simulated cluster
+//! (virtual-time channels), so protocol behavior — and protocol bugs — are
+//! identical in both.
 //!
 //! Protocol flavor: **presumed abort** with the **read-only optimization**:
 //!

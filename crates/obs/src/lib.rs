@@ -102,58 +102,6 @@ impl BreakdownCategory {
 /// Number of breakdown categories.
 pub const NCATS: usize = 5;
 
-/// Accumulated **picoseconds** per category: the shared accumulator behind
-/// `core::metrics` — the simulator runtime bills virtual time here, real
-/// runtimes bill wall time (×1000 from ns). Relaxed atomics, so one
-/// breakdown can be shared across executor threads (the `Cell` version it
-/// replaces could not leave its thread).
-#[derive(Debug, Default)]
-pub struct Breakdown {
-    cats: [AtomicU64; NCATS],
-}
-
-impl Breakdown {
-    pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Breakdown {
-            cats: [ZERO; NCATS],
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, cat: BreakdownCategory, ps: u64) {
-        self.cats[cat.index()].fetch_add(ps, Relaxed);
-    }
-
-    pub fn get(&self, cat: BreakdownCategory) -> u64 {
-        self.cats[cat.index()].load(Relaxed)
-    }
-
-    pub fn total_ps(&self) -> u64 {
-        BreakdownCategory::ALL.iter().map(|&c| self.get(c)).sum()
-    }
-
-    /// Per-transaction microseconds for each category.
-    pub fn per_txn_us(&self, txns: u64) -> Vec<(BreakdownCategory, f64)> {
-        let n = txns.max(1) as f64;
-        BreakdownCategory::ALL
-            .iter()
-            .map(|&c| (c, self.get(c) as f64 / n / 1e6))
-            .collect()
-    }
-}
-
-impl Clone for Breakdown {
-    fn clone(&self) -> Self {
-        let b = Breakdown::new();
-        for cat in BreakdownCategory::ALL {
-            b.cats[cat.index()].store(self.get(cat), Relaxed);
-        }
-        b
-    }
-}
-
 /// The transaction classes the paper's served comparisons split on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnClass {

@@ -12,7 +12,7 @@
 //!   Events with equal timestamps fire in registration order, so a run is a
 //!   pure function of its inputs (and any externally-seeded RNG).
 //! * [`sync`] — async primitives (FIFO [`sync::SimMutex`], [`sync::Notify`],
-//!   [`sync::Semaphore`]) whose wait queues suspend tasks in virtual time.
+//!   [`sync::Event`]) whose wait queues suspend tasks in virtual time.
 //! * [`chan`] — message channels with per-message delivery latency, the
 //!   substrate for the simulated IPC layer.
 //! * [`disk`] — a serial-service-queue disk model (log device and the

@@ -4,7 +4,7 @@
 //! simulations deterministic and models the queue-based fairness of the lock
 //! and latch managers in Shore-MT-style engines.
 
-use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -363,118 +363,11 @@ impl Future for EventWait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-/// Counting semaphore with FIFO grants.
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<SemInner>,
-}
-
-struct SemInner {
-    permits: Cell<u64>,
-    state: RefCell<SemState>,
-}
-
-struct SemState {
-    next_ticket: u64,
-    queue: VecDeque<(u64, u64, Waker)>, // (ticket, want, waker)
-    granted: Vec<u64>,
-}
-
-impl Semaphore {
-    pub fn new(permits: u64) -> Self {
-        Semaphore {
-            inner: Rc::new(SemInner {
-                permits: Cell::new(permits),
-                state: RefCell::new(SemState {
-                    next_ticket: 0,
-                    queue: VecDeque::new(),
-                    granted: Vec::new(),
-                }),
-            }),
-        }
-    }
-
-    pub fn available(&self) -> u64 {
-        self.inner.permits.get()
-    }
-
-    /// Acquire `n` permits, waiting FIFO.
-    pub fn acquire(&self, n: u64) -> SemAcquire {
-        SemAcquire {
-            sem: self.clone(),
-            want: n,
-            ticket: None,
-        }
-    }
-
-    /// Return `n` permits and grant queued waiters in order.
-    pub fn release(&self, n: u64) {
-        self.inner.permits.set(self.inner.permits.get() + n);
-        let mut st = self.inner.state.borrow_mut();
-        // Grant strictly in FIFO order; stop at the first waiter we cannot
-        // satisfy (no barging past the head of the queue).
-        while let Some(&(t, want, _)) = st.queue.front() {
-            if self.inner.permits.get() >= want {
-                self.inner.permits.set(self.inner.permits.get() - want);
-                let (_, _, w) = st.queue.pop_front().unwrap();
-                st.granted.push(t);
-                w.wake();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire {
-    sem: Semaphore,
-    want: u64,
-    ticket: Option<u64>,
-}
-
-impl Future for SemAcquire {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let sem = self.sem.clone();
-        let mut st = sem.inner.state.borrow_mut();
-        match self.ticket {
-            None => {
-                if st.queue.is_empty() && sem.inner.permits.get() >= self.want {
-                    sem.inner.permits.set(sem.inner.permits.get() - self.want);
-                    Poll::Ready(())
-                } else {
-                    let t = st.next_ticket;
-                    st.next_ticket += 1;
-                    let want = self.want;
-                    st.queue.push_back((t, want, cx.waker().clone()));
-                    self.ticket = Some(t);
-                    Poll::Pending
-                }
-            }
-            Some(t) => {
-                if let Some(pos) = st.granted.iter().position(|&g| g == t) {
-                    st.granted.swap_remove(pos);
-                    Poll::Ready(())
-                } else {
-                    if let Some(entry) = st.queue.iter_mut().find(|(tk, _, _)| *tk == t) {
-                        entry.2 = cx.waker().clone();
-                    }
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Sim;
+    use std::cell::Cell;
     use std::rc::Rc;
 
     #[test]
@@ -604,36 +497,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.get(), 4);
-    }
-
-    #[test]
-    fn semaphore_fifo_without_barging() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        // Task 0 wants both permits but arrives first; a later small request
-        // must not overtake it.
-        for (i, want) in [(0u32, 2u64), (1, 1)] {
-            let s = sim.clone();
-            let sem = sem.clone();
-            let l = Rc::clone(&log);
-            sim.spawn(async move {
-                s.sleep(i as u64 + 1).await;
-                sem.acquire(want).await;
-                l.borrow_mut().push(i);
-                s.sleep(100).await;
-                sem.release(want);
-            });
-        }
-        // Hold one permit initially so task 0 must queue.
-        let sem2 = sem.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            sem2.acquire(1).await;
-            s.sleep(50).await;
-            sem2.release(1);
-        });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 1]);
     }
 }
