@@ -14,10 +14,11 @@
 //!   [`contention_backoff`](super::contention_backoff) within a budget.
 //! * **Distributed branches** arrive as 2PC prepare frames: the engine
 //!   executes the branch's steps and runs participant-side phase 1
-//!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)),
-//!   handing the prepared [`TxnHandle`] to the connection's
-//!   [`LockedSession`], which holds it in-doubt until the coordinator's
-//!   decision (or presumes abort when the connection closes).
+//!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)). A
+//!   session parks the prepared branch in the partition's one in-doubt
+//!   table (`in_doubt` module), beside any branch restart replay re-parked,
+//!   until some session applies the coordinator's decision or the
+//!   preparing session's close presumes abort.
 //!
 //! A [`PlanRequest`] is the only request shape executed here; the
 //! batch-taking [`submit_local`](PartitionEngine::submit_local) and
@@ -28,12 +29,11 @@
 //! translating, so a request routed to the wrong process is a typed error,
 //! never a silent write to the wrong row.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use islands_dtxn::{Participant, ParticipantEvent, Vote};
+use islands_dtxn::Vote;
 use islands_obs::BreakdownCategory;
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
@@ -43,6 +43,7 @@ use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle}
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
 use islands_workload::{tpcc, TxnRequest};
 
+use super::in_doubt::{next_session_id, InDoubtTable};
 use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::{SubmitOutcome, MICRO_TABLE_NAME};
 
@@ -118,47 +119,6 @@ pub enum BranchOutcome {
     No,
 }
 
-/// A prepared branch parked between its Yes vote and the coordinator's
-/// decision. Both session types hold their in-doubt branches as this, so
-/// the `in_doubt` gauge and the parked-time histogram see every branch
-/// whichever engine parked it.
-pub(crate) struct Parked {
-    handle: TxnHandle,
-    parked_at: Instant,
-}
-
-impl Parked {
-    /// `handle` just voted Yes: it is in-doubt from now.
-    pub(crate) fn new(handle: TxnHandle) -> Parked {
-        islands_obs::metrics().in_doubt().inc();
-        Parked {
-            handle,
-            parked_at: Instant::now(),
-        }
-    }
-
-    /// Leave the in-doubt set with the decision applied: drop the gauge,
-    /// record how long the branch sat parked between Prepare and now.
-    pub(crate) fn retire(self, commit: bool) -> Result<(), StorageError> {
-        let metrics = islands_obs::metrics();
-        metrics.in_doubt().dec();
-        metrics.record_parked(self.parked_at.elapsed().as_nanos() as u64);
-        self.handle.decide(commit)
-    }
-}
-
-/// A 2PC branch surfaced by restart replay: prepared by the previous
-/// incarnation, parked here until the coordinator's decision arrives (over
-/// the wire or via startup resolution). Its key footprint blocks new
-/// conflicting work exactly as the old incarnation's X locks did.
-struct RecoveredBranch {
-    branch: InDoubt,
-    /// Footprint in plan-table-id space, comparable against incoming plans
-    /// ([`PlanRequest::conflicts_with`]).
-    keys: Vec<(u32, u64)>,
-    parked_at: Instant,
-}
-
 /// Plan table ids are small and dense (`MICRO_TABLE` = 0 up to
 /// `TPCC_STOCK` = 6): a partition's tables sit in an array indexed by them.
 const PLAN_TABLES: usize = islands_workload::plan::TPCC_STOCK as usize + 1;
@@ -173,8 +133,8 @@ pub struct PartitionEngine {
     /// The tables this partition serves, by plan table id, resolved once:
     /// the row path never goes through the catalog.
     tables: [Option<Arc<Table>>; PLAN_TABLES],
-    /// In-doubt branches re-parked by restart replay, keyed by gtid.
-    recovered: Mutex<HashMap<u64, RecoveredBranch>>,
+    /// Every branch parked between its Yes vote and its decision.
+    pub(crate) in_doubt: InDoubtTable,
 }
 
 impl PartitionEngine {
@@ -187,8 +147,7 @@ impl PartitionEngine {
     /// is rebuilt fresh (the table-creation order below is deterministic,
     /// giving the same table ids the old incarnation logged under) and the
     /// old WAL is replayed over it — committed transactions redone, losers
-    /// undone, surviving in-doubt branches parked for resolution via
-    /// [`resolve_recovered`](Self::resolve_recovered).
+    /// undone, surviving in-doubt branches parked for a [`Session::decide`].
     pub fn build(cfg: &PartitionConfig) -> Result<Self, StorageError> {
         // Capture the previous incarnation's log *before* the new instance
         // starts appending to the same device.
@@ -264,12 +223,12 @@ impl PartitionEngine {
             }
         }
         let engine = PartitionEngine {
-            inst,
             lo: cfg.lo,
             hi: cfg.hi,
             tpcc: cfg.tpcc.clone(),
             tables,
-            recovered: Mutex::new(HashMap::new()),
+            in_doubt: InDoubtTable::new(Arc::clone(&inst)),
+            inst,
         };
         if prior.is_empty() {
             engine.inst.checkpoint()?;
@@ -277,31 +236,12 @@ impl PartitionEngine {
             // Restart path: replay instead of checkpointing, so a crash
             // during this build leaves the old log intact for the next try.
             let started = Instant::now();
-            let in_doubt = engine.inst.replay_log(&prior)?;
-            let metrics = islands_obs::metrics();
-            let mut map = engine.recovered_map();
-            for branch in in_doubt {
-                let keys = engine.plan_space_keys(&branch);
-                metrics.in_doubt().inc();
-                map.insert(
-                    branch.gtid,
-                    RecoveredBranch {
-                        branch,
-                        keys,
-                        parked_at: started,
-                    },
-                );
-            }
-            drop(map);
-            metrics.record_recovery(started.elapsed().as_nanos() as u64);
+            let replayed = engine.inst.replay_log(&prior)?.into_iter();
+            let footprints = replayed.map(|b| (engine.plan_space_keys(&b), b));
+            engine.in_doubt.park_replayed(footprints);
+            islands_obs::metrics().record_recovery(started.elapsed().as_nanos() as u64);
         }
         Ok(engine)
-    }
-
-    /// Poison-tolerant access to the recovered-branch map (a panicked
-    /// session thread must not wedge recovery resolution).
-    fn recovered_map(&self) -> MutexGuard<'_, HashMap<u64, RecoveredBranch>> {
-        self.recovered.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Translate a recovered branch's catalog-table-id footprint into
@@ -322,54 +262,10 @@ impl PartitionEngine {
             .collect()
     }
 
-    /// Gtids of in-doubt branches parked by restart replay, still awaiting
-    /// a decision (sorted for deterministic resolution order).
+    /// Gtids of every branch parked here awaiting a decision, sorted: at
+    /// startup, exactly the ones restart replay re-parked.
     pub fn recovered_gtids(&self) -> Vec<u64> {
-        let mut gtids: Vec<u64> = self.recovered_map().keys().copied().collect();
-        gtids.sort_unstable();
-        gtids
-    }
-
-    /// Whether `plan` touches a row some parked recovered branch claims.
-    /// With nothing parked — every moment outside a recovery window — this
-    /// is one uncontended lock and no footprint is built.
-    fn recovered_conflict(&self, plan: &PlanRequest) -> bool {
-        self.recovered_map()
-            .values()
-            .any(|rb| plan.conflicts_with(&rb.keys))
-    }
-
-    /// Apply the coordinator's decision to a branch parked by restart
-    /// replay: redo its operations on commit, its undo images on abort.
-    /// Returns `Ok(false)` when no recovered branch holds `gtid` (the
-    /// normal case once resolution has drained).
-    pub fn resolve_recovered(&self, gtid: u64, commit: bool) -> Result<bool, StorageError> {
-        let Some(rb) = self.recovered_map().remove(&gtid) else {
-            return Ok(false);
-        };
-        if let Err(e) = self.inst.resolve_in_doubt(&rb.branch, commit) {
-            // Leave the branch parked so a later retry can still decide it.
-            self.recovered_map().insert(gtid, rb);
-            return Err(e);
-        }
-        let metrics = islands_obs::metrics();
-        metrics.in_doubt().dec();
-        metrics.record_parked(rb.parked_at.elapsed().as_nanos() as u64);
-        metrics.record_in_doubt_resolved(commit);
-        Ok(true)
-    }
-
-    /// A decision for a gtid no live session holds: it may belong to a
-    /// branch re-parked by restart replay. Both engine modes end their
-    /// `decide` here, so an unknown gtid gets the same presumed-abort
-    /// answer everywhere.
-    pub(crate) fn decide_recovered(&self, gtid: u64, commit: bool) -> DecideOutcome {
-        match self.resolve_recovered(gtid, commit) {
-            Ok(true) => DecideOutcome::Applied,
-            Ok(false) if !commit => DecideOutcome::AbortNoop,
-            Ok(false) => DecideOutcome::UnknownCommit,
-            Err(e) => DecideOutcome::Failed(e.to_string()),
-        }
+        self.in_doubt.gtids()
     }
 
     /// The key range `[lo, hi)` this partition owns.
@@ -502,7 +398,7 @@ impl PartitionEngine {
         self.check_plan(plan)?;
         let mut retries = 0u32;
         loop {
-            if !self.recovered_conflict(plan) {
+            if !self.in_doubt.blocks(plan) {
                 let mut txn = self.inst.begin();
                 match self.run_plan(&mut txn, plan).and_then(|()| txn.commit()) {
                     Ok(()) => {
@@ -518,8 +414,8 @@ impl PartitionEngine {
                     Err(e) => return Err(e),
                 }
             }
-            // Contention: a lock conflict, or a row a recovered in-doubt
-            // branch still claims. That is an abort, not an error — the
+            // Contention: a lock conflict, or a row a parked footprint
+            // still claims. That is an abort, not an error — the
             // branch resolves soon — so both retry under the same backoff.
             if retries >= retry_limit {
                 return Ok(SubmitOutcome {
@@ -546,9 +442,9 @@ impl PartitionEngine {
         plan: &PlanRequest,
     ) -> Result<BranchOutcome, StorageError> {
         self.check_plan(plan)?;
-        // Rows claimed by a recovered in-doubt branch are as locked as the
-        // old incarnation left them: vote No, the coordinator retries.
-        if self.recovered_conflict(plan) {
+        // Rows a parked footprint claims are as locked as a lock would
+        // keep them: vote No, the coordinator retries.
+        if self.in_doubt.blocks(plan) {
             return Ok(BranchOutcome::No);
         }
         let mut txn = self.inst.begin();
@@ -564,6 +460,19 @@ impl PartitionEngine {
                 Ok(BranchOutcome::No)
             }
         }
+    }
+
+    /// [`prepare_plan_branch`](Self::prepare_plan_branch) as branch `gtid`
+    /// of `session`, parked in the in-doubt table when it votes Yes. A
+    /// misrouted branch is the coordinator's bug: a typed error, not a vote.
+    pub(crate) fn prepare_parked(
+        &self,
+        session: u64,
+        gtid: u64,
+        plan: &PlanRequest,
+    ) -> Result<Vote, ExecError> {
+        let prepare = || self.prepare_plan_branch(gtid, plan);
+        self.in_doubt.park(session, gtid, plan, prepare)
     }
 
     /// Sum of the audit counters across this partition's rows — every table
@@ -584,8 +493,8 @@ impl Engine for PartitionEngine {
     fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
         Box::new(LockedSession {
             engine: self,
+            id: next_session_id(),
             retry_limit,
-            in_doubt: HashMap::new(),
         })
     }
 
@@ -599,19 +508,12 @@ impl Engine for PartitionEngine {
 }
 
 /// A connection's session on the locked engine: requests execute inline on
-/// the calling thread under 2PL, and the branches the connection prepared
-/// wait here, holding their locks, for its coordinator's decision.
-///
-/// The in-doubt map is session-local because a branch's coordinator speaks
-/// on this connection: no cross-session locking, and the presumed-abort
-/// rule has a precise trigger — whatever is still here at
-/// [`close`](Session::close) has lost its coordinator. Each branch rides
-/// with its [`Participant`] state machine, so phase 2 can only happen on a
-/// genuinely prepared branch.
+/// the calling thread under 2PL, and a branch it prepares waits in the
+/// partition's in-doubt table, holding its locks, for the decision.
 pub struct LockedSession<'e> {
     engine: &'e PartitionEngine,
+    id: u64,
     retry_limit: u32,
-    in_doubt: HashMap<u64, (Participant, Parked)>,
 }
 
 impl Session for LockedSession<'_> {
@@ -624,53 +526,16 @@ impl Session for LockedSession<'_> {
 
     fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
         let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        if self.in_doubt.contains_key(&gtid) {
-            return Err(ExecError::DuplicateGtid(gtid));
-        }
-        // A misrouted branch (row outside this partition) is the
-        // coordinator's routing bug: a typed error, not a vote.
-        Ok(match self.engine.prepare_plan_branch(gtid, plan)? {
-            BranchOutcome::Prepared(handle) => {
-                let mut participant = Participant::new(gtid);
-                let ev = participant.on_prepare(true, true);
-                debug_assert!(matches!(
-                    ev,
-                    ParticipantEvent::ForcePrepareAndVote {
-                        vote: Vote::Yes,
-                        ..
-                    }
-                ));
-                self.in_doubt
-                    .insert(gtid, (participant, Parked::new(handle)));
-                Vote::Yes
-            }
-            BranchOutcome::ReadOnly => Vote::ReadOnly,
-            BranchOutcome::No => Vote::No,
-        })
+        self.engine.prepare_parked(self.id, gtid, plan)
     }
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
         let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        let Some((mut participant, parked)) = self.in_doubt.remove(&gtid) else {
-            return Ok(self.engine.decide_recovered(gtid, commit));
-        };
-        let ev = participant.on_decision(commit);
-        debug_assert!(matches!(ev, ParticipantEvent::ApplyDecisionAndAck { .. }));
-        Ok(match parked.retire(commit) {
-            Ok(()) => DecideOutcome::Applied,
-            Err(e) => DecideOutcome::Failed(e.to_string()),
-        })
+        Ok(self.engine.in_doubt.decide(gtid, commit))
     }
 
     fn close(&mut self) -> u64 {
-        // Presumed abort: the coordinator is gone without a decision, so
-        // absence of evidence is evidence of abort. Rolling the branches
-        // back releases their locks and keeps the partition serviceable.
-        let orphaned = self.in_doubt.len() as u64;
-        for (_, (_, parked)) in self.in_doubt.drain() {
-            let _ = parked.retire(false);
-        }
-        orphaned
+        self.engine.in_doubt.close(self.id)
     }
 }
 
@@ -1046,10 +911,12 @@ mod tests {
         ));
         // ...but not elsewhere.
         assert!(e2.submit_local(&update(&[150]), 0).unwrap().committed);
-        // Commit decision applies the branch; unknown gtids report false.
-        assert!(e2.resolve_recovered(42, true).unwrap());
-        assert!(!e2.resolve_recovered(42, true).unwrap());
-        assert!(!e2.resolve_recovered(999, false).unwrap());
+        // A commit decision applies the branch; unknown gtids get the
+        // presumed-abort answers.
+        let mut s = e2.session(0);
+        assert_eq!(s.decide(42, true).unwrap(), DecideOutcome::Applied);
+        assert_eq!(s.decide(42, true).unwrap(), DecideOutcome::UnknownCommit);
+        assert_eq!(s.decide(999, false).unwrap(), DecideOutcome::AbortNoop);
         assert_eq!(e2.audit_sum().unwrap(), 3);
         assert!(e2.submit_local(&update(&[120]), 0).unwrap().committed);
         let _ = std::fs::remove_file(&path);
@@ -1117,7 +984,8 @@ mod tests {
         }
         let e2 = PartitionEngine::build(&cfg).unwrap();
         assert_eq!(e2.recovered_gtids(), vec![7]);
-        assert!(e2.resolve_recovered(7, false).unwrap());
+        let decided = e2.session(0).decide(7, false).unwrap();
+        assert_eq!(decided, DecideOutcome::Applied);
         assert_eq!(e2.audit_sum().unwrap(), 0);
         assert!(e2.recovered_gtids().is_empty());
         let _ = std::fs::remove_file(&path);

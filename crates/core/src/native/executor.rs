@@ -7,11 +7,11 @@
 //! H-Store-style design it benchmarks against makes serial per-partition
 //! execution the fast path). A [`PartitionExecutor`] realizes that: it
 //! builds a [`PartitionEngine`] with locking elided (`single_threaded:
-//! true`) and puts it, together with the partition's parked 2PC branches,
-//! behind **one mutex**. An [`ExecutorSession`] call takes that mutex and
-//! runs the transaction start-to-finish on the calling thread — the session
-//! thread that decoded the frame — exactly as the paper's single-threaded
-//! instance process runs the message it just received. There is no executor
+//! true`) and puts it behind **one mutex**. An [`ExecutorSession`] call
+//! takes that mutex and runs the transaction start-to-finish on the calling
+//! thread — the session thread that decoded the frame — exactly as the
+//! paper's single-threaded instance process runs the message it just
+//! received. There is no executor
 //! thread, no queue and no hand-off: an uncontended call costs one
 //! compare-and-swap more than calling the engine directly.
 //!
@@ -23,15 +23,16 @@
 //! **two-phase commit**: a prepared multisite branch must stay in-doubt
 //! across Prepare→Decision while the partition keeps serving other
 //! requests. The locked engine holds the branch's row locks for that
-//! window; the executor instead remembers the branch's key set and answers
-//! any conflicting request the way wait-die would have — the newcomer
-//! aborts immediately (a local submit reports `committed: false`, a
-//! conflicting prepare votes No). The coordinator's decision (or the
-//! presumed-abort rule when its connection dies) clears the key set. This
-//! mirrors the locked engine exactly: there the in-doubt branch is the
-//! *oldest* lock holder, so wait-die kills every conflicting newcomer on
-//! first contact, too — which is what makes the two engines
-//! trace-equivalent (see `tests/engine_differential.rs`).
+//! window; an engine built `single_threaded` has none, so its in-doubt
+//! table keeps the branch's key set and the engine answers any conflicting
+//! request the way wait-die would have — the newcomer aborts immediately (a
+//! local submit reports `committed: false`, a conflicting prepare votes
+//! No). The coordinator's decision (or the presumed-abort rule when its
+//! connection dies) clears the key set. This mirrors the locked engine
+//! exactly: there the in-doubt branch is the *oldest* lock holder, so
+//! wait-die kills every conflicting newcomer on first contact, too — which
+//! is what makes the two engines trace-equivalent (see
+//! `tests/engine_differential.rs`).
 //!
 //! ## What the lock gives up, and when
 //!
@@ -43,8 +44,6 @@
 //! the middle of is unknowable, so every later call answers
 //! [`ExecError::Gone`] instead of running on top of it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use islands_dtxn::Vote;
@@ -53,7 +52,8 @@ use islands_storage::StorageError;
 use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
-use super::engine::{BranchOutcome, Parked, PartitionConfig, PartitionEngine};
+use super::engine::{PartitionConfig, PartitionEngine};
+use super::in_doubt::next_session_id;
 use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::SubmitOutcome;
 
@@ -102,53 +102,28 @@ pub struct ExecutorConfig {
     pub partition: PartitionConfig,
 }
 
-/// One prepared, in-doubt 2PC branch parked on the executor.
-struct Branch {
-    parked: Parked,
-    /// Session that prepared it (the presumed-abort scope).
-    session: u64,
-    /// `(table, key)` pairs the branch wrote/read (range reads expanded):
-    /// the executor's stand-in for the locks the branch would hold under
-    /// 2PL.
-    keys: Vec<(u32, u64)>,
-}
-
-/// What the partition lock guards: the engine nobody else may touch, and
-/// the in-doubt branches parked on it, keyed by gtid.
-struct Partition {
-    /// `None` once the executor has shut down.
-    engine: Option<PartitionEngine>,
-    branches: HashMap<u64, Branch>,
-}
+/// The partition lock and what it guards: the engine nobody else may
+/// touch, `None` once the executor has shut down.
+type Partition = Mutex<Option<PartitionEngine>>;
 
 /// Take the partition and run `f` on it, on the calling thread. The
 /// `queue_depth` gauge counts callers waiting for their turn.
-fn hold<T>(
-    partition: &Mutex<Partition>,
-    f: impl FnOnce(&PartitionEngine, &mut HashMap<u64, Branch>) -> T,
-) -> Result<T, ExecError> {
+fn hold<T>(partition: &Partition, f: impl FnOnce(&PartitionEngine) -> T) -> Result<T, ExecError> {
     metrics().queue_depth().inc();
     let held = partition.lock();
     metrics().queue_depth().dec();
     // Poisoned: a session panicked mid-transaction (see module docs).
-    let mut held = held.map_err(|_| ExecError::Gone)?;
-    let Partition {
-        engine: Some(engine),
-        branches,
-    } = &mut *held
-    else {
-        return Err(ExecError::Gone);
-    };
+    let held = held.map_err(|_| ExecError::Gone)?;
+    let engine = held.as_ref().ok_or(ExecError::Gone)?;
     #[cfg(feature = "lockcheck")]
     let _owner = engine.lockcheck_claim();
-    Ok(f(engine, branches))
+    Ok(f(engine))
 }
 
 /// Handle to one partition in serial mode. Clone-free by design: share it
 /// behind an [`Arc`] and mint one [`ExecutorSession`] per connection.
 pub struct PartitionExecutor {
-    partition: Arc<Mutex<Partition>>,
-    next_session: AtomicU64,
+    partition: Arc<Partition>,
 }
 
 impl PartitionExecutor {
@@ -160,11 +135,7 @@ impl PartitionExecutor {
             ..cfg.partition
         })?;
         Ok(PartitionExecutor {
-            partition: Arc::new(Mutex::new(Partition {
-                engine: Some(engine),
-                branches: HashMap::new(),
-            })),
-            next_session: AtomicU64::new(1),
+            partition: Arc::new(Mutex::new(Some(engine))),
         })
     }
 
@@ -172,9 +143,8 @@ impl PartitionExecutor {
     /// the presumed-abort rule for branches it prepares.
     pub fn session(&self) -> ExecutorSession {
         ExecutorSession {
-            id: self.next_session.fetch_add(1, Ordering::Relaxed),
+            id: next_session_id(),
             partition: Arc::clone(&self.partition),
-            closed: false,
         }
     }
 
@@ -185,31 +155,24 @@ impl PartitionExecutor {
         &self,
         scope: Arc<islands_storage::lockcheck::Scope>,
     ) -> Result<(), ExecError> {
-        hold(&self.partition, |engine, _| {
-            engine.set_lockcheck_scope(scope)
-        })
+        hold(&self.partition, |engine| engine.set_lockcheck_scope(scope))
     }
 
     /// Sum of the audit counters across the partition's rows (taken under
     /// the partition lock, so it observes a consistent point).
     pub fn audit_sum(&self) -> Result<u64, ExecError> {
-        Ok(hold(&self.partition, |engine, _| engine.audit_sum())??)
+        Ok(hold(&self.partition, |engine| engine.audit_sum())??)
     }
 
     /// `(acquires, waits, deadlock-kills)` of the partition's lock manager:
     /// all zero however much has run, which is what serial mode is for.
     pub fn lock_stats(&self) -> Result<(u64, u64, u64), ExecError> {
-        hold(&self.partition, |engine, _| {
-            engine.instance().locks().stats()
-        })
+        hold(&self.partition, |engine| engine.instance().locks().stats())
     }
 
-    /// Gtids of in-doubt branches restart replay re-parked on the engine,
-    /// still awaiting a coordinator decision. Resolve each with
-    /// [`ExecutorSession::decide`] — the decision falls through to the
-    /// recovered branch when no live branch holds the gtid.
+    /// [`PartitionEngine::recovered_gtids`] of the partition.
     pub fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        hold(&self.partition, |engine, _| engine.recovered_gtids())
+        hold(&self.partition, |engine| engine.recovered_gtids())
     }
 
     /// Stop the executor: presume-abort any branch still in-doubt and drop
@@ -222,16 +185,11 @@ impl PartitionExecutor {
 impl Drop for PartitionExecutor {
     fn drop(&mut self) {
         // A poisoned partition is never touched again; what it holds is
-        // freed with the last session.
-        let Ok(mut partition) = self.partition.lock() else {
-            return;
-        };
-        // Anything still in-doubt has no coordinator left to decide it:
-        // presumed abort releases the partition's state cleanly.
-        for (_, b) in partition.branches.drain() {
-            let _ = b.parked.retire(false);
+        // freed with the last session. Otherwise dropping the engine
+        // presumes abort for whatever is still in-doubt.
+        if let Ok(mut partition) = self.partition.lock() {
+            *partition = None;
         }
-        partition.engine = None;
     }
 }
 
@@ -254,8 +212,7 @@ impl Engine for PartitionExecutor {
 /// call takes the partition lock and runs on the calling thread.
 pub struct ExecutorSession {
     id: u64,
-    partition: Arc<Mutex<Partition>>,
-    closed: bool,
+    partition: Arc<Partition>,
 }
 
 impl ExecutorSession {
@@ -275,21 +232,11 @@ impl ExecutorSession {
     /// expanded) reports `committed: false` immediately — the same outcome
     /// wait-die hands a conflicting newcomer under the locked engine.
     pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        Ok(hold(&self.partition, |engine, branches| {
+        Ok(hold(&self.partition, |engine| {
             let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-            if conflicts(branches, plan) {
-                // Rows held by an in-doubt branch: abort now, exactly as
-                // wait-die would kill the younger conflicting txn.
-                engine.check_plan(plan).map(|()| SubmitOutcome {
-                    committed: false,
-                    distributed: false,
-                    retries: 0,
-                })
-            } else {
-                // Lock-free engine: contention errors cannot occur, so
-                // the retry budget is moot.
-                engine.submit_plan_local(plan, 0)
-            }
+            // Lock-free engine: contention errors cannot occur, so the
+            // retry budget is moot.
+            engine.submit_plan_local(plan, 0)
         })??)
     }
 
@@ -299,44 +246,17 @@ impl ExecutorSession {
     /// until [`decide`](Self::decide) (from any session) or this session's
     /// close presumed-aborts it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
-        hold(&self.partition, |engine, branches| {
+        hold(&self.partition, |engine| {
             let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-            if branches.contains_key(&gtid) {
-                return Err(ExecError::DuplicateGtid(gtid));
-            }
-            if conflicts(branches, plan) {
-                engine.check_plan(plan)?;
-                return Ok(Vote::No);
-            }
-            Ok(match engine.prepare_plan_branch(gtid, plan)? {
-                BranchOutcome::Prepared(handle) => {
-                    branches.insert(
-                        gtid,
-                        Branch {
-                            parked: Parked::new(handle),
-                            session: self.id,
-                            keys: plan.conflict_keys(),
-                        },
-                    );
-                    Vote::Yes
-                }
-                BranchOutcome::ReadOnly => Vote::ReadOnly,
-                BranchOutcome::No => Vote::No,
-            })
+            engine.prepare_parked(self.id, gtid, plan)
         })?
     }
 
     /// Apply a coordinator decision to the in-doubt branch with this gtid.
     pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
-        hold(&self.partition, |engine, branches| {
+        hold(&self.partition, |engine| {
             let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-            match branches.remove(&gtid) {
-                Some(b) => match b.parked.retire(commit) {
-                    Ok(()) => DecideOutcome::Applied,
-                    Err(e) => DecideOutcome::Failed(e.to_string()),
-                },
-                None => engine.decide_recovered(gtid, commit),
-            }
+            engine.in_doubt.decide(gtid, commit)
         })
     }
 
@@ -344,19 +264,7 @@ impl ExecutorSession {
     /// rolled back (presumed abort — the coordinator's connection is gone).
     /// Returns how many branches were rolled back. Idempotent.
     pub fn close(&mut self) -> u64 {
-        if self.closed {
-            return 0;
-        }
-        self.closed = true;
-        hold(&self.partition, |_, branches| {
-            let mut aborted = 0;
-            for (_, b) in branches.extract_if(|_, b| b.session == self.id) {
-                let _ = b.parked.retire(false);
-                aborted += 1;
-            }
-            aborted
-        })
-        .unwrap_or(0)
+        hold(&self.partition, |engine| engine.in_doubt.close(self.id)).unwrap_or(0)
     }
 }
 
@@ -382,14 +290,6 @@ impl Session for ExecutorSession {
     fn close(&mut self) -> u64 {
         ExecutorSession::close(self)
     }
-}
-
-/// Whether `plan` touches a row some in-doubt branch's footprint covers.
-/// Branch counts are small (one per outstanding 2PC transaction on this
-/// partition), so a linear scan beats maintaining an index — and with
-/// nothing parked, the common case, it is no work at all.
-fn conflicts(branches: &HashMap<u64, Branch>, plan: &PlanRequest) -> bool {
-    branches.values().any(|b| plan.conflicts_with(&b.keys))
 }
 
 #[cfg(test)]
@@ -644,7 +544,7 @@ mod tests {
     #[should_panic(expected = "lockcheck: cross-thread access")]
     fn a_handle_used_outside_the_partition_lock_is_caught() {
         let e = executor();
-        let mut txn = hold(&e.partition, |engine, _| engine.instance().begin()).unwrap();
+        let mut txn = hold(&e.partition, |engine| engine.instance().begin()).unwrap();
         // Same thread, but the partition is no longer held: any other
         // session may be running a transaction on it right now.
         let _ = txn.read(crate::native::MICRO_TABLE_NAME, 110);
@@ -755,7 +655,8 @@ mod tests {
                 ..partition.clone()
             })
             .unwrap();
-            let BranchOutcome::Prepared(handle) = eng.prepare_branch(77, &update(&[150])).unwrap()
+            let crate::native::BranchOutcome::Prepared(handle) =
+                eng.prepare_branch(77, &update(&[150])).unwrap()
             else {
                 panic!("writer branch must prepare");
             };

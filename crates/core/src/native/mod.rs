@@ -4,7 +4,8 @@
 //! (2PL) or [`PartitionExecutor`] (serial, one mutex) owns one contiguous
 //! share of the data and serves [`Session`]s: local plans commit here,
 //! multisite branches are prepared, parked in-doubt and decided here, with
-//! prepare and decision records forced to the instance's WAL. Everything
+//! prepare and decision records forced to the instance's WAL. Both modes
+//! park branches in the engine's one in-doubt table (`in_doubt`). Everything
 //! that makes N of them a deployment — routing, the 2PC coordinator, the
 //! transport, spawned or in-process — lives in `islands-server`.
 
@@ -12,6 +13,7 @@ use std::time::Duration;
 
 pub mod engine;
 pub mod executor;
+mod in_doubt;
 pub mod session;
 
 pub use engine::{BranchOutcome, LockedSession, PartitionConfig, PartitionEngine, TpccPartition};

@@ -23,7 +23,7 @@ pub enum ExecError {
     /// The request is one this partition can never satisfy (key outside its
     /// range, unknown table).
     Storage(StorageError),
-    /// A branch with this gtid is already prepared here.
+    /// A branch with this gtid is already prepared on this partition.
     DuplicateGtid(u64),
     /// The serial partition is gone: its executor shut down, or a session
     /// panicked while holding it.
@@ -81,7 +81,8 @@ pub enum DecideOutcome {
 /// One connection's view of an engine. A session scopes
 /// the presumed-abort rule: a branch it prepared that nobody decided is
 /// rolled back when the session closes, because its coordinator spoke on
-/// this connection and is gone.
+/// this connection and is gone. Decisions are partition-wide: any session
+/// may decide any branch.
 pub trait Session {
     /// Execute a fully-local plan to completion. `committed: false` means
     /// contention won (retry budget spent, or the plan touches a parked
@@ -90,11 +91,12 @@ pub trait Session {
 
     /// Execute one 2PC branch and run participant phase 1. [`Vote::Yes`]
     /// parks the branch in-doubt — dependent reads included — until
-    /// [`decide`](Self::decide) or [`close`](Self::close).
+    /// [`decide`](Self::decide) or [`close`](Self::close). A gtid already
+    /// parked on the partition is [`ExecError::DuplicateGtid`].
     fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError>;
 
-    /// Apply the coordinator's decision to the in-doubt branch `gtid`:
-    /// one this engine parked live, or one restart replay re-parked.
+    /// Apply the coordinator's decision to the in-doubt branch `gtid`,
+    /// whichever session parked it, or restart replay.
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError>;
 
     /// End the session: presume-abort every branch it prepared that is
@@ -115,7 +117,8 @@ pub trait Engine {
     /// committed row writes applied here.
     fn audit_sum(&self) -> Result<u64, ExecError>;
 
-    /// Gtids of in-doubt branches restart replay re-parked, still awaiting
-    /// a decision (sorted). Each resolves through [`Session::decide`].
+    /// Gtids of every branch parked here awaiting a decision (sorted):
+    /// at startup, exactly those restart replay re-parked. Each resolves
+    /// through [`Session::decide`].
     fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError>;
 }

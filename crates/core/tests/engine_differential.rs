@@ -17,13 +17,14 @@
 //! *oldest* holder of its row locks, so wait-die kills every conflicting
 //! newcomer immediately; the executor answers a conflicting request with an
 //! immediate abort off its in-doubt key set. A re-parked branch guards its
-//! footprint the same way in both modes (the engine's recovered map). Same
-//! observable behavior, no locks on the serial side.
+//! footprint the same way in both modes: both park every branch, live or
+//! replayed, in the partition's one in-doubt table. Same observable
+//! behavior, no locks on the serial side.
 
 use std::path::{Path, PathBuf};
 
 use islands_core::native::{
-    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
+    DecideOutcome, Engine, EngineMode, ExecError, ExecutorConfig, PartitionConfig, PartitionEngine,
     PartitionExecutor,
 };
 use islands_dtxn::Vote;
@@ -94,12 +95,11 @@ fn build(mode: EngineMode, wal: Option<&Path>) -> Box<dyn Engine> {
     }
 }
 
-/// Fresh scratch WAL path for one replay.
-fn temp_wal(mode: EngineMode, kind: OpKind) -> PathBuf {
+/// Fresh scratch WAL path for one test's run of `mode`.
+fn temp_wal(mode: EngineMode, tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
-        "islands-differential-{}-{mode}-{}.wal",
+        "islands-differential-{}-{mode}-{tag}.wal",
         std::process::id(),
-        kind.label()
     ));
     let _ = std::fs::remove_file(&path);
     path
@@ -162,7 +162,7 @@ fn build_script(kind: OpKind) -> Vec<Step> {
 /// Replay the script through one engine mode, entirely on the session
 /// surface. Returns the per-step outcomes and the final audit sum.
 fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64) {
-    let wal = temp_wal(mode, kind);
+    let wal = temp_wal(mode, kind.label());
     let mut engine = build(mode, Some(&wal));
     let mut session = engine.session(RETRIES);
     let mut outcomes = Vec::new();
@@ -333,4 +333,69 @@ fn conflicting_locals_abort_identically_in_both_engines() {
         locked_audit, serial_audit,
         "conflict corner leaves identical state"
     );
+}
+
+#[test]
+fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
+    let update = |key: u64| {
+        TxnRequest {
+            kind: OpKind::Update,
+            keys: vec![key],
+            multisite: true,
+        }
+        .to_plan()
+    };
+    for mode in [EngineMode::Locked, EngineMode::Serial] {
+        // A decision sent on another session lands: the preparing session
+        // has nothing left to presume aborted.
+        let engine = build(mode, None);
+        let mut a = engine.session(RETRIES);
+        let mut b = engine.session(RETRIES);
+        assert_eq!(a.prepare(1, &update(10)).unwrap(), Vote::Yes, "{mode}");
+        assert_eq!(b.decide(1, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert_eq!(a.close(), 0, "{mode}: decided elsewhere");
+        assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}");
+
+        // One gtid, one branch per partition, whichever session asks.
+        assert_eq!(a.prepare(2, &update(20)).unwrap(), Vote::Yes, "{mode}");
+        assert!(
+            matches!(b.prepare(2, &update(21)), Err(ExecError::DuplicateGtid(2))),
+            "{mode}"
+        );
+        assert_eq!(
+            a.decide(2, false).unwrap(),
+            DecideOutcome::Applied,
+            "{mode}"
+        );
+        drop((a, b));
+        drop(engine);
+
+        // A replayed branch's gtid is taken too, and its decision finds it.
+        let wal = temp_wal(mode, "replayed-gtid");
+        let first = build(mode, Some(&wal));
+        let mut s = first.session(RETRIES);
+        assert_eq!(s.prepare(77, &update(50)).unwrap(), Vote::Yes, "{mode}");
+        std::mem::forget(s);
+        std::mem::forget(first);
+        let engine = build(mode, Some(&wal));
+        assert_eq!(engine.recovered_gtids().unwrap(), [77], "{mode}");
+        let mut s = engine.session(RETRIES);
+        assert!(
+            matches!(
+                s.prepare(77, &update(60)),
+                Err(ExecError::DuplicateGtid(77))
+            ),
+            "{mode}"
+        );
+        assert_eq!(
+            s.decide(77, true).unwrap(),
+            DecideOutcome::Applied,
+            "{mode}"
+        );
+        assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
+        assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: redone once");
+        drop(s);
+        drop(engine);
+        let _ = std::fs::remove_file(&wal);
+    }
 }

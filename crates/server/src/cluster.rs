@@ -105,7 +105,8 @@ impl Cluster {
     /// The counters instance `i` would report as a server process: every
     /// frame its coordinators handed it is counted as one it decoded.
     pub fn stats(&self, i: usize) -> ServerStats {
-        self.instances[i].counters.snapshot()
+        let inst = &self.instances[i];
+        inst.counters.snapshot(Some(inst.backend.engine()))
     }
 
     /// Number of commit decisions forced so far (read-only 2PC forces none).

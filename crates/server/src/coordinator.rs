@@ -24,7 +24,7 @@ use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Vote};
 use islands_workload::{PlanBranch, PlanRequest};
 
 use crate::deploy::{lock_clean, DeployOutcome, DeployReply};
-use crate::server::{serve, session_loop, Counters, Endpoint, ServerHandle, SessionFn};
+use crate::server::{serve, session_loop, Endpoint, ServerHandle, SessionFn};
 use crate::wire::{Reply, Request};
 
 /// The coordinator's decision verdicts: an in-memory gtid → commit map,
@@ -99,6 +99,11 @@ impl DecisionStore {
     pub(crate) fn remembered(&self) -> usize {
         lock_clean(&self.decided).len()
     }
+
+    /// The largest gtid a record is held for (0 for none).
+    fn last_gtid(&self) -> u64 {
+        lock_clean(&self.decided).keys().copied().max().unwrap_or(0)
+    }
 }
 
 /// The coordinator-side resolver: a socket answering
@@ -117,7 +122,7 @@ impl Resolver {
         let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
             session_loop(conn, shutdown, counters, |req| resolve(&store, req))
         });
-        let server = serve(&Endpoint::Uds(socket), Counters::default(), session)?;
+        let server = serve(&Endpoint::Uds(socket), None, session)?;
         Ok(Resolver {
             endpoint: server.endpoint().clone(),
             server: Some(server),
@@ -320,10 +325,13 @@ pub(crate) struct Coordination {
 }
 
 impl Coordination {
+    /// Gtids start above every one `decisions` holds: a reopened log still
+    /// answers for its records, so reusing one of their gtids would hand a
+    /// new round an old run's verdict.
     pub(crate) fn new(sites: Sites, decisions: Arc<DecisionStore>) -> Coordination {
         Coordination {
             sites,
-            next_gtid: AtomicU64::new(1),
+            next_gtid: AtomicU64::new(decisions.last_gtid() + 1),
             presumed_aborts: AtomicU64::new(0),
             decisions,
         }
@@ -980,6 +988,26 @@ mod tests {
             !reopened.commit_verdict(9),
             "unknown gtid must presume abort"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_decision_log_is_never_handed_a_gtid_it_holds() {
+        let dir = std::env::temp_dir().join(format!(
+            "islands-decision-gtids-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        DecisionStore::open(Some(&dir)).unwrap().force(7, true);
+        let sites = Sites::Range(islands_core::partition::RangeSites {
+            total_rows: 100,
+            n_sites: 2,
+        });
+        let reopened = Arc::new(DecisionStore::open(Some(&dir)).unwrap());
+        let coord = Coordination::new(sites, reopened);
+        let first = coord.next_gtid.load(Ordering::Relaxed);
+        assert_eq!(first, 8, "gtid 7's commit record survives");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -317,8 +317,8 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
         });
         (stop_tx, printer)
     });
-    // The gauge started at the recovered branches the resolver never
-    // settled, so those count as in-doubt leaks like session-parked ones.
+    // The gauge reads the engine's in-doubt table, so recovered branches
+    // the resolver never settled count as leaks like session-parked ones.
     let stats = handle.join()?;
     if let Some((stop_tx, printer)) = heartbeat {
         drop(stop_tx);

@@ -45,7 +45,6 @@ use islands_core::native::{
     DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
     PartitionExecutor, Session,
 };
-use islands_dtxn::Vote;
 use islands_obs::{BreakdownCategory, TxnClass};
 use islands_storage::StorageError;
 use islands_workload::PlanRequest;
@@ -165,19 +164,18 @@ pub(crate) struct Counters {
     prepares: AtomicU64,
     decisions: AtomicU64,
     presumed_aborts: AtomicU64,
-    /// Gauge: branches parked here awaiting a decision — prepared by a live
-    /// session, or re-parked by restart replay.
-    in_doubt: AtomicU64,
 }
 
 impl Counters {
     /// A session closed and rolled back `aborted` branches nobody decided.
     pub(crate) fn presumed_abort(&self, aborted: u64) {
         self.presumed_aborts.fetch_add(aborted, Ordering::Relaxed);
-        self.in_doubt.fetch_sub(aborted, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self) -> ServerStats {
+    /// The counters, with `engine`'s parked branches as the `in_doubt`
+    /// gauge (none where nothing parks branches).
+    pub(crate) fn snapshot(&self, engine: Option<&dyn Engine>) -> ServerStats {
+        let parked = engine.and_then(|e| e.recovered_gtids().ok());
         ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -187,7 +185,7 @@ impl Counters {
             prepares: self.prepares.load(Ordering::Relaxed),
             decisions: self.decisions.load(Ordering::Relaxed),
             presumed_aborts: self.presumed_aborts.load(Ordering::Relaxed),
-            in_doubt: self.in_doubt.load(Ordering::Relaxed),
+            in_doubt: parked.map_or(0, |gtids| gtids.len() as u64),
         }
     }
 }
@@ -201,12 +199,15 @@ impl Counters {
 #[derive(Clone)]
 pub struct StatsProbe {
     counters: Arc<Counters>,
+    /// What the server fronts, if it parks branches.
+    backend: Option<Backend>,
 }
 
 impl StatsProbe {
     /// Current counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.counters.snapshot()
+        self.counters
+            .snapshot(self.backend.as_ref().map(Backend::engine))
     }
 }
 
@@ -407,7 +408,7 @@ impl Write for Conn {
 /// [`join`](Self::join) (or have a client send [`Request::Drain`]).
 pub struct ServerHandle {
     shutdown: Arc<Shutdown>,
-    counters: Arc<Counters>,
+    probe: StatsProbe,
     acceptor: Option<std::thread::JoinHandle<io::Result<()>>>,
 }
 
@@ -452,18 +453,11 @@ impl Server {
         endpoint: Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        // Branches restart replay re-parked are in-doubt here as much as
-        // any a session prepares, and a wire `Decision` may settle them:
-        // they start on the gauge.
-        let recovered = backend.engine().recovered_gtids().unwrap_or_default();
-        let counters = Counters {
-            in_doubt: AtomicU64::new(recovered.len() as u64),
-            ..Default::default()
-        };
+        let parks = Some(backend.clone());
         let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
             session(conn, &backend, config.retry_limit, shutdown, counters)
         });
-        serve(&endpoint, counters, session)
+        serve(&endpoint, parks, session)
     }
 }
 
@@ -473,10 +467,10 @@ pub(crate) type SessionFn = dyn Fn(Conn, &Shutdown, &Counters) -> io::Result<()>
 /// Bind `endpoint` and run `session` on every accepted connection until
 /// drained: the acceptor, the drain and the session bookkeeping everything
 /// served here shares — an instance's [`Backend`], and the coordinator's
-/// resolver.
+/// resolver, which parks nothing (`backend: None`).
 pub(crate) fn serve(
     endpoint: &Endpoint,
-    counters: Counters,
+    backend: Option<Backend>,
     session: Arc<SessionFn>,
 ) -> io::Result<ServerHandle> {
     let listener = Listener::bind(endpoint)?;
@@ -484,7 +478,7 @@ pub(crate) fn serve(
         raised: AtomicBool::new(false),
         endpoint: listener.local_endpoint()?,
     });
-    let counters = Arc::new(counters);
+    let counters = Arc::new(Counters::default());
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
@@ -494,7 +488,7 @@ pub(crate) fn serve(
     };
     Ok(ServerHandle {
         shutdown,
-        counters,
+        probe: StatsProbe { counters, backend },
         acceptor: Some(acceptor),
     })
 }
@@ -507,15 +501,13 @@ impl ServerHandle {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.counters.snapshot()
+        self.probe.stats()
     }
 
     /// Mint a [`StatsProbe`] that outlives this handle (usable while a
     /// sibling thread blocks in [`join`](Self::join)).
     pub fn probe(&self) -> StatsProbe {
-        StatsProbe {
-            counters: Arc::clone(&self.counters),
-        }
+        self.probe.clone()
     }
 
     /// Whether a drain/shutdown has been initiated.
@@ -758,7 +750,7 @@ pub(crate) fn answer(
         Request::Ping => Reply::Pong,
         Request::Drain => Reply::Draining,
         Request::Stats => Reply::Stats {
-            server: counters.snapshot(),
+            server: counters.snapshot(Some(engine)),
             obs: Box::new(islands_obs::metrics().snapshot()),
         },
         Request::Submit(txn) => handle_submit(session, &txn.to_plan(), counters),
@@ -829,8 +821,9 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Count
 }
 
 /// 2PC phase 1: the session executes the branch, forces the prepare record
-/// and votes; a Yes vote leaves the branch parked in the session (dependent
-/// reads and all), so this side only relays the vote and keeps the gauge.
+/// and votes; a Yes vote leaves the branch parked in the partition's
+/// in-doubt table (dependent reads and all), so this side only relays the
+/// vote.
 fn handle_prepare(
     session: &mut dyn Session,
     gtid: u64,
@@ -841,12 +834,7 @@ fn handle_prepare(
     islands_obs::set_txn_class(TxnClass::Multisite);
     let started = Instant::now();
     let reply = match session.prepare(gtid, plan) {
-        Ok(vote) => {
-            if vote == Vote::Yes {
-                counters.in_doubt.fetch_add(1, Ordering::Relaxed);
-            }
-            Reply::Vote { gtid, vote }
-        }
+        Ok(vote) => Reply::Vote { gtid, vote },
         // Misrouted branch, duplicate gtid: the coordinator has a bug;
         // answer with the typed error instead of a vote.
         Err(e) => Reply::Error {
@@ -872,7 +860,6 @@ fn handle_decision(
     let started = Instant::now();
     let reply = match session.decide(gtid, commit) {
         Ok(DecideOutcome::Applied) => {
-            counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
             if commit {
                 counters.commits.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -884,15 +871,9 @@ fn handle_decision(
         Ok(DecideOutcome::UnknownCommit) => Reply::Error {
             message: format!("commit decision for unknown gtid {gtid}"),
         },
-        Ok(DecideOutcome::Failed(message)) => {
-            // The branch was un-parked before the decision failed, so it is
-            // no longer in-doubt — without this decrement the gauge would
-            // report a phantom leak forever.
-            counters.in_doubt.fetch_sub(1, Ordering::Relaxed);
-            Reply::Error {
-                message: format!("decision for gtid {gtid} failed: {message}"),
-            }
-        }
+        Ok(DecideOutcome::Failed(message)) => Reply::Error {
+            message: format!("decision for gtid {gtid} failed: {message}"),
+        },
         Err(e) => Reply::Error {
             message: e.to_string(),
         },
