@@ -5,12 +5,18 @@
 //! whole pipeline of requests in one write and collect the replies in order
 //! ([`submit_pipelined`](Client::submit_pipelined)) — the server runs
 //! what arrives together back-to-back and answers it in one write.
+//!
+//! A bare client always sleeps in `read` for its reply. A
+//! [`DeployClient`](crate::DeployClient)'s links poll for it first while the
+//! deployment's live clients do not outnumber the host's cpus (`poll.rs`).
 
 use std::io::{self, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_workload::{PlanRequest, TxnRequest};
 
+use crate::poll::Caller;
 use crate::server::{Conn, Endpoint};
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
@@ -56,6 +62,12 @@ impl Client {
                 }
             }
         }
+    }
+
+    /// Poll for replies on behalf of `caller` (see `poll.rs`).
+    pub(crate) fn with_caller(mut self, caller: Arc<Caller>) -> Client {
+        self.conn.set_caller(caller);
+        self
     }
 
     fn read_reply(&mut self) -> io::Result<Reply> {
@@ -105,7 +117,8 @@ impl Client {
     }
 
     /// Bound how long [`recv_reply`](Self::recv_reply) blocks, from now
-    /// until the next call (a `setsockopt` only when the value changes).
+    /// until the next call (a `setsockopt` only when the value changes);
+    /// a read that polls first waits at most one 50 µs poll window longer.
     /// `None` waits forever. A timed-out read surfaces as
     /// `WouldBlock`/`TimedOut`; the coordinator treats that as a participant
     /// failure (presumed abort).
@@ -181,6 +194,9 @@ fn unexpected(wanted: &str, got: &Reply) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::{Callers, POLL_WINDOW};
+    use crate::server::{Backend, Server, ServerConfig};
+    use islands_core::native::{PartitionConfig, PartitionEngine};
     use std::os::unix::net::UnixListener;
 
     #[test]
@@ -212,5 +228,102 @@ mod tests {
         );
         binder.join().unwrap();
         let _ = std::fs::remove_file(&sock);
+    }
+
+    fn temp_sock(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "islands-{tag}-{}-{:?}.sock",
+            std::process::id(),
+            std::thread::current().id()
+        ))
+    }
+
+    /// A client that polls: the one caller of its own count, which no host
+    /// outnumbers.
+    fn polling(client: Client) -> Client {
+        client.with_caller(Arc::new(Callers::default()).enter())
+    }
+
+    #[test]
+    fn a_polling_read_on_a_silent_peer_times_out_at_its_deadline() {
+        // The coordinator's vote-timeout path to presumed abort: a
+        // participant that accepts and never answers. Polling first must
+        // neither cut the armed timeout short nor stretch it by more than
+        // the window.
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        // A socket timeout counts kernel ticks, and the first may be partial.
+        const TICK: Duration = Duration::from_millis(10);
+        // Scheduling slack on a loaded host.
+        const SLACK: Duration = Duration::from_millis(100);
+        let sock = temp_sock("silent");
+        let _ = std::fs::remove_file(&sock);
+        let listener = UnixListener::bind(&sock).unwrap();
+        let mut client = polling(Client::connect(&Endpoint::Uds(sock.clone())).unwrap());
+        let (_silent, _) = listener.accept().unwrap();
+        client.set_read_timeout(Some(TIMEOUT)).unwrap();
+        for _ in 0..3 {
+            client.send_request(&Request::Ping).unwrap();
+            let started = Instant::now();
+            let err = client.recv_reply().unwrap_err();
+            let waited = started.elapsed();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{err}"
+            );
+            assert!(waited + TICK >= TIMEOUT, "gave up after {waited:?}");
+            assert!(waited <= TIMEOUT + POLL_WINDOW + SLACK, "waited {waited:?}");
+        }
+        let _ = std::fs::remove_file(&sock);
+    }
+
+    #[test]
+    fn replies_that_overflow_the_socket_buffer_all_arrive_in_order() {
+        // The whole pipeline goes out before anything is read: more Pings
+        // than one 16 KiB read takes, so the session's wait after its first
+        // flush polls and finds bytes, which leaves its socket nonblocking;
+        // then Stats requests whose replies overflow the socket buffer. A
+        // Stats reply counts the requests decoded before it, which pins the
+        // order.
+        let engine = PartitionEngine::build(&PartitionConfig {
+            lo: 0,
+            hi: 10,
+            row_size: 16,
+            buffer_frames: 64,
+            ..Default::default()
+        })
+        .unwrap();
+        let handle = Server::spawn_backend(
+            Backend::Partition(Arc::new(engine)),
+            Endpoint::Uds(temp_sock("overflow")),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        let requests: Vec<Request> = (0..4_000)
+            .map(|i| {
+                if i < 3_500 {
+                    Request::Ping
+                } else {
+                    Request::Stats
+                }
+            })
+            .collect();
+        client.send(&requests).unwrap();
+        // Let the session fill the buffer before anything drains it.
+        std::thread::sleep(Duration::from_millis(50));
+        for (i, request) in requests.iter().enumerate() {
+            match (request, client.recv_reply().unwrap()) {
+                (Request::Ping, Reply::Pong) => {}
+                (Request::Stats, Reply::Stats { server, .. }) => {
+                    assert_eq!(server.requests, i as u64 + 1, "reply {i} out of order")
+                }
+                (_, other) => panic!("reply {i} to {request:?}: {other:?}"),
+            }
+        }
+        client.drain_server().unwrap();
+        handle.join().unwrap();
     }
 }

@@ -12,6 +12,7 @@ use islands_workload::{even_owner, PlanRequest, TxnRequest};
 use super::{Deployment, FaultPoint};
 use crate::client::Client;
 use crate::coordinator::{AckDebt, TwoPcLink};
+use crate::poll::Caller;
 use crate::wire::{Reply, Request};
 
 /// Outcome of one request submitted through a [`DeployClient`].
@@ -76,6 +77,9 @@ pub fn split_by_owner(
 /// the parked branch until the decision, already in the socket, is applied.
 pub struct DeployClient {
     deploy: Arc<Deployment>,
+    /// This client in the deployment's live-client count, shared by every
+    /// connection it opens: the caller its reply waits poll for.
+    caller: Arc<Caller>,
     conns: Vec<Option<Client>>,
     /// The acks each connection is still owed (dropped with it).
     debt: AckDebt,
@@ -89,14 +93,17 @@ const RECONNECT_BUDGET: Duration = Duration::from_secs(1);
 impl DeployClient {
     /// One connection to every instance of `deploy`.
     pub(super) fn connect(deploy: &Arc<Deployment>) -> io::Result<DeployClient> {
+        let caller = deploy.callers.enter();
         let conns = (0..deploy.instances())
             .map(|i| {
-                Client::connect_with_retry(&deploy.endpoint(i), Duration::from_secs(2)).map(Some)
+                Client::connect_with_retry(&deploy.endpoint(i), Duration::from_secs(2))
+                    .map(|c| Some(c.with_caller(Arc::clone(&caller))))
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(DeployClient {
             debt: AckDebt::new(conns.len()),
             deploy: Arc::clone(deploy),
+            caller,
             conns,
         })
     }
@@ -106,10 +113,8 @@ impl DeployClient {
             // Reconnect with backoff: a raced submit that lands while
             // instance `i` restarts rides out the respawn instead of
             // failing on the first refused connect.
-            self.conns[i] = Some(Client::connect_with_retry(
-                &self.deploy.endpoint(i),
-                RECONNECT_BUDGET,
-            )?);
+            let client = Client::connect_with_retry(&self.deploy.endpoint(i), RECONNECT_BUDGET)?;
+            self.conns[i] = Some(client.with_caller(Arc::clone(&self.caller)));
         }
         self.conns[i]
             .as_mut()

@@ -53,6 +53,7 @@ pub use fault::{FaultPlan, FaultPoint};
 
 use crate::client::Client;
 use crate::coordinator::{Coordination, DecisionStore, Resolver};
+use crate::poll::Callers;
 use crate::server::{Endpoint, ServerStats};
 use child::ChildSpec;
 
@@ -208,6 +209,9 @@ pub struct Deployment {
     /// A scripted fault waiting to fire (see [`FaultPlan`]).
     fault: Mutex<Option<FaultPlan>>,
     faults_fired: AtomicU64,
+    /// The live [`DeployClient`]s: the callers whose reply waits the poll
+    /// rule weighs in this process.
+    callers: Arc<Callers>,
 }
 
 impl Deployment {
@@ -297,6 +301,7 @@ impl Deployment {
             resolver,
             fault: Mutex::new(None),
             faults_fired: AtomicU64::new(0),
+            callers: Arc::default(),
         })
     }
 
@@ -382,9 +387,16 @@ impl Deployment {
     }
 
     /// Open one coordinator connection set (one socket per instance).
-    /// Each client thread should hold its own.
+    /// Each client thread should hold its own. While the live clients do
+    /// not outnumber the host's cpus, each polls its socket briefly for a
+    /// reply before it sleeps on it.
     pub fn client(self: &Arc<Self>) -> io::Result<DeployClient> {
         DeployClient::connect(self)
+    }
+
+    /// [`DeployClient`]s of this deployment not yet dropped.
+    pub fn live_clients(&self) -> usize {
+        self.callers.live()
     }
 
     /// SIGKILL instance `i` (no drain, no cleanup) — the fault injector's

@@ -22,8 +22,9 @@
 //!   becomes a call on, run on that session thread in both engine modes;
 //!   request pipelining (frames that arrive together run back-to-back
 //!   and their replies flush in one write; nothing waits for frames that
-//!   have not arrived), live counters, and graceful drain via a wire
-//!   message or the local handle.
+//!   have not arrived, though an idle session polls its socket briefly for
+//!   the next one before it sleeps), live counters, and graceful drain via
+//!   a wire message or the local handle.
 //! * [`client`] — the blocking client library: single connections
 //!   ([`Client`]), one-write pipelining, connect-with-backoff.
 //! * [`deploy`] — what a deployment is ([`DeployConfig`], lowered to one
@@ -69,6 +70,7 @@ pub mod client;
 pub mod cluster;
 mod coordinator;
 pub mod deploy;
+mod poll;
 pub mod server;
 pub mod wire;
 

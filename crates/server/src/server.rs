@@ -24,7 +24,10 @@
 //! in a single write — one syscall amortized over whatever a pipelining
 //! client shipped together. A session executes what has arrived and never
 //! waits for what has not: a closed-loop client's lone request runs the
-//! moment it is read.
+//! moment it is read. Once its replies are flushed, a session's wait for
+//! the next request polls the socket briefly before it parks in a blocking
+//! read, while the server's live sessions do not outnumber the host's cpus
+//! (`poll.rs`); that wait never holds back a frame that has arrived.
 //!
 //! **Drain**: a [`Request::Drain`] (or [`ServerHandle::initiate_shutdown`])
 //! raises the shared shutdown flag and connects to the server's own
@@ -50,6 +53,7 @@ use islands_storage::StorageError;
 use islands_workload::PlanRequest;
 
 use crate::cluster::Cluster;
+use crate::poll::{Caller, Callers, POLL_WINDOW};
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
 /// Where a server listens / a client connects.
@@ -334,11 +338,11 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Uds(l, _) => Ok(Conn::Uds(l.accept()?.0)),
+            Listener::Uds(l, _) => Ok(Conn::new(Stream::Uds(l.accept()?.0))),
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nodelay(true)?;
-                Ok(Conn::Tcp(s))
+                Ok(Conn::new(Stream::Tcp(s)))
             }
         }
     }
@@ -352,54 +356,149 @@ impl Drop for Listener {
     }
 }
 
-/// One accepted connection, transport-erased.
-pub(crate) enum Conn {
+/// A connected socket, transport-erased.
+enum Stream {
     Uds(UnixStream),
     Tcp(TcpStream),
 }
 
-impl Conn {
-    pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Self> {
-        match endpoint {
-            Endpoint::Uds(path) => Ok(Conn::Uds(UnixStream::connect(path)?)),
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true)?;
-                Ok(Conn::Tcp(s))
-            }
+impl Stream {
+    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Uds(s) => s.set_read_timeout(t),
+            Stream::Tcp(s) => s.set_read_timeout(t),
         }
     }
 
-    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
-            Conn::Uds(s) => s.set_read_timeout(t),
-            Conn::Tcp(s) => s.set_read_timeout(t),
+            Stream::Uds(s) => s.set_nonblocking(on),
+            Stream::Tcp(s) => s.set_nonblocking(on),
+        }
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
         }
     }
 }
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Uds(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
+/// One connection, either end: a socket whose reads poll, then park.
+///
+/// Every write tells the connection a frame is due back within microseconds
+/// — the reply to what a client sent, the next request of a closed-loop
+/// client a session just answered — so the reads that wait for it poll
+/// first (see [`crate::poll`]). The socket stays nonblocking across polls;
+/// it is switched back only to park: for the blocking `read` once a window
+/// runs out, and for a `write` the peer's full buffer refuses.
+pub(crate) struct Conn {
+    stream: Stream,
+    /// The socket's mode, so a steady polling loop costs no `ioctl`.
+    nonblocking: bool,
+    /// A write went out and no poll window has run out since.
+    expecting: bool,
+    /// Whose wait this is, for the caller rule; `None` never polls.
+    caller: Option<Arc<Caller>>,
+}
+
+impl Conn {
+    fn new(stream: Stream) -> Conn {
+        Conn {
+            stream,
+            nonblocking: false,
+            expecting: false,
+            caller: None,
         }
+    }
+
+    pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Self> {
+        match endpoint {
+            Endpoint::Uds(path) => Ok(Conn::new(Stream::Uds(UnixStream::connect(path)?))),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                Ok(Conn::new(Stream::Tcp(s)))
+            }
+        }
+    }
+
+    /// Let this connection's waits poll on behalf of `caller`.
+    pub(crate) fn set_caller(&mut self, caller: Arc<Caller>) {
+        self.caller = Some(caller);
+    }
+
+    /// Bound how long a parked read blocks. A polling read waits at most
+    /// [`POLL_WINDOW`] longer.
+    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(t)
+    }
+
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking = on;
+        }
+        Ok(())
+    }
+}
+
+impl Read for Conn {
+    /// Poll, then park: an expected frame is polled for with nonblocking
+    /// reads and `yield_now` for [`POLL_WINDOW`] while the caller may poll;
+    /// otherwise, or once the window runs out, one blocking read under the
+    /// armed timeout.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.expecting && self.caller.as_ref().is_some_and(|c| c.may_poll()) {
+            self.set_nonblocking(true)?;
+            let window_ends = Instant::now() + POLL_WINDOW;
+            loop {
+                match self.stream.read(buf) {
+                    Err(e)
+                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                    got => return got,
+                }
+                if Instant::now() >= window_ends {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            self.expecting = false;
+        }
+        self.set_nonblocking(false)?;
+        self.stream.read(buf)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Uds(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
+        loop {
+            match self.stream.write(buf) {
+                Ok(n) => {
+                    self.expecting = true;
+                    return Ok(n);
+                }
+                // A full peer buffer: park in a blocking write rather than
+                // fail the caller's `write_all` and drop the connection.
+                Err(e) if e.kind() == ErrorKind::WouldBlock && self.nonblocking => {
+                    self.set_nonblocking(false)?;
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
 
+    /// Sockets buffer nothing in user space.
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Uds(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -540,25 +639,40 @@ const SESSION_PRUNE_WATERMARK: usize = 64;
 
 /// Bookkeeping for spawned session threads.
 ///
-/// Finished handles are pruned whenever a push finds the list at the
+/// Finished handles are pruned whenever a spawn finds the list at the
 /// watermark, so the list stays O(live sessions) under connection churn
 /// instead of growing by one `JoinHandle` per connection ever accepted.
 struct SessionSet {
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// The live sessions: the callers whose waits the poll rule weighs. A
+    /// session leaves the count when its connection drops.
+    callers: Arc<Callers>,
 }
 
 impl SessionSet {
     fn new() -> Self {
         SessionSet {
             handles: Vec::new(),
+            callers: Arc::default(),
         }
     }
 
-    fn push(&mut self, handle: std::thread::JoinHandle<()>) {
+    /// Run `serve` over `conn` on a session thread of its own, counted live
+    /// for as long as it holds the connection.
+    fn spawn(
+        &mut self,
+        mut conn: Conn,
+        serve: impl FnOnce(Conn) + Send + 'static,
+    ) -> io::Result<()> {
+        conn.set_caller(self.callers.enter());
+        let handle = std::thread::Builder::new()
+            .name("islands-session".into())
+            .spawn(move || serve(conn))?;
         if self.handles.len() >= SESSION_PRUNE_WATERMARK {
             self.prune();
         }
         self.handles.push(handle);
+        Ok(())
     }
 
     fn prune(&mut self) {
@@ -601,14 +715,10 @@ fn accept_loop(
         let session = Arc::clone(&session);
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
-        sessions.push(
-            std::thread::Builder::new()
-                .name("islands-session".into())
-                .spawn(move || {
-                    // Per-connection errors end that session only.
-                    let _ = session(conn, &shutdown, &counters);
-                })?,
-        );
+        sessions.spawn(conn, move |conn| {
+            // Per-connection errors end that session only.
+            let _ = session(conn, &shutdown, &counters);
+        })?;
     }
     // Drain: stop accepting (listener drops below), let sessions finish.
     drop(listener);
@@ -680,7 +790,9 @@ pub(crate) fn session_loop(
         }
 
         if batch.is_empty() && pending_err.is_none() {
-            // Idle: block (bounded by the poll timeout) for more bytes.
+            // Idle: wait for more bytes. Right after a flush the wait polls
+            // first, since a closed-loop client's next frame is moments
+            // away; a parked read is bounded by the poll timeout.
             match reader.fill_from(&mut conn) {
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => {}
@@ -912,25 +1024,82 @@ mod tests {
     fn session_set_stays_bounded_under_sustained_churn() {
         // Regression: a server accepting connections back-to-back used to
         // accumulate one JoinHandle per connection forever. Pushing past the
-        // watermark must prune finished handles itself.
+        // watermark must prune finished handles itself. The live-session
+        // count the poll rule reads must come back down with them.
         let mut set = SessionSet::new();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (conn, _peer) = UnixStream::pair().expect("socket pair");
+        set.spawn(Conn::new(Stream::Uds(conn)), move |_conn| {
+            let _ = held.recv();
+        })
+        .expect("spawn held session");
         for i in 0..1_000 {
-            let h = std::thread::Builder::new()
-                .spawn(|| {})
+            let (conn, _peer) = UnixStream::pair().expect("socket pair");
+            set.spawn(Conn::new(Stream::Uds(conn)), drop)
                 .expect("spawn trivial session");
             // The session "finishes" before the next accept, as in
             // connect/close churn; wait so the prune sees it finished.
-            while !h.is_finished() {
+            while !set.handles.last().is_some_and(|h| h.is_finished()) {
                 std::thread::yield_now();
             }
-            set.push(h);
             assert!(
                 set.len() <= SESSION_PRUNE_WATERMARK + 1,
                 "handle list grew to {} after {} churned sessions",
                 set.len(),
                 i + 1,
             );
+            assert_eq!(set.callers.live(), 1, "only the held session is live");
         }
+        drop(release);
+        let callers = Arc::clone(&set.callers);
         set.join_all();
+        assert_eq!(callers.live(), 0, "every session left the count");
+    }
+
+    #[test]
+    fn a_write_the_peer_cannot_take_yet_parks_instead_of_failing() {
+        // A polled read leaves the socket nonblocking; a reply bigger than
+        // the peer's buffer must then wait for the peer, not surface as
+        // `WouldBlock` out of `write_all` and drop the connection.
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let mut conn = Conn::new(Stream::Uds(ours));
+        conn.set_nonblocking(true).expect("nonblocking");
+        let sent: Vec<u8> = (0..4 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let (mut theirs, mut got) = (theirs, Vec::new());
+            theirs.read_to_end(&mut got).map(|_| got)
+        });
+        conn.write_all(&sent)
+            .expect("write_all parks on a full buffer");
+        assert!(!conn.nonblocking, "the full buffer switched it to blocking");
+        drop(conn);
+        assert!(reader.join().expect("reader").expect("read") == sent);
+    }
+
+    #[test]
+    fn a_drain_landing_while_the_only_session_polls_is_joined_promptly() {
+        let sock = std::env::temp_dir().join(format!(
+            "islands-poll-drain-{}-{:?}.sock",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let session: Arc<SessionFn> = Arc::new(|conn, shutdown, counters| {
+            session_loop(conn, shutdown, counters, |_| Reply::Pong)
+        });
+        let handle = serve(&Endpoint::Uds(sock), None, session).expect("serve");
+        let mut client = crate::Client::connect(handle.endpoint()).expect("connect");
+        // The pong is flushed, so the session is polling for the next frame.
+        client.ping().expect("ping");
+        let started = Instant::now();
+        handle.initiate_shutdown();
+        handle.join().expect("join");
+        // Scheduling slack on a loaded host.
+        let bound = POLL_INTERVAL + POLL_WINDOW + Duration::from_millis(100);
+        assert!(
+            started.elapsed() < bound,
+            "join took {:?}",
+            started.elapsed()
+        );
     }
 }

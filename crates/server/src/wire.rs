@@ -589,9 +589,10 @@ pub struct FrameReader {
     /// Consumed prefix of `buf` (compacted opportunistically).
     start: usize,
     /// Reusable landing area for socket reads: zeroed once here, never
-    /// re-zeroed — `fill_from` sits in nonblocking poll loops (the server's
-    /// group-commit window), where a fresh `resize(.., 0)` per attempted
-    /// read would memset 16 KiB just to learn `WouldBlock`.
+    /// re-zeroed — `fill_from` runs on every wait for a frame, and a wait
+    /// that polls (a session after it flushed its replies, a deployment
+    /// client after it sent a frame) comes right back for the next one, so a
+    /// fresh `resize(.., 0)` per fill would memset 16 KiB per frame.
     scratch: Box<[u8]>,
 }
 

@@ -563,12 +563,18 @@ fn restart_instance_reclaims_stale_socket_and_serves_again() {
     // respawn on the same path must reclaim it (not fail with AddrInUse,
     // not leave a dead file that eats the next connection) and the
     // deployment's cached client must recover through its reconnect path.
+    // The live-client count the poll rule reads follows the clients, not
+    // their connections.
     let deploy = Arc::new(Deployment::spawn(&config(1, Transport::Uds)).unwrap());
     let sock = match deploy.endpoint(0) {
         Endpoint::Uds(p) => p,
         other => panic!("uds deployment, got {other:?}"),
     };
     let mut client = deploy.client().unwrap();
+    let other = deploy.client().unwrap();
+    assert_eq!(deploy.live_clients(), 2);
+    drop(other);
+    assert_eq!(deploy.live_clients(), 1);
     assert!(outcome(client.submit(&update(&[5])).unwrap()).committed);
 
     deploy.kill_instance(0).unwrap();
@@ -582,8 +588,10 @@ fn restart_instance_reclaims_stale_socket_and_serves_again() {
     let done = submit_until_committed(&mut client, &update(&[7]));
     assert!(!done.distributed);
 
+    assert_eq!(deploy.live_clients(), 1, "a reconnect is the same client");
     drop(fresh);
     drop(client);
+    assert_eq!(deploy.live_clients(), 0);
     let reports = Arc::try_unwrap(deploy)
         .ok()
         .expect("no other refs")
