@@ -107,6 +107,24 @@ impl Default for PartitionConfig {
     }
 }
 
+/// Refuse a partition nothing can be built from, before any file or page
+/// is touched.
+fn check_config(cfg: &PartitionConfig) -> Result<(), StorageError> {
+    let bad = |why: String| Err(StorageError::BadConfig(why));
+    match &cfg.tpcc {
+        None if cfg.lo >= cfg.hi => bad(format!("empty partition {}..{}", cfg.lo, cfg.hi)),
+        None if cfg.row_size < 8 => bad(format!(
+            "row size {} cannot hold the 8-byte audit counter",
+            cfg.row_size
+        )),
+        Some(t) if t.w_lo >= t.w_hi || t.w_hi > t.warehouses => bad(format!(
+            "bad warehouse range {}..{} of {}",
+            t.w_lo, t.w_hi, t.warehouses
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Participant-side outcome of executing and preparing one branch.
 pub enum BranchOutcome {
     /// Executed, prepare record forced; the handle holds locks until the
@@ -140,7 +158,9 @@ pub struct PartitionEngine {
 impl PartitionEngine {
     /// Create the instance and load its share of the data: rows `lo..hi` of
     /// the micro table, or — in TPC-C mode — every table of warehouses
-    /// `w_lo..w_hi` (keys are global in both modes).
+    /// `w_lo..w_hi` (keys are global in both modes), each table with one
+    /// sorted [`Table::load`]. A configuration nothing can be built from is
+    /// [`StorageError::BadConfig`] before any file or page is touched.
     ///
     /// With [`PartitionConfig::wal`] set and prior log records on the file,
     /// this is a **restart**: the page store is volatile, so the partition
@@ -149,6 +169,7 @@ impl PartitionEngine {
     /// old WAL is replayed over it — committed transactions redone, losers
     /// undone, surviving in-doubt branches parked for a [`Session::decide`].
     pub fn build(cfg: &PartitionConfig) -> Result<Self, StorageError> {
+        check_config(cfg)?;
         // Capture the previous incarnation's log *before* the new instance
         // starts appending to the same device.
         let (device, prior): (Arc<dyn LogDevice>, Vec<u8>) = match &cfg.wal {
@@ -175,23 +196,12 @@ impl PartitionEngine {
         let mut tables: [Option<Arc<Table>>; PLAN_TABLES] = Default::default();
         match &cfg.tpcc {
             None => {
-                assert!(cfg.lo < cfg.hi, "empty partition {}..{}", cfg.lo, cfg.hi);
-                assert!(cfg.row_size >= 8, "rows hold an 8-byte audit counter");
                 let table = inst.create_table(MICRO_TABLE_NAME, cfg.row_size)?;
                 let payload = vec![0u8; cfg.row_size];
-                for key in cfg.lo..cfg.hi {
-                    inst.load_row(&table, key, &payload)?;
-                }
+                table.load((cfg.lo..cfg.hi).map(|key| (key, &payload)))?;
                 tables[p::MICRO_TABLE as usize] = Some(table);
             }
             Some(t) => {
-                assert!(
-                    t.w_lo < t.w_hi && t.w_hi <= t.warehouses,
-                    "bad warehouse range {}..{} of {}",
-                    t.w_lo,
-                    t.w_hi,
-                    t.warehouses
-                );
                 let mut create = |plan_id: u32, name, row| {
                     let table = inst.create_table(name, row)?;
                     tables[plan_id as usize] = Some(Arc::clone(&table));
@@ -204,22 +214,28 @@ impl PartitionEngine {
                 // Append-only tables start empty; inserts create their rows.
                 create(p::TPCC_HISTORY, tpcc::T_HISTORY, tpcc::HISTORY_ROW)?;
                 create(p::TPCC_ORDER, tpcc::T_ORDER, tpcc::ORDER_ROW)?;
+                // Each table in one pass, its keys ascending in this order.
                 let w_row = vec![0u8; tpcc::WAREHOUSE_ROW];
                 let d_row = vec![0u8; tpcc::DISTRICT_ROW];
-                let c_row = vec![0u8; tpcc::CUSTOMER_ROW];
-                let s_row = vec![0u8; tpcc::STOCK_ROW];
-                for w in t.w_lo..t.w_hi {
-                    inst.load_row(&warehouse, w, &w_row)?;
-                    for d in 0..tpcc::DISTRICTS_PER_WAREHOUSE {
-                        inst.load_row(&district, tpcc::district_key(w, d), &d_row)?;
-                        for c in 0..tpcc::CUSTOMERS_PER_DISTRICT {
-                            inst.load_row(&customer, tpcc::customer_key(w, d, c), &c_row)?;
-                        }
-                    }
-                    for s in 0..tpcc::STOCK_PER_WAREHOUSE {
-                        inst.load_row(&stock, tpcc::stock_key(w, s), &s_row)?;
-                    }
-                }
+                let c_row = &vec![0u8; tpcc::CUSTOMER_ROW];
+                let s_row = &vec![0u8; tpcc::STOCK_ROW];
+                let warehouses = t.w_lo..t.w_hi;
+                let districts = warehouses
+                    .clone()
+                    .flat_map(|w| (0..tpcc::DISTRICTS_PER_WAREHOUSE).map(move |d| (w, d)));
+                warehouse.load(warehouses.clone().map(|w| (w, &w_row)))?;
+                district.load(
+                    districts
+                        .clone()
+                        .map(|(w, d)| (tpcc::district_key(w, d), &d_row)),
+                )?;
+                customer.load(districts.flat_map(|(w, d)| {
+                    (0..tpcc::CUSTOMERS_PER_DISTRICT)
+                        .map(move |c| (tpcc::customer_key(w, d, c), c_row))
+                }))?;
+                stock.load(warehouses.flat_map(|w| {
+                    (0..tpcc::STOCK_PER_WAREHOUSE).map(move |s| (tpcc::stock_key(w, s), s_row))
+                }))?;
             }
         }
         let engine = PartitionEngine {

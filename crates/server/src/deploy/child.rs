@@ -433,6 +433,38 @@ mod tests {
         }
     }
 
+    /// `--lo 5 --hi 5` and `--w-lo 3 --w-hi 2` describe no partition: the
+    /// child says why and exits 1, in either engine, instead of panicking.
+    #[test]
+    fn a_partition_nothing_can_be_built_from_exits_one_with_the_reason() {
+        let micro = DeployConfig::default();
+        let mut empty = spec_of(&micro, 0);
+        (empty.partition.lo, empty.partition.hi) = (5, 5);
+        let tpcc = DeployConfig {
+            workload: DeployWorkload::Tpcc { warehouses: 4 },
+            ..Default::default()
+        };
+        let mut backwards = spec_of(&tpcc, 0);
+        let range = backwards.partition.tpcc.as_mut().unwrap();
+        (range.w_lo, range.w_hi) = (3, 2);
+        for (mut spec, why) in [
+            (empty, "empty partition 5..5"),
+            (backwards, "range 3..2 of 4"),
+        ] {
+            for engine in [EngineMode::Locked, EngineMode::Serial] {
+                spec.engine = engine;
+                let Err(e) = Backend::build(engine, spec.partition.clone()) else {
+                    panic!("{engine}: built a partition from {why}");
+                };
+                assert!(
+                    matches!(&e, islands_storage::StorageError::BadConfig(m) if m.contains(why)),
+                    "{engine}: {e}"
+                );
+                assert_eq!(instance_child_main(spec.to_args()), 1, "{engine}: {why}");
+            }
+        }
+    }
+
     #[test]
     fn unknown_valueless_unparsable_and_missing_flags_are_typed_errors() {
         let tpcc = DeployConfig {

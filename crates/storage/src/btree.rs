@@ -10,6 +10,12 @@
 //! * Deletes are lazy: the key is removed from its leaf, but nodes are never
 //!   merged (a common production simplification; space is reclaimed only by
 //!   rebuilds).
+//! * A bulk [`load`](BTree::load) of ascending entries into an empty tree
+//!   builds it bottom-up: full leaves chained left to right (the empty root
+//!   leaf becomes the first), then each internal level over the one below.
+//!   Nodes are filled completely: a loaded table takes updates, not
+//!   inserts, so there is no room to leave; a later insert into a full
+//!   node splits it as any insert does.
 //!
 //! Node layout over a [`Page`] (common 16-byte header first):
 //!
@@ -147,6 +153,25 @@ fn int_insert_after(p: &mut Page, left_idx: usize, sep: u64, right: PageId) {
     shift_right(p, left_idx, n);
     set_entry(p, left_idx, sep, right.0);
     set_nkeys(p, n + 1);
+}
+
+/// Write `entries` into an empty node, in order.
+fn fill(p: &mut Page, entries: impl Iterator<Item = (u64, u64)>) {
+    let mut n = 0;
+    for (i, (k, v)) in entries.enumerate() {
+        set_entry(p, i, k, v);
+        n = i + 1;
+    }
+    set_nkeys(p, n);
+}
+
+/// A bulk load's next key must be above the one before it.
+pub(crate) fn check_ascending(prev: u64, key: u64) -> Result<()> {
+    match key.cmp(&prev) {
+        std::cmp::Ordering::Greater => Ok(()),
+        std::cmp::Ordering::Equal => Err(StorageError::DuplicateKey(key)),
+        std::cmp::Ordering::Less => Err(StorageError::UnsortedLoad { prev, key }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,6 +484,73 @@ impl BTree {
         right_pin.mark_dirty();
         int_insert_after(parent.page_mut(), child_idx, sep, right_pid);
         Ok(())
+    }
+
+    /// Fill this empty tree from `entries`, keys strictly ascending, bottom
+    /// up (see the module docs). Root, height and length are published once,
+    /// under the root write lock, which is held throughout; a rejected or
+    /// failed load leaves the tree empty.
+    pub fn load(&self, entries: &[(u64, u64)]) -> Result<()> {
+        entries
+            .windows(2)
+            .try_for_each(|w| check_ascending(w[0].0, w[1].0))?;
+        let mut rg = self.root.write();
+        let mut first = self.wlatch(*rg)?;
+        if !self.is_empty() || first.page().page_type() != PAGE_TYPE_BTREE_LEAF {
+            return Err(StorageError::NotEmpty("index".into()));
+        }
+        if entries.is_empty() {
+            return Ok(());
+        }
+        // Leaves after the first, each written whole and chained to the
+        // next. The first (the root leaf, latched) is written last, so
+        // nothing is visible before the load has succeeded.
+        let mut chunks = entries.chunks(self.max_keys);
+        let head = chunks.next().expect("entries is not empty");
+        let mut level = vec![(head[0].0, first.pid())];
+        let mut prev: Option<WNode<'_>> = None;
+        let mut second = PageId::INVALID;
+        for chunk in chunks {
+            let mut leaf = self.new_node(init_leaf)?;
+            fill(leaf.page_mut(), chunk.iter().copied());
+            match prev.as_mut() {
+                Some(p) => leaf_set_next(p.page_mut(), leaf.pid()),
+                None => second = leaf.pid(),
+            }
+            level.push((chunk[0].0, leaf.pid()));
+            prev = Some(leaf);
+        }
+        drop(prev);
+        // Internal levels: a node over up to `max_keys + 1` children, the
+        // smallest key under each child but the first as its separator. A
+        // lone child at a level's end gets a node with no separator, which
+        // every descent reads as "child 0".
+        let mut height = 1;
+        while level.len() > 1 {
+            let mut upper = Vec::with_capacity(level.len() / self.max_keys + 1);
+            for group in level.chunks(self.max_keys + 1) {
+                let mut node = self.new_node(|p| init_internal(p, group[0].1))?;
+                fill(node.page_mut(), group[1..].iter().map(|&(k, c)| (k, c.0)));
+                upper.push((group[0].0, node.pid()));
+            }
+            level = upper;
+            height += 1;
+        }
+        let p = first.page_mut();
+        fill(p, head.iter().copied());
+        leaf_set_next(p, second);
+        *rg = level[0].1;
+        self.height.store(height, Ordering::Release);
+        self.len.store(entries.len() as u64, Ordering::Release);
+        Ok(())
+    }
+
+    /// A fresh page formatted by `init`, write-latched and dirty.
+    fn new_node(&self, init: impl FnOnce(&mut Page)) -> Result<WNode<'_>> {
+        let pin = self.pool.new_page()?;
+        let mut g = pin.write();
+        init(&mut g);
+        Ok(WNode { g, pin })
     }
 
     /// Remove `key`; returns whether it was present. No rebalancing.

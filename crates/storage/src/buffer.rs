@@ -31,6 +31,11 @@
 //!   dirty or pinned.
 //! * **Clock eviction** with a reference bit, per shard; dirty victims are
 //!   written back through the store on eviction.
+//! * **A frame gets its 8 KB when a page first lands in it.** Creating the
+//!   pool allocates no page memory; a pool sized for the largest partition
+//!   costs a small one only the frames its pages fill. The victim search and
+//!   [`BufferPool::flush_all`] never touch the memory of a frame that has
+//!   never held a page.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -68,7 +73,8 @@ const MAP_CHUNKS: u64 = 1 << 12;
 /// pages, and one page's pin traffic is no business of the next one's.
 #[repr(align(64))]
 struct Frame {
-    page: RwLock<Page>,
+    /// Set by the first install into the frame, and kept.
+    page: OnceLock<RwLock<Page>>,
     /// The resident page, [`PageId::INVALID`] while free. Changed only while
     /// the frame is [`CLAIMED`], so a pin holder reads a settled value.
     pid: AtomicU64,
@@ -83,6 +89,14 @@ struct Frame {
 }
 
 impl Frame {
+    /// The frame's page latch. Only a frame that holds (or held) a page is
+    /// pinned, latched or written back, and its install gave it memory.
+    fn page(&self) -> &RwLock<Page> {
+        self.page
+            .get()
+            .expect("a frame that held a page has memory")
+    }
+
     /// Pin the frame unless the victim search has claimed it. `Acquire`
     /// pairs with the `Release` that ended the last claim (`install`'s
     /// `pin = 1` or [`unclaim`](Self::unclaim)), so the `pid` read after a
@@ -205,11 +219,11 @@ pub struct PinnedPage<'a> {
 
 impl<'a> PinnedPage<'a> {
     pub fn read(&self) -> PageRead<'a> {
-        self.frame.page.read()
+        self.frame.page().read()
     }
 
     pub fn write(&self) -> PageWrite<'a> {
-        self.frame.page.write()
+        self.frame.page().write()
     }
 
     /// Mark the page dirty (call while or after holding the write latch).
@@ -247,7 +261,7 @@ impl BufferPool {
         Arc::new(BufferPool {
             frames: (0..frames)
                 .map(|_| Frame {
-                    page: RwLock::new(Page::new()),
+                    page: OnceLock::new(),
                     pid: AtomicU64::new(PageId::INVALID.0),
                     pin: AtomicU32::new(0),
                     dirty: AtomicBool::new(false),
@@ -283,6 +297,15 @@ impl BufferPool {
 
     pub fn store(&self) -> &Arc<dyn PageStore> {
         &self.store
+    }
+
+    /// Frames that have been given page memory: at most one per page ever
+    /// installed, and never more than the capacity.
+    pub fn frames_with_memory(&self) -> usize {
+        self.frames
+            .iter()
+            .filter(|f| f.page.get().is_some())
+            .count()
     }
 
     /// Fetches answered from a resident frame.
@@ -374,7 +397,8 @@ impl BufferPool {
         let idx = self.take_victim(shard, hand)?;
         let frame = &self.frames[idx];
         {
-            let mut page = frame.page.write();
+            let latch = frame.page.get_or_init(|| RwLock::new(Page::new()));
+            let mut page = latch.write();
             if let Err(e) = fill(&mut page) {
                 drop(page);
                 frame.unclaim();
@@ -416,7 +440,7 @@ impl BufferPool {
                     continue;
                 };
                 let written =
-                    barrier().and_then(|()| self.store.write_page(resident, &f.page.read()));
+                    barrier().and_then(|()| self.store.write_page(resident, &f.page().read()));
                 if let Err(e) = written {
                     f.unclaim();
                     return Err(e);
@@ -442,8 +466,8 @@ impl BufferPool {
             }
             // No shard lock: a writer may hold this latch while it fetches
             // another page of the same shard. The latch alone pins down
-            // which page the frame holds.
-            let page = f.page.read();
+            // which page the frame holds. A dirty frame has held a page.
+            let page = f.page().read();
             let pid = PageId(f.pid.load(Ordering::Acquire));
             if !pid.is_valid() || !f.dirty.load(Ordering::Acquire) {
                 continue;
@@ -769,6 +793,60 @@ mod tests {
             2 * THREADS * 20_000 + PAGES,
             "every fetch is a hit or a miss"
         );
+    }
+
+    #[test]
+    fn only_frames_a_page_landed_in_hold_memory() {
+        let pool = stealing_pool(4096); // sixteen shards of 256
+        let with_memory =
+            |frames: &[Frame]| frames.iter().filter(|f| f.page.get().is_some()).count();
+        assert_eq!(pool.frames_with_memory(), 0, "creation allocates no page");
+        // Touch k pages: k frames get memory, and flushing them all gives
+        // the other 4096 - k frames none.
+        let k = 100;
+        let touched: Vec<PageId> = (0..k).map(|n| clean_page(&pool, n)).collect();
+        assert_eq!(pool.frames_with_memory(), k as usize);
+        pool.flush_all().unwrap();
+        assert_eq!(pool.frames_with_memory(), k as usize);
+
+        // Fill one shard well past its frames with pages from the store:
+        // clean evictions, then dirty ones (steals). Only that shard's
+        // frames gain memory, each once.
+        let shard = pool.shard_of(touched[0]);
+        let frames = &pool.frames[shard.first..shard.first + shard.len];
+        let others = with_memory(&pool.frames) - with_memory(frames);
+        let mut page = Page::new();
+        let mut mine = Vec::new();
+        while mine.len() < 3 * shard.len {
+            let pid = pool.store.allocate().unwrap();
+            if std::ptr::eq(pool.shard_of(pid), shard) {
+                page.write_u64(16, pid.0);
+                pool.store.write_page(pid, &page).unwrap();
+                mine.push(pid);
+            }
+        }
+        for (i, &pid) in mine.iter().enumerate() {
+            let pin = pool.fetch(pid).unwrap();
+            assert_eq!(pin.read().read_u64(16), pid.0);
+            if i >= shard.len {
+                pin.mark_dirty();
+            }
+        }
+        let stats = &pool.stats;
+        assert!(stats.evictions.load(Ordering::Relaxed) >= 2 * shard.len as u64);
+        assert!(
+            stats.writebacks.load(Ordering::Relaxed) > 0,
+            "nothing was stolen"
+        );
+        pool.flush_all().unwrap();
+        assert_eq!(
+            with_memory(frames),
+            shard.len,
+            "the shard's frames, once each"
+        );
+        assert_eq!(with_memory(&pool.frames) - shard.len, others);
+        assert!(pool.frames_with_memory() < k as usize + shard.len);
+        assert_one_frame_per_page(&pool);
     }
 
     #[test]

@@ -38,6 +38,15 @@ pub enum StorageError {
     LogPoisoned(String),
     /// Catalog page corrupt or of wrong version.
     CorruptCatalog(String),
+    /// A bulk load's keys were not ascending: `key` came after `prev`.
+    UnsortedLoad {
+        prev: u64,
+        key: u64,
+    },
+    /// A bulk load into a table (or index) that already holds rows.
+    NotEmpty(String),
+    /// A partition or table description nothing can be built from.
+    BadConfig(String),
 }
 
 impl fmt::Display for StorageError {
@@ -57,6 +66,11 @@ impl fmt::Display for StorageError {
             StorageError::CorruptLog(m) => write!(f, "corrupt log: {m}"),
             StorageError::LogPoisoned(m) => write!(f, "log device failed, log poisoned: {m}"),
             StorageError::CorruptCatalog(m) => write!(f, "corrupt catalog: {m}"),
+            StorageError::UnsortedLoad { prev, key } => {
+                write!(f, "bulk load out of order: key {key} after {prev}")
+            }
+            StorageError::NotEmpty(t) => write!(f, "bulk load into non-empty {t}"),
+            StorageError::BadConfig(m) => write!(f, "bad configuration: {m}"),
         }
     }
 }

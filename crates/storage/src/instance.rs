@@ -173,7 +173,10 @@ impl StorageInstance {
 
     // -- catalog -------------------------------------------------------------
 
+    /// Create an empty table; fill it with [`Table::load`]. A row size no
+    /// page can hold is refused before an id or a page is spent.
     pub fn create_table(&self, name: &str, row_size: usize) -> Result<Arc<Table>> {
+        Table::check_row_size(row_size)?;
         let id = self.next_table.fetch_add(1, Ordering::SeqCst) as u32;
         let table = Arc::new(Table::create(Arc::clone(&self.pool), id, name, row_size)?);
         let mut cat = self.catalog.write();
@@ -197,13 +200,6 @@ impl StorageInstance {
 
     pub fn table_names(&self) -> Vec<String> {
         self.catalog.read().by_name.keys().cloned().collect()
-    }
-
-    /// Bulk-load a row without logging or locking (initial data load, as in
-    /// the paper's experiment setup; follow with [`Self::checkpoint`]).
-    pub fn load_row(&self, table: &Arc<Table>, key: u64, payload: &[u8]) -> Result<()> {
-        table.insert_row(key, payload)?;
-        Ok(())
     }
 
     // -- transactions ---------------------------------------------------------
@@ -830,7 +826,7 @@ mod tests {
     fn commit_makes_changes_visible() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8])]).unwrap();
         let mut txn = inst.begin();
         txn.update("a", 1, &[9u8; 8]).unwrap();
         txn.commit().unwrap();
@@ -844,7 +840,7 @@ mod tests {
     fn abort_rolls_back_updates_and_inserts() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[1u8; 8]).unwrap();
+        t.load([(1, [1u8; 8])]).unwrap();
         let mut txn = inst.begin();
         txn.update("a", 1, &[2u8; 8]).unwrap();
         txn.insert("a", 5, &[5u8; 8]).unwrap();
@@ -859,7 +855,7 @@ mod tests {
     fn drop_without_commit_aborts() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[1u8; 8]).unwrap();
+        t.load([(1, [1u8; 8])]).unwrap();
         {
             let mut txn = inst.begin();
             txn.update("a", 1, &[9u8; 8]).unwrap();
@@ -872,10 +868,27 @@ mod tests {
     }
 
     #[test]
+    fn a_row_no_page_holds_is_refused_at_create_table() {
+        let inst = fresh(small_opts());
+        let pages = inst.pool().store().num_pages();
+        let too_big = crate::page::MAX_RECORD - 7;
+        assert!(matches!(
+            inst.create_table("big", too_big),
+            Err(StorageError::RecordTooLarge(n)) if n == too_big + 8
+        ));
+        assert_eq!(inst.pool().store().num_pages(), pages, "no page spent");
+        assert!(inst.table("big").is_err());
+        let t = inst.create_table("widest", too_big - 1).unwrap();
+        assert_eq!(t.id, 1, "the refused table spent no id");
+        t.load([(1, vec![5u8; too_big - 1])]).unwrap();
+        assert_eq!(t.get(1).unwrap(), Some(vec![5u8; too_big - 1]));
+    }
+
+    #[test]
     fn conflicting_writers_serialize_or_die() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8])]).unwrap();
         let mut t1 = inst.begin();
         let t2 = inst.begin(); // younger
         let mut t2 = t2;
@@ -895,9 +908,7 @@ mod tests {
             ..small_opts()
         });
         let t = inst.create_table("a", 8).unwrap();
-        for k in 0..64 {
-            inst.load_row(&t, k, &[0u8; 8]).unwrap();
-        }
+        t.load((0..64).map(|k| (k, [0u8; 8]))).unwrap();
         inst
     }
 
@@ -961,7 +972,7 @@ mod tests {
             ..small_opts()
         });
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8])]).unwrap();
         let mut t1 = inst.begin();
         let mut t2 = inst.begin();
         t1.update("a", 1, &[1u8; 8]).unwrap();
@@ -980,9 +991,7 @@ mod tests {
         {
             let inst = StorageInstance::create(Arc::clone(&store), dev.clone(), small_opts());
             let t = inst.create_table("a", 8).unwrap();
-            for k in 0..10u64 {
-                inst.load_row(&t, k, &[0u8; 8]).unwrap();
-            }
+            t.load((0..10u64).map(|k| (k, [0u8; 8]))).unwrap();
             inst.checkpoint().unwrap();
             // Committed update.
             let mut txn = inst.begin();
@@ -1018,7 +1027,7 @@ mod tests {
         {
             let inst = StorageInstance::create(Arc::clone(&store), dev.clone(), small_opts());
             let t = inst.create_table("a", 8).unwrap();
-            inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+            t.load([(1, [0u8; 8])]).unwrap();
             inst.checkpoint().unwrap();
             let mut txn = inst.begin();
             txn.update("a", 1, &[5u8; 8]).unwrap();
@@ -1049,9 +1058,7 @@ mod tests {
             let inst =
                 StorageInstance::create(Arc::new(MemStore::new()), dev.clone(), small_opts());
             let t = inst.create_table("a", 8).unwrap();
-            for k in 0..4u64 {
-                inst.load_row(&t, k, &[0u8; 8]).unwrap();
-            }
+            t.load((0..4u64).map(|k| (k, [0u8; 8]))).unwrap();
             inst.checkpoint().unwrap();
             let mut txn = inst.begin();
             txn.update("a", 1, &[1u8; 8]).unwrap();
@@ -1072,9 +1079,7 @@ mod tests {
         let inst =
             StorageInstance::create(Arc::new(MemStore::new()), MemLogDevice::new(), small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        for k in 0..4u64 {
-            inst.load_row(&t, k, &[0u8; 8]).unwrap();
-        }
+        t.load((0..4u64).map(|k| (k, [0u8; 8]))).unwrap();
         let in_doubt = inst.replay_log(&log_bytes).unwrap();
         assert_eq!(in_doubt.len(), 1);
         assert_eq!(in_doubt[0].gtid, 777);
@@ -1104,7 +1109,7 @@ mod tests {
         let build = |dev: Arc<MemLogDevice>| {
             let inst = StorageInstance::create(Arc::new(MemStore::new()), dev, small_opts());
             let t = inst.create_table("a", 8).unwrap();
-            inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+            t.load([(1, [0u8; 8])]).unwrap();
             inst
         };
         {
@@ -1135,8 +1140,7 @@ mod tests {
         });
         let inst = StorageInstance::create(Arc::new(MemStore::new()), dev, small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
-        inst.load_row(&t, 2, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8]), (2, [0u8; 8])]).unwrap();
         let mut txn = inst.begin();
         txn.update("a", 1, &[1u8; 8]).unwrap();
         txn.commit().unwrap();
@@ -1174,9 +1178,7 @@ mod tests {
             },
         );
         let t = inst.create_table("a", 64).unwrap();
-        for k in 0..2000u64 {
-            inst.load_row(&t, k, &[0u8; 64]).unwrap();
-        }
+        t.load((0..2000u64).map(|k| (k, [0u8; 64]))).unwrap();
         let mut txn = inst.begin();
         let wrote = (0..2000u64).try_for_each(|k| txn.update("a", k, &[7u8; 64]));
         std::mem::forget(txn);
@@ -1208,7 +1210,7 @@ mod tests {
     fn read_only_prepare_votes_read_only() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8])]).unwrap();
         let mut txn = inst.begin();
         assert_eq!(txn.read("a", 1).unwrap(), Some(vec![0u8; 8]));
         assert_eq!(txn.prepare(1).unwrap(), PrepareVote::ReadOnly);
@@ -1221,8 +1223,7 @@ mod tests {
     fn prepared_participant_decides_commit_and_abort() {
         let inst = fresh(small_opts());
         let t = inst.create_table("a", 8).unwrap();
-        inst.load_row(&t, 1, &[0u8; 8]).unwrap();
-        inst.load_row(&t, 2, &[0u8; 8]).unwrap();
+        t.load([(1, [0u8; 8]), (2, [0u8; 8])]).unwrap();
         // Commit path.
         let mut txn = inst.begin();
         txn.update("a", 1, &[1u8; 8]).unwrap();
@@ -1247,9 +1248,8 @@ mod tests {
         });
         let t = inst.create_table("acct", 8).unwrap();
         let n_accounts = 16u64;
-        for k in 0..n_accounts {
-            inst.load_row(&t, k, &100u64.to_le_bytes()).unwrap();
-        }
+        t.load((0..n_accounts).map(|k| (k, 100u64.to_le_bytes())))
+            .unwrap();
         let mut handles = Vec::new();
         for w in 0..4 {
             let inst = Arc::clone(&inst);

@@ -165,6 +165,9 @@ const SLOT_ENTRY: usize = 4;
 /// Marker for a deleted slot.
 const DEAD: u16 = u16::MAX;
 
+/// Largest record an empty slotted page holds (with its slot entry).
+pub const MAX_RECORD: usize = PAGE_SIZE - DATA_START - SLOT_ENTRY;
+
 /// Slotted-page operations, implemented directly on [`Page`].
 impl Page {
     /// Format this page as an empty slotted page.
@@ -202,24 +205,34 @@ impl Page {
         dir_start.saturating_sub(free)
     }
 
+    /// Whether a `len`-byte record and its slot entry fit.
+    pub fn has_room(&self, len: usize) -> bool {
+        len <= MAX_RECORD && self.free_space() >= len + SLOT_ENTRY
+    }
+
     /// Append a record; returns its slot number or `None` if it doesn't fit
     /// (including the new slot directory entry).
     pub fn insert_record(&mut self, rec: &[u8]) -> Option<u16> {
-        if rec.len() > u16::MAX as usize - 1 {
-            return None;
-        }
-        if self.free_space() < rec.len() + SLOT_ENTRY {
+        let (slot, space) = self.reserve_record(rec.len())?;
+        space.copy_from_slice(rec);
+        Some(slot)
+    }
+
+    /// Append a `len`-byte record for the caller to write in place; `None`
+    /// if it doesn't fit (including the new slot directory entry).
+    pub fn reserve_record(&mut self, len: usize) -> Option<(u16, &mut [u8])> {
+        if !self.has_room(len) {
             return None;
         }
         let slot = self.slot_count();
         let off = self.read_u16(FREE_OFF);
-        self.data[off as usize..off as usize + rec.len()].copy_from_slice(rec);
         let dir = self.slot_dir_off(slot);
         self.write_u16(dir, off);
-        self.write_u16(dir + 2, rec.len() as u16);
-        self.write_u16(FREE_OFF, off + rec.len() as u16);
+        self.write_u16(dir + 2, len as u16);
+        self.write_u16(FREE_OFF, off + len as u16);
         self.write_u16(SLOT_COUNT_OFF, slot + 1);
-        Some(slot)
+        let start = off as usize;
+        Some((slot, &mut self.data[start..start + len]))
     }
 
     /// Byte range of the live record in `slot`.

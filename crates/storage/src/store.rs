@@ -73,7 +73,11 @@ impl PageStore for MemStore {
             }
             pages.resize_with(idx + 1, || None);
         }
-        pages[idx] = Some(Box::new(*page.data));
+        // A page written before is copied into its buffer: no allocation.
+        match &mut pages[idx] {
+            Some(bytes) => bytes.copy_from_slice(&page.data[..]),
+            slot => *slot = Some(page.data.clone()),
+        }
         Ok(())
     }
 
@@ -175,6 +179,23 @@ mod tests {
     #[test]
     fn memstore_round_trip() {
         round_trip(&MemStore::new());
+    }
+
+    #[test]
+    fn memstore_rewrites_a_page_where_it_lies() {
+        let s = MemStore::new();
+        let pid = s.allocate().unwrap();
+        let mut page = Page::new();
+        page.write_u64(100, 1);
+        s.write_page(pid, &page).unwrap();
+        let buffer = s.pages.read()[pid.0 as usize].as_ref().unwrap().as_ptr();
+        page.write_u64(100, 2);
+        s.write_page(pid, &page).unwrap();
+        let mut read = Page::new();
+        s.read_page(pid, &mut read).unwrap();
+        assert_eq!(read.read_u64(100), 2);
+        let again = s.pages.read()[pid.0 as usize].as_ref().unwrap().as_ptr();
+        assert_eq!(again, buffer, "the second write reused the first's buffer");
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! Rows are fixed-size `(key: u64, payload: [u8; row_size])` records — the
 //! shape of the paper's microbenchmark table (240 000 rows ≈ 60 MB ⇒ ~260
 //! bytes per row) and of the TPC-C-lite tables in `islands-workload`.
+//!
+//! A table's initial rows go in with one [`Table::load`]: rows in
+//! ascending key order, checked whole before a page is written, then the
+//! heap appended page by page and the index built bottom-up. That is the
+//! only load path; [`Table::insert_row`] is the transactional one.
 
 use std::sync::Arc;
 
-use crate::btree::BTree;
+use crate::btree::{check_ascending, BTree};
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::heap::HeapFile;
-use crate::page::{PageId, Rid};
+use crate::page::{PageId, Rid, MAX_RECORD};
 
 /// Metadata persisted in the catalog page for re-opening a table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +40,9 @@ pub struct Table {
 }
 
 impl Table {
+    /// A new empty table; a row no page can hold is refused up front.
     pub fn create(pool: Arc<BufferPool>, id: u32, name: &str, row_size: usize) -> Result<Table> {
+        Self::check_row_size(row_size)?;
         Ok(Table {
             id,
             name: name.to_owned(),
@@ -68,6 +75,15 @@ impl Table {
         }
     }
 
+    /// Whether a `(key, payload)` record of `row_size` payload bytes fits a
+    /// heap page.
+    pub(crate) fn check_row_size(row_size: usize) -> Result<()> {
+        if 8 + row_size > MAX_RECORD {
+            return Err(StorageError::RecordTooLarge(8 + row_size));
+        }
+        Ok(())
+    }
+
     pub(crate) fn check_payload(&self, payload: &[u8]) -> Result<()> {
         if payload.len() != self.row_size {
             return Err(StorageError::RecordTooLarge(payload.len()));
@@ -87,6 +103,41 @@ impl Table {
         let rid = self.heap.insert(&rec)?;
         self.index.insert(key, rid.pack())?;
         Ok(rid)
+    }
+
+    /// Fill this empty table with `rows`, keys strictly ascending: the
+    /// heap page by page, the index bottom-up. Nothing is written until
+    /// every row has been checked (order, payload size, the table empty);
+    /// a rejected load is a typed error and leaves the table reading as
+    /// empty. The rows are walked twice, to check and then to write.
+    pub fn load<I, P>(&self, rows: I) -> Result<()>
+    where
+        I: IntoIterator<Item = (u64, P)>,
+        I::IntoIter: Clone,
+        P: AsRef<[u8]>,
+    {
+        let rows = rows.into_iter();
+        if self.row_count() != 0 || self.index.height() != 1 {
+            return Err(StorageError::NotEmpty(format!("table {}", self.name)));
+        }
+        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(rows.size_hint().0);
+        for (key, payload) in rows.clone() {
+            self.check_payload(payload.as_ref())?;
+            if let Some(&(prev, _)) = entries.last() {
+                check_ascending(prev, key)?;
+            }
+            entries.push((key, 0));
+        }
+        let rids = self
+            .heap
+            .append(8 + self.row_size, rows, |(key, payload), rec| {
+                rec[..8].copy_from_slice(&key.to_le_bytes());
+                rec[8..].copy_from_slice(payload.as_ref());
+            })?;
+        for (entry, rid) in entries.iter_mut().zip(rids) {
+            entry.1 = rid.pack();
+        }
+        self.index.load(&entries)
     }
 
     /// Read a row's payload.

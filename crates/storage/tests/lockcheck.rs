@@ -23,9 +23,7 @@ fn fresh(single_threaded: bool) -> Arc<StorageInstance> {
         },
     );
     let t = inst.create_table("a", 16).unwrap();
-    for k in 0..100u64 {
-        inst.load_row(&t, k, &[0u8; 16]).unwrap();
-    }
+    t.load((0..100u64).map(|k| (k, [0u8; 16]))).unwrap();
     inst
 }
 

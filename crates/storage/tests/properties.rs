@@ -3,13 +3,65 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use islands_storage::btree::BTree;
+use islands_storage::btree::{BTree, MAX_FANOUT};
 use islands_storage::buffer::BufferPool;
 use islands_storage::lock::{Acquire, LockId, LockMode, LockTable};
 use islands_storage::store::MemStore;
+use islands_storage::table::Table;
 use islands_storage::wal::record::{decode, encode, encoded_len, LogPayload};
-use islands_storage::TxnId;
+use islands_storage::{StorageError, TxnId};
 use proptest::prelude::*;
+
+/// Keys the bulk-load properties draw from: small enough that edits hit
+/// loaded keys, large enough for a default-fanout tree of two levels.
+const KEY_SPACE: u64 = 4096;
+
+/// A pool that may steal dirty pages (no WAL to force first).
+fn stealing_pool(frames: usize) -> Arc<BufferPool> {
+    let pool = BufferPool::new(Arc::new(MemStore::new()), frames);
+    pool.set_wal_barrier(Arc::new(|| Ok(())));
+    pool
+}
+
+/// A strictly ascending key set.
+fn ascending_keys() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0..KEY_SPACE, 0..2000).prop_map(|mut keys| {
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    })
+}
+
+/// Inserts (`true`) and deletes of keys in the key space.
+fn edits() -> impl Strategy<Value = Vec<(bool, u64)>> {
+    prop::collection::vec((any::<bool>(), 0..KEY_SPACE), 0..200)
+}
+
+/// A payload that names its key.
+fn row_of(key: u64) -> Vec<u8> {
+    [key.to_le_bytes(), (!key).to_le_bytes()].concat()
+}
+
+/// Two trees answer every get, a full scan, the `lo..=hi` scan and `len`
+/// alike.
+fn same_trees(a: &BTree, b: &BTree, (lo, hi): (u64, u64)) {
+    for k in 0..KEY_SPACE {
+        prop_assert_eq!(a.get(k).unwrap(), b.get(k).unwrap(), "get {}", k);
+    }
+    prop_assert_eq!(a.range(0, u64::MAX).unwrap(), b.range(0, u64::MAX).unwrap());
+    prop_assert_eq!(a.range(lo, hi).unwrap(), b.range(lo, hi).unwrap());
+    prop_assert_eq!(a.len(), b.len());
+}
+
+/// [`same_trees`] for tables: payloads, row counts.
+fn same_tables(a: &Table, b: &Table, (lo, hi): (u64, u64)) {
+    for k in 0..KEY_SPACE {
+        prop_assert_eq!(a.get(k).unwrap(), b.get(k).unwrap(), "get {}", k);
+    }
+    prop_assert_eq!(a.range(0, u64::MAX).unwrap(), b.range(0, u64::MAX).unwrap());
+    prop_assert_eq!(a.range(lo, hi).unwrap(), b.range(lo, hi).unwrap());
+    prop_assert_eq!(a.row_count(), b.row_count());
+}
 
 #[derive(Debug, Clone)]
 enum TreeOp {
@@ -70,6 +122,71 @@ proptest! {
             }
         }
         prop_assert_eq!(tree.len(), model.len() as u64);
+    }
+
+    /// A tree built bottom-up by `load` answers exactly like one built by
+    /// inserting the same keys one at a time — at the default fanout and at
+    /// a small one — is never taller, and stays alike under later inserts
+    /// and deletes applied to both.
+    #[test]
+    fn a_bulk_loaded_btree_matches_one_built_by_inserts(
+        keys in ascending_keys(),
+        small_fanout in any::<bool>(),
+        edits in edits(),
+        a in 0..KEY_SPACE,
+        b in 0..KEY_SPACE,
+    ) {
+        let fanout = if small_fanout { 5 } else { MAX_FANOUT };
+        let tree = || BTree::create_with_fanout(stealing_pool(256), fanout).unwrap();
+        let (loaded, inserted) = (tree(), tree());
+        let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 3 + 1)).collect();
+        loaded.load(&entries).unwrap();
+        for &(k, v) in &entries {
+            inserted.insert(k, v).unwrap();
+        }
+        prop_assert!(loaded.height() <= inserted.height());
+        let range = (a.min(b), a.max(b));
+        same_trees(&loaded, &inserted, range);
+        for (insert, k) in edits {
+            if insert {
+                prop_assert_eq!(loaded.insert(k, k).is_ok(), inserted.insert(k, k).is_ok());
+            } else {
+                prop_assert_eq!(loaded.delete(k).unwrap(), inserted.delete(k).unwrap());
+            }
+        }
+        same_trees(&loaded, &inserted, range);
+    }
+
+    /// The same for a whole table: `Table::load` against `insert_row` per
+    /// row, payloads included.
+    #[test]
+    fn a_bulk_loaded_table_matches_one_built_row_by_row(
+        keys in ascending_keys(),
+        edits in edits(),
+        a in 0..KEY_SPACE,
+        b in 0..KEY_SPACE,
+    ) {
+        let table = || Table::create(stealing_pool(256), 1, "t", 16).unwrap();
+        let (loaded, inserted) = (table(), table());
+        loaded.load(keys.iter().map(|&k| (k, row_of(k)))).unwrap();
+        for &k in &keys {
+            inserted.insert_row(k, &row_of(k)).unwrap();
+        }
+        prop_assert!(loaded.index_height() <= inserted.index_height());
+        let range = (a.min(b), a.max(b));
+        same_tables(&loaded, &inserted, range);
+        for (insert, k) in edits {
+            if insert {
+                let row = row_of(k.wrapping_mul(7));
+                prop_assert_eq!(
+                    loaded.insert_row(k, &row).is_ok(),
+                    inserted.insert_row(k, &row).is_ok()
+                );
+            } else {
+                prop_assert_eq!(loaded.delete_row(k).unwrap(), inserted.delete_row(k).unwrap());
+            }
+        }
+        same_tables(&loaded, &inserted, range);
     }
 
     /// Log records survive an encode/decode round trip, byte-exactly.
@@ -145,4 +262,61 @@ proptest! {
         }
         prop_assert_eq!(lt.active_locks(), 0, "all entries drained");
     }
+}
+
+/// Every way a load can be malformed is a typed error raised before a page
+/// is written, and the table still reads as empty (and still loads).
+#[test]
+fn a_rejected_load_is_a_typed_error_and_leaves_no_row_visible() {
+    type Check = fn(&StorageError) -> bool;
+    type Rows = Vec<(u64, Vec<u8>)>;
+    let row = |k: u64| (k, row_of(k));
+    let cases: [(&str, Rows, Check); 3] = [
+        ("unsorted", vec![row(1), row(3), row(2)], |e| {
+            matches!(e, StorageError::UnsortedLoad { prev: 3, key: 2 })
+        }),
+        ("duplicate", vec![row(1), row(2), row(2)], |e| {
+            matches!(e, StorageError::DuplicateKey(2))
+        }),
+        ("payload", vec![row(1), (2, vec![0u8; 15])], |e| {
+            matches!(e, StorageError::RecordTooLarge(15))
+        }),
+    ];
+    for (what, rows, rejected) in cases {
+        let pool = stealing_pool(64);
+        let t = Table::create(Arc::clone(&pool), 1, "t", 16).unwrap();
+        let pages = pool.store().num_pages();
+        let err = t.load(rows).unwrap_err();
+        assert!(rejected(&err), "{what}: {err}");
+        assert_eq!(
+            pool.store().num_pages(),
+            pages,
+            "{what}: a page was allocated"
+        );
+        assert_eq!(t.row_count(), 0, "{what}");
+        assert!(t.range(0, u64::MAX).unwrap().is_empty(), "{what}");
+        assert_eq!(t.get(1).unwrap(), None, "{what}");
+        t.load([row(1), row(2)]).unwrap();
+        assert_eq!(t.get(2).unwrap(), Some(row_of(2)), "{what}: loads after");
+    }
+
+    // A table that holds rows, loaded or inserted, takes no load.
+    let t = Table::create(stealing_pool(64), 1, "t", 16).unwrap();
+    t.load([row(1)]).unwrap();
+    assert!(matches!(t.load([row(5)]), Err(StorageError::NotEmpty(_))));
+    let u = Table::create(stealing_pool(64), 2, "u", 16).unwrap();
+    u.insert_row(1, &row_of(1)).unwrap();
+    assert!(matches!(u.load([row(5)]), Err(StorageError::NotEmpty(_))));
+    for t in [&t, &u] {
+        assert_eq!(t.range(0, u64::MAX).unwrap(), vec![row(1)]);
+        assert_eq!(t.get(5).unwrap(), None);
+    }
+    // So does an index.
+    let tree = BTree::create(stealing_pool(64)).unwrap();
+    tree.insert(1, 1).unwrap();
+    assert!(matches!(
+        tree.load(&[(5, 5)]),
+        Err(StorageError::NotEmpty(_))
+    ));
+    assert_eq!(tree.range(0, u64::MAX).unwrap(), vec![(1, 1)]);
 }

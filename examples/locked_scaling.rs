@@ -6,10 +6,11 @@
 //!
 //! Run with: `cargo run --release --example locked_scaling -- SESSIONS SECONDS`
 //!
-//! Prints throughput, user/sys CPU per transaction (`/proc/self/stat`; zero
-//! where there is no procfs), retries, lock waits and wait-die kills, pool
-//! hits and misses per transaction, and how steady the run was (IQR/median
-//! of the 250 ms windows).
+//! Prints how long the partition took to build and how many pool frames
+//! hold page memory after it, then throughput, user/sys CPU per transaction
+//! (`/proc/self/stat`; zero where there is no procfs), retries, lock waits
+//! and wait-die kills, pool hits and misses per transaction, and how steady
+//! the run was (IQR/median of the 250 ms windows).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -59,6 +60,7 @@ fn main() {
     assert!((1..256).contains(&sessions), "1..=255 sessions");
 
     oltp_islands::obs::set_enabled(false);
+    let building = Instant::now();
     let engine = PartitionEngine::build(&PartitionConfig {
         tpcc: Some(TpccPartition {
             warehouses: WAREHOUSES,
@@ -68,6 +70,13 @@ fn main() {
         ..Default::default()
     })
     .expect("build the partition");
+    let pool = engine.instance().pool();
+    println!(
+        "build {:.1} ms  frames with memory {} of {}",
+        building.elapsed().as_secs_f64() * 1e3,
+        pool.frames_with_memory(),
+        pool.capacity(),
+    );
     let spec = TpccSpec {
         warehouses: WAREHOUSES,
         remote_pct: 0.15,

@@ -82,9 +82,7 @@ fn recovery_across_checkpoint_and_2pc() {
             },
         );
         let t = inst.create_table("t", 16).unwrap();
-        for k in 0..50u64 {
-            inst.load_row(&t, k, &[0u8; 16]).unwrap();
-        }
+        t.load((0..50u64).map(|k| (k, [0u8; 16]))).unwrap();
         inst.checkpoint().unwrap();
         // One committed txn, one in-doubt prepared txn.
         let mut a = inst.begin();
