@@ -109,9 +109,9 @@ OPTIONS:
                         process (A/B baseline for obs overhead; wire counters
                         and final stats stay on)
   --json PATH           islands-sweep/1 output (default BENCH_sweep.json)
-  --scrape-out PATH     write the raw per-instance islands-obs/1 snapshot
-                        lines scraped from each live cell to PATH (what the
-                        CI sweep job uploads as its artifact)
+  --scrape-out PATH     write the per-instance JSON snapshot lines scraped
+                        from each live cell to PATH (what the CI sweep job
+                        uploads as its artifact)
   -h, --help            print this help
 ";
 
@@ -797,23 +797,22 @@ fn cell_json(c: &Cell) -> String {
     )
 }
 
-/// One cell's raw per-instance scrape as `islands-obs/1` lines: cell
-/// identity first, then the instance's wire counters, then the snapshot's
-/// flat fields — the artifact the CI sweep job uploads.
+/// One cell's raw per-instance scrape as obs JSON lines: cell identity
+/// first, then the instance's wire counters, then the snapshot's flat
+/// fields — the artifact the CI sweep job uploads.
 fn scrape_lines(c: &Cell, out: &mut String) {
     for (i, (server, snap)) in c.scrapes.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"schema\":\"islands-obs/1\",{},\
-             \"instance\":{i},\"commits\":{},\"aborts\":{},\"prepares\":{},\
-             \"decisions\":{},\"in_doubt\":{},{}}}\n",
+        out.push_str(&snap.json_line(&format!(
+            "{},\"instance\":{i},\"commits\":{},\"aborts\":{},\"prepares\":{},\
+             \"decisions\":{},\"in_doubt\":{}",
             c.identity_json(),
             server.commits,
             server.aborts,
             server.prepares,
             server.decisions,
             server.in_doubt,
-            snap.json_fields(),
-        ));
+        )));
+        out.push('\n');
     }
 }
 

@@ -17,7 +17,7 @@
 //! snapshots, which is exactly the deployment-wide aggregation
 //! [`islands_obs::Snapshot::merge`] defines.
 //!
-//! `--json` swaps the table for one `islands-obs/1` JSON line per instance
+//! `--json` swaps the table for one [`Snapshot::json_line`] per instance
 //! per tick (flat keys, scannable with `islands_bench::jsonscan`), which is
 //! what the sweep's scrape artifact and the CI smoke check consume.
 
@@ -39,7 +39,7 @@ OPTIONS:
   --interval SECS   seconds between scrapes (default 1.0)
   --iterations N    stop after N ticks (default: run until interrupted
                     or an instance becomes unreachable)
-  --json            emit one islands-obs/1 JSON line per instance per tick
+  --json            emit one JSON snapshot line per instance per tick
                     instead of the table
   -h, --help        print this help
 ";
@@ -96,15 +96,14 @@ struct Tracked {
     prev: Option<(Instant, ServerStats)>,
 }
 
-/// One `islands-obs/1` line: identity fields first, then the wire counters,
-/// then the snapshot's flat fields. Top-level keys are unique, so
-/// `jsonscan`'s first-occurrence scanners read any of them exactly.
+/// One instance's line: identity fields first, then the wire counters, then
+/// the snapshot's flat fields. Top-level keys are unique, so `jsonscan`'s
+/// first-occurrence scanners read any of them exactly.
 fn json_line(instance: usize, tick: u64, tps: f64, server: &ServerStats, obs: &Snapshot) -> String {
-    format!(
-        "{{\"schema\":\"islands-obs/1\",\"instance\":{instance},\"tick\":{tick},\
-         \"tps\":{tps:.1},\"connections\":{},\"requests\":{},\"commits\":{},\
-         \"aborts\":{},\"errors\":{},\"prepares\":{},\"decisions\":{},\
-         \"presumed_aborts\":{},\"in_doubt\":{},{}}}",
+    obs.json_line(&format!(
+        "\"instance\":{instance},\"tick\":{tick},\"tps\":{tps:.1},\"connections\":{},\
+         \"requests\":{},\"commits\":{},\"aborts\":{},\"errors\":{},\"prepares\":{},\
+         \"decisions\":{},\"presumed_aborts\":{},\"in_doubt\":{}",
         server.connections,
         server.requests,
         server.commits,
@@ -114,8 +113,7 @@ fn json_line(instance: usize, tick: u64, tps: f64, server: &ServerStats, obs: &S
         server.decisions,
         server.presumed_aborts,
         server.in_doubt,
-        obs.json_fields(),
-    )
+    ))
 }
 
 /// Merged p99 server-side handling latency across both txn classes, µs.

@@ -2,7 +2,7 @@
 //!
 //! The offline build has no JSON library, and the only JSON this repo needs
 //! to *read back* is JSON it wrote itself (the `islands-sweep/1` document
-//! the smoke test checks, `islands-obs/1` scrape lines), which is emitted
+//! the smoke test checks, the obs scrape lines), which is emitted
 //! one object per line with top-level fields before any nested object.
 //! Under that discipline, scanning for the **first** occurrence of `"key":`
 //! in a line is exact — this is not a JSON parser and must not be pointed at

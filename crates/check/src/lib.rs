@@ -60,6 +60,12 @@ const HOT_LOOP_FILES: &[&str] = &[
 /// Sharded atomics only.
 const NO_LOCK_SCOPES: &[&str] = &["crates/obs/src/"];
 
+/// The obs JSON line's schema marker, which only its one writer
+/// (`islands_obs::Snapshot::json_line`, under [`OBS_LINE_WRITER`]) may
+/// spell. Split so this file does not flag itself.
+const OBS_SCHEMA: &str = concat!("islands-obs", "/1");
+const OBS_LINE_WRITER: &str = "crates/obs/src/";
+
 /// The rule identifiers, as they appear in findings and `lint-allow.txt`.
 pub const RULES: &[(&str, &str)] = &[
     (
@@ -81,6 +87,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-obs-locks",
         "no Mutex/RwLock in the obs hot path (sharded atomics only)",
+    ),
+    (
+        "one-obs-line-writer",
+        "the obs JSON line's schema marker only in crates/obs (Snapshot::json_line)",
     ),
 ];
 
@@ -225,6 +235,7 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     let in_lock_scope = NO_LOCK_SCOPES.iter().any(|s| rel.starts_with(s));
     let is_hot_loop = HOT_LOOP_FILES.contains(&rel);
     let is_crate_root = rel.starts_with("crates/") && rel.ends_with("/src/lib.rs");
+    let writes_obs_lines = rel.starts_with(OBS_LINE_WRITER);
 
     let mut push = |rule, line, excerpt: &str| {
         findings.push(Finding {
@@ -256,6 +267,9 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
         }
         if in_lock_scope && (code.contains("Mutex") || code.contains("RwLock")) {
             push("no-obs-locks", i + 1, line);
+        }
+        if !writes_obs_lines && code.contains(OBS_SCHEMA) {
+            push("one-obs-line-writer", i + 1, line);
         }
     }
 
@@ -485,6 +499,26 @@ mod tests {
         );
         let r = run_lint(&t.root).unwrap();
         assert!(r.findings.is_empty(), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn obs_schema_marker_outside_its_one_writer_is_flagged() {
+        let t = TempTree::new();
+        let writer =
+            "pub fn line() -> &'static str { \"{\\\"schema\\\":\\\"islands-obs/1\\\"}\" }\n";
+        t.write("crates/bench/src/lib.rs", CLEAN_LIB);
+        t.write("crates/bench/src/bin/top.rs", writer);
+        // The writer's own crate, and any test section, may spell it.
+        t.write("crates/obs/src/lib.rs", CLEAN_LIB);
+        t.write("crates/obs/src/snapshot.rs", writer);
+        t.write(
+            "crates/server/src/lib.rs",
+            &format!("{CLEAN_LIB}#[cfg(test)]\nmod tests {{\n{writer}}}\n"),
+        );
+        let r = run_lint(&t.root).unwrap();
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "one-obs-line-writer");
+        assert_eq!(r.findings[0].file, "crates/bench/src/bin/top.rs");
     }
 
     #[test]

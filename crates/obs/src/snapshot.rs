@@ -20,6 +20,10 @@ pub const SNAPSHOT_VERSION: u8 = 2;
 /// 6 histograms of (count + sum + BUCKETS) u64s.
 pub const ENCODED_LEN: usize = 2 + 8 * (2 + 3 + NCLASSES + NCLASSES * NCATS + 6 * (2 + BUCKETS));
 
+/// The schema marker of the JSON line; [`Snapshot::json_line`] is the only
+/// writer of that line.
+const SCHEMA: &str = "islands-obs/1";
+
 /// A copy of the whole registry at one instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
@@ -238,10 +242,19 @@ impl Snapshot {
 
     // -- islands-obs/1 JSON -------------------------------------------------
 
-    /// The snapshot's fields as a comma-joined JSON fragment (no braces):
-    /// callers prepend identity fields (`"schema":"islands-obs/1"`,
-    /// instance index, tick) and wrap. Flat unique keys, identity-free, so
-    /// `jsonscan`'s first-occurrence field scanners work on the full line.
+    /// The one `islands-obs/1` line: the schema marker, then `identity`
+    /// (comma-joined `"key":value` pairs saying whose snapshot this is),
+    /// then [`json_fields`](Self::json_fields).
+    pub fn json_line(&self, identity: &str) -> String {
+        format!(
+            "{{\"schema\":\"{SCHEMA}\",{identity},{}}}",
+            self.json_fields()
+        )
+    }
+
+    /// The snapshot's fields as a comma-joined JSON fragment (no braces).
+    /// Flat unique keys, identity-free, so `jsonscan`'s first-occurrence
+    /// field scanners work on any line that embeds them.
     pub fn json_fields(&self) -> String {
         let mut f = String::with_capacity(1024);
         let pct = self.breakdown_pct();
@@ -385,7 +398,9 @@ mod tests {
     #[test]
     fn json_fields_carry_the_acceptance_signals() {
         let s = busy_snapshot();
-        let json = format!("{{\"schema\":\"islands-obs/1\",{}}}", s.json_fields());
+        let json = s.json_line("\"instance\":3");
+        assert!(json.starts_with("{\"schema\":\"islands-obs/1\",\"instance\":3,"));
+        assert!(json.ends_with('}'));
         for key in [
             "\"local_txns\":100",
             "\"multisite_txns\":25",
