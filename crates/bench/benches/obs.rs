@@ -8,7 +8,7 @@
 //! numbers next to the `islands-sweep --no-obs` A/B overhead check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use islands_obs::{metrics, BreakdownCategory, Counter, TxnClass};
+use islands_obs::{BreakdownCategory, Counter, TxnClass};
 
 fn bench_counter(c: &mut Criterion) {
     c.bench_function("obs_counter_inc", |b| {
@@ -44,7 +44,9 @@ fn bench_phase_span(c: &mut Criterion) {
 
 fn bench_record_txn(c: &mut Criterion) {
     c.bench_function("obs_record_txn", |b| {
-        b.iter(|| metrics().record_txn(TxnClass::Local, std::hint::black_box(12_345)))
+        b.iter(|| {
+            islands_obs::with(|m| m.record_txn(TxnClass::Local, std::hint::black_box(12_345)))
+        })
     });
 }
 

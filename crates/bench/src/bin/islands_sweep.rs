@@ -46,7 +46,7 @@ use islands_obs::{BreakdownCategory, Snapshot};
 use islands_server::deploy::{
     self, DeployConfig, DeployWorkload, Deployment, SpawnMode, Transport,
 };
-use islands_server::{Client, Cluster, Endpoint, Server, ServerConfig, ServerHandle, ServerStats};
+use islands_server::{Client, Cluster, Endpoint, Server, ServerConfig, ServerHandle};
 use islands_workload::{MicroSpec, OpKind, TpccSpec};
 
 const USAGE: &str = "islands-sweep - granularity sweeps over served deployments (Figs. 6-10, 13)
@@ -410,10 +410,9 @@ struct Cell {
     coordinator_presumed_aborts: u64,
     teardown: TeardownReport,
     pinned: bool,
-    /// Per-instance `(wire counters, obs snapshot)` scraped over `Stats`
-    /// frames while the deployment was still live (after the measured
-    /// window, before teardown).
-    scrapes: Vec<(ServerStats, Snapshot)>,
+    /// Per-instance snapshots taken while the deployment was still live
+    /// (after the measured window, before teardown).
+    scrapes: Vec<Snapshot>,
     /// The instance snapshots merged — the cell's Fig. 11 breakdown.
     obs: Snapshot,
     /// Everything that makes the cell unclean, in words; empty is the
@@ -552,14 +551,27 @@ impl Stand {
         }
     }
 
-    /// Where a `Stats` scrape (this run's, or `islands-top`'s) reaches each
-    /// serving process.
-    fn endpoints(&self) -> Vec<Endpoint> {
-        match self {
+    /// Every instance's stats: a `Stats` frame from each serving process,
+    /// or — in process, where the one server's registry is the coordinator
+    /// side's — each cluster instance's own snapshot, as a proc cell reads
+    /// each child.
+    fn scrape(&self) -> Result<Vec<Snapshot>, String> {
+        let endpoints = match self {
             Stand::Proc(d) => (0..d.instances()).map(|i| d.endpoint(i)).collect(),
-            Stand::Inproc(_, handle) => vec![handle.endpoint().clone()],
+            Stand::Inproc(cluster, _) => {
+                return Ok((0..cluster.n_instances())
+                    .map(|i| cluster.snapshot(i))
+                    .collect())
+            }
             Stand::External(ep) => vec![ep.clone()],
-        }
+        };
+        let scrape = |(i, ep): (usize, &Endpoint)| {
+            let stats = Client::connect(ep).and_then(|mut c| c.stats());
+            stats
+                .map(|(_, snap)| snap)
+                .map_err(|e| format!("scrape instance {i}: {e}"))
+        };
+        endpoints.iter().enumerate().map(scrape).collect()
     }
 
     /// Name the serving endpoints before the drive starts, so `islands-top`
@@ -598,7 +610,7 @@ impl Stand {
                 // exited, so there are no exits to report.
                 let report = TeardownReport {
                     in_doubt_leaks: (0..cluster.n_instances())
-                        .map(|i| cluster.stats(i).in_doubt)
+                        .map(|i| cluster.snapshot(i).in_doubt)
                         .sum(),
                     ..TeardownReport::of(Vec::new())
                 };
@@ -627,19 +639,7 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
     // Scrape every instance's live stats while the deployment still serves
     // (drive has finished, teardown has not begun): the cell's Fig. 11
     // breakdown, straight from the phase spans each instance accumulated.
-    let driven = drive(&stand.target(), &cfg).and_then(|result| {
-        let scrapes = stand
-            .endpoints()
-            .iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Client::connect(ep)
-                    .and_then(|mut c| c.stats())
-                    .map_err(|e| format!("scrape instance {i}: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((result, scrapes))
-    });
+    let driven = drive(&stand.target(), &cfg).and_then(|result| Ok((result, stand.scrape()?)));
     let (pinned, coordinator_presumed_aborts) = match &stand {
         Stand::Proc(d) => (d.pinned(), d.presumed_aborts()),
         _ => (false, 0),
@@ -649,11 +649,8 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
     let (teardown, server_commits) = stand.down()?;
     let (result, scrapes) = driven?;
 
-    let mut obs = Snapshot {
-        enabled: false,
-        ..Snapshot::default()
-    };
-    for (_, snap) in &scrapes {
+    let mut obs = Snapshot::default();
+    for snap in &scrapes {
         obs.merge(snap);
     }
     let mut faults = Vec::new();
@@ -798,20 +795,11 @@ fn cell_json(c: &Cell) -> String {
 }
 
 /// One cell's raw per-instance scrape as obs JSON lines: cell identity
-/// first, then the instance's wire counters, then the snapshot's flat
-/// fields — the artifact the CI sweep job uploads.
+/// and instance first, then the snapshot's flat fields — the artifact the
+/// CI sweep job uploads.
 fn scrape_lines(c: &Cell, out: &mut String) {
-    for (i, (server, snap)) in c.scrapes.iter().enumerate() {
-        out.push_str(&snap.json_line(&format!(
-            "{},\"instance\":{i},\"commits\":{},\"aborts\":{},\"prepares\":{},\
-             \"decisions\":{},\"in_doubt\":{}",
-            c.identity_json(),
-            server.commits,
-            server.aborts,
-            server.prepares,
-            server.decisions,
-            server.in_doubt,
-        )));
+    for (i, snap) in c.scrapes.iter().enumerate() {
+        out.push_str(&snap.json_line(&format!("{},\"instance\":{i}", c.identity_json())));
         out.push('\n');
     }
 }

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use islands_obs::{BreakdownCategory, Snapshot};
-use islands_server::{Client, Endpoint, ServerStats};
+use islands_server::{Client, Endpoint};
 
 const USAGE: &str = "islands-top - live stats for a running islands deployment
 
@@ -90,29 +90,19 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// One instance's scrape, plus what the previous tick saw (for deltas).
+/// One instance's scrape, plus when the previous tick saw how many commits
+/// (for deltas).
 struct Tracked {
     conn: Client,
-    prev: Option<(Instant, ServerStats)>,
+    prev: Option<(Instant, u64)>,
 }
 
-/// One instance's line: identity fields first, then the wire counters, then
-/// the snapshot's flat fields. Top-level keys are unique, so `jsonscan`'s
-/// first-occurrence scanners read any of them exactly.
-fn json_line(instance: usize, tick: u64, tps: f64, server: &ServerStats, obs: &Snapshot) -> String {
+/// One instance's line: identity fields first, then the snapshot's flat
+/// fields. Top-level keys are unique, so `jsonscan`'s first-occurrence
+/// scanners read any of them exactly.
+fn json_line(instance: usize, tick: u64, tps: f64, obs: &Snapshot) -> String {
     obs.json_line(&format!(
-        "\"instance\":{instance},\"tick\":{tick},\"tps\":{tps:.1},\"connections\":{},\
-         \"requests\":{},\"commits\":{},\"aborts\":{},\"errors\":{},\"prepares\":{},\
-         \"decisions\":{},\"presumed_aborts\":{},\"in_doubt\":{}",
-        server.connections,
-        server.requests,
-        server.commits,
-        server.aborts,
-        server.errors,
-        server.prepares,
-        server.decisions,
-        server.presumed_aborts,
-        server.in_doubt,
+        "\"instance\":{instance},\"tick\":{tick},\"tps\":{tps:.1}"
     ))
 }
 
@@ -140,14 +130,14 @@ fn table_header() {
     );
 }
 
-fn table_row(label: &str, tps: Option<f64>, server: &ServerStats, obs: &Snapshot) {
+fn table_row(label: &str, tps: Option<f64>, obs: &Snapshot) {
     let pct = obs.breakdown_pct();
     let cell = |c: BreakdownCategory| pct[c.index()];
     println!(
         "{:>5} {:>10} {:>9} {:>6} {:>8} {:>7} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
         label,
         tps.map(|t| format!("{t:.0}")).unwrap_or_else(|| "-".into()),
-        server.commits,
+        obs.commits,
         obs.queue_depth,
         obs.in_doubt,
         p99_us(obs),
@@ -173,52 +163,43 @@ fn run() -> Result<(), String> {
     let interval = Duration::from_secs_f64(args.interval);
     let mut tick = 0u64;
     loop {
-        let mut sum_server = ServerStats::default();
-        // `merge` ORs the enabled flags, so the sum starts from "disabled"
-        // and reports enabled iff any instance is.
-        let mut sum_obs = Snapshot {
-            enabled: false,
-            ..Snapshot::default()
-        };
+        // `merge` ORs the enabled flags, so the sum reports enabled iff any
+        // instance is.
+        let mut sum_obs = Snapshot::default();
         let mut sum_tps = 0.0f64;
         let mut rows = Vec::with_capacity(tracked.len());
         for (i, t) in tracked.iter_mut().enumerate() {
             let now = Instant::now();
-            let (server, obs) = t
+            let (_, obs) = t
                 .conn
                 .stats()
                 .map_err(|e| format!("instance {i} ({}): {e}", args.endpoints[i]))?;
             // Throughput is the commit delta over the time between *this
             // instance's* two scrapes, not the nominal interval.
-            let tps = t.prev.as_ref().map(|(at, prev)| {
-                let dt = now.duration_since(*at).as_secs_f64().max(f64::MIN_POSITIVE);
-                server.commits.saturating_sub(prev.commits) as f64 / dt
+            let tps = t.prev.map(|(at, commits)| {
+                let dt = now.duration_since(at).as_secs_f64().max(f64::MIN_POSITIVE);
+                obs.commits.saturating_sub(commits) as f64 / dt
             });
-            t.prev = Some((now, server));
+            t.prev = Some((now, obs.commits));
             sum_tps += tps.unwrap_or(0.0);
-            sum_server.absorb(&server);
             sum_obs.merge(&obs);
-            rows.push((server, obs, tps));
+            rows.push((obs, tps));
         }
 
         if args.json {
             let mut out = std::io::stdout().lock();
-            for (i, (server, obs, tps)) in rows.iter().enumerate() {
-                writeln!(
-                    out,
-                    "{}",
-                    json_line(i, tick, tps.unwrap_or(0.0), server, obs)
-                )
-                .map_err(|e| e.to_string())?;
+            for (i, (obs, tps)) in rows.iter().enumerate() {
+                writeln!(out, "{}", json_line(i, tick, tps.unwrap_or(0.0), obs))
+                    .map_err(|e| e.to_string())?;
             }
             out.flush().map_err(|e| e.to_string())?;
         } else {
             table_header();
-            for (i, (server, obs, tps)) in rows.iter().enumerate() {
-                table_row(&i.to_string(), *tps, server, obs);
+            for (i, (obs, tps)) in rows.iter().enumerate() {
+                table_row(&i.to_string(), *tps, obs);
             }
             if rows.len() > 1 {
-                table_row("SUM", Some(sum_tps), &sum_server, &sum_obs);
+                table_row("SUM", Some(sum_tps), &sum_obs);
             }
             println!();
         }
@@ -248,24 +229,20 @@ mod tests {
 
     #[test]
     fn json_lines_scan_with_jsonscan() {
-        let server = ServerStats {
+        let mut obs = Snapshot {
             connections: 2,
             requests: 50,
             commits: 41,
             aborts: 3,
-            errors: 0,
             prepares: 7,
             decisions: 7,
-            presumed_aborts: 0,
             in_doubt: 1,
-        };
-        let mut obs = Snapshot {
             txns: [30, 11],
             ..Snapshot::default()
         };
         obs.phase_ns[0][BreakdownCategory::XctExecution.index()] = 9_000_000;
         obs.phase_ns[1][BreakdownCategory::Communication.index()] = 1_000_000;
-        let line = json_line(3, 12, 512.5, &server, &obs);
+        let line = json_line(3, 12, 512.5, &obs);
         assert_eq!(str_field(&line, "schema"), Some("islands-obs/1"));
         assert_eq!(int_field(&line, "instance"), Some(3));
         assert_eq!(int_field(&line, "tick"), Some(12));

@@ -102,7 +102,7 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
             // registries saw them come and go.
             assert!(int_field(cell, "parked_count").unwrap() > 0, "{cell}");
         }
-        assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
+        assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
 
         // Per-instance exits are present and leak-free.
         let exits = &cell[cell.find("\"instance_exits\":").expect("exits")..];
@@ -130,8 +130,29 @@ fn serial_engine_cell_runs_clean_and_carries_its_engine_label() {
             assert!(int_field(cell, "committed").unwrap() > 0, "{cell}");
             assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
             assert_eq!(int_field(cell, "unclean_instances"), Some(0), "{cell}");
-            assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
+            assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
         }
+    }
+}
+
+#[test]
+fn an_inproc_cell_reports_only_its_own_instances() {
+    // Each cell builds its own cluster, whose instances record into
+    // registries of their own: the 50 % cell's parked 2PC branches must
+    // not show up in the 0 % cell that follows it.
+    let text = sweep(
+        "inproc-cells",
+        "--deploy inproc --instances 2 --multisite 50,0",
+    );
+    let cells = cells(&text);
+    assert_eq!(cells.len(), 2, "{text}");
+    for cell in &cells {
+        let parked = int_field(cell, "parked_count").expect("parked_count");
+        match num_field(cell, "multisite_pct") {
+            Some(pct) if pct > 0.0 => assert!(parked > 0, "{cell}"),
+            _ => assert_eq!(parked, 0, "{cell}"),
+        }
+        assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
     }
 }
 
@@ -168,7 +189,7 @@ fn an_inproc_tpcc_cell_runs_clean_with_remote_payments_as_2pc() {
     assert!(int_field(cell, "committed").unwrap() > 0, "{cell}");
     assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
     assert_eq!(int_field(cell, "client_failures"), Some(0), "{cell}");
-    assert_eq!(int_field(cell, "parked_now"), Some(0), "{cell}");
+    assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
     let remote = &cell[cell.find("\"payment_multisite\":").expect("tpcc classes")..];
     assert!(int_field(remote, "committed").unwrap() > 0, "{cell}");
     assert!(int_field(remote, "distributed").unwrap() > 0, "{cell}");

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_dtxn::Vote;
-use islands_obs::BreakdownCategory;
+use islands_obs::{BreakdownCategory, Snapshot};
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
 use islands_storage::table::Table;
@@ -255,7 +255,7 @@ impl PartitionEngine {
             let replayed = engine.inst.replay_log(&prior)?.into_iter();
             let footprints = replayed.map(|b| (engine.plan_space_keys(&b), b));
             engine.in_doubt.park_replayed(footprints);
-            islands_obs::metrics().record_recovery(started.elapsed().as_nanos() as u64);
+            islands_obs::with(|m| m.record_recovery(started.elapsed().as_nanos() as u64));
         }
         Ok(engine)
     }
@@ -520,6 +520,11 @@ impl Engine for PartitionEngine {
 
     fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
         Ok(PartitionEngine::recovered_gtids(self))
+    }
+
+    fn observe(&self, snap: &mut Snapshot) {
+        snap.in_doubt = self.in_doubt.gtids().len() as u64;
+        (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
     }
 }
 

@@ -47,7 +47,7 @@
 use std::sync::{Arc, Mutex};
 
 use islands_dtxn::Vote;
-use islands_obs::{metrics, BreakdownCategory};
+use islands_obs::{BreakdownCategory, Snapshot};
 use islands_storage::StorageError;
 use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
@@ -109,9 +109,9 @@ type Partition = Mutex<Option<PartitionEngine>>;
 /// Take the partition and run `f` on it, on the calling thread. The
 /// `queue_depth` gauge counts callers waiting for their turn.
 fn hold<T>(partition: &Partition, f: impl FnOnce(&PartitionEngine) -> T) -> Result<T, ExecError> {
-    metrics().queue_depth().inc();
+    islands_obs::with(|m| m.queue_depth.inc());
     let held = partition.lock();
-    metrics().queue_depth().dec();
+    islands_obs::with(|m| m.queue_depth.dec());
     // Poisoned: a session panicked mid-transaction (see module docs).
     let held = held.map_err(|_| ExecError::Gone)?;
     let engine = held.as_ref().ok_or(ExecError::Gone)?;
@@ -206,6 +206,11 @@ impl Engine for PartitionExecutor {
     fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
         PartitionExecutor::recovered_gtids(self)
     }
+
+    /// A poisoned partition reports nothing.
+    fn observe(&self, snap: &mut Snapshot) {
+        let _ = hold(&self.partition, |engine| engine.observe(snap));
+    }
 }
 
 /// One connection's turn-taking handle on a [`PartitionExecutor`]. Every
@@ -296,7 +301,6 @@ impl Session for ExecutorSession {
 mod tests {
     use super::*;
     use islands_workload::OpKind;
-    use std::time::Instant;
 
     fn executor() -> PartitionExecutor {
         PartitionExecutor::spawn(ExecutorConfig {
@@ -465,10 +469,13 @@ mod tests {
         const ROUNDS: u64 = 2_000;
         let e = Arc::new(executor());
         let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let metrics = Arc::new(islands_obs::Metrics::new());
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let (e, start) = (Arc::clone(&e), Arc::clone(&start));
+                let metrics = Arc::clone(&metrics);
                 std::thread::spawn(move || {
+                    let _scope = islands_obs::scope(&metrics);
                     let s = e.session();
                     let mut written = 0u64;
                     start.wait();
@@ -497,14 +504,8 @@ mod tests {
         // scheduler; that every committed one is counted once is not.
         assert!(written > 0);
         assert_eq!(e.audit_sum().unwrap(), written);
-        // Nobody is left waiting for the partition. The gauge is
-        // process-global, so a test running beside this one may be seen
-        // mid-call: it must read zero soon, not at once.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while metrics().queue_depth().get() != 0 {
-            assert!(Instant::now() < deadline, "queue_depth stuck above zero");
-            std::thread::yield_now();
-        }
+        // Nobody is left waiting for the partition.
+        assert_eq!(metrics.queue_depth.get(), 0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   replayed ones in the WAL for the next incarnation to re-park.
 //!
 //! The map's lock is held for an insert or a remove, never while a plan
-//! runs or the WAL is forced. This is the one place the `in_doubt` gauge and
-//! the parked-time histogram move.
+//! runs or the WAL is forced. The table is what a stats snapshot counts as
+//! `in_doubt`, and this is the one place the parked-time histogram moves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -96,7 +96,6 @@ impl InDoubtTable {
         if !footprint.is_empty() {
             self.guarded.fetch_add(1, Ordering::Relaxed);
         }
-        islands_obs::metrics().in_doubt().inc();
         let entry = Entry {
             branch: Some(branch),
             session,
@@ -176,14 +175,12 @@ impl InDoubtTable {
         if !entry.footprint.is_empty() {
             self.guarded.fetch_sub(1, Ordering::Relaxed);
         }
-        let metrics = islands_obs::metrics();
-        metrics.in_doubt().dec();
-        metrics.record_parked(entry.parked_at.elapsed().as_nanos() as u64);
+        islands_obs::with(|m| m.record_parked(entry.parked_at.elapsed().as_nanos() as u64));
         entry.participant.on_decision(commit);
         Some(match branch {
             Branch::Live(handle) => handle.decide(commit),
             Branch::Replayed(branch) => {
-                metrics.record_in_doubt_resolved(commit);
+                islands_obs::with(|m| m.record_in_doubt_resolved(commit));
                 self.inst.resolve_in_doubt(&branch, commit)
             }
         })
@@ -232,10 +229,9 @@ impl Drop for InDoubtTable {
     fn drop(&mut self) {
         let entries = std::mem::take(self.entries.get_mut().unwrap_or_else(|e| e.into_inner()));
         for (_, entry) in entries {
-            if let Some(Branch::Replayed(_)) = entry.branch {
-                // Still in-doubt in the WAL, for the next incarnation.
-                islands_obs::metrics().in_doubt().dec();
-            } else {
+            // A replayed branch stays in-doubt in the WAL, for the next
+            // incarnation.
+            if !matches!(entry.branch, Some(Branch::Replayed(_))) {
                 let _ = self.settle(entry, false);
             }
         }

@@ -11,6 +11,7 @@
 //! the session closes.
 
 use islands_dtxn::Vote;
+use islands_obs::Snapshot;
 use islands_storage::StorageError;
 use islands_workload::plan::PlanRequest;
 
@@ -121,4 +122,9 @@ pub trait Engine {
     /// at startup, exactly those restart replay re-parked. Each resolves
     /// through [`Session::decide`].
     fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError>;
+
+    /// Fill in what only the engine knows when a stats snapshot is taken:
+    /// the branches parked in its in-doubt table and its lock manager's
+    /// counts. An engine that parks nothing and locks nothing leaves them.
+    fn observe(&self, _snap: &mut Snapshot) {}
 }

@@ -17,14 +17,19 @@
 //!   with nesting: entering an inner phase pauses attribution to the outer
 //!   one, so the categories sum to measured time instead of overlapping.
 //! * [`Snapshot`] — a point-in-time copy of the whole registry: mergeable
-//!   across instances, encodable for the `StatsReply` wire frame, and
-//!   printable as `islands-obs/1` JSON.
+//!   across instances, encodable for the `Stats` reply frame and the
+//!   instance heartbeat, and printable as `islands-obs/1` JSON.
 //!
-//! Everything hangs off one process-global [`Metrics`] registry
-//! ([`metrics()`]) so instrumentation points need no plumbing. The whole
-//! registry sits behind a relaxed [`enabled`] flag: when disabled
-//! (`--no-obs`), every instrumentation site reduces to one relaxed load —
-//! no clock reads, no atomic RMWs.
+//! Each served instance owns one [`Metrics`] registry, so what an instance
+//! reports is its own and nobody else's. The server records its wire
+//! counters into the registry it holds; code deeper down (engine phase
+//! spans, the executor's queue, the in-doubt table) finds the thread's
+//! *current* registry with [`with`] — the one a [`scope`] made current, or
+//! a process default on threads no instance owns — so those
+//! instrumentation points need no plumbing. Measurements sit behind one
+//! process-wide relaxed [`enabled`] flag: when disabled (`--no-obs`), every
+//! instrumentation site reduces to one relaxed load — no clock reads, no
+//! atomic RMWs — while the wire counters keep counting.
 //!
 //! There are intentionally **no locks anywhere in this crate** (enforced by
 //! `islands-check lint`): a metrics layer that can block is a metrics layer
@@ -36,7 +41,10 @@ pub mod hist;
 pub mod phase;
 pub mod snapshot;
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 pub use hist::{Hist, HistSnapshot, BUCKETS};
 pub use phase::{enter, set_txn_class, txn_class, PhaseGuard};
@@ -228,30 +236,49 @@ impl Default for Gauge {
     }
 }
 
-/// The process-global registry: every instrument the serving stack records
-/// into, all const-initialized atomics (no lazy-init branch on the hot
-/// path).
+/// One registry: every instrument a served instance records into. Each
+/// instance and each server owns one ([`Metrics::new`] behind an `Arc`);
+/// code that is handed no registry finds the thread's current one with
+/// [`with`].
+///
+/// The eight wire counters are plain sharded [`Counter`]s the server
+/// records into directly, whether or not recording is [`enabled`]: they
+/// are the counts a drain is judged by, not measurements. Everything else
+/// records only while enabled, except the restart replay record.
 pub struct Metrics {
-    enabled: AtomicBool,
+    /// Connections accepted.
+    pub connections: Counter,
+    /// Request frames of any kind answered.
+    pub requests: Counter,
+    /// Local commits and applied commit decisions.
+    pub commits: Counter,
+    /// Spent retry budgets and applied abort decisions.
+    pub aborts: Counter,
+    /// Malformed or unsatisfiable requests answered with an error reply.
+    pub errors: Counter,
+    /// 2PC prepare frames answered.
+    pub prepares: Counter,
+    /// 2PC decision frames answered.
+    pub decisions: Counter,
+    /// Branches presumed aborted when their connection closed undecided.
+    pub presumed_aborts: Counter,
     /// Nanoseconds attributed per `[class][category]` by phase spans.
     phase_ns: [[Counter; NCATS]; NCLASSES],
     /// Completed transactions per class (the breakdown's denominator).
     txns: [Counter; NCLASSES],
     /// End-to-end server-side handling latency per class.
     txn_us: [Hist; NCLASSES],
-    /// Participant-side Prepare→Vote handling latency (2PC phase 1). In
-    /// the coordinator process the same histogram records the full
-    /// Prepare→Vote round trip.
+    /// Participant-side Prepare→Vote handling latency (2PC phase 1). On the
+    /// coordinator side the same histogram records the full Prepare→Vote
+    /// round trip.
     prepare_us: Hist,
     /// Participant-side Decision→Ack handling latency (2PC phase 2);
     /// coordinator side records the round trip.
     decision_us: Hist,
     /// How long prepared branches sat parked awaiting the decision.
     parked_us: Hist,
-    /// Executor queue depth (0 for the locked engine's session threads).
-    queue_depth: Gauge,
-    /// Prepared-but-undecided branches right now.
-    in_doubt: Gauge,
+    /// Callers waiting for a serial partition (0 for the locked engine).
+    pub queue_depth: Gauge,
     /// Completed restart replays (one per recovered instance incarnation).
     recoveries: Counter,
     /// Recovered in-doubt branches resolved to commit.
@@ -264,7 +291,8 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    const fn new() -> Self {
+    /// An empty registry.
+    pub const fn new() -> Self {
         // Templates for array init (each use is a fresh copy, not a shared
         // atomic), hence the allow.
         #[allow(clippy::declare_interior_mutable_const)]
@@ -274,7 +302,14 @@ impl Metrics {
         #[allow(clippy::declare_interior_mutable_const)]
         const H: Hist = Hist::new();
         Metrics {
-            enabled: AtomicBool::new(true),
+            connections: CTR,
+            requests: CTR,
+            commits: CTR,
+            aborts: CTR,
+            errors: CTR,
+            prepares: CTR,
+            decisions: CTR,
+            presumed_aborts: CTR,
             phase_ns: [ROW; NCLASSES],
             txns: [CTR; NCLASSES],
             txn_us: [H; NCLASSES],
@@ -282,23 +317,11 @@ impl Metrics {
             decision_us: H,
             parked_us: H,
             queue_depth: Gauge::new(),
-            in_doubt: Gauge::new(),
             recoveries: CTR,
             in_doubt_commit: CTR,
             in_doubt_abort: CTR,
             recovery_us: H,
         }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
-    }
-
-    /// Master switch (`--no-obs`). Disabling stops *recording*; already
-    /// accumulated values remain readable.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Relaxed);
     }
 
     /// Attribute `ns` of phase time directly (the span guards call this;
@@ -312,7 +335,7 @@ impl Metrics {
     /// handling.
     #[inline]
     pub fn record_txn(&self, class: TxnClass, ns: u64) {
-        if !self.enabled() {
+        if !enabled() {
             return;
         }
         self.txns[class.index()].inc();
@@ -324,7 +347,7 @@ impl Metrics {
     /// acks the links owed from earlier rounds).
     #[inline]
     pub fn record_prepare(&self, ns: u64) {
-        if self.enabled() {
+        if enabled() {
             self.prepare_us.record_ns(ns);
         }
     }
@@ -334,7 +357,7 @@ impl Metrics {
     /// the coordinator answers its caller without waiting for acks.
     #[inline]
     pub fn record_decision(&self, ns: u64) {
-        if self.enabled() {
+        if enabled() {
             self.decision_us.record_ns(ns);
         }
     }
@@ -342,22 +365,14 @@ impl Metrics {
     /// A parked 2PC branch was decided after waiting `ns`.
     #[inline]
     pub fn record_parked(&self, ns: u64) {
-        if self.enabled() {
+        if enabled() {
             self.parked_us.record_ns(ns);
         }
     }
 
-    pub fn queue_depth(&self) -> &Gauge {
-        &self.queue_depth
-    }
-
-    pub fn in_doubt(&self) -> &Gauge {
-        &self.in_doubt
-    }
-
     /// One instance finished its restart replay after `ns` of wall time.
     /// Recoveries are rare and always worth counting, so this records even
-    /// when the registry is disabled.
+    /// when recording is disabled.
     pub fn record_recovery(&self, ns: u64) {
         self.recoveries.inc();
         self.recovery_us.record_ns(ns);
@@ -373,12 +388,28 @@ impl Metrics {
     }
 
     /// Point-in-time copy of everything (torn across concurrent writers by
-    /// at most one in-flight transaction — fine for scraping).
+    /// at most one in-flight transaction — fine for scraping). What only
+    /// the engine knows — parked branches, lock-manager counts — is left
+    /// zero for the engine to fill.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot {
-            enabled: self.enabled(),
+            enabled: enabled(),
+            connections: self.connections.get(),
+            requests: self.requests.get(),
+            commits: self.commits.get(),
+            aborts: self.aborts.get(),
+            errors: self.errors.get(),
+            prepares: self.prepares.get(),
+            decisions: self.decisions.get(),
+            presumed_aborts: self.presumed_aborts.get(),
             queue_depth: self.queue_depth.get(),
-            in_doubt: self.in_doubt.get(),
+            recoveries: self.recoveries.get(),
+            in_doubt_commit: self.in_doubt_commit.get(),
+            in_doubt_abort: self.in_doubt_abort.get(),
+            prepare_us: self.prepare_us.snapshot(),
+            decision_us: self.decision_us.snapshot(),
+            parked_us: self.parked_us.snapshot(),
+            recovery_us: self.recovery_us.snapshot(),
             ..Snapshot::default()
         };
         for class in TxnClass::ALL {
@@ -389,39 +420,82 @@ impl Metrics {
                 snap.phase_ns[ci][cat.index()] = self.phase_ns[ci][cat.index()].get();
             }
         }
-        snap.prepare_us = self.prepare_us.snapshot();
-        snap.decision_us = self.decision_us.snapshot();
-        snap.parked_us = self.parked_us.snapshot();
-        snap.recoveries = self.recoveries.get();
-        snap.in_doubt_commit = self.in_doubt_commit.get();
-        snap.in_doubt_abort = self.in_doubt_abort.get();
-        snap.recovery_us = self.recovery_us.snapshot();
         snap
     }
 }
 
-static METRICS: Metrics = Metrics::new();
-
-/// The process-global registry.
-#[inline]
-pub fn metrics() -> &'static Metrics {
-    &METRICS
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics::new()
+    }
 }
+
+/// The one recording switch, for every registry in the process.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Whether recording is on (one relaxed load; every hot path checks this
 /// first and does nothing else when off).
 #[inline]
 pub fn enabled() -> bool {
-    METRICS.enabled()
+    ENABLED.load(Relaxed)
 }
 
-/// Master switch for the process (`--no-obs` plumbs to this).
+/// Master switch for the process (`--no-obs` plumbs to this). Disabling
+/// stops *recording*; already accumulated values remain readable, and the
+/// wire counters keep counting.
 pub fn set_enabled(on: bool) {
-    METRICS.set_enabled(on);
+    ENABLED.store(on, Relaxed);
 }
 
-/// The registry is process-global, so tests that toggle `enabled` or assert
-/// on deltas serialize through this (libtest runs tests concurrently).
+/// The registry of threads no instance owns: a load generator's
+/// coordinator side, a test's own thread.
+static PROCESS: Metrics = Metrics::new();
+
+thread_local! {
+    /// The registry a [`Scope`] made current on this thread; `None` means
+    /// [`PROCESS`].
+    static CURRENT: RefCell<Option<Arc<Metrics>>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on this thread's current registry: the one the innermost live
+/// [`scope`] entered, else the process default. Never enter a scope inside
+/// `f`.
+#[inline]
+pub fn with<R>(f: impl FnOnce(&Metrics) -> R) -> R {
+    CURRENT.with(|current| f(current.borrow().as_deref().unwrap_or(&PROCESS)))
+}
+
+/// Make `metrics` this thread's current registry until the returned guard
+/// drops, which restores the one before. Whatever a phase span has timed
+/// up to the switch is billed to the registry it was timed under.
+pub fn scope(metrics: &Arc<Metrics>) -> Scope {
+    Scope {
+        prev: swap(Some(Arc::clone(metrics))),
+        _not_send: PhantomData,
+    }
+}
+
+fn swap(next: Option<Arc<Metrics>>) -> Option<Arc<Metrics>> {
+    phase::settle();
+    CURRENT.with(|current| current.replace(next))
+}
+
+/// A live [`scope`]; dropping it restores the previous registry.
+#[must_use = "a scope makes its registry current only while it is held"]
+pub struct Scope {
+    prev: Option<Arc<Metrics>>,
+    /// Scopes must drop on the thread that entered them.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        swap(self.prev.take());
+    }
+}
+
+/// `enabled` is process-wide, so tests that toggle it serialize through
+/// this (libtest runs tests concurrently).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -431,7 +505,6 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counter_sums_across_threads() {
@@ -465,40 +538,65 @@ mod tests {
 
     #[test]
     fn registry_snapshot_reflects_recordings() {
-        // The registry is process-global and other tests in this binary
-        // record into it too, so assert on deltas.
         let _serial = crate::test_lock();
-        let m = metrics();
-        let before = m.snapshot();
+        let m = Metrics::new();
         m.record_txn(TxnClass::Multisite, 5_000_000); // 5 ms
         m.record_phase_ns(TxnClass::Multisite, BreakdownCategory::Logging, 1_000);
         m.record_prepare(2_000_000);
         m.record_decision(3_000_000);
         m.record_parked(10_000_000);
-        let after = m.snapshot();
+        m.commits.inc();
+        let snap = m.snapshot();
         let mi = TxnClass::Multisite.index();
-        assert_eq!(after.txns[mi] - before.txns[mi], 1);
-        assert!(
-            after.phase_ns[mi][BreakdownCategory::Logging.index()]
-                >= before.phase_ns[mi][BreakdownCategory::Logging.index()] + 1_000
-        );
-        assert_eq!(after.prepare_us.count - before.prepare_us.count, 1);
-        assert_eq!(after.decision_us.count - before.decision_us.count, 1);
-        assert_eq!(after.parked_us.count - before.parked_us.count, 1);
+        assert_eq!(snap.txns[mi], 1);
+        assert_eq!(snap.phase_ns[mi][BreakdownCategory::Logging.index()], 1_000);
+        assert_eq!(snap.prepare_us.count, 1);
+        assert_eq!(snap.decision_us.count, 1);
+        assert_eq!(snap.parked_us.count, 1);
+        assert_eq!(snap.commits, 1);
     }
 
     #[test]
-    fn disabled_registry_drops_recordings() {
+    fn disabled_recording_drops_measurements_but_keeps_counting() {
         let _serial = crate::test_lock();
-        let m = metrics();
-        m.set_enabled(false);
-        let before = m.snapshot();
+        let m = Metrics::new();
+        set_enabled(false);
         m.record_txn(TxnClass::Local, 1_000);
         m.record_prepare(1_000);
-        let after = m.snapshot();
-        m.set_enabled(true);
-        assert_eq!(after.txns[0], before.txns[0]);
-        assert_eq!(after.prepare_us.count, before.prepare_us.count);
+        m.record_recovery(1_000);
+        m.commits.inc();
+        let snap = m.snapshot();
+        set_enabled(true);
+        assert!(!snap.enabled);
+        assert_eq!((snap.txns[0], snap.prepare_us.count), (0, 0));
+        assert_eq!((snap.recoveries, snap.commits), (1, 1));
+    }
+
+    #[test]
+    fn scopes_nest_and_restore_the_process_default() {
+        let (outer, inner) = (Arc::new(Metrics::new()), Arc::new(Metrics::new()));
+        let recover = || with(|m| m.record_recovery(1));
+        {
+            let _outer = scope(&outer);
+            recover();
+            {
+                let _inner = scope(&inner);
+                recover();
+                recover();
+            }
+            recover();
+        }
+        assert_eq!(outer.snapshot().recoveries, 2);
+        assert_eq!(inner.snapshot().recoveries, 2);
+        // Back on the process default: neither scoped registry moves.
+        recover();
+        assert_eq!(outer.snapshot().recoveries + inner.snapshot().recoveries, 4);
+        // Another thread's scope is none of this thread's business.
+        let _mine = scope(&outer);
+        std::thread::scope(|s| {
+            s.spawn(|| with(|m| m.record_recovery(1)));
+        });
+        assert_eq!(outer.snapshot().recoveries, 2);
     }
 
     #[test]

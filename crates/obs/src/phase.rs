@@ -8,10 +8,13 @@
 //! categories therefore sum to covered wall time and the Fig. 11
 //! percentages are a true partition.
 //!
-//! Attribution lands in the global registry under the thread's current
-//! transaction class ([`set_txn_class`]), which the engine/executor sets
-//! before touching storage — storage-level spans need no plumbing to know
-//! whether they serve a local or multisite transaction.
+//! Attribution lands in the thread's current registry ([`crate::with`])
+//! under the thread's current transaction class ([`set_txn_class`]), which
+//! the engine/executor sets before touching storage — storage-level spans
+//! need no plumbing to know which instance they serve or whether the
+//! transaction is local or multisite. A registry switch ([`crate::scope`])
+//! settles the open span first, so each registry is billed the time spent
+//! under it.
 //!
 //! Cost: two `Instant::now()` reads per span when enabled, one relaxed
 //! load when disabled. Guards are `!Send`; the stack is thread-local.
@@ -20,7 +23,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use crate::{metrics, BreakdownCategory, TxnClass};
+use crate::{BreakdownCategory, TxnClass};
 
 /// Deeper nesting than any real path (session → txn → op → lock/wal).
 const MAX_DEPTH: usize = 8;
@@ -36,7 +39,7 @@ impl PhaseStack {
     fn attribute(&self, cat: BreakdownCategory, now: Instant) {
         let ns = now.duration_since(self.last.get()).as_nanos() as u64;
         if ns > 0 {
-            metrics().record_phase_ns(CLASS.with(|c| c.get()), cat, ns);
+            crate::with(|m| m.record_phase_ns(CLASS.with(|c| c.get()), cat, ns));
         }
     }
 
@@ -74,6 +77,19 @@ thread_local! {
         last: Cell::new(Instant::now()),
     };
     static CLASS: Cell<TxnClass> = const { Cell::new(TxnClass::Local) };
+}
+
+/// Bill the open span's time so far to the current registry and restart
+/// its clock: what a registry switch does on either side of it.
+pub(crate) fn settle() {
+    STACK.with(|s| {
+        let d = s.depth.get();
+        if d > 0 {
+            let now = Instant::now();
+            s.attribute(s.cats[d - 1].get(), now);
+            s.last.set(now);
+        }
+    });
 }
 
 /// Set the transaction class subsequent spans on this thread attribute to.
@@ -127,9 +143,11 @@ impl Drop for PhaseGuard {
 mod tests {
     use super::*;
     use crate::BreakdownCategory as Cat;
+    use crate::{scope, Metrics};
+    use std::sync::Arc;
 
-    fn phase_totals() -> [u64; crate::NCATS] {
-        let snap = metrics().snapshot();
+    fn phase_totals(m: &Metrics) -> [u64; crate::NCATS] {
+        let snap = m.snapshot();
         let mut out = [0; crate::NCATS];
         for (i, v) in out.iter_mut().enumerate() {
             *v = snap.phase_ns[0][i] + snap.phase_ns[1][i];
@@ -142,7 +160,8 @@ mod tests {
         let _serial = crate::test_lock();
         crate::set_enabled(true);
         set_txn_class(TxnClass::Local);
-        let before = phase_totals();
+        let m = Arc::new(Metrics::new());
+        let _scope = scope(&m);
         let spin = std::time::Duration::from_millis(5);
         let start = Instant::now();
         {
@@ -154,9 +173,9 @@ mod tests {
                 while s2.elapsed() < spin {}
             }
         }
-        let after = phase_totals();
-        let exec = after[Cat::XctExecution.index()] - before[Cat::XctExecution.index()];
-        let lock = after[Cat::Locking.index()] - before[Cat::Locking.index()];
+        let totals = phase_totals(&m);
+        let exec = totals[Cat::XctExecution.index()];
+        let lock = totals[Cat::Locking.index()];
         let ms = 1_000_000u64;
         // Each phase owns its ~5 ms exclusively: neither sees the other's.
         assert!(exec >= 4 * ms && exec < 20 * ms, "exec {exec} ns");
@@ -167,33 +186,60 @@ mod tests {
     fn class_routes_attribution() {
         let _serial = crate::test_lock();
         crate::set_enabled(true);
-        let before = metrics().snapshot();
+        let m = Arc::new(Metrics::new());
+        let _scope = scope(&m);
         set_txn_class(TxnClass::Multisite);
         {
             let _g = enter(Cat::Communication);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         set_txn_class(TxnClass::Local);
-        let after = metrics().snapshot();
-        let mi = TxnClass::Multisite.index();
+        let snap = m.snapshot();
         let ci = Cat::Communication.index();
-        assert!(after.phase_ns[mi][ci] > before.phase_ns[mi][ci]);
+        assert!(snap.phase_ns[TxnClass::Multisite.index()][ci] > 0);
+        assert_eq!(snap.phase_ns[TxnClass::Local.index()][ci], 0);
+    }
+
+    #[test]
+    fn a_registry_switch_bills_each_side_its_own_time() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        let (outer, inner) = (Arc::new(Metrics::new()), Arc::new(Metrics::new()));
+        let _outer = scope(&outer);
+        let spin = |ms| {
+            let start = Instant::now();
+            while start.elapsed() < std::time::Duration::from_millis(ms) {}
+        };
+        {
+            let _span = enter(Cat::XctManagement);
+            spin(5);
+            {
+                let _inner = scope(&inner);
+                spin(5);
+            }
+        }
+        let ci = Cat::XctManagement.index();
+        let ms = 1_000_000u64;
+        for (who, m) in [("outer", &outer), ("inner", &inner)] {
+            let ns = phase_totals(m)[ci];
+            assert!(ns >= 4 * ms && ns < 20 * ms, "{who}: {ns} ns");
+        }
     }
 
     #[test]
     fn disabled_spans_attribute_nothing() {
         let _serial = crate::test_lock();
+        let m = Arc::new(Metrics::new());
+        let _scope = scope(&m);
         crate::set_enabled(false);
-        let before = phase_totals();
         {
             let _g = enter(Cat::Logging);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         crate::set_enabled(true);
-        let after = phase_totals();
         assert_eq!(
-            before[Cat::Logging.index()],
-            after[Cat::Logging.index()],
+            phase_totals(&m)[Cat::Logging.index()],
+            0,
             "disabled span must not attribute"
         );
     }

@@ -1,44 +1,82 @@
 //! Point-in-time registry snapshots: mergeable, wire-codable, JSON-able.
 //!
-//! A [`Snapshot`] is what a `StatsReply` frame carries, what `islands-top`
-//! renders, and what `islands-sweep` merges across instances for its
-//! per-cell breakdown. The byte codec is a fixed little-endian layout
-//! (version-tagged, exact-length) so truncation or corruption is detected
-//! rather than misread; the JSON form is the flat one-line `islands-obs/1`
-//! schema that `islands_bench::jsonscan` can scan.
+//! A [`Snapshot`] is the one stats encoding: what a `Stats` reply frame
+//! carries, what an instance process prints as its heartbeat and drain
+//! line, what `islands-top` renders, and what `islands-sweep` merges across
+//! instances for its per-cell breakdown. The byte codec is a fixed
+//! little-endian layout (version-tagged, exact-length) so truncation or
+//! corruption is detected rather than misread; the JSON form is the flat
+//! one-line `islands-obs/1` schema that `islands_bench::jsonscan` can scan.
 
 use crate::hist::{HistSnapshot, BUCKETS};
 use crate::{BreakdownCategory, TxnClass, NCATS, NCLASSES};
 
-/// Snapshot codec version (the first byte of the encoding). v2 added the
-/// crash-recovery block: recoveries / in-doubt resolution counters and the
-/// recovery-duration histogram.
-pub const SNAPSHOT_VERSION: u8 = 2;
+/// Snapshot codec version (the first byte of the encoding). v3 carries the
+/// server's wire counters and the lock manager's counts; v2 added the
+/// crash-recovery block.
+pub const SNAPSHOT_VERSION: u8 = 3;
 
-/// Exact encoded size: version + enabled flag + the u64 payload.
-/// 2 gauges + 3 recovery counters + 2 txn counters + 2×5 phase cells +
-/// 6 histograms of (count + sum + BUCKETS) u64s.
-pub const ENCODED_LEN: usize = 2 + 8 * (2 + 3 + NCLASSES + NCLASSES * NCATS + 6 * (2 + BUCKETS));
+/// The named scalars of [`Snapshot::words`]: 8 wire counters, 2 gauges,
+/// 3 recovery counters, 3 lock counters.
+const SCALARS: usize = 16;
+
+/// Every `u64` the codec carries: the named scalars, the per-class
+/// transaction counts, the phase cells and 6 histograms of
+/// (count + sum + BUCKETS).
+const WORDS: usize = SCALARS + NCLASSES + NCLASSES * NCATS + 6 * (2 + BUCKETS);
+
+/// Exact encoded size: version + enabled flag + the words.
+pub const ENCODED_LEN: usize = 2 + 8 * WORDS;
 
 /// The schema marker of the JSON line; [`Snapshot::json_line`] is the only
 /// writer of that line.
 const SCHEMA: &str = "islands-obs/1";
 
-/// A copy of the whole registry at one instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A copy of one registry at one instant, with what the engine it serves
+/// knows filled in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
+    /// Whether recording was on. A merge is enabled if any part was, so an
+    /// empty (default) snapshot is not.
     pub enabled: bool,
+    /// Connections accepted.
+    pub connections: u64,
+    /// Request frames answered.
+    pub requests: u64,
+    /// Transactions committed.
+    pub commits: u64,
+    /// Transactions aborted (retry budget spent, or abort decisions).
+    pub aborts: u64,
+    /// Requests answered with an error reply.
+    pub errors: u64,
+    /// 2PC prepare frames answered.
+    pub prepares: u64,
+    /// 2PC decision frames answered.
+    pub decisions: u64,
+    /// Branches presumed aborted when their connection closed.
+    pub presumed_aborts: u64,
+    /// Callers waiting for a serial partition.
     pub queue_depth: u64,
-    /// Prepared-but-undecided branches at snapshot time.
+    /// Branches parked in the engine's in-doubt table at snapshot time,
+    /// restart replay's included.
     pub in_doubt: u64,
+    /// Lock acquisitions by the engine's lock manager.
+    pub lock_acquires: u64,
+    /// Lock requests that waited.
+    pub lock_waits: u64,
+    /// Lock requests wait-die killed.
+    pub lock_dies: u64,
     /// Nanoseconds per `[class][category]`.
     pub phase_ns: [[u64; NCATS]; NCLASSES],
     /// Completed transactions per class.
     pub txns: [u64; NCLASSES],
     /// Server-side handling latency per class.
     pub txn_us: [HistSnapshot; NCLASSES],
+    /// 2PC phase 1 latency.
     pub prepare_us: HistSnapshot,
+    /// 2PC phase 2 latency.
     pub decision_us: HistSnapshot,
+    /// How long decided branches sat parked.
     pub parked_us: HistSnapshot,
     /// Completed restart replays.
     pub recoveries: u64,
@@ -50,51 +88,55 @@ pub struct Snapshot {
     pub recovery_us: HistSnapshot,
 }
 
-impl Default for Snapshot {
-    fn default() -> Self {
-        Snapshot {
-            enabled: true,
-            queue_depth: 0,
-            in_doubt: 0,
-            phase_ns: [[0; NCATS]; NCLASSES],
-            txns: [0; NCLASSES],
-            txn_us: [HistSnapshot::default(); NCLASSES],
-            prepare_us: HistSnapshot::default(),
-            decision_us: HistSnapshot::default(),
-            parked_us: HistSnapshot::default(),
-            recoveries: 0,
-            in_doubt_commit: 0,
-            in_doubt_abort: 0,
-            recovery_us: HistSnapshot::default(),
-        }
-    }
-}
-
 impl Snapshot {
-    /// Merge another instance's snapshot into this one (gauges add; an
-    /// aggregated queue depth is the deployment-wide backlog).
+    /// Every `u64` of the snapshot in codec order, the named scalars first
+    /// under their JSON keys: the one list the codec, [`merge`](Self::merge)
+    /// and the JSON line walk, so a new field is listed here and nowhere
+    /// else.
+    fn words(&mut self) -> Vec<(Option<&'static str>, &mut u64)> {
+        let named: [(&'static str, &mut u64); SCALARS] = [
+            ("connections", &mut self.connections),
+            ("requests", &mut self.requests),
+            ("commits", &mut self.commits),
+            ("aborts", &mut self.aborts),
+            ("errors", &mut self.errors),
+            ("prepares", &mut self.prepares),
+            ("decisions", &mut self.decisions),
+            ("presumed_aborts", &mut self.presumed_aborts),
+            ("queue_depth", &mut self.queue_depth),
+            ("in_doubt", &mut self.in_doubt),
+            ("recoveries_total", &mut self.recoveries),
+            ("in_doubt_resolved_commit", &mut self.in_doubt_commit),
+            ("in_doubt_resolved_abort", &mut self.in_doubt_abort),
+            ("lock_acquires", &mut self.lock_acquires),
+            ("lock_waits", &mut self.lock_waits),
+            ("lock_dies", &mut self.lock_dies),
+        ];
+        let mut words: Vec<_> = named.into_iter().map(|(k, v)| (Some(k), v)).collect();
+        words.extend(self.txns.iter_mut().map(|v| (None, v)));
+        words.extend(self.phase_ns.iter_mut().flatten().map(|v| (None, v)));
+        let hists = self.txn_us.iter_mut().chain([
+            &mut self.prepare_us,
+            &mut self.decision_us,
+            &mut self.parked_us,
+            &mut self.recovery_us,
+        ]);
+        for h in hists {
+            let hist_words = [&mut h.count, &mut h.sum_ns].into_iter();
+            words.extend(hist_words.chain(h.buckets.iter_mut()).map(|v| (None, v)));
+        }
+        words
+    }
+
+    /// Merge another instance's snapshot into this one: every word adds (an
+    /// aggregated gauge is the deployment-wide level), and the merge is
+    /// enabled if either side was.
     pub fn merge(&mut self, other: &Snapshot) {
-        self.enabled = self.enabled || other.enabled;
-        self.queue_depth += other.queue_depth;
-        self.in_doubt += other.in_doubt;
-        for (a, b) in self.txns.iter_mut().zip(other.txns.iter()) {
-            *a += *b;
+        self.enabled |= other.enabled;
+        let mut other = other.clone();
+        for ((_, mine), (_, theirs)) in self.words().into_iter().zip(other.words()) {
+            *mine += *theirs;
         }
-        for (a, b) in self.txn_us.iter_mut().zip(other.txn_us.iter()) {
-            a.merge(b);
-        }
-        for (ar, br) in self.phase_ns.iter_mut().zip(other.phase_ns.iter()) {
-            for (a, b) in ar.iter_mut().zip(br.iter()) {
-                *a += *b;
-            }
-        }
-        self.prepare_us.merge(&other.prepare_us);
-        self.decision_us.merge(&other.decision_us);
-        self.parked_us.merge(&other.parked_us);
-        self.recoveries += other.recoveries;
-        self.in_doubt_commit += other.in_doubt_commit;
-        self.in_doubt_abort += other.in_doubt_abort;
-        self.recovery_us.merge(&other.recovery_us);
     }
 
     /// Total attributed nanoseconds for `cat` across both classes.
@@ -132,44 +174,15 @@ impl Snapshot {
         out
     }
 
-    // -- byte codec (StatsReply body) ---------------------------------------
+    // -- byte codec (Stats reply body, heartbeat line) ----------------------
 
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(ENCODED_LEN);
         out.push(SNAPSHOT_VERSION);
         out.push(self.enabled as u8);
-        let mut put = |v: u64| out.extend_from_slice(&v.to_le_bytes());
-        put(self.queue_depth);
-        put(self.in_doubt);
-        put(self.recoveries);
-        put(self.in_doubt_commit);
-        put(self.in_doubt_abort);
-        for &t in &self.txns {
-            put(t);
+        for (_, v) in self.clone().words() {
+            out.extend_from_slice(&v.to_le_bytes());
         }
-        for row in &self.phase_ns {
-            for &v in row {
-                put(v);
-            }
-        }
-        for h in self.hists() {
-            put(h.count);
-            put(h.sum_ns);
-            for &b in &h.buckets {
-                put(b);
-            }
-        }
-    }
-
-    fn hists(&self) -> [&HistSnapshot; 6] {
-        [
-            &self.txn_us[0],
-            &self.txn_us[1],
-            &self.prepare_us,
-            &self.decision_us,
-            &self.parked_us,
-            &self.recovery_us,
-        ]
     }
 
     /// Decode an encoded snapshot. Rejects wrong version, truncation, and
@@ -184,60 +197,14 @@ impl Snapshot {
         if bytes[1] > 1 {
             return Err("bad enabled flag");
         }
-        let enabled = bytes[1] == 1;
-        let mut pos = 2usize;
-        let mut take = || {
-            let v = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap_or([0; 8]));
-            pos += 8;
-            v
+        let mut snap = Snapshot {
+            enabled: bytes[1] == 1,
+            ..Snapshot::default()
         };
-        let queue_depth = take();
-        let in_doubt = take();
-        let recoveries = take();
-        let in_doubt_commit = take();
-        let in_doubt_abort = take();
-        let mut txns = [0u64; NCLASSES];
-        for t in txns.iter_mut() {
-            *t = take();
+        for ((_, v), le) in snap.words().into_iter().zip(bytes[2..].chunks_exact(8)) {
+            *v = u64::from_le_bytes(le.try_into().unwrap_or([0; 8]));
         }
-        let mut phase_ns = [[0u64; NCATS]; NCLASSES];
-        for row in phase_ns.iter_mut() {
-            for v in row.iter_mut() {
-                *v = take();
-            }
-        }
-        let hist = |take: &mut dyn FnMut() -> u64| {
-            let mut h = HistSnapshot {
-                count: take(),
-                sum_ns: take(),
-                ..HistSnapshot::default()
-            };
-            for b in h.buckets.iter_mut() {
-                *b = take();
-            }
-            h
-        };
-        let txn_local = hist(&mut take);
-        let txn_multi = hist(&mut take);
-        let prepare_us = hist(&mut take);
-        let decision_us = hist(&mut take);
-        let parked_us = hist(&mut take);
-        let recovery_us = hist(&mut take);
-        Ok(Snapshot {
-            enabled,
-            queue_depth,
-            in_doubt,
-            phase_ns,
-            txns,
-            txn_us: [txn_local, txn_multi],
-            prepare_us,
-            decision_us,
-            parked_us,
-            recoveries,
-            in_doubt_commit,
-            in_doubt_abort,
-            recovery_us,
-        })
+        Ok(snap)
     }
 
     // -- islands-obs/1 JSON -------------------------------------------------
@@ -259,14 +226,12 @@ impl Snapshot {
         let mut f = String::with_capacity(1024);
         let pct = self.breakdown_pct();
         let per_txn = self.per_txn_us();
-        f.push_str(&format!(
-            "\"obs_enabled\":{},\"queue_depth\":{},\"parked_now\":{}",
-            self.enabled, self.queue_depth, self.in_doubt
-        ));
-        f.push_str(&format!(
-            ",\"recoveries_total\":{},\"in_doubt_resolved_commit\":{},\"in_doubt_resolved_abort\":{}",
-            self.recoveries, self.in_doubt_commit, self.in_doubt_abort
-        ));
+        f.push_str(&format!("\"obs_enabled\":{}", self.enabled));
+        for (key, v) in self.clone().words() {
+            if let Some(key) = key {
+                f.push_str(&format!(",\"{key}\":{v}"));
+            }
+        }
         for class in TxnClass::ALL {
             let ci = class.index();
             f.push_str(&format!(
@@ -311,8 +276,13 @@ mod tests {
 
     fn busy_snapshot() -> Snapshot {
         let mut s = Snapshot {
+            connections: 2,
+            commits: 120,
+            prepares: 25,
             queue_depth: 3,
             in_doubt: 1,
+            lock_acquires: 300,
+            lock_dies: 5,
             txns: [100, 25],
             recoveries: 2,
             in_doubt_commit: 4,
@@ -381,6 +351,8 @@ mod tests {
         m.merge(&a);
         assert_eq!(m.total_txns(), 2 * a.total_txns());
         assert_eq!(m.queue_depth, 6);
+        assert_eq!((m.commits, m.lock_dies, m.in_doubt_abort), (240, 10, 6));
+        assert_eq!(m.txn_us[1].count, 2 * a.txn_us[1].count);
         assert_eq!(m.prepare_us.count, 2);
         for cat in BreakdownCategory::ALL {
             assert_eq!(m.cat_ns(cat), 2 * a.cat_ns(cat));
@@ -412,6 +384,9 @@ mod tests {
             "\"prepare_count\":1",
             "\"decision_count\":1",
             "\"queue_depth\":3",
+            "\"in_doubt\":1",
+            "\"commits\":120",
+            "\"lock_acquires\":300",
             "\"recoveries_total\":2",
             "\"in_doubt_resolved_commit\":4",
             "\"in_doubt_resolved_abort\":3",

@@ -164,12 +164,12 @@ impl Client {
         }
     }
 
-    /// Scrape the server's live stats: wire counters plus the instance
-    /// process's observability snapshot. Non-disruptive — the run continues.
+    /// Scrape the server's live stats: its snapshot, and the wire counters
+    /// in it. Non-disruptive — the run continues.
     pub fn stats(&mut self) -> io::Result<(crate::ServerStats, islands_obs::Snapshot)> {
         self.send(&[Request::Stats])?;
         match self.read_reply()? {
-            Reply::Stats { server, obs } => Ok((server, *obs)),
+            Reply::Stats(snap) => Ok(((&*snap).into(), *snap)),
             other => Err(unexpected("Stats", &other)),
         }
     }
@@ -317,8 +317,8 @@ mod tests {
         for (i, request) in requests.iter().enumerate() {
             match (request, client.recv_reply().unwrap()) {
                 (Request::Ping, Reply::Pong) => {}
-                (Request::Stats, Reply::Stats { server, .. }) => {
-                    assert_eq!(server.requests, i as u64 + 1, "reply {i} out of order")
+                (Request::Stats, Reply::Stats(snap)) => {
+                    assert_eq!(snap.requests, i as u64 + 1, "reply {i} out of order")
                 }
                 (_, other) => panic!("reply {i} to {request:?}: {other:?}"),
             }

@@ -2,7 +2,8 @@
 //!
 //! A [`Cluster`] is the N partition instances of a [`DeployConfig`] — the
 //! [`Backend`]s its children would serve, built from the same
-//! [`DeployConfig::partition`] — plus the `Coordination` every
+//! [`DeployConfig::partition`], each with a stats registry of its own as a
+//! child process would have — plus the `Coordination` every
 //! [`Deployment`](crate::Deployment) has. A [`ClusterClient`] is its
 //! [`DeployClient`](crate::DeployClient): one engine session per instance
 //! where the sockets would be, implementing the same `TwoPcLink`, so the
@@ -11,7 +12,9 @@
 //! on the spot by `server::answer` — the mapping a socket session applies to a
 //! decoded frame — and its reply waits in the link's queue for the read that
 //! would have crossed the wire: the function call is the message. Nothing
-//! is encoded and nothing is copied but the plan a frame carries.
+//! is encoded and nothing is copied but the plan a frame carries. Whatever
+//! the link does on instance `i` — a frame, a reconnect, a hang-up — runs
+//! with `i`'s registry current, so the instance's stats are its own.
 
 use std::collections::VecDeque;
 use std::io;
@@ -21,20 +24,13 @@ use std::time::{Duration, Instant};
 
 use islands_core::native::{DecideOutcome, Engine, ExecError, Session, SubmitOutcome};
 use islands_dtxn::Vote;
-use islands_obs::BreakdownCategory;
+use islands_obs::{BreakdownCategory, Snapshot};
 use islands_workload::PlanRequest;
 
 use crate::coordinator::{AckDebt, Coordination, DecisionStore, TwoPcLink};
 use crate::deploy::{DeployConfig, DeployReply};
-use crate::server::{answer, Backend, Counters, ServerStats};
+use crate::server::{answer, Backend, Instance};
 use crate::wire::{Reply, Request};
-
-/// One instance of the cluster: the engine and the counters its server
-/// process would keep.
-struct Instance {
-    backend: Backend,
-    counters: Counters,
-}
 
 /// A running shared-nothing deployment inside this process.
 pub struct Cluster {
@@ -76,12 +72,8 @@ impl Cluster {
         }
         let instances = (0..cfg.instances)
             .map(|i| {
-                let backend = Backend::build(cfg.engine, cfg.partition(i))
-                    .map_err(|e| io::Error::other(format!("instance {i} build failed: {e}")))?;
-                Ok(Instance {
-                    backend,
-                    counters: Counters::default(),
-                })
+                Instance::build(cfg.engine, cfg.partition(i))
+                    .map_err(|e| io::Error::other(format!("instance {i} build failed: {e}")))
             })
             .collect::<io::Result<Vec<_>>>()?;
         // Volatile logs on every instance, so a volatile decision store.
@@ -102,11 +94,10 @@ impl Cluster {
         &self.instances[i].backend
     }
 
-    /// The counters instance `i` would report as a server process: every
+    /// The stats instance `i` would report as a server process: every
     /// frame its coordinators handed it is counted as one it decoded.
-    pub fn stats(&self, i: usize) -> ServerStats {
-        let inst = &self.instances[i];
-        inst.counters.snapshot(Some(inst.backend.engine()))
+    pub fn snapshot(&self, i: usize) -> Snapshot {
+        self.instances[i].snapshot()
     }
 
     /// Number of commit decisions forced so far (read-only 2PC forces none).
@@ -250,7 +241,8 @@ impl ClusterClient<'_> {
     fn hang_up(&mut self) {
         self.settle_all(self.sessions.len());
         for (session, inst) in self.sessions.iter_mut().zip(&self.cluster.instances) {
-            inst.counters.presumed_abort(session.close());
+            let _scope = islands_obs::scope(&inst.metrics);
+            inst.metrics.presumed_aborts.add(session.close());
         }
     }
 }
@@ -264,12 +256,9 @@ impl Drop for ClusterClient<'_> {
 impl TwoPcLink for ClusterClient<'_> {
     fn send(&mut self, to: usize, frame: &Request) -> io::Result<()> {
         let inst = &self.cluster.instances[to];
-        let reply = answer(
-            inst.backend.engine(),
-            &mut *self.sessions[to],
-            frame,
-            &inst.counters,
-        );
+        let _scope = islands_obs::scope(&inst.metrics);
+        let engine = inst.backend.engine();
+        let reply = answer(engine, &mut *self.sessions[to], frame, &inst.metrics);
         self.replies[to].push_back(reply);
         Ok(())
     }
@@ -284,9 +273,10 @@ impl TwoPcLink for ClusterClient<'_> {
     /// back what it had parked.
     fn disconnect(&mut self, to: usize) {
         let inst = &self.cluster.instances[to];
+        let _scope = islands_obs::scope(&inst.metrics);
         let fresh = inst.backend.engine().session(self.retry_limit);
         let mut old = std::mem::replace(&mut self.sessions[to], fresh);
-        inst.counters.presumed_abort(old.close());
+        inst.metrics.presumed_aborts.add(old.close());
         self.replies[to].clear();
     }
 
@@ -375,10 +365,10 @@ mod tests {
         }
     }
 
-    fn summed(c: &Cluster) -> ServerStats {
-        let mut sum = ServerStats::default();
-        for i in 0..c.n_instances() {
-            sum.absorb(&c.stats(i));
+    fn summed(c: &Cluster) -> Snapshot {
+        let mut sum = c.snapshot(0);
+        for i in 1..c.n_instances() {
+            sum.merge(&c.snapshot(i));
         }
         sum
     }
@@ -408,7 +398,7 @@ mod tests {
             assert_eq!(c.decided_commits(), 1, "one forced commit decision");
             let stats = summed(&c);
             assert_eq!((stats.prepares, stats.decisions), (3, 3));
-            assert_eq!(c.stats(2).requests, 0, "instance 2 saw no frame");
+            assert_eq!(c.snapshot(2).requests, 0, "instance 2 saw no frame");
             assert_eq!(stats.in_doubt, 0);
         }
     }
@@ -446,8 +436,47 @@ mod tests {
             assert!(out.committed && out.distributed);
             assert_eq!(c.audit_sum().unwrap(), 1);
             assert_eq!(c.decided_commits(), 1);
-            assert_eq!((c.stats(0).prepares, c.stats(0).decisions), (1, 0));
-            assert_eq!((c.stats(1).prepares, c.stats(1).decisions), (1, 1));
+            let (s0, s1) = (c.snapshot(0), c.snapshot(1));
+            assert_eq!((s0.prepares, s0.decisions), (1, 0));
+            assert_eq!((s1.prepares, s1.decisions), (1, 1));
+        }
+    }
+
+    #[test]
+    fn an_instance_no_plan_reaches_reports_nothing() {
+        // Each instance records into a registry of its own, as a child
+        // process would: load on instance 0 leaves instance 1's whole
+        // snapshot — counters, phase time, latency histograms — where its
+        // build left it, which is zero but for the build's own phase time.
+        const N: u64 = 20;
+        for mode in MODES {
+            let c = Cluster::build(&DeployConfig {
+                instances: 2,
+                total_rows: 200,
+                row_size: 16,
+                engine: mode,
+                ..Default::default()
+            })
+            .unwrap();
+            let built = c.snapshot(1);
+            let mut client = c.client();
+            for key in 0..N {
+                assert!(run(&mut client, &plan(&[key], StepOp::Update)).committed);
+            }
+            drop(client);
+            let busy = c.snapshot(0);
+            assert_eq!((busy.requests, busy.commits), (N, N), "{mode}");
+            assert_eq!(busy.txns, [N, 0], "{mode}");
+            assert_eq!(busy.txn_us[0].count, N, "{mode}");
+            assert!(busy.phase_ns[0].iter().sum::<u64>() > 0, "{mode}");
+            let idle = c.snapshot(1);
+            assert_eq!(idle, built, "{mode}: the load never reached instance 1");
+            let zero = Snapshot {
+                enabled: idle.enabled,
+                phase_ns: idle.phase_ns,
+                ..Snapshot::default()
+            };
+            assert_eq!(idle, zero, "{mode}");
         }
     }
 

@@ -119,10 +119,10 @@ pub(crate) struct Resolver {
 
 impl Resolver {
     pub(crate) fn spawn(socket: PathBuf, store: Arc<DecisionStore>) -> io::Result<Resolver> {
-        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
-            session_loop(conn, shutdown, counters, |req| resolve(&store, req))
+        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, metrics| {
+            session_loop(conn, shutdown, metrics, |req| resolve(&store, req))
         });
-        let server = serve(&Endpoint::Uds(socket), None, session)?;
+        let server = serve(&Endpoint::Uds(socket), Arc::default(), None, session)?;
         Ok(Resolver {
             endpoint: server.endpoint().clone(),
             server: Some(server),
@@ -472,7 +472,8 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     let (mut coord, prepares) = Coordinator::new(gtid, parts.to_vec());
 
     // Phase 1 fan-out, exactly as the state machine instructs. The phase
-    // timers feed the *coordinator process's* registry: where the instance
+    // timers feed the *coordinator side's* registry (the thread's current
+    // one, outside any instance's scope): where the instance
     // side records handler durations, this side records what the paper's
     // multisite client actually waits — prepare fan-out to last vote (wire
     // time and any acks owed from earlier rounds included), then the
@@ -522,7 +523,7 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     }
 
     if !sent.is_empty() {
-        islands_obs::metrics().record_prepare(prepare_started.elapsed().as_nanos() as u64);
+        islands_obs::with(|m| m.record_prepare(prepare_started.elapsed().as_nanos() as u64));
     }
 
     // Drive the state machine: votes first, then failures; carry out every
@@ -540,7 +541,7 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
         written += process_actions(link, &mut coord, actions, &mut outcome);
     }
     if written > 0 {
-        islands_obs::metrics().record_decision(decision_started.elapsed().as_nanos() as u64);
+        islands_obs::with(|m| m.record_decision(decision_started.elapsed().as_nanos() as u64));
     }
     link.debt().defer(coord);
 

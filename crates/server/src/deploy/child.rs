@@ -2,18 +2,21 @@
 //! (`ChildSpec`), the one codec that carries it across `exec`
 //! (`ChildSpec::to_args` in the parent, `ChildSpec::from_args` in the
 //! child — one flag table, so neither side has a default the other does not
-//! know), and the child's `main`.
+//! know), the stats line it prints back (`stats_line`, read by
+//! `read_stats_line`), and the child's `main`.
 
+use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
 use islands_core::native::{DecideOutcome, Engine, EngineMode, PartitionConfig, TpccPartition};
+use islands_obs::Snapshot;
 
 use super::DeployConfig;
 use crate::client::Client;
-use crate::server::{Backend, Endpoint, Server, ServerConfig};
+use crate::server::{Endpoint, Instance, ServerConfig};
 use crate::wire::{Reply, Request};
 
 /// First argument that turns a host binary into an instance child (see
@@ -215,6 +218,28 @@ impl ChildSpec {
     }
 }
 
+/// What starts an instance's stats line on stdout.
+const STATS_PREFIX: &str = "STATS ";
+
+/// `snap` as the line an instance prints as its heartbeat and as its last
+/// word at drain: the `Stats` reply body, hex-encoded.
+fn stats_line(snap: &Snapshot) -> String {
+    let mut body = Vec::new();
+    snap.encode_into(&mut body);
+    body.iter().fold(String::from(STATS_PREFIX), |mut line, b| {
+        let _ = write!(line, "{b:02x}");
+        line
+    })
+}
+
+/// Read a [`stats_line`] back; `None` for any other line.
+pub(super) fn read_stats_line(line: &str) -> Option<Snapshot> {
+    let hex = line.strip_prefix(STATS_PREFIX)?;
+    let byte = |i: usize| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok();
+    let body: Option<Vec<u8>> = (0..hex.len()).step_by(2).map(byte).collect();
+    Snapshot::decode(&body?).ok()
+}
+
 /// Instance-child entry point: call this first thing in any binary that may
 /// serve as a [`SpawnMode::SelfExec`](super::SpawnMode::SelfExec) host. When
 /// the process was started with [`INSTANCE_CHILD_FLAG`], it runs the
@@ -248,23 +273,23 @@ pub fn instance_child_main(args: Vec<String>) -> i32 {
 
 /// Serve `spec` until drained; `Ok(true)` when in-doubt branches were left.
 fn run_instance(spec: ChildSpec) -> io::Result<bool> {
-    // The registry is process-global and this process *is* one instance, so
-    // the gate is per-instance by construction.
     islands_obs::set_enabled(spec.obs);
 
-    let backend = Backend::build(spec.engine, spec.partition)
+    let instance = Instance::build(spec.engine, spec.partition)
         .map_err(|e| io::Error::other(format!("{} partition build failed: {e}", spec.engine)))?;
-    let engine = backend.engine();
+    let engine = instance.backend.engine();
     let parked = || engine.recovered_gtids().map_err(io::Error::other);
 
     // Crash recovery rejoin, before READY: WAL replay parked any branch
     // that was prepared-but-undecided when the previous incarnation died.
     // Ask the coordinator's resolver for each verdict (presumed abort: an
-    // unknown gtid answers abort). Without a reachable coordinator the
+    // unknown gtid answers abort), in the instance's scope so the
+    // resolutions count as its own. Without a reachable coordinator the
     // branches stay parked — never presume abort unilaterally; the leak is
     // then visible in the drain accounting below.
     let recovered = parked()?;
     if !recovered.is_empty() {
+        let _scope = islands_obs::scope(&instance.metrics);
         match &spec.coord {
             Some(coord) => {
                 if let Err(e) = resolve_with_coordinator(coord, &recovered, engine) {
@@ -283,13 +308,10 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
         }
     }
 
-    let handle = Server::spawn_backend(
-        backend,
-        spec.endpoint,
-        ServerConfig {
-            retry_limit: spec.retry_limit,
-        },
-    )?;
+    let config = ServerConfig {
+        retry_limit: spec.retry_limit,
+    };
+    let handle = instance.clone().serve(&spec.endpoint, config)?;
 
     // Readiness handshake: the parent parses this for the resolved endpoint
     // (TCP port 0 becomes a real port here).
@@ -299,35 +321,36 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
         out.flush()?;
     }
     // Heartbeat printer: a mid-run observer (tail, a scraper that lost its
-    // socket, the parent after a SIGKILL) gets counters without asking the
-    // server anything. The probe is minted before `join` consumes the
-    // handle; the channel doubles as the stop signal (dropping the sender
-    // ends the recv_timeout loop).
+    // socket, the parent after a SIGKILL) gets the instance's stats without
+    // asking the server anything. The channel doubles as the stop signal
+    // (dropping the sender ends the recv_timeout loop).
     let heartbeat = (spec.stats_every_ms > 0).then(|| {
-        let probe = handle.probe();
+        let instance = instance.clone();
         let period = Duration::from_millis(spec.stats_every_ms);
         let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
         let printer = std::thread::spawn(move || {
             while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period)
             {
                 let mut out = io::stdout().lock();
-                let _ = writeln!(out, "{}", probe.stats().to_line());
+                let _ = writeln!(out, "{}", stats_line(&instance.snapshot()));
                 let _ = out.flush();
             }
         });
         (stop_tx, printer)
     });
-    // The gauge reads the engine's in-doubt table, so recovered branches
-    // the resolver never settled count as leaks like session-parked ones.
-    let stats = handle.join()?;
+    handle.join()?;
     if let Some((stop_tx, printer)) = heartbeat {
         drop(stop_tx);
         let _ = printer.join();
     }
+    // `in_doubt` is read from the engine's in-doubt table, so recovered
+    // branches the resolver never settled count as leaks like
+    // session-parked ones.
+    let last = instance.snapshot();
     let mut out = io::stdout().lock();
-    writeln!(out, "{}", stats.to_line())?;
+    writeln!(out, "{}", stats_line(&last))?;
     out.flush()?;
-    Ok(stats.in_doubt != 0)
+    Ok(last.in_doubt != 0)
 }
 
 /// Ask the coordinator's resolver for each parked gtid's verdict and apply
@@ -453,7 +476,7 @@ mod tests {
         ] {
             for engine in [EngineMode::Locked, EngineMode::Serial] {
                 spec.engine = engine;
-                let Err(e) = Backend::build(engine, spec.partition.clone()) else {
+                let Err(e) = Instance::build(engine, spec.partition.clone()) else {
                     panic!("{engine}: built a partition from {why}");
                 };
                 assert!(
@@ -462,6 +485,29 @@ mod tests {
                 );
                 assert_eq!(instance_child_main(spec.to_args()), 1, "{engine}: {why}");
             }
+        }
+    }
+
+    #[test]
+    fn the_stats_line_carries_the_whole_snapshot_and_nothing_else_reads_as_one() {
+        let mut snap = Snapshot {
+            enabled: false,
+            commits: 10,
+            prepares: 7,
+            in_doubt: 1,
+            lock_waits: 3,
+            ..Snapshot::default()
+        };
+        snap.txns = [5, 2];
+        let line = stats_line(&snap);
+        assert_eq!(read_stats_line(&line), Some(snap));
+        for other in [
+            "READY uds:/tmp/x.sock",
+            "STATS commits=3 in_doubt=1",
+            &line[..line.len() - 1],
+            &format!("{line}0"),
+        ] {
+            assert_eq!(read_stats_line(other), None, "{other:.40}");
         }
     }
 

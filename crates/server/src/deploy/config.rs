@@ -89,13 +89,17 @@ pub struct DeployConfig {
     pub vote_timeout: Duration,
     /// Directory for UDS socket files (default: the OS temp dir).
     pub socket_dir: Option<PathBuf>,
-    /// Period of the `STATS` heartbeat each instance prints on stdout
-    /// (0 disables); the parent reads them as printed and keeps the newest.
+    /// Period of the stats heartbeat each instance prints on stdout (0
+    /// disables): its snapshot, in the `Stats` reply's encoding. The parent
+    /// reads them as printed and keeps the newest; an instance's drain
+    /// line has the same form.
     pub stats_every_ms: u64,
-    /// Run instances with the observability registry enabled. Disabling it
-    /// (`islands-sweep --no-obs`) turns every counter/span into a load-and-branch
-    /// for overhead A/B measurements; heartbeats and final stats still
-    /// print (wire counters are always on).
+    /// Run instances with observability recording enabled. Disabling it
+    /// (`islands-sweep --no-obs`) turns every span, histogram and gauge
+    /// into a load-and-branch for overhead A/B measurements; the wire
+    /// counters (commits, prepares, ...) and the engine's in-doubt and lock
+    /// counts are reported either way, so heartbeats, final stats and
+    /// `Stats` replies still carry them.
     pub obs: bool,
     /// What the instances load and serve (micro table or TPC-C-lite).
     pub workload: DeployWorkload,

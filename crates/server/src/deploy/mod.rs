@@ -106,7 +106,7 @@ impl Process {
                     match line.strip_prefix("READY ").map(Endpoint::parse) {
                         Some(Ok(endpoint)) => drop(ready_tx.send(endpoint)),
                         Some(Err(_)) => break,
-                        None => last = ServerStats::from_line(&line).or(last),
+                        None => last = child::read_stats_line(&line).map(|s| (&s).into()).or(last),
                     }
                 }
                 last

@@ -81,5 +81,5 @@ pub use deploy::{
     InstanceExit, SpawnMode, Transport,
 };
 pub use islands_core::native::EngineMode;
-pub use server::{Backend, Endpoint, Server, ServerConfig, ServerHandle, ServerStats, StatsProbe};
+pub use server::{Backend, Endpoint, Server, ServerConfig, ServerHandle, ServerStats};
 pub use wire::{FrameReader, Reply, Request, WireError, WireMessage, MAX_FRAME};

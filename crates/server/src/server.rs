@@ -35,12 +35,19 @@
 //! wake-up call. It stops accepting, sessions finish the batch in flight,
 //! flush, and exit at their next poll tick, and [`ServerHandle::join`]
 //! returns the final counters once every thread is gone.
+//!
+//! **Stats**: every server owns one `islands_obs` registry. A session
+//! records its wire counters into it and makes it the thread's current
+//! registry for its life, so the engine's own records (phase spans, the
+//! executor's queue, parked branches) land there too. A
+//! [`Request::Stats`] is answered with that registry's snapshot, the
+//! engine's in-doubt table and lock counts filled in.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,7 +55,7 @@ use islands_core::native::{
     DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
     PartitionExecutor, Session,
 };
-use islands_obs::{BreakdownCategory, TxnClass};
+use islands_obs::{BreakdownCategory, Metrics, Snapshot, TxnClass};
 use islands_storage::StorageError;
 use islands_workload::PlanRequest;
 
@@ -133,19 +140,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Build and load one partition instance in `mode`: what a deployment
-    /// child serves, and what the in-process cluster holds N of.
-    pub fn build(mode: EngineMode, partition: PartitionConfig) -> Result<Backend, StorageError> {
-        Ok(match mode {
-            EngineMode::Locked => Backend::Partition(Arc::new(PartitionEngine::build(&partition)?)),
-            EngineMode::Serial => {
-                Backend::Executor(Arc::new(PartitionExecutor::spawn(ExecutorConfig {
-                    partition,
-                })?))
-            }
-        })
-    }
-
     /// The engine surface behind this backend: the one place the variants
     /// are told apart.
     pub(crate) fn engine(&self) -> &dyn Engine {
@@ -157,65 +151,64 @@ impl Backend {
     }
 }
 
-/// Monotonic counters, updated by sessions, readable any time.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    errors: AtomicU64,
-    prepares: AtomicU64,
-    decisions: AtomicU64,
-    presumed_aborts: AtomicU64,
-}
-
-impl Counters {
-    /// A session closed and rolled back `aborted` branches nobody decided.
-    pub(crate) fn presumed_abort(&self, aborted: u64) {
-        self.presumed_aborts.fetch_add(aborted, Ordering::Relaxed);
-    }
-
-    /// The counters, with `engine`'s parked branches as the `in_doubt`
-    /// gauge (none where nothing parks branches).
-    pub(crate) fn snapshot(&self, engine: Option<&dyn Engine>) -> ServerStats {
-        let parked = engine.and_then(|e| e.recovered_gtids().ok());
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            prepares: self.prepares.load(Ordering::Relaxed),
-            decisions: self.decisions.load(Ordering::Relaxed),
-            presumed_aborts: self.presumed_aborts.load(Ordering::Relaxed),
-            in_doubt: parked.map_or(0, |gtids| gtids.len() as u64),
-        }
-    }
-}
-
-/// Cloneable, read-only view of a running server's counters.
-///
-/// [`ServerHandle::join`] consumes the handle, so anything that wants to
-/// keep reporting stats while another thread blocks in `join` — the
-/// deployment children's `STATS` heartbeat printer, for one — mints a probe
-/// first and reads through it.
+/// One served instance: an engine, and the registry that is its stats.
 #[derive(Clone)]
-pub struct StatsProbe {
-    counters: Arc<Counters>,
-    /// What the server fronts, if it parks branches.
-    backend: Option<Backend>,
+pub(crate) struct Instance {
+    pub(crate) backend: Backend,
+    pub(crate) metrics: Arc<Metrics>,
 }
 
-impl StatsProbe {
-    /// Current counter snapshot.
-    pub fn stats(&self) -> ServerStats {
-        self.counters
-            .snapshot(self.backend.as_ref().map(Backend::engine))
+impl Instance {
+    /// Build and load one partition instance in `mode` inside a registry of
+    /// its own, so what the build records (a restart replay) is the
+    /// instance's: what a deployment child serves, and what the in-process
+    /// cluster holds N of.
+    pub(crate) fn build(
+        mode: EngineMode,
+        partition: PartitionConfig,
+    ) -> Result<Self, StorageError> {
+        let metrics = Arc::new(Metrics::new());
+        let _scope = islands_obs::scope(&metrics);
+        let backend = match mode {
+            EngineMode::Locked => Backend::Partition(Arc::new(PartitionEngine::build(&partition)?)),
+            EngineMode::Serial => {
+                Backend::Executor(Arc::new(PartitionExecutor::spawn(ExecutorConfig {
+                    partition,
+                })?))
+            }
+        };
+        Ok(Instance { backend, metrics })
+    }
+
+    /// The instance's stats now.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        snapshot(&self.metrics, self.backend.engine())
+    }
+
+    /// Bind `endpoint` and serve this instance until drained.
+    pub(crate) fn serve(
+        self,
+        endpoint: &Endpoint,
+        config: ServerConfig,
+    ) -> io::Result<ServerHandle> {
+        let Instance { backend, metrics } = self;
+        let engine = backend.clone();
+        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, metrics| {
+            session(conn, &engine, config.retry_limit, shutdown, metrics)
+        });
+        serve(endpoint, metrics, Some(backend), session)
     }
 }
 
-/// Snapshot of a server's counters.
+/// `metrics`' snapshot, with what `engine` knows filled in.
+pub(crate) fn snapshot(metrics: &Metrics, engine: &dyn Engine) -> Snapshot {
+    let mut snap = metrics.snapshot();
+    engine.observe(&mut snap);
+    snap
+}
+
+/// A server's wire counters: the part of its [`Snapshot`] a client
+/// checks a drain by.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted over the server's lifetime.
@@ -242,70 +235,37 @@ pub struct ServerStats {
     pub in_doubt: u64,
 }
 
-impl ServerStats {
-    /// The counters' names, in [`slots`](Self::slots) order: the keys of the
-    /// `STATS` line.
-    const NAMES: [&'static str; 9] = [
-        "connections",
-        "requests",
-        "commits",
-        "aborts",
-        "errors",
-        "prepares",
-        "decisions",
-        "presumed_aborts",
-        "in_doubt",
-    ];
-
-    /// Every counter, in declaration order — the one list the line format,
-    /// the wire format and [`absorb`](Self::absorb) walk.
-    pub(crate) fn slots(&mut self) -> [&mut u64; 9] {
-        [
-            &mut self.connections,
-            &mut self.requests,
-            &mut self.commits,
-            &mut self.aborts,
-            &mut self.errors,
-            &mut self.prepares,
-            &mut self.decisions,
-            &mut self.presumed_aborts,
-            &mut self.in_doubt,
-        ]
-    }
-
-    /// The counters as one `STATS k=v ...` line: what an instance process
-    /// prints on stdout as its heartbeat and as its last word at drain.
-    pub fn to_line(mut self) -> String {
-        let pairs = Self::NAMES.iter().zip(self.slots());
-        pairs.fold(String::from("STATS"), |line, (name, v)| {
-            format!("{line} {name}={v}")
-        })
-    }
-
-    /// Parse [`to_line`](Self::to_line)'s form back; `None` for any other
-    /// line. A key this build has no field for is skipped, not fatal: a
-    /// newer child may print more than an older parent reads.
-    pub fn from_line(line: &str) -> Option<ServerStats> {
-        let mut stats = ServerStats::default();
-        for pair in line.strip_prefix("STATS ")?.split_whitespace() {
-            let (k, v) = pair.split_once('=')?;
-            let v: u64 = v.parse().ok()?;
-            if let Some(at) = Self::NAMES.iter().position(|name| *name == k) {
-                *stats.slots()[at] = v;
-            }
+impl From<&Snapshot> for ServerStats {
+    fn from(snap: &Snapshot) -> Self {
+        ServerStats {
+            connections: snap.connections,
+            requests: snap.requests,
+            commits: snap.commits,
+            aborts: snap.aborts,
+            errors: snap.errors,
+            prepares: snap.prepares,
+            decisions: snap.decisions,
+            presumed_aborts: snap.presumed_aborts,
+            in_doubt: snap.in_doubt,
         }
-        Some(stats)
     }
+}
 
+impl ServerStats {
     /// Add another instance's counters into this one — the deployment-wide
     /// totals a scraper's `SUM` row shows (`in_doubt` is a gauge, but the
     /// sum of gauges is the deployment-wide backlog, so plain addition is
     /// the right aggregation for every field).
     pub fn absorb(&mut self, other: &ServerStats) {
-        let mut other = *other;
-        for (mine, theirs) in self.slots().into_iter().zip(other.slots()) {
-            *mine += *theirs;
-        }
+        self.connections += other.connections;
+        self.requests += other.requests;
+        self.commits += other.commits;
+        self.aborts += other.aborts;
+        self.errors += other.errors;
+        self.prepares += other.prepares;
+        self.decisions += other.decisions;
+        self.presumed_aborts += other.presumed_aborts;
+        self.in_doubt += other.in_doubt;
     }
 }
 
@@ -507,7 +467,10 @@ impl Write for Conn {
 /// [`join`](Self::join) (or have a client send [`Request::Drain`]).
 pub struct ServerHandle {
     shutdown: Arc<Shutdown>,
-    probe: StatsProbe,
+    metrics: Arc<Metrics>,
+    /// What the server fronts, if anything (the coordinator's resolver
+    /// fronts nothing).
+    backend: Option<Backend>,
     acceptor: Option<std::thread::JoinHandle<io::Result<()>>>,
 }
 
@@ -546,29 +509,29 @@ impl Server {
         Self::spawn_backend(Backend::Cluster(cluster), endpoint, config)
     }
 
-    /// Bind `endpoint` and serve `backend` until drained.
+    /// Bind `endpoint` and serve `backend` until drained, with a registry
+    /// of the server's own.
     pub fn spawn_backend(
         backend: Backend,
         endpoint: Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        let parks = Some(backend.clone());
-        let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, counters| {
-            session(conn, &backend, config.retry_limit, shutdown, counters)
-        });
-        serve(&endpoint, parks, session)
+        let metrics = Arc::new(Metrics::new());
+        Instance { backend, metrics }.serve(&endpoint, config)
     }
 }
 
-/// What [`serve`] runs on a thread per accepted connection.
-pub(crate) type SessionFn = dyn Fn(Conn, &Shutdown, &Counters) -> io::Result<()> + Send + Sync;
+/// What [`serve`] runs on a thread per accepted connection, with the
+/// server's registry.
+pub(crate) type SessionFn = dyn Fn(Conn, &Shutdown, &Metrics) -> io::Result<()> + Send + Sync;
 
 /// Bind `endpoint` and run `session` on every accepted connection until
 /// drained: the acceptor, the drain and the session bookkeeping everything
-/// served here shares — an instance's [`Backend`], and the coordinator's
-/// resolver, which parks nothing (`backend: None`).
+/// served here shares — an [`Instance`], and the coordinator's resolver,
+/// which fronts nothing (`backend: None`).
 pub(crate) fn serve(
     endpoint: &Endpoint,
+    metrics: Arc<Metrics>,
     backend: Option<Backend>,
     session: Arc<SessionFn>,
 ) -> io::Result<ServerHandle> {
@@ -577,17 +540,17 @@ pub(crate) fn serve(
         raised: AtomicBool::new(false),
         endpoint: listener.local_endpoint()?,
     });
-    let counters = Arc::new(Counters::default());
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
-        let counters = Arc::clone(&counters);
+        let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name("islands-acceptor".into())
-            .spawn(move || accept_loop(listener, session, shutdown, counters))?
+            .spawn(move || accept_loop(listener, session, shutdown, metrics))?
     };
     Ok(ServerHandle {
         shutdown,
-        probe: StatsProbe { counters, backend },
+        metrics,
+        backend,
         acceptor: Some(acceptor),
     })
 }
@@ -598,15 +561,13 @@ impl ServerHandle {
         &self.shutdown.endpoint
     }
 
-    /// Current counter snapshot.
+    /// The server's wire counters now.
     pub fn stats(&self) -> ServerStats {
-        self.probe.stats()
-    }
-
-    /// Mint a [`StatsProbe`] that outlives this handle (usable while a
-    /// sibling thread blocks in [`join`](Self::join)).
-    pub fn probe(&self) -> StatsProbe {
-        self.probe.clone()
+        let mut snap = self.metrics.snapshot();
+        self.backend
+            .iter()
+            .for_each(|b| b.engine().observe(&mut snap));
+        ServerStats::from(&snap)
     }
 
     /// Whether a drain/shutdown has been initiated.
@@ -698,7 +659,7 @@ fn accept_loop(
     listener: Listener,
     session: Arc<SessionFn>,
     shutdown: Arc<Shutdown>,
-    counters: Arc<Counters>,
+    metrics: Arc<Metrics>,
 ) -> io::Result<()> {
     let mut sessions = SessionSet::new();
     loop {
@@ -711,13 +672,16 @@ fn accept_loop(
             // The drain's wake-up call, or a client that raced it.
             break;
         }
-        counters.connections.fetch_add(1, Ordering::Relaxed);
+        metrics.connections.inc();
         let session = Arc::clone(&session);
         let shutdown = Arc::clone(&shutdown);
-        let counters = Arc::clone(&counters);
+        let metrics = Arc::clone(&metrics);
         sessions.spawn(conn, move |conn| {
+            // The server's registry is the thread's for its life, so what
+            // the engine records under this session lands there.
+            let _scope = islands_obs::scope(&metrics);
             // Per-connection errors end that session only.
-            let _ = session(conn, &shutdown, &counters);
+            let _ = session(conn, &shutdown, &metrics);
         })?;
     }
     // Drain: stop accepting (listener drops below), let sessions finish.
@@ -733,16 +697,16 @@ fn session(
     backend: &Backend,
     retry_limit: u32,
     shutdown: &Shutdown,
-    counters: &Counters,
+    metrics: &Metrics,
 ) -> io::Result<()> {
     let engine = backend.engine();
     let mut session = engine.session(retry_limit);
-    let result = session_loop(conn, shutdown, counters, |req| {
-        answer(engine, &mut *session, req, counters)
+    let result = session_loop(conn, shutdown, metrics, |req| {
+        answer(engine, &mut *session, req, metrics)
     });
     // Presumed abort: whatever this connection prepared and nobody decided
     // has lost its coordinator (see `Session::close`).
-    counters.presumed_abort(session.close());
+    metrics.presumed_aborts.add(session.close());
     result
 }
 
@@ -752,7 +716,7 @@ fn session(
 pub(crate) fn session_loop(
     mut conn: Conn,
     shutdown: &Shutdown,
-    counters: &Counters,
+    metrics: &Metrics,
     mut answer: impl FnMut(&Request) -> Reply,
 ) -> io::Result<()> {
     let mut reader = FrameReader::new();
@@ -827,7 +791,7 @@ pub(crate) fn session_loop(
                 message: format!("protocol error: {e}"),
             }
             .encode_frame(&mut out);
-            counters.errors.fetch_add(1, Ordering::Relaxed);
+            metrics.errors.inc();
             let _ = conn.write_all(&out);
             return Ok(());
         }
@@ -846,7 +810,7 @@ pub(crate) fn session_loop(
 }
 
 /// Answer one request frame from `session`: the whole mapping from frames to
-/// engine calls and back, counters included. A socket session calls it per
+/// engine calls and back, `metrics`' counters included. A socket session calls it per
 /// decoded frame; the in-process cluster's coordinator calls it directly,
 /// which is what makes its function call the message. [`Request::Drain`] is
 /// only acknowledged here — stopping is up to whoever owns the connection
@@ -855,25 +819,20 @@ pub(crate) fn answer(
     engine: &dyn Engine,
     session: &mut dyn Session,
     req: &Request,
-    counters: &Counters,
+    metrics: &Metrics,
 ) -> Reply {
-    counters.requests.fetch_add(1, Ordering::Relaxed);
+    metrics.requests.inc();
     let reply = match req {
         Request::Ping => Reply::Pong,
         Request::Drain => Reply::Draining,
-        Request::Stats => Reply::Stats {
-            server: counters.snapshot(Some(engine)),
-            obs: Box::new(islands_obs::metrics().snapshot()),
-        },
-        Request::Submit(txn) => handle_submit(session, &txn.to_plan(), counters),
-        Request::SubmitPlan(plan) => handle_submit(session, plan, counters),
+        Request::Stats => Reply::Stats(Box::new(snapshot(metrics, engine))),
+        Request::Submit(txn) => handle_submit(session, &txn.to_plan(), metrics),
+        Request::SubmitPlan(plan) => handle_submit(session, plan, metrics),
         Request::Prepare(branch) => {
-            handle_prepare(session, branch.gtid, &branch.req.to_plan(), counters)
+            handle_prepare(session, branch.gtid, &branch.req.to_plan(), metrics)
         }
-        Request::PreparePlan(branch) => {
-            handle_prepare(session, branch.gtid, &branch.plan, counters)
-        }
-        Request::Decision { gtid, commit } => handle_decision(session, *gtid, *commit, counters),
+        Request::PreparePlan(branch) => handle_prepare(session, branch.gtid, &branch.plan, metrics),
+        Request::Decision { gtid, commit } => handle_decision(session, *gtid, *commit, metrics),
         // Outcome resolution is the coordinator's job (it owns the decision
         // log); an instance server has no authority to answer, and presuming
         // abort here would let a misdirected query contradict a forced
@@ -893,7 +852,7 @@ pub(crate) fn answer(
     };
     // Malformed or unsatisfiable, whichever arm said so.
     if matches!(reply, Reply::Error { .. }) {
-        counters.errors.fetch_add(1, Ordering::Relaxed);
+        metrics.errors.inc();
     }
     reply
 }
@@ -901,7 +860,7 @@ pub(crate) fn answer(
 /// Run one local transaction through the session and map its outcome:
 /// committed/aborted with retry counts, or the typed error's message for a
 /// plan the engine can never satisfy.
-fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Counters) -> Reply {
+fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, metrics: &Metrics) -> Reply {
     let class = if plan.multisite {
         TxnClass::Multisite
     } else {
@@ -911,7 +870,7 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Count
     let started = Instant::now();
     let reply = match session.submit(plan) {
         Ok(outcome) if outcome.committed => {
-            counters.commits.fetch_add(1, Ordering::Relaxed);
+            metrics.commits.inc();
             Reply::Committed {
                 distributed: outcome.distributed,
                 retries: outcome.retries,
@@ -919,7 +878,7 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Count
             }
         }
         Ok(outcome) => {
-            counters.aborts.fetch_add(1, Ordering::Relaxed);
+            metrics.aborts.inc();
             Reply::Aborted {
                 retries: outcome.retries,
             }
@@ -928,7 +887,7 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, counters: &Count
             message: e.to_string(),
         },
     };
-    islands_obs::metrics().record_txn(class, started.elapsed().as_nanos() as u64);
+    metrics.record_txn(class, started.elapsed().as_nanos() as u64);
     reply
 }
 
@@ -940,9 +899,9 @@ fn handle_prepare(
     session: &mut dyn Session,
     gtid: u64,
     plan: &PlanRequest,
-    counters: &Counters,
+    metrics: &Metrics,
 ) -> Reply {
-    counters.prepares.fetch_add(1, Ordering::Relaxed);
+    metrics.prepares.inc();
     islands_obs::set_txn_class(TxnClass::Multisite);
     let started = Instant::now();
     let reply = match session.prepare(gtid, plan) {
@@ -953,7 +912,7 @@ fn handle_prepare(
             message: e.to_string(),
         },
     };
-    islands_obs::metrics().record_prepare(started.elapsed().as_nanos() as u64);
+    metrics.record_prepare(started.elapsed().as_nanos() as u64);
     reply
 }
 
@@ -961,21 +920,16 @@ fn handle_prepare(
 /// Abort decisions for unknown gtids are acknowledged — under presumed
 /// abort the branch may already have been rolled back (or never prepared
 /// here at all), and aborting nothing is the decreed outcome.
-fn handle_decision(
-    session: &mut dyn Session,
-    gtid: u64,
-    commit: bool,
-    counters: &Counters,
-) -> Reply {
-    counters.decisions.fetch_add(1, Ordering::Relaxed);
+fn handle_decision(session: &mut dyn Session, gtid: u64, commit: bool, metrics: &Metrics) -> Reply {
+    metrics.decisions.inc();
     islands_obs::set_txn_class(TxnClass::Multisite);
     let started = Instant::now();
     let reply = match session.decide(gtid, commit) {
         Ok(DecideOutcome::Applied) => {
             if commit {
-                counters.commits.fetch_add(1, Ordering::Relaxed);
+                metrics.commits.inc();
             } else {
-                counters.aborts.fetch_add(1, Ordering::Relaxed);
+                metrics.aborts.inc();
             }
             Reply::Ack { gtid }
         }
@@ -990,35 +944,13 @@ fn handle_decision(
             message: e.to_string(),
         },
     };
-    islands_obs::metrics().record_decision(started.elapsed().as_nanos() as u64);
+    metrics.record_decision(started.elapsed().as_nanos() as u64);
     reply
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_line_round_trips() {
-        let stats = ServerStats {
-            connections: 4,
-            requests: 31,
-            commits: 10,
-            aborts: 2,
-            errors: 1,
-            prepares: 7,
-            decisions: 6,
-            presumed_aborts: 1,
-            in_doubt: 3,
-        };
-        assert_eq!(ServerStats::from_line(&stats.to_line()), Some(stats));
-        assert_eq!(ServerStats::from_line("STATS commits=nope"), None);
-        assert_eq!(ServerStats::from_line("READY uds:/tmp/x.sock"), None);
-        // Heartbeats from a newer child may carry keys this parent has no
-        // slot for; they are skipped, not fatal.
-        let tolerant = ServerStats::from_line("STATS commits=3 p99_us=412 in_doubt=1").unwrap();
-        assert_eq!((tolerant.commits, tolerant.in_doubt), (3, 1));
-    }
 
     #[test]
     fn session_set_stays_bounded_under_sustained_churn() {
@@ -1084,10 +1016,10 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let session: Arc<SessionFn> = Arc::new(|conn, shutdown, counters| {
-            session_loop(conn, shutdown, counters, |_| Reply::Pong)
+        let session: Arc<SessionFn> = Arc::new(|conn, shutdown, metrics| {
+            session_loop(conn, shutdown, metrics, |_| Reply::Pong)
         });
-        let handle = serve(&Endpoint::Uds(sock), None, session).expect("serve");
+        let handle = serve(&Endpoint::Uds(sock), Arc::default(), None, session).expect("serve");
         let mut client = crate::Client::connect(handle.endpoint()).expect("connect");
         // The pong is flushed, so the session is polling for the next frame.
         client.ping().expect("ping");

@@ -22,10 +22,8 @@
 use std::io::{self, Read};
 
 use islands_dtxn::Vote;
-use islands_obs::Snapshot;
+use islands_obs::snapshot::{Snapshot, ENCODED_LEN as STATS_BODY_LEN};
 use islands_workload::{CodecError, PlanBranch, PlanRequest, TxnBranch, TxnRequest};
-
-use crate::server::ServerStats;
 
 /// Largest accepted frame payload. Large enough for a request touching
 /// [`islands_workload::MAX_KEYS_PER_REQUEST`] rows with room to spare,
@@ -59,11 +57,6 @@ const TAG_ACK: u8 = 0x87;
 const TAG_STATS_REPLY: u8 = 0x88;
 const TAG_AUDIT_REPLY: u8 = 0x89;
 const TAG_RESOLVED: u8 = 0x8A;
-
-/// Fixed [`ServerStats`] prefix of a stats-reply body: 9 × u64 LE.
-const SERVER_STATS_LEN: usize = 72;
-/// Full stats-reply body: counters plus the encoded obs snapshot.
-const STATS_BODY_LEN: usize = SERVER_STATS_LEN + islands_obs::snapshot::ENCODED_LEN;
 
 // Vote bytes inside a TAG_VOTE body.
 const VOTE_YES: u8 = 0;
@@ -167,8 +160,8 @@ pub enum Request {
         /// True to commit the prepared branch, false to roll it back.
         commit: bool,
     },
-    /// Scrape the server's live counters and observability snapshot
-    /// ([`Reply::Stats`]) without disturbing the run.
+    /// Scrape the server's stats ([`Reply::Stats`]) without disturbing the
+    /// run.
     Stats,
     /// Run this transaction plan (TPC-C NewOrder/Payment, a lowered micro
     /// batch, or any step list) to completion and report the outcome.
@@ -229,15 +222,10 @@ pub enum Reply {
         /// Global transaction id the ack is for.
         gtid: u64,
     },
-    /// Answer to [`Request::Stats`]: the server's monotonic counters plus
-    /// the process-wide observability snapshot (phase breakdown, latency
-    /// histograms, 2PC phase timings, gauges).
-    Stats {
-        /// Wire-server counters (connections, commits, in-doubt, ...).
-        server: ServerStats,
-        /// Metrics-registry snapshot from `islands-obs`.
-        obs: Box<Snapshot>,
-    },
+    /// Answer to [`Request::Stats`]: the server's registry snapshot — wire
+    /// counters, phase breakdown, latency histograms, 2PC phase timings,
+    /// gauges — with its engine's parked branches and lock counts.
+    Stats(Box<Snapshot>),
     /// Answer to [`Request::Audit`]: the storage-level audit invariant.
     AuditSum {
         /// Sum of per-row audit counters over every table this instance
@@ -452,13 +440,9 @@ impl WireMessage for Reply {
                 buf.push(TAG_ACK);
                 buf.extend_from_slice(&gtid.to_le_bytes());
             }
-            Reply::Stats { server, obs } => {
+            Reply::Stats(snap) => {
                 buf.push(TAG_STATS_REPLY);
-                let mut server = *server;
-                for v in server.slots() {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                obs.encode_into(buf);
+                snap.encode_into(buf);
             }
             Reply::AuditSum { sum } => {
                 buf.push(TAG_AUDIT_REPLY);
@@ -534,21 +518,12 @@ impl WireMessage for Reply {
             }
             TAG_STATS_REPLY => {
                 exactly(tag, body, STATS_BODY_LEN)?;
-                let mut server = ServerStats::default();
-                for (i, slot) in server.slots().into_iter().enumerate() {
-                    *slot = u64_le(&body[i * 8..]);
-                }
-                let obs = Snapshot::decode(&body[SERVER_STATS_LEN..]).map_err(|_| {
-                    WireError::BadBody {
-                        tag,
-                        needed: STATS_BODY_LEN,
-                        had: body.len(),
-                    }
+                let snap = Snapshot::decode(body).map_err(|_| WireError::BadBody {
+                    tag,
+                    needed: STATS_BODY_LEN,
+                    had: body.len(),
                 })?;
-                Ok(Reply::Stats {
-                    server,
-                    obs: Box::new(obs),
-                })
+                Ok(Reply::Stats(Box::new(snap)))
             }
             TAG_AUDIT_REPLY => {
                 exactly(tag, body, 8)?;

@@ -383,6 +383,61 @@ fn midrun_stats_scrape_sees_live_counters_and_populated_breakdown() {
 }
 
 #[test]
+fn with_obs_off_the_stats_reply_and_the_drain_line_still_carry_the_wire_counters() {
+    // The configuration the benchmark measures: recording off in every
+    // instance. The wire counters are not measurements, so a mid-run
+    // `Stats` reply still shows the load, and each instance's drain line
+    // says the same.
+    let deploy = Arc::new(
+        Deployment::spawn(&DeployConfig {
+            obs: false,
+            ..config(2, Transport::Uds)
+        })
+        .unwrap(),
+    );
+    let mut client = deploy.client().unwrap();
+    for i in 0..30 {
+        let k = i % 100;
+        assert!(outcome(client.submit(&update(&[k])).unwrap()).committed);
+        assert!(outcome(client.submit(&update(&[200 + k])).unwrap()).committed);
+        assert!(outcome(client.submit(&update(&[k + 1, 350 - k])).unwrap()).committed);
+    }
+    // Settle the acks the links are owed: every decision is applied, and
+    // counted, before the scrape.
+    client.audit_total().unwrap();
+    let scraped: Vec<_> = (0..2)
+        .map(|i| {
+            let mut probe = Client::connect(&deploy.endpoint(i)).unwrap();
+            let (stats, snap) = probe.stats().unwrap();
+            assert!(!snap.enabled, "instance {i} records nothing");
+            assert!(
+                stats.commits > 0 && stats.prepares > 0,
+                "instance {i}: {stats:?}"
+            );
+            assert_eq!(stats.in_doubt, 0, "instance {i}");
+            assert_eq!(snap.txns, [0, 0], "instance {i}: no measurement");
+            stats
+        })
+        .collect();
+    drop(client);
+    let reports = Arc::try_unwrap(deploy)
+        .ok()
+        .expect("no other refs")
+        .shutdown();
+    for (r, mid) in reports.iter().zip(&scraped) {
+        assert!(r.clean, "instance {} unclean: {}", r.index, r.detail);
+        let last = r.stats.expect("stats parsed");
+        assert_eq!(
+            (last.commits, last.aborts, last.prepares, last.decisions),
+            (mid.commits, mid.aborts, mid.prepares, mid.decisions),
+            "instance {}",
+            r.index
+        );
+        assert_eq!(last.in_doubt, 0);
+    }
+}
+
+#[test]
 fn serial_engine_deployment_commits_local_and_multisite_and_drains_clean() {
     // The serial executor engine, end to end across real processes: each
     // instance child runs a PartitionExecutor (no lock table on the local

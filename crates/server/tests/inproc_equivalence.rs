@@ -222,7 +222,7 @@ fn run_inproc(cfg: &DeployConfig, engine: EngineMode, script: &[PlanRequest]) ->
         seen,
         audit: cluster.audit_sum().unwrap() - loaded,
         per_instance: (0..cfg.instances)
-            .map(|i| frames_only(cluster.stats(i)))
+            .map(|i| frames_only((&cluster.snapshot(i)).into()))
             .collect(),
     }
 }

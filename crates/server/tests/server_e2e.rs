@@ -607,6 +607,32 @@ fn executor_backend_presumes_abort_when_coordinator_vanishes() {
 /// coordinator, an audit — sending batches either as `Submit`/`Prepare`
 /// frames or as the `SubmitPlan`/`PreparePlan` frames of their lowering.
 /// Returns every reply (server timing zeroed) and the final counters.
+#[test]
+fn stats_count_one_lock_acquire_per_row_update_on_a_locked_partition_and_none_on_a_serial_one() {
+    const N: u64 = 25;
+    for (locked, handle) in [
+        (true, spawn_partition(0, 100).1),
+        (false, spawn_executor(0, 100).1),
+    ] {
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        let (_, before) = client.stats().unwrap();
+        for key in 0..N {
+            let reply = client.submit(&update(&[key])).unwrap();
+            assert!(matches!(reply, Reply::Committed { .. }), "{reply:?}");
+        }
+        let (_, after) = client.stats().unwrap();
+        assert_eq!(after.commits - before.commits, N);
+        assert_eq!(
+            after.lock_acquires - before.lock_acquires,
+            if locked { N } else { 0 },
+            "locked={locked}"
+        );
+        assert_eq!(after.lock_dies, 0, "locked={locked}: nothing contended");
+        client.drain_server().unwrap();
+        handle.join().unwrap();
+    }
+}
+
 fn wire_conversation(backend: Backend, lowered: bool) -> (Vec<Reply>, islands_server::ServerStats) {
     let submit = |keys: &[u64]| {
         let req = update(keys);

@@ -6,7 +6,7 @@
 use islands_dtxn::Vote;
 use islands_obs::{HistSnapshot, Snapshot, BUCKETS, NCATS, NCLASSES};
 use islands_server::wire::{FrameReader, Reply, Request, WireError, WireMessage, FRAME_HEADER};
-use islands_server::{ServerStats, MAX_FRAME};
+use islands_server::MAX_FRAME;
 use islands_workload::{
     OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp, TxnBranch, TxnRequest,
 };
@@ -92,34 +92,33 @@ fn hist_snapshot() -> impl Strategy<Value = HistSnapshot> {
         })
 }
 
-fn server_stats() -> impl Strategy<Value = ServerStats> {
-    prop::collection::vec(any::<u64>(), 9..10).prop_map(|v| ServerStats {
-        connections: v[0],
-        requests: v[1],
-        commits: v[2],
-        aborts: v[3],
-        errors: v[4],
-        prepares: v[5],
-        decisions: v[6],
-        presumed_aborts: v[7],
-        in_doubt: v[8],
-    })
-}
-
 fn obs_snapshot() -> impl Strategy<Value = Snapshot> {
     (
         any::<bool>(),
-        any::<u64>(),
-        any::<u64>(),
+        prop::collection::vec(any::<u64>(), 16..17),
         prop::collection::vec(any::<u64>(), NCLASSES * NCATS..NCLASSES * NCATS + 1),
         prop::collection::vec(any::<u64>(), NCLASSES..NCLASSES + 1),
-        prop::collection::vec(hist_snapshot(), NCLASSES + 3..NCLASSES + 4),
+        prop::collection::vec(hist_snapshot(), NCLASSES + 4..NCLASSES + 5),
     )
-        .prop_map(|(enabled, queue_depth, in_doubt, phases, txns, hists)| {
+        .prop_map(|(enabled, v, phases, txns, hists)| {
             let mut s = Snapshot {
                 enabled,
-                queue_depth,
-                in_doubt,
+                connections: v[0],
+                requests: v[1],
+                commits: v[2],
+                aborts: v[3],
+                errors: v[4],
+                prepares: v[5],
+                decisions: v[6],
+                presumed_aborts: v[7],
+                queue_depth: v[8],
+                in_doubt: v[9],
+                lock_acquires: v[10],
+                lock_waits: v[11],
+                lock_dies: v[12],
+                recoveries: v[13],
+                in_doubt_commit: v[14],
+                in_doubt_abort: v[15],
                 ..Snapshot::default()
             };
             for (i, v) in phases.iter().enumerate() {
@@ -130,6 +129,7 @@ fn obs_snapshot() -> impl Strategy<Value = Snapshot> {
             s.prepare_us = hists[NCLASSES];
             s.decision_us = hists[NCLASSES + 1];
             s.parked_us = hists[NCLASSES + 2];
+            s.recovery_us = hists[NCLASSES + 3];
             s
         })
 }
@@ -153,10 +153,7 @@ fn reply() -> impl Strategy<Value = Reply> {
         Just(Reply::Draining),
         (any::<u64>(), vote()).prop_map(|(gtid, vote)| Reply::Vote { gtid, vote }),
         any::<u64>().prop_map(|gtid| Reply::Ack { gtid }),
-        (server_stats(), obs_snapshot()).prop_map(|(server, obs)| Reply::Stats {
-            server,
-            obs: Box::new(obs),
-        }),
+        obs_snapshot().prop_map(|snap| Reply::Stats(Box::new(snap))),
         any::<u64>().prop_map(|sum| Reply::AuditSum { sum }),
     ]
 }
@@ -236,18 +233,17 @@ proptest! {
     }
 
     /// The stats reply gets its own truncation guarantee: it is by far the
-    /// largest frame (fixed ~2 KiB body: server counters + obs snapshot) and
+    /// largest frame (fixed ~2.5 KiB body: one encoded snapshot) and
     /// its body length is exact, so *every* strict prefix must be a typed
     /// error — never a panic, never a half-read snapshot. (The generic reply
     /// strategy can't be used here: an Error reply's body is raw UTF-8 with
     /// no length prefix, so its truncations legitimately decode.)
     #[test]
     fn truncated_stats_replies_never_panic_and_never_decode(
-        server in server_stats(),
-        obs in obs_snapshot(),
+        snap in obs_snapshot(),
         cut_seed in any::<u64>(),
     ) {
-        let rep = Reply::Stats { server, obs: Box::new(obs) };
+        let rep = Reply::Stats(Box::new(snap));
         let mut frame = Vec::new();
         rep.encode_frame(&mut frame);
         let cut = (cut_seed % frame.len() as u64) as usize;
