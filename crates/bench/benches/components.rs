@@ -114,7 +114,7 @@ fn bench_lock_table(c: &mut Criterion) {
 
 fn bench_log_buffer(c: &mut Criterion) {
     c.bench_function("log_append_update", |b| {
-        let mut lb = LogBuffer::new(1 << 20);
+        let mut lb = LogBuffer::new(1 << 20, 0);
         let payload = LogPayload::Update {
             table: 1,
             key: 7,
@@ -123,10 +123,8 @@ fn bench_log_buffer(c: &mut Criterion) {
         };
         b.iter(|| {
             let lsn = lb.append(TxnId(1), &payload);
-            if lb.should_flush() {
-                let (base, bytes) = lb.take_batch().unwrap();
-                lb.mark_durable(base + bytes.len() as u64);
-                lb.recycle(bytes);
+            if let Some(batch) = lb.due() {
+                lb.written(batch);
             }
             std::hint::black_box(lsn)
         })

@@ -38,7 +38,7 @@ use islands_obs::{BreakdownCategory, Snapshot};
 use islands_storage::instance::{InDoubt, PrepareVote};
 use islands_storage::store::MemStore;
 use islands_storage::table::Table;
-use islands_storage::wal::{DiscardLogDevice, FileLogDevice, LogDevice};
+use islands_storage::wal::{self, DiscardLogDevice, LogDevice};
 use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle};
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
 use islands_workload::{tpcc, TxnRequest};
@@ -171,14 +171,14 @@ impl PartitionEngine {
     pub fn build(cfg: &PartitionConfig) -> Result<Self, StorageError> {
         check_config(cfg)?;
         // Capture the previous incarnation's log *before* the new instance
-        // starts appending to the same device.
+        // starts appending to the same device, its torn tail cut off so
+        // this incarnation's records follow the last whole one.
         let (device, prior): (Arc<dyn LogDevice>, Vec<u8>) = match &cfg.wal {
             // Nothing ever reads a volatile partition's log back: count
             // its bytes, keep none.
             None => (DiscardLogDevice::new(), Vec::new()),
             Some(path) => {
-                let dev = FileLogDevice::open(path)?;
-                let prior = dev.read_all()?;
+                let (dev, prior) = wal::reopen(path)?;
                 (dev, prior)
             }
         };
@@ -969,6 +969,53 @@ mod tests {
         let e2 = PartitionEngine::build(&cfg).unwrap();
         assert!(e2.recovered_gtids().is_empty());
         assert_eq!(e2.audit_sum().unwrap(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A crash mid-flush leaves part of a record on the file. Replay stops
+    /// there, so the next incarnation must append after the last whole
+    /// record, not after the torn bytes, or its commits are lost at the
+    /// following restart.
+    #[test]
+    fn commits_after_a_torn_tail_survive_the_next_restart() {
+        let path = temp_wal("torn-tail");
+        let cfg = PartitionConfig {
+            lo: 0,
+            hi: 50,
+            row_size: 16,
+            buffer_frames: 256,
+            wal: Some(path.clone()),
+            ..Default::default()
+        };
+        {
+            let e = PartitionEngine::build(&cfg).unwrap();
+            assert!(e.submit_local(&update(&[10]), 0).unwrap().committed);
+        }
+        let mut torn = Vec::new();
+        islands_storage::wal::record::encode(
+            islands_storage::TxnId(99),
+            &islands_storage::wal::LogPayload::Update {
+                table: 1,
+                key: 11,
+                before: vec![0; 16],
+                after: vec![1; 16],
+            },
+            &mut torn,
+        );
+        torn.truncate(torn.len() / 2);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        std::io::Write::write_all(&mut file, &torn).unwrap();
+        drop(file);
+        {
+            let e = PartitionEngine::build(&cfg).unwrap();
+            assert_eq!(e.audit_sum().unwrap(), 1);
+            assert!(e.submit_local(&update(&[20]), 0).unwrap().committed);
+        }
+        let e = PartitionEngine::build(&cfg).unwrap();
+        assert_eq!(e.audit_sum().unwrap(), 2);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -28,10 +28,11 @@ use islands_memsim::{CostModel, CounterSnapshot, Line, Region, RegionSpec};
 use islands_obs::{BreakdownCategory as Cat, NCATS};
 use islands_sim::chan::{channel, Receiver, Sender};
 use islands_sim::disk::{Disk, DiskParams, Raid0};
-use islands_sim::sync::{Event, SimMutex};
+use islands_sim::sync::{Event, Notify, SimMutex};
 use islands_sim::{Sim, SimTime};
 use islands_storage::lock::{Acquire, LockId, LockMode, LockTable};
-use islands_storage::TxnId;
+use islands_storage::wal::{Batch, Force, LogBuffer, LogPayload};
+use islands_storage::{InstanceOptions, Lsn, TxnId};
 use islands_workload::plan::{self, PlanRequest, PlanStep};
 use islands_workload::tpcc::{self, PaymentGenerator};
 use islands_workload::{MicroGenerator, MicroSpec};
@@ -42,7 +43,6 @@ use crate::partition::{
     instance_of_site, split_plan_by_owner, RangeSites, SiteMap, Sites, WarehouseSites,
 };
 use crate::simrt::costs::CostParams;
-use crate::simrt::log::SimLog;
 
 /// Workloads the simulated cluster can run.
 #[derive(Debug, Clone)]
@@ -176,6 +176,60 @@ impl PendingCoord {
     }
 }
 
+/// One instance's log: the served WAL's buffer and group-commit policy
+/// ([`LogBuffer::force`]), driven in simulated time over the log disk. A
+/// leader's write is one `disk.access` of its batch's bytes.
+struct InstanceLog {
+    buffer: RefCell<LogBuffer>,
+    /// Fires when a leader hands its batch back.
+    flushed: Notify,
+    disk: Disk,
+}
+
+impl InstanceLog {
+    fn new(sim: &Sim, disk: DiskParams) -> Self {
+        InstanceLog {
+            buffer: RefCell::new(LogBuffer::new(
+                InstanceOptions::default().flush_threshold,
+                0,
+            )),
+            flushed: Notify::new(),
+            disk: Disk::new(sim, disk),
+        }
+    }
+
+    /// Append a record; returns the LSN to force. An append that fills the
+    /// buffer past its threshold with no flush in flight writes the batch.
+    async fn append(&self, txn: TxnId, payload: &LogPayload) -> Lsn {
+        let (lsn, due) = {
+            let mut buffer = self.buffer.borrow_mut();
+            (buffer.append(txn, payload), buffer.due())
+        };
+        if let Some(batch) = due {
+            self.write(batch).await;
+        }
+        lsn
+    }
+
+    /// Wait until `lsn` is durable, leading a flush when nobody is.
+    async fn force(&self, lsn: Lsn) {
+        loop {
+            let next = self.buffer.borrow_mut().force(lsn);
+            match next {
+                Force::Durable => return,
+                Force::Wait => self.flushed.notified().await,
+                Force::Lead(batch) => self.write(batch).await,
+            }
+        }
+    }
+
+    async fn write(&self, batch: Batch) {
+        self.disk.access(batch.bytes().len() as u64).await;
+        self.buffer.borrow_mut().written(batch);
+        self.flushed.notify_all();
+    }
+}
+
 struct Instance {
     idx: usize,
     cores: Vec<CoreId>,
@@ -186,7 +240,7 @@ struct Instance {
     /// distributed, Section 7.1.2).
     locks_off: bool,
     client_q: RefCell<std::collections::VecDeque<PlanRequest>>,
-    q_notify: islands_sim::sync::Notify,
+    q_notify: Notify,
     home_socket: Option<SocketId>,
     tables: HashMap<u32, SimTable>,
     lock_table: RefCell<LockTable>,
@@ -199,7 +253,7 @@ struct Instance {
     /// (Sections 2.1, 7.2); this is the shared-everything scalability
     /// ceiling of Figure 12.
     xct_mutex: SimMutex<()>,
-    log: Rc<SimLog>,
+    log: InstanceLog,
     inbox: Sender<Msg>,
     prepared: RefCell<HashMap<Gtid, PreparedPart>>,
     pending: RefCell<HashMap<Gtid, Rc<PendingCoord>>>,
@@ -496,14 +550,6 @@ fn build_cluster(cfg: &SimClusterConfig, workload: &SimWorkload) -> Rc<Cluster> 
             write_ratio: if cores.len() > 1 { 0.7 } else { 0.0 },
         });
         let (tx, rx) = channel::<Msg>(&sim);
-        let log = Rc::new(SimLog::new());
-        let log_disk = Disk::new(&sim, cfg.costs.log_disk);
-        {
-            let log = Rc::clone(&log);
-            let s = sim.clone();
-            let window = cfg.costs.group_window_ps;
-            sim.spawn(async move { log.flusher(s, log_disk, window).await });
-        }
         let inst = Rc::new(Instance {
             idx,
             cores: cores.clone(),
@@ -511,7 +557,7 @@ fn build_cluster(cfg: &SimClusterConfig, workload: &SimWorkload) -> Rc<Cluster> 
             core_slots: cores.iter().map(|_| SimMutex::new(())).collect(),
             locks_off: single && workload_local,
             client_q: RefCell::new(std::collections::VecDeque::new()),
-            q_notify: islands_sim::sync::Notify::new(),
+            q_notify: Notify::new(),
             home_socket: home,
             tables,
             lock_table: RefCell::new(LockTable::new()),
@@ -520,7 +566,7 @@ fn build_cluster(cfg: &SimClusterConfig, workload: &SimWorkload) -> Rc<Cluster> 
             ctrl_line: Line::new(),
             log_line: Line::new(),
             xct_mutex: SimMutex::new(()),
-            log,
+            log: InstanceLog::new(&sim, cfg.costs.log_disk),
             inbox: tx,
             prepared: RefCell::new(HashMap::new()),
             pending: RefCell::new(HashMap::new()),
@@ -694,7 +740,6 @@ async fn do_op(
     txn: TxnId,
     op: &PlanStep,
     applied: &mut Vec<(u32, u64)>,
-    last_lsn: &mut u64,
 ) -> Result<bool, Died> {
     let core = inst.cores[core_idx];
     if !inst.locks_off {
@@ -770,9 +815,13 @@ async fn do_op(
     let log_ps = cl.cost.charge_line(core, &inst.log_line)
         + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
     busy(cl, inst, core_idx, Cat::Logging, log_ps).await;
-    *last_lsn = inst
-        .log
-        .append(table.row_size as u64 * 2 + cl.costs.log_record_overhead);
+    let update = LogPayload::Update {
+        table: op.table,
+        key: op.key,
+        before: vec![0; table.row_size],
+        after: vec![0; table.row_size],
+    };
+    inst.log.append(txn, &update).await;
     drop(latch);
     Ok(true)
 }
@@ -873,11 +922,10 @@ async fn participant_execute(
     busy(&cl, &inst, core_idx, Cat::Communication, recv_ps).await;
 
     let mut applied = Vec::new();
-    let mut last_lsn = 0u64;
     let mut wrote = false;
     let mut died = false;
     for op in &steps {
-        match do_op(&cl, &inst, core_idx, txn, op, &mut applied, &mut last_lsn).await {
+        match do_op(&cl, &inst, core_idx, txn, op, &mut applied).await {
             Ok(w) => wrote |= w,
             Err(Died) => {
                 died = true;
@@ -888,10 +936,7 @@ async fn participant_execute(
     let mut machine = Participant::new(gtid);
     let vote = match machine.on_prepare(wrote, !died) {
         ParticipantEvent::ForcePrepareAndVote { vote, .. } => {
-            let lsn = inst.log.append(64);
-            let t0 = cl.sim.now();
-            inst.log.commit_durable(lsn.max(last_lsn)).await;
-            note_wait(&cl, Cat::Logging, cl.sim.now().since(t0));
+            log_forced(&cl, &inst, txn, &LogPayload::Prepare { gtid }).await;
             inst.prepared
                 .borrow_mut()
                 .insert(gtid, PreparedPart { machine, applied });
@@ -931,20 +976,32 @@ async fn participant_decide(cl: Rc<Cluster>, idx: usize, gtid: Gtid, from: usize
         undo_applied(&inst, &part.applied);
     }
     // Commit or abort record, lazily flushed.
-    inst.log.append(32);
+    let outcome = if commit {
+        LogPayload::Commit
+    } else {
+        LogPayload::Abort
+    };
+    inst.log.append(TxnId(gtid), &outcome).await;
     release_locks(&cl, &inst, TxnId(gtid));
     send_msg(&cl, &inst, core_idx, from, Msg::Ack { gtid, from: idx }).await;
 }
 
-/// Force a decision record and everything logged before it.
-async fn force_decision(cl: &Cluster, inst: &Instance, core_idx: usize) {
+/// Force a commit decision record and everything logged before it.
+async fn force_decision(cl: &Cluster, inst: &Instance, core_idx: usize, gtid: Gtid) {
     let core = inst.cores[core_idx];
     let core_ps = cl.cost.charge_line(core, &inst.log_line)
         + cl.cost.charge_instr(core, cl.costs.instr_log_insert);
     busy(cl, inst, core_idx, Cat::Logging, core_ps).await;
-    inst.log.append(48);
+    let decision = LogPayload::Decision { gtid, commit: true };
+    log_forced(cl, inst, TxnId(gtid), &decision).await;
+}
+
+/// Append a record and wait until it is durable, billing the wait to
+/// logging.
+async fn log_forced(cl: &Cluster, inst: &Instance, txn: TxnId, payload: &LogPayload) {
+    let lsn = inst.log.append(txn, payload).await;
     let t0 = cl.sim.now();
-    inst.log.commit_durable(inst_log_end(inst)).await;
+    inst.log.force(lsn).await;
     note_wait(cl, Cat::Logging, cl.sim.now().since(t0));
 }
 
@@ -990,11 +1047,10 @@ async fn execute_txn(
 
     // Local phase.
     let mut applied = Vec::new();
-    let mut last_lsn = 0u64;
     let mut wrote_local = false;
     let mut died = false;
     for op in &home_ops {
-        match do_op(cl, inst, core_idx, txn, op, &mut applied, &mut last_lsn).await {
+        match do_op(cl, inst, core_idx, txn, op, &mut applied).await {
             Ok(w) => wrote_local |= w,
             Err(Died) => {
                 died = true;
@@ -1011,10 +1067,7 @@ async fn execute_txn(
     if participants.is_empty() {
         // Purely local commit.
         if wrote_local {
-            inst.log.append(32); // commit record
-            let t0 = cl.sim.now();
-            inst.log.commit_durable(inst_log_end(inst)).await;
-            note_wait(cl, Cat::Logging, cl.sim.now().since(t0));
+            log_forced(cl, inst, txn, &LogPayload::Commit).await;
         }
         release_locks(cl, inst, txn);
         let fin = cl.cost.charge_instr(core, cl.costs.instr_finish);
@@ -1064,7 +1117,7 @@ async fn execute_txn(
     for action in actions {
         match action {
             Action::ForceCommitDecision { .. } => {
-                force_decision(cl, inst, core_idx).await;
+                force_decision(cl, inst, core_idx, gtid).await;
                 forced = true;
             }
             Action::SendDecision { to, commit } => {
@@ -1077,7 +1130,7 @@ async fn execute_txn(
             }
             Action::Finish { commit: outcome } => {
                 if outcome && wrote_local && !forced {
-                    force_decision(cl, inst, core_idx).await;
+                    force_decision(cl, inst, core_idx, gtid).await;
                 }
                 commit = outcome;
             }
@@ -1103,11 +1156,6 @@ async fn execute_txn(
     } else {
         false
     }
-}
-
-fn inst_log_end(inst: &Instance) -> u64 {
-    // Everything appended so far must be durable for this commit.
-    inst.log.append(0)
 }
 
 fn finish_commit(cl: &Cluster, plan: &PlanRequest, distributed: bool) {
@@ -1284,6 +1332,7 @@ pub fn run(cfg: &SimClusterConfig, workload: &SimWorkload) -> RunResult {
 mod tests {
     use super::*;
     use islands_sim::PS_PER_MS;
+    use islands_storage::wal::record::encoded_len;
     use islands_workload::plan::StepOp;
     use islands_workload::OpKind;
 
@@ -1318,6 +1367,89 @@ mod tests {
         release_locks(&cl, &inst, younger);
         cl.sim.run_until(SimTime(2 * PS_PER_MS));
         assert!(inst.prepared.borrow().contains_key(&older.0));
+        cl.sim.shutdown();
+    }
+
+    #[test]
+    fn group_commit_batches_and_wakes() {
+        let sim = Sim::new();
+        let disk = DiskParams {
+            access_ps: 1_000_000,
+            per_byte_ps: 0,
+        };
+        let log = Rc::new(InstanceLog::new(&sim, disk));
+        let handles: Vec<_> = (0..8u64)
+            .map(|i| {
+                let (log, s) = (Rc::clone(&log), sim.clone());
+                sim.spawn(async move {
+                    s.sleep(i * 10_000).await; // commits arrive within 80 ns
+                    let lsn = log.append(TxnId(i), &LogPayload::Commit).await;
+                    log.force(lsn).await;
+                    assert!(log.buffer.borrow().is_durable(lsn));
+                })
+            })
+            .collect();
+        sim.run_until(SimTime(50_000_000));
+        assert!(handles.iter().all(|h| h.is_finished()), "committer stuck");
+        // The first committer leads alone; the seven behind it share one
+        // batch.
+        let (_, writes) = log.buffer.borrow().stats();
+        assert!(writes <= 2, "writes: {writes}");
+        assert_eq!(log.disk.stats().0, writes);
+    }
+
+    #[test]
+    fn durability_is_monotone() {
+        let sim = Sim::new();
+        let disk = DiskParams {
+            access_ps: 10,
+            per_byte_ps: 1,
+        };
+        let log = Rc::new(InstanceLog::new(&sim, disk));
+        let log2 = Rc::clone(&log);
+        let h = sim.spawn(async move {
+            let l1 = log2.append(TxnId(1), &LogPayload::Begin).await;
+            let l2 = log2.append(TxnId(1), &LogPayload::Commit).await;
+            assert!(l2 > l1);
+            log2.force(l2).await;
+            l1
+        });
+        sim.run_until(SimTime(1_000_000));
+        let l1 = h.try_take().expect("forced");
+        assert!(log.buffer.borrow().is_durable(l1));
+    }
+
+    /// The simulator logs the records the served engine writes: one
+    /// row-image `Update` per written row and a `Commit`.
+    #[test]
+    fn a_local_one_row_update_logs_an_update_and_a_commit() {
+        let cfg = SimClusterConfig::new(Machine::quad_socket(), 24);
+        let spec = MicroSpec::new(OpKind::Update, 1, 0.0);
+        let row_size = spec.row_size;
+        let cl = build_cluster(&cfg, &SimWorkload::Micro(spec));
+        let inst = Rc::clone(&cl.instances[0]);
+        let plan = PlanRequest {
+            class: plan::PlanClass::Generic,
+            multisite: false,
+            steps: vec![PlanStep::point(plan::MICRO_TABLE, 7, StepOp::Update)],
+        };
+        let (cl2, inst2) = (Rc::clone(&cl), Rc::clone(&inst));
+        let h = cl
+            .sim
+            .spawn(async move { execute_txn(&cl2, &inst2, 0, &plan).await });
+        cl.sim.run_until(SimTime(PS_PER_MS));
+        assert_eq!(h.try_take(), Some(true));
+        let update = LogPayload::Update {
+            table: plan::MICRO_TABLE,
+            key: 7,
+            before: vec![0; row_size],
+            after: vec![0; row_size],
+        };
+        let expected = encoded_len(&update) + encoded_len(&LogPayload::Commit);
+        let log = inst.log.buffer.borrow();
+        assert_eq!(log.end_lsn(), expected as u64);
+        assert!(log.is_durable(expected as u64));
+        drop(log);
         cl.sim.shutdown();
     }
 

@@ -45,13 +45,10 @@ pub struct CostParams {
     /// these turn into coherence misses — the stall gap of Figure 8.
     pub engine_lines_per_op: u32,
 
-    /// Group-commit window (virtual time) for the simulated log flusher.
-    pub group_window_ps: u64,
     /// Log device characteristics (memory-mapped by default, as in the
-    /// paper's main experiments).
+    /// paper's main experiments). Each instance's log drives the served
+    /// WAL's group-commit policy over it: a leader's batch is one access.
     pub log_disk: DiskParams,
-    /// Extra bytes per log record beyond the row payload (headers, LSNs).
-    pub log_record_overhead: u64,
 
     /// IPC mechanism between instances (Unix domain sockets, per Figure 6).
     pub mechanism: IpcMechanism,
@@ -77,15 +74,16 @@ impl Default for CostParams {
             lock_buckets: 64,
             row_lines: 4,
             engine_lines_per_op: 64,
-            group_window_ps: 10_000_000, // 10 us
             log_disk: DiskParams {
                 // Memory-mapped log "disk": a flush is a kernel crossing +
-                // memcpy; calibrated to give update transactions the
-                // ~25-40 us commit-wait intercept of Figure 10 (bottom).
+                // memcpy. A lone committer waits one 22 us turn, one that
+                // arrives behind a flush in flight up to two, which gives
+                // update transactions Figure 10's commit-wait intercept:
+                // at 2 rows the local update cost sits 26-42 us above the
+                // read-only one (EXPERIMENTS.md "One log").
                 access_ps: 22_000_000, // 22 us
                 per_byte_ps: 120,
             },
-            log_record_overhead: 64,
             mechanism: IpcMechanism::UnixSocket,
         }
     }
@@ -100,7 +98,6 @@ mod tests {
         let c = CostParams::default();
         assert!(c.instr_row_update > c.instr_row_read);
         assert!(c.lock_buckets.is_power_of_two());
-        assert!(c.group_window_ps < c.log_disk.access_ps);
         assert_eq!(c.mechanism, IpcMechanism::UnixSocket);
     }
 }

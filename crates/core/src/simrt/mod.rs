@@ -2,7 +2,6 @@
 
 pub mod cluster;
 pub mod costs;
-pub mod log;
 
 pub use cluster::{run, run_with_audit, Audit, RunResult, SimClusterConfig, SimWorkload};
 pub use costs::CostParams;

@@ -2,69 +2,51 @@
 //!
 //! Presumed abort lets the coordinator force **only commit** decisions: an
 //! in-doubt participant that finds no record for its gtid here must abort.
-//! [`DecisionLog`] is that log as a file — an append-only stream of 9-byte
-//! `[gtid u64 LE][commit u8]` records (the same shape as the wire `Decision`
-//! frame body), fsynced before any `Decision` message leaves the
-//! coordinator, plus the in-memory gtid → commit view recovery resolution
-//! reads.
+//! [`DecisionLog`] is that log as a file: an instance WAL
+//! ([`LogManager`]) that holds [`LogPayload::Decision`] records, forced
+//! before any `Decision` message leaves the coordinator, plus the in-memory
+//! gtid → commit view recovery resolution reads. Concurrent forces share a
+//! leader's sync like any WAL's committers do.
 //!
 //! Abort records are accepted too (they sharpen observability: a logged
 //! abort is distinguishable from a presumed one) but nothing depends on
 //! them surviving, exactly as the protocol allows.
 //!
-//! A crash can tear the final record; [`DecisionLog::open`] stops at the
-//! last whole record, so a torn tail costs at most one *unforced* decision —
-//! forced ones were fsynced before anyone acted on them.
+//! A crash can tear the final record; [`DecisionLog::open`] reopens the file
+//! by the WAL's one rule ([`wal::reopen`]) and keeps its whole records, so a
+//! torn tail costs at most one *unforced* decision — forced ones were synced
+//! before anyone acted on them.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
+
+use islands_storage::wal::{self, analyze, LogManager, LogPayload};
+use islands_storage::{InstanceOptions, TxnId};
 
 use crate::recovery::{resolve_in_doubt, RecoveredOutcome};
 use crate::Gtid;
 
-/// Bytes per decision record: gtid + commit flag.
-pub const RECORD_LEN: usize = 9;
-
-struct Inner {
-    file: File,
-    decisions: HashMap<Gtid, bool>,
-}
-
 /// File-backed presumed-abort decision log (see module docs).
 pub struct DecisionLog {
-    inner: Mutex<Inner>,
+    wal: Arc<LogManager>,
+    /// Forced verdicts, latest per gtid.
+    decisions: Mutex<HashMap<Gtid, bool>>,
     path: PathBuf,
 }
 
 impl DecisionLog {
     /// Open (creating if absent) the decision log at `path` and load every
-    /// whole record; a torn trailing record is ignored, never an error.
+    /// whole record; a torn trailing record is cut off, never an error.
     pub fn open(path: &Path) -> io::Result<DecisionLog> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)?;
-        let bytes = std::fs::read(path)?;
-        // Cut a torn trailing record off the file too, so appends from this
-        // incarnation keep the record stream aligned.
-        let aligned = bytes.len() - bytes.len() % RECORD_LEN;
-        if aligned != bytes.len() {
-            file.set_len(aligned as u64)?;
-            file.sync_data()?;
-        }
-        let mut decisions = HashMap::new();
-        for rec in bytes.chunks_exact(RECORD_LEN) {
-            let gtid = u64::from_le_bytes([
-                rec[0], rec[1], rec[2], rec[3], rec[4], rec[5], rec[6], rec[7],
-            ]);
-            decisions.insert(gtid, rec[8] != 0);
-        }
+        let (device, prior) = wal::reopen(path).map_err(io::Error::other)?;
+        let decisions = analyze(&prior, 0).map_err(io::Error::other)?.decisions;
+        let threshold = InstanceOptions::default().flush_threshold;
         Ok(DecisionLog {
-            inner: Mutex::new(Inner { file, decisions }),
+            wal: LogManager::new(device, threshold, Duration::ZERO),
+            decisions: Mutex::new(decisions),
             path: path.to_path_buf(),
         })
     }
@@ -74,52 +56,51 @@ impl DecisionLog {
         &self.path
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, HashMap<Gtid, bool>> {
+        self.decisions.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Durably record a decision: append and fsync before returning, so the
+    /// Durably record a decision: append and sync before returning, so the
     /// caller may act on the decision (send `Decision` frames, ack clients)
     /// knowing recovery will reach the same verdict. Idempotent per gtid.
     pub fn force(&self, gtid: Gtid, commit: bool) -> io::Result<()> {
-        let mut inner = self.lock();
-        if inner.decisions.get(&gtid) == Some(&commit) {
+        if self.lock().get(&gtid) == Some(&commit) {
             return Ok(());
         }
-        let mut rec = [0u8; RECORD_LEN];
-        rec[..8].copy_from_slice(&gtid.to_le_bytes());
-        rec[8] = commit as u8;
-        inner.file.write_all(&rec)?;
-        inner.file.sync_data()?;
-        inner.decisions.insert(gtid, commit);
+        let lsn = self
+            .wal
+            .append(TxnId(gtid), &LogPayload::Decision { gtid, commit });
+        self.wal.commit_durable(lsn).map_err(io::Error::other)?;
+        self.lock().insert(gtid, commit);
         Ok(())
     }
 
     /// The presumed-abort verdict for one gtid: commit only if a commit
     /// record survives; everything else aborts.
     pub fn outcome(&self, gtid: Gtid) -> RecoveredOutcome {
-        resolve_in_doubt(&self.lock().decisions, gtid)
+        resolve_in_doubt(&self.lock(), gtid)
     }
 
     /// Snapshot of every logged decision (gtid → commit).
     pub fn decisions(&self) -> HashMap<Gtid, bool> {
-        self.lock().decisions.clone()
+        self.lock().clone()
     }
 
     /// Number of distinct gtids with a logged decision.
     pub fn len(&self) -> usize {
-        self.lock().decisions.len()
+        self.lock().len()
     }
 
     /// Whether no decision has been logged yet.
     pub fn is_empty(&self) -> bool {
-        self.lock().decisions.is_empty()
+        self.lock().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islands_storage::wal::record::encoded_len;
 
     fn temp_log(name: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -160,7 +141,11 @@ mod tests {
         }
         // Tear the final record mid-write.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(2 * RECORD_LEN - 4);
+        let record = encoded_len(&LogPayload::Decision {
+            gtid: 2,
+            commit: true,
+        });
+        bytes.truncate(2 * record - 4);
         std::fs::write(&path, &bytes).unwrap();
         let log = DecisionLog::open(&path).unwrap();
         assert_eq!(log.outcome(1), RecoveredOutcome::Commit);

@@ -45,12 +45,6 @@ impl CoreCounters {
         self.stall_ps
             .set(self.stall_ps.get() + cost_ps.saturating_sub(l1_ps));
     }
-
-    /// Time charged for work that is neither compute nor memory (e.g.
-    /// blocking); counts as busy but not stall.
-    pub fn record_busy(&self, cost_ps: u64) {
-        self.busy_ps.set(self.busy_ps.get() + cost_ps);
-    }
 }
 
 /// All cores' counters plus the machine-level traffic counters.

@@ -570,11 +570,6 @@ impl ServerHandle {
         ServerStats::from(&snap)
     }
 
-    /// Whether a drain/shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.raised()
-    }
-
     /// Begin a drain, as if a client had sent [`Request::Drain`].
     pub fn initiate_shutdown(&self) {
         self.shutdown.raise();

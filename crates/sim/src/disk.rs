@@ -33,15 +33,6 @@ impl DiskParams {
         }
     }
 
-    /// The same HDD absorbing sequential log appends with its track buffer:
-    /// ~250 µs effective positioning, same media rate.
-    pub fn hdd_log() -> Self {
-        DiskParams {
-            access_ps: 250_000_000,
-            per_byte_ps: 10_000,
-        }
-    }
-
     /// A memory-backed device (the paper's main experiments put data and log
     /// on memory-mapped disks). Small fixed cost for the kernel crossing.
     pub fn memory_mapped() -> Self {

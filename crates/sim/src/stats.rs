@@ -97,15 +97,6 @@ impl RunningStats {
     }
 }
 
-/// Mean and sample standard deviation of a slice.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    let mut s = RunningStats::new();
-    for &x in xs {
-        s.push(x);
-    }
-    (s.mean(), s.std_dev())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,11 +88,6 @@ impl<T> SimMutex<T> {
         }
     }
 
-    /// Number of tasks currently queued for the lock.
-    pub fn queue_len(&self) -> usize {
-        self.inner.state.borrow().queue.len()
-    }
-
     /// `(total acquisitions, acquisitions that waited)`.
     pub fn contention_stats(&self) -> (u64, u64) {
         let st = self.inner.state.borrow();
@@ -332,10 +327,6 @@ impl Event {
         for w in st.waiters.drain(..) {
             w.wake();
         }
-    }
-
-    pub fn is_set(&self) -> bool {
-        self.inner.borrow().fired
     }
 
     pub fn wait(&self) -> EventWait {

@@ -479,14 +479,6 @@ impl BufferPool {
         self.store.sync()?;
         Ok(())
     }
-
-    /// Number of dirty frames (diagnostics / tests).
-    pub fn dirty_count(&self) -> usize {
-        self.frames
-            .iter()
-            .filter(|f| f.dirty.load(Ordering::Acquire))
-            .count()
-    }
 }
 
 #[cfg(test)]

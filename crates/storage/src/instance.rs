@@ -198,10 +198,6 @@ impl StorageInstance {
         self.catalog.read().by_id.get(&id).cloned()
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        self.catalog.read().by_name.keys().cloned().collect()
-    }
-
     // -- transactions ---------------------------------------------------------
 
     /// Start a transaction.

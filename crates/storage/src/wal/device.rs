@@ -9,6 +9,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{Result, StorageError};
+use crate::wal::record;
 
 /// Where log batches go.
 pub trait LogDevice: Send + Sync {
@@ -85,6 +86,34 @@ impl LogDevice for FileLogDevice {
     fn len(&self) -> u64 {
         self.file.lock().metadata().map(|m| m.len()).unwrap_or(0)
     }
+}
+
+/// Open the log file at `path` for a new incarnation (creating it if
+/// absent): keep its longest prefix of whole records, cut the rest off the
+/// file and return the device with that prefix.
+///
+/// The rest is the torn tail of a crash mid-flush. Replay of the prefix
+/// stops where it starts, and nothing in it was ever acknowledged durable.
+/// Left on the file, it would sit between the prefix and every record this
+/// incarnation appends, and the next replay would read its header over
+/// them: stop there, or decode one record out of torn and new bytes.
+/// A [`LogManager`](crate::wal::LogManager) over the returned device
+/// continues the stream right after the last whole record.
+pub fn reopen(path: &Path) -> Result<(Arc<FileLogDevice>, Vec<u8>)> {
+    let device = FileLogDevice::open(path)?;
+    let mut log = device.read_all()?;
+    let mut whole = 0;
+    while let Ok((_, used)) = record::decode(&log[whole..], whole as u64) {
+        whole += used;
+    }
+    if whole < log.len() {
+        let file = device.file.lock();
+        file.set_len(whole as u64)?;
+        file.sync_data()?;
+        drop(file);
+        log.truncate(whole);
+    }
+    Ok((device, log))
 }
 
 /// A device for instances whose log nothing will ever read back (volatile
@@ -169,5 +198,34 @@ pub(crate) mod testdev {
         fn len(&self) -> u64 {
             self.batches.lock().iter().map(|b| b.len() as u64).sum()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::record::{encode, encoded_len, LogPayload};
+    use crate::TxnId;
+
+    #[test]
+    fn reopen_cuts_a_torn_tail_off_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("islands-wal-reopen-{}.log", std::process::id()));
+        let mut bytes = Vec::new();
+        encode(TxnId(1), &LogPayload::Commit, &mut bytes);
+        encode(TxnId(2), &LogPayload::Prepare { gtid: 9 }, &mut bytes);
+        let whole = bytes.len();
+        encode(TxnId(3), &LogPayload::Commit, &mut bytes);
+        bytes.truncate(whole + encoded_len(&LogPayload::Commit) / 2);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (device, prefix) = reopen(&path).unwrap();
+        assert_eq!(prefix, bytes[..whole]);
+        assert_eq!(device.len(), whole as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes[..whole]);
+        // A clean log reopens untouched.
+        let (_, again) = reopen(&path).unwrap();
+        assert_eq!(again, prefix);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -7,13 +7,16 @@
 //!
 //! * [`record`] — log record encoding, including the 2PC `Prepare` /
 //!   `Decision` records distributed transactions force to disk.
-//! * [`buffer`] — the pure group-commit buffer: appends return LSNs,
-//!   batches are cut for whoever flushes, durability advances on completion.
-//! * [`device`] — [`device::LogDevice`] and its memory, file and discarding
-//!   implementations.
-//! * [`native`] — [`native::LogManager`]: leader/follower group commit over
-//!   a log device — the committer that finds no flush in flight writes the
-//!   batch itself; there is no flusher thread and no timer.
+//! * [`buffer`] — the pure group-commit buffer and its one policy: appends
+//!   return LSNs, a committer learns whether to return, wait or lead a
+//!   batch, durability advances when the batch comes back.
+//! * [`device`] — [`device::LogDevice`], its memory, file and discarding
+//!   implementations, and [`reopen`], the one rule for reopening a log file:
+//!   whole records stay, a torn tail goes.
+//! * [`native`] — [`native::LogManager`]: the buffer's policy driven by OS
+//!   threads over a log device — the committer that finds no flush in
+//!   flight writes the batch itself; there is no flusher thread and no
+//!   timer. The coordinator's decision log (`islands-dtxn`) is one too.
 //! * [`recovery`] — log analysis and logical redo, including in-doubt
 //!   (prepared) transaction reporting for 2PC recovery.
 
@@ -23,8 +26,8 @@ pub mod native;
 pub mod record;
 pub mod recovery;
 
-pub use buffer::LogBuffer;
-pub use device::{DiscardLogDevice, FileLogDevice, LogDevice, MemLogDevice};
+pub use buffer::{Batch, Force, LogBuffer};
+pub use device::{reopen, DiscardLogDevice, FileLogDevice, LogDevice, MemLogDevice};
 pub use native::LogManager;
 pub use record::{LogPayload, LogRecord};
 pub use recovery::{analyze, LogAnalysis, RedoOp};

@@ -1,4 +1,5 @@
-//! Native log manager: leader/follower group commit over a log device.
+//! Native log manager: the group-commit policy of [`LogBuffer`] driven by
+//! OS threads over a log device.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -6,15 +7,13 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{Result, StorageError};
-use crate::wal::buffer::LogBuffer;
+use crate::wal::buffer::{Batch, Force, LogBuffer};
 use crate::wal::device::LogDevice;
 use crate::wal::record::LogPayload;
 use crate::{Lsn, TxnId};
 
 struct LogState {
     buffer: LogBuffer,
-    /// A leader has cut a batch and is writing it with the lock dropped.
-    flushing: bool,
     /// Committers parked on `durable_cv`; a leader with none skips the
     /// notify (a futex syscall) — the lone-committer case on every commit.
     followers: u32,
@@ -27,13 +26,10 @@ struct LogState {
 /// Leader/follower group-commit log manager.
 ///
 /// `append` is a memcpy into the buffer. `commit_durable` returns once the
-/// caller's LSN is on the device: a committer that finds a flush in flight
-/// waits for it (and for the next one, if its record missed the batch);
-/// one that finds none becomes the **leader** — it cuts everything buffered
-/// so far, drops the buffer lock, writes and syncs on its own thread, marks
-/// the batch durable and wakes the followers. A group is whoever appended
-/// while the previous leader was in the device: many on a slow device, one
-/// on a memory device, where there is nothing to wait for. No timer and no
+/// caller's LSN is on the device; whether it returns at once, waits for the
+/// flush in flight or leads the next one is [`LogBuffer::force`]'s call. A
+/// **leader** writes and syncs its batch on its own thread with the buffer
+/// lock dropped, hands it back and wakes the followers. No timer and no
 /// flusher thread exist, so a lone committer pays exactly one device write.
 pub struct LogManager {
     state: Mutex<LogState>,
@@ -43,6 +39,9 @@ pub struct LogManager {
 }
 
 impl LogManager {
+    /// The stream continues at `device.len()`, so a reopened file must hold
+    /// whole records only ([`reopen`](crate::wal::reopen) sees to it).
+    ///
     /// `_group_window` is ignored: grouping comes from device latency, not
     /// from a timer. The parameter survives only because `benchmark/` (which
     /// a product PR may not edit) still passes one.
@@ -51,15 +50,9 @@ impl LogManager {
         flush_threshold: usize,
         _group_window: Duration,
     ) -> Arc<Self> {
-        // Continue the LSN stream where the device left off: reopening a
-        // non-empty WAL file (restart) appends at its current length, so
-        // byte-offset LSNs stay aligned with record positions. A fresh
-        // device starts at 0 as before.
-        let base_lsn = device.len();
         Arc::new(LogManager {
             state: Mutex::new(LogState {
-                buffer: LogBuffer::new_at(flush_threshold, base_lsn),
-                flushing: false,
+                buffer: LogBuffer::new(flush_threshold, device.len()),
                 followers: 0,
                 poisoned: None,
             }),
@@ -77,8 +70,10 @@ impl LogManager {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
         let mut st = self.state.lock();
         let lsn = st.buffer.append(txn, payload);
-        if st.buffer.should_flush() && !st.flushing && st.poisoned.is_none() {
-            drop(self.lead_flush(st));
+        if st.poisoned.is_none() {
+            if let Some(batch) = st.buffer.due() {
+                drop(self.write(st, batch));
+            }
         }
         lsn
     }
@@ -94,15 +89,14 @@ impl LogManager {
             if let Some(cause) = &st.poisoned {
                 return Err(StorageError::LogPoisoned(cause.clone()));
             }
-            if st.buffer.is_durable(lsn) {
-                return Ok(());
-            }
-            if st.flushing {
-                st.followers += 1;
-                self.durable_cv.wait(&mut st);
-                st.followers -= 1;
-            } else {
-                st = self.lead_flush(st);
+            match st.buffer.force(lsn) {
+                Force::Durable => return Ok(()),
+                Force::Wait => {
+                    st.followers += 1;
+                    self.durable_cv.wait(&mut st);
+                    st.followers -= 1;
+                }
+                Force::Lead(batch) => st = self.write(st, batch),
             }
         }
     }
@@ -112,23 +106,22 @@ impl LogManager {
         self.commit_durable(self.end_lsn())
     }
 
-    /// Become the leader: cut the pending batch, write it with the buffer
-    /// lock dropped (appends and new followers keep arriving), then publish
-    /// the outcome. Callers check `!flushing` and `poisoned.is_none()`.
-    fn lead_flush<'a>(&'a self, mut st: MutexGuard<'a, LogState>) -> MutexGuard<'a, LogState> {
-        let Some((base, bytes)) = st.buffer.take_batch() else {
-            return st;
-        };
-        st.flushing = true;
+    /// Lead: write `batch` with the buffer lock dropped (appends and new
+    /// followers keep arriving), then hand it back and wake the followers.
+    fn write<'a>(&'a self, st: MutexGuard<'a, LogState>, batch: Batch) -> MutexGuard<'a, LogState> {
         drop(st);
-        let written = self.device.append(&bytes).and_then(|()| self.device.sync());
+        let written = self
+            .device
+            .append(batch.bytes())
+            .and_then(|()| self.device.sync());
         let mut st = self.state.lock();
-        st.flushing = false;
         match written {
-            Ok(()) => st.buffer.mark_durable(base + bytes.len() as u64),
-            Err(e) => st.poisoned = Some(e.to_string()),
+            Ok(()) => st.buffer.written(batch),
+            Err(e) => {
+                st.poisoned = Some(e.to_string());
+                st.buffer.failed(batch);
+            }
         }
-        st.buffer.recycle(bytes);
         if st.followers > 0 {
             self.durable_cv.notify_all();
         }
@@ -409,7 +402,7 @@ mod tests {
         }
         // A second manager over the same file must continue the byte-offset
         // LSN stream, not restart at 0 (which would desync LSNs from record
-        // positions and break `mark_durable`'s monotonicity).
+        // positions and break the durability ratchet).
         let dev = FileLogDevice::open(&path).unwrap();
         let lm = LogManager::new(dev.clone(), 64, LEGACY_WINDOW);
         assert_eq!(lm.end_lsn(), lsn1);
