@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use islands_storage::wal::{self, analyze, LogManager, LogPayload};
-use islands_storage::{InstanceOptions, TxnId};
+use islands_storage::{InstanceOptions, Lsn, TxnId};
 
 use crate::recovery::{resolve_in_doubt, RecoveredOutcome};
 use crate::Gtid;
@@ -32,17 +32,21 @@ use crate::Gtid;
 /// File-backed presumed-abort decision log (see module docs).
 pub struct DecisionLog {
     wal: Arc<LogManager>,
-    /// Forced verdicts, latest per gtid.
-    decisions: Mutex<HashMap<Gtid, bool>>,
+    /// Forced verdicts, latest per gtid, each with the end LSN of its
+    /// record (0 for the ones `open` read back).
+    decisions: Mutex<HashMap<Gtid, (bool, Lsn)>>,
     path: PathBuf,
 }
 
 impl DecisionLog {
     /// Open (creating if absent) the decision log at `path` and load every
-    /// whole record; a torn trailing record is cut off, never an error.
+    /// whole record; a torn trailing record is cut off, never an error. A
+    /// file holding anything else, such as the 9-byte records this log
+    /// used before it was a WAL, is an error and is left as it was.
     pub fn open(path: &Path) -> io::Result<DecisionLog> {
         let (device, prior) = wal::reopen(path).map_err(io::Error::other)?;
         let decisions = analyze(&prior, 0).map_err(io::Error::other)?.decisions;
+        let decisions = decisions.into_iter().map(|(g, c)| (g, (c, 0))).collect();
         let threshold = InstanceOptions::default().flush_threshold;
         Ok(DecisionLog {
             wal: LogManager::new(device, threshold, Duration::ZERO),
@@ -56,34 +60,44 @@ impl DecisionLog {
         &self.path
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<Gtid, bool>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<Gtid, (bool, Lsn)>> {
         self.decisions.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Durably record a decision: append and sync before returning, so the
     /// caller may act on the decision (send `Decision` frames, ack clients)
     /// knowing recovery will reach the same verdict. Idempotent per gtid.
+    ///
+    /// The sync runs with no lock held, so concurrent forces share it. A
+    /// verdict enters the view once durable, and only over an earlier
+    /// record's: the view then agrees with recovery, where the latest
+    /// record for a gtid wins, whichever force finishes first.
     pub fn force(&self, gtid: Gtid, commit: bool) -> io::Result<()> {
-        if self.lock().get(&gtid) == Some(&commit) {
+        if self.lock().get(&gtid).map(|&(c, _)| c) == Some(commit) {
             return Ok(());
         }
         let lsn = self
             .wal
             .append(TxnId(gtid), &LogPayload::Decision { gtid, commit });
         self.wal.commit_durable(lsn).map_err(io::Error::other)?;
-        self.lock().insert(gtid, commit);
+        let mut decisions = self.lock();
+        let logged = decisions.entry(gtid).or_insert((commit, lsn));
+        if logged.1 <= lsn {
+            *logged = (commit, lsn);
+        }
         Ok(())
     }
 
     /// The presumed-abort verdict for one gtid: commit only if a commit
     /// record survives; everything else aborts.
     pub fn outcome(&self, gtid: Gtid) -> RecoveredOutcome {
-        resolve_in_doubt(&self.lock(), gtid)
+        let logged = self.lock().get(&gtid).map(|&(commit, _)| (gtid, commit));
+        resolve_in_doubt(&logged.into_iter().collect(), gtid)
     }
 
     /// Snapshot of every logged decision (gtid → commit).
     pub fn decisions(&self) -> HashMap<Gtid, bool> {
-        self.lock().clone()
+        self.lock().iter().map(|(&g, &(c, _))| (g, c)).collect()
     }
 
     /// Number of distinct gtids with a logged decision.
@@ -158,6 +172,20 @@ mod tests {
         log.force(3, true).unwrap();
         let log2 = DecisionLog::open(&path).unwrap();
         assert_eq!(log2.outcome(3), RecoveredOutcome::Commit);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_log_in_the_old_format_is_refused_untouched() {
+        let path = temp_log("old-format");
+        // `[gtid u64 LE][commit u8]` records: commit 7, abort 9.
+        let old: Vec<u8> = [(7u64, 1u8), (9, 0)]
+            .iter()
+            .flat_map(|&(gtid, commit)| gtid.to_le_bytes().into_iter().chain([commit]))
+            .collect();
+        std::fs::write(&path, &old).unwrap();
+        assert!(DecisionLog::open(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -89,22 +89,31 @@ impl LogDevice for FileLogDevice {
 }
 
 /// Open the log file at `path` for a new incarnation (creating it if
-/// absent): keep its longest prefix of whole records, cut the rest off the
-/// file and return the device with that prefix.
+/// absent): keep its longest prefix of whole records, cut a torn tail off
+/// the file and return the device with that prefix.
 ///
-/// The rest is the torn tail of a crash mid-flush. Replay of the prefix
-/// stops where it starts, and nothing in it was ever acknowledged durable.
-/// Left on the file, it would sit between the prefix and every record this
-/// incarnation appends, and the next replay would read its header over
-/// them: stop there, or decode one record out of torn and new bytes.
-/// A [`LogManager`](crate::wal::LogManager) over the returned device
+/// A torn tail is what a crash mid-flush leaves after the last whole
+/// record ([`record::is_torn`]). Replay of the prefix stops where it
+/// starts, and nothing in it was ever acknowledged durable. Left on the
+/// file, it would sit between the prefix and every record this incarnation
+/// appends, and the next replay would read its header over them: stop
+/// there, or decode one record out of torn and new bytes. A
+/// [`LogManager`](crate::wal::LogManager) over the returned device
 /// continues the stream right after the last whole record.
+///
+/// Bytes after the prefix that do not look torn — a whole frame that fails
+/// to decode, as mid-file corruption or a file in another format gives —
+/// are [`StorageError::CorruptLog`], and the file is left as it was.
 pub fn reopen(path: &Path) -> Result<(Arc<FileLogDevice>, Vec<u8>)> {
     let device = FileLogDevice::open(path)?;
     let mut log = device.read_all()?;
     let mut whole = 0;
-    while let Ok((_, used)) = record::decode(&log[whole..], whole as u64) {
-        whole += used;
+    while whole < log.len() {
+        match record::decode(&log[whole..], whole as u64) {
+            Ok((_, used)) => whole += used,
+            Err(_) if record::is_torn(&log[whole..]) => break,
+            Err(e) => return Err(e),
+        }
     }
     if whole < log.len() {
         let file = device.file.lock();
@@ -226,6 +235,28 @@ mod tests {
         // A clean log reopens untouched.
         let (_, again) = reopen(&path).unwrap();
         assert_eq!(again, prefix);
+        // So does a tail of zeros the file grew by before its data landed.
+        let mut zeros = bytes[..whole].to_vec();
+        zeros.resize(whole + 40, 0);
+        std::fs::write(&path, &zeros).unwrap();
+        assert_eq!(reopen(&path).unwrap().1, prefix);
+        assert_eq!(std::fs::read(&path).unwrap(), prefix);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopen_refuses_bytes_that_are_not_a_torn_tail() {
+        let path =
+            std::env::temp_dir().join(format!("islands-wal-refuse-{}.log", std::process::id()));
+        // A whole record with an unknown tag after a good one.
+        let mut bytes = Vec::new();
+        encode(TxnId(1), &LogPayload::Commit, &mut bytes);
+        let at = bytes.len();
+        encode(TxnId(2), &LogPayload::Commit, &mut bytes);
+        bytes[at + 12] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(reopen(&path), Err(StorageError::CorruptLog(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "left as it was");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -12,7 +12,7 @@
 //!   batch, durability advances when the batch comes back.
 //! * [`device`] — [`device::LogDevice`], its memory, file and discarding
 //!   implementations, and [`reopen`], the one rule for reopening a log file:
-//!   whole records stay, a torn tail goes.
+//!   whole records stay, a torn tail goes, anything else is refused.
 //! * [`native`] — [`native::LogManager`]: the buffer's policy driven by OS
 //!   threads over a log device — the committer that finds no flush in
 //!   flight writes the batch itself; there is no flusher thread and no

@@ -23,6 +23,17 @@ struct LogState {
     poisoned: Option<String>,
 }
 
+impl LogState {
+    /// The leader's write failed: nothing more is written or made durable.
+    /// Out of line, so the commit path carries only a call to it.
+    #[cold]
+    #[inline(never)]
+    fn poison(&mut self, cause: StorageError, batch: Batch) {
+        self.poisoned = Some(cause.to_string());
+        self.buffer.failed(batch);
+    }
+}
+
 /// Leader/follower group-commit log manager.
 ///
 /// `append` is a memcpy into the buffer. `commit_durable` returns once the
@@ -117,10 +128,7 @@ impl LogManager {
         let mut st = self.state.lock();
         match written {
             Ok(()) => st.buffer.written(batch),
-            Err(e) => {
-                st.poisoned = Some(e.to_string());
-                st.buffer.failed(batch);
-            }
+            Err(e) => st.poison(e, batch),
         }
         if st.followers > 0 {
             self.durable_cv.notify_all();

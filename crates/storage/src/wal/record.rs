@@ -154,6 +154,15 @@ fn need(b: &[u8], n: usize, lsn: Lsn) -> Result<()> {
     Ok(())
 }
 
+/// Whether `rest`, bytes after the last whole record that do not decode,
+/// is what a crash mid-flush leaves: a header cut short, a length field
+/// running past the end, or zeros the file grew by before its data landed.
+pub fn is_torn(rest: &[u8]) -> bool {
+    rest.len() < 13
+        || u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize > rest.len()
+        || rest.iter().all(|&b| b == 0)
+}
+
 /// Decode one record starting at `lsn` from `buf`; returns the record and
 /// the number of bytes consumed. Total: every malformed input — truncated
 /// header, inner length fields pointing past the frame, unknown tag — is a
