@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use islands_dtxn::Vote;
 use islands_obs::{BreakdownCategory, Snapshot};
-use islands_storage::instance::{InDoubt, PrepareVote};
+use islands_storage::instance::PrepareVote;
 use islands_storage::store::MemStore;
 use islands_storage::table::Table;
 use islands_storage::wal::{self, DiscardLogDevice, LogDevice};
@@ -243,7 +243,7 @@ impl PartitionEngine {
             hi: cfg.hi,
             tpcc: cfg.tpcc.clone(),
             tables,
-            in_doubt: InDoubtTable::new(Arc::clone(&inst)),
+            in_doubt: InDoubtTable::new(cfg.single_threaded),
             inst,
         };
         if prior.is_empty() {
@@ -252,22 +252,23 @@ impl PartitionEngine {
             // Restart path: replay instead of checkpointing, so a crash
             // during this build leaves the old log intact for the next try.
             let started = Instant::now();
-            let replayed = engine.inst.replay_log(&prior)?.into_iter();
-            let footprints = replayed.map(|b| (engine.plan_space_keys(&b), b));
-            engine.in_doubt.park_replayed(footprints);
+            for (gtid, branch) in engine.inst.replay_log(&prior)? {
+                engine
+                    .in_doubt
+                    .insert(gtid, branch, None, |b| engine.plan_space_keys(b));
+            }
             islands_obs::with(|m| m.record_recovery(started.elapsed().as_nanos() as u64));
         }
         Ok(engine)
     }
 
-    /// Translate a recovered branch's catalog-table-id footprint into
-    /// plan-table-id space so it compares against incoming requests. An
-    /// unknown catalog id keeps its raw value — at worst a false conflict,
-    /// never a missed one.
-    fn plan_space_keys(&self, branch: &InDoubt) -> Vec<(u32, u64)> {
+    /// Translate the rows a recovered branch wrote from catalog table ids
+    /// into plan-table-id space so they compare against incoming requests.
+    /// An unknown catalog id keeps its raw value — at worst a false
+    /// conflict, never a missed one.
+    fn plan_space_keys(&self, branch: &TxnHandle) -> Vec<(u32, u64)> {
         branch
-            .keys()
-            .into_iter()
+            .written_rows()
             .map(|(cat_id, key)| {
                 let served = |t: &Option<Arc<Table>>| t.as_ref().is_some_and(|t| t.id == cat_id);
                 match self.tables.iter().position(served) {
@@ -922,9 +923,10 @@ mod tests {
         // "Restart": same config, same WAL file, fresh volatile store.
         let e2 = PartitionEngine::build(&cfg).unwrap();
         assert_eq!(e2.recovered_gtids(), vec![42]);
-        // Committed update redone; the in-doubt write is withheld.
-        assert_eq!(e2.audit_sum().unwrap(), 1);
-        // The parked branch's footprint blocks new work on its row...
+        // Committed update redone; the in-doubt write is back in its row,
+        // under the branch's X lock, as a live parked branch's would be.
+        assert_eq!(e2.audit_sum().unwrap(), 2);
+        // The parked branch's lock blocks new work on its row...
         assert!(!e2.submit_local(&update(&[120]), 0).unwrap().committed);
         assert!(matches!(
             e2.prepare_branch(43, &update(&[120])).unwrap(),
@@ -940,6 +942,107 @@ mod tests {
         assert_eq!(s.decide(999, false).unwrap(), DecideOutcome::AbortNoop);
         assert_eq!(e2.audit_sum().unwrap(), 3);
         assert!(e2.submit_local(&update(&[120]), 0).unwrap().committed);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Build the locked partition `cfg`, prepare one branch per key of
+    /// `keys` (gtid = key + 1), and crash with every branch undecided.
+    fn crash_with_branches_parked(cfg: &PartitionConfig, keys: std::ops::Range<u64>) {
+        let e = PartitionEngine::build(cfg).unwrap();
+        for key in keys {
+            let BranchOutcome::Prepared(handle) =
+                e.prepare_branch(key + 1, &update(&[key])).unwrap()
+            else {
+                panic!("writer branch must prepare");
+            };
+            std::mem::forget(handle);
+        }
+    }
+
+    /// A replayed branch holds its row's X lock like a live one: a raw
+    /// transaction on the row dies until the decision releases it.
+    #[test]
+    fn a_replayed_branch_holds_its_row_lock_until_decided() {
+        let path = temp_wal("replayed-lock");
+        let cfg = PartitionConfig {
+            lo: 100,
+            hi: 200,
+            row_size: 16,
+            buffer_frames: 256,
+            wal: Some(path.clone()),
+            ..Default::default()
+        };
+        crash_with_branches_parked(&cfg, 120..121);
+        let e = PartitionEngine::build(&cfg).unwrap();
+        assert_eq!(e.recovered_gtids(), vec![121]);
+        let table = e.plan_table(MICRO_TABLE).unwrap();
+        let mut raw = e.instance().begin();
+        let parked = raw.modify(table, 120, |_| {});
+        assert!(
+            matches!(parked, Err(StorageError::Deadlock(_))),
+            "a write to a parked branch's row: {parked:?}"
+        );
+        raw.abort().unwrap();
+        assert_eq!(
+            e.session(0).decide(121, true).unwrap(),
+            DecideOutcome::Applied
+        );
+        let mut raw = e.instance().begin();
+        raw.modify(table, 120, |_| {}).unwrap();
+        raw.commit().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Decisions of replayed branches, each raced by a thread submitting
+    /// local updates to the branch's row. Sized for under 10 s in a debug
+    /// build on a 2-cpu machine.
+    const DECIDE_RACES: u64 = 500;
+
+    /// The row of a replayed branch decided commit while local submits
+    /// hammer it ends at 1 + the local commits: the decision never
+    /// overwrites a local write that slipped in before it was applied.
+    #[test]
+    fn deciding_a_replayed_branch_under_local_load_loses_no_update() {
+        let path = temp_wal("decide-race");
+        let cfg = PartitionConfig {
+            lo: 0,
+            hi: DECIDE_RACES,
+            row_size: 16,
+            buffer_frames: 256,
+            wal: Some(path.clone()),
+            ..Default::default()
+        };
+        crash_with_branches_parked(&cfg, 0..DECIDE_RACES);
+        let e = PartitionEngine::build(&cfg).unwrap();
+        let table = e.plan_table(MICRO_TABLE).unwrap();
+        let (mut lost, mut local) = (0, 0);
+        for key in 0..DECIDE_RACES {
+            let attempts = std::sync::atomic::AtomicU64::new(0);
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            let commits = std::thread::scope(|s| {
+                let hammer = s.spawn(|| {
+                    let mut commits = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let out = e.submit_local(&update(&[key]), 0).unwrap();
+                        commits += out.committed as u64;
+                        attempts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    commits
+                });
+                while attempts.load(Ordering::Relaxed) == 0 {
+                    std::hint::spin_loop();
+                }
+                let decided = e.session(0).decide(key + 1, true).unwrap();
+                assert_eq!(decided, DecideOutcome::Applied);
+                stop.store(true, Ordering::Relaxed);
+                hammer.join().unwrap()
+            });
+            let row = crate::native::audit_counter(&table.get(key).unwrap().unwrap());
+            lost += (row != 1 + commits) as u64;
+            local += commits;
+        }
+        assert_eq!(lost, 0, "{lost} of {DECIDE_RACES} decisions lost an update");
+        assert_eq!(e.audit_sum().unwrap(), DECIDE_RACES + local);
         let _ = std::fs::remove_file(&path);
     }
 

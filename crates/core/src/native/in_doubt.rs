@@ -1,22 +1,25 @@
 //! A partition's in-doubt table: every 2PC branch between its Yes vote and
 //! the coordinator's decision, in one map keyed by gtid, whichever engine
 //! mode parked it, whichever session prepared it, and whether this
-//! incarnation prepared it or restart replay re-parked it.
+//! incarnation prepared it or restart replay rebuilt it: either way a
+//! prepared [`TxnHandle`].
 //!
 //! * **Park.** A prepare reserves its gtid partition-wide before the branch
 //!   runs, so a gtid already here is [`ExecError::DuplicateGtid`] before a
 //!   second Prepare record can be written.
-//! * **Guard.** A branch no lock guards carries its `(table, key)`
-//!   footprint: every branch of an engine built `single_threaded`, and every
-//!   replayed one (its locks died with the old incarnation). New work that
-//!   touches a footprint aborts, as wait-die kills a newcomer. With no
-//!   footprint parked the check is one load.
+//! * **Guard.** A branch's locks guard its rows, replayed ones included
+//!   (replay re-takes them). Only an engine built `single_threaded` takes
+//!   no locks, so there each branch carries its `(table, key)` footprint
+//!   instead. New work that touches a footprint aborts, as wait-die kills a
+//!   newcomer. With no footprint parked the check is one load.
 //! * **Decide.** Any session may decide any branch: the branch is un-parked,
-//!   then the decision applied. A gtid nobody parked gets the presumed-abort
-//!   answer.
+//!   then [`TxnHandle::decide`] applied, its locks held until it ends. A
+//!   gtid nobody parked gets the presumed-abort answer.
 //! * **Close.** A session's close presumes abort for the branches it
-//!   prepared. Dropping the table does so for every live branch and leaves
-//!   replayed ones in the WAL for the next incarnation to re-park.
+//!   prepared. Dropping the table does so for every branch a session owns,
+//!   and leaves the replayed ones, which no session owns, in doubt in the
+//!   WAL ([`TxnHandle::leave_in_doubt`]) for the next incarnation to
+//!   rebuild.
 //!
 //! The map's lock is held for an insert or a remove, never while a plan
 //! runs or the WAL is forced. The table is what a stats snapshot counts as
@@ -24,12 +27,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use islands_dtxn::{Participant, Vote};
-use islands_storage::instance::InDoubt;
-use islands_storage::{StorageError, StorageInstance, TxnHandle};
+use islands_storage::{StorageError, TxnHandle};
 use islands_workload::plan::PlanRequest;
 
 use super::engine::BranchOutcome;
@@ -41,16 +43,9 @@ pub(crate) fn next_session_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-enum Branch {
-    /// Prepared by this incarnation: the transaction, its locks and undo.
-    Live(TxnHandle),
-    /// Re-parked by restart replay: the redo and undo images the WAL kept.
-    Replayed(InDoubt),
-}
-
 struct Entry {
     /// `None` while the prepare that reserved the gtid still runs.
-    branch: Option<Branch>,
+    branch: Option<TxnHandle>,
     /// The session that prepared it; `None` for a replayed branch, which
     /// only a decision settles.
     session: Option<u64>,
@@ -62,16 +57,17 @@ struct Entry {
 
 /// The in-doubt branches of one partition (see the module docs).
 pub(crate) struct InDoubtTable {
-    inst: Arc<StorageInstance>,
+    /// Whether branches carry footprints: the engine takes no locks.
+    single_threaded: bool,
     entries: Mutex<HashMap<u64, Entry>>,
     /// Entries with a footprint: while zero, nothing is to be checked.
     guarded: AtomicUsize,
 }
 
 impl InDoubtTable {
-    pub(crate) fn new(inst: Arc<StorageInstance>) -> Self {
+    pub(crate) fn new(single_threaded: bool) -> Self {
         InDoubtTable {
-            inst,
+            single_threaded,
             entries: Mutex::new(HashMap::new()),
             guarded: AtomicUsize::new(0),
         }
@@ -82,17 +78,23 @@ impl InDoubtTable {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enter a branch that voted Yes.
-    fn insert(
+    /// Enter a branch that voted Yes, as `session`'s (`None` for one
+    /// restart replay rebuilt). `footprint` is the rows it claims, asked
+    /// for only when the engine takes no locks.
+    pub(crate) fn insert(
         &self,
-        map: &mut HashMap<u64, Entry>,
         gtid: u64,
-        branch: Branch,
+        branch: TxnHandle,
         session: Option<u64>,
-        footprint: Vec<(u32, u64)>,
+        footprint: impl FnOnce(&TxnHandle) -> Vec<(u32, u64)>,
     ) {
         let mut participant = Participant::new(gtid);
         participant.on_prepare(true, true);
+        let footprint = if self.single_threaded {
+            footprint(&branch)
+        } else {
+            Vec::new()
+        };
         if !footprint.is_empty() {
             self.guarded.fetch_add(1, Ordering::Relaxed);
         }
@@ -103,17 +105,7 @@ impl InDoubtTable {
             parked_at: Instant::now(),
             footprint,
         };
-        map.insert(gtid, entry);
-    }
-
-    /// Park the branches restart replay surfaced, each with its footprint.
-    pub(crate) fn park_replayed(&self, replayed: impl Iterator<Item = (Vec<(u32, u64)>, InDoubt)>) {
-        let mut map = self.map();
-        for (footprint, branch) in replayed {
-            let gtid = branch.gtid;
-            let branch = Branch::Replayed(branch);
-            self.insert(&mut map, gtid, branch, None, footprint);
-        }
+        self.map().insert(gtid, entry);
     }
 
     /// Run `prepare` as branch `gtid` of `session` and park it if it votes
@@ -139,23 +131,18 @@ impl InDoubtTable {
             };
             map.insert(gtid, reserved);
         }
-        let prepared = prepare();
-        let mut map = self.map();
-        map.remove(&gtid);
-        Ok(match prepared? {
-            BranchOutcome::Prepared(handle) => {
-                let footprint = if self.inst.opts.single_threaded {
-                    plan.conflict_keys()
-                } else {
-                    Vec::new()
-                };
-                let branch = Branch::Live(handle);
-                self.insert(&mut map, gtid, branch, Some(session), footprint);
-                Vote::Yes
+        let vote = match prepare() {
+            Ok(BranchOutcome::Prepared(handle)) => {
+                // Replaces the reservation: the gtid never leaves the map.
+                self.insert(gtid, handle, Some(session), |_| plan.conflict_keys());
+                return Ok(Vote::Yes);
             }
-            BranchOutcome::ReadOnly => Vote::ReadOnly,
-            BranchOutcome::No => Vote::No,
-        })
+            Ok(BranchOutcome::ReadOnly) => Ok(Vote::ReadOnly),
+            Ok(BranchOutcome::No) => Ok(Vote::No),
+            Err(e) => Err(e.into()),
+        };
+        self.map().remove(&gtid);
+        vote
     }
 
     /// Whether `plan` touches a row some parked footprint claims.
@@ -177,13 +164,10 @@ impl InDoubtTable {
         }
         islands_obs::with(|m| m.record_parked(entry.parked_at.elapsed().as_nanos() as u64));
         entry.participant.on_decision(commit);
-        Some(match branch {
-            Branch::Live(handle) => handle.decide(commit),
-            Branch::Replayed(branch) => {
-                islands_obs::with(|m| m.record_in_doubt_resolved(commit));
-                self.inst.resolve_in_doubt(&branch, commit)
-            }
-        })
+        if entry.session.is_none() {
+            islands_obs::with(|m| m.record_in_doubt_resolved(commit));
+        }
+        Some(branch.decide(commit))
     }
 
     /// Apply the coordinator's decision to branch `gtid`.
@@ -229,10 +213,12 @@ impl Drop for InDoubtTable {
     fn drop(&mut self) {
         let entries = std::mem::take(self.entries.get_mut().unwrap_or_else(|e| e.into_inner()));
         for (_, entry) in entries {
-            // A replayed branch stays in-doubt in the WAL, for the next
-            // incarnation.
-            if !matches!(entry.branch, Some(Branch::Replayed(_))) {
+            if entry.session.is_some() {
                 let _ = self.settle(entry, false);
+            } else if let Some(branch) = entry.branch {
+                // A replayed branch stays in doubt in the WAL, for the next
+                // incarnation.
+                let _ = branch.leave_in_doubt();
             }
         }
     }

@@ -16,10 +16,11 @@
 //! Why equality holds: under the locked engine an in-doubt branch is the
 //! *oldest* holder of its row locks, so wait-die kills every conflicting
 //! newcomer immediately; the executor answers a conflicting request with an
-//! immediate abort off its in-doubt key set. A re-parked branch guards its
-//! footprint the same way in both modes: both park every branch, live or
-//! replayed, in the partition's one in-doubt table. Same observable
-//! behavior, no locks on the serial side.
+//! immediate abort off its in-doubt key set. A re-parked branch is rebuilt
+//! as the prepared transaction it was, so it guards its rows the same way:
+//! with its re-taken locks on the locked side, with the footprint of its
+//! writes on the serial side. Same observable behavior, no locks on the
+//! serial side.
 
 use std::path::{Path, PathBuf};
 
@@ -398,6 +399,49 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
         assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: redone once");
         drop(s);
+        drop(engine);
+        let _ = std::fs::remove_file(&wal);
+    }
+}
+
+/// An engine dropped with a replayed branch still undecided leaves the
+/// branch in doubt in its WAL: the next rebuild parks it again, and one
+/// commit decision then applies its write exactly once.
+#[test]
+fn an_undecided_replayed_branch_survives_a_second_restart_in_both_engines() {
+    let update = TxnRequest {
+        kind: OpKind::Update,
+        keys: vec![30],
+        multisite: true,
+    }
+    .to_plan();
+    for mode in [EngineMode::Locked, EngineMode::Serial] {
+        let wal = temp_wal(mode, "second-restart");
+        let first = build(mode, Some(&wal));
+        let mut s = first.session(RETRIES);
+        assert_eq!(s.prepare(5, &update).unwrap(), Vote::Yes, "{mode}");
+        std::mem::forget(s);
+        std::mem::forget(first);
+        let engine = build(mode, Some(&wal));
+        assert_eq!(engine.recovered_gtids().unwrap(), [5], "{mode}");
+        drop(engine);
+
+        let log = std::fs::read(&wal).unwrap();
+        let analysis = islands_storage::wal::recovery::analyze(&log, 0).unwrap();
+        let txns: Vec<_> = analysis.in_doubt.iter().filter(|(_, &g)| g == 5).collect();
+        assert_eq!(txns.len(), 1, "{mode}: still in doubt in the WAL");
+        assert!(analysis.aborted.is_empty(), "{mode}: no Abort was logged");
+
+        let engine = build(mode, Some(&wal));
+        assert_eq!(engine.recovered_gtids().unwrap(), [5], "{mode}: re-parked");
+        let mut s = engine.session(RETRIES);
+        assert_eq!(s.decide(5, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: applied once");
+        drop(s);
+        drop(engine);
+        let engine = build(mode, Some(&wal));
+        assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
+        assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: and once after");
         drop(engine);
         let _ = std::fs::remove_file(&wal);
     }

@@ -19,9 +19,9 @@ use crate::Gtid;
 /// Fate of an in-doubt transaction after consulting the coordinator log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveredOutcome {
-    /// The coordinator forced a commit decision: redo the withheld effects.
+    /// The coordinator forced a commit decision: commit the branch.
     Commit,
-    /// No decision record: presumed abort, undo the withheld effects.
+    /// No decision record: presumed abort, roll the branch back.
     PresumedAbort,
     /// An explicit abort decision happened to survive in the log (possible
     /// but never required: aborts are not forced). Same fate as
@@ -30,7 +30,7 @@ pub enum RecoveredOutcome {
 }
 
 impl RecoveredOutcome {
-    /// Whether the in-doubt transaction's effects should be applied.
+    /// Whether the in-doubt transaction commits.
     pub fn commits(self) -> bool {
         self == RecoveredOutcome::Commit
     }

@@ -68,11 +68,12 @@ mod presumed_abort {
         let outcome = resolve_in_doubt(&coord.decisions, 77);
         assert_eq!(outcome, RecoveredOutcome::PresumedAbort);
         assert!(!outcome.commits());
-        // Presumed abort applies the withheld undo, restoring the before
+        // Presumed abort applies the branch's undo, restoring the before
         // image.
+        let undo: Vec<_> = a.in_doubt_writes[&TxnId(1)].iter().map(|w| &w.1).collect();
         assert_eq!(
-            a.in_doubt_undo.get(&TxnId(1)).unwrap(),
-            &vec![UndoOp::Revert {
+            undo,
+            vec![&UndoOp::Revert {
                 table: 1,
                 key: 5,
                 before: vec![0]
@@ -96,7 +97,7 @@ mod presumed_abort {
         let outcome = resolve_in_doubt(&coord.decisions, 42);
         assert_eq!(outcome, RecoveredOutcome::Commit);
         assert!(outcome.commits());
-        assert_eq!(a.in_doubt_ops.get(&TxnId(1)).unwrap().len(), 1);
+        assert_eq!(a.in_doubt_writes.get(&TxnId(1)).unwrap().len(), 1);
     }
 
     #[test]

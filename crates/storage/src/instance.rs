@@ -55,40 +55,9 @@ impl Default for InstanceOptions {
     }
 }
 
-/// An in-doubt transaction surfaced by recovery: prepared locally, awaiting
-/// the coordinator's decision.
-#[derive(Debug)]
-pub struct InDoubt {
-    pub txn: TxnId,
-    pub gtid: u64,
-    /// Applied (idempotently) if the decision is commit.
-    pub ops: Vec<RedoOp>,
-    /// Applied (idempotently, already reversed) if the decision is abort.
-    pub undo: Vec<UndoOp>,
-}
-
-impl InDoubt {
-    /// Key footprint `(table, key)` this branch will touch when resolved —
-    /// the rows new transactions must not write while it is parked undecided
-    /// (the branch's old incarnation held X locks on exactly these).
-    pub fn keys(&self) -> Vec<(u32, u64)> {
-        let mut keys: Vec<(u32, u64)> = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                RedoOp::Insert { table, key, .. } | RedoOp::Update { table, key, .. } => {
-                    (*table, *key)
-                }
-            })
-            .chain(self.undo.iter().map(|op| match op {
-                UndoOp::Revert { table, key, .. } | UndoOp::Remove { table, key } => (*table, *key),
-            }))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-}
+/// The in-doubt 2PC branches a restart rebuilt: each prepared transaction,
+/// by its gtid.
+pub type InDoubtBranches = Vec<(u64, TxnHandle)>;
 
 /// The database instance.
 pub struct StorageInstance {
@@ -334,13 +303,13 @@ impl StorageInstance {
     }
 
     /// Recover an instance from a store (last checkpoint snapshot) and its
-    /// log. Returns the instance and any in-doubt prepared transactions for
-    /// the deployment layer to resolve against coordinator decisions.
+    /// log, analyzed from the snapshot on. Returns the instance and its
+    /// in-doubt branches, as [`replay_log`](Self::replay_log) does.
     pub fn recover(
         store: Arc<dyn PageStore>,
         log_device: Arc<dyn LogDevice>,
         opts: InstanceOptions,
-    ) -> Result<(Arc<Self>, Vec<InDoubt>)> {
+    ) -> Result<(Arc<Self>, InDoubtBranches)> {
         let (snapshot_lsn, next_txn, next_table, metas) = Self::read_catalog_page(&store)?;
         let log_bytes = log_device.read_all()?;
         let pool = BufferPool::new(store, opts.buffer_frames);
@@ -353,43 +322,20 @@ impl StorageInstance {
             cat.by_name.insert(m.name.clone(), Arc::clone(&t));
             cat.by_id.insert(m.id, t);
         }
-        let analysis = analyze(&log_bytes, snapshot_lsn)?;
-        Self::apply_analysis(&cat, &analysis)?;
-        let max_seen = analysis
-            .committed
-            .iter()
-            .chain(analysis.aborted.iter())
-            .chain(analysis.in_doubt.keys())
-            .map(|t| t.0)
-            .max()
-            .unwrap_or(0);
         let wal = LogManager::new(log_device, opts.flush_threshold, opts.group_window);
         let inst = Arc::new(StorageInstance {
             locks: Arc::new(NativeLockManager::new(opts.lock_timeout)),
             pool,
             wal,
             catalog: RwLock::new(cat),
-            next_txn: AtomicU64::new(next_txn.max(max_seen + 1)),
+            next_txn: AtomicU64::new(next_txn),
             next_table: AtomicU64::new(next_table),
             active_txns: AtomicU64::new(0),
             opts,
             #[cfg(feature = "lockcheck")]
             lockcheck: crate::lockcheck::InstanceCheck::new(),
         });
-        let in_doubt = analysis
-            .in_doubt
-            .into_iter()
-            .map(|(txn, gtid)| InDoubt {
-                txn,
-                gtid,
-                ops: analysis.in_doubt_ops.get(&txn).cloned().unwrap_or_default(),
-                undo: analysis
-                    .in_doubt_undo
-                    .get(&txn)
-                    .cloned()
-                    .unwrap_or_default(),
-            })
-            .collect();
+        let in_doubt = inst.restart(&log_bytes, snapshot_lsn)?;
         Ok((inst, in_doubt))
     }
 
@@ -402,11 +348,17 @@ impl StorageInstance {
     /// prior log here. Unlike [`recover`](Self::recover), there is no
     /// snapshot to start from: the rebuilt initial load *is* the base image,
     /// so the whole log is analyzed from offset 0 and checkpoint records are
-    /// ignored. Committed work is redone (idempotently), losers are undone,
-    /// and surviving prepared 2PC branches come back as [`InDoubt`] for the
-    /// deployment layer to resolve via [`resolve_in_doubt`](Self::resolve_in_doubt).
-    pub fn replay_log(&self, log: &[u8]) -> Result<Vec<InDoubt>> {
-        let analysis = analyze(log, 0)?;
+    /// ignored. Committed work is redone (idempotently) and losers are
+    /// undone. Each surviving prepared 2PC branch comes back, by gtid, as
+    /// the prepared [`TxnHandle`] it was, for [`TxnHandle::decide`].
+    pub fn replay_log(self: &Arc<Self>, log: &[u8]) -> Result<InDoubtBranches> {
+        self.restart(log, 0)
+    }
+
+    /// The restart both entry points share: analyze `log` from `from`,
+    /// redo winners, undo losers, and rebuild every in-doubt transaction.
+    fn restart(self: &Arc<Self>, log: &[u8], from: Lsn) -> Result<InDoubtBranches> {
+        let mut analysis = analyze(log, from)?;
         Self::apply_analysis(&self.catalog.read(), &analysis)?;
         // Never reuse a transaction id the old incarnation logged under —
         // losers included, or a new txn's records would alias a dead one's.
@@ -420,21 +372,44 @@ impl StorageInstance {
             .max()
             .unwrap_or(0);
         self.next_txn.fetch_max(max_seen + 1, Ordering::SeqCst);
-        let in_doubt = analysis
-            .in_doubt
-            .into_iter()
-            .map(|(txn, gtid)| InDoubt {
-                txn,
-                gtid,
-                ops: analysis.in_doubt_ops.get(&txn).cloned().unwrap_or_default(),
-                undo: analysis
-                    .in_doubt_undo
-                    .get(&txn)
-                    .cloned()
-                    .unwrap_or_default(),
-            })
-            .collect();
+        let mut in_doubt = Vec::with_capacity(analysis.in_doubt.len());
+        for (txn, gtid) in analysis.in_doubt {
+            let writes = analysis.in_doubt_writes.remove(&txn).unwrap_or_default();
+            match self.reprepare(txn, writes) {
+                Ok(handle) => in_doubt.push((gtid, handle)),
+                Err(e) => {
+                    // The rebuilt ones are still in doubt: no Abort for them.
+                    for (_, handle) in in_doubt {
+                        let _ = handle.leave_in_doubt();
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(in_doubt)
+    }
+
+    /// Rebuild in-doubt transaction `txn` as the prepared handle it was:
+    /// its logged writes re-applied in log order, each under its row's X
+    /// lock, with the logged before-images as its undo. Nothing is logged.
+    fn reprepare(self: &Arc<Self>, txn: TxnId, writes: Vec<(RedoOp, UndoOp)>) -> Result<TxnHandle> {
+        self.active_txns.fetch_add(1, Ordering::SeqCst);
+        let mut handle = TxnHandle {
+            instance: Arc::clone(self),
+            id: txn,
+            state: TxnState::Prepared,
+            wrote: true,
+            last_lsn: 0,
+            undo: Vec::with_capacity(writes.len()),
+            lock_shards: ShardSet::default(),
+        };
+        for (op, undo) in writes {
+            if let Err(e) = handle.redo(&op, undo) {
+                let _ = handle.leave_in_doubt();
+                return Err(e);
+            }
+        }
+        Ok(handle)
     }
 
     /// The forward pass in LSN order (committed work redone, aborted work
@@ -496,25 +471,6 @@ impl StorageInstance {
         }
         Ok(())
     }
-
-    /// Apply the decision for an in-doubt transaction from recovery.
-    pub fn resolve_in_doubt(&self, in_doubt: &InDoubt, commit: bool) -> Result<()> {
-        let cat = self.catalog.read();
-        if commit {
-            for op in &in_doubt.ops {
-                Self::apply_redo(&cat, op)?;
-            }
-            self.wal.append(in_doubt.txn, &LogPayload::Commit);
-        } else {
-            for op in &in_doubt.undo {
-                Self::apply_undo(&cat, op)?;
-            }
-            self.wal.append(in_doubt.txn, &LogPayload::Abort);
-        }
-        drop(cat);
-        let lsn = self.wal.append(in_doubt.txn, &LogPayload::End);
-        self.wal.commit_durable(lsn)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -528,17 +484,6 @@ enum TxnState {
     Finished,
 }
 
-/// What rolls one write back. Tables go by catalog id: a clone of the
-/// table's `Arc` per write would have every session bumping the same
-/// reference count.
-struct UndoEntry {
-    table: u32,
-    key: u64,
-    /// The image an update overwrote; `None` for an insert, which is rolled
-    /// back by removing the row.
-    before: Option<Vec<u8>>,
-}
-
 /// A live transaction. Dropping an unfinished handle aborts it (RAII).
 pub struct TxnHandle {
     instance: Arc<StorageInstance>,
@@ -546,7 +491,10 @@ pub struct TxnHandle {
     state: TxnState,
     wrote: bool,
     last_lsn: Lsn,
-    undo: Vec<UndoEntry>,
+    /// What rolls each write back, oldest first. Tables go by catalog id: a
+    /// clone of the table's `Arc` per write would have every session
+    /// bumping the same reference count.
+    undo: Vec<UndoOp>,
     /// Lock-manager shards this transaction holds locks in: the only ones
     /// its release visits.
     lock_shards: ShardSet,
@@ -628,10 +576,10 @@ impl TxnHandle {
             },
         );
         self.wrote = true;
-        self.undo.push(UndoEntry {
+        self.undo.push(UndoOp::Revert {
             table: table.id,
             key,
-            before: Some(before),
+            before,
         });
         Ok(())
     }
@@ -658,10 +606,9 @@ impl TxnHandle {
             },
         );
         self.wrote = true;
-        self.undo.push(UndoEntry {
+        self.undo.push(UndoOp::Remove {
             table: table.id,
             key,
-            before: None,
         });
         Ok(())
     }
@@ -712,24 +659,45 @@ impl TxnHandle {
         if self.state == TxnState::Finished {
             return Ok(());
         }
-        for UndoEntry { table, key, before } in self.undo.drain(..).rev() {
-            let table = self
-                .instance
-                .table_by_id(table)
-                .ok_or_else(|| StorageError::NoSuchTable(format!("table id {table}")))?;
-            match before {
-                Some(before) => {
-                    table.update(key, &before)?;
-                }
-                None => {
-                    table.delete_row(key)?;
-                }
-            }
-        }
+        self.roll_back()?;
         if self.wrote || self.state == TxnState::Prepared {
             self.instance.wal.append(self.id, &LogPayload::Abort);
         }
         self.release(TxnState::Finished);
+        Ok(())
+    }
+
+    /// Undo applied changes in reverse order, in memory only.
+    fn roll_back(&mut self) -> Result<()> {
+        let inst = &self.instance;
+        let table = |id| {
+            inst.table_by_id(id)
+                .ok_or_else(|| StorageError::NoSuchTable(format!("table id {id}")))
+        };
+        for op in self.undo.drain(..).rev() {
+            match op {
+                UndoOp::Revert {
+                    table: id,
+                    key,
+                    before,
+                } => {
+                    table(id)?.update(key, &before)?;
+                }
+                UndoOp::Remove { table: id, key } => {
+                    table(id)?.delete_row(key)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-apply one write of an in-doubt transaction at restart, under its
+    /// row's X lock, with `undo` as its before-image. Logs nothing.
+    fn redo(&mut self, op: &RedoOp, undo: UndoOp) -> Result<()> {
+        let (table, key) = undo.row();
+        self.lock_row(table, key, LockMode::X)?;
+        StorageInstance::apply_redo(&self.instance.catalog.read(), op)?;
+        self.undo.push(undo);
         Ok(())
     }
 
@@ -765,9 +733,27 @@ impl TxnHandle {
         }
     }
 
+    /// Drop a prepared transaction undecided, logging nothing: its writes
+    /// roll back in memory and its locks are released, while the WAL keeps
+    /// it in doubt for the next incarnation's replay to rebuild.
+    pub fn leave_in_doubt(mut self) -> Result<()> {
+        if self.state != TxnState::Prepared {
+            return Err(StorageError::TxnFinished(self.id));
+        }
+        let undone = self.roll_back();
+        self.release(TxnState::Finished);
+        undone
+    }
+
     /// Whether this transaction performed any writes.
     pub fn wrote(&self) -> bool {
         self.wrote
+    }
+
+    /// `(table id, key)` of every row this transaction wrote, in write
+    /// order (a row written twice appears twice).
+    pub fn written_rows(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.undo.iter().map(UndoOp::row)
     }
 
     fn release(&mut self, end_state: TxnState) {
@@ -1016,6 +1002,46 @@ mod tests {
         txn.commit().unwrap();
     }
 
+    /// A transaction begun under a loser's id would, once committed, make
+    /// the next recovery redo the loser's write along with its own.
+    #[test]
+    fn recover_never_reuses_a_loser_txn_id() {
+        let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
+        let dev = MemLogDevice::new();
+        let loser;
+        {
+            let inst = StorageInstance::create(Arc::clone(&store), dev.clone(), small_opts());
+            let t = inst.create_table("a", 8).unwrap();
+            t.load((0..4u64).map(|k| (k, [0u8; 8]))).unwrap();
+            inst.checkpoint().unwrap();
+            let mut txn = inst.begin();
+            txn.update("a", 1, &[1u8; 8]).unwrap();
+            txn.commit().unwrap();
+            let mut txn = inst.begin();
+            txn.update("a", 2, &[9u8; 8]).unwrap();
+            loser = txn.id();
+            inst.wal().flush().unwrap();
+            std::mem::forget(txn);
+        }
+        let recover = || StorageInstance::recover(Arc::clone(&store), dev.clone(), small_opts());
+        let (inst, in_doubt) = recover().unwrap();
+        assert!(in_doubt.is_empty());
+        let mut txn = inst.begin();
+        assert!(txn.id() > loser, "{:?} reuses the loser's id", txn.id());
+        txn.update("a", 3, &[3u8; 8]).unwrap();
+        txn.commit().unwrap();
+        drop(inst);
+        let (inst, _) = recover().unwrap();
+        let mut txn = inst.begin();
+        assert_eq!(
+            txn.read("a", 2).unwrap(),
+            Some(vec![0u8; 8]),
+            "loser undone"
+        );
+        assert_eq!(txn.read("a", 3).unwrap(), Some(vec![3u8; 8]));
+        txn.commit().unwrap();
+    }
+
     #[test]
     fn recovery_surfaces_in_doubt_and_resolves() {
         let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
@@ -1030,16 +1056,18 @@ mod tests {
             assert_eq!(txn.prepare(777).unwrap(), PrepareVote::Yes);
             std::mem::forget(txn); // crash while in doubt
         }
-        let (inst, in_doubt) = StorageInstance::recover(store, dev, small_opts()).unwrap();
+        let (inst, mut in_doubt) = StorageInstance::recover(store, dev, small_opts()).unwrap();
         assert_eq!(in_doubt.len(), 1);
-        assert_eq!(in_doubt[0].gtid, 777);
-        // Effects withheld until the decision arrives.
+        let (gtid, branch) = in_doubt.pop().unwrap();
+        assert_eq!(gtid, 777);
+        // The branch's write is back in its row, under its X lock, until
+        // the decision arrives: a read is refused.
         {
             let mut txn = inst.begin();
-            assert_eq!(txn.read("a", 1).unwrap(), Some(vec![0u8; 8]));
-            txn.commit().unwrap();
+            assert!(matches!(txn.read("a", 1), Err(StorageError::Deadlock(_))));
+            txn.abort().unwrap();
         }
-        inst.resolve_in_doubt(&in_doubt[0], true).unwrap();
+        branch.decide(true).unwrap();
         let mut txn = inst.begin();
         assert_eq!(txn.read("a", 1).unwrap(), Some(vec![5u8; 8]));
         txn.commit().unwrap();
@@ -1076,10 +1104,11 @@ mod tests {
             StorageInstance::create(Arc::new(MemStore::new()), MemLogDevice::new(), small_opts());
         let t = inst.create_table("a", 8).unwrap();
         t.load((0..4u64).map(|k| (k, [0u8; 8]))).unwrap();
-        let in_doubt = inst.replay_log(&log_bytes).unwrap();
+        let mut in_doubt = inst.replay_log(&log_bytes).unwrap();
         assert_eq!(in_doubt.len(), 1);
-        assert_eq!(in_doubt[0].gtid, 777);
-        assert_eq!(in_doubt[0].keys(), vec![(t.id, 3)]);
+        let (gtid, branch) = in_doubt.pop().unwrap();
+        assert_eq!(gtid, 777);
+        assert_eq!(branch.written_rows().collect::<Vec<_>>(), vec![(t.id, 3)]);
         {
             let mut txn = inst.begin();
             assert_eq!(txn.read("a", 1).unwrap(), Some(vec![1u8; 8]), "redone");
@@ -1088,13 +1117,46 @@ mod tests {
                 Some(vec![0u8; 8]),
                 "loser undone"
             );
-            assert_eq!(txn.read("a", 3).unwrap(), Some(vec![0u8; 8]), "withheld");
-            txn.commit().unwrap();
+            assert!(
+                matches!(txn.read("a", 3), Err(StorageError::Deadlock(_))),
+                "held by the branch"
+            );
+            txn.abort().unwrap();
         }
-        inst.resolve_in_doubt(&in_doubt[0], true).unwrap();
+        assert_eq!(t.get(3).unwrap(), Some(vec![3u8; 8]), "re-applied");
+        branch.decide(true).unwrap();
         let mut txn = inst.begin();
         assert_eq!(txn.read("a", 3).unwrap(), Some(vec![3u8; 8]));
         txn.commit().unwrap();
+    }
+
+    /// A restart that cannot rebuild an in-doubt branch fails without
+    /// logging an outcome for it: what it re-applied rolls back in memory,
+    /// its locks go, and the WAL still holds it in doubt.
+    #[test]
+    fn a_branch_restart_cannot_rebuild_stays_in_doubt() {
+        let upd = |key| LogPayload::Update {
+            table: 1,
+            key,
+            before: vec![0u8; 8],
+            after: vec![1u8; 8],
+        };
+        let mut log = Vec::new();
+        crate::wal::record::encode(TxnId(1), &upd(1), &mut log);
+        crate::wal::record::encode(TxnId(1), &upd(99), &mut log); // no such row
+        crate::wal::record::encode(TxnId(1), &LogPayload::Prepare { gtid: 7 }, &mut log);
+        let dev = MemLogDevice::new();
+        let inst = StorageInstance::create(Arc::new(MemStore::new()), dev.clone(), small_opts());
+        let t = inst.create_table("a", 8).unwrap();
+        t.load([(1, [0u8; 8])]).unwrap();
+        assert!(matches!(
+            inst.replay_log(&log),
+            Err(StorageError::KeyNotFound(99))
+        ));
+        assert_eq!(t.get(1).unwrap(), Some(vec![0u8; 8]), "rolled back");
+        assert_eq!((inst.active_txns(), inst.locks().active_locks()), (0, 0));
+        inst.wal().flush().unwrap();
+        assert!(dev.read_all().unwrap().is_empty(), "no outcome logged");
     }
 
     /// `upd k by T1, Abort T1, upd k by T2, Commit T2` through a real

@@ -44,7 +44,9 @@ pub enum LogPayload {
         gtid: u64,
         commit: bool,
     },
-    /// Transaction fully resolved (participant acked / coordinator done).
+    /// Transaction fully resolved. Nothing writes it any more; it stays
+    /// decodable because logs written before a decided in-doubt branch
+    /// became a plain `Commit`/`Abort` hold it.
     End,
     /// Checkpoint completed; everything before `snapshot_lsn` is reflected
     /// in the on-store snapshot.

@@ -22,10 +22,14 @@
 //!
 //! Two-phase commit (presumed abort):
 //! * A participant transaction that logged `Prepare` but no `Commit`/`Abort`
-//!   is **in doubt**: its effects are withheld and reported in
-//!   [`LogAnalysis::in_doubt`]; the deployment layer resolves it against the
-//!   coordinator's logged [`LogPayload::Decision`] and applies
-//!   [`LogAnalysis::in_doubt_ops`] if the decision was commit.
+//!   is **in doubt**: neither pass touches it. It is reported in
+//!   [`LogAnalysis::in_doubt`] with its writes and their before-images
+//!   ([`LogAnalysis::in_doubt_writes`]), from which the instance's restart
+//!   rebuilds it as the prepared `TxnHandle` it was: the writes re-applied
+//!   under their rows' X locks (none on a `single_threaded` instance, whose
+//!   engine guards the rows with a footprint instead), the before-images as
+//!   its undo. The coordinator's decision then commits or aborts that
+//!   transaction like any prepared one.
 //! * A coordinator with no logged decision for a gtid presumes abort.
 
 use std::collections::{HashMap, HashSet};
@@ -49,7 +53,8 @@ pub enum RedoOp {
     },
 }
 
-/// An undo-able logical operation (for losers and aborted in-doubt txns).
+/// An undo-able logical operation: a loser's or an aborted transaction's
+/// at restart, and each write's rollback in a live transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoOp {
     /// Restore a before-image.
@@ -60,6 +65,15 @@ pub enum UndoOp {
     },
     /// Remove a row the loser inserted.
     Remove { table: u32, key: u64 },
+}
+
+impl UndoOp {
+    /// The `(table, key)` row this op restores.
+    pub fn row(&self) -> (u32, u64) {
+        match *self {
+            UndoOp::Revert { table, key, .. } | UndoOp::Remove { table, key } => (table, key),
+        }
+    }
 }
 
 /// One step of the forward replay pass.
@@ -87,11 +101,10 @@ pub struct LogAnalysis {
     /// Undo ops of loser transactions (no logged outcome), in LSN order
     /// (apply in reverse, after the forward pass).
     pub undo: Vec<(Lsn, TxnId, UndoOp)>,
-    /// Redo ops of in-doubt transactions (applied on a commit decision).
-    pub in_doubt_ops: HashMap<TxnId, Vec<RedoOp>>,
-    /// Undo ops of in-doubt transactions (applied on an abort decision),
-    /// already reversed into application order.
-    pub in_doubt_undo: HashMap<TxnId, Vec<UndoOp>>,
+    /// Each write of an in-doubt transaction as its redo and its undo, in
+    /// LSN order: restart re-applies the redo and keeps the undo for an
+    /// abort decision.
+    pub in_doubt_writes: HashMap<TxnId, Vec<(RedoOp, UndoOp)>>,
     /// LSN of the last checkpoint record seen, if any.
     pub last_checkpoint: Option<Lsn>,
     /// LSN where scanning stopped early because the log tail was torn or
@@ -190,10 +203,8 @@ pub fn analyze(log: &[u8], from_lsn: Lsn) -> Result<LogAnalysis> {
     for (txn, gtid) in prepared {
         a.in_doubt.insert(txn, gtid);
         let ops = pending.remove(&txn).unwrap_or_default();
-        a.in_doubt_ops
-            .insert(txn, ops.iter().map(|(_, r, _)| r.clone()).collect());
-        a.in_doubt_undo
-            .insert(txn, ops.into_iter().rev().map(|(_, _, u)| u).collect());
+        let writes = ops.into_iter().map(|(_, redo, undo)| (redo, undo));
+        a.in_doubt_writes.insert(txn, writes.collect());
     }
     // Remaining pending transactions are losers: undo them.
     for (txn, ops) in pending {
@@ -206,24 +217,6 @@ pub fn analyze(log: &[u8], from_lsn: Lsn) -> Result<LogAnalysis> {
     a.replay.sort_by_key(|&(l, _, _)| l);
     a.undo.sort_by_key(|&(l, _, _)| l);
     Ok(a)
-}
-
-/// Find the byte offset to start analysis from: the `snapshot_lsn` of the
-/// last checkpoint record in `log`, or 0. Like [`analyze`], a torn tail
-/// ends the scan at the last whole record instead of erroring.
-pub fn find_redo_start(log: &[u8]) -> Result<Lsn> {
-    let mut lsn = 0u64;
-    let mut start = 0u64;
-    while (lsn as usize) < log.len() {
-        let Ok((rec, used)) = decode(&log[lsn as usize..], lsn) else {
-            break;
-        };
-        if let LogPayload::Checkpoint { snapshot_lsn } = rec.payload {
-            start = snapshot_lsn;
-        }
-        lsn += used as u64;
-    }
-    Ok(start)
 }
 
 #[cfg(test)]
@@ -324,22 +317,21 @@ mod tests {
         let a = analyze(&log, 0).unwrap();
         assert_eq!(a.in_doubt.get(&TxnId(5)), Some(&77));
         assert_eq!(
-            a.in_doubt_ops.get(&TxnId(5)).unwrap(),
-            &vec![RedoOp::Update {
-                table: 1,
-                key: 3,
-                after: vec![9]
-            }]
+            a.in_doubt_writes.get(&TxnId(5)).unwrap(),
+            &vec![(
+                RedoOp::Update {
+                    table: 1,
+                    key: 3,
+                    after: vec![9]
+                },
+                UndoOp::Revert {
+                    table: 1,
+                    key: 3,
+                    before: vec![0]
+                }
+            )]
         );
-        assert_eq!(
-            a.in_doubt_undo.get(&TxnId(5)).unwrap(),
-            &vec![UndoOp::Revert {
-                table: 1,
-                key: 3,
-                before: vec![0]
-            }]
-        );
-        assert!(a.replay.is_empty(), "in-doubt effects are withheld");
+        assert!(a.replay.is_empty(), "in-doubt writes are not replayed");
         assert!(a.undo.is_empty(), "in-doubt txns are not losers");
     }
 
@@ -402,7 +394,6 @@ mod tests {
             .undo
             .iter()
             .any(|(_, t, u)| *t == TxnId(2) && matches!(u, UndoOp::Remove { key: 20, .. })));
-        assert_eq!(find_redo_start(&log).unwrap(), 0);
     }
 
     type Model = std::collections::HashMap<(u32, u64), Vec<u8>>;
@@ -537,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_start_is_found() {
+    fn analysis_from_a_snapshot_lsn_skips_what_the_snapshot_holds() {
         let mut log = build(&[(1, LogPayload::Begin), (1, ins(1)), (1, LogPayload::Commit)]);
         let snapshot_lsn = log.len() as u64;
         let tail = build(&[
@@ -547,9 +538,7 @@ mod tests {
             (2, LogPayload::Commit),
         ]);
         log.extend_from_slice(&tail);
-        let start = find_redo_start(&log).unwrap();
-        assert_eq!(start, snapshot_lsn);
-        let a = analyze(&log, start).unwrap();
+        let a = analyze(&log, snapshot_lsn).unwrap();
         // Only txn 2's insert is redone; txn 1 is in the snapshot.
         assert_eq!(a.replay.len(), 1);
         assert_eq!(a.replay[0].1, TxnId(2));

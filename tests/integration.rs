@@ -93,7 +93,7 @@ fn recovery_across_checkpoint_and_2pc() {
         b.prepare(42).unwrap();
         std::mem::forget(b); // crash while prepared
     }
-    let (inst, in_doubt) = StorageInstance::recover(
+    let (inst, mut in_doubt) = StorageInstance::recover(
         store,
         dev,
         InstanceOptions {
@@ -104,7 +104,9 @@ fn recovery_across_checkpoint_and_2pc() {
     .unwrap();
     assert_eq!(in_doubt.len(), 1);
     // Coordinator decision arrives: commit.
-    inst.resolve_in_doubt(&in_doubt[0], true).unwrap();
+    let (gtid, branch) = in_doubt.pop().unwrap();
+    assert_eq!(gtid, 42);
+    branch.decide(true).unwrap();
     let mut txn = inst.begin();
     assert_eq!(txn.read("t", 1).unwrap(), Some(vec![1u8; 16]));
     assert_eq!(txn.read("t", 2).unwrap(), Some(vec![2u8; 16]));
