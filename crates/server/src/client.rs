@@ -7,8 +7,9 @@
 //! what arrives together back-to-back and answers it in one write.
 //!
 //! A bare client always sleeps in `read` for its reply. A
-//! [`DeployClient`](crate::DeployClient)'s links poll for it first while the
-//! deployment's live clients do not outnumber the host's cpus (`poll.rs`).
+//! [`DeployClient`](crate::DeployClient)'s links poll for it first while
+//! they hold a poll slot: always while the deployment's live clients do not
+//! outnumber the host's cpus, within a budget once they do (`poll.rs`).
 
 use std::io::{self, Write};
 use std::sync::Arc;

@@ -387,9 +387,10 @@ impl Deployment {
     }
 
     /// Open one coordinator connection set (one socket per instance).
-    /// Each client thread should hold its own. While the live clients do
-    /// not outnumber the host's cpus, each polls its socket briefly for a
-    /// reply before it sleeps on it.
+    /// Each client thread should hold its own. Each polls its socket
+    /// briefly for a reply before it sleeps on it — every client while the
+    /// live clients do not outnumber the host's cpus, a budgeted few at a
+    /// time once they do (`poll.rs`).
     pub fn client(self: &Arc<Self>) -> io::Result<DeployClient> {
         DeployClient::connect(self)
     }

@@ -26,7 +26,8 @@
 //! waits for what has not: a closed-loop client's lone request runs the
 //! moment it is read. Once its replies are flushed, a session's wait for
 //! the next request polls the socket briefly before it parks in a blocking
-//! read, while the server's live sessions do not outnumber the host's cpus
+//! read, while it holds a poll slot — always while the server's live
+//! sessions do not outnumber the host's cpus, within a budget once they do
 //! (`poll.rs`); that wait never holds back a frame that has arrived.
 //!
 //! **Drain**: a [`Request::Drain`] (or [`ServerHandle::initiate_shutdown`])
@@ -366,7 +367,7 @@ pub(crate) struct Conn {
     nonblocking: bool,
     /// A write went out and no poll window has run out since.
     expecting: bool,
-    /// Whose wait this is, for the caller rule; `None` never polls.
+    /// Whose wait this is, for the poll budget; `None` never polls.
     caller: Option<Arc<Caller>>,
 }
 
@@ -403,22 +404,33 @@ impl Conn {
     }
 
     fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
-        if self.nonblocking != on {
-            self.stream.set_nonblocking(on)?;
-            self.nonblocking = on;
-        }
-        Ok(())
+        switch_mode(&self.stream, &mut self.nonblocking, on)
     }
+}
+
+/// Put `stream` in blocking or nonblocking mode; `mode` caches the current
+/// one so a steady loop costs no `ioctl`. Apart from [`Conn`] so a read can
+/// switch it while holding a poll slot borrowed from the caller.
+fn switch_mode(stream: &Stream, mode: &mut bool, on: bool) -> io::Result<()> {
+    if *mode != on {
+        stream.set_nonblocking(on)?;
+        *mode = on;
+    }
+    Ok(())
 }
 
 impl Read for Conn {
     /// Poll, then park: an expected frame is polled for with nonblocking
-    /// reads and `yield_now` for [`POLL_WINDOW`] while the caller may poll;
-    /// otherwise, or once the window runs out, one blocking read under the
-    /// armed timeout.
+    /// reads and `yield_now` for [`POLL_WINDOW`] while the caller holds a
+    /// poll slot; otherwise, or once the window runs out and the slot is
+    /// given back, one blocking read under the armed timeout.
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.expecting && self.caller.as_ref().is_some_and(|c| c.may_poll()) {
-            self.set_nonblocking(true)?;
+        let slot = match &self.caller {
+            Some(caller) if self.expecting => caller.may_poll(),
+            _ => None,
+        };
+        if let Some(_slot) = slot {
+            switch_mode(&self.stream, &mut self.nonblocking, true)?;
             let window_ends = Instant::now() + POLL_WINDOW;
             loop {
                 match self.stream.read(buf) {
@@ -433,7 +445,7 @@ impl Read for Conn {
             }
             self.expecting = false;
         }
-        self.set_nonblocking(false)?;
+        switch_mode(&self.stream, &mut self.nonblocking, false)?;
         self.stream.read(buf)
     }
 }
@@ -1002,6 +1014,51 @@ mod tests {
         assert!(!conn.nonblocking, "the full buffer switched it to blocking");
         drop(conn);
         assert!(reader.join().expect("reader").expect("read") == sent);
+    }
+
+    #[test]
+    fn a_wait_denied_a_poll_slot_parks_and_its_frame_still_wakes_it() {
+        // One more caller than the host has cpus: they share the budget.
+        let cpus = crate::poll::host_cpus();
+        let callers = Arc::new(Callers::default());
+        let crowd: Vec<_> = (0..=cpus).map(|_| callers.enter()).collect();
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let mut conn = Conn::new(Stream::Uds(ours));
+        conn.set_caller(Arc::clone(&crowd[0]));
+        let mut got = [0u8; 1];
+
+        // The others hold every slot, so this wait parks at once and its
+        // frame still lands.
+        let held: Vec<_> = crowd[1..].iter().filter_map(|c| c.may_poll()).collect();
+        assert_eq!(held.len(), crate::poll::budget(cpus));
+        conn.write_all(b"?").expect("send");
+        let peer = std::thread::spawn(move || {
+            theirs.read_exact(&mut [0u8; 1])?;
+            std::thread::sleep(Duration::from_millis(20));
+            theirs.write_all(b"!").map(|()| theirs)
+        });
+        conn.read_exact(&mut got).expect("woken by its frame");
+        assert_eq!(&got, b"!");
+        assert!(!conn.nonblocking, "denied a slot, it never polled");
+        drop(held);
+        let mut theirs = peer.join().expect("peer").expect("peer io");
+
+        // With a slot free the wait polls its window out, gives the slot
+        // back and parks: nothing stays taken while the read is parked.
+        conn.write_all(b"?").expect("send");
+        let (started, reading) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            started.send(()).expect("signal");
+            conn.read_exact(&mut got).map(|()| (got, conn))
+        });
+        theirs.read_exact(&mut [0u8; 1]).expect("request");
+        reading.recv().expect("reader started");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(callers.polling(), 0, "a parked read holds no slot");
+        theirs.write_all(b"!").expect("reply");
+        let (got, conn) = reader.join().expect("reader").expect("woken by its frame");
+        assert_eq!(&got, b"!");
+        assert!(!conn.nonblocking, "it parked after its window");
     }
 
     #[test]

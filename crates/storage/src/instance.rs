@@ -20,7 +20,7 @@ use crate::lock::{LockId, LockMode, NativeLockManager, ShardSet};
 use crate::page::{Page, PageId, PAGE_TYPE_CATALOG};
 use crate::store::PageStore;
 use crate::table::{Table, TableMeta};
-use crate::wal::record::LogPayload;
+use crate::wal::record::{LogPayload, RowChange};
 use crate::wal::recovery::{analyze, LogAnalysis, RedoOp, ReplayOp, UndoOp};
 use crate::wal::{LogDevice, LogManager};
 use crate::{Lsn, TxnId};
@@ -556,25 +556,30 @@ impl TxnHandle {
     /// lock request, one index descent and one page latch. A transaction
     /// that reads under S and then updates pays each of those twice and
     /// can die on the S→X upgrade with its work half done.
+    ///
+    /// The record is logged under the page latch, from the row itself: the
+    /// before image is copied once, for the undo list, and nothing else.
     pub fn modify(&mut self, table: &Table, key: u64, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let _span = islands_obs::enter(BreakdownCategory::XctExecution);
         self.check_active()?;
         self.lockcheck_access(key);
         self.lock_row(table.id, key, LockMode::X)?;
-        let (before, after) = table.modify(key, |row| {
+        let (wal, txn) = (&self.instance.wal, self.id);
+        let (before, lsn) = table.modify(key, |row| {
             let before = row.to_vec();
             f(row);
-            (before, row.to_vec())
+            let lsn = wal.append_row(
+                txn,
+                RowChange::Update {
+                    table: table.id,
+                    key,
+                    before: &before,
+                    after: row,
+                },
+            );
+            (before, lsn)
         })?;
-        self.last_lsn = self.instance.wal.append(
-            self.id,
-            &LogPayload::Update {
-                table: table.id,
-                key,
-                before: before.clone(),
-                after,
-            },
-        );
+        self.last_lsn = lsn;
         self.wrote = true;
         self.undo.push(UndoOp::Revert {
             table: table.id,
@@ -597,12 +602,12 @@ impl TxnHandle {
         self.lockcheck_access(key);
         self.lock_row(table.id, key, LockMode::X)?;
         table.insert_row(key, payload)?;
-        self.last_lsn = self.instance.wal.append(
+        self.last_lsn = self.instance.wal.append_row(
             self.id,
-            &LogPayload::Insert {
+            RowChange::Insert {
                 table: table.id,
                 key,
-                data: payload.to_vec(),
+                data: payload,
             },
         );
         self.wrote = true;
@@ -816,6 +821,44 @@ mod tests {
         assert_eq!(txn.read("a", 1).unwrap(), Some(vec![9u8; 8]));
         txn.commit().unwrap();
         assert_eq!(inst.active_txns(), 0);
+    }
+
+    #[test]
+    fn row_writes_log_the_owned_encoding_of_their_images() {
+        let device = MemLogDevice::new();
+        let inst = StorageInstance::create(Arc::new(MemStore::new()), device.clone(), small_opts());
+        let t = inst.create_table("a", 8).unwrap();
+        t.load([(1, [1u8; 8])]).unwrap();
+        let start = device.len() as usize;
+        let mut txn = inst.begin();
+        txn.modify(&t, 1, |row| row[0] = 2).unwrap();
+        txn.insert_row(&t, 5, &[5u8; 8]).unwrap();
+        let id = txn.id;
+        txn.commit().unwrap();
+        let log = device.read_all().unwrap();
+        let mut want = Vec::new();
+        let mut after = [1u8; 8];
+        after[0] = 2;
+        for payload in [
+            LogPayload::Update {
+                table: t.id,
+                key: 1,
+                before: vec![1u8; 8],
+                after: after.to_vec(),
+            },
+            LogPayload::Insert {
+                table: t.id,
+                key: 5,
+                data: vec![5u8; 8],
+            },
+            LogPayload::Commit,
+        ] {
+            crate::wal::record::encode(id, &payload, &mut want);
+        }
+        assert!(
+            log[start..].ends_with(&want),
+            "the borrowed path wrote other bytes"
+        );
     }
 
     #[test]

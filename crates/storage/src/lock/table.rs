@@ -1,8 +1,51 @@
 //! The pure lock-table state machine.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::TxnId;
+
+/// Multiply-rotate hashing for lock ids and transaction ids: a few integer
+/// words per key, where std's SipHash costs more than the map probe.
+/// Not DoS-resistant, and it need not be: an entry exists only while a lock
+/// is held or wanted, so a colliding key set is bounded by the live locks.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// An odd constant with well-mixed bits (the golden ratio's).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; the map takes its bucket
+    /// from the low ones, so rotate them down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// Lock modes: intention-shared/exclusive on tables, shared/exclusive on rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,7 +110,7 @@ pub enum Acquire {
     Die,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Entry {
     granted: Vec<(TxnId, LockMode)>,
     waiting: VecDeque<(TxnId, LockMode)>,
@@ -77,10 +120,10 @@ struct Entry {
 /// so an entry and the ledger can be borrowed together.
 #[derive(Debug, Default)]
 struct Ledger {
-    held: HashMap<TxnId, Vec<LockId>>,
+    held: WordMap<TxnId, Vec<LockId>>,
     /// The request each blocked transaction has queued. A transaction
     /// blocks while it waits, so it never has more than one.
-    waiting_on: HashMap<TxnId, LockId>,
+    waiting_on: WordMap<TxnId, LockId>,
     /// Emptied `held` lists, kept for the next transactions.
     spare: Vec<Vec<LockId>>,
 }
@@ -126,7 +169,9 @@ impl Ledger {
 /// [`LockTable::release_all`].
 #[derive(Debug, Default)]
 pub struct LockTable {
-    entries: HashMap<LockId, Entry>,
+    entries: WordMap<LockId, Entry>,
+    /// Emptied entries, kept with their lists' capacity for the next locks.
+    spare: Vec<Entry>,
     ledger: Ledger,
     /// Wakeups produced by `cancel_wait`, delivered via
     /// [`LockTable::take_deferred_wakeups`].
@@ -138,6 +183,10 @@ pub struct LockTable {
 }
 
 impl LockTable {
+    /// Spare entries worth keeping: about as many as the locks a few
+    /// transactions hold at once.
+    const SPARES: usize = 256;
+
     pub fn new() -> Self {
         Self::default()
     }
@@ -145,10 +194,11 @@ impl LockTable {
     /// Request `id` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: TxnId, id: LockId, mode: LockMode) -> Acquire {
         self.acquires += 1;
-        let entry = self.entries.entry(id).or_insert_with(|| Entry {
-            granted: Vec::new(),
-            waiting: VecDeque::new(),
-        });
+        let spare = &mut self.spare;
+        let entry = self
+            .entries
+            .entry(id)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
 
         // Re-entrant / covered request?
         if let Some(&(_, held)) = entry.granted.iter().find(|(t, _)| *t == txn) {
@@ -229,7 +279,7 @@ impl LockTable {
             entry.granted.retain(|(t, _)| *t != txn);
             entry.waiting.retain(|(t, _)| *t != txn);
             if Self::promote(entry, &mut self.ledger, id, &mut woken) {
-                self.entries.remove(&id);
+                self.retire(id);
             }
         }
         self.ledger.recycle(touched);
@@ -251,10 +301,19 @@ impl LockTable {
             // cancel_wait run under the same external mutex as release_all;
             // report wakeups through take_deferred_wakeups.
             if Self::promote(entry, &mut self.ledger, id, &mut self.deferred_wakeups) {
-                self.entries.remove(&id);
+                self.retire(id);
             }
         }
         was_waiting
+    }
+
+    /// Forget `id`'s emptied entry, keeping it for the next lock.
+    fn retire(&mut self, id: LockId) {
+        let entry = self.entries.remove(&id).expect("retired entry exists");
+        debug_assert!(entry.granted.is_empty() && entry.waiting.is_empty());
+        if self.spare.len() < Self::SPARES {
+            self.spare.push(entry);
+        }
     }
 
     /// Grant queued requests that are now compatible, strictly FIFO. Returns
@@ -453,6 +512,51 @@ mod tests {
         // Reader behind the cancelled writer becomes compatible.
         assert_eq!(lt.take_deferred_wakeups(), vec![t(1)]);
         assert!(lt.holds(t(1), id, LockMode::S));
+    }
+
+    #[test]
+    fn recycled_entries_keep_outcomes_and_stay_bounded() {
+        let mut lt = LockTable::new();
+        for cycle in 0..10_000u64 {
+            let (old, mid, young) = (t(3 * cycle + 1), t(3 * cycle + 2), t(3 * cycle + 3));
+            let hot = LockId::Key(T, cycle % 7);
+            let cold = LockId::Key(T + 1, cycle);
+            // The oldest one's upgrade queues at the front, behind the
+            // younger reader.
+            assert_eq!(lt.acquire(young, hot, LockMode::S), Acquire::Granted);
+            assert_eq!(lt.acquire(old, hot, LockMode::S), Acquire::Granted);
+            assert_eq!(lt.acquire(old, hot, LockMode::X), Acquire::Wait);
+            // A queued waiter on the cold row, and a requester that dies.
+            assert_eq!(lt.acquire(young, cold, LockMode::X), Acquire::Granted);
+            assert_eq!(lt.acquire(mid, cold, LockMode::X), Acquire::Wait);
+            assert_eq!(lt.acquire(t(u64::MAX), cold, LockMode::S), Acquire::Die);
+            let mut woken = vec![old, mid];
+            if cycle % 2 == 1 {
+                assert!(lt.cancel_wait(mid, cold));
+                woken.pop();
+            }
+            assert_eq!(lt.release_all(young), woken, "cycle {cycle}");
+            assert!(lt.holds(old, hot, LockMode::X));
+            assert_eq!(lt.active_locks(), woken.len(), "cycle {cycle}");
+            for txn in [old, mid] {
+                assert!(lt.release_all(txn).is_empty());
+            }
+            assert_eq!(lt.active_locks(), 0, "cycle {cycle}");
+            assert!(lt.take_deferred_wakeups().is_empty());
+        }
+        assert!(!lt.spare.is_empty(), "emptied entries were kept");
+        // More entries emptied at once than are worth keeping.
+        let wide = t(u64::MAX - 1);
+        for key in 0..4 * LockTable::SPARES as u64 {
+            assert_eq!(
+                lt.acquire(wide, LockId::Key(T, key), LockMode::S),
+                Acquire::Granted
+            );
+        }
+        assert!(lt.release_all(wide).is_empty());
+        assert_eq!(lt.active_locks(), 0);
+        assert_eq!(lt.spare.len(), LockTable::SPARES);
+        assert!(lt.ledger.held.is_empty() && lt.ledger.waiting_on.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! a real device, and the simulator (`islands-core`'s `simrt`) in simulated
 //! time over a modelled log disk.
 
-use crate::wal::record::{self, LogPayload};
+use crate::wal::record::{self, LogPayload, RowChange};
 use crate::{Lsn, TxnId};
 
 /// In-memory unflushed log tail and the flush in flight.
@@ -83,6 +83,12 @@ impl LogBuffer {
     /// record to be durable (its end LSN).
     pub fn append(&mut self, txn: TxnId, payload: &LogPayload) -> Lsn {
         record::encode(txn, payload, &mut self.buf);
+        self.end_lsn()
+    }
+
+    /// [`append`](Self::append) a row change from borrowed images.
+    pub fn append_row(&mut self, txn: TxnId, row: RowChange<'_>) -> Lsn {
+        record::encode_row(txn, row, &mut self.buf);
         self.end_lsn()
     }
 

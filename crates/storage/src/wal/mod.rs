@@ -29,5 +29,5 @@ pub mod recovery;
 pub use buffer::{Batch, Force, LogBuffer};
 pub use device::{reopen, DiscardLogDevice, FileLogDevice, LogDevice, MemLogDevice};
 pub use native::LogManager;
-pub use record::{LogPayload, LogRecord};
+pub use record::{LogPayload, LogRecord, RowChange};
 pub use recovery::{analyze, LogAnalysis, RedoOp};

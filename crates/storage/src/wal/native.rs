@@ -9,7 +9,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::error::{Result, StorageError};
 use crate::wal::buffer::{Batch, Force, LogBuffer};
 use crate::wal::device::LogDevice;
-use crate::wal::record::LogPayload;
+use crate::wal::record::{LogPayload, RowChange};
 use crate::{Lsn, TxnId};
 
 struct LogState {
@@ -78,9 +78,18 @@ impl LogManager {
     /// leads one itself; a device error there poisons the log and surfaces
     /// at the next `commit_durable`.
     pub fn append(&self, txn: TxnId, payload: &LogPayload) -> Lsn {
+        self.append_with(|buffer| buffer.append(txn, payload))
+    }
+
+    /// [`append`](Self::append) a row change from borrowed images.
+    pub fn append_row(&self, txn: TxnId, row: RowChange<'_>) -> Lsn {
+        self.append_with(|buffer| buffer.append_row(txn, row))
+    }
+
+    fn append_with(&self, append: impl FnOnce(&mut LogBuffer) -> Lsn) -> Lsn {
         let _span = islands_obs::enter(islands_obs::BreakdownCategory::Logging);
         let mut st = self.state.lock();
-        let lsn = st.buffer.append(txn, payload);
+        let lsn = append(&mut st.buffer);
         if st.poisoned.is_none() {
             if let Some(batch) = st.buffer.due() {
                 drop(self.write(st, batch));

@@ -55,6 +55,58 @@ pub enum LogPayload {
     },
 }
 
+/// A row change borrowed from the row it describes: what an `Insert` or
+/// `Update` record carries, for a writer that logs without copying it
+/// first. Encodes to the same bytes as the owned [`LogPayload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowChange<'a> {
+    Insert {
+        table: u32,
+        key: u64,
+        data: &'a [u8],
+    },
+    Update {
+        table: u32,
+        key: u64,
+        before: &'a [u8],
+        after: &'a [u8],
+    },
+}
+
+impl RowChange<'_> {
+    fn body_len(&self) -> usize {
+        match self {
+            RowChange::Insert { data, .. } => 4 + 8 + 4 + data.len(),
+            RowChange::Update { before, after, .. } => 4 + 8 + 4 + before.len() + 4 + after.len(),
+        }
+    }
+}
+
+impl LogPayload {
+    /// The row change an `Insert` or `Update` describes, borrowed.
+    fn row(&self) -> Option<RowChange<'_>> {
+        match *self {
+            LogPayload::Insert {
+                table,
+                key,
+                ref data,
+            } => Some(RowChange::Insert { table, key, data }),
+            LogPayload::Update {
+                table,
+                key,
+                ref before,
+                ref after,
+            } => Some(RowChange::Update {
+                table,
+                key,
+                before,
+                after,
+            }),
+            _ => None,
+        }
+    }
+}
+
 const TAG_BEGIN: u8 = 1;
 const TAG_INSERT: u8 = 2;
 const TAG_UPDATE: u8 = 3;
@@ -82,10 +134,12 @@ impl LogRecord {
 }
 
 fn payload_body_len(p: &LogPayload) -> usize {
+    if let Some(row) = p.row() {
+        return row.body_len();
+    }
     match p {
         LogPayload::Begin | LogPayload::Commit | LogPayload::Abort | LogPayload::End => 0,
-        LogPayload::Insert { data, .. } => 4 + 8 + 4 + data.len(),
-        LogPayload::Update { before, after, .. } => 4 + 8 + 4 + before.len() + 4 + after.len(),
+        LogPayload::Insert { .. } | LogPayload::Update { .. } => unreachable!("a row change"),
         LogPayload::Prepare { .. } => 8,
         LogPayload::Decision { .. } => 9,
         LogPayload::Checkpoint { .. } => 8,
@@ -97,35 +151,22 @@ pub fn encoded_len(p: &LogPayload) -> usize {
     4 + 8 + 1 + payload_body_len(p)
 }
 
-/// Append the encoding of `(txn, payload)` to `out`.
-pub fn encode(txn: TxnId, payload: &LogPayload, out: &mut Vec<u8>) {
-    let total = encoded_len(payload);
+/// The frame header: total length and transaction id.
+fn put_header(txn: TxnId, total: usize, out: &mut Vec<u8>) {
     out.reserve(total);
     out.put_u32_le(total as u32);
     out.put_u64_le(txn.0);
+}
+
+/// Append the encoding of `(txn, payload)` to `out`.
+pub fn encode(txn: TxnId, payload: &LogPayload, out: &mut Vec<u8>) {
+    if let Some(row) = payload.row() {
+        return encode_row(txn, row, out);
+    }
+    put_header(txn, encoded_len(payload), out);
     match payload {
         LogPayload::Begin => out.put_u8(TAG_BEGIN),
-        LogPayload::Insert { table, key, data } => {
-            out.put_u8(TAG_INSERT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u32_le(data.len() as u32);
-            out.put_slice(data);
-        }
-        LogPayload::Update {
-            table,
-            key,
-            before,
-            after,
-        } => {
-            out.put_u8(TAG_UPDATE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u32_le(before.len() as u32);
-            out.put_slice(before);
-            out.put_u32_le(after.len() as u32);
-            out.put_slice(after);
-        }
+        LogPayload::Insert { .. } | LogPayload::Update { .. } => unreachable!("a row change"),
         LogPayload::Commit => out.put_u8(TAG_COMMIT),
         LogPayload::Abort => out.put_u8(TAG_ABORT),
         LogPayload::Prepare { gtid } => {
@@ -141,6 +182,36 @@ pub fn encode(txn: TxnId, payload: &LogPayload, out: &mut Vec<u8>) {
         LogPayload::Checkpoint { snapshot_lsn } => {
             out.put_u8(TAG_CHECKPOINT);
             out.put_u64_le(*snapshot_lsn);
+        }
+    }
+}
+
+/// Append the encoding of `(txn, row)` to `out`: the one encoder of
+/// `Insert` and `Update` records, owned or borrowed.
+pub fn encode_row(txn: TxnId, row: RowChange<'_>, out: &mut Vec<u8>) {
+    put_header(txn, 4 + 8 + 1 + row.body_len(), out);
+    let put_image = |out: &mut Vec<u8>, image: &[u8]| {
+        out.put_u32_le(image.len() as u32);
+        out.put_slice(image);
+    };
+    match row {
+        RowChange::Insert { table, key, data } => {
+            out.put_u8(TAG_INSERT);
+            out.put_u32_le(table);
+            out.put_u64_le(key);
+            put_image(out, data);
+        }
+        RowChange::Update {
+            table,
+            key,
+            before,
+            after,
+        } => {
+            out.put_u8(TAG_UPDATE);
+            out.put_u32_le(table);
+            out.put_u64_le(key);
+            put_image(out, before);
+            put_image(out, after);
         }
     }
 }
@@ -262,6 +333,63 @@ mod tests {
         assert_eq!(rec.lsn, 1000);
         assert_eq!(rec.payload, p);
         assert_eq!(rec.end_lsn(), 1000 + buf.len() as u64);
+    }
+
+    #[test]
+    fn borrowed_rows_encode_the_owned_records_bytes() {
+        let (before, after) = ([3u8; 40], [4u8; 40]);
+        let update = LogPayload::Update {
+            table: 2,
+            key: 0x0102_0304_0506,
+            before: before.to_vec(),
+            after: after.to_vec(),
+        };
+        let insert = LogPayload::Insert {
+            table: 5,
+            key: 9,
+            data: after.to_vec(),
+        };
+        for (payload, row) in [
+            (
+                &update,
+                RowChange::Update {
+                    table: 2,
+                    key: 0x0102_0304_0506,
+                    before: &before,
+                    after: &after,
+                },
+            ),
+            (
+                &insert,
+                RowChange::Insert {
+                    table: 5,
+                    key: 9,
+                    data: &after,
+                },
+            ),
+        ] {
+            let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+            encode(TxnId(77), payload, &mut owned);
+            encode_row(TxnId(77), row, &mut borrowed);
+            assert_eq!(owned, borrowed, "{payload:?}");
+            let (rec, used) = decode(&borrowed, 64).unwrap();
+            assert_eq!((used, &rec.payload), (borrowed.len(), payload));
+        }
+        // The layout itself: header, tag, table, key, then each image after
+        // its length.
+        let mut bytes = Vec::new();
+        encode_row(
+            TxnId(1),
+            RowChange::Insert {
+                table: 5,
+                key: 9,
+                data: &[7, 8],
+            },
+            &mut bytes,
+        );
+        let mut want = vec![31, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, TAG_INSERT, 5, 0, 0, 0];
+        want.extend([9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 7, 8]);
+        assert_eq!(bytes, want);
     }
 
     #[test]
