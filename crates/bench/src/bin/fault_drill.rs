@@ -58,8 +58,10 @@ OPTIONS:
                           vote), post-prepare (voted Yes, decision never
                           arrives - the headline in-doubt case), or
                           post-decision (right behind its decision frame:
-                          the transaction was already answered commit)
-                          (default post-prepare)
+                          the transaction was already answered commit), or
+                          link-loss (where post-prepare strikes, the link
+                          drops instead and the victim lives on until the
+                          restart) (default post-prepare)
   --victim I              instance to kill (default: last instance)
   --wal-dir PATH          WAL directory (default: fresh dir under the system
                           temp dir, removed on success)
@@ -396,7 +398,9 @@ fn run(args: &Args) -> Result<DrillReport, String> {
                 return Err("a pre-prepare fault cannot yield a commit".into());
             }
         }
-        FaultPoint::PostPreparePreDecision | FaultPoint::PostDecisionPreAck => {
+        FaultPoint::PostPreparePreDecision
+        | FaultPoint::PostDecisionPreAck
+        | FaultPoint::LinkLoss => {
             if faulted_committed != 1 {
                 return Err(format!(
                     "{} fires after every vote is in: the forced commit must stand",

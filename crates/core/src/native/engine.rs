@@ -17,8 +17,7 @@
 //!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)). A
 //!   session parks the prepared branch in the partition's one in-doubt
 //!   table (`in_doubt` module), beside any branch restart replay re-parked,
-//!   until some session applies the coordinator's decision or the
-//!   preparing session's close presumes abort.
+//!   until some session applies the coordinator's decision.
 //!
 //! A [`PlanRequest`] is the only request shape executed here; the
 //! batch-taking [`submit_local`](PartitionEngine::submit_local) and
@@ -43,7 +42,7 @@ use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle}
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
 use islands_workload::{tpcc, TxnRequest};
 
-use super::in_doubt::{next_session_id, InDoubtTable};
+use super::in_doubt::{next_session_id, Bell, InDoubtTable};
 use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::{SubmitOutcome, MICRO_TABLE_NAME};
 
@@ -279,10 +278,10 @@ impl PartitionEngine {
             .collect()
     }
 
-    /// Gtids of every branch parked here awaiting a decision, sorted: at
-    /// startup, exactly the ones restart replay re-parked.
-    pub fn recovered_gtids(&self) -> Vec<u64> {
-        self.in_doubt.gtids()
+    /// Gtids of every parked branch no session owns, sorted: at startup,
+    /// exactly the ones restart replay re-parked.
+    pub fn ownerless_gtids(&self) -> Vec<u64> {
+        self.in_doubt.ownerless()
     }
 
     /// The key range `[lo, hi)` this partition owns.
@@ -519,12 +518,16 @@ impl Engine for PartitionEngine {
         Ok(PartitionEngine::audit_sum(self)?)
     }
 
-    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        Ok(PartitionEngine::recovered_gtids(self))
+    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        Ok(PartitionEngine::ownerless_gtids(self))
+    }
+
+    fn bell(&self) -> Option<&Bell> {
+        Some(&self.in_doubt.bell)
     }
 
     fn observe(&self, snap: &mut Snapshot) {
-        snap.in_doubt = self.in_doubt.gtids().len() as u64;
+        snap.in_doubt = self.in_doubt.parked() as u64;
         (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
     }
 }
@@ -555,15 +558,11 @@ impl Session for LockedSession<'_> {
         let _span = islands_obs::enter(BreakdownCategory::XctManagement);
         Ok(self.engine.in_doubt.decide(gtid, commit))
     }
-
-    fn close(&mut self) -> u64 {
-        self.engine.in_doubt.close(self.id)
-    }
 }
 
 impl Drop for LockedSession<'_> {
     fn drop(&mut self) {
-        self.close();
+        self.engine.in_doubt.disown(self.id);
     }
 }
 
@@ -909,7 +908,7 @@ mod tests {
         };
         {
             let e = PartitionEngine::build(&cfg).unwrap();
-            assert!(e.recovered_gtids().is_empty());
+            assert!(e.ownerless_gtids().is_empty());
             // Committed work that must survive the crash.
             assert!(e.submit_local(&update(&[110]), 0).unwrap().committed);
             // A prepared branch whose decision never arrives: forget the
@@ -922,7 +921,7 @@ mod tests {
         }
         // "Restart": same config, same WAL file, fresh volatile store.
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e2.recovered_gtids(), vec![42]);
+        assert_eq!(e2.ownerless_gtids(), vec![42]);
         // Committed update redone; the in-doubt write is back in its row,
         // under the branch's X lock, as a live parked branch's would be.
         assert_eq!(e2.audit_sum().unwrap(), 2);
@@ -974,7 +973,7 @@ mod tests {
         };
         crash_with_branches_parked(&cfg, 120..121);
         let e = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e.recovered_gtids(), vec![121]);
+        assert_eq!(e.ownerless_gtids(), vec![121]);
         let table = e.plan_table(MICRO_TABLE).unwrap();
         let mut raw = e.instance().begin();
         let parked = raw.modify(table, 120, |_| {});
@@ -1070,7 +1069,7 @@ mod tests {
             assert_eq!(e.audit_sum().unwrap(), 1);
         }
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert!(e2.recovered_gtids().is_empty());
+        assert!(e2.ownerless_gtids().is_empty());
         assert_eq!(e2.audit_sum().unwrap(), 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -1154,11 +1153,11 @@ mod tests {
             std::mem::forget(handle);
         }
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e2.recovered_gtids(), vec![7]);
+        assert_eq!(e2.ownerless_gtids(), vec![7]);
         let decided = e2.session(0).decide(7, false).unwrap();
         assert_eq!(decided, DecideOutcome::Applied);
         assert_eq!(e2.audit_sum().unwrap(), 0);
-        assert!(e2.recovered_gtids().is_empty());
+        assert!(e2.ownerless_gtids().is_empty());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -27,12 +27,12 @@
 //! table keeps the branch's key set and the engine answers any conflicting
 //! request the way wait-die would have — the newcomer aborts immediately (a
 //! local submit reports `committed: false`, a conflicting prepare votes
-//! No). The coordinator's decision (or the presumed-abort rule when its
-//! connection dies) clears the key set. This mirrors the locked engine
-//! exactly: there the in-doubt branch is the *oldest* lock holder, so
-//! wait-die kills every conflicting newcomer on first contact, too — which
-//! is what makes the two engines trace-equivalent (see
-//! `tests/engine_differential.rs`).
+//! No). The coordinator's verdict clears the key set, whether a `Decision`
+//! frame brings it or, after the coordinator's connection died, a resolver
+//! pass. This mirrors the locked engine exactly: there the in-doubt branch
+//! is the *oldest* lock holder, so wait-die kills every conflicting
+//! newcomer on first contact, too — which is what makes the two engines
+//! trace-equivalent (see `tests/engine_differential.rs`).
 //!
 //! ## What the lock gives up, and when
 //!
@@ -53,7 +53,7 @@ use islands_workload::plan::PlanRequest;
 use islands_workload::TxnRequest;
 
 use super::engine::{PartitionConfig, PartitionEngine};
-use super::in_doubt::next_session_id;
+use super::in_doubt::{next_session_id, Bell};
 use super::session::{DecideOutcome, Engine, ExecError, Session};
 use super::SubmitOutcome;
 
@@ -124,6 +124,9 @@ fn hold<T>(partition: &Partition, f: impl FnOnce(&PartitionEngine) -> T) -> Resu
 /// behind an [`Arc`] and mint one [`ExecutorSession`] per connection.
 pub struct PartitionExecutor {
     partition: Arc<Partition>,
+    /// The partition's in-doubt bell, shared so that waiting on it takes no
+    /// partition lock.
+    bell: Arc<Bell>,
 }
 
 impl PartitionExecutor {
@@ -135,12 +138,13 @@ impl PartitionExecutor {
             ..cfg.partition
         })?;
         Ok(PartitionExecutor {
+            bell: Arc::clone(&engine.in_doubt.bell),
             partition: Arc::new(Mutex::new(Some(engine))),
         })
     }
 
-    /// Mint a session. Each connection holds its own; the session id scopes
-    /// the presumed-abort rule for branches it prepares.
+    /// Mint a session. Each connection holds its own; the branches it
+    /// prepares are parked under its id until it is dropped.
     pub fn session(&self) -> ExecutorSession {
         ExecutorSession {
             id: next_session_id(),
@@ -170,13 +174,14 @@ impl PartitionExecutor {
         hold(&self.partition, |engine| engine.instance().locks().stats())
     }
 
-    /// [`PartitionEngine::recovered_gtids`] of the partition.
-    pub fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        hold(&self.partition, |engine| engine.recovered_gtids())
+    /// [`PartitionEngine::ownerless_gtids`] of the partition.
+    pub fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        hold(&self.partition, |engine| engine.ownerless_gtids())
     }
 
-    /// Stop the executor: presume-abort any branch still in-doubt and drop
-    /// the engine. Sessions that outlive it answer [`ExecError::Gone`].
+    /// Stop the executor: drop the engine, leaving any branch still parked
+    /// in doubt in its WAL. Sessions that outlive it answer
+    /// [`ExecError::Gone`].
     pub fn shutdown(self) {
         drop(self);
     }
@@ -185,8 +190,8 @@ impl PartitionExecutor {
 impl Drop for PartitionExecutor {
     fn drop(&mut self) {
         // A poisoned partition is never touched again; what it holds is
-        // freed with the last session. Otherwise dropping the engine
-        // presumes abort for whatever is still in-doubt.
+        // freed with the last session. Otherwise dropping the engine leaves
+        // whatever is still parked in doubt.
         if let Ok(mut partition) = self.partition.lock() {
             *partition = None;
         }
@@ -203,8 +208,12 @@ impl Engine for PartitionExecutor {
         PartitionExecutor::audit_sum(self)
     }
 
-    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        PartitionExecutor::recovered_gtids(self)
+    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        PartitionExecutor::ownerless_gtids(self)
+    }
+
+    fn bell(&self) -> Option<&Bell> {
+        Some(&self.bell)
     }
 
     /// A poisoned partition reports nothing.
@@ -248,8 +257,7 @@ impl ExecutorSession {
     /// Execute one 2PC branch and run participant phase 1 on the partition.
     /// `Ok(Vote::Yes)` parks the branch with its full `(table, key)`
     /// footprint, dependent reads included, so conflicting work aborts
-    /// until [`decide`](Self::decide) (from any session) or this session's
-    /// close presumed-aborts it.
+    /// until [`decide`](Self::decide), from any session, settles it.
     pub fn prepare_plan(&self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
         hold(&self.partition, |engine| {
             let _span = islands_obs::enter(BreakdownCategory::XctManagement);
@@ -264,18 +272,12 @@ impl ExecutorSession {
             engine.in_doubt.decide(gtid, commit)
         })
     }
-
-    /// End the session: every branch it prepared that is still in-doubt is
-    /// rolled back (presumed abort — the coordinator's connection is gone).
-    /// Returns how many branches were rolled back. Idempotent.
-    pub fn close(&mut self) -> u64 {
-        hold(&self.partition, |engine| engine.in_doubt.close(self.id)).unwrap_or(0)
-    }
 }
 
 impl Drop for ExecutorSession {
+    /// What it parked stays parked, owned by nobody.
     fn drop(&mut self) {
-        let _ = self.close();
+        let _ = hold(&self.partition, |engine| engine.in_doubt.disown(self.id));
     }
 }
 
@@ -290,10 +292,6 @@ impl Session for ExecutorSession {
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
         ExecutorSession::decide(self, gtid, commit)
-    }
-
-    fn close(&mut self) -> u64 {
-        ExecutorSession::close(self)
     }
 }
 
@@ -399,9 +397,9 @@ mod tests {
     }
 
     #[test]
-    fn session_close_presumed_aborts_its_branches_only() {
+    fn a_dropped_sessions_branches_stay_parked_until_decided() {
         let e = executor();
-        let mut dying = e.session();
+        let dying = e.session();
         let surviving = e.session();
         assert!(matches!(dying.prepare(1, &update(&[110])), Ok(Vote::Yes)));
         assert!(matches!(dying.prepare(2, &update(&[111])), Ok(Vote::Yes)));
@@ -409,16 +407,31 @@ mod tests {
             surviving.prepare(3, &update(&[112])),
             Ok(Vote::Yes)
         ));
-        assert_eq!(dying.close(), 2, "both of the dying session's branches");
-        assert_eq!(dying.close(), 0, "close is idempotent");
-        // The dying session's writes were rolled back; the survivor's
-        // branch is still in-doubt and still guards its key.
-        assert!(!e.session().submit(&update(&[112])).unwrap().committed);
+        let rung = e.bell.rung();
+        drop(dying);
+        assert_eq!(e.bell.rung(), rung + 1, "the drop rings the bell once");
+        // A Yes vote binds: both branches stay parked, owned by nobody, and
+        // still guard their keys, as the survivor's does.
+        assert_eq!(e.ownerless_gtids().unwrap(), [1, 2]);
+        for key in [110, 111, 112] {
+            assert!(!e.session().submit(&update(&[key])).unwrap().committed);
+        }
+        // Decisions on another session settle them.
+        let decider = e.session();
+        assert!(matches!(
+            decider.decide(1, true),
+            Ok(DecideOutcome::Applied)
+        ));
+        assert!(matches!(
+            decider.decide(2, false),
+            Ok(DecideOutcome::Applied)
+        ));
         assert!(matches!(
             surviving.decide(3, true),
             Ok(DecideOutcome::Applied)
         ));
-        assert_eq!(e.audit_sum().unwrap(), 1);
+        assert!(e.ownerless_gtids().unwrap().is_empty());
+        assert_eq!(e.audit_sum().unwrap(), 2);
     }
 
     #[test]
@@ -426,7 +439,7 @@ mod tests {
         // A coordinator that reconnects decides on a fresh connection; the
         // branch is executor-global, so the decision still lands.
         let e = executor();
-        let mut preparer = e.session();
+        let preparer = e.session();
         assert!(matches!(
             preparer.prepare(6, &update(&[140])),
             Ok(Vote::Yes)
@@ -436,7 +449,9 @@ mod tests {
             decider.decide(6, true),
             Ok(DecideOutcome::Applied)
         ));
-        assert_eq!(preparer.close(), 0, "branch already decided elsewhere");
+        let rung = e.bell.rung();
+        drop(preparer);
+        assert_eq!(e.bell.rung(), rung, "branch already decided elsewhere");
         assert_eq!(e.audit_sum().unwrap(), 1);
     }
 
@@ -454,8 +469,8 @@ mod tests {
         let e = executor();
         let s = e.session();
         assert!(matches!(s.prepare(11, &update(&[160])), Ok(Vote::Yes)));
-        // Leak the session (no close) and shut the executor down: the
-        // branch must not survive as a committed write.
+        // Leak the session and shut the executor down: the branch is left
+        // in doubt, and must not survive as a committed write.
         std::mem::forget(s);
         e.shutdown();
     }
@@ -511,7 +526,7 @@ mod tests {
     #[test]
     fn a_session_that_dies_holding_the_partition_leaves_it_gone() {
         let e = executor();
-        let mut survivor = e.session();
+        let survivor = e.session();
         assert!(survivor.submit(&update(&[110])).unwrap().committed);
         let partition = Arc::clone(&e.partition);
         let died = std::thread::spawn(move || {
@@ -535,8 +550,8 @@ mod tests {
             Err(ExecError::Gone)
         ));
         assert!(matches!(e.audit_sum(), Err(ExecError::Gone)));
-        assert!(matches!(e.recovered_gtids(), Err(ExecError::Gone)));
-        assert_eq!(survivor.close(), 0);
+        assert!(matches!(e.ownerless_gtids(), Err(ExecError::Gone)));
+        drop(survivor);
         e.shutdown();
     }
 
@@ -664,14 +679,14 @@ mod tests {
             std::mem::forget(handle);
         }
         let e2 = PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap();
-        assert_eq!(e2.recovered_gtids().unwrap(), vec![77]);
+        assert_eq!(e2.ownerless_gtids().unwrap(), vec![77]);
         let s = e2.session();
         // The recovered branch guards its key against new work.
         assert!(!s.submit(&update(&[150])).unwrap().committed);
         assert!(matches!(s.prepare(78, &update(&[150])), Ok(Vote::No)));
         // A normal decision resolves it through the executor.
         assert!(matches!(s.decide(77, true), Ok(DecideOutcome::Applied)));
-        assert!(e2.recovered_gtids().unwrap().is_empty());
+        assert!(e2.ownerless_gtids().unwrap().is_empty());
         assert_eq!(e2.audit_sum().unwrap(), 1);
         assert!(s.submit(&update(&[150])).unwrap().committed);
         let _ = std::fs::remove_file(&path);

@@ -1,5 +1,5 @@
 //! A partition's in-doubt table: every 2PC branch between its Yes vote and
-//! the coordinator's decision, in one map keyed by gtid, whichever engine
+//! the coordinator's verdict, in one map keyed by gtid, whichever engine
 //! mode parked it, whichever session prepared it, and whether this
 //! incarnation prepared it or restart replay rebuilt it: either way a
 //! prepared [`TxnHandle`].
@@ -14,12 +14,15 @@
 //!   newcomer. With no footprint parked the check is one load.
 //! * **Decide.** Any session may decide any branch: the branch is un-parked,
 //!   then [`TxnHandle::decide`] applied, its locks held until it ends. A
-//!   gtid nobody parked gets the presumed-abort answer.
-//! * **Close.** A session's close presumes abort for the branches it
-//!   prepared. Dropping the table does so for every branch a session owns,
-//!   and leaves the replayed ones, which no session owns, in doubt in the
-//!   WAL ([`TxnHandle::leave_in_doubt`]) for the next incarnation to
-//!   rebuild.
+//!   gtid nobody parked gets the presumed-abort answer. Deciding is the only
+//!   way out: the decision comes in a `Decision` frame, or from the
+//!   coordinator's verdict when a resolver asks for it.
+//! * **Disown.** A Yes vote binds: when the session that prepared a branch
+//!   closes, the branch stays parked, holding its rows, with no owner —
+//!   the kind of entry restart replay makes. The table's [`Bell`] rings so
+//!   whoever settles ownerless branches wakes up. Dropping the table decides
+//!   nothing either: every branch is left in doubt in the WAL
+//!   ([`TxnHandle::leave_in_doubt`]) for the next incarnation to rebuild.
 //!
 //! The map's lock is held for an insert or a remove, never while a plan
 //! runs or the WAL is forced. The table is what a stats snapshot counts as
@@ -27,8 +30,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use islands_dtxn::{Participant, Vote};
 use islands_storage::{StorageError, TxnHandle};
@@ -37,7 +40,8 @@ use islands_workload::plan::PlanRequest;
 use super::engine::BranchOutcome;
 use super::session::{DecideOutcome, ExecError};
 
-/// A fresh session id, the scope [`InDoubtTable::close`] presumes abort in.
+/// A fresh session id: the owner a branch is parked under until its
+/// session closes ([`InDoubtTable::disown`]).
 pub(crate) fn next_session_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -46,13 +50,50 @@ pub(crate) fn next_session_id() -> u64 {
 struct Entry {
     /// `None` while the prepare that reserved the gtid still runs.
     branch: Option<TxnHandle>,
-    /// The session that prepared it; `None` for a replayed branch, which
-    /// only a decision settles.
+    /// The session that prepared it; `None` once that session closed, and
+    /// for a replayed branch.
     session: Option<u64>,
     participant: Participant,
     parked_at: Instant,
     /// `(table, key)` pairs the branch claims; empty when locks guard it.
     footprint: Vec<(u32, u64)>,
+}
+
+/// Rung each time parked branches lose their session, so whoever settles
+/// ownerless branches can sleep while there are none.
+#[derive(Default)]
+pub struct Bell {
+    rung: Mutex<u64>,
+    ringing: Condvar,
+}
+
+impl Bell {
+    fn count(&self) -> MutexGuard<'_, u64> {
+        self.rung.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// How many times it has rung so far.
+    pub fn rung(&self) -> u64 {
+        *self.count()
+    }
+
+    /// Ring it: every waiter wakes.
+    pub fn ring(&self) {
+        *self.count() += 1;
+        self.ringing.notify_all();
+    }
+
+    /// Wait until it has rung more than `seen` times in all, or `timeout`
+    /// has passed.
+    pub fn wait(&self, seen: u64, timeout: Option<Duration>) {
+        let rung = self.count();
+        let unrung = |rung: &mut u64| *rung == seen;
+        // A poisoned count is still a count: either way, stop waiting.
+        match timeout {
+            None => drop(self.ringing.wait_while(rung, unrung)),
+            Some(t) => drop(self.ringing.wait_timeout_while(rung, t, unrung)),
+        }
+    }
 }
 
 /// The in-doubt branches of one partition (see the module docs).
@@ -62,6 +103,8 @@ pub(crate) struct InDoubtTable {
     entries: Mutex<HashMap<u64, Entry>>,
     /// Entries with a footprint: while zero, nothing is to be checked.
     guarded: AtomicUsize,
+    /// Rung by [`disown`](Self::disown).
+    pub(crate) bell: Arc<Bell>,
 }
 
 impl InDoubtTable {
@@ -70,6 +113,7 @@ impl InDoubtTable {
             single_threaded,
             entries: Mutex::new(HashMap::new()),
             guarded: AtomicUsize::new(0),
+            bell: Arc::default(),
         }
     }
 
@@ -156,7 +200,8 @@ impl InDoubtTable {
                 .any(|e| plan.conflicts_with(&e.footprint))
     }
 
-    /// Leave the table with `commit` applied. `None` for a reservation.
+    /// Leave the table with `commit` applied. `None` for a reservation. An
+    /// ownerless branch's resolution is counted as such.
     fn settle(&self, mut entry: Entry, commit: bool) -> Option<Result<(), StorageError>> {
         let branch = entry.branch.take()?;
         if !entry.footprint.is_empty() {
@@ -187,39 +232,44 @@ impl InDoubtTable {
         }
     }
 
-    /// Presume abort for every branch `session` prepared and nobody
-    /// decided; returns how many that was.
-    pub(crate) fn close(&self, session: u64) -> u64 {
-        let orphaned: Vec<Entry> = self
-            .map()
-            .extract_if(|_, e| e.session == Some(session))
-            .map(|(_, e)| e)
-            .collect();
-        let rolled_back = orphaned.into_iter().filter_map(|e| self.settle(e, false));
-        rolled_back.count() as u64
+    /// `session` closed: every branch it parked and nobody decided stays
+    /// parked, owned by nobody, and the bell rings.
+    pub(crate) fn disown(&self, session: u64) {
+        let mut disowned = false;
+        for entry in self.map().values_mut() {
+            if entry.session == Some(session) {
+                entry.session = None;
+                disowned = true;
+            }
+        }
+        if disowned {
+            self.bell.ring();
+        }
     }
 
-    /// Gtids of every parked branch, sorted.
-    pub(crate) fn gtids(&self) -> Vec<u64> {
+    /// Gtids of every parked branch no session owns, sorted.
+    pub(crate) fn ownerless(&self) -> Vec<u64> {
         let map = self.map();
-        let parked = map.iter().filter(|(_, e)| e.branch.is_some());
-        let mut gtids: Vec<u64> = parked.map(|(gtid, _)| *gtid).collect();
+        let ownerless = map
+            .iter()
+            .filter(|(_, e)| e.branch.is_some() && e.session.is_none());
+        let mut gtids: Vec<u64> = ownerless.map(|(gtid, _)| *gtid).collect();
         gtids.sort_unstable();
         gtids
+    }
+
+    /// How many branches are parked.
+    pub(crate) fn parked(&self) -> usize {
+        self.map().values().filter(|e| e.branch.is_some()).count()
     }
 }
 
 impl Drop for InDoubtTable {
+    /// Every branch stays in doubt in the WAL, for the next incarnation.
     fn drop(&mut self) {
         let entries = std::mem::take(self.entries.get_mut().unwrap_or_else(|e| e.into_inner()));
-        for (_, entry) in entries {
-            if entry.session.is_some() {
-                let _ = self.settle(entry, false);
-            } else if let Some(branch) = entry.branch {
-                // A replayed branch stays in doubt in the WAL, for the next
-                // incarnation.
-                let _ = branch.leave_in_doubt();
-            }
+        for branch in entries.into_values().filter_map(|e| e.branch) {
+            let _ = branch.leave_in_doubt();
         }
     }
 }

@@ -18,6 +18,7 @@ pub mod session;
 
 pub use engine::{BranchOutcome, LockedSession, PartitionConfig, PartitionEngine, TpccPartition};
 pub use executor::{EngineMode, ExecutorConfig, ExecutorSession, PartitionExecutor};
+pub use in_doubt::Bell;
 pub use session::{DecideOutcome, Engine, ExecError, Session};
 
 /// Delay before the `retries`-th re-attempt of a contention-aborted

@@ -6,12 +6,14 @@
 //! a [`Session`] minted by an [`Engine`].
 //! Both engine modes execute it on the calling thread; whether that happens
 //! under 2PL beside other sessions or alone under the partition's lock is
-//! the engine's business: the caller sees the same four calls, the same
-//! [`Vote`]s and [`DecideOutcome`]s, and the same presumed-abort rule when
-//! the session closes.
+//! the engine's business: the caller sees the same three calls, the same
+//! [`Vote`]s and [`DecideOutcome`]s, and the same rule when the session is
+//! dropped: a branch it prepared stays parked until a decision reaches it.
 
 use islands_dtxn::Vote;
 use islands_obs::Snapshot;
+
+use super::Bell;
 use islands_storage::StorageError;
 use islands_workload::plan::PlanRequest;
 
@@ -79,11 +81,11 @@ pub enum DecideOutcome {
     Failed(String),
 }
 
-/// One connection's view of an engine. A session scopes
-/// the presumed-abort rule: a branch it prepared that nobody decided is
-/// rolled back when the session closes, because its coordinator spoke on
-/// this connection and is gone. Decisions are partition-wide: any session
-/// may decide any branch.
+/// One connection's view of an engine. Decisions are partition-wide: any
+/// session may decide any branch. Dropping a session closes it, and a branch
+/// it prepared that nobody decided stays parked, holding its rows, with no
+/// owner: its Yes vote binds whatever became of the connection, so only the
+/// coordinator's verdict ends it ([`Engine::ownerless_gtids`]).
 pub trait Session {
     /// Execute a fully-local plan to completion. `committed: false` means
     /// contention won (retry budget spent, or the plan touches a parked
@@ -91,19 +93,14 @@ pub trait Session {
     fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError>;
 
     /// Execute one 2PC branch and run participant phase 1. [`Vote::Yes`]
-    /// parks the branch in-doubt — dependent reads included — until
-    /// [`decide`](Self::decide) or [`close`](Self::close). A gtid already
-    /// parked on the partition is [`ExecError::DuplicateGtid`].
+    /// parks the branch in-doubt — dependent reads included — until some
+    /// session's [`decide`](Self::decide). A gtid already parked on the
+    /// partition is [`ExecError::DuplicateGtid`].
     fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError>;
 
     /// Apply the coordinator's decision to the in-doubt branch `gtid`,
     /// whichever session parked it, or restart replay.
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError>;
-
-    /// End the session: presume-abort every branch it prepared that is
-    /// still in-doubt and return how many that was. Idempotent; dropping a
-    /// session closes it.
-    fn close(&mut self) -> u64;
 }
 
 /// What serves sessions: a partition in either engine mode, or the
@@ -118,10 +115,17 @@ pub trait Engine {
     /// committed row writes applied here.
     fn audit_sum(&self) -> Result<u64, ExecError>;
 
-    /// Gtids of every branch parked here awaiting a decision (sorted):
-    /// at startup, exactly those restart replay re-parked. Each resolves
+    /// Gtids of every parked branch no session owns (sorted): those restart
+    /// replay re-parked and those whose session closed before their
+    /// decision came. Each waits for the coordinator's verdict, applied
     /// through [`Session::decide`].
-    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError>;
+    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError>;
+
+    /// What rings when branches here lose their session; `None` for an
+    /// engine that parks nothing.
+    fn bell(&self) -> Option<&Bell> {
+        None
+    }
 
     /// Fill in what only the engine knows when a stats snapshot is taken:
     /// the branches parked in its in-doubt table and its lock manager's

@@ -190,7 +190,7 @@ fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64)
                     std::mem::forget(session);
                     std::mem::forget(engine);
                     engine = build(mode, Some(&wal));
-                    assert_eq!(engine.recovered_gtids().unwrap(), [*gtid]);
+                    assert_eq!(engine.ownerless_gtids().unwrap(), [*gtid]);
                     session = engine.session(RETRIES);
                 }
                 let interleaved = interleave
@@ -219,9 +219,9 @@ fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64)
             }
         }
     }
-    assert_eq!(session.close(), 0, "every branch was decided");
+    // Every branch was decided: dropping the session leaves nothing parked.
     drop(session);
-    assert!(engine.recovered_gtids().unwrap().is_empty());
+    assert!(engine.ownerless_gtids().unwrap().is_empty());
     let audit = engine.audit_sum().unwrap();
     let _ = std::fs::remove_file(&wal);
     (outcomes, audit)
@@ -350,15 +350,32 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
         .to_plan()
     };
     for mode in [EngineMode::Locked, EngineMode::Serial] {
-        // A decision sent on another session lands: the preparing session
-        // has nothing left to presume aborted.
+        // A decision sent on another session lands.
         let engine = build(mode, None);
         let mut a = engine.session(RETRIES);
         let mut b = engine.session(RETRIES);
         assert_eq!(a.prepare(1, &update(10)).unwrap(), Vote::Yes, "{mode}");
+        assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}: a's");
         assert_eq!(b.decide(1, true).unwrap(), DecideOutcome::Applied, "{mode}");
-        assert_eq!(a.close(), 0, "{mode}: decided elsewhere");
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}");
+
+        // A Yes vote outlives its session: dropped undecided, the branch
+        // stays parked with no owner and keeps its row from everyone until
+        // a decision on another session settles it.
+        let mut dying = engine.session(RETRIES);
+        assert_eq!(dying.prepare(3, &update(30)).unwrap(), Vote::Yes, "{mode}");
+        let rung = engine.bell().map(|bell| bell.rung());
+        drop(dying);
+        assert_eq!(engine.bell().map(|bell| bell.rung() - 1), rung, "{mode}");
+        assert_eq!(engine.ownerless_gtids().unwrap(), [3], "{mode}");
+        assert!(
+            !b.submit(&update(30)).unwrap().committed,
+            "{mode}: row held"
+        );
+        assert_eq!(b.decide(3, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
+        assert!(b.submit(&update(30)).unwrap().committed, "{mode}: released");
+        assert_eq!(engine.audit_sum().unwrap(), 3, "{mode}");
 
         // One gtid, one branch per partition, whichever session asks.
         assert_eq!(a.prepare(2, &update(20)).unwrap(), Vote::Yes, "{mode}");
@@ -382,7 +399,7 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
         std::mem::forget(s);
         std::mem::forget(first);
         let engine = build(mode, Some(&wal));
-        assert_eq!(engine.recovered_gtids().unwrap(), [77], "{mode}");
+        assert_eq!(engine.ownerless_gtids().unwrap(), [77], "{mode}");
         let mut s = engine.session(RETRIES);
         assert!(
             matches!(
@@ -396,7 +413,7 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
             DecideOutcome::Applied,
             "{mode}"
         );
-        assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
+        assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: redone once");
         drop(s);
         drop(engine);
@@ -423,7 +440,7 @@ fn an_undecided_replayed_branch_survives_a_second_restart_in_both_engines() {
         std::mem::forget(s);
         std::mem::forget(first);
         let engine = build(mode, Some(&wal));
-        assert_eq!(engine.recovered_gtids().unwrap(), [5], "{mode}");
+        assert_eq!(engine.ownerless_gtids().unwrap(), [5], "{mode}");
         drop(engine);
 
         let log = std::fs::read(&wal).unwrap();
@@ -433,14 +450,14 @@ fn an_undecided_replayed_branch_survives_a_second_restart_in_both_engines() {
         assert!(analysis.aborted.is_empty(), "{mode}: no Abort was logged");
 
         let engine = build(mode, Some(&wal));
-        assert_eq!(engine.recovered_gtids().unwrap(), [5], "{mode}: re-parked");
+        assert_eq!(engine.ownerless_gtids().unwrap(), [5], "{mode}: re-parked");
         let mut s = engine.session(RETRIES);
         assert_eq!(s.decide(5, true).unwrap(), DecideOutcome::Applied, "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: applied once");
         drop(s);
         drop(engine);
         let engine = build(mode, Some(&wal));
-        assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
+        assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: and once after");
         drop(engine);
         let _ = std::fs::remove_file(&wal);
@@ -492,7 +509,7 @@ fn a_tpcc_partition_rebuilt_over_its_wal_keeps_every_commit_in_both_engines() {
         drop(engine);
 
         let engine = build_partition(mode, cfg);
-        assert!(engine.recovered_gtids().unwrap().is_empty(), "{mode}");
+        assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), audit, "{mode}");
         let mut session = engine.session(RETRIES);
         for plan in committed {

@@ -16,10 +16,14 @@
 //!   that performed no writes votes `ReadOnly`, releases immediately, and is
 //!   excluded from phase 2 (the paper's Figure 11 shows the resulting
 //!   asymmetry between read-only and update distributed transactions).
-//! * The coordinator forces a `Decision` record only for commits; on
-//!   recovery, an unknown gtid means abort.
+//! * The coordinator forces a `Decision` record only for commits; asked
+//!   about a gtid it holds no record for, it answers abort once no round of
+//!   its own still has that gtid undecided ([`verdict`]).
 //! * Phase-2 `Decision` messages go only to Yes-voters, which ack after
 //!   forcing their own outcome.
+//! * A Yes-voter never decides on its own: it leaves doubt by its
+//!   `Decision` message or, if that never comes, by asking the coordinator,
+//!   whose answer is [`verdict`].
 
 #![forbid(unsafe_code)]
 
@@ -30,9 +34,9 @@ pub mod participant;
 pub mod recovery;
 
 pub use coordinator::{Action, Coordinator, CoordinatorState};
-pub use decision_log::DecisionLog;
+pub use decision_log::{DecisionLog, Round};
 pub use participant::{Participant, ParticipantEvent, ParticipantState};
-pub use recovery::{resolve_in_doubt, RecoveredOutcome};
+pub use recovery::verdict;
 
 /// Global (distributed) transaction id.
 pub type Gtid = u64;

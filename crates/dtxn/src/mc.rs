@@ -13,7 +13,13 @@
 //! * participant and coordinator crash points (budgeted), and
 //! * spurious coordinator-side timeouts (`mark_dead` of a live peer,
 //!   budgeted — the wire driver's vote timeout can fire against a slow but
-//!   healthy participant).
+//!   healthy participant),
+//! * the participant's side of a dropped link: once the coordinator has
+//!   dropped a live participant and no frame to it is still in flight, its
+//!   session sees the link close, and its branch is left ownerless, and
+//! * resolver inquiries: an ownerless prepared branch may ask the
+//!   coordinator about its gtid at any time and takes whatever final answer
+//!   [`crate::recovery::verdict`] gives.
 //!
 //! Visited states are canonically encoded and hashed so each state is
 //! checked exactly once; the search is a DAG (every transition consumes a
@@ -36,10 +42,11 @@
 //!
 //! And at every **quiescent** state (no frames in flight, every crash
 //! observed), the run is finished off the way a real deployment would —
-//! unresolved prepared branches consult the coordinator log via
-//! [`crate::recovery::resolve_in_doubt`] (a log the coordinator may have
-//! *forgotten* once [`Action::Forget`] said every ack was in) — and the
-//! final state must satisfy:
+//! unresolved prepared branches ask the coordinator, answered by
+//! [`crate::recovery::verdict`] from its forced record (which it may have
+//! *forgotten* once [`Action::Forget`] said every ack was in) and from
+//! whether its round is still undecided, in which case they stay in doubt
+//! — and the final state must satisfy:
 //!
 //! * Q1 — global commit (forced decision record) ⟹ every writer's effect is
 //!   applied exactly once; global abort ⟹ no effect survives anywhere.
@@ -52,12 +59,12 @@
 //! driver (not the machines) and the self-test asserts the checker reports a
 //! violation for every seeded bug — so the checker itself is tested.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 use crate::coordinator::{Action, Coordinator, CoordinatorState};
 use crate::participant::{Participant, ParticipantEvent, ParticipantState};
-use crate::recovery::{resolve_in_doubt, RecoveredOutcome};
+use crate::recovery::verdict;
 use crate::{Gtid, Vote};
 
 /// The single global transaction id used by every model run.
@@ -109,10 +116,16 @@ pub enum Mutation {
     /// when they are all acknowledged: a participant that recovers before
     /// its decision arrives finds nothing and presumes abort.
     ForgetBeforeAck,
+    /// Roll back a prepared branch when its session's link closes, as if
+    /// the coordinator that spoke on it could no longer commit.
+    PresumeAbortOnLinkLoss,
+    /// Answer an inquiry about a round the coordinator has not decided yet
+    /// with abort instead of no answer.
+    ResolveUndecidedAsAbort,
 }
 
 impl Mutation {
-    pub const ALL: [Mutation; 8] = [
+    pub const ALL: [Mutation; 10] = [
         Mutation::CommitOnMissingVote,
         Mutation::SkipAbortUndo,
         Mutation::DecisionWithoutForce,
@@ -121,6 +134,8 @@ impl Mutation {
         Mutation::SkipDecisionOnAbort,
         Mutation::TellBeforeForce,
         Mutation::ForgetBeforeAck,
+        Mutation::PresumeAbortOnLinkLoss,
+        Mutation::ResolveUndecidedAsAbort,
     ];
 
     pub fn name(self) -> &'static str {
@@ -133,6 +148,8 @@ impl Mutation {
             Mutation::SkipDecisionOnAbort => "skip-decision-on-abort",
             Mutation::TellBeforeForce => "tell-before-force",
             Mutation::ForgetBeforeAck => "forget-before-ack",
+            Mutation::PresumeAbortOnLinkLoss => "presume-abort-on-link-loss",
+            Mutation::ResolveUndecidedAsAbort => "resolve-undecided-as-abort",
         }
     }
 }
@@ -263,6 +280,31 @@ struct PartNode {
     plog: PLog,
     /// Buffered write applied to the database (0 or 1 audit units).
     applied: u64,
+    /// Its session saw the coordinator's link close: a prepared branch here
+    /// is ownerless and may ask the coordinator.
+    link_closed: bool,
+}
+
+impl PartNode {
+    /// Apply a decision to this prepared branch, however it arrived.
+    fn decide(&mut self, commit: bool, mutation: Option<Mutation>) {
+        match self.m.on_decision(commit) {
+            ParticipantEvent::ApplyDecisionAndAck { commit, .. } => {
+                if commit {
+                    self.plog = PLog::Committed;
+                    if mutation != Some(Mutation::AckWithoutApply) {
+                        self.applied = 1;
+                    }
+                } else {
+                    self.plog = PLog::Aborted;
+                    if mutation == Some(Mutation::SkipAbortUndo) {
+                        self.applied = 1; // seeded bug: buffered write leaks
+                    }
+                }
+            }
+            ev => unreachable!("unexpected decision event {ev:?}"),
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -319,6 +361,7 @@ impl World {
                     alive: true,
                     plog: PLog::None,
                     applied: 0,
+                    link_closed: false,
                 })
                 .collect(),
             net: Vec::new(),
@@ -415,23 +458,8 @@ impl World {
                 if !p.alive || p.m.state() != ParticipantState::Prepared {
                     return; // dead recipient or duplicate frame
                 }
-                match p.m.on_decision(commit) {
-                    ParticipantEvent::ApplyDecisionAndAck { commit, .. } => {
-                        if commit {
-                            p.plog = PLog::Committed;
-                            if mutation != Some(Mutation::AckWithoutApply) {
-                                p.applied = 1;
-                            }
-                        } else {
-                            p.plog = PLog::Aborted;
-                            if mutation == Some(Mutation::SkipAbortUndo) {
-                                p.applied = 1; // seeded bug: buffered write leaks
-                            }
-                        }
-                        self.net.push(Msg::Ack { from: to });
-                    }
-                    ev => unreachable!("unexpected decision event {ev:?}"),
-                }
+                p.decide(commit, mutation);
+                self.net.push(Msg::Ack { from: to });
             }
             Msg::Vote { from, vote } => {
                 if !self.coord_alive || self.dead_mark[from] || self.seen_vote[from] {
@@ -467,6 +495,34 @@ impl World {
         } else {
             let actions = self.coord.on_participant_failure(p);
             self.process_actions(actions, mutation);
+        }
+    }
+
+    /// Participant `p`'s session sees its link close: the coordinator
+    /// dropped it, and every frame it had written has been read.
+    fn close_link(&mut self, p: usize, mutation: Option<Mutation>) {
+        let part = &mut self.parts[p];
+        part.link_closed = true;
+        if mutation == Some(Mutation::PresumeAbortOnLinkLoss)
+            && part.m.state() == ParticipantState::Prepared
+        {
+            part.decide(false, mutation); // seeded bug: a Yes vote revoked
+        }
+    }
+
+    /// The coordinator's answer to an inquiry about [`GTID`]: its record,
+    /// unless it forgot it, and whether its round is still undecided — alive,
+    /// and either collecting votes or not yet through its force.
+    fn inquire(&self, mutation: Option<Mutation>) -> Option<bool> {
+        let logged = (self.forced_commit && !self.forgotten).then_some(true);
+        let undecided = self.coord_alive
+            && (self.coord.state() == CoordinatorState::WaitVotes || !self.deferred.is_empty());
+        match mutation {
+            // Seeded bug: absence of evidence read as commit.
+            Some(Mutation::PresumeCommit) => verdict(logged.or(Some(true)), undecided),
+            // Seeded bug: an undecided round answered as if decided.
+            Some(Mutation::ResolveUndecidedAsAbort) => verdict(logged, false),
+            _ => verdict(logged, undecided),
         }
     }
 
@@ -532,6 +588,25 @@ impl World {
             w.carry_out(deferred, mutation);
             out.push(("coordinator forces and fans out".to_string(), w));
         }
+        for (i, p) in self.parts.iter().enumerate() {
+            if !p.alive {
+                continue;
+            }
+            let in_flight =
+                |m: &Msg| matches!(*m, Msg::Prepare { to } | Msg::Decision { to, .. } if to == i);
+            if self.dead_mark[i] && !p.link_closed && !self.net.iter().any(in_flight) {
+                let mut w = self.clone();
+                w.close_link(i, mutation);
+                out.push((format!("participant {i} sees its link close"), w));
+            }
+            if p.link_closed && p.m.state() == ParticipantState::Prepared {
+                if let Some(commit) = self.inquire(mutation) {
+                    let mut w = self.clone();
+                    w.parts[i].decide(commit, mutation);
+                    out.push((format!("participant {i} asks, told commit={commit}"), w));
+                }
+            }
+        }
         if self.coord_live_unfinished() {
             for i in 0..self.parts.len() {
                 if self.dead_mark[i] {
@@ -584,7 +659,8 @@ impl World {
                 (self.seen_vote[i] as u8)
                     | (self.seen_ack[i] as u8) << 1
                     | (self.dead_mark[i] as u8) << 2
-                    | (p.alive as u8) << 3,
+                    | (p.alive as u8) << 3
+                    | (p.link_closed as u8) << 4,
             );
             k.push(match p.m.state() {
                 ParticipantState::Working => 0,
@@ -677,22 +753,16 @@ impl World {
         Ok(())
     }
 
-    /// Final invariants at a quiescent state: resolve surviving in-doubt
-    /// branches through the recovery rule, then check outcome agreement and
-    /// audit-sum conservation.
+    /// Final invariants at a quiescent state: surviving in-doubt branches
+    /// ask the coordinator (a branch it has no answer for stays in doubt,
+    /// its effect unapplied), then check outcome agreement and audit-sum
+    /// conservation.
     fn check_quiescent(
         &self,
         cfg: &McConfig,
         mutation: Option<Mutation>,
     ) -> Result<(), (&'static str, String)> {
         let global_commit = self.forced_commit;
-        // What recovery can still read: a forced record the coordinator has
-        // not dropped.
-        let decisions: HashMap<Gtid, bool> = if self.forced_commit && !self.forgotten {
-            HashMap::from([(GTID, true)])
-        } else {
-            HashMap::new()
-        };
         let mut sum = 0u64;
         let mut in_doubt = 0usize;
         let n_writers = cfg
@@ -703,14 +773,7 @@ impl World {
         for (i, p) in self.parts.iter().enumerate() {
             let fin = if p.plog == PLog::Prepared {
                 in_doubt += 1;
-                let outcome = resolve_in_doubt(&decisions, GTID);
-                let commits = if mutation == Some(Mutation::PresumeCommit) {
-                    // Seeded bug: absence of evidence read as commit.
-                    matches!(outcome, RecoveredOutcome::PresumedAbort) || outcome.commits()
-                } else {
-                    outcome.commits()
-                };
-                u64::from(commits)
+                self.inquire(mutation).map_or(p.applied, u64::from)
             } else {
                 p.applied
             };
@@ -977,6 +1040,28 @@ mod tests {
                 "mutation {} caught with an empty trace at a non-quiescent state",
                 m.name()
             );
+        }
+    }
+
+    #[test]
+    fn a_yes_vote_outlives_its_link_and_waits_for_the_verdict() {
+        // Two writers and one spurious timeout: a writer dropped after its
+        // Yes vote sees its link close while the coordinator may still
+        // commit. The protocol leaves the branch to the verdict; rolling it
+        // back on the link loss, or answering the undecided round "abort",
+        // splits the outcome.
+        let cfg = McConfig {
+            timeouts: 1,
+            ..McConfig::clean(vec![Disposition::Writer, Disposition::Writer])
+        };
+        check(&cfg, None).expect("an ownerless branch must reach the outcome");
+        for m in [
+            Mutation::PresumeAbortOnLinkLoss,
+            Mutation::ResolveUndecidedAsAbort,
+        ] {
+            let v = check(&cfg, Some(m)).expect_err(m.name());
+            let split = ["E2/no-mixed-outcome", "E3/no-abort-after-forced-commit"];
+            assert!(split.contains(&v.invariant), "{}: {v}", m.name());
         }
     }
 

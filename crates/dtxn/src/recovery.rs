@@ -1,48 +1,34 @@
-//! The presumed-abort recovery rule.
+//! The presumed-abort verdict rule: the one answer a coordinator gives about
+//! a gtid, whoever asks.
 //!
-//! Presumed abort buys its cheap aborts (no force, no acks for pure aborts)
-//! with one obligation at recovery time: **absence of evidence is evidence
-//! of abort**. A restarting participant with an in-doubt transaction
-//! (forced `Prepare`, no local outcome) asks the coordinator's log; if that
-//! log holds no decision record for the gtid, the transaction aborted —
-//! either the coordinator never decided, or it decided abort and was
-//! entitled to forget immediately.
+//! A participant that voted Yes may not decide on its own: in R* (Mohan,
+//! Lindsay and Obermarck, TODS 1986) a prepared subordinate asks the
+//! coordinator for the outcome. Presumed abort buys its cheap aborts (no
+//! force, no acks for pure aborts) with one rule for that answer: **absence
+//! of a record is abort, once the round can no longer commit**. The record
+//! is the forced commit decision; the round can no longer commit once its
+//! coordinator has decided, crashed, or never issued the gtid at all. While
+//! its coordinator still has the round undecided there is no answer yet: a
+//! commit may still be forced, so an "abort" then could split the outcome.
 //!
-//! The storage layer surfaces both halves (in-doubt participant
-//! transactions, logged coordinator decisions); [`resolve_in_doubt`] is the
-//! deployment-layer rule that joins them.
+//! The coordinator's [`DecisionLog`](crate::DecisionLog) feeds [`verdict`]
+//! from its records and its rounds in flight; the model checker
+//! ([`crate::mc`]) feeds it from the modelled coordinator.
 
-use std::collections::HashMap;
-
-use crate::Gtid;
-
-/// Fate of an in-doubt transaction after consulting the coordinator log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveredOutcome {
-    /// The coordinator forced a commit decision: commit the branch.
-    Commit,
-    /// No decision record: presumed abort, roll the branch back.
-    PresumedAbort,
-    /// An explicit abort decision happened to survive in the log (possible
-    /// but never required: aborts are not forced). Same fate as
-    /// [`PresumedAbort`](Self::PresumedAbort), kept distinct for observability.
-    LoggedAbort,
-}
-
-impl RecoveredOutcome {
-    /// Whether the in-doubt transaction commits.
-    pub fn commits(self) -> bool {
-        self == RecoveredOutcome::Commit
-    }
-}
-
-/// Resolve one in-doubt gtid against the coordinator's logged decisions
-/// (gtid → commit?).
-pub fn resolve_in_doubt(decisions: &HashMap<Gtid, bool>, gtid: Gtid) -> RecoveredOutcome {
-    match decisions.get(&gtid) {
-        Some(true) => RecoveredOutcome::Commit,
-        Some(false) => RecoveredOutcome::LoggedAbort,
-        None => RecoveredOutcome::PresumedAbort,
+/// What the coordinator answers about one gtid: `Some(commit)` is final,
+/// `None` means ask again later.
+///
+/// `logged` is the decision record for the gtid, if one exists (a forced
+/// commit, or an abort record that happens to be kept). `undecided` is
+/// whether a live coordinator still has the gtid's round undecided. A
+/// caller reads `undecided` **before** `logged`: a round stops being
+/// undecided only once its commit record is in, so reading in that order
+/// never sees "decided, no record" for a round that committed.
+pub fn verdict(logged: Option<bool>, undecided: bool) -> Option<bool> {
+    match logged {
+        Some(commit) => Some(commit),
+        None if undecided => None,
+        None => Some(false),
     }
 }
 
@@ -51,18 +37,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unknown_gtid_presumes_abort() {
-        let decisions = HashMap::from([(7, true), (9, false)]);
-        assert_eq!(resolve_in_doubt(&decisions, 7), RecoveredOutcome::Commit);
-        assert_eq!(
-            resolve_in_doubt(&decisions, 9),
-            RecoveredOutcome::LoggedAbort
-        );
-        assert_eq!(
-            resolve_in_doubt(&decisions, 1234),
-            RecoveredOutcome::PresumedAbort
-        );
-        assert!(resolve_in_doubt(&decisions, 7).commits());
-        assert!(!resolve_in_doubt(&decisions, 1234).commits());
+    fn the_verdict_table() {
+        // (logged, undecided) → answer.
+        let table = [
+            // A forced commit record: commit, even while the round that
+            // forced it is still fanning out.
+            ((Some(true), false), Some(true)),
+            ((Some(true), true), Some(true)),
+            // A kept abort record: abort.
+            ((Some(false), false), Some(false)),
+            // No record and the round decided (or its coordinator gone):
+            // presumed abort.
+            ((None, false), Some(false)),
+            // No record and the round still undecided: no answer yet.
+            ((None, true), None),
+        ];
+        for ((logged, undecided), answer) in table {
+            assert_eq!(verdict(logged, undecided), answer, "{logged:?} {undecided}");
+        }
     }
 }

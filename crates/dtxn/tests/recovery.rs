@@ -2,10 +2,10 @@
 //!
 //! Three families, per the protocol's contract:
 //!
-//! 1. **Unknown gtid ⇒ presumed abort** — resolved at the dtxn level
-//!    ([`resolve_in_doubt`]) and end-to-end through a real participant WAL
-//!    (forced `Prepare`, crash, log analysis) against a coordinator log
-//!    with and without the decision record.
+//! 1. **Unknown gtid ⇒ presumed abort** — the verdict rule
+//!    ([`verdict`]) applied end-to-end to a real participant WAL (forced
+//!    `Prepare`, crash, log analysis) and a coordinator log with and
+//!    without the decision record, once no round holds the gtid undecided.
 //! 2. **Read-only voters are excluded from phase 2** — for *every* vote
 //!    assignment over 1–4 participants, phase-2 decisions go to exactly the
 //!    Yes-voters the coordinator heard before deciding; `ReadOnly` voters
@@ -16,8 +16,7 @@
 //!    least one Yes-voter to bind.
 
 use islands_dtxn::{
-    resolve_in_doubt, Action, Coordinator, CoordinatorState, Gtid, Participant, ParticipantState,
-    RecoveredOutcome, Vote,
+    verdict, Action, Coordinator, CoordinatorState, Gtid, Participant, ParticipantState, Vote,
 };
 use std::collections::HashMap;
 
@@ -65,9 +64,9 @@ mod presumed_abort {
             &mut coord_log,
         );
         let coord = analyze(&coord_log, 0).unwrap();
-        let outcome = resolve_in_doubt(&coord.decisions, 77);
-        assert_eq!(outcome, RecoveredOutcome::PresumedAbort);
-        assert!(!outcome.commits());
+        let logged = coord.decisions.get(&77).copied();
+        assert_eq!(verdict(logged, false), Some(false), "presumed abort");
+        assert_eq!(verdict(logged, true), None, "not while the round is open");
         // Presumed abort applies the branch's undo, restoring the before
         // image.
         let undo: Vec<_> = a.in_doubt_writes[&TxnId(1)].iter().map(|w| &w.1).collect();
@@ -94,9 +93,13 @@ mod presumed_abort {
             &mut coord_log,
         );
         let coord = analyze(&coord_log, 0).unwrap();
-        let outcome = resolve_in_doubt(&coord.decisions, 42);
-        assert_eq!(outcome, RecoveredOutcome::Commit);
-        assert!(outcome.commits());
+        let logged = coord.decisions.get(&42).copied();
+        assert_eq!(verdict(logged, false), Some(true));
+        assert_eq!(
+            verdict(logged, true),
+            Some(true),
+            "a record answers at once"
+        );
         assert_eq!(a.in_doubt_writes.get(&TxnId(1)).unwrap().len(), 1);
     }
 
@@ -112,19 +115,17 @@ mod presumed_abort {
             &mut coord_log,
         );
         let coord = analyze(&coord_log, 0).unwrap();
-        let outcome = resolve_in_doubt(&coord.decisions, 9);
-        assert_eq!(outcome, RecoveredOutcome::LoggedAbort);
-        assert!(!outcome.commits());
+        assert_eq!(
+            verdict(coord.decisions.get(&9).copied(), false),
+            Some(false)
+        );
     }
 
     #[test]
     fn empty_decision_map_presumes_abort_for_everything() {
         let none: HashMap<Gtid, bool> = HashMap::new();
         for gtid in [0, 1, u64::MAX] {
-            assert_eq!(
-                resolve_in_doubt(&none, gtid),
-                RecoveredOutcome::PresumedAbort
-            );
+            assert_eq!(verdict(none.get(&gtid).copied(), false), Some(false));
         }
     }
 }

@@ -241,7 +241,7 @@ impl Default for Gauge {
 /// code that is handed no registry finds the thread's current one with
 /// [`with`].
 ///
-/// The eight wire counters are plain sharded [`Counter`]s the server
+/// The seven wire counters are plain sharded [`Counter`]s the server
 /// records into directly, whether or not recording is [`enabled`]: they
 /// are the counts a drain is judged by, not measurements. Everything else
 /// records only while enabled, except the restart replay record.
@@ -260,8 +260,6 @@ pub struct Metrics {
     pub prepares: Counter,
     /// 2PC decision frames answered.
     pub decisions: Counter,
-    /// Branches presumed aborted when their connection closed undecided.
-    pub presumed_aborts: Counter,
     /// Nanoseconds attributed per `[class][category]` by phase spans.
     phase_ns: [[Counter; NCATS]; NCLASSES],
     /// Completed transactions per class (the breakdown's denominator).
@@ -281,10 +279,10 @@ pub struct Metrics {
     pub queue_depth: Gauge,
     /// Completed restart replays (one per recovered instance incarnation).
     recoveries: Counter,
-    /// Recovered in-doubt branches resolved to commit.
+    /// Ownerless branches (replayed, or left by a dead link) resolved to
+    /// commit.
     in_doubt_commit: Counter,
-    /// Recovered in-doubt branches resolved to abort (including presumed
-    /// abort on unknown gtid).
+    /// Ownerless branches resolved to abort (including presumed abort).
     in_doubt_abort: Counter,
     /// Wall time of each restart replay (WAL scan + redo/undo + re-park).
     recovery_us: Hist,
@@ -309,7 +307,6 @@ impl Metrics {
             errors: CTR,
             prepares: CTR,
             decisions: CTR,
-            presumed_aborts: CTR,
             phase_ns: [ROW; NCLASSES],
             txns: [CTR; NCLASSES],
             txn_us: [H; NCLASSES],
@@ -378,7 +375,7 @@ impl Metrics {
         self.recovery_us.record_ns(ns);
     }
 
-    /// A recovered in-doubt branch reached its outcome.
+    /// An ownerless in-doubt branch reached its outcome.
     pub fn record_in_doubt_resolved(&self, commit: bool) {
         if commit {
             self.in_doubt_commit.inc();
@@ -401,7 +398,8 @@ impl Metrics {
             errors: self.errors.get(),
             prepares: self.prepares.get(),
             decisions: self.decisions.get(),
-            presumed_aborts: self.presumed_aborts.get(),
+            // Reserved: no instance presumes abort for a Yes vote.
+            presumed_aborts: 0,
             queue_depth: self.queue_depth.get(),
             recoveries: self.recoveries.get(),
             in_doubt_commit: self.in_doubt_commit.get(),

@@ -53,7 +53,9 @@ pub struct Snapshot {
     pub prepares: u64,
     /// 2PC decision frames answered.
     pub decisions: u64,
-    /// Branches presumed aborted when their connection closed.
+    /// Reserved, always 0: a branch whose connection closed undecided is no
+    /// longer rolled back (it waits for the coordinator's verdict). Kept so
+    /// the codec and its readers stay as they are.
     pub presumed_aborts: u64,
     /// Callers waiting for a serial partition.
     pub queue_depth: u64,
@@ -80,9 +82,10 @@ pub struct Snapshot {
     pub parked_us: HistSnapshot,
     /// Completed restart replays.
     pub recoveries: u64,
-    /// Recovered in-doubt branches resolved to commit.
+    /// Ownerless in-doubt branches (replayed, or left by a dead link)
+    /// resolved to commit.
     pub in_doubt_commit: u64,
-    /// Recovered in-doubt branches resolved to abort.
+    /// Ownerless in-doubt branches resolved to abort.
     pub in_doubt_abort: u64,
     /// Wall time of each restart replay.
     pub recovery_us: HistSnapshot,

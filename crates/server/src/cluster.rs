@@ -15,6 +15,12 @@
 //! is encoded and nothing is copied but the plan a frame carries. Whatever
 //! the link does on instance `i` — a frame, a reconnect, a hang-up — runs
 //! with `i`'s registry current, so the instance's stats are its own.
+//!
+//! A link that is dropped mid-round leaves its branch parked and ownerless,
+//! as a dead socket does. The cluster runs the resolver pass a spawned
+//! instance runs, over its own decision log by direct call
+//! (`Cluster::settle`): the coordinator whose link died runs it once its
+//! round is over, never while its own round is still undecided.
 
 use std::collections::VecDeque;
 use std::io;
@@ -23,11 +29,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_core::native::{DecideOutcome, Engine, ExecError, Session, SubmitOutcome};
-use islands_dtxn::Vote;
+use islands_dtxn::{DecisionLog, Round, Vote};
 use islands_obs::{BreakdownCategory, Snapshot};
 use islands_workload::PlanRequest;
 
-use crate::coordinator::{AckDebt, Coordination, DecisionStore, TwoPcLink};
+use crate::coordinator::{settle, AckDebt, Coordination, TwoPcLink};
 use crate::deploy::{DeployConfig, DeployReply};
 use crate::server::{answer, Backend, Instance};
 use crate::wire::{Reply, Request};
@@ -76,8 +82,8 @@ impl Cluster {
                     .map_err(|e| io::Error::other(format!("instance {i} build failed: {e}")))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        // Volatile logs on every instance, so a volatile decision store.
-        let decisions = Arc::new(DecisionStore::open(None)?);
+        // Volatile logs on every instance, so a volatile decision log.
+        let decisions = Arc::new(DecisionLog::volatile());
         Ok(Cluster {
             instances,
             coord: Coordination::new(cfg.sites(), decisions),
@@ -102,7 +108,20 @@ impl Cluster {
 
     /// Number of commit decisions forced so far (read-only 2PC forces none).
     pub fn decided_commits(&self) -> u64 {
-        self.coord.decisions.decided_count()
+        self.coord.decisions.forced()
+    }
+
+    /// The resolver pass over every instance: each ownerless branch gets
+    /// the decision log's verdict, applied in its instance's scope. Returns
+    /// how many branches the log had no answer for yet.
+    pub(crate) fn settle(&self) -> usize {
+        let log = &self.coord.decisions;
+        let pass = |inst: &Instance| {
+            let _scope = islands_obs::scope(&inst.metrics);
+            // A partition that is gone has nothing left to settle.
+            settle(inst.backend.engine(), |gtid| Ok(log.verdict(gtid))).unwrap_or(0)
+        };
+        self.instances.iter().map(pass).sum()
     }
 
     /// Open one coordinator: a session on every instance. Each calling
@@ -124,6 +143,8 @@ impl Cluster {
                 .collect(),
             replies: vec![VecDeque::new(); self.instances.len()],
             debt: AckDebt::new(self.instances.len()),
+            round: self.coord.decisions.round(),
+            unsettled: false,
         }
     }
 
@@ -205,8 +226,8 @@ impl Engine for Cluster {
         Cluster::audit_sum(self)
     }
 
-    /// The cluster's logs are volatile: nothing is ever re-parked.
-    fn recovered_gtids(&self) -> Result<Vec<u64>, ExecError> {
+    /// Branches are parked in the instances, never at this level.
+    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
         Ok(Vec::new())
     }
 }
@@ -224,6 +245,10 @@ pub struct ClusterClient<'c> {
     /// Per instance, the replies to frames handed over and not yet read.
     replies: Vec<VecDeque<Reply>>,
     debt: AckDebt,
+    round: Round,
+    /// A dropped link may have left a branch ownerless that no resolver
+    /// pass has settled yet.
+    unsettled: bool,
 }
 
 impl ClusterClient<'_> {
@@ -233,23 +258,27 @@ impl ClusterClient<'_> {
     /// serial partition was poisoned answers with a typed error instead.
     pub fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         let cluster = self.cluster;
-        cluster.coord.submit(self, plan, self.retry_limit)
+        let reply = cluster.coord.submit(self, plan, self.retry_limit);
+        self.settle_dropped_links();
+        reply
     }
 
-    /// Hang up every link: read what it owes, then close its session, which
-    /// presumes abort for whatever that session still holds.
-    fn hang_up(&mut self) {
-        self.settle_all(self.sessions.len());
-        for (session, inst) in self.sessions.iter_mut().zip(&self.cluster.instances) {
-            let _scope = islands_obs::scope(&inst.metrics);
-            inst.metrics.presumed_aborts.add(session.close());
+    /// Run the resolver pass if a dropped link may have left a branch
+    /// ownerless. Called between rounds: this coordinator's own round is
+    /// decided, so the log answers for it.
+    fn settle_dropped_links(&mut self) {
+        if self.unsettled {
+            self.unsettled = self.cluster.settle() > 0;
         }
     }
 }
 
 impl Drop for ClusterClient<'_> {
+    /// Read the acks still owed before the sessions close, so that whoever
+    /// talks to the instances next finds every decision this client's
+    /// callers were told about applied.
     fn drop(&mut self) {
-        self.hang_up();
+        self.settle_all(self.sessions.len());
     }
 }
 
@@ -269,19 +298,17 @@ impl TwoPcLink for ClusterClient<'_> {
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no frame awaits a reply"))
     }
 
-    /// Reconnect: a fresh session replaces the old one, whose close rolls
-    /// back what it had parked.
+    /// Reconnect: a fresh session replaces the old one. What the old one
+    /// parked stays parked, ownerless, for the next resolver pass.
     fn disconnect(&mut self, to: usize) {
-        let inst = &self.cluster.instances[to];
-        let _scope = islands_obs::scope(&inst.metrics);
-        let fresh = inst.backend.engine().session(self.retry_limit);
-        let mut old = std::mem::replace(&mut self.sessions[to], fresh);
-        inst.metrics.presumed_aborts.add(old.close());
+        let engine = self.cluster.instances[to].backend.engine();
+        self.sessions[to] = engine.session(self.retry_limit);
         self.replies[to].clear();
+        self.unsettled = true;
     }
 
     fn force_commit(&mut self, gtid: u64) {
-        self.cluster.coord.decisions.force(gtid, true);
+        self.cluster.coord.force_commit(gtid);
     }
 
     fn forget(&mut self, gtid: u64) {
@@ -290,6 +317,10 @@ impl TwoPcLink for ClusterClient<'_> {
 
     fn debt(&mut self) -> &mut AckDebt {
         &mut self.debt
+    }
+
+    fn round(&self) -> &Round {
+        &self.round
     }
 }
 
@@ -316,11 +347,6 @@ impl Session for ClusterClient<'_> {
 
     fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<DecideOutcome, ExecError> {
         Err(ExecError::NotAParticipant)
-    }
-
-    fn close(&mut self) -> u64 {
-        self.hang_up();
-        0
     }
 }
 
@@ -371,6 +397,135 @@ mod tests {
             sum.merge(&c.snapshot(i));
         }
         sum
+    }
+
+    /// A coordinator whose `Decision` frames to `victim` fail like a reset
+    /// connection: the frame never arrives and the link is gone. It notes
+    /// the log's verdict at that moment.
+    struct LosesDecisionsTo<'c> {
+        client: ClusterClient<'c>,
+        victim: usize,
+        verdict_then: Option<Option<bool>>,
+    }
+
+    impl TwoPcLink for LosesDecisionsTo<'_> {
+        fn send(&mut self, to: usize, frame: &Request) -> io::Result<()> {
+            if let (true, Request::Decision { gtid, .. }) = (to == self.victim, frame) {
+                let log = &self.client.cluster.coord.decisions;
+                self.verdict_then = Some(log.verdict(*gtid));
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "scripted reset",
+                ));
+            }
+            self.client.send(to, frame)
+        }
+        fn recv_frame(&mut self, from: usize) -> io::Result<Reply> {
+            self.client.recv_frame(from)
+        }
+        fn disconnect(&mut self, to: usize) {
+            self.client.disconnect(to)
+        }
+        fn force_commit(&mut self, gtid: u64) {
+            self.client.force_commit(gtid)
+        }
+        fn forget(&mut self, gtid: u64) {
+            self.client.forget(gtid)
+        }
+        fn debt(&mut self) -> &mut AckDebt {
+            self.client.debt()
+        }
+        fn round(&self) -> &Round {
+            self.client.round()
+        }
+    }
+
+    fn two(mode: EngineMode) -> Cluster {
+        Cluster::build(&DeployConfig {
+            instances: 2,
+            total_rows: 200,
+            row_size: 16,
+            engine: mode,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_commit_whose_decision_dies_with_its_link_still_commits_everywhere() {
+        // The coordinator forces the commit, then its Decision to instance
+        // 1 fails and the link is dropped. The branch there voted Yes: it
+        // must stay parked, holding its row, until the resolver pass gives
+        // it the forced commit — not roll back with its session.
+        for mode in MODES {
+            let c = two(mode);
+            let mut link = LosesDecisionsTo {
+                client: c.client(),
+                victim: 1,
+                verdict_then: None,
+            };
+            let reply = c
+                .coord
+                .submit(&mut link, &plan(&[10, 150], StepOp::Update), 0);
+            let DeployReply::Outcome(out) = reply.unwrap() else {
+                panic!("{mode}: no outcome");
+            };
+            assert!(out.committed && out.distributed, "{mode}: {out:?}");
+            assert_eq!(c.decided_commits(), 1, "{mode}: one forced commit");
+            assert_eq!(link.verdict_then, Some(Some(true)), "{mode}: forced first");
+            assert_eq!(c.snapshot(1).in_doubt, 1, "{mode}: parked, ownerless");
+            let mut other = c.client();
+            let blocked = run(&mut other, &plan(&[150], StepOp::Update));
+            assert!(
+                !blocked.committed,
+                "{mode}: the parked branch holds its row"
+            );
+
+            // The coordinator's next call runs the resolver pass once its
+            // round is over; the log answers with the forced commit.
+            assert!(run(&mut link.client, &plan(&[11], StepOp::Update)).committed);
+            assert_eq!(summed(&c).in_doubt, 0, "{mode}: nothing left parked");
+            assert_eq!(c.audit_sum().unwrap(), 3, "{mode}: both branches commit");
+            let s1 = c.snapshot(1);
+            assert_eq!((s1.in_doubt_commit, s1.presumed_aborts), (1, 0), "{mode}");
+            assert!(run(&mut other, &plan(&[150], StepOp::Update)).committed);
+            assert_eq!(c.audit_sum().unwrap(), 4, "{mode}");
+        }
+    }
+
+    #[test]
+    fn an_abort_whose_decision_dies_with_its_link_settles_once_the_round_is_over() {
+        // A vote-decided abort has no record, so while its round is open
+        // the log has no answer; a pass after the round gives the parked
+        // branch its abort.
+        for mode in MODES {
+            let c = two(mode);
+            // Instance 0 votes No: its key is held by another parked branch.
+            let engine = c.instance(0).engine();
+            let mut holder = engine.session(0);
+            let held = plan(&[10], StepOp::Update);
+            assert_eq!(holder.prepare(9_000, &held).unwrap(), Vote::Yes, "{mode}");
+            let mut link = LosesDecisionsTo {
+                client: c.client(),
+                victim: 1,
+                verdict_then: None,
+            };
+            let reply = c
+                .coord
+                .submit(&mut link, &plan(&[10, 150], StepOp::Update), 0);
+            assert!(
+                matches!(reply.unwrap(), DeployReply::Outcome(o) if !o.committed),
+                "{mode}"
+            );
+            assert_eq!(link.verdict_then, Some(None), "{mode}: round still open");
+            assert_eq!(c.snapshot(1).in_doubt, 1, "{mode}: the late Yes is parked");
+            // The round is over: the pass gets the abort.
+            assert_eq!(c.settle(), 0, "{mode}");
+            assert_eq!(c.snapshot(1).in_doubt, 0, "{mode}");
+            assert_eq!(c.snapshot(1).in_doubt_abort, 1, "{mode}");
+            assert_eq!(holder.decide(9_000, false).unwrap(), DecideOutcome::Applied);
+            assert_eq!(c.audit_sum().unwrap(), 0, "{mode}");
+        }
     }
 
     #[test]

@@ -1,126 +1,61 @@
-//! The coordinator half of a deployment: the decision store and the resolver
-//! socket that answers recovering participants from it, the one router
+//! The coordinator half of a deployment: the one router
 //! ([`Coordination::submit`]) and the one 2PC driver ([`drive_2pc`]), which
 //! runs the pure [`islands_dtxn::Coordinator`] machine over a [`TwoPcLink`].
 //! Three things implement that link: [`DeployClient`](crate::DeployClient)'s
 //! sockets in a spawned deployment, [`ClusterClient`](crate::ClusterClient)'s
 //! direct calls in the in-process cluster, and a scripted mock in the tests
-//! below.
+//! below. Here too is the one way a lost decision still reaches a
+//! participant: the resolver pass ([`settle`]), which asks the
+//! coordinator's [`DecisionLog`] for its verdict on each ownerless branch —
+//! over the [`Resolver`] socket from a spawned instance, by direct call in
+//! the in-process cluster.
 //!
 //! A round answers its caller when the decision frames are written. The
 //! `Ack`s they will bring are a debt each link carries ([`AckDebt`]) and the
 //! next exchange on that link settles: its frame goes out first, then the
 //! owed acks are read in order, then its own reply.
+//!
+//! A link that dies does not revoke a Yes vote. The participant's session
+//! closes and the branch stays parked, ownerless, holding its rows; the
+//! coordinator does not resend. The branch leaves only by the verdict,
+//! which a participant cannot get before the round that owns the gtid is
+//! decided: each coordinator publishes its round in flight in its
+//! [`Round`] slot. That is 2PC's blocking: a coordinator that dies holds
+//! its participants' rows until it, or its decision log, answers again.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
+use islands_core::native::{DecideOutcome, Engine};
 use islands_core::partition::{split_plan_by_owner, SiteMap, Sites};
-use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Vote};
+use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Round, Vote};
 use islands_workload::{PlanBranch, PlanRequest};
 
-use crate::deploy::{lock_clean, DeployOutcome, DeployReply};
+use crate::deploy::{DeployOutcome, DeployReply};
 use crate::server::{serve, session_loop, Endpoint, ServerHandle, SessionFn};
 use crate::wire::{Reply, Request};
 
-/// The coordinator's decision verdicts: an in-memory gtid → commit map,
-/// optionally written through a durable [`DecisionLog`] *before* any
-/// `Decision` frame leaves the coordinator. Resolution queries apply the
-/// presumed-abort rule: no record means abort.
-///
-/// A record is needed until every participant it binds has acknowledged the
-/// decision ([`forget`](Self::forget)). A volatile store drops it then —
-/// nothing can ask it anything, so keeping one entry per committed 2PC was
-/// only growth; a durable store keeps answering from what its log holds.
-pub(crate) struct DecisionStore {
-    decided: Mutex<HashMap<u64, bool>>,
-    log: Option<DecisionLog>,
-    /// Decisions ever recorded, forgotten or not (a reopened log counts).
-    forced: AtomicU64,
-}
-
-impl DecisionStore {
-    /// Volatile store, or (with a wal dir) one backed by
-    /// `<wal_dir>/coordinator.decisions` — reopening over an existing log
-    /// resumes its verdicts, which is what lets a restarted deployment keep
-    /// answering for transactions it decided in a previous life.
-    pub(crate) fn open(wal_dir: Option<&Path>) -> io::Result<DecisionStore> {
-        let log = match wal_dir {
-            None => None,
-            Some(dir) => Some(DecisionLog::open(&dir.join("coordinator.decisions"))?),
-        };
-        let decided = log.as_ref().map(DecisionLog::decisions).unwrap_or_default();
-        Ok(DecisionStore {
-            forced: AtomicU64::new(decided.len() as u64),
-            decided: Mutex::new(decided),
-            log,
-        })
-    }
-
-    /// Durably record a decision. Fail-stop on a log write error: acting on
-    /// an unforced commit would let a coordinator crash contradict it, which
-    /// is the one thing presumed abort must never allow.
-    pub(crate) fn force(&self, gtid: u64, commit: bool) {
-        if let Some(log) = &self.log {
-            if let Err(e) = log.force(gtid, commit) {
-                panic!("coordinator decision log write failed: {e}");
-            }
-        }
-        lock_clean(&self.decided).insert(gtid, commit);
-        self.forced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Every participant bound by `gtid`'s decision has acknowledged it.
-    pub(crate) fn forget(&self, gtid: u64) {
-        if self.log.is_none() {
-            lock_clean(&self.decided).remove(&gtid);
-        }
-    }
-
-    /// The presumed-abort verdict for one gtid: commit only if a commit
-    /// decision was forced.
-    fn commit_verdict(&self, gtid: u64) -> bool {
-        lock_clean(&self.decided)
-            .get(&gtid)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Decisions recorded so far; never decreases.
-    pub(crate) fn decided_count(&self) -> u64 {
-        self.forced.load(Ordering::Relaxed)
-    }
-
-    /// Records currently held in memory.
-    pub(crate) fn remembered(&self) -> usize {
-        lock_clean(&self.decided).len()
-    }
-
-    /// The largest gtid a record is held for (0 for none).
-    fn last_gtid(&self) -> u64 {
-        lock_clean(&self.decided).keys().copied().max().unwrap_or(0)
-    }
-}
-
 /// The coordinator-side resolver: a socket answering
-/// [`Request::ResolveGtid`] frames from the decision store, so a restarted
-/// instance can settle the in-doubt branches its WAL replay parked. It is
-/// served by the acceptor and session loop every instance server runs, with
-/// [`resolve`] where an instance has its engine; connections are rare
-/// (instance startups only). Dropping it drains it.
+/// [`Request::ResolveGtid`] frames with the decision log's verdict, so a
+/// spawned instance can settle its ownerless branches — those its WAL
+/// replay parked and those whose coordinator's link died. It is served by
+/// the acceptor and session loop every instance server runs, with
+/// [`resolve`] where an instance has its engine; connections are rare (an
+/// instance dials it only while it has ownerless branches). Dropping it
+/// drains it.
 pub(crate) struct Resolver {
     pub(crate) endpoint: Endpoint,
     server: Option<ServerHandle>,
 }
 
 impl Resolver {
-    pub(crate) fn spawn(socket: PathBuf, store: Arc<DecisionStore>) -> io::Result<Resolver> {
+    pub(crate) fn spawn(socket: PathBuf, log: Arc<DecisionLog>) -> io::Result<Resolver> {
         let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, metrics| {
-            session_loop(conn, shutdown, metrics, |req| resolve(&store, req))
+            session_loop(conn, shutdown, metrics, |req| resolve(&log, req))
         });
         let server = serve(&Endpoint::Uds(socket), Arc::default(), None, session)?;
         Ok(Resolver {
@@ -142,17 +77,48 @@ impl Drop for Resolver {
 /// The resolver's answer to one frame: a verdict for `ResolveGtid`, `Pong`
 /// for `Ping`, an error for anything else — it is not an instance server,
 /// and a stray `Drain` does not stop it.
-fn resolve(store: &DecisionStore, req: &Request) -> Reply {
+fn resolve(log: &DecisionLog, req: &Request) -> Reply {
     match req {
         Request::ResolveGtid { gtid } => Reply::Resolved {
             gtid: *gtid,
-            commit: store.commit_verdict(*gtid),
+            commit: log.verdict(*gtid),
         },
         Request::Ping => Reply::Pong,
         other => Reply::Error {
             message: format!("resolver answers only ResolveGtid, got {other:?}"),
         },
     }
+}
+
+/// One resolver pass over `engine`: ask `verdict` about each ownerless
+/// branch and apply every final answer through a session of the engine's
+/// own, which prepares nothing. Returns how many branches stay ownerless
+/// because the coordinator has no answer yet; an error ends the pass early
+/// and leaves the rest for the next one.
+pub(crate) fn settle(
+    engine: &dyn Engine,
+    mut verdict: impl FnMut(u64) -> io::Result<Option<bool>>,
+) -> io::Result<usize> {
+    let mut undecided = 0;
+    let mut session = engine.session(0);
+    for gtid in engine.ownerless_gtids().map_err(io::Error::other)? {
+        let Some(commit) = verdict(gtid)? else {
+            undecided += 1;
+            continue;
+        };
+        match session.decide(gtid, commit) {
+            // A commit that finds nothing: another pass settled the branch
+            // since it was listed.
+            Ok(
+                DecideOutcome::Applied | DecideOutcome::AbortNoop | DecideOutcome::UnknownCommit,
+            ) => {}
+            Ok(DecideOutcome::Failed(m)) => {
+                return Err(io::Error::other(format!("settling gtid {gtid}: {m}")))
+            }
+            Err(e) => return Err(io::Error::other(format!("settling gtid {gtid}: {e}"))),
+        }
+    }
+    Ok(undecided)
 }
 
 pub(crate) enum TwoPc {
@@ -247,6 +213,8 @@ pub(crate) trait TwoPcLink {
     fn forget(&mut self, gtid: u64);
     /// The acks these links still owe.
     fn debt(&mut self) -> &mut AckDebt;
+    /// This coordinator's slot for its round in flight.
+    fn round(&self) -> &Round;
 
     /// Poison `to`'s connection (unreachable or desynchronized); the acks it
     /// owed stay unread, so their decision records are never forgotten.
@@ -309,31 +277,40 @@ pub(crate) trait TwoPcLink {
 }
 
 /// What the coordinators of one deployment share, whatever carries their
-/// frames: the routing rule, the gtid sequence, the decision store, and the
+/// frames: the routing rule, the gtid sequence, the decision log, and the
 /// count of aborts presumed after a participant failure.
 pub(crate) struct Coordination {
     /// One site per instance: a site *is* its owner here.
     pub(crate) sites: Sites,
     next_gtid: AtomicU64,
-    /// Aborts presumed so far (participant unreachable or timed out
-    /// mid-protocol).
+    /// Rounds aborted because a participant was unreachable or timed out
+    /// before the decision.
     pub(crate) presumed_aborts: AtomicU64,
-    /// The forced decision log: gtid → commit. Presumed abort forces commits
-    /// only, so this holds every committed gtid not yet acknowledged
-    /// everywhere and nothing else.
-    pub(crate) decisions: Arc<DecisionStore>,
+    /// The one home of the verdicts: forced commit records (a volatile log
+    /// keeps each until every ack is in), and every coordinator's round in
+    /// flight.
+    pub(crate) decisions: Arc<DecisionLog>,
 }
 
 impl Coordination {
     /// Gtids start above every one `decisions` holds: a reopened log still
     /// answers for its records, so reusing one of their gtids would hand a
     /// new round an old run's verdict.
-    pub(crate) fn new(sites: Sites, decisions: Arc<DecisionStore>) -> Coordination {
+    pub(crate) fn new(sites: Sites, decisions: Arc<DecisionLog>) -> Coordination {
         Coordination {
             sites,
             next_gtid: AtomicU64::new(decisions.last_gtid() + 1),
             presumed_aborts: AtomicU64::new(0),
             decisions,
+        }
+    }
+
+    /// Force a commit record. Fail-stop on a log write error: acting on an
+    /// unforced commit would let a coordinator crash contradict it, which is
+    /// the one thing presumed abort must never allow.
+    pub(crate) fn force_commit(&self, gtid: u64) {
+        if let Err(e) = self.decisions.force(gtid, true) {
+            panic!("coordinator decision log write failed: {e}");
         }
     }
 
@@ -356,16 +333,19 @@ impl Coordination {
 
         let mut retries = 0u32;
         loop {
-            // One round: a fresh gtid, one `PreparePlan` frame per
-            // participant carrying its step list.
+            // One round: a fresh gtid, published as undecided before its
+            // first frame leaves, one `PreparePlan` frame per participant
+            // carrying its step list.
             let gtid = self.next_gtid.fetch_add(1, Ordering::Relaxed);
+            link.round().open(gtid);
             let round = drive_2pc(link, gtid, &order, |gtid, to| {
                 Request::PreparePlan(PlanBranch {
                     gtid,
                     plan: branches[&to].clone(),
                 })
-            })?;
-            match round {
+            });
+            link.round().close();
+            match round? {
                 TwoPc::Commit => return outcome(true, true, retries, false),
                 TwoPc::Abort if retries >= retry_limit => {
                     return outcome(false, true, retries, false)
@@ -546,9 +526,10 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
     link.debt().defer(coord);
 
     match outcome {
-        // A forced commit is a commit whatever becomes of its acks: the
-        // decision record is what counts (a participant that never hears
-        // the frame resolves itself from it on recovery).
+        // A forced commit is a commit whatever becomes of its frames and
+        // acks: the record is what counts. A participant whose link died
+        // before its frame went out keeps the branch parked and gets the
+        // commit from the resolver pass.
         Some(true) => Ok(TwoPc::Commit),
         Some(false) => {
             if let Some(message) = server_error {
@@ -567,9 +548,10 @@ pub(crate) fn drive_2pc<L: TwoPcLink, F: Fn(u64, usize) -> Request>(
 mod tests {
     use super::*;
     use islands_workload::{OpKind, PlanBranch, PlanRequest, TxnRequest};
+    use std::collections::HashMap;
 
     /// Scripted [`TwoPcLink`]: per-participant reply queues plus a full log
-    /// of sends/recvs over a volatile [`DecisionStore`], for driving
+    /// of sends/recvs over a volatile [`DecisionLog`], for driving
     /// [`drive_2pc`] and the ack debt through failure interleavings a live
     /// deployment cannot produce on demand.
     struct ScriptedLink {
@@ -579,12 +561,16 @@ mod tests {
         dead: Vec<bool>,
         forced: Vec<u64>,
         forgotten: Vec<u64>,
-        store: DecisionStore,
+        /// The log's verdict on the frame's gtid as each 2PC frame left.
+        asked: Vec<Option<bool>>,
+        log: DecisionLog,
+        round: Round,
         debt: AckDebt,
     }
 
     impl ScriptedLink {
         fn new(participants: usize) -> Self {
+            let log = DecisionLog::volatile();
             ScriptedLink {
                 replies: (0..participants).map(|_| Default::default()).collect(),
                 sent: vec![Vec::new(); participants],
@@ -592,7 +578,9 @@ mod tests {
                 dead: vec![false; participants],
                 forced: Vec::new(),
                 forgotten: Vec::new(),
-                store: DecisionStore::open(None).unwrap(),
+                asked: Vec::new(),
+                round: log.round(),
+                log,
                 debt: AckDebt::new(participants),
             }
         }
@@ -618,6 +606,12 @@ mod tests {
             if self.dead[to] {
                 return Err(io::Error::new(io::ErrorKind::NotConnected, "dead"));
             }
+            let gtid = match frame {
+                Request::PreparePlan(b) => Some(b.gtid),
+                Request::Decision { gtid, .. } => Some(*gtid),
+                _ => None,
+            };
+            self.asked.extend(gtid.map(|g| self.log.verdict(g)));
             self.sent[to].push(frame.clone());
             Ok(())
         }
@@ -638,16 +632,20 @@ mod tests {
 
         fn force_commit(&mut self, gtid: u64) {
             self.forced.push(gtid);
-            self.store.force(gtid, true);
+            self.log.force(gtid, true).unwrap();
         }
 
         fn forget(&mut self, gtid: u64) {
             self.forgotten.push(gtid);
-            self.store.forget(gtid);
+            self.log.forget(gtid);
         }
 
         fn debt(&mut self) -> &mut AckDebt {
             &mut self.debt
+        }
+
+        fn round(&self) -> &Round {
+            &self.round
         }
     }
 
@@ -737,7 +735,7 @@ mod tests {
             link.forgotten.is_empty(),
             "nothing acked, nothing forgotten"
         );
-        assert_eq!(link.store.remembered(), 1);
+        assert_eq!(link.log.len(), 1);
 
         // The next round's frames go out first; each link then pays Ack(g1)
         // ahead of its Vote(g2) — the order the participant answered in.
@@ -760,8 +758,8 @@ mod tests {
             vec![g1],
             "the last ack released g1's record"
         );
-        assert_eq!(link.store.remembered(), 1, "only g2 is still needed");
-        assert_eq!(link.store.decided_count(), 2);
+        assert_eq!(link.log.len(), 1, "only g2 is still needed");
+        assert_eq!(link.log.forced(), 2);
     }
 
     #[test]
@@ -925,7 +923,7 @@ mod tests {
             // it, so it may yet ask.
             assert_eq!(link.forced, vec![g1]);
             assert!(link.forgotten.is_empty());
-            assert_eq!(link.store.remembered(), 1);
+            assert_eq!(link.log.len(), 1);
         }
     }
 
@@ -944,7 +942,7 @@ mod tests {
             }
             let out = drive_2pc(&mut link, gtid, &parts, prepare_frame).unwrap();
             assert!(matches!(out, TwoPc::Commit));
-            assert_eq!(link.store.remembered(), 1, "round {gtid}");
+            assert_eq!(link.log.len(), 1, "round {gtid}");
             for p in parts {
                 link.sent[p].clear();
             }
@@ -953,41 +951,84 @@ mod tests {
             link.script(p, Reply::Ack { gtid: 10_000 });
             link.settle(p).unwrap();
         }
-        assert_eq!(link.store.remembered(), 0);
-        assert_eq!(link.store.decided_count(), 10_000);
+        assert_eq!(link.log.len(), 0);
+        assert_eq!(link.log.forced(), 10_000);
         assert!(link.debt.rounds.is_empty());
     }
 
     #[test]
-    fn decision_store_reopen_resumes_verdicts() {
+    fn a_round_is_undecided_from_its_first_prepare_until_its_decision() {
+        // The resolver must not answer "abort" while the round can still
+        // commit: its gtid is in the round slot before the first prepare
+        // leaves, and leaves the slot only once the commit is forced.
+        let (g1, g2) = (61, 62);
+        let sites = Sites::Range(islands_core::partition::RangeSites {
+            total_rows: 100,
+            n_sites: 2,
+        });
+        let coord = Coordination::new(sites, Arc::new(DecisionLog::volatile()));
+        coord.next_gtid.store(g1, Ordering::Relaxed);
+        let plan = |keys: [u64; 2]| {
+            TxnRequest {
+                kind: OpKind::Update,
+                keys: keys.to_vec(),
+                multisite: true,
+            }
+            .to_plan()
+        };
+        let mut link = ScriptedLink::new(2);
+        for p in [0, 1] {
+            link.script(p, vote(g1, Vote::Yes));
+        }
+        let reply = coord.submit(&mut link, &plan([10, 60]), 0).unwrap();
+        assert!(matches!(reply, DeployReply::Outcome(o) if o.committed));
+        // At each prepare no answer yet; at each decision the record.
+        assert_eq!(link.asked, [None, None, Some(true), Some(true)]);
+        assert_eq!(link.log.verdict(g1), Some(true));
+
+        // An abort has no record: no answer until the round is over.
+        link.asked.clear();
+        for p in [0, 1] {
+            link.script(p, Reply::Ack { gtid: g1 });
+        }
+        link.script(0, vote(g2, Vote::Yes));
+        link.script(1, vote(g2, Vote::No));
+        let reply = coord.submit(&mut link, &plan([11, 61]), 0).unwrap();
+        assert!(matches!(reply, DeployReply::Outcome(o) if !o.committed));
+        assert_eq!(link.asked, [None, None, None], "prepares, abort to 0");
+        assert_eq!(link.log.verdict(g2), Some(false));
+    }
+
+    #[test]
+    fn a_reopened_decision_log_resumes_verdicts() {
         let dir = std::env::temp_dir().join(format!(
-            "islands-decision-store-{}-{:?}",
+            "islands-decision-log-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("coordinator.decisions");
 
-        let store = DecisionStore::open(Some(&dir)).unwrap();
-        store.force(7, true);
-        store.force(8, false);
-        assert!(store.commit_verdict(7));
-        assert!(!store.commit_verdict(8));
-        // A durable store answers from its log for as long as the log holds
+        let log = DecisionLog::open(&path).unwrap();
+        log.force(7, true).unwrap();
+        log.force(8, false).unwrap();
+        // A durable log answers from its file for as long as the file holds
         // the record: acknowledged everywhere or not, 7 stays.
-        store.forget(7);
-        assert!(store.commit_verdict(7));
-        drop(store);
+        log.forget(7);
+        assert_eq!(log.verdict(7), Some(true));
+        drop(log);
 
-        // A second coordinator life over the same directory keeps answering
-        // for decisions from the first, and still presumes abort for gtids
-        // nobody ever decided.
-        let reopened = DecisionStore::open(Some(&dir)).unwrap();
-        assert_eq!(reopened.decided_count(), 2);
-        assert!(reopened.commit_verdict(7));
-        assert!(!reopened.commit_verdict(8));
-        assert!(
-            !reopened.commit_verdict(9),
-            "unknown gtid must presume abort"
+        // A second coordinator life over the same file keeps answering for
+        // decisions from the first, and presumes abort for gtids nobody
+        // ever decided.
+        let reopened = DecisionLog::open(&path).unwrap();
+        assert_eq!(reopened.forced(), 2);
+        assert_eq!(reopened.verdict(7), Some(true));
+        assert_eq!(reopened.verdict(8), Some(false));
+        assert_eq!(
+            reopened.verdict(9),
+            Some(false),
+            "unknown gtid presumes abort"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1000,12 +1041,13 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        DecisionStore::open(Some(&dir)).unwrap().force(7, true);
+        let path = dir.join("coordinator.decisions");
+        DecisionLog::open(&path).unwrap().force(7, true).unwrap();
         let sites = Sites::Range(islands_core::partition::RangeSites {
             total_rows: 100,
             n_sites: 2,
         });
-        let reopened = Arc::new(DecisionStore::open(Some(&dir)).unwrap());
+        let reopened = Arc::new(DecisionLog::open(&path).unwrap());
         let coord = Coordination::new(sites, reopened);
         let first = coord.next_gtid.load(Ordering::Relaxed);
         assert_eq!(first, 8, "gtid 7's commit record survives");

@@ -3,19 +3,24 @@
 //! (`ChildSpec::to_args` in the parent, `ChildSpec::from_args` in the
 //! child — one flag table, so neither side has a default the other does not
 //! know), the stats line it prints back (`stats_line`, read by
-//! `read_stats_line`), and the child's `main`.
+//! `read_stats_line`), and the child's `main`, which serves its partition
+//! and runs the resolver pass over its ownerless branches (`Settler`).
 
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use islands_core::native::{DecideOutcome, Engine, EngineMode, PartitionConfig, TpccPartition};
+use islands_core::native::{Engine, EngineMode, PartitionConfig, TpccPartition};
 use islands_obs::Snapshot;
 
 use super::DeployConfig;
 use crate::client::Client;
+use crate::coordinator::settle;
 use crate::server::{Endpoint, Instance, ServerConfig};
 use crate::wire::{Reply, Request};
 
@@ -35,8 +40,8 @@ pub(super) struct ChildSpec {
     pub(super) retry_limit: u32,
     pub(super) stats_every_ms: u64,
     pub(super) obs: bool,
-    /// The coordinator's resolver, asked about in-doubt branches after a
-    /// WAL replay.
+    /// The coordinator's resolver, asked about ownerless in-doubt branches:
+    /// those a WAL replay parked and those whose coordinator's link died.
     pub(super) coord: Option<Endpoint>,
 }
 
@@ -129,7 +134,7 @@ impl<'a> Line<'a> {
 
 impl ChildSpec {
     /// Instance `i` of `cfg`, told where to listen and whom to ask about
-    /// in-doubt branches.
+    /// ownerless branches.
     pub(super) fn of(
         cfg: &DeployConfig,
         i: usize,
@@ -271,40 +276,40 @@ pub fn instance_child_main(args: Vec<String>) -> i32 {
     }
 }
 
+/// How long the resolver pass waits before asking again about branches the
+/// coordinator had no answer for yet (their round was still undecided, or
+/// the coordinator could not be reached).
+const PASS_PERIOD: Duration = Duration::from_millis(20);
+
 /// Serve `spec` until drained; `Ok(true)` when in-doubt branches were left.
 fn run_instance(spec: ChildSpec) -> io::Result<bool> {
     islands_obs::set_enabled(spec.obs);
 
     let instance = Instance::build(spec.engine, spec.partition)
         .map_err(|e| io::Error::other(format!("{} partition build failed: {e}", spec.engine)))?;
-    let engine = instance.backend.engine();
-    let parked = || engine.recovered_gtids().map_err(io::Error::other);
 
     // Crash recovery rejoin, before READY: WAL replay parked any branch
     // that was prepared-but-undecided when the previous incarnation died.
-    // Ask the coordinator's resolver for each verdict (presumed abort: an
-    // unknown gtid answers abort), in the instance's scope so the
-    // resolutions count as its own. Without a reachable coordinator the
-    // branches stay parked — never presume abort unilaterally; the leak is
-    // then visible in the drain accounting below.
-    let recovered = parked()?;
-    if !recovered.is_empty() {
-        let _scope = islands_obs::scope(&instance.metrics);
-        match &spec.coord {
-            Some(coord) => {
-                if let Err(e) = resolve_with_coordinator(coord, &recovered, engine) {
-                    eprintln!(
-                        "islands-instance: in-doubt resolution failed \
-                         ({} branch(es) stay parked): {e}",
-                        parked()?.len()
-                    );
-                }
+    // One resolver pass asks the coordinator about each; whatever it has
+    // no answer for stays parked for the settler below. Without a
+    // coordinator nothing ever decides them, and the leak is visible in the
+    // drain accounting.
+    let coord = spec.coord.clone();
+    match &coord {
+        Some(coord) => {
+            let _scope = islands_obs::scope(&instance.metrics);
+            if let Err(e) = resolve_pass(coord, instance.backend.engine()) {
+                eprintln!("islands-instance: in-doubt resolution failed: {e}");
             }
-            None => eprintln!(
-                "islands-instance: {} recovered in-doubt branch(es) but no \
-                 --coord to resolve against; leaving them parked",
-                recovered.len()
-            ),
+        }
+        None => {
+            let parked = instance.backend.engine().ownerless_gtids();
+            if !parked.map_err(io::Error::other)?.is_empty() {
+                eprintln!(
+                    "islands-instance: recovered in-doubt branches but no --coord \
+                     to resolve against; leaving them parked"
+                );
+            }
         }
     }
 
@@ -320,6 +325,7 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
         writeln!(out, "READY {}", handle.endpoint())?;
         out.flush()?;
     }
+    let settler = coord.map(|coord| Settler::start(instance.clone(), coord));
     // Heartbeat printer: a mid-run observer (tail, a scraper that lost its
     // socket, the parent after a SIGKILL) gets the instance's stats without
     // asking the server anything. The channel doubles as the stop signal
@@ -343,9 +349,13 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
         drop(stop_tx);
         let _ = printer.join();
     }
-    // `in_doubt` is read from the engine's in-doubt table, so recovered
-    // branches the resolver never settled count as leaks like
-    // session-parked ones.
+    // Drained: the sessions are gone, so one last pass settles what their
+    // links left ownerless before the leak check below.
+    if let Some(settler) = settler {
+        settler.finish();
+    }
+    // `in_doubt` is read from the engine's in-doubt table, so ownerless
+    // branches the resolver never settled count as leaks like any other.
     let last = instance.snapshot();
     let mut out = io::stdout().lock();
     writeln!(out, "{}", stats_line(&last))?;
@@ -353,43 +363,81 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
     Ok(last.in_doubt != 0)
 }
 
-/// Ask the coordinator's resolver for each parked gtid's verdict and apply
-/// it through a session of the engine's own — it prepared nothing, so
-/// closing it rolls back nothing. Stops at the first failure, leaving the
-/// remaining branches parked for a later attempt (or the drain leak check).
-fn resolve_with_coordinator(
-    coord: &Endpoint,
-    gtids: &[u64],
-    engine: &dyn Engine,
-) -> io::Result<()> {
-    let mut conn = Client::connect_with_retry(coord, Duration::from_secs(5))?;
-    conn.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut session = engine.session(0);
-    for &gtid in gtids {
-        conn.send_request(&Request::ResolveGtid { gtid })?;
-        let commit = match conn.recv_reply()? {
-            Reply::Resolved { gtid: g, commit } if g == gtid => commit,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("resolver answered {other:?} for gtid {gtid}"),
-                ))
+/// One resolver pass over `engine`'s ownerless branches, asking the
+/// coordinator's resolver at `coord` (dialled only if there is a branch to
+/// ask about). Returns how many it had no answer for yet.
+fn resolve_pass(coord: &Endpoint, engine: &dyn Engine) -> io::Result<usize> {
+    let mut conn: Option<Client> = None;
+    settle(engine, |gtid| {
+        let conn = match &mut conn {
+            Some(conn) => conn,
+            None => {
+                let mut dialled = Client::connect_with_retry(coord, Duration::from_secs(5))?;
+                dialled.set_read_timeout(Some(Duration::from_secs(5)))?;
+                conn.insert(dialled)
             }
         };
-        match session.decide(gtid, commit) {
-            Ok(DecideOutcome::Applied | DecideOutcome::AbortNoop) => {}
-            Ok(DecideOutcome::UnknownCommit) => {
-                return Err(io::Error::other(format!(
-                    "commit verdict for gtid {gtid} found no parked branch"
-                )))
+        conn.send_request(&Request::ResolveGtid { gtid })?;
+        match conn.recv_reply()? {
+            Reply::Resolved { gtid: g, commit } if g == gtid => Ok(commit),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("resolver answered {other:?} for gtid {gtid}"),
+            )),
+        }
+    })
+}
+
+/// The resolver pass on a thread of its own, for as long as the instance
+/// serves: it runs again every [`PASS_PERIOD`] while some ownerless branch
+/// has no verdict yet, and otherwise sleeps until the engine's bell says a
+/// session left one behind — an idle instance gets no wake-up from it.
+struct Settler {
+    instance: Instance,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Settler {
+    fn start(instance: Instance, coord: Endpoint) -> Settler {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (settled, stopped) = (instance.clone(), Arc::clone(&stop));
+        let thread = std::thread::spawn(move || {
+            let _scope = islands_obs::scope(&settled.metrics);
+            let engine = settled.backend.engine();
+            let Some(bell) = engine.bell() else {
+                return;
+            };
+            loop {
+                // Read before the pass, so a ring during it is not missed.
+                let (seen, last) = (bell.rung(), stopped.load(Ordering::SeqCst));
+                let unsettled = resolve_pass(&coord, engine).unwrap_or_else(|e| {
+                    eprintln!("islands-instance: in-doubt resolution failed: {e}");
+                    1
+                });
+                if last {
+                    return;
+                }
+                bell.wait(seen, (unsettled > 0).then_some(PASS_PERIOD));
             }
-            Ok(DecideOutcome::Failed(m)) => {
-                return Err(io::Error::other(format!("resolving gtid {gtid}: {m}")))
-            }
-            Err(e) => return Err(io::Error::other(format!("resolving gtid {gtid}: {e}"))),
+        });
+        Settler {
+            instance,
+            stop,
+            thread,
         }
     }
-    Ok(())
+
+    /// Run one last pass, then stop.
+    fn finish(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(bell) = self.instance.backend.engine().bell() {
+            bell.ring();
+        }
+        if self.thread.join().is_err() {
+            eprintln!("islands-instance: the resolver pass panicked");
+        }
+    }
 }
 
 #[cfg(test)]

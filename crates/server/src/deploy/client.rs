@@ -9,6 +9,8 @@ use std::time::Duration;
 
 use islands_workload::{even_owner, PlanRequest, TxnRequest};
 
+use islands_dtxn::Round;
+
 use super::{Deployment, FaultPoint};
 use crate::client::Client;
 use crate::coordinator::{AckDebt, TwoPcLink};
@@ -83,6 +85,7 @@ pub struct DeployClient {
     conns: Vec<Option<Client>>,
     /// The acks each connection is still owed (dropped with it).
     debt: AckDebt,
+    round: Round,
 }
 
 /// Total reconnect budget per [`DeployClient::conn`] call — long enough to
@@ -102,6 +105,7 @@ impl DeployClient {
             .collect::<io::Result<Vec<_>>>()?;
         Ok(DeployClient {
             debt: AckDebt::new(conns.len()),
+            round: deploy.coord.decisions.round(),
             deploy: Arc::clone(deploy),
             caller,
             conns,
@@ -174,11 +178,17 @@ impl TwoPcLink for DeployClient {
         // protocol steps.
         match frame {
             Request::Prepare(_) | Request::PreparePlan(_) => {
-                self.deploy.maybe_fire_fault(FaultPoint::PrePrepare, to);
+                self.deploy.maybe_fire_fault(&[FaultPoint::PrePrepare], to);
             }
             Request::Decision { .. } => {
-                self.deploy
-                    .maybe_fire_fault(FaultPoint::PostPreparePreDecision, to);
+                let points = [FaultPoint::PostPreparePreDecision, FaultPoint::LinkLoss];
+                if self.deploy.maybe_fire_fault(&points, to) == Some(FaultPoint::LinkLoss) {
+                    self.conns[to] = None;
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionReset,
+                        "scripted link loss",
+                    ));
+                }
             }
             _ => {}
         }
@@ -195,7 +205,7 @@ impl TwoPcLink for DeployClient {
         let sent = conn.send_request(frame);
         if sent.is_ok() && matches!(frame, Request::Decision { .. }) {
             self.deploy
-                .maybe_fire_fault(FaultPoint::PostDecisionPreAck, to);
+                .maybe_fire_fault(&[FaultPoint::PostDecisionPreAck], to);
         }
         sent
     }
@@ -212,9 +222,9 @@ impl TwoPcLink for DeployClient {
     }
 
     fn force_commit(&mut self, gtid: u64) {
-        // Write-through BEFORE any Decision frame leaves: recovery must
-        // reach the same verdict the live protocol acted on.
-        self.deploy.coord.decisions.force(gtid, true);
+        // Write-through BEFORE any Decision frame leaves: every verdict
+        // asked for later must be the one the live protocol acted on.
+        self.deploy.coord.force_commit(gtid);
     }
 
     fn forget(&mut self, gtid: u64) {
@@ -223,6 +233,10 @@ impl TwoPcLink for DeployClient {
 
     fn debt(&mut self) -> &mut AckDebt {
         &mut self.debt
+    }
+
+    fn round(&self) -> &Round {
+        &self.round
     }
 }
 

@@ -105,12 +105,12 @@ pub struct DeployConfig {
     pub workload: DeployWorkload,
     /// Directory for durable state, or `None` for a volatile deployment.
     /// When set, each instance writes a WAL (`instance-<i>.wal`) it replays
-    /// on restart, the coordinator forces commit decisions to
-    /// `coordinator.decisions` before any `Decision` frame leaves, and a
-    /// resolver socket answers a recovering instance's
-    /// [`Request::ResolveGtid`](crate::Request::ResolveGtid) queries from
-    /// that log (unknown gtid ⇒ presumed abort). In-process there is no
-    /// restart to replay one for: `Cluster::build` rejects `Some`.
+    /// on restart, and the coordinator forces commit decisions to
+    /// `coordinator.decisions` before any `Decision` frame leaves, so the
+    /// resolver socket that answers instances'
+    /// [`Request::ResolveGtid`](crate::Request::ResolveGtid) queries keeps
+    /// its verdicts across a restart of the coordinator. In-process there is
+    /// no restart to replay one for: `Cluster::build` rejects `Some`.
     pub wal_dir: Option<PathBuf>,
 }
 

@@ -52,7 +52,9 @@ pub use config::{DeployConfig, DeployWorkload, SpawnMode, Transport};
 pub use fault::{FaultPlan, FaultPoint};
 
 use crate::client::Client;
-use crate::coordinator::{Coordination, DecisionStore, Resolver};
+use islands_dtxn::DecisionLog;
+
+use crate::coordinator::{Coordination, Resolver};
 use crate::poll::Callers;
 use crate::server::{Endpoint, ServerStats};
 use child::ChildSpec;
@@ -198,14 +200,13 @@ pub struct Deployment {
     submit_timeout: Duration,
     pinned: bool,
     /// What every [`DeployClient`] of this deployment routes and decides
-    /// by. With [`DeployConfig::wal_dir`] set its decision store is written
-    /// through a durable [`DecisionLog`](islands_dtxn::DecisionLog);
-    /// `islands_dtxn::recovery::resolve_in_doubt` is the rule participants
-    /// apply against it.
+    /// by. Its [`DecisionLog`] is durable with [`DeployConfig::wal_dir`]
+    /// set, volatile otherwise; either way it is what the resolver answers
+    /// from.
     coord: Coordination,
-    /// The resolver socket answering recovering instances (wal deployments
-    /// only). Declared after `members`, so it outlives the children.
-    resolver: Option<Resolver>,
+    /// The resolver socket answering instances about their ownerless
+    /// branches. Declared after `members`, so it outlives the children.
+    resolver: Resolver,
     /// A scripted fault waiting to fire (see [`FaultPlan`]).
     fault: Mutex<Option<FaultPlan>>,
     faults_fired: AtomicU64,
@@ -242,21 +243,20 @@ impl Deployment {
         let seq = DEPLOY_SEQ.fetch_add(1, Ordering::Relaxed);
         let pid = std::process::id();
 
-        // Durable half: the coordinator's decision log and its resolver
-        // socket come up before any child spawns, so a child that restarts
-        // into recovery always finds someone to ask.
-        if let Some(dir) = &cfg.wal_dir {
-            std::fs::create_dir_all(dir)?;
-        }
-        let decisions = Arc::new(DecisionStore::open(cfg.wal_dir.as_deref())?);
-        let resolver = match &cfg.wal_dir {
-            Some(_) => Some(Resolver::spawn(
-                socket_dir.join(format!("islands-coord-{pid}-{seq}.sock")),
-                Arc::clone(&decisions),
-            )?),
-            None => None,
-        };
-        let coord_endpoint = resolver.as_ref().map(|r| r.endpoint.clone());
+        // The coordinator's decision log and its resolver socket come up
+        // before any child spawns, so a child that restarts into recovery,
+        // or loses its coordinator's link, always finds someone to ask.
+        let decisions = Arc::new(match &cfg.wal_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                DecisionLog::open(&dir.join("coordinator.decisions"))?
+            }
+            None => DecisionLog::volatile(),
+        });
+        let resolver = Resolver::spawn(
+            socket_dir.join(format!("islands-coord-{pid}-{seq}.sock")),
+            Arc::clone(&decisions),
+        )?;
 
         // Children bind and load in parallel; a `?` out of either loop
         // drops the members spawned so far, which kills them.
@@ -268,7 +268,7 @@ impl Deployment {
                 }
                 Transport::Tcp => Endpoint::Tcp(([127, 0, 0, 1], 0).into()),
             };
-            let spec = ChildSpec::of(cfg, i, listen.clone(), coord_endpoint.clone());
+            let spec = ChildSpec::of(cfg, i, listen.clone(), Some(resolver.endpoint.clone()));
             let args = spec.to_args();
             let process = Process::start(&exe, cpus.as_deref(), &args)
                 .map_err(|e| io::Error::other(format!("spawn instance {i}: {e}")))?;
@@ -326,10 +326,9 @@ impl Deployment {
         lock_clean(&self.members[i].endpoint).clone()
     }
 
-    /// The resolver socket recovering instances query, when this deployment
-    /// has one ([`DeployConfig::wal_dir`] set).
-    pub fn resolver_endpoint(&self) -> Option<Endpoint> {
-        self.resolver.as_ref().map(|r| r.endpoint.clone())
+    /// The resolver socket instances ask about their ownerless branches.
+    pub fn resolver_endpoint(&self) -> Endpoint {
+        self.resolver.endpoint.clone()
     }
 
     /// What instance `i` owns: its key range, or (TPC-C) its warehouse
@@ -346,20 +345,21 @@ impl Deployment {
     /// Number of commit decisions forced to the coordinator log so far
     /// (monotone: forgetting a fully acknowledged one does not lower it).
     pub fn decided_commits(&self) -> u64 {
-        self.coord.decisions.decided_count()
+        self.coord.decisions.forced()
     }
 
-    /// Decision records the coordinator still holds in memory. A volatile
-    /// deployment drops each one when the last `Ack` it was owed is read,
-    /// so this is the number of commits not yet acknowledged everywhere; a
-    /// durable one ([`DeployConfig::wal_dir`]) keeps them all.
+    /// Decision records the coordinator still holds. A volatile deployment
+    /// drops each one when the last `Ack` it was owed is read, so this is
+    /// the number of commits not yet acknowledged everywhere; a durable one
+    /// ([`DeployConfig::wal_dir`]) keeps them all.
     pub fn remembered_decisions(&self) -> usize {
-        self.coord.decisions.remembered()
+        self.coord.decisions.len()
     }
 
     /// Arm a scripted fault: the next 2PC exchange that reaches
     /// `plan.point` with `plan.victim` as a participant SIGKILLs the victim
-    /// at exactly that point. One-shot; re-arm for another fault.
+    /// (or drops the link to it) at exactly that point. One-shot; re-arm for
+    /// another fault.
     pub fn arm_fault(&self, plan: FaultPlan) {
         *lock_clean(&self.fault) = Some(plan);
     }
@@ -369,21 +369,24 @@ impl Deployment {
         self.faults_fired.load(Ordering::Relaxed)
     }
 
-    /// Kill `to` if the armed fault is a frame for it at `point`; counted
-    /// once the victim is dead.
-    fn maybe_fire_fault(&self, point: FaultPoint, to: usize) {
-        let fire = {
+    /// Fire the armed fault if it is a frame for `to` at one of `points`:
+    /// kill the victim, except for [`FaultPoint::LinkLoss`], which the
+    /// caller's link carries out. Counted once the victim is dead; returns
+    /// the point that fired.
+    fn maybe_fire_fault(&self, points: &[FaultPoint], to: usize) -> Option<FaultPoint> {
+        let point = {
             let mut armed = lock_clean(&self.fault);
-            let hit = *armed == Some(FaultPlan { point, victim: to });
-            if hit {
+            let hit = armed.filter(|plan| plan.victim == to && points.contains(&plan.point));
+            if hit.is_some() {
                 *armed = None;
             }
-            hit
+            hit?.point
         };
-        if fire {
+        if point != FaultPoint::LinkLoss {
             let _ = self.kill_instance(to);
-            self.faults_fired.fetch_add(1, Ordering::Relaxed);
         }
+        self.faults_fired.fetch_add(1, Ordering::Relaxed);
+        Some(point)
     }
 
     /// Open one coordinator connection set (one socket per instance).
@@ -482,12 +485,12 @@ impl Deployment {
     }
 }
 
-/// The mutexes in this module guard a `Process`, an `Endpoint`, a fault
-/// plan, or the decision map — state that stays consistent across a
-/// holder's panic (kill/wait/read/insert are self-contained) — so recover
+/// The mutexes in this module guard a `Process`, an `Endpoint` or a fault
+/// plan — state that stays consistent across a holder's panic
+/// (kill/wait/read are self-contained) — so recover
 /// the guard from poisoning instead of cascading the panic into cleanup
 /// paths like `Drop`.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

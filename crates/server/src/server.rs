@@ -15,8 +15,10 @@
 //! frames ([`Request::Submit`], [`Request::Prepare`]) are lowered with
 //! [`TxnRequest::to_plan`](islands_workload::TxnRequest::to_plan) as they
 //! arrive. When the connection ends — clean close, protocol error, drain —
-//! closing the session presumes abort for every branch it prepared that
-//! nobody decided: the coordinator spoke on this connection and is gone.
+//! the session is dropped, and a branch it prepared that nobody decided
+//! stays parked, ownerless, holding its rows: its Yes vote binds, so only a
+//! `Decision` on another connection or the coordinator's verdict, asked for
+//! by a resolver pass, ends it.
 //!
 //! Sessions **pipeline without waiting**: every complete frame already
 //! buffered on the socket (up to `MAX_BATCH`) is decoded
@@ -131,7 +133,7 @@ pub enum Backend {
     Cluster(Arc<Cluster>),
     /// One shared-nothing instance. Local submissions commit here;
     /// [`Request::Prepare`]/[`Request::Decision`] frames drive participant-
-    /// side 2PC, with presumed abort when a coordinator connection dies.
+    /// side 2PC.
     Partition(Arc<PartitionEngine>),
     /// One shared-nothing instance in **serial executor** mode: sessions
     /// take turns on the partition — each request runs on its session
@@ -226,8 +228,9 @@ pub struct ServerStats {
     pub prepares: u64,
     /// 2PC decision frames processed (partition backends).
     pub decisions: u64,
-    /// In-doubt branches rolled back because their coordinator's connection
-    /// died without a decision (the presumed-abort rule, applied live).
+    /// Reserved: instances no longer roll back a branch whose coordinator's
+    /// connection died (a Yes vote binds), so this stays 0. The stats codec
+    /// and the benchmark package still carry it.
     pub presumed_aborts: u64,
     /// Gauge: branches currently prepared and awaiting a decision, those
     /// restart replay re-parked included. Must be zero after a clean drain
@@ -708,13 +711,11 @@ fn session(
 ) -> io::Result<()> {
     let engine = backend.engine();
     let mut session = engine.session(retry_limit);
-    let result = session_loop(conn, shutdown, metrics, |req| {
+    // Whatever this connection prepared and nobody decided outlives it,
+    // ownerless (see `Session`).
+    session_loop(conn, shutdown, metrics, |req| {
         answer(engine, &mut *session, req, metrics)
-    });
-    // Presumed abort: whatever this connection prepared and nobody decided
-    // has lost its coordinator (see `Session::close`).
-    metrics.presumed_aborts.add(session.close());
-    result
+    })
 }
 
 /// One connection's read–answer–flush loop, whatever `answer` does with a

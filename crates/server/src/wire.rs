@@ -58,6 +58,9 @@ const TAG_STATS_REPLY: u8 = 0x88;
 const TAG_AUDIT_REPLY: u8 = 0x89;
 const TAG_RESOLVED: u8 = 0x8A;
 
+// The verdict byte of a TAG_RESOLVED body is 0 (abort), 1 (commit) or this.
+const RESOLVED_PENDING: u8 = 2;
+
 // Vote bytes inside a TAG_VOTE body.
 const VOTE_YES: u8 = 0;
 const VOTE_NO: u8 = 1;
@@ -169,15 +172,16 @@ pub enum Request {
     /// 2PC phase 1: execute this branch, force the prepare record, and
     /// answer with [`Reply::Vote`]. A Yes-voting participant parks the
     /// branch in-doubt — including the locks guarding its dependent reads —
-    /// until the [`Request::Decision`] frame arrives or the connection dies
-    /// (presumed abort).
+    /// until the [`Request::Decision`] frame arrives; if the connection dies
+    /// first, until the coordinator's verdict ([`Request::ResolveGtid`]).
     PreparePlan(PlanBranch),
     /// Scrape the audit sum (total committed row writes across every
     /// table) for consistency checks; answered with [`Reply::AuditSum`].
     Audit,
-    /// A recovering participant asks the coordinator's decision log for the
-    /// fate of an in-doubt gtid; answered with [`Reply::Resolved`]. Under
-    /// presumed abort an unknown gtid resolves to abort.
+    /// A participant asks the coordinator for the fate of an ownerless
+    /// in-doubt gtid (replayed, or left by a dead link); answered with
+    /// [`Reply::Resolved`]. Under presumed abort a gtid with no record
+    /// resolves to abort once no round of the coordinator's holds it.
     ResolveGtid {
         /// Global transaction id of the in-doubt branch.
         gtid: u64,
@@ -232,14 +236,16 @@ pub enum Reply {
         /// serves — equals total committed row writes (updates + inserts).
         sum: u64,
     },
-    /// Answer to [`Request::ResolveGtid`]: the coordinator's durable verdict
-    /// for the in-doubt gtid (`commit == false` covers logged aborts and
-    /// the presumed-abort default for unknown gtids alike).
+    /// Answer to [`Request::ResolveGtid`]: the coordinator's verdict for
+    /// the in-doubt gtid (`islands_dtxn::verdict`).
     Resolved {
         /// Global transaction id the verdict is for.
         gtid: u64,
-        /// True only when the decision log holds a forced commit.
-        commit: bool,
+        /// `Some(true)` only when the decision log holds a forced commit;
+        /// `Some(false)` for a logged abort and for presumed abort alike;
+        /// `None` while a coordinator still has the round undecided — ask
+        /// again later.
+        commit: Option<bool>,
     },
 }
 
@@ -451,7 +457,7 @@ impl WireMessage for Reply {
             Reply::Resolved { gtid, commit } => {
                 buf.push(TAG_RESOLVED);
                 buf.extend_from_slice(&gtid.to_le_bytes());
-                buf.push(*commit as u8);
+                buf.push(commit.map_or(RESOLVED_PENDING, u8::from));
             }
         }
     }
@@ -532,8 +538,9 @@ impl WireMessage for Reply {
             TAG_RESOLVED => {
                 exactly(tag, body, 9)?;
                 let commit = match body[8] {
-                    0 => false,
-                    1 => true,
+                    0 => Some(false),
+                    1 => Some(true),
+                    RESOLVED_PENDING => None,
                     _ => {
                         return Err(WireError::BadBody {
                             tag,
@@ -740,11 +747,15 @@ mod tests {
             Reply::AuditSum { sum: u64::MAX - 7 },
             Reply::Resolved {
                 gtid: 55,
-                commit: true,
+                commit: Some(true),
             },
             Reply::Resolved {
                 gtid: 56,
-                commit: false,
+                commit: Some(false),
+            },
+            Reply::Resolved {
+                gtid: 57,
+                commit: None,
             },
         ] {
             let mut frame = Vec::new();
@@ -785,11 +796,11 @@ mod tests {
         let mut frame = Vec::new();
         Reply::Resolved {
             gtid: 5,
-            commit: false,
+            commit: Some(false),
         }
         .encode_frame(&mut frame);
         let mut payload = frame[FRAME_HEADER..].to_vec();
-        *payload.last_mut().unwrap() = 3; // not a bool
+        *payload.last_mut().unwrap() = 3; // not a verdict
         assert!(matches!(
             Reply::decode_payload(&payload),
             Err(WireError::BadBody { .. })

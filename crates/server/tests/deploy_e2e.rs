@@ -260,6 +260,37 @@ fn killed_participant_mid_prepare_presumes_abort_and_survivors_serve() {
     assert!(!reports[1].clean);
 }
 
+/// Instance `i`'s whole stats snapshot, scraped on a fresh connection.
+fn snapshot(deploy: &Deployment, i: usize) -> islands_obs::Snapshot {
+    Client::connect(&deploy.endpoint(i))
+        .unwrap()
+        .stats()
+        .unwrap()
+        .1
+}
+
+/// Poll instance `i` until `done` holds for its snapshot, failing after a
+/// generous deadline instead of hanging.
+fn wait_for_instance(
+    deploy: &Deployment,
+    i: usize,
+    what: &str,
+    done: impl Fn(&islands_obs::Snapshot) -> bool,
+) -> islands_obs::Snapshot {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let snap = snapshot(deploy, i);
+        if done(&snap) {
+            return snap;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never happened: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn coordinator_crash_between_prepare_and_decision_leaves_no_leak() {
     let deploy = Arc::new(Deployment::spawn(&config(1, Transport::Uds)).unwrap());
@@ -279,8 +310,18 @@ fn coordinator_crash_between_prepare_and_decision_leaves_no_leak() {
         }
     } // coordinator "crashes": connection drops with the branch in doubt
 
-    // The instance applies presumed abort on connection loss: a normal
-    // client can immediately lock and update the same key.
+    // The hang-up decides nothing: the branch stays parked, ownerless,
+    // holding its row, until the instance's resolver pass asks the
+    // deployment's coordinator. No round of its holds gtid 77 and its log
+    // has no record, so the verdict is abort, and only then is key 5 free.
+    let settled = wait_for_instance(&deploy, 0, "the resolver settles gtid 77", |s| {
+        s.in_doubt == 0
+    });
+    assert_eq!(
+        (settled.in_doubt_abort, settled.presumed_aborts),
+        (1, 0),
+        "settled by the verdict, not by the hang-up"
+    );
     let mut client = deploy.client().unwrap();
     let again = outcome(client.submit(&update(&[5])).unwrap());
     assert!(again.committed);
@@ -293,8 +334,76 @@ fn coordinator_crash_between_prepare_and_decision_leaves_no_leak() {
     let r = &reports[0];
     assert!(r.clean, "instance unclean: {}", r.detail);
     let stats = r.stats.expect("stats parsed");
-    assert_eq!(stats.presumed_aborts, 1);
+    assert_eq!(stats.presumed_aborts, 0);
     assert_eq!(stats.in_doubt, 0);
+}
+
+#[test]
+fn a_commit_whose_link_dies_before_its_decision_commits_everywhere_in_both_engines() {
+    // The socket twin of the in-process test: the coordinator forces the
+    // commit, then its link to instance 1 is lost before the Decision
+    // frame leaves. Instance 1 lives on; its session closes with the branch
+    // parked, and its resolver pass must bring it the forced commit — the
+    // audit identity holds and nothing is left in doubt at drain.
+    for engine in [EngineMode::Locked, EngineMode::Serial] {
+        let deploy = Arc::new(
+            Deployment::spawn(&DeployConfig {
+                engine,
+                ..config(2, Transport::Uds)
+            })
+            .unwrap(),
+        );
+        let mut client = deploy.client().unwrap();
+        let base = client.audit_total().unwrap();
+        deploy.arm_fault(FaultPlan {
+            point: FaultPoint::LinkLoss,
+            victim: 1,
+        });
+        let done = outcome(client.submit(&update(&[20, 360])).unwrap());
+        assert!(
+            done.committed && done.distributed && !done.presumed_abort,
+            "[{engine:?}] the forced commit stands: {done:?}"
+        );
+        assert_eq!(deploy.faults_fired(), 1, "[{engine:?}] the link was lost");
+        assert_eq!(deploy.decided_commits(), 1, "[{engine:?}]");
+
+        let settled = wait_for_instance(&deploy, 1, "the resolver settles the branch", |s| {
+            s.in_doubt == 0
+        });
+        assert_eq!(
+            (settled.in_doubt_commit, settled.in_doubt_abort),
+            (1, 0),
+            "[{engine:?}] the verdict was the forced commit"
+        );
+        assert_eq!(
+            client.audit_total().unwrap() - base,
+            2,
+            "[{engine:?}] both branches committed"
+        );
+        // The lost link reconnects, and the row is free again.
+        assert!(outcome(client.submit(&update(&[20, 360])).unwrap()).committed);
+        assert_eq!(client.audit_total().unwrap() - base, 4, "[{engine:?}]");
+
+        drop(client);
+        assert_eq!(deploy.presumed_aborts(), 0, "[{engine:?}]");
+        let reports = Arc::try_unwrap(deploy)
+            .ok()
+            .expect("no other refs")
+            .shutdown();
+        for r in &reports {
+            assert!(
+                r.clean,
+                "[{engine:?}] instance {} unclean: {}",
+                r.index, r.detail
+            );
+            let stats = r.stats.expect("stats parsed");
+            assert_eq!(
+                (stats.in_doubt, stats.presumed_aborts),
+                (0, 0),
+                "[{engine:?}]"
+            );
+        }
+    }
 }
 
 #[test]
@@ -584,23 +693,16 @@ fn resolver_socket_answers_decided_commit_and_presumes_abort_for_unknown() {
     assert!(outcome(client.submit(&update(&[10, 350])).unwrap()).committed);
     assert_eq!(deploy.decided_commits(), 1);
 
-    let ep = deploy
-        .resolver_endpoint()
-        .expect("wal_dir deployments expose a resolver");
-    let mut raw = Client::connect(&ep).unwrap();
-    raw.send_request(&Request::ResolveGtid { gtid: 1 }).unwrap();
-    match raw.recv_reply().unwrap() {
-        Reply::Resolved { gtid: 1, commit } => assert!(commit, "forced commit must resolve commit"),
-        other => panic!("unexpected reply {other:?}"),
-    }
-    raw.send_request(&Request::ResolveGtid { gtid: 4242 })
-        .unwrap();
-    match raw.recv_reply().unwrap() {
-        Reply::Resolved { gtid: 4242, commit } => {
-            assert!(!commit, "unknown gtid must presume abort")
+    let mut raw = Client::connect(&deploy.resolver_endpoint()).unwrap();
+    let mut ask = |gtid| {
+        raw.send_request(&Request::ResolveGtid { gtid }).unwrap();
+        match raw.recv_reply().unwrap() {
+            Reply::Resolved { gtid: g, commit } if g == gtid => commit,
+            other => panic!("unexpected reply {other:?}"),
         }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    };
+    assert_eq!(ask(1), Some(true), "forced commit must resolve commit");
+    assert_eq!(ask(4242), Some(false), "unknown gtid must presume abort");
 
     drop(raw);
     drop(client);
@@ -691,8 +793,9 @@ fn killed_participant_rejoins_and_resolves_in_doubt_in_both_engines() {
 
         // The undecided branch: a raw coordinator prepares gtid 9001 on
         // instance 1 and then goes silent *without disconnecting* — a
-        // disconnect would trigger the live presumed-abort path; staying
-        // connected keeps the branch in doubt until the SIGKILL.
+        // disconnect would leave the branch ownerless for the live resolver
+        // pass; staying connected keeps it owned and in doubt until the
+        // SIGKILL.
         let mut zombie = Client::connect(&deploy.endpoint(1)).unwrap();
         zombie
             .send_request(&Request::Prepare(TxnBranch {

@@ -343,11 +343,26 @@ fn partition_backend_runs_wire_level_2pc_phase_by_phase() {
     assert_eq!(stats.presumed_aborts, 0);
 }
 
-#[test]
-fn dropped_coordinator_connection_presumes_abort_and_releases_locks() {
-    let (engine, handle) = spawn_partition(0, 100);
+/// Spin until `done`, failing after a generous deadline instead of hanging.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never happened: {what}"
+        );
+        std::thread::yield_now();
+    }
+}
 
-    // Coordinator prepares a branch on key 9... and vanishes.
+/// A coordinator prepares gtid 11 on key 9 and vanishes; the branch must
+/// stay parked and keep the key from local work until a `Decision` on
+/// another connection commits it. Nothing is presumed.
+fn an_orphaned_branch_waits_for_its_decision(
+    handle: ServerHandle,
+    ownerless: impl Fn() -> Vec<u64>,
+    audit: impl Fn() -> u64,
+) {
     {
         let mut coord = Client::connect(handle.endpoint()).unwrap();
         coord.send_request(&prepare(11, &[9])).unwrap();
@@ -358,20 +373,47 @@ fn dropped_coordinator_connection_presumes_abort_and_releases_locks() {
         assert_eq!(handle.stats().in_doubt, 1);
     } // connection dropped here, decision never sent
 
-    // The session notices the hangup, presumes abort, and releases the X
-    // lock: an ordinary client can now update the same key.
+    // The session notices the hangup and leaves the branch ownerless,
+    // still parked and still holding its row.
+    wait_until("the branch is ownerless", || ownerless() == [11]);
+    assert_eq!(handle.stats().in_doubt, 1);
     let mut client = Client::connect(handle.endpoint()).unwrap();
+    match client.submit(&update(&[9])).unwrap() {
+        Reply::Aborted { .. } => {}
+        other => panic!("the parked branch must hold key 9: {other:?}"),
+    }
+    client
+        .send_request(&Request::Decision {
+            gtid: 11,
+            commit: true,
+        })
+        .unwrap();
+    assert_eq!(client.recv_reply().unwrap(), Reply::Ack { gtid: 11 });
+    assert!(ownerless().is_empty());
     match client.submit(&update(&[9])).unwrap() {
         Reply::Committed { .. } => {}
         other => panic!("unexpected reply {other:?}"),
     }
-    // The prepared update was rolled back; only the new one is visible.
-    assert_eq!(engine.audit_sum().unwrap(), 1);
+    assert_eq!(
+        audit(),
+        2,
+        "the prepared update committed, then the new one"
+    );
 
     client.drain_server().unwrap();
     let stats = handle.join().unwrap();
-    assert_eq!(stats.presumed_aborts, 1);
+    assert_eq!(stats.presumed_aborts, 0);
     assert_eq!(stats.in_doubt, 0);
+}
+
+#[test]
+fn a_dropped_coordinator_connection_leaves_its_branch_parked_until_decided() {
+    let (engine, handle) = spawn_partition(0, 100);
+    an_orphaned_branch_waits_for_its_decision(
+        handle,
+        || engine.ownerless_gtids(),
+        || engine.audit_sum().unwrap(),
+    );
 }
 
 #[test]
@@ -564,36 +606,13 @@ fn executor_backend_runs_wire_level_2pc_phase_by_phase() {
 }
 
 #[test]
-fn executor_backend_presumes_abort_when_coordinator_vanishes() {
+fn executor_backend_keeps_a_branch_parked_when_its_coordinator_vanishes() {
     let (exec, handle) = spawn_executor(0, 100);
-    {
-        let mut coord = Client::connect(handle.endpoint()).unwrap();
-        coord.send_request(&prepare(11, &[9])).unwrap();
-        match coord.recv_reply().unwrap() {
-            Reply::Vote { gtid: 11, .. } => {}
-            other => panic!("unexpected reply {other:?}"),
-        }
-        assert_eq!(handle.stats().in_doubt, 1);
-    } // coordinator connection dropped, decision never sent
-
-    // The dying session's close presume-aborts its branch on the executor;
-    // the key is free again for ordinary traffic. A serial partition aborts
-    // a local transaction that meets a parked branch at once (no retries),
-    // so wait for the presumed abort, not for a guess at how long it takes.
-    while handle.stats().presumed_aborts == 0 {
-        std::thread::yield_now();
-    }
-    let mut client = Client::connect(handle.endpoint()).unwrap();
-    match client.submit(&update(&[9])).unwrap() {
-        Reply::Committed { .. } => {}
-        other => panic!("unexpected reply {other:?}"),
-    }
-    assert_eq!(exec.audit_sum().unwrap(), 1, "prepared update rolled back");
-
-    client.drain_server().unwrap();
-    let stats = handle.join().unwrap();
-    assert_eq!(stats.presumed_aborts, 1);
-    assert_eq!(stats.in_doubt, 0);
+    an_orphaned_branch_waits_for_its_decision(
+        handle,
+        || exec.ownerless_gtids().unwrap(),
+        || exec.audit_sum().unwrap(),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +623,8 @@ fn executor_backend_presumes_abort_when_coordinator_vanishes() {
 /// Run one fixed conversation — local commits, a misrouted key, a 2PC branch
 /// decided commit with a conflicting local inside its in-doubt window, a
 /// read-only branch, a branch decided abort, a branch orphaned by its
-/// coordinator, an audit — sending batches either as `Submit`/`Prepare`
+/// coordinator and then decided on another connection, an audit — sending
+/// batches either as `Submit`/`Prepare`
 /// frames or as the `SubmitPlan`/`PreparePlan` frames of their lowering.
 /// Returns every reply (server timing zeroed) and the final counters.
 #[test]
@@ -691,11 +711,10 @@ fn wire_conversation(backend: Backend, lowered: bool) -> (Vec<Reply>, islands_se
     ask(&mut coord, prepare(10, OpKind::Update, &[200]));
     ask(&mut coord, prepare(11, OpKind::Update, &[9]));
     drop(coord);
-    // The orphaned branch is rolled back when the server notices the
-    // hangup; wait for that, not for a guess at how long it takes.
-    while handle.stats().presumed_aborts == 0 {
-        std::thread::yield_now();
-    }
+    // The orphaned branch keeps its row until a decision, from any
+    // connection, settles it.
+    ask(&mut local, submit(&[9]));
+    ask(&mut local, decision(11, false));
     ask(&mut local, submit(&[9]));
     ask(&mut local, Request::Audit);
     local.drain_server().unwrap();
@@ -741,12 +760,14 @@ fn batch_frames_and_their_lowered_plan_frames_are_the_same_request() {
                 "ack",
                 "error",
                 &format!("{:?}", Vote::Yes),
+                "aborted",
+                "ack",
                 "committed",
                 "audit 7",
             ],
             "{name}"
         );
-        assert_eq!(batch_stats.presumed_aborts, 1, "{name}");
+        assert_eq!(batch_stats.presumed_aborts, 0, "{name}");
         assert_eq!(batch_stats.in_doubt, 0, "{name}");
         assert_eq!(batch_stats.errors, 3, "{name}");
     }
