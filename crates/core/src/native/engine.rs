@@ -246,6 +246,9 @@ impl PartitionEngine {
             inst,
         };
         if prior.is_empty() {
+            // The loads wrote their pages into the store already: this
+            // flushes only the few that went through frames (each table's
+            // heap head and root leaf) and the catalog.
             engine.inst.checkpoint()?;
         } else {
             // Restart path: replay instead of checkpointing, so a crash
@@ -493,15 +496,31 @@ impl PartitionEngine {
 
     /// Sum of the audit counters across this partition's rows — every table
     /// in TPC-C mode — equal to the number of committed row writes (updates
-    /// plus inserts) applied here.
+    /// plus inserts) applied here. A parked 2PC branch's writes sit in its
+    /// rows uncommitted, so each of its rows counts as its before-image did
+    /// (an inserted row not at all), read under the in-doubt table's lock:
+    /// no branch is parked or decided mid-count.
     pub fn audit_sum(&self) -> Result<u64, StorageError> {
-        let mut sum = 0u64;
-        for table in self.tables.iter().flatten() {
-            for (_, payload) in table.range(0, u64::MAX)? {
-                sum += super::audit_counter(&payload);
+        use super::audit_counter;
+        self.in_doubt.with_parked(|parked| {
+            let mut sum = 0u64;
+            for table in self.tables.iter().flatten() {
+                for (_, payload) in table.range(0, u64::MAX)? {
+                    sum += audit_counter(&payload);
+                }
             }
-        }
-        Ok(sum)
+            let by_id = |id| self.tables.iter().flatten().find(|t| t.id == id);
+            for branch in parked {
+                for ((id, key), before) in branch.before_images() {
+                    let Some(table) = by_id(id) else { continue };
+                    if let Some(now) = table.get(key)? {
+                        sum -= audit_counter(&now);
+                    }
+                    sum += before.map_or(0, audit_counter);
+                }
+            }
+            Ok(sum)
+        })
     }
 }
 
@@ -923,8 +942,11 @@ mod tests {
         let e2 = PartitionEngine::build(&cfg).unwrap();
         assert_eq!(e2.ownerless_gtids(), vec![42]);
         // Committed update redone; the in-doubt write is back in its row,
-        // under the branch's X lock, as a live parked branch's would be.
-        assert_eq!(e2.audit_sum().unwrap(), 2);
+        // under the branch's X lock, as a live parked branch's would be,
+        // and the audit counts it only once it commits.
+        let row = e2.instance().table(MICRO_TABLE_NAME).unwrap().get(120);
+        assert_eq!(crate::native::audit_counter(&row.unwrap().unwrap()), 1);
+        assert_eq!(e2.audit_sum().unwrap(), 1);
         // The parked branch's lock blocks new work on its row...
         assert!(!e2.submit_local(&update(&[120]), 0).unwrap().committed);
         assert!(matches!(
@@ -1159,5 +1181,47 @@ mod tests {
         assert_eq!(e2.audit_sum().unwrap(), 0);
         assert!(e2.ownerless_gtids().is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_eight_warehouse_build_leaves_the_pool_to_fill_on_demand() {
+        const W: u64 = 8;
+        let e = PartitionEngine::build(&PartitionConfig {
+            tpcc: Some(TpccPartition {
+                warehouses: W,
+                w_lo: 0,
+                w_hi: W,
+            }),
+            ..Default::default()
+        })
+        .unwrap();
+        let pool = e.instance().pool();
+        // Six tables' heap heads and root leaves; the customer table alone
+        // is larger than the pool.
+        assert!(
+            pool.frames_with_memory() < 64,
+            "{} frames with memory",
+            pool.frames_with_memory()
+        );
+        assert_eq!(pool.stats.evictions.load(Ordering::Relaxed), 0);
+        assert!(pool.stats.writebacks.load(Ordering::Relaxed) < 64);
+        let districts = W * tpcc::DISTRICTS_PER_WAREHOUSE;
+        for (name, rows) in [
+            (tpcc::T_WAREHOUSE, W),
+            (tpcc::T_DISTRICT, districts),
+            (tpcc::T_CUSTOMER, districts * tpcc::CUSTOMERS_PER_DISTRICT),
+            (tpcc::T_STOCK, W * tpcc::STOCK_PER_WAREHOUSE),
+            (tpcc::T_HISTORY, 0),
+            (tpcc::T_ORDER, 0),
+        ] {
+            let table = e.instance().table(name).unwrap();
+            assert_eq!(table.row_count(), rows, "{name}");
+            assert_eq!(
+                table.range(0, u64::MAX).unwrap().len() as u64,
+                rows,
+                "{name}"
+            );
+        }
+        assert_eq!(e.audit_sum().unwrap(), 0);
     }
 }

@@ -258,6 +258,14 @@ impl InDoubtTable {
         gtids
     }
 
+    /// `f` over every parked branch, under the map's lock: no branch is
+    /// parked or leaves while it runs.
+    pub(crate) fn with_parked<T>(&self, f: impl FnOnce(&[&TxnHandle]) -> T) -> T {
+        let map = self.map();
+        let parked: Vec<&TxnHandle> = map.values().filter_map(|e| e.branch.as_ref()).collect();
+        f(&parked)
+    }
+
     /// How many branches are parked.
     pub(crate) fn parked(&self) -> usize {
         self.map().values().filter(|e| e.branch.is_some()).count()

@@ -474,6 +474,11 @@ mod tests {
             assert_eq!(c.decided_commits(), 1, "{mode}: one forced commit");
             assert_eq!(link.verdict_then, Some(Some(true)), "{mode}: forced first");
             assert_eq!(c.snapshot(1).in_doubt, 1, "{mode}: parked, ownerless");
+            assert_eq!(
+                c.audit_sum().unwrap(),
+                1,
+                "{mode}: the parked write is not committed yet"
+            );
             let mut other = c.client();
             let blocked = run(&mut other, &plan(&[150], StepOp::Update));
             assert!(
@@ -519,9 +524,11 @@ mod tests {
             );
             assert_eq!(link.verdict_then, Some(None), "{mode}: round still open");
             assert_eq!(c.snapshot(1).in_doubt, 1, "{mode}: the late Yes is parked");
+            assert_eq!(c.audit_sum().unwrap(), 0, "{mode}: two parked writes");
             // The round is over: the pass gets the abort.
             assert_eq!(c.settle(), 0, "{mode}");
             assert_eq!(c.snapshot(1).in_doubt, 0, "{mode}");
+            assert_eq!(c.audit_sum().unwrap(), 0, "{mode}: the abort moves nothing");
             assert_eq!(c.snapshot(1).in_doubt_abort, 1, "{mode}");
             assert_eq!(holder.decide(9_000, false).unwrap(), DecideOutcome::Applied);
             assert_eq!(c.audit_sum().unwrap(), 0, "{mode}");

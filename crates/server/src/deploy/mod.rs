@@ -33,7 +33,7 @@
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -209,6 +209,11 @@ pub struct Deployment {
     resolver: Resolver,
     /// A scripted fault waiting to fire (see [`FaultPlan`]).
     fault: Mutex<Option<FaultPlan>>,
+    /// Whether `fault` may hold a plan, written only under its lock: every
+    /// 2PC frame reads this, and only a drill's frames take the lock. The
+    /// `Release` store after arming pairs with the `Acquire` load in
+    /// `maybe_fire_fault`; the plan itself is read under the lock.
+    fault_armed: AtomicBool,
     faults_fired: AtomicU64,
     /// The live [`DeployClient`]s: the callers whose reply waits the poll
     /// rule weighs in this process.
@@ -300,6 +305,7 @@ impl Deployment {
             coord: Coordination::new(cfg.sites(), decisions),
             resolver,
             fault: Mutex::new(None),
+            fault_armed: AtomicBool::new(false),
             faults_fired: AtomicU64::new(0),
             callers: Arc::default(),
         })
@@ -361,7 +367,9 @@ impl Deployment {
     /// (or drops the link to it) at exactly that point. One-shot; re-arm for
     /// another fault.
     pub fn arm_fault(&self, plan: FaultPlan) {
-        *lock_clean(&self.fault) = Some(plan);
+        let mut fault = lock_clean(&self.fault);
+        *fault = Some(plan);
+        self.fault_armed.store(true, Ordering::Release);
     }
 
     /// How many scripted faults have fired.
@@ -374,11 +382,15 @@ impl Deployment {
     /// caller's link carries out. Counted once the victim is dead; returns
     /// the point that fired.
     fn maybe_fire_fault(&self, points: &[FaultPoint], to: usize) -> Option<FaultPoint> {
+        if !self.fault_armed.load(Ordering::Acquire) {
+            return None;
+        }
         let point = {
             let mut armed = lock_clean(&self.fault);
             let hit = armed.filter(|plan| plan.victim == to && points.contains(&plan.point));
             if hit.is_some() {
                 *armed = None;
+                self.fault_armed.store(false, Ordering::Release);
             }
             hit?.point
         };

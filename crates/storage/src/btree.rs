@@ -13,9 +13,10 @@
 //! * A bulk [`load`](BTree::load) of ascending entries into an empty tree
 //!   builds it bottom-up: full leaves chained left to right (the empty root
 //!   leaf becomes the first), then each internal level over the one below.
-//!   Nodes are filled completely: a loaded table takes updates, not
-//!   inserts, so there is no room to leave; a later insert into a full
-//!   node splits it as any insert does.
+//!   Every node but the root leaf goes straight to the page store, not
+//!   through the pool. Nodes are filled completely: a loaded table takes
+//!   updates, not inserts, so there is no room to leave; a later insert
+//!   into a full node splits it as any insert does.
 //!
 //! Node layout over a [`Page`] (common 16-byte header first):
 //!
@@ -502,25 +503,28 @@ impl BTree {
         if entries.is_empty() {
             return Ok(());
         }
-        // Leaves after the first, each written whole and chained to the
-        // next. The first (the root leaf, latched) is written last, so
-        // nothing is visible before the load has succeeded.
+        // Every node but the root leaf is built in one page buffer and
+        // written straight to the store, taking no pool frame. The root
+        // leaf (latched) is written last, through its frame, so nothing is
+        // visible before the load has succeeded.
+        let store = self.pool.store();
+        let mut node = Page::new();
         let mut chunks = entries.chunks(self.max_keys);
         let head = chunks.next().expect("entries is not empty");
-        let mut level = vec![(head[0].0, first.pid())];
-        let mut prev: Option<WNode<'_>> = None;
-        let mut second = PageId::INVALID;
-        for chunk in chunks {
-            let mut leaf = self.new_node(init_leaf)?;
-            fill(leaf.page_mut(), chunk.iter().copied());
-            match prev.as_mut() {
-                Some(p) => leaf_set_next(p.page_mut(), leaf.pid()),
-                None => second = leaf.pid(),
-            }
-            level.push((chunk[0].0, leaf.pid()));
-            prev = Some(leaf);
+        // Leaves after the first: their pages allocated up front, so each
+        // is written once, whole and chained to the next.
+        let mut level = Vec::with_capacity(entries.len() / self.max_keys + 1);
+        level.push((head[0].0, first.pid()));
+        for chunk in chunks.clone() {
+            level.push((chunk[0].0, store.allocate()?));
         }
-        drop(prev);
+        for (i, chunk) in chunks.enumerate() {
+            init_leaf(&mut node);
+            fill(&mut node, chunk.iter().copied());
+            leaf_set_next(&mut node, level.get(i + 2).map_or(PageId::INVALID, |l| l.1));
+            store.write_page(level[i + 1].1, &node)?;
+        }
+        let second = level.get(1).map_or(PageId::INVALID, |l| l.1);
         // Internal levels: a node over up to `max_keys + 1` children, the
         // smallest key under each child but the first as its separator. A
         // lone child at a level's end gets a node with no separator, which
@@ -529,9 +533,11 @@ impl BTree {
         while level.len() > 1 {
             let mut upper = Vec::with_capacity(level.len() / self.max_keys + 1);
             for group in level.chunks(self.max_keys + 1) {
-                let mut node = self.new_node(|p| init_internal(p, group[0].1))?;
-                fill(node.page_mut(), group[1..].iter().map(|&(k, c)| (k, c.0)));
-                upper.push((group[0].0, node.pid()));
+                let pid = store.allocate()?;
+                init_internal(&mut node, group[0].1);
+                fill(&mut node, group[1..].iter().map(|&(k, c)| (k, c.0)));
+                store.write_page(pid, &node)?;
+                upper.push((group[0].0, pid));
             }
             level = upper;
             height += 1;
@@ -543,14 +549,6 @@ impl BTree {
         self.height.store(height, Ordering::Release);
         self.len.store(entries.len() as u64, Ordering::Release);
         Ok(())
-    }
-
-    /// A fresh page formatted by `init`, write-latched and dirty.
-    fn new_node(&self, init: impl FnOnce(&mut Page)) -> Result<WNode<'_>> {
-        let pin = self.pool.new_page()?;
-        let mut g = pin.write();
-        init(&mut g);
-        Ok(WNode { g, pin })
     }
 
     /// Remove `key`; returns whether it was present. No rebalancing.

@@ -5,10 +5,13 @@
 //! the current tail page ("append" placement, like the paper's sequentially
 //! loaded microbenchmark tables); updates are in place.
 //!
-//! Every append, one record ([`insert`](HeapFile::insert)) or a bulk load's
-//! worth ([`append`](HeapFile::append)), fills the tail and then fresh
-//! pages one page at a time, under one write latch per page. A record no
-//! empty page can hold is refused before a page is allocated for it.
+//! A single record ([`insert`](HeapFile::insert)) goes in through the
+//! pool: the tail page, or a fresh pool page chained behind it. A bulk
+//! load's worth ([`append`](HeapFile::append)) fills the tail's room
+//! through its frame and writes every further page straight to the page
+//! store, so a load larger than the pool neither fills nor evicts it. A
+//! record no empty page can hold is refused before a page is allocated for
+//! it.
 
 use std::sync::Arc;
 
@@ -16,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::page::{PageId, Rid, MAX_RECORD};
+use crate::page::{Page, PageId, Rid, MAX_RECORD};
 
 /// A heap file over a buffer pool.
 pub struct HeapFile {
@@ -91,57 +94,95 @@ impl HeapFile {
         self.state.lock().records
     }
 
-    /// Append a record, growing the chain as needed.
+    /// Append a record through the pool: into the tail page, or a fresh
+    /// page chained behind it when the tail is full.
     pub fn insert(&self, rec: &[u8]) -> Result<Rid> {
-        let rids = self.append(rec.len(), [rec], |rec, space| space.copy_from_slice(rec))?;
-        Ok(rids[0])
+        if rec.len() > MAX_RECORD {
+            // Refused before a page is allocated for it.
+            return Err(StorageError::RecordTooLarge(rec.len()));
+        }
+        let mut st = self.state.lock();
+        let mut pin = self.pool.fetch(st.tail)?;
+        let mut page = pin.write();
+        if !page.has_room(rec.len()) {
+            let next = self.pool.new_page()?;
+            page.set_next_page(next.pid);
+            drop(page);
+            pin.mark_dirty();
+            pin = next;
+            page = pin.write();
+            page.init_slotted();
+            st.tail = pin.pid;
+            st.pages += 1;
+        }
+        let slot = page.insert_record(rec).expect("room was checked");
+        drop(page);
+        pin.mark_dirty();
+        st.records += 1;
+        Ok(Rid {
+            page: st.tail,
+            slot,
+        })
     }
 
     /// Append one `len`-byte record per item, in order, `write` filling each
-    /// in place: the tail page first, then fresh pages chained behind it,
-    /// each under a single write latch. Returns the records' RIDs.
+    /// in place and told its RID: the tail page's room first, through its
+    /// frame, then fresh pages built one at a time in a single page buffer
+    /// and written straight to the store, each chained to the next. No
+    /// fresh page takes a pool frame; the pool reads them in on first use.
+    /// The tail stays write-latched until the last fresh page is in the
+    /// store and only then links to the first, so no scan follows the chain
+    /// into a page not yet written.
     pub fn append<T>(
         &self,
         len: usize,
         items: impl IntoIterator<Item = T>,
-        mut write: impl FnMut(T, &mut [u8]),
-    ) -> Result<Vec<Rid>> {
+        mut write: impl FnMut(T, Rid, &mut [u8]),
+    ) -> Result<()> {
         if len > MAX_RECORD {
             // Refused before a page is allocated for it.
             return Err(StorageError::RecordTooLarge(len));
         }
         let mut items = items.into_iter().peekable();
         if items.peek().is_none() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut rids = Vec::with_capacity(items.size_hint().0);
         let mut st = self.state.lock();
-        let mut pin = self.pool.fetch(st.tail)?;
-        let mut page = pin.write();
-        for item in items {
-            if !page.has_room(len) {
-                // Tail full: chain a fresh page and continue there.
-                let next = self.pool.new_page()?;
-                page.set_next_page(next.pid);
-                drop(page);
-                pin.mark_dirty();
-                pin = next;
-                page = pin.write();
-                page.init_slotted();
-                st.tail = pin.pid;
-                st.pages += 1;
-            }
-            let (slot, space) = page.reserve_record(len).expect("room was checked");
-            write(item, space);
-            st.records += 1;
-            rids.push(Rid {
-                page: st.tail,
-                slot,
-            });
+        let tail = self.pool.fetch(st.tail)?;
+        let mut tail_page = tail.write();
+        let (page, mut records) = (tail.pid, 0);
+        while tail_page.has_room(len) {
+            let Some(item) = items.next() else { break };
+            let (slot, space) = tail_page.reserve_record(len).expect("room was checked");
+            write(item, Rid { page, slot }, space);
+            records += 1;
         }
-        drop(page);
-        pin.mark_dirty();
-        Ok(rids)
+        tail.mark_dirty();
+        if items.peek().is_some() {
+            let store = self.pool.store();
+            let first = store.allocate()?;
+            let (mut pid, mut pages) = (first, 1);
+            let mut fresh = Page::new();
+            fresh.init_slotted();
+            for item in items {
+                if !fresh.has_room(len) {
+                    let next = store.allocate()?;
+                    fresh.set_next_page(next);
+                    store.write_page(pid, &fresh)?;
+                    fresh.init_slotted();
+                    (pid, pages) = (next, pages + 1);
+                }
+                let (slot, space) = fresh.reserve_record(len).expect("an empty page holds it");
+                write(item, Rid { page: pid, slot }, space);
+                records += 1;
+            }
+            store.write_page(pid, &fresh)?;
+            tail_page.set_next_page(first);
+            st.tail = pid;
+            st.pages += pages;
+        }
+        st.records += records;
+        Ok(())
     }
 
     /// Read the record at `rid` into a fresh vector.
@@ -278,7 +319,12 @@ mod tests {
     fn append_fills_pages_in_order_and_inserts_continue_behind_it() {
         let h = heap(64);
         h.insert(&[1u8; 1000]).unwrap();
-        let rids = h.append(1000, 0..20u8, |i, rec| rec.fill(i + 10)).unwrap();
+        let mut rids = Vec::new();
+        h.append(1000, 0..20u8, |i, rid, rec| {
+            rec.fill(i + 10);
+            rids.push(rid);
+        })
+        .unwrap();
         assert_eq!(rids[0].page, h.head(), "the tail's room is used first");
         assert!(rids
             .windows(2)
@@ -308,7 +354,7 @@ mod tests {
                 Err(StorageError::RecordTooLarge(n)) if n == too_big
             ));
             assert!(matches!(
-                h.append(too_big, 0..2, |_, _| {}),
+                h.append(too_big, 0..2, |_, _, _| {}),
                 Err(StorageError::RecordTooLarge(_))
             ));
         }

@@ -6,7 +6,7 @@
 //! the machine, `NISL` configurations run `N` of them side by side, each
 //! owning a partition.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -759,6 +759,20 @@ impl TxnHandle {
     /// order (a row written twice appears twice).
     pub fn written_rows(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.undo.iter().map(UndoOp::row)
+    }
+
+    /// What each row this transaction wrote held before its first write:
+    /// the logged before-image, `None` for a row it inserted. One entry per
+    /// row, in write order.
+    pub fn before_images(&self) -> impl Iterator<Item = ((u32, u64), Option<&[u8]>)> + '_ {
+        let mut seen = HashSet::new();
+        self.undo
+            .iter()
+            .filter(move |op| seen.insert(op.row()))
+            .map(|op| match op {
+                UndoOp::Revert { before, .. } => (op.row(), Some(&before[..])),
+                UndoOp::Remove { .. } => (op.row(), None),
+            })
     }
 
     fn release(&mut self, end_state: TxnState) {

@@ -6,8 +6,9 @@
 //!
 //! A table's initial rows go in with one [`Table::load`]: rows in
 //! ascending key order, checked whole before a page is written, then the
-//! heap appended page by page and the index built bottom-up. That is the
-//! only load path; [`Table::insert_row`] is the transactional one.
+//! heap appended page by page and the index built bottom-up, each page
+//! written once, straight into the page store. That is the only load path;
+//! [`Table::insert_row`] is the transactional one.
 
 use std::sync::Arc;
 
@@ -108,8 +109,15 @@ impl Table {
     /// Fill this empty table with `rows`, keys strictly ascending: the
     /// heap page by page, the index bottom-up. Nothing is written until
     /// every row has been checked (order, payload size, the table empty);
-    /// a rejected load is a typed error and leaves the table reading as
-    /// empty. The rows are walked twice, to check and then to write.
+    /// a rejected load is a typed error, allocates no page and leaves the
+    /// table reading as empty. The rows are walked twice, to check and then
+    /// to write.
+    ///
+    /// Every page the load builds goes straight into the pool's page store
+    /// ([`HeapFile::append`], [`BTree::load`]); only the two pages already
+    /// resident, the heap's tail and the index's root leaf (written last,
+    /// publishing the index), go through their frames. The pool takes the
+    /// rest on first use.
     pub fn load<I, P>(&self, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (u64, P)>,
@@ -128,15 +136,15 @@ impl Table {
             }
             entries.push((key, 0));
         }
-        let rids = self
-            .heap
-            .append(8 + self.row_size, rows, |(key, payload), rec| {
+        self.heap.append(
+            8 + self.row_size,
+            rows.zip(&mut entries),
+            |((key, payload), entry), rid, rec| {
+                entry.1 = rid.pack();
                 rec[..8].copy_from_slice(&key.to_le_bytes());
                 rec[8..].copy_from_slice(payload.as_ref());
-            })?;
-        for (entry, rid) in entries.iter_mut().zip(rids) {
-            entry.1 = rid.pack();
-        }
+            },
+        )?;
         self.index.load(&entries)
     }
 
@@ -209,6 +217,8 @@ impl Table {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
     use super::*;
     use crate::store::MemStore;
 
@@ -273,6 +283,36 @@ mod tests {
         assert_eq!(t.get(1).unwrap(), None);
         t.insert_row(1, &[8u8; 8]).unwrap();
         assert_eq!(t.get(1).unwrap(), Some(vec![8u8; 8]));
+    }
+
+    #[test]
+    fn a_load_writes_its_pages_to_the_store_not_through_the_pool() {
+        let pool = BufferPool::new(Arc::new(MemStore::new()), 64);
+        pool.set_wal_barrier(Arc::new(|| Ok(())));
+        let t = Table::create(Arc::clone(&pool), 1, "t", 64).unwrap();
+        let before = pool.store().num_pages();
+        const ROWS: u64 = 20_000; // ~190 heap pages and 40 leaves: 3x the pool
+        let row = |k: u64| k.to_le_bytes().repeat(8);
+        t.load((0..ROWS).map(|k| (k, row(k)))).unwrap();
+        assert!(pool.store().num_pages() - before > 3 * 64);
+        // The heap's head and the root leaf are the only pages in frames.
+        assert_eq!(pool.frames_with_memory(), 2);
+        let stats = &pool.stats;
+        assert_eq!(stats.evictions.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.writebacks.load(Ordering::Relaxed), 0);
+        assert_eq!(t.index_height(), 2);
+        // Every row reads back from the store, the pool filling on demand.
+        assert_eq!(t.row_count(), ROWS);
+        for k in (0..ROWS).step_by(97).chain([ROWS - 1]) {
+            assert_eq!(t.get(k).unwrap(), Some(row(k)), "key {k}");
+        }
+        let all = t.range(0, u64::MAX).unwrap();
+        assert!(all.iter().map(|r| r.0).eq(0..ROWS));
+        assert!(all.iter().all(|(k, payload)| *payload == row(*k)));
+        assert!(stats.misses.load(Ordering::Relaxed) > 3 * 64);
+        // Inserts continue behind the loaded tail, through the pool.
+        t.insert_row(ROWS, &row(ROWS)).unwrap();
+        assert_eq!(t.range(ROWS - 1, u64::MAX).unwrap().len(), 2);
     }
 
     #[test]

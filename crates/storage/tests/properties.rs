@@ -271,7 +271,10 @@ fn a_rejected_load_is_a_typed_error_and_leaves_no_row_visible() {
     type Check = fn(&StorageError) -> bool;
     type Rows = Vec<(u64, Vec<u8>)>;
     let row = |k: u64| (k, row_of(k));
-    let cases: [(&str, Rows, Check); 3] = [
+    // A load of many pages whose one bad row is its last.
+    let mut late: Rows = (1..=3000).map(row).collect();
+    late.push(row(3000));
+    let cases: [(&str, Rows, Check); 4] = [
         ("unsorted", vec![row(1), row(3), row(2)], |e| {
             matches!(e, StorageError::UnsortedLoad { prev: 3, key: 2 })
         }),
@@ -280,6 +283,9 @@ fn a_rejected_load_is_a_typed_error_and_leaves_no_row_visible() {
         }),
         ("payload", vec![row(1), (2, vec![0u8; 15])], |e| {
             matches!(e, StorageError::RecordTooLarge(15))
+        }),
+        ("late duplicate", late, |e| {
+            matches!(e, StorageError::DuplicateKey(3000))
         }),
     ];
     for (what, rows, rejected) in cases {
@@ -300,13 +306,18 @@ fn a_rejected_load_is_a_typed_error_and_leaves_no_row_visible() {
         assert_eq!(t.get(2).unwrap(), Some(row_of(2)), "{what}: loads after");
     }
 
-    // A table that holds rows, loaded or inserted, takes no load.
-    let t = Table::create(stealing_pool(64), 1, "t", 16).unwrap();
+    // A table that holds rows, loaded or inserted, takes no load, and
+    // allocates nothing refusing one.
+    let pool = stealing_pool(64);
+    let t = Table::create(Arc::clone(&pool), 1, "t", 16).unwrap();
     t.load([row(1)]).unwrap();
-    assert!(matches!(t.load([row(5)]), Err(StorageError::NotEmpty(_))));
-    let u = Table::create(stealing_pool(64), 2, "u", 16).unwrap();
+    let u = Table::create(Arc::clone(&pool), 2, "u", 16).unwrap();
     u.insert_row(1, &row_of(1)).unwrap();
-    assert!(matches!(u.load([row(5)]), Err(StorageError::NotEmpty(_))));
+    let pages = pool.store().num_pages();
+    let many = || (5..3000).map(row);
+    assert!(matches!(t.load(many()), Err(StorageError::NotEmpty(_))));
+    assert!(matches!(u.load(many()), Err(StorageError::NotEmpty(_))));
+    assert_eq!(pool.store().num_pages(), pages);
     for t in [&t, &u] {
         assert_eq!(t.range(0, u64::MAX).unwrap(), vec![row(1)]);
         assert_eq!(t.get(5).unwrap(), None);
