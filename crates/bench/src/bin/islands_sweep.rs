@@ -13,10 +13,11 @@
 //!
 //! Each cell has one lifecycle: stand the deployment up (`--deploy proc`,
 //! the default: pinned instance processes with wire-level 2PC; `--deploy
-//! inproc`: one server in this process around an in-process `Cluster`;
-//! `--connect EP`: someone else's server), drive it through the shared
-//! `islands_bench::drive` engine, scrape every instance's live stats, tear
-//! it down, and judge it.
+//! inproc`: the same instances built in this process as a `Cluster`, no
+//! socket anywhere; `--connect EP`: someone else's server), drive it
+//! through the shared `islands_bench::drive` engine — proc and inproc
+//! alike, each client its own coordinator on its own thread — scrape every
+//! instance's live stats, tear it down, and judge it.
 //!
 //! ```sh
 //! cargo run --release -p islands-bench --bin islands-sweep -- --quick
@@ -27,10 +28,11 @@
 //! Output: a Markdown table on stdout and one `islands-sweep/1` JSON
 //! document (default `BENCH_sweep.json`) with one line per cell. The run
 //! exits nonzero if any cell committed nothing, lost a client, had an
-//! unclean instance exit, leaked an in-doubt transaction, or (inproc)
-//! counted different commits on the server than its clients saw. It is a
-//! correctness gate and a figure-shaped report; throughput is gated by
-//! `benchmark/` (BENCHMARK.json), not here.
+//! unclean instance exit, leaked an in-doubt transaction, or — in a cell
+//! it stood up — saw the deployment's audit sum move by anything but the
+//! row writes of the plans its clients saw commit. It is a correctness
+//! gate and a figure-shaped report; throughput is gated by `benchmark/`
+//! (BENCHMARK.json), not here.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -46,7 +48,7 @@ use islands_obs::{BreakdownCategory, Snapshot};
 use islands_server::deploy::{
     self, DeployConfig, DeployWorkload, Deployment, SpawnMode, Transport,
 };
-use islands_server::{Client, Cluster, Endpoint, Server, ServerConfig, ServerHandle};
+use islands_server::{Client, Cluster, Endpoint};
 use islands_workload::{MicroSpec, OpKind, TpccSpec};
 
 const USAGE: &str = "islands-sweep - granularity sweeps over served deployments (Figs. 6-10, 13)
@@ -62,10 +64,10 @@ OPTIONS:
                         {0,20,80}% (explicit flags still win)
   --deploy proc|inproc  proc (default): one pinned server process per
                         instance, wire-level 2PC for multisite txns;
-                        inproc: one server in this process around an
-                        in-process cluster of the same instances (its cells
-                        share this process's obs registry, so breakdown
-                        columns accumulate across a multi-cell sweep)
+                        inproc: the same instances built in this process
+                        and driven by direct call, no socket (each cell's
+                        instances record into registries of their own, so
+                        a cell reports only itself)
   --connect EP          drive an existing single server instead of standing
                         one up; EP is uds:/path/to.sock or tcp:HOST:PORT
                         (needs --rows and a single --instances matching the
@@ -86,7 +88,8 @@ OPTIONS:
   --warehouses N        tpcc scale factor (default: 2 x the finest
                         granularity's instance count; must cover every
                         granularity so each instance owns a warehouse)
-  --transport uds|tcp   transport for the served instances (default uds)
+  --transport uds|tcp   transport for the served instances (default uds;
+                        not with --deploy inproc, which has no socket)
   --clients N           concurrent clients per cell (default 8; quick 4)
   --secs S              measured seconds per cell (default 2; quick 0.5)
   --open RATE           open-loop arrival rate, txn/s aggregate; latency is
@@ -291,6 +294,11 @@ fn parse_args() -> Result<Args, String> {
     if args.transport != "uds" && args.transport != "tcp" {
         return Err(format!("--transport uds|tcp, got {}", args.transport));
     }
+    if args.deploy == Deploy::Inproc && args.transport != "uds" {
+        return Err(
+            "--transport applies to served instances; --deploy inproc has no socket".into(),
+        );
+    }
     if args.workload != "micro" && args.workload != "tpcc" {
         return Err(format!("--workload micro|tpcc, got {}", args.workload));
     }
@@ -407,6 +415,9 @@ struct Cell {
     /// `"proc"`, `"inproc"` or `"external"`.
     deploy: &'static str,
     result: DriveResult,
+    /// How far the deployment's audit sum moved over the drive; `None` for
+    /// an external server, whose other clients this run cannot see.
+    audit_delta: Option<u64>,
     coordinator_presumed_aborts: u64,
     teardown: TeardownReport,
     pinned: bool,
@@ -488,8 +499,8 @@ fn cell_workload(args: &Args, shared: &Shared, p: &Point) -> DriveWorkload {
 enum Stand {
     /// Spawned instance processes this run coordinates 2PC over.
     Proc(Arc<Deployment>),
-    /// One server in this process, and the cluster behind it.
-    Inproc(Arc<Cluster>, ServerHandle),
+    /// The same instances in this process, driven by direct call.
+    Inproc(Cluster),
     /// Someone else's server: driven and scraped, never drained.
     External(Endpoint),
 }
@@ -523,42 +534,42 @@ impl Stand {
             Deploy::Proc => Deployment::spawn(&cfg)
                 .map(|d| Stand::Proc(Arc::new(d)))
                 .map_err(|e| format!("spawn {} x{}: {e}", p.label, p.instances)),
-            Deploy::Inproc => {
-                let cluster = Cluster::build(&cfg)
-                    .map_err(|e| format!("build cluster x{}: {e}", p.instances))?;
-                let cluster = Arc::new(cluster);
-                let endpoint = if tcp {
-                    Endpoint::Tcp(([127, 0, 0, 1], 0).into())
-                } else {
-                    let sock = format!("islands-sweep-{}.sock", std::process::id());
-                    Endpoint::Uds(std::env::temp_dir().join(sock))
-                };
-                let config = ServerConfig {
-                    retry_limit: args.retry_limit,
-                };
-                let handle = Server::spawn(Arc::clone(&cluster), endpoint, config)
-                    .map_err(|e| format!("spawn server: {e}"))?;
-                Ok(Stand::Inproc(cluster, handle))
-            }
+            Deploy::Inproc => Cluster::build(&cfg)
+                .map(Stand::Inproc)
+                .map_err(|e| format!("build cluster x{}: {e}", p.instances)),
         }
     }
 
     fn target(&self) -> DriveTarget<'_> {
         match self {
             Stand::Proc(d) => DriveTarget::Deployment(d),
-            Stand::Inproc(_, handle) => DriveTarget::Endpoint(handle.endpoint()),
+            Stand::Inproc(cluster) => DriveTarget::Cluster(cluster),
             Stand::External(ep) => DriveTarget::Endpoint(ep),
         }
     }
 
+    /// The deployment-wide audit sum (committed row writes applied), for a
+    /// deployment this run stood up: `None` for an external server.
+    fn audit(&self) -> Result<Option<u64>, String> {
+        match self {
+            Stand::Proc(d) => d
+                .client()
+                .and_then(|mut c| c.audit_total())
+                .map_err(|e| e.to_string()),
+            Stand::Inproc(cluster) => cluster.audit_sum().map_err(|e| e.to_string()),
+            Stand::External(_) => return Ok(None),
+        }
+        .map(Some)
+        .map_err(|e| format!("audit: {e}"))
+    }
+
     /// Every instance's stats: a `Stats` frame from each serving process,
-    /// or — in process, where the one server's registry is the coordinator
-    /// side's — each cluster instance's own snapshot, as a proc cell reads
-    /// each child.
+    /// or each cluster instance's own snapshot, as a proc cell reads each
+    /// child.
     fn scrape(&self) -> Result<Vec<Snapshot>, String> {
         let endpoints = match self {
             Stand::Proc(d) => (0..d.instances()).map(|i| d.endpoint(i)).collect(),
-            Stand::Inproc(cluster, _) => {
+            Stand::Inproc(cluster) => {
                 return Ok((0..cluster.n_instances())
                     .map(|i| cluster.snapshot(i))
                     .collect())
@@ -589,34 +600,31 @@ impl Stand {
                     );
                 }
             }
-            Stand::Inproc(_, handle) => println!("  server (inproc) at {}", handle.endpoint()),
+            Stand::Inproc(cluster) => println!(
+                "  {} instance(s) in this process, no socket",
+                cluster.n_instances()
+            ),
             Stand::External(_) => {}
         }
     }
 
-    /// Drain what this run stood up and report how every instance ended,
-    /// plus — where one server saw every request — its commit count.
-    fn down(self) -> Result<(TeardownReport, Option<u64>), String> {
+    /// Drain what this run stood up and report how every instance ended.
+    fn down(self) -> TeardownReport {
         match self {
             Stand::Proc(d) => {
                 let d = Arc::try_unwrap(d).ok().expect("all drive clients joined");
-                Ok((TeardownReport::of(d.shutdown()), None))
+                TeardownReport::of(d.shutdown())
             }
-            Stand::Inproc(cluster, handle) => {
-                handle.initiate_shutdown();
-                let server = handle.join().map_err(|e| format!("server join: {e}"))?;
-                // Every session is gone; whatever an instance still counts
-                // as parked has no coordinator left to decide it. No process
-                // exited, so there are no exits to report.
-                let report = TeardownReport {
-                    in_doubt_leaks: (0..cluster.n_instances())
-                        .map(|i| cluster.snapshot(i).in_doubt)
-                        .sum(),
-                    ..TeardownReport::of(Vec::new())
-                };
-                Ok((report, Some(server.commits)))
-            }
-            Stand::External(_) => Ok((TeardownReport::of(Vec::new()), None)),
+            // Every client is gone; whatever an instance still counts as
+            // parked has no coordinator left to decide it. No process
+            // exited, so there are no exits to report.
+            Stand::Inproc(cluster) => TeardownReport {
+                in_doubt_leaks: (0..cluster.n_instances())
+                    .map(|i| cluster.snapshot(i).in_doubt)
+                    .sum(),
+                ..TeardownReport::of(Vec::new())
+            },
+            Stand::External(_) => TeardownReport::of(Vec::new()),
         }
     }
 }
@@ -636,18 +644,24 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
             shared.n_sites,
         )
     };
-    // Scrape every instance's live stats while the deployment still serves
-    // (drive has finished, teardown has not begun): the cell's Fig. 11
-    // breakdown, straight from the phase spans each instance accumulated.
-    let driven = drive(&stand.target(), &cfg).and_then(|result| Ok((result, stand.scrape()?)));
+    // Audit before and after the drive, and scrape every instance's live
+    // stats while the deployment still serves (drive has finished,
+    // teardown has not begun): the cell's Fig. 11 breakdown, straight from
+    // the phase spans each instance accumulated.
+    let driven = stand.audit().and_then(|before| {
+        let result = drive(&stand.target(), &cfg)?;
+        let after = stand.audit()?;
+        let delta = before.zip(after).map(|(b, a)| a.wrapping_sub(b));
+        Ok((result, delta, stand.scrape()?))
+    });
     let (pinned, coordinator_presumed_aborts) = match &stand {
         Stand::Proc(d) => (d.pinned(), d.presumed_aborts()),
         _ => (false, 0),
     };
     // Tear down whatever the drive said: a failed cell must not leave its
     // instances serving under the next one.
-    let (teardown, server_commits) = stand.down()?;
-    let (result, scrapes) = driven?;
+    let teardown = stand.down();
+    let (result, audit_delta, scrapes) = driven?;
 
     let mut obs = Snapshot::default();
     for snap in &scrapes {
@@ -669,10 +683,10 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
             teardown.in_doubt_leaks
         ));
     }
-    if let Some(n) = server_commits.filter(|&n| n != result.committed()) {
+    if let Some(delta) = audit_delta.filter(|&d| d != result.committed_writes()) {
         faults.push(format!(
-            "server counted {n} commits but clients saw {}",
-            result.committed()
+            "audit sum moved by {delta} but committed plans wrote {} rows",
+            result.committed_writes()
         ));
     }
     Ok(Cell {
@@ -681,6 +695,7 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
         warehouses: shared.warehouses,
         deploy: args.deploy.label(),
         result,
+        audit_delta,
         coordinator_presumed_aborts,
         teardown,
         pinned,
@@ -769,13 +784,18 @@ fn cell_json(c: &Cell) -> String {
     } else {
         String::new()
     };
+    let audit_delta = c
+        .audit_delta
+        .map_or_else(|| "null".to_string(), |d| d.to_string());
     format!(
-        "{{{},\"committed\":{},\"throughput_tps\":{:.1},\
+        "{{{},\"committed\":{},\"committed_writes\":{},\"audit_delta\":{audit_delta},\
+         \"throughput_tps\":{:.1},\
          \"coordinator_presumed_aborts\":{},\"unclean_instances\":{},\"in_doubt_leaks\":{},\
          \"client_failures\":{},\"clean\":{},\"pinned\":{},\"elapsed_secs\":{:.3},{},\
          \"local\":{},\"multisite\":{}{tpcc_classes},\"instance_exits\":[{}]}}",
         c.identity_json(),
         c.result.committed(),
+        c.result.committed_writes(),
         c.result.throughput_tps(),
         c.coordinator_presumed_aborts,
         c.teardown.unclean,
@@ -906,8 +926,8 @@ fn engine_comparison(cells: &[Cell]) {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    // This process's own registry too: inproc cells serve from here, and a
-    // proc cell's coordinator records 2PC phase latencies here.
+    // This process's own registry too: a cell's coordinators record 2PC
+    // phase latencies here, and inproc instances live here.
     islands_obs::set_enabled(args.obs);
     let clients = args.clients.unwrap_or(if args.quick { 4 } else { 8 });
     let secs = args.secs.unwrap_or(if args.quick { 0.5 } else { 2.0 });
@@ -1089,7 +1109,7 @@ fn run() -> Result<(), String> {
     if unclean > 0 {
         return Err(format!(
             "{unclean} cell(s) unclean (zero commits, client failures, instance exits, \
-             leaks, or a commit-count mismatch)"
+             leaks, or an audit mismatch)"
         ));
     }
     println!(

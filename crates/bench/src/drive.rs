@@ -2,10 +2,12 @@
 //!
 //! `islands-sweep` drives every cell of the paper's granularity × multisite
 //! × skew cross-product through this module: spawn one thread per client,
-//! submit open- or closed-loop plans from a [`MicroGenerator`] or
-//! [`TpccGenerator`], tally outcomes **per transaction class** (local vs
-//! multisite — the paper's served comparisons hinge on how the multisite
-//! class degrades while the local class holds), and verify teardown (every
+//! each its own coordinator over the deployment (or one connection to an
+//! external server), submit open- or closed-loop plans from a
+//! [`MicroGenerator`] or [`TpccGenerator`], tally outcomes **per
+//! transaction class** (local vs multisite — the paper's served comparisons
+//! hinge on how the multisite class degrades while the local class holds)
+//! and the row writes of every committed plan, and verify teardown (every
 //! instance drained clean, zero in-doubt 2PC leaks).
 //!
 //! Closed loop (default): each client submits its next transaction the
@@ -20,7 +22,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_server::{
-    Client, DeployClient, DeployReply, Deployment, Endpoint, InstanceExit, Reply,
+    Client, Cluster, DeployClient, DeployOutcome, DeployReply, Deployment, Endpoint, InstanceExit,
+    Reply,
 };
 use islands_workload::{
     MicroGenerator, MicroSpec, PlanClass, PlanRequest, TpccGenerator, TpccSpec,
@@ -76,10 +79,12 @@ impl DriveConfig {
     }
 }
 
-/// What a run drives: a multi-process deployment we coordinate 2PC over, or
-/// a single served endpoint (in-process cluster server or external).
+/// What a run drives: a deployment each client coordinates 2PC over —
+/// spawned instance processes, or the same instances in this process — or
+/// a single external server.
 pub enum DriveTarget<'a> {
     Deployment(&'a Arc<Deployment>),
+    Cluster(&'a Cluster),
     Endpoint(&'a Endpoint),
 }
 
@@ -91,6 +96,9 @@ pub struct ClassTally {
     pub errors: u64,
     pub distributed: u64,
     pub presumed_aborts: u64,
+    /// `write_rows()` summed over the committed plans: what the
+    /// deployment's audit sum must have grown by.
+    pub committed_writes: u64,
     /// End-to-end latency per completed request, microseconds.
     pub latencies_us: Vec<u64>,
 }
@@ -102,6 +110,7 @@ impl ClassTally {
         self.errors += other.errors;
         self.distributed += other.distributed;
         self.presumed_aborts += other.presumed_aborts;
+        self.committed_writes += other.committed_writes;
         self.latencies_us.extend(other.latencies_us);
     }
 
@@ -151,6 +160,11 @@ impl DriveResult {
         self.local.committed + self.multi.committed
     }
 
+    /// Row writes of every committed plan (the audit identity's right side).
+    pub fn committed_writes(&self) -> u64 {
+        self.local.committed_writes + self.multi.committed_writes
+    }
+
     pub fn throughput_tps(&self) -> f64 {
         self.committed() as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
     }
@@ -165,43 +179,29 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// The two ways a client submits one request.
+/// A client's connection, opened before the run starts.
 enum Submitter {
-    /// One wire connection to a single server (inproc / external).
+    /// One wire connection to a single external server.
     Wire(Client),
     /// Coordinator over a multi-process deployment.
     Proc(DeployClient),
 }
 
-/// Unified per-request outcome across submitters.
-struct Done {
-    committed: bool,
-    error: Option<String>,
-    distributed: bool,
-    presumed_abort: bool,
-}
-
-/// Map a single-server reply to the unified outcome shape.
-fn wire_done(reply: Reply) -> io::Result<Done> {
+/// A single server's reply in the coordinator's terms. A server fronts one
+/// partition, so a commit it reports is never distributed.
+fn wire_reply(reply: Reply) -> io::Result<DeployReply> {
+    let outcome = |committed, retries| {
+        DeployReply::Outcome(DeployOutcome {
+            committed,
+            distributed: false,
+            retries,
+            presumed_abort: false,
+        })
+    };
     match reply {
-        Reply::Committed { distributed, .. } => Ok(Done {
-            committed: true,
-            error: None,
-            distributed,
-            presumed_abort: false,
-        }),
-        Reply::Aborted { .. } => Ok(Done {
-            committed: false,
-            error: None,
-            distributed: false,
-            presumed_abort: false,
-        }),
-        Reply::Error { message } => Ok(Done {
-            committed: false,
-            error: Some(message),
-            distributed: false,
-            presumed_abort: false,
-        }),
+        Reply::Committed { retries, .. } => Ok(outcome(true, retries)),
+        Reply::Aborted { retries } => Ok(outcome(false, retries)),
+        Reply::Error { message } => Ok(DeployReply::ServerError(message)),
         other => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unexpected reply {other:?}"),
@@ -209,35 +209,11 @@ fn wire_done(reply: Reply) -> io::Result<Done> {
     }
 }
 
-/// Map a deployment coordinator reply to the unified outcome shape.
-fn proc_done(reply: DeployReply) -> Done {
-    match reply {
-        DeployReply::Outcome(o) => Done {
-            committed: o.committed,
-            error: None,
-            distributed: o.distributed,
-            presumed_abort: o.presumed_abort,
-        },
-        DeployReply::ServerError(message) => Done {
-            committed: false,
-            error: Some(message),
-            distributed: false,
-            presumed_abort: false,
-        },
-        DeployReply::InstanceDown(i) => Done {
-            committed: false,
-            error: Some(format!("instance {i} unreachable")),
-            distributed: false,
-            presumed_abort: false,
-        },
-    }
-}
-
 impl Submitter {
-    fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<Done> {
+    fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         match self {
-            Submitter::Wire(client) => wire_done(client.submit_plan(plan)?),
-            Submitter::Proc(client) => Ok(proc_done(client.submit_plan(plan)?)),
+            Submitter::Wire(client) => wire_reply(client.submit_plan(plan)?),
+            Submitter::Proc(client) => client.submit_plan(plan),
         }
     }
 }
@@ -250,7 +226,7 @@ enum Generator {
 
 fn drive_client(
     id: usize,
-    mut submitter: Submitter,
+    mut submit: impl FnMut(&PlanRequest) -> io::Result<DeployReply>,
     cfg: &DriveConfig,
     deadline: Instant,
 ) -> io::Result<ClientResult> {
@@ -296,7 +272,7 @@ fn drive_client(
             Generator::Micro(g) => g.next(&mut rng).to_plan(),
             Generator::Tpcc(g) => g.next(&mut rng),
         };
-        let done = submitter.submit_plan(&plan)?;
+        let reply = submit(&plan)?;
         let tally = match (plan.class, plan.multisite) {
             (PlanClass::Generic, false) => &mut result.local,
             (PlanClass::Generic, true) => &mut result.multi,
@@ -304,15 +280,24 @@ fn drive_client(
             (PlanClass::Payment, false) => &mut result.payment_local,
             (PlanClass::Payment, true) => &mut result.payment_multisite,
         };
-        if done.committed {
-            tally.committed += 1;
-            tally.distributed += done.distributed as u64;
-        } else if let Some(message) = done.error {
-            tally.errors += 1;
-            eprintln!("client {id}: server error: {message}");
-        } else {
-            tally.aborted += 1;
-            tally.presumed_aborts += done.presumed_abort as u64;
+        match reply {
+            DeployReply::Outcome(o) if o.committed => {
+                tally.committed += 1;
+                tally.distributed += o.distributed as u64;
+                tally.committed_writes += plan.write_rows();
+            }
+            DeployReply::Outcome(o) => {
+                tally.aborted += 1;
+                tally.presumed_aborts += o.presumed_abort as u64;
+            }
+            DeployReply::ServerError(message) => {
+                tally.errors += 1;
+                eprintln!("client {id}: server error: {message}");
+            }
+            DeployReply::InstanceDown(i) => {
+                tally.errors += 1;
+                eprintln!("client {id}: instance {i} unreachable");
+            }
         }
         tally
             .latencies_us
@@ -324,12 +309,12 @@ fn drive_client(
 /// Drive `target` with `cfg.clients` concurrent clients and aggregate the
 /// per-class tallies.
 ///
-/// Every client connects **before** any worker thread spawns: a connect
-/// error propagates while nothing else holds the deployment, so its Drop
-/// impl still reaps every instance process (bailing after threads are
-/// running would exit with worker threads — and their `Arc<Deployment>`
-/// clones — alive, orphaning the children). Worker panics are tallied in
-/// [`DriveResult::client_failures`], never unwound past a live deployment.
+/// Every socket client connects **before** any worker thread spawns, so a
+/// refused connect fails the run before any load is offered. A cluster
+/// client's engine sessions stay on the thread that opened them, so each
+/// worker mints its own. Workers are scoped: none outlives the call, and a
+/// worker panic is tallied in [`DriveResult::client_failures`], never
+/// unwound past a live deployment.
 pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult, String> {
     if matches!(cfg.workload, DriveWorkload::Tpcc(_)) && cfg.clients > 256 {
         return Err(format!(
@@ -337,51 +322,63 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
             cfg.clients
         ));
     }
-    let mut submitters = Vec::with_capacity(cfg.clients);
+    let mut sockets = Vec::with_capacity(cfg.clients);
     for id in 0..cfg.clients {
-        submitters.push(match target {
-            DriveTarget::Deployment(d) => Submitter::Proc(
-                d.client()
-                    .map_err(|e| format!("connect client {id}: {e}"))?,
-            ),
-            DriveTarget::Endpoint(ep) => Submitter::Wire(
-                Client::connect_with_retry(ep, Duration::from_secs(2))
-                    .map_err(|e| format!("connect client {id}: {e}"))?,
-            ),
-        });
+        let refused = |e| format!("connect client {id}: {e}");
+        match target {
+            DriveTarget::Deployment(d) => {
+                sockets.push(Submitter::Proc(d.client().map_err(refused)?))
+            }
+            DriveTarget::Endpoint(ep) => sockets.push(Submitter::Wire(
+                Client::connect_with_retry(ep, Duration::from_secs(2)).map_err(refused)?,
+            )),
+            DriveTarget::Cluster(_) => {}
+        }
     }
 
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(cfg.secs);
-    let workers: Vec<_> = submitters
-        .into_iter()
-        .enumerate()
-        .map(|(id, submitter)| {
-            let cfg = cfg.clone();
-            std::thread::spawn(move || drive_client(id, submitter, &cfg, deadline))
-        })
-        .collect();
-
     let mut result = DriveResult::default();
-    for w in workers {
-        match w.join() {
-            Ok(Ok(r)) => {
-                result.local.absorb(r.local);
-                result.multi.absorb(r.multi);
-                result.neworder.absorb(r.neworder);
-                result.payment_local.absorb(r.payment_local);
-                result.payment_multisite.absorb(r.payment_multisite);
-            }
-            Ok(Err(e)) => {
-                result.client_failures += 1;
-                eprintln!("client connection failed: {e}");
-            }
-            Err(_) => {
-                result.client_failures += 1;
-                eprintln!("client thread panicked");
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = match target {
+            DriveTarget::Cluster(cluster) => (0..cfg.clients)
+                .map(|id| {
+                    scope.spawn(move || {
+                        let mut client = cluster.client();
+                        drive_client(id, |plan| client.submit_plan(plan), cfg, deadline)
+                    })
+                })
+                .collect(),
+            _ => sockets
+                .into_iter()
+                .enumerate()
+                .map(|(id, mut socket)| {
+                    scope.spawn(move || {
+                        drive_client(id, |plan| socket.submit_plan(plan), cfg, deadline)
+                    })
+                })
+                .collect(),
+        };
+        for w in workers {
+            match w.join() {
+                Ok(Ok(r)) => {
+                    result.local.absorb(r.local);
+                    result.multi.absorb(r.multi);
+                    result.neworder.absorb(r.neworder);
+                    result.payment_local.absorb(r.payment_local);
+                    result.payment_multisite.absorb(r.payment_multisite);
+                }
+                Ok(Err(e)) => {
+                    result.client_failures += 1;
+                    eprintln!("client connection failed: {e}");
+                }
+                Err(_) => {
+                    result.client_failures += 1;
+                    eprintln!("client thread panicked");
+                }
             }
         }
-    }
+    });
     // Fold the TPC-C classes into the generic local/multisite split so the
     // reporting shared with micro runs (tables, gates) keeps working:
     // NewOrder and local Payment are single-site, remote Payment is the
@@ -477,6 +474,43 @@ pub fn instance_json(r: &InstanceExit) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islands_server::{DeployConfig, EngineMode};
+    use islands_workload::OpKind;
+
+    #[test]
+    fn a_cluster_target_runs_clean_and_its_audit_moves_by_the_committed_writes() {
+        const ROWS: u64 = 400;
+        for engine in [EngineMode::Locked, EngineMode::Serial] {
+            for multisite_pct in [0.0, 0.5] {
+                let cluster = Cluster::build(&DeployConfig {
+                    instances: 2,
+                    total_rows: ROWS,
+                    engine,
+                    ..DeployConfig::default()
+                })
+                .unwrap();
+                let spec = MicroSpec {
+                    total_rows: ROWS,
+                    ..MicroSpec::new(OpKind::Update, 2, multisite_pct)
+                };
+                let cfg = DriveConfig::closed(2, 0.2, DriveWorkload::Micro(spec), 2);
+                let before = cluster.audit_sum().unwrap();
+                let r = drive(&DriveTarget::Cluster(&cluster), &cfg).unwrap();
+                let cell = format!("{engine} multisite={multisite_pct}");
+                assert_eq!(r.client_failures, 0, "{cell}");
+                assert_eq!(r.local.errors + r.multi.errors, 0, "{cell}");
+                assert!(r.committed() > 0, "{cell}");
+                assert_eq!(r.multi.distributed > 0, multisite_pct > 0.0, "{cell}");
+                assert_eq!(
+                    cluster.audit_sum().unwrap() - before,
+                    r.committed_writes(),
+                    "{cell}"
+                );
+                let parked: u64 = (0..2).map(|i| cluster.snapshot(i).in_doubt).sum();
+                assert_eq!(parked, 0, "{cell}");
+            }
+        }
+    }
 
     #[test]
     fn percentile_handles_edges() {
@@ -496,6 +530,7 @@ mod tests {
             errors: 0,
             distributed: 2,
             presumed_aborts: 0,
+            committed_writes: 6,
             latencies_us: vec![5, 9],
         };
         let b = ClassTally {
@@ -504,10 +539,12 @@ mod tests {
             errors: 2,
             distributed: 1,
             presumed_aborts: 1,
+            committed_writes: 2,
             latencies_us: vec![3],
         };
         a.absorb(b);
         assert_eq!(a.committed, 4);
+        assert_eq!(a.committed_writes, 8);
         assert_eq!(a.total(), 7);
         assert_eq!(a.latencies_us, vec![5, 9, 3]);
     }
@@ -520,6 +557,7 @@ mod tests {
             errors: 0,
             distributed: 1,
             presumed_aborts: 0,
+            committed_writes: 2,
             latencies_us: vec![30, 10, 20],
         };
         let json = class_json(&tally, Duration::from_secs(1));

@@ -4,7 +4,8 @@
 //! open-loop schedule, a single-value "one deployment" invocation — then
 //! check the
 //! `islands-sweep/1` JSON each emits: schema identity, coherent
-//! non-negative counters, and zero in-doubt 2PC leaks.
+//! non-negative counters, zero in-doubt 2PC leaks, and the audit identity
+//! on every cell the sweep stood up.
 
 use std::process::Command;
 
@@ -32,6 +33,15 @@ fn sweep(tag: &str, flags: &str) -> String {
     let text = std::fs::read_to_string(&json_path).expect("sweep JSON written");
     let _ = std::fs::remove_file(&json_path);
     text
+}
+
+/// A cell the sweep stood up closes on the audit identity: the
+/// deployment's audit sum moved by exactly the row writes of the plans its
+/// clients saw commit (the sweep also fails the cell if it did not).
+fn assert_audited(cell: &str) {
+    let writes = int_field(cell, "committed_writes").expect("committed_writes");
+    assert!(writes > 0, "an update cell writes rows: {cell}");
+    assert_eq!(int_field(cell, "audit_delta"), Some(writes), "{cell}");
 }
 
 /// The one-line-per-cell objects of a sweep document.
@@ -78,6 +88,7 @@ fn minimal_sweep_runs_clean_and_emits_coherent_json() {
         assert_eq!(int_field(cell, "unclean_instances"), Some(0), "{cell}");
         assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
         assert_eq!(int_field(cell, "client_failures"), Some(0), "{cell}");
+        assert_audited(cell);
         let elapsed = num_field(cell, "elapsed_secs").expect("elapsed");
         assert!(elapsed > 0.0);
 
@@ -118,7 +129,7 @@ fn serial_engine_cell_runs_clean_and_carries_its_engine_label() {
     // transactions, drains clean, and stamps its cells with the engine
     // label — over spawned instance processes whose partitions execute one
     // transaction at a time, and over the in-process cluster of the same
-    // instances behind one server.
+    // instances, driven by direct call.
     for deploy in ["proc", "inproc"] {
         let flags = format!("--instances 2 --multisite 0,50 --engine serial --deploy {deploy}");
         let text = sweep(deploy, &flags);
@@ -131,6 +142,7 @@ fn serial_engine_cell_runs_clean_and_carries_its_engine_label() {
             assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
             assert_eq!(int_field(cell, "unclean_instances"), Some(0), "{cell}");
             assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
+            assert_audited(cell);
         }
     }
 }
@@ -153,7 +165,26 @@ fn an_inproc_cell_reports_only_its_own_instances() {
             _ => assert_eq!(parked, 0, "{cell}"),
         }
         assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
+        assert_audited(cell);
     }
+}
+
+#[test]
+fn an_inproc_deployment_has_no_transport_to_choose() {
+    let output = Command::new(env!("CARGO_BIN_EXE_islands-sweep"))
+        .args([
+            "--deploy",
+            "inproc",
+            "--transport",
+            "tcp",
+            "--instances",
+            "2",
+        ])
+        .output()
+        .expect("run islands-sweep");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    assert!(stderr.contains("no socket"), "{stderr}");
 }
 
 #[test]
@@ -166,6 +197,7 @@ fn single_values_make_a_one_cell_sweep_open_or_closed_loop() {
         assert_eq!(cells.len(), 1, "{text}");
         assert_eq!(num_field(cells[0], "multisite_pct"), Some(20.0));
         assert!(int_field(cells[0], "committed").unwrap() > 0, "{text}");
+        assert_audited(cells[0]);
         assert!(text.contains(&format!("\"mode\":\"{mode}\"")), "{text}");
     }
 }
@@ -174,8 +206,8 @@ fn single_values_make_a_one_cell_sweep_open_or_closed_loop() {
 fn an_inproc_tpcc_cell_runs_clean_with_remote_payments_as_2pc() {
     // The in-process cluster is built from the same deployment description
     // as the spawned one, TPC-C tables included: NewOrder and Payment plans
-    // through one server in the sweep's own process, remote payments across
-    // its two instances as direct-call 2PC.
+    // driven in the sweep's own process, remote payments across its two
+    // instances as direct-call 2PC, inserts and all in the audit.
     let text = sweep(
         "inproc-tpcc",
         "--deploy inproc --workload tpcc --instances 2 --multisite 50",
@@ -190,6 +222,7 @@ fn an_inproc_tpcc_cell_runs_clean_with_remote_payments_as_2pc() {
     assert_eq!(int_field(cell, "in_doubt_leaks"), Some(0), "{cell}");
     assert_eq!(int_field(cell, "client_failures"), Some(0), "{cell}");
     assert_eq!(int_field(cell, "in_doubt"), Some(0), "{cell}");
+    assert_audited(cell);
     let remote = &cell[cell.find("\"payment_multisite\":").expect("tpcc classes")..];
     assert!(int_field(remote, "committed").unwrap() > 0, "{cell}");
     assert!(int_field(remote, "distributed").unwrap() > 0, "{cell}");

@@ -245,14 +245,12 @@ impl PartitionEngine {
             in_doubt: InDoubtTable::new(cfg.single_threaded),
             inst,
         };
-        if prior.is_empty() {
-            // The loads wrote their pages into the store already: this
-            // flushes only the few that went through frames (each table's
-            // heap head and root leaf) and the catalog.
-            engine.inst.checkpoint()?;
-        } else {
-            // Restart path: replay instead of checkpointing, so a crash
-            // during this build leaves the old log intact for the next try.
+        // A fresh build is done: the loads wrote their pages into the store,
+        // and a restart rebuilds by loading again and replaying the whole
+        // log, so there is nothing to checkpoint.
+        if !prior.is_empty() {
+            // Restart path: replay, so a crash during this build leaves the
+            // old log intact for the next try.
             let started = Instant::now();
             for (gtid, branch) in engine.inst.replay_log(&prior)? {
                 engine
@@ -541,8 +539,8 @@ impl Engine for PartitionEngine {
         Ok(PartitionEngine::ownerless_gtids(self))
     }
 
-    fn bell(&self) -> Option<&Bell> {
-        Some(&self.in_doubt.bell)
+    fn bell(&self) -> &Bell {
+        &self.in_doubt.bell
     }
 
     fn observe(&self, snap: &mut Snapshot) {

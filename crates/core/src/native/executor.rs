@@ -212,8 +212,8 @@ impl Engine for PartitionExecutor {
         PartitionExecutor::ownerless_gtids(self)
     }
 
-    fn bell(&self) -> Option<&Bell> {
-        Some(&self.bell)
+    fn bell(&self) -> &Bell {
+        &self.bell
     }
 
     /// A poisoned partition reports nothing.

@@ -12,11 +12,12 @@
 //!   no locks, so there each branch carries its `(table, key)` footprint
 //!   instead. New work that touches a footprint aborts, as wait-die kills a
 //!   newcomer. With no footprint parked the check is one load.
-//! * **Decide.** Any session may decide any branch: the branch is un-parked,
-//!   then [`TxnHandle::decide`] applied, its locks held until it ends. A
-//!   gtid nobody parked gets the presumed-abort answer. Deciding is the only
-//!   way out: the decision comes in a `Decision` frame, or from the
-//!   coordinator's verdict when a resolver asks for it.
+//! * **Decide.** Any session may decide any branch: its resolution is
+//!   counted, the branch is un-parked, then [`TxnHandle::decide`] applied,
+//!   its locks held until it ends. A gtid nobody parked gets the
+//!   presumed-abort answer. Deciding is the only way out: the decision
+//!   comes in a `Decision` frame, or from the coordinator's verdict when a
+//!   resolver asks for it.
 //! * **Disown.** A Yes vote binds: when the session that prepared a branch
 //!   closes, the branch stays parked, holding its rows, with no owner —
 //!   the kind of entry restart replay makes. The table's [`Bell`] rings so
@@ -200,27 +201,34 @@ impl InDoubtTable {
                 .any(|e| plan.conflicts_with(&e.footprint))
     }
 
-    /// Leave the table with `commit` applied. `None` for a reservation. An
-    /// ownerless branch's resolution is counted as such.
+    /// Leave the table with `commit` applied. `None` for a reservation.
     fn settle(&self, mut entry: Entry, commit: bool) -> Option<Result<(), StorageError>> {
         let branch = entry.branch.take()?;
         if !entry.footprint.is_empty() {
             self.guarded.fetch_sub(1, Ordering::Relaxed);
         }
-        islands_obs::with(|m| m.record_parked(entry.parked_at.elapsed().as_nanos() as u64));
         entry.participant.on_decision(commit);
-        if entry.session.is_none() {
-            islands_obs::with(|m| m.record_in_doubt_resolved(commit));
-        }
         Some(branch.decide(commit))
     }
 
-    /// Apply the coordinator's decision to branch `gtid`.
+    /// Apply the coordinator's decision to branch `gtid`. How the branch
+    /// left is recorded before it leaves the map (an ownerless branch's
+    /// resolution counted as such), and a stats snapshot reads the parked
+    /// count before the registry: one that finds the branch gone counts
+    /// its resolution too.
     pub(crate) fn decide(&self, gtid: u64, commit: bool) -> DecideOutcome {
         let parked = {
             let mut map = self.map();
             match map.get(&gtid) {
-                Some(e) if e.branch.is_some() => map.remove(&gtid),
+                Some(e) if e.branch.is_some() => {
+                    islands_obs::with(|m| {
+                        m.record_parked(e.parked_at.elapsed().as_nanos() as u64);
+                        if e.session.is_none() {
+                            m.record_in_doubt_resolved(commit);
+                        }
+                    });
+                    map.remove(&gtid)
+                }
                 _ => None,
             }
         };

@@ -3,7 +3,9 @@
 //! Every entry point that accepts a transaction — a wire frame in
 //! `islands-server`, a frame its in-process cluster hands over by direct
 //! call, an embedding test — lowers it to a [`PlanRequest`] and hands it to
-//! a [`Session`] minted by an [`Engine`].
+//! a [`Session`] minted by an [`Engine`]: a partition, in either engine
+//! mode. Nothing else serves sessions; routing and coordinating 2PC across
+//! partitions is the caller's business.
 //! Both engine modes execute it on the calling thread; whether that happens
 //! under 2PL beside other sessions or alone under the partition's lock is
 //! the engine's business: the caller sees the same three calls, the same
@@ -31,13 +33,6 @@ pub enum ExecError {
     /// The serial partition is gone: its executor shut down, or a session
     /// panicked while holding it.
     Gone,
-    /// A 2PC frame reached an engine that is not a 2PC participant (the
-    /// in-process cluster coordinates its own distributed transactions).
-    NotAParticipant,
-    /// An instance of the in-process cluster refused the plan. The cluster's
-    /// instances answer frames, so their typed error arrives as the message
-    /// a wire client would have read.
-    Rejected(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -49,10 +44,6 @@ impl std::fmt::Display for ExecError {
                 f,
                 "partition is gone (shut down, or a session died holding it)"
             ),
-            ExecError::NotAParticipant => {
-                write!(f, "2PC frames require a partition instance backend")
-            }
-            ExecError::Rejected(message) => f.write_str(message),
         }
     }
 }
@@ -103,8 +94,11 @@ pub trait Session {
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError>;
 }
 
-/// What serves sessions: a partition in either engine mode, or the
-/// in-process cluster.
+/// What serves sessions: a partition, locked ([`PartitionEngine`]) or
+/// serial ([`PartitionExecutor`]).
+///
+/// [`PartitionEngine`]: super::PartitionEngine
+/// [`PartitionExecutor`]: super::PartitionExecutor
 pub trait Engine {
     /// Mint a session. `retry_limit` is the contention-retry budget of its
     /// [`submit`](Session::submit) calls (moot for the serial executor,
@@ -121,14 +115,11 @@ pub trait Engine {
     /// through [`Session::decide`].
     fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError>;
 
-    /// What rings when branches here lose their session; `None` for an
-    /// engine that parks nothing.
-    fn bell(&self) -> Option<&Bell> {
-        None
-    }
+    /// What rings when branches here lose their session.
+    fn bell(&self) -> &Bell;
 
     /// Fill in what only the engine knows when a stats snapshot is taken:
     /// the branches parked in its in-doubt table and its lock manager's
-    /// counts. An engine that parks nothing and locks nothing leaves them.
-    fn observe(&self, _snap: &mut Snapshot) {}
+    /// counts.
+    fn observe(&self, snap: &mut Snapshot);
 }

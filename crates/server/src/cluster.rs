@@ -8,13 +8,16 @@
 //! [`DeployClient`](crate::DeployClient): one engine session per instance
 //! where the sockets would be, implementing the same `TwoPcLink`, so the
 //! router, the 2PC driver, the retry loop and the ack debt are the code a
-//! spawned deployment's clients run. A frame handed to the link is answered
-//! on the spot by `server::answer` — the mapping a socket session applies to a
-//! decoded frame — and its reply waits in the link's queue for the read that
-//! would have crossed the wire: the function call is the message. Nothing
-//! is encoded and nothing is copied but the plan a frame carries. Whatever
-//! the link does on instance `i` — a frame, a reconnect, a hang-up — runs
-//! with `i`'s registry current, so the instance's stats are its own.
+//! spawned deployment's clients run, on the calling thread as theirs run on
+//! theirs. A cluster is driven the way a deployment is, by one client per
+//! calling thread; it is not itself an engine, and no server fronts it. A
+//! frame handed to the link is answered on the spot by `server::answer` —
+//! the mapping a socket session applies to a decoded frame — and its reply
+//! waits in the link's queue for the read that would have crossed the
+//! wire: the function call is the message. Nothing is encoded and nothing
+//! is copied but the plan a frame carries. Whatever the link does on
+//! instance `i` — a frame, a reconnect, a hang-up — runs with `i`'s
+//! registry current, so the instance's stats are its own.
 //!
 //! A link that is dropped mid-round leaves its branch parked and ownerless,
 //! as a dead socket does. The cluster runs the resolver pass a spawned
@@ -28,9 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use islands_core::native::{DecideOutcome, Engine, ExecError, Session, SubmitOutcome};
-use islands_dtxn::{DecisionLog, Round, Vote};
-use islands_obs::{BreakdownCategory, Snapshot};
+use islands_core::native::{ExecError, Session};
+use islands_dtxn::{DecisionLog, Round};
+use islands_obs::Snapshot;
 use islands_workload::PlanRequest;
 
 use crate::coordinator::{settle, AckDebt, Coordination, TwoPcLink};
@@ -129,17 +132,12 @@ impl Cluster {
     /// both for a local transaction's contention retries at its instance
     /// and for 2PC rounds the votes aborted.
     pub fn client(&self) -> ClusterClient<'_> {
-        self.coordinator(self.retry_limit)
-    }
-
-    fn coordinator(&self, retry_limit: u32) -> ClusterClient<'_> {
         ClusterClient {
             cluster: self,
-            retry_limit,
             sessions: self
                 .instances
                 .iter()
-                .map(|inst| inst.backend.engine().session(retry_limit))
+                .map(|inst| inst.backend.engine().session(self.retry_limit))
                 .collect(),
             replies: vec![VecDeque::new(); self.instances.len()],
             debt: AckDebt::new(self.instances.len()),
@@ -216,31 +214,12 @@ impl Cluster {
     }
 }
 
-impl Engine for Cluster {
-    /// A server fronting the cluster passes its own budget here.
-    fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
-        Box::new(self.coordinator(retry_limit))
-    }
-
-    fn audit_sum(&self) -> Result<u64, ExecError> {
-        Cluster::audit_sum(self)
-    }
-
-    /// Branches are parked in the instances, never at this level.
-    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        Ok(Vec::new())
-    }
-}
-
 /// One coordinator of a [`Cluster`]: a session on every instance plus the
 /// router and 2PC driver, the in-process [`DeployClient`](crate::DeployClient).
-///
-/// As a [`Session`] — what a server fronting the cluster mints per
-/// connection — it coordinates its own distributed transactions, so it is
-/// never itself a participant and holds nothing in doubt between calls.
+/// Its sessions belong to the thread that opened it, so each calling thread
+/// mints its own.
 pub struct ClusterClient<'c> {
     cluster: &'c Cluster,
-    retry_limit: u32,
     sessions: Vec<Box<dyn Session + 'c>>,
     /// Per instance, the replies to frames handed over and not yet read.
     replies: Vec<VecDeque<Reply>>,
@@ -258,7 +237,7 @@ impl ClusterClient<'_> {
     /// serial partition was poisoned answers with a typed error instead.
     pub fn submit_plan(&mut self, plan: &PlanRequest) -> io::Result<DeployReply> {
         let cluster = self.cluster;
-        let reply = cluster.coord.submit(self, plan, self.retry_limit);
+        let reply = cluster.coord.submit(self, plan, cluster.retry_limit);
         self.settle_dropped_links();
         reply
     }
@@ -302,7 +281,7 @@ impl TwoPcLink for ClusterClient<'_> {
     /// parked stays parked, ownerless, for the next resolver pass.
     fn disconnect(&mut self, to: usize) {
         let engine = self.cluster.instances[to].backend.engine();
-        self.sessions[to] = engine.session(self.retry_limit);
+        self.sessions[to] = engine.session(self.cluster.retry_limit);
         self.replies[to].clear();
         self.unsettled = true;
     }
@@ -324,37 +303,12 @@ impl TwoPcLink for ClusterClient<'_> {
     }
 }
 
-impl Session for ClusterClient<'_> {
-    fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        // Routing and driving the round are this thread's management work;
-        // the instances' own spans nest inside it.
-        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        match self.submit_plan(plan) {
-            Ok(DeployReply::Outcome(o)) => Ok(SubmitOutcome {
-                committed: o.committed,
-                distributed: o.distributed,
-                retries: o.retries,
-            }),
-            Ok(DeployReply::ServerError(message)) => Err(ExecError::Rejected(message)),
-            Ok(DeployReply::InstanceDown(_)) => Err(ExecError::Gone),
-            Err(e) => Err(ExecError::Rejected(e.to_string())),
-        }
-    }
-
-    fn prepare(&mut self, _gtid: u64, _plan: &PlanRequest) -> Result<Vote, ExecError> {
-        Err(ExecError::NotAParticipant)
-    }
-
-    fn decide(&mut self, _gtid: u64, _commit: bool) -> Result<DecideOutcome, ExecError> {
-        Err(ExecError::NotAParticipant)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::DeployOutcome;
-    use islands_core::native::EngineMode;
+    use islands_core::native::{DecideOutcome, EngineMode};
+    use islands_dtxn::Vote;
     use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE};
     use std::sync::atomic::AtomicU64;
 
@@ -708,13 +662,6 @@ mod tests {
                     other => panic!("{mode}: expected a server error, got {other:?}"),
                 }
             }
-            // Through the engine surface a server fronts it by.
-            let err = Session::submit(&mut client, &plan(&[999_999], StepOp::Update)).unwrap_err();
-            assert!(matches!(err, ExecError::Rejected(ref m) if m.contains("999999")));
-            assert!(matches!(
-                Session::prepare(&mut client, 1, &plan(&[1], StepOp::Update)),
-                Err(ExecError::NotAParticipant)
-            ));
             drop(client);
             assert_eq!(
                 c.audit_sum().unwrap(),

@@ -405,9 +405,7 @@ impl Settler {
         let thread = std::thread::spawn(move || {
             let _scope = islands_obs::scope(&settled.metrics);
             let engine = settled.backend.engine();
-            let Some(bell) = engine.bell() else {
-                return;
-            };
+            let bell = engine.bell();
             loop {
                 // Read before the pass, so a ring during it is not missed.
                 let (seen, last) = (bell.rung(), stopped.load(Ordering::SeqCst));
@@ -431,9 +429,7 @@ impl Settler {
     /// Run one last pass, then stop.
     fn finish(self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(bell) = self.instance.backend.engine().bell() {
-            bell.ring();
-        }
+        self.instance.backend.engine().bell().ring();
         if self.thread.join().is_err() {
             eprintln!("islands-instance: the resolver pass panicked");
         }

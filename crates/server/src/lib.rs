@@ -6,25 +6,28 @@
 //! measures exactly that axis). A [`Deployment`] is that for real; the
 //! in-process [`Cluster`] is the same instances, routing and commit
 //! protocol with each message replaced by the function call that answers
-//! it, and can itself be fronted by a server:
+//! it. Both are driven the same way: each calling thread opens its own
+//! coordinator ([`DeployClient`], [`ClusterClient`]), which routes a plan
+//! to the one instance that owns it or runs 2PC across the instances it
+//! spans. Only partitions serve sessions; a server fronts exactly one.
 //!
 //! * [`wire`] — a hand-rolled length-prefixed wire protocol: framed
 //!   [`Request`]/[`Reply`] messages carrying
 //!   [`PlanRequest`](islands_workload::PlanRequest) submissions (and
 //!   [`TxnRequest`](islands_workload::TxnRequest) batches, which the
-//!   server lowers to plans on arrival) and typed
-//!   commit/abort/latency replies, with a streaming
+//!   server lowers to plans on arrival), 2PC branch and decision frames,
+//!   and typed commit/abort/latency replies, with a streaming
 //!   [`FrameReader`] that makes pipelining natural and
 //!   rejects oversized or truncated traffic instead of trusting it.
-//! * [`server`] — a multi-threaded acceptor: one session thread per
-//!   connection, each holding one engine
+//! * [`server`] — one partition ([`Backend`]) behind a multi-threaded
+//!   acceptor: one session thread per connection, each holding one engine
 //!   [`Session`](islands_core::native::Session) that every request frame
-//!   becomes a call on, run on that session thread in both engine modes;
-//!   request pipelining (frames that arrive together run back-to-back
-//!   and their replies flush in one write; nothing waits for frames that
-//!   have not arrived, though an idle session polls its socket briefly for
-//!   the next one before it sleeps), live counters, and graceful drain via
-//!   a wire message or the local handle.
+//!   becomes a call on, in both engine modes; request pipelining (frames
+//!   that arrive together run back-to-back and their replies flush in one
+//!   write; nothing waits for frames that have not arrived, though an idle
+//!   session polls its socket briefly for the next one before it sleeps),
+//!   live counters, and graceful drain via a wire message or the local
+//!   handle. A deployment child is one such server.
 //! * [`client`] — the blocking client library: single connections
 //!   ([`Client`]), one-write pipelining, connect-with-backoff.
 //! * [`deploy`] — what a deployment is ([`DeployConfig`], lowered to one
@@ -38,30 +41,31 @@
 //!   coordinator whose links are engine sessions instead of sockets
 //!   ([`ClusterClient`]).
 //!
-//! ```no_run
-//! use std::sync::Arc;
-//! use islands_server::{Client, Cluster, DeployConfig, Endpoint, Server, ServerConfig};
+//! ```
+//! use islands_server::{Cluster, DeployConfig, DeployReply};
 //! use islands_workload::{OpKind, TxnRequest};
 //!
-//! // 4 instances over 40 000 rows; `Deployment::spawn(&cfg)` would run the
-//! // same four partitions as pinned processes.
-//! let cfg = DeployConfig::default();
-//! let cluster = Arc::new(Cluster::build(&cfg).unwrap());
-//! let handle = Server::spawn(
-//!     cluster,
-//!     Endpoint::Uds("/tmp/islands.sock".into()),
-//!     ServerConfig::default(),
-//! ).unwrap();
-//!
-//! let mut client = Client::connect(handle.endpoint()).unwrap();
-//! let reply = client.submit(&TxnRequest {
+//! // 4 instances over 4 000 rows; `Deployment::spawn(&cfg)` would run the
+//! // same four partitions as pinned processes, driven through
+//! // `deployment.client()` exactly as the cluster is through `client()`.
+//! let cfg = DeployConfig {
+//!     total_rows: 4_000,
+//!     ..DeployConfig::default()
+//! };
+//! let cluster = Cluster::build(&cfg).unwrap();
+//! let mut client = cluster.client();
+//! let plan = TxnRequest {
 //!     kind: OpKind::Update,
-//!     keys: vec![1, 39_999],
+//!     keys: vec![1, 3_999],
 //!     multisite: true,
-//! }).unwrap();
-//! println!("{reply:?}");
-//! client.drain_server().unwrap();
-//! handle.join().unwrap();
+//! }
+//! .to_plan();
+//! let DeployReply::Outcome(out) = client.submit_plan(&plan).unwrap() else {
+//!     panic!("a well-formed plan gets an outcome");
+//! };
+//! assert!(out.committed && out.distributed);
+//! drop(client);
+//! assert_eq!(cluster.audit_sum().unwrap(), plan.write_rows());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,14 +1,16 @@
 //! The served deployment: acceptor, per-connection sessions, drain.
 //!
 //! [`Server::spawn_backend`] binds a Unix-domain-socket or TCP endpoint in
-//! front of a [`Backend`] and returns a handle. An acceptor thread hands
-//! each connection to its own session thread — the paper's shared-nothing
-//! processes talk over exactly these transports, so a served [`Cluster`]
-//! is the in-process deployment plus a real IPC boundary.
+//! front of one partition — a [`Backend`] — and returns a handle. An
+//! acceptor thread hands each connection to its own session thread: the
+//! paper's shared-nothing processes talk over exactly these transports, and
+//! a deployment child is one such server. Routing and 2PC coordination live
+//! with the caller ([`DeployClient`](crate::DeployClient)), never behind a
+//! socket.
 //!
 //! A connection is one engine [`Session`]: the session thread mints it from
 //! the backend's [`Engine`] when the connection opens and every Submit /
-//! Prepare / Decision frame is one call on it, whatever the backend
+//! Prepare / Decision frame is one call on it, whichever engine mode
 //! (`answer` — which is also how the in-process cluster's instances answer
 //! the frames their coordinator hands them by direct call). A
 //! [`PlanRequest`] is the only shape that crosses that call: the batch
@@ -62,7 +64,6 @@ use islands_obs::{BreakdownCategory, Metrics, Snapshot, TxnClass};
 use islands_storage::StorageError;
 use islands_workload::PlanRequest;
 
-use crate::cluster::Cluster;
 use crate::poll::{Caller, Callers, POLL_WINDOW};
 use crate::wire::{FrameReader, Reply, Request, WireMessage};
 
@@ -123,14 +124,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a server fronts: a whole in-process cluster, or one partition of a
-/// multi-process shared-nothing deployment.
+/// What a server fronts: one partition of a shared-nothing deployment, in
+/// either engine mode.
 #[derive(Clone)]
 pub enum Backend {
-    /// The embeddable deployment: routing and 2PC happen inside this
-    /// process, over the cluster's own partition instances; the wire carries
-    /// only submissions.
-    Cluster(Arc<Cluster>),
     /// One shared-nothing instance. Local submissions commit here;
     /// [`Request::Prepare`]/[`Request::Decision`] frames drive participant-
     /// side 2PC.
@@ -147,7 +144,6 @@ impl Backend {
     /// are told apart.
     pub(crate) fn engine(&self) -> &dyn Engine {
         match self {
-            Backend::Cluster(cluster) => &**cluster,
             Backend::Partition(engine) => &**engine,
             Backend::Executor(executor) => &**executor,
         }
@@ -204,9 +200,14 @@ impl Instance {
 }
 
 /// `metrics`' snapshot, with what `engine` knows filled in.
+///
+/// The engine is read before the registry: a decided branch has its
+/// resolution recorded before it leaves the in-doubt table, so a snapshot
+/// that finds it gone also counts how it was resolved.
 pub(crate) fn snapshot(metrics: &Metrics, engine: &dyn Engine) -> Snapshot {
-    let mut snap = metrics.snapshot();
+    let mut snap = Snapshot::default();
     engine.observe(&mut snap);
+    snap.merge(&metrics.snapshot());
     snap
 }
 
@@ -511,19 +512,10 @@ impl Shutdown {
     }
 }
 
-/// Namespace for [`Server::spawn`].
+/// Namespace for [`Server::spawn_backend`].
 pub struct Server;
 
 impl Server {
-    /// Bind `endpoint` and serve `cluster` until drained.
-    pub fn spawn(
-        cluster: Arc<Cluster>,
-        endpoint: Endpoint,
-        config: ServerConfig,
-    ) -> io::Result<ServerHandle> {
-        Self::spawn_backend(Backend::Cluster(cluster), endpoint, config)
-    }
-
     /// Bind `endpoint` and serve `backend` until drained, with a registry
     /// of the server's own.
     pub fn spawn_backend(
@@ -578,10 +570,10 @@ impl ServerHandle {
 
     /// The server's wire counters now.
     pub fn stats(&self) -> ServerStats {
-        let mut snap = self.metrics.snapshot();
-        self.backend
-            .iter()
-            .for_each(|b| b.engine().observe(&mut snap));
+        let snap = match &self.backend {
+            Some(backend) => snapshot(&self.metrics, backend.engine()),
+            None => self.metrics.snapshot(),
+        };
         ServerStats::from(&snap)
     }
 
@@ -820,7 +812,10 @@ pub(crate) fn session_loop(
 /// Answer one request frame from `session`: the whole mapping from frames to
 /// engine calls and back, `metrics`' counters included. A socket session calls it per
 /// decoded frame; the in-process cluster's coordinator calls it directly,
-/// which is what makes its function call the message. [`Request::Drain`] is
+/// which is what makes its function call the message. A partition commits
+/// only what is local to it, so a committed submit is always
+/// `Reply::Committed { distributed: false, .. }`: whether a transaction
+/// was distributed is its coordinator's to report. [`Request::Drain`] is
 /// only acknowledged here — stopping is up to whoever owns the connection
 /// (a socket session stops on the [`Reply::Draining`] it flushes).
 pub(crate) fn answer(

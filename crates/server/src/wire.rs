@@ -133,8 +133,7 @@ impl From<WireError> for io::Error {
 }
 
 /// Client → server message. `Prepare` and `Decision` are spoken by a 2PC
-/// coordinator to a participant instance; a server fronting a whole cluster
-/// answers them with [`Reply::Error`].
+/// coordinator to a participant instance: every server fronts one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Run this micro batch to completion and report the outcome. The
@@ -193,7 +192,10 @@ pub enum Request {
 pub enum Reply {
     /// Transaction committed.
     Committed {
-        /// Whether it ran two-phase commit across instances.
+        /// Whether it ran two-phase commit across instances. Every server
+        /// fronts one partition, which commits only what is local to it,
+        /// so a server always answers `false`; the coordinator
+        /// ([`DeployOutcome`](crate::DeployOutcome)) reports the 2PC.
         distributed: bool,
         /// Contention aborts retried server-side before the commit.
         retries: u32,

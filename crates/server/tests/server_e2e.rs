@@ -1,5 +1,5 @@
-//! End-to-end tests: a served in-process cluster, and single partition
-//! instances, over real sockets.
+//! End-to-end tests: single partition instances, locked and serial, served
+//! over real sockets.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -9,8 +9,7 @@ use std::time::Duration;
 
 use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
 use islands_server::{
-    Backend, Client, Cluster, DeployConfig, Endpoint, Reply, Request, Server, ServerConfig,
-    ServerHandle,
+    Backend, Client, Endpoint, Reply, Request, Server, ServerConfig, ServerHandle,
 };
 use islands_workload::{OpKind, PlanBranch, TxnBranch, TxnRequest};
 
@@ -23,22 +22,13 @@ fn uds_endpoint() -> Endpoint {
     Endpoint::Uds(p)
 }
 
-fn cluster() -> Arc<Cluster> {
-    Arc::new(
-        Cluster::build(&DeployConfig {
-            instances: 4,
-            total_rows: 400,
-            row_size: 16,
-            ..Default::default()
-        })
-        .unwrap(),
-    )
-}
-
-fn spawn(endpoint: Endpoint) -> (Arc<Cluster>, ServerHandle) {
-    let c = cluster();
-    let h = Server::spawn(Arc::clone(&c), endpoint, ServerConfig::default()).unwrap();
-    (c, h)
+/// The server-mechanics tests' subject: one locked partition over keys
+/// 0..400, served at `endpoint`.
+fn spawn(endpoint: Endpoint) -> (Arc<PartitionEngine>, ServerHandle) {
+    let engine = spawn_partition_engine(0, 400);
+    let backend = Backend::Partition(Arc::clone(&engine));
+    let handle = Server::spawn_backend(backend, endpoint, ServerConfig::default()).unwrap();
+    (engine, handle)
 }
 
 fn update(keys: &[u64]) -> TxnRequest {
@@ -50,21 +40,19 @@ fn update(keys: &[u64]) -> TxnRequest {
 }
 
 #[test]
-fn uds_submit_local_and_distributed() {
-    let (cluster, handle) = spawn(uds_endpoint());
+fn uds_submits_commit_locally_whatever_their_class() {
+    let (engine, handle) = spawn(uds_endpoint());
     let mut client = Client::connect(handle.endpoint()).unwrap();
 
-    // Keys 0..100 live in instance 0: local, no 2PC.
-    match client.submit(&update(&[1, 2])).unwrap() {
-        Reply::Committed { distributed, .. } => assert!(!distributed),
-        other => panic!("unexpected reply {other:?}"),
+    // A partition commits only what is local to it: a plan flagged
+    // multisite that it owns whole commits here too, without 2PC.
+    for keys in [&[1, 2][..], &[10, 390]] {
+        match client.submit(&update(keys)).unwrap() {
+            Reply::Committed { distributed, .. } => assert!(!distributed, "{keys:?}"),
+            other => panic!("unexpected reply {other:?}"),
+        }
     }
-    // Keys spanning instances 0 and 3: distributed.
-    match client.submit(&update(&[10, 390])).unwrap() {
-        Reply::Committed { distributed, .. } => assert!(distributed),
-        other => panic!("unexpected reply {other:?}"),
-    }
-    assert_eq!(cluster.audit_sum().unwrap(), 4);
+    assert_eq!(engine.audit_sum().unwrap(), 4);
 
     assert!(client.ping().unwrap() < Duration::from_secs(1));
     client.drain_server().unwrap();
@@ -77,7 +65,7 @@ fn uds_submit_local_and_distributed() {
 
 #[test]
 fn tcp_round_trip_works() {
-    let (_cluster, handle) = spawn(Endpoint::Tcp("127.0.0.1:0".parse().unwrap()));
+    let (_engine, handle) = spawn(Endpoint::Tcp("127.0.0.1:0".parse().unwrap()));
     // Port 0 resolved to a real port.
     match handle.endpoint() {
         Endpoint::Tcp(addr) => assert_ne!(addr.port(), 0),
@@ -94,20 +82,20 @@ fn tcp_round_trip_works() {
 
 #[test]
 fn pipelined_replies_come_back_in_order() {
-    let (cluster, handle) = spawn(uds_endpoint());
+    let (engine, handle) = spawn(uds_endpoint());
     let mut client = Client::connect(handle.endpoint()).unwrap();
     let batch: Vec<TxnRequest> = (0..50).map(|i| update(&[i * 7 % 400])).collect();
     let replies = client.submit_pipelined(&batch).unwrap();
     assert_eq!(replies.len(), 50);
     assert!(replies.iter().all(|r| matches!(r, Reply::Committed { .. })));
-    assert_eq!(cluster.audit_sum().unwrap(), 50);
+    assert_eq!(engine.audit_sum().unwrap(), 50);
     client.drain_server().unwrap();
     handle.join().unwrap();
 }
 
 #[test]
 fn unsatisfiable_request_gets_error_reply_and_connection_survives() {
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     let mut client = Client::connect(handle.endpoint()).unwrap();
     match client.submit(&update(&[999_999])).unwrap() {
         Reply::Error { message } => assert!(message.contains("key not found"), "{message}"),
@@ -126,7 +114,7 @@ fn unsatisfiable_request_gets_error_reply_and_connection_survives() {
 
 #[test]
 fn oversized_frame_is_answered_with_error_and_hangup() {
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     let path = match handle.endpoint() {
         Endpoint::Uds(p) => PathBuf::from(p),
         other => panic!("expected uds, got {other}"),
@@ -159,7 +147,7 @@ fn oversized_frame_is_answered_with_error_and_hangup() {
 
 #[test]
 fn drain_completes_while_a_client_keeps_sending() {
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     let ep = handle.endpoint().clone();
     // A client that never stops submitting: its session must still exit
     // once a drain lands (after answering the batch in flight).
@@ -187,7 +175,7 @@ fn drain_completes_while_a_client_keeps_sending() {
 #[test]
 fn bad_frame_mid_pipeline_gets_prior_replies_then_error() {
     use islands_server::{Request, WireMessage};
-    let (cluster, handle) = spawn(uds_endpoint());
+    let (engine, handle) = spawn(uds_endpoint());
     let path = match handle.endpoint() {
         Endpoint::Uds(p) => PathBuf::from(p),
         other => panic!("expected uds, got {other}"),
@@ -228,7 +216,7 @@ fn bad_frame_mid_pipeline_gets_prior_replies_then_error() {
         Reply::Error { message } => assert!(message.contains("protocol error"), "{message}"),
         other => panic!("unexpected reply {other:?}"),
     }
-    assert_eq!(cluster.audit_sum().unwrap(), 1);
+    assert_eq!(engine.audit_sum().unwrap(), 1);
     handle.initiate_shutdown();
     handle.join().unwrap();
 }
@@ -417,25 +405,8 @@ fn a_dropped_coordinator_connection_leaves_its_branch_parked_until_decided() {
 }
 
 #[test]
-fn cluster_backend_rejects_2pc_frames() {
-    let (_cluster, handle) = spawn(uds_endpoint());
-    let mut client = Client::connect(handle.endpoint()).unwrap();
-    client.send_request(&prepare(1, &[1])).unwrap();
-    assert!(matches!(client.recv_reply().unwrap(), Reply::Error { .. }));
-    client
-        .send_request(&Request::Decision {
-            gtid: 1,
-            commit: false,
-        })
-        .unwrap();
-    assert!(matches!(client.recv_reply().unwrap(), Reply::Error { .. }));
-    client.drain_server().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
 fn drain_while_other_clients_are_connected() {
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     let mut idle_client = Client::connect(handle.endpoint()).unwrap();
     assert!(matches!(
         idle_client.submit(&update(&[5])).unwrap(),
@@ -455,7 +426,7 @@ fn connection_churn_is_survived_and_counted() {
     // Companion to the SessionSet unit regression: a server under rapid
     // connect/use/disconnect churn keeps accepting, serves every
     // connection, and drains cleanly afterwards.
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     const CHURN: u64 = 150;
     for i in 0..CHURN {
         let mut c = Client::connect(handle.endpoint()).unwrap();
@@ -976,7 +947,7 @@ fn fresh_connection_is_served_in_under_a_millisecond() {
     // long-idle server must still complete a full connect + ping round
     // trip in well under a millisecond (best-of-N to shrug off scheduler
     // noise on loaded CI machines).
-    let (_cluster, handle) = spawn(uds_endpoint());
+    let (_engine, handle) = spawn(uds_endpoint());
     // Let the acceptor go fully idle (escalated to its capped park).
     std::thread::sleep(Duration::from_millis(50));
     let mut best = Duration::MAX;

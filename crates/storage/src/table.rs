@@ -128,23 +128,21 @@ impl Table {
         if self.row_count() != 0 || self.index.height() != 1 {
             return Err(StorageError::NotEmpty(format!("table {}", self.name)));
         }
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(rows.size_hint().0);
+        let (mut prev, mut count) = (None, 0);
         for (key, payload) in rows.clone() {
             self.check_payload(payload.as_ref())?;
-            if let Some(&(prev, _)) = entries.last() {
+            if let Some(prev) = prev {
                 check_ascending(prev, key)?;
             }
-            entries.push((key, 0));
+            (prev, count) = (Some(key), count + 1);
         }
-        self.heap.append(
-            8 + self.row_size,
-            rows.zip(&mut entries),
-            |((key, payload), entry), rid, rec| {
-                entry.1 = rid.pack();
+        let mut entries = Vec::with_capacity(count);
+        self.heap
+            .append(8 + self.row_size, rows, |(key, payload), rid, rec| {
+                entries.push((key, rid.pack()));
                 rec[..8].copy_from_slice(&key.to_le_bytes());
                 rec[8..].copy_from_slice(payload.as_ref());
-            },
-        )?;
+            })?;
         self.index.load(&entries)
     }
 
