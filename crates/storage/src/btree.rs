@@ -511,12 +511,13 @@ impl BTree {
         let mut node = Page::new();
         let mut chunks = entries.chunks(self.max_keys);
         let head = chunks.next().expect("entries is not empty");
-        // Leaves after the first: their pages allocated up front, so each
-        // is written once, whole and chained to the next.
+        // Leaves after the first: their pages allocated up front, one run,
+        // so each is written once, whole and chained to the next.
         let mut level = Vec::with_capacity(entries.len() / self.max_keys + 1);
         level.push((head[0].0, first.pid()));
-        for chunk in chunks.clone() {
-            level.push((chunk[0].0, store.allocate()?));
+        let leaves = store.allocate_run(chunks.len() as u64)?;
+        for (i, chunk) in chunks.clone().enumerate() {
+            level.push((chunk[0].0, PageId(leaves.0 + i as u64)));
         }
         for (i, chunk) in chunks.enumerate() {
             init_leaf(&mut node);

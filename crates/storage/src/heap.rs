@@ -9,17 +9,41 @@
 //! pool: the tail page, or a fresh pool page chained behind it. A bulk
 //! load's worth ([`append`](HeapFile::append)) fills the tail's room
 //! through its frame and writes every further page straight to the page
-//! store, so a load larger than the pool neither fills nor evicts it. A
-//! record no empty page can hold is refused before a page is allocated for
-//! it.
+//! store, so a load larger than the pool neither fills nor evicts it;
+//! those pages are built by as many workers as the load is worth and the
+//! calling thread may run on, each on its own contiguous run of page ids.
+//! A record no empty page can hold is refused before a page is allocated
+//! for it.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, Rid, MAX_RECORD};
+use crate::page::{records_per_page, Page, PageId, Rid, MAX_RECORD};
+
+/// Fresh pages a load worker is given at the least: a thread costs tens of
+/// microseconds to start, a page a few to build.
+const MIN_WORKER_PAGES: u64 = 256;
+
+/// The cpus this thread may run on (its affinity mask, or its cgroup's
+/// quota if smaller): a load spreads its fresh pages over at most this
+/// many workers.
+pub fn load_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Workers for a load of `pages` fresh pages: one per `MIN_WORKER_PAGES`,
+/// up to [`load_workers`], which is not asked when one worker is all a
+/// load can have.
+pub(crate) fn worker_count(pages: u64) -> usize {
+    match pages / MIN_WORKER_PAGES {
+        0 | 1 => 1,
+        most => load_workers().min(most as usize),
+    }
+}
 
 /// A heap file over a buffer pool.
 pub struct HeapFile {
@@ -125,63 +149,116 @@ impl HeapFile {
         })
     }
 
-    /// Append one `len`-byte record per item, in order, `write` filling each
-    /// in place and told its RID: the tail page's room first, through its
-    /// frame, then fresh pages built one at a time in a single page buffer
-    /// and written straight to the store, each chained to the next. No
-    /// fresh page takes a pool frame; the pool reads them in on first use.
-    /// The tail stays write-latched until the last fresh page is in the
-    /// store and only then links to the first, so no scan follows the chain
-    /// into a page not yet written.
-    pub fn append<T>(
+    /// Append `count` records of `len` bytes, in order, each written in
+    /// place by a writer `part` hands out. `part` is called on this thread
+    /// once per run of consecutive records, with the run's ordinals and in
+    /// order; its writer is then called once per record of that run, in
+    /// order, with the record's RID and its bytes.
+    ///
+    /// The tail page's room is filled first, through its frame, on this
+    /// thread. The fresh pages after it get contiguous ids from one
+    /// [`allocate_run`](crate::store::PageStore::allocate_run), so where a
+    /// record lands is a function of its ordinal alone, and they are split
+    /// into contiguous ranges, one per worker: up to one per cpu this
+    /// thread may run on ([`load_workers`]), each given at least
+    /// `MIN_WORKER_PAGES`.
+    /// A worker builds its pages in its own page buffer and writes each
+    /// straight to the store, chained to the next id; the first worker is
+    /// this thread, so a one-worker load spawns nothing. No fresh page
+    /// takes a pool frame; the pool reads them in on first use. The tail
+    /// stays write-latched until every range is in the store and only then
+    /// links to the first fresh page, so no scan follows the chain into a
+    /// page not yet written.
+    pub fn append<W>(
         &self,
         len: usize,
-        items: impl IntoIterator<Item = T>,
-        mut write: impl FnMut(T, Rid, &mut [u8]),
-    ) -> Result<()> {
+        count: usize,
+        part: impl FnMut(Range<usize>) -> W,
+    ) -> Result<()>
+    where
+        W: FnMut(Rid, &mut [u8]) + Send,
+    {
+        self.append_with(worker_count, len, count, part)
+    }
+
+    /// [`append`](Self::append) over `workers(fresh pages)` workers (at
+    /// most one per fresh page).
+    pub(crate) fn append_with<W>(
+        &self,
+        workers: impl FnOnce(u64) -> usize,
+        len: usize,
+        count: usize,
+        mut part: impl FnMut(Range<usize>) -> W,
+    ) -> Result<()>
+    where
+        W: FnMut(Rid, &mut [u8]) + Send,
+    {
         if len > MAX_RECORD {
             // Refused before a page is allocated for it.
             return Err(StorageError::RecordTooLarge(len));
         }
-        let mut items = items.into_iter().peekable();
-        if items.peek().is_none() {
+        if count == 0 {
             return Ok(());
         }
         let mut st = self.state.lock();
         let tail = self.pool.fetch(st.tail)?;
         let mut tail_page = tail.write();
-        let (page, mut records) = (tail.pid, 0);
-        while tail_page.has_room(len) {
-            let Some(item) = items.next() else { break };
-            let (slot, space) = tail_page.reserve_record(len).expect("room was checked");
-            write(item, Rid { page, slot }, space);
-            records += 1;
+        let (page, in_tail) = (tail.pid, tail_page.room_for(len).min(count));
+        let mut write = part(0..in_tail);
+        for _ in 0..in_tail {
+            let (slot, space) = tail_page.reserve_record(len).expect("room was counted");
+            write(Rid { page, slot }, space);
         }
         tail.mark_dirty();
-        if items.peek().is_some() {
+        let fresh = count - in_tail;
+        if fresh > 0 {
+            let per_page = records_per_page(len);
+            let pages = fresh.div_ceil(per_page);
             let store = self.pool.store();
-            let first = store.allocate()?;
-            let (mut pid, mut pages) = (first, 1);
-            let mut fresh = Page::new();
-            fresh.init_slotted();
-            for item in items {
-                if !fresh.has_room(len) {
-                    let next = store.allocate()?;
-                    fresh.set_next_page(next);
-                    store.write_page(pid, &fresh)?;
-                    fresh.init_slotted();
-                    (pid, pages) = (next, pages + 1);
+            let first = store.allocate_run(pages as u64)?;
+            // Fresh page `p` (0-based) holds the records `in_tail +
+            // p * per_page ..`; worker `w` builds pages `w * pages / n ..`.
+            let n = workers(pages as u64).clamp(1, pages);
+            let mut ranges = (0..n).map(|w| {
+                let span = w * pages / n..(w + 1) * pages / n;
+                let records =
+                    in_tail + span.start * per_page..(in_tail + span.end * per_page).min(count);
+                (span, part(records))
+            });
+            let build = |(span, mut write): (Range<usize>, W)| -> Result<()> {
+                let mut page = Page::new();
+                for p in span {
+                    let pid = PageId(first.0 + p as u64);
+                    page.init_slotted();
+                    for _ in 0..per_page.min(fresh - p * per_page) {
+                        let (slot, space) =
+                            page.reserve_record(len).expect("an empty page holds it");
+                        write(Rid { page: pid, slot }, space);
+                    }
+                    if p + 1 < pages {
+                        page.set_next_page(PageId(pid.0 + 1));
+                    }
+                    store.write_page(pid, &page)?;
                 }
-                let (slot, space) = fresh.reserve_record(len).expect("an empty page holds it");
-                write(item, Rid { page: pid, slot }, space);
-                records += 1;
-            }
-            store.write_page(pid, &fresh)?;
+                Ok(())
+            };
+            std::thread::scope(|scope| {
+                let (build, mine) = (&build, ranges.next().expect("one worker at least"));
+                let others: Vec<_> = ranges.map(|r| scope.spawn(move || build(r))).collect();
+                let mut built = build(mine);
+                for worker in others {
+                    let theirs = worker
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    built = built.and(theirs);
+                }
+                built
+            })?;
             tail_page.set_next_page(first);
-            st.tail = pid;
-            st.pages += pages;
+            st.tail = PageId(first.0 + pages as u64 - 1);
+            st.pages += pages as u64;
         }
-        st.records += records;
+        st.records += count as u64;
         Ok(())
     }
 
@@ -251,7 +328,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
+    use crate::store::{image, FileStore, MemStore, PageStore};
 
     fn heap(frames: usize) -> HeapFile {
         let pool = BufferPool::new(Arc::new(MemStore::new()), frames);
@@ -315,30 +392,82 @@ mod tests {
         assert_eq!(h2.read(rid).unwrap(), rec.to_vec());
     }
 
+    /// Every live record as `(rid, bytes)`, in chain order.
+    fn records(h: &HeapFile) -> Vec<(Rid, Vec<u8>)> {
+        let mut all = Vec::new();
+        h.scan(|rid, bytes| all.push((rid, bytes.to_vec())))
+            .unwrap();
+        all
+    }
+
+    /// An append writer that fills record `i` with byte `i + 10`.
+    fn numbered(span: Range<usize>) -> impl FnMut(Rid, &mut [u8]) + Send {
+        let mut i = span.start;
+        move |_, rec| {
+            rec.fill((i as u8).wrapping_add(10));
+            i += 1;
+        }
+    }
+
     #[test]
     fn append_fills_pages_in_order_and_inserts_continue_behind_it() {
         let h = heap(64);
         h.insert(&[1u8; 1000]).unwrap();
-        let mut rids = Vec::new();
-        h.append(1000, 0..20u8, |i, rid, rec| {
-            rec.fill(i + 10);
-            rids.push(rid);
-        })
-        .unwrap();
-        assert_eq!(rids[0].page, h.head(), "the tail's room is used first");
-        assert!(rids
+        h.append(1000, 20, numbered).unwrap();
+        let all = records(&h);
+        assert_eq!(all[1].0.page, h.head(), "the tail's room is used first");
+        assert!(all
             .windows(2)
-            .all(|w| (w[0].page, w[0].slot) < (w[1].page, w[1].slot)));
-        for (i, rid) in rids.iter().enumerate() {
-            assert_eq!(h.read(*rid).unwrap(), vec![i as u8 + 10; 1000]);
+            .all(|w| (w[0].0.page, w[0].0.slot) < (w[1].0.page, w[1].0.slot)));
+        for (i, (_, bytes)) in all[1..].iter().enumerate() {
+            assert_eq!(*bytes, vec![i as u8 + 10; 1000]);
         }
         // 8 records of 1004 bytes fit a page: 21 records take 3 pages.
         assert_eq!((h.record_count(), h.page_count()), (21, 3));
         let last = h.insert(&[2u8; 1000]).unwrap();
-        assert_eq!(last.page, rids[19].page);
-        let mut seen = 0;
-        h.scan(|_, _| seen += 1).unwrap();
-        assert_eq!(seen, 22, "one chain from the head");
+        assert_eq!(last.page, all[20].0.page);
+        assert_eq!(records(&h).len(), 22, "one chain from the head");
+    }
+
+    #[test]
+    fn a_parallel_append_builds_the_pages_a_serial_one_does() {
+        let dir = std::env::temp_dir().join(format!("islands-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // 100-byte records: 78 to a page. Counts that are not a multiple
+        // of a page or of any worker's span, one page and no fresh page.
+        for (inserted, count) in [(0, 1000), (5, 1000), (3, 78 * 7), (1, 40), (0, 78)] {
+            let built: Vec<_> = (1..=3)
+                .flat_map(|workers| [false, true].map(|on_file| (workers, on_file)))
+                .map(|(workers, on_file)| {
+                    let store: Arc<dyn PageStore> = if on_file {
+                        let path = dir.join(format!("{inserted}-{count}-{workers}.db"));
+                        let _ = std::fs::remove_file(&path);
+                        Arc::new(FileStore::open(&path).unwrap())
+                    } else {
+                        Arc::new(MemStore::new())
+                    };
+                    let pool = BufferPool::new(Arc::clone(&store), 16);
+                    let h = HeapFile::create(Arc::clone(&pool)).unwrap();
+                    for _ in 0..inserted {
+                        h.insert(&[1u8; 100]).unwrap();
+                    }
+                    h.append_with(|_| workers, 100, count, numbered).unwrap();
+                    let counts = (h.page_count(), h.record_count());
+                    let read = records(&h);
+                    pool.flush_all().unwrap();
+                    (counts, read, image(&*store))
+                })
+                .collect();
+            let serial = &built[0];
+            assert_eq!(serial.0 .1, (inserted + count) as u64);
+            for (i, (_, bytes)) in serial.1[inserted..].iter().enumerate() {
+                assert_eq!(*bytes, vec![(i as u8).wrapping_add(10); 100], "record {i}");
+            }
+            for other in &built[1..] {
+                assert!(*other == *serial, "{inserted} inserted, {count} appended");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -354,7 +483,7 @@ mod tests {
                 Err(StorageError::RecordTooLarge(n)) if n == too_big
             ));
             assert!(matches!(
-                h.append(too_big, 0..2, |_, _, _| {}),
+                h.append(too_big, 2, |_| |_, _| {}),
                 Err(StorageError::RecordTooLarge(_))
             ));
         }

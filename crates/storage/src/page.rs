@@ -168,6 +168,11 @@ const DEAD: u16 = u16::MAX;
 /// Largest record an empty slotted page holds (with its slot entry).
 pub const MAX_RECORD: usize = PAGE_SIZE - DATA_START - SLOT_ENTRY;
 
+/// How many `len`-byte records an empty slotted page holds.
+pub(crate) const fn records_per_page(len: usize) -> usize {
+    (PAGE_SIZE - DATA_START) / (len + SLOT_ENTRY)
+}
+
 /// Slotted-page operations, implemented directly on [`Page`].
 impl Page {
     /// Format this page as an empty slotted page.
@@ -208,6 +213,14 @@ impl Page {
     /// Whether a `len`-byte record and its slot entry fit.
     pub fn has_room(&self, len: usize) -> bool {
         len <= MAX_RECORD && self.free_space() >= len + SLOT_ENTRY
+    }
+
+    /// How many more `len`-byte records fit, each with its slot entry.
+    pub(crate) fn room_for(&self, len: usize) -> usize {
+        if len > MAX_RECORD {
+            return 0;
+        }
+        self.free_space() / (len + SLOT_ENTRY)
     }
 
     /// Append a record; returns its slot number or `None` if it doesn't fit
@@ -352,6 +365,29 @@ mod tests {
         assert!(p.free_space() < 104);
         // Still intact after fill.
         assert_eq!(p.get_record(n as u16 - 1).unwrap(), &rec[..]);
+    }
+
+    #[test]
+    fn room_for_counts_the_records_reserve_record_takes() {
+        for len in [0, 1, 8, 72, 100, 1000, 4000, MAX_RECORD, MAX_RECORD + 1] {
+            for already in [0, 1, 3] {
+                let mut p = Page::new();
+                p.init_slotted();
+                for _ in 0..already {
+                    p.insert_record(b"0123456789");
+                }
+                let room = p.room_for(len);
+                if already == 0 {
+                    assert_eq!(room, records_per_page(len), "len {len}");
+                }
+                let mut taken = 0;
+                while p.reserve_record(len).is_some() {
+                    taken += 1;
+                }
+                assert_eq!(taken, room, "len {len} after {already}");
+                assert_eq!(p.room_for(len), 0);
+            }
+        }
     }
 
     #[test]

@@ -117,11 +117,24 @@ impl Table {
     /// ([`HeapFile::append`], [`BTree::load`]); only the two pages already
     /// resident, the heap's tail and the index's root leaf (written last,
     /// publishing the index), go through their frames. The pool takes the
-    /// rest on first use.
+    /// rest on first use. The heap's fresh pages may be built on more than
+    /// one thread: each worker walks its own clone of `rows` from its first
+    /// row and fills its own slice of the index entries.
     pub fn load<I, P>(&self, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (u64, P)>,
-        I::IntoIter: Clone,
+        I::IntoIter: Clone + Send,
+        P: AsRef<[u8]>,
+    {
+        self.load_with(crate::heap::worker_count, rows)
+    }
+
+    /// [`load`](Self::load) with the heap built by `workers(fresh pages)`
+    /// workers.
+    pub(crate) fn load_with<I, P>(&self, workers: impl FnOnce(u64) -> usize, rows: I) -> Result<()>
+    where
+        I: IntoIterator<Item = (u64, P)>,
+        I::IntoIter: Clone + Send,
         P: AsRef<[u8]>,
     {
         let rows = rows.into_iter();
@@ -136,12 +149,19 @@ impl Table {
             }
             (prev, count) = (Some(key), count + 1);
         }
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = vec![(0, 0); count];
+        let mut unfilled = &mut entries[..];
         self.heap
-            .append(8 + self.row_size, rows, |(key, payload), rid, rec| {
-                entries.push((key, rid.pack()));
-                rec[..8].copy_from_slice(&key.to_le_bytes());
-                rec[8..].copy_from_slice(payload.as_ref());
+            .append_with(workers, 8 + self.row_size, count, |span| {
+                let (mine, rest) = std::mem::take(&mut unfilled).split_at_mut(span.len());
+                unfilled = rest;
+                let (mut rows, mut mine) = (rows.clone().skip(span.start), mine.iter_mut());
+                move |rid, rec| {
+                    let (key, payload) = rows.next().expect("the check pass counted it");
+                    *mine.next().expect("one entry per row") = (key, rid.pack());
+                    rec[..8].copy_from_slice(&key.to_le_bytes());
+                    rec[8..].copy_from_slice(payload.as_ref());
+                }
             })?;
         self.index.load(&entries)
     }
@@ -218,7 +238,7 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     use super::*;
-    use crate::store::MemStore;
+    use crate::store::{image, FileStore, MemStore, PageStore};
 
     fn table(row_size: usize) -> Table {
         let pool = BufferPool::new(Arc::new(MemStore::new()), 1024);
@@ -311,6 +331,43 @@ mod tests {
         // Inserts continue behind the loaded tail, through the pool.
         t.insert_row(ROWS, &row(ROWS)).unwrap();
         assert_eq!(t.range(ROWS - 1, u64::MAX).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_parallel_load_builds_the_store_a_serial_one_does() {
+        let dir = std::env::temp_dir().join(format!("islands-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let row = |k: u64| k.to_le_bytes().repeat(7);
+        // 64-byte records, 120 to a page: none past the empty tail, one,
+        // and counts no page or worker span divides.
+        for rows in [1u64, 121, 1000, 4321] {
+            let keys = || (0..rows).map(|k| (3 * k + 1, row(k)));
+            let built: Vec<_> = (1..=3)
+                .flat_map(|workers| [false, true].map(|on_file| (workers, on_file)))
+                .map(|(workers, on_file)| {
+                    let store: Arc<dyn PageStore> = if on_file {
+                        let path = dir.join(format!("{rows}-{workers}.db"));
+                        let _ = std::fs::remove_file(&path);
+                        Arc::new(FileStore::open(&path).unwrap())
+                    } else {
+                        Arc::new(MemStore::new())
+                    };
+                    let pool = BufferPool::new(Arc::clone(&store), 64);
+                    let t = Table::create(Arc::clone(&pool), 3, "t", 56).unwrap();
+                    t.load_with(|_| workers, keys()).unwrap();
+                    let read = t.range(0, u64::MAX).unwrap();
+                    pool.flush_all().unwrap();
+                    (t.meta(), read, image(&*store))
+                })
+                .collect();
+            let serial = &built[0];
+            assert!(serial.1.iter().cloned().eq(keys()), "{rows} rows read back");
+            for other in &built[1..] {
+                assert_eq!(other.0, serial.0, "{rows} rows");
+                assert!(*other == *serial, "{rows} rows");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example locked_scaling -- SESSIONS SECONDS`
 //!
-//! Prints how long the partition took to build and how many pool frames
-//! hold page memory after it, then throughput, user/sys CPU per transaction
+//! Prints how long the partition took to build, on how many load workers
+//! (one per cpu the process may run on), and how many pool frames hold
+//! page memory after it, then throughput, user/sys CPU per transaction
 //! (`/proc/self/stat`; zero where there is no procfs), retries, lock waits
 //! and wait-die kills, pool hits and misses per transaction, and how steady
 //! the run was (IQR/median of the 250 ms windows).
@@ -71,9 +72,11 @@ fn main() {
     })
     .expect("build the partition");
     let pool = engine.instance().pool();
+    let workers = oltp_islands::storage::heap::load_workers();
     println!(
-        "build {:.1} ms  frames with memory {} of {}",
+        "build {:.1} ms on {workers} worker{}  frames with memory {} of {}",
         building.elapsed().as_secs_f64() * 1e3,
+        if workers == 1 { "" } else { "s" },
         pool.frames_with_memory(),
         pool.capacity(),
     );
