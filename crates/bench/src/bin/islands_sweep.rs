@@ -39,8 +39,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use islands_bench::drive::{
-    class_json, drive, instance_json, percentile, ClassTally, DriveConfig, DriveResult,
-    DriveTarget, DriveWorkload, TeardownReport,
+    class_json, drive, instance_json, ClassTally, DriveConfig, DriveResult, DriveTarget,
+    DriveWorkload, TeardownReport,
 };
 use islands_core::native::EngineMode;
 use islands_hwtopo::{granularity_configs, HostTopology};
@@ -415,9 +415,6 @@ struct Cell {
     /// `"proc"`, `"inproc"` or `"external"`.
     deploy: &'static str,
     result: DriveResult,
-    /// How far the deployment's audit sum moved over the drive; `None` for
-    /// an external server, whose other clients this run cannot see.
-    audit_delta: Option<u64>,
     coordinator_presumed_aborts: u64,
     teardown: TeardownReport,
     pinned: bool,
@@ -548,21 +545,6 @@ impl Stand {
         }
     }
 
-    /// The deployment-wide audit sum (committed row writes applied), for a
-    /// deployment this run stood up: `None` for an external server.
-    fn audit(&self) -> Result<Option<u64>, String> {
-        match self {
-            Stand::Proc(d) => d
-                .client()
-                .and_then(|mut c| c.audit_total())
-                .map_err(|e| e.to_string()),
-            Stand::Inproc(cluster) => cluster.audit_sum().map_err(|e| e.to_string()),
-            Stand::External(_) => return Ok(None),
-        }
-        .map(Some)
-        .map_err(|e| format!("audit: {e}"))
-    }
-
     /// Every instance's stats: a `Stats` frame from each serving process,
     /// or each cluster instance's own snapshot, as a proc cell reads each
     /// child.
@@ -644,16 +626,11 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
             shared.n_sites,
         )
     };
-    // Audit before and after the drive, and scrape every instance's live
-    // stats while the deployment still serves (drive has finished,
-    // teardown has not begun): the cell's Fig. 11 breakdown, straight from
-    // the phase spans each instance accumulated.
-    let driven = stand.audit().and_then(|before| {
-        let result = drive(&stand.target(), &cfg)?;
-        let after = stand.audit()?;
-        let delta = before.zip(after).map(|(b, a)| a.wrapping_sub(b));
-        Ok((result, delta, stand.scrape()?))
-    });
+    // Drive (which also measures how far the audit sum moved), then scrape
+    // every instance's live stats while the deployment still serves (drive
+    // has finished, teardown has not begun): the cell's Fig. 11 breakdown,
+    // straight from the phase spans each instance accumulated.
+    let driven = drive(&stand.target(), &cfg).and_then(|result| Ok((result, stand.scrape()?)));
     let (pinned, coordinator_presumed_aborts) = match &stand {
         Stand::Proc(d) => (d.pinned(), d.presumed_aborts()),
         _ => (false, 0),
@@ -661,7 +638,7 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
     // Tear down whatever the drive said: a failed cell must not leave its
     // instances serving under the next one.
     let teardown = stand.down();
-    let (result, audit_delta, scrapes) = driven?;
+    let (result, scrapes) = driven?;
 
     let mut obs = Snapshot::default();
     for snap in &scrapes {
@@ -683,7 +660,10 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
             teardown.in_doubt_leaks
         ));
     }
-    if let Some(delta) = audit_delta.filter(|&d| d != result.committed_writes()) {
+    if let Some(delta) = result
+        .audit_delta
+        .filter(|&d| d != result.committed_writes())
+    {
         faults.push(format!(
             "audit sum moved by {delta} but committed plans wrote {} rows",
             result.committed_writes()
@@ -695,7 +675,6 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
         warehouses: shared.warehouses,
         deploy: args.deploy.label(),
         result,
-        audit_delta,
         coordinator_presumed_aborts,
         teardown,
         pinned,
@@ -707,12 +686,6 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
 
 fn class_tput(t: &ClassTally, cell: &Cell) -> f64 {
     t.committed as f64 / cell.result.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
-}
-
-fn p95(t: &ClassTally) -> u64 {
-    let mut sorted = t.latencies_us.clone();
-    sorted.sort_unstable();
-    percentile(&sorted, 95.0)
 }
 
 fn sites_label(sites: usize) -> String {
@@ -746,7 +719,7 @@ fn markdown_table(cells: &[Cell]) -> String {
             c.result.throughput_tps(),
             class_tput(&c.result.local, c),
             class_tput(&c.result.multi, c),
-            p95(&c.result.multi),
+            c.result.multi.percentile_us(95.0),
             cat(BreakdownCategory::XctExecution),
             cat(BreakdownCategory::Locking),
             cat(BreakdownCategory::Logging),
@@ -785,6 +758,7 @@ fn cell_json(c: &Cell) -> String {
         String::new()
     };
     let audit_delta = c
+        .result
         .audit_delta
         .map_or_else(|| "null".to_string(), |d| d.to_string());
     format!(

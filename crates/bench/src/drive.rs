@@ -8,7 +8,21 @@
 //! transaction class** (local vs multisite — the paper's served comparisons
 //! hinge on how the multisite class degrades while the local class holds)
 //! and the row writes of every committed plan, and verify teardown (every
-//! instance drained clean, zero in-doubt 2PC leaks).
+//! instance drained clean, zero in-doubt 2PC leaks). It is the one closed
+//! loop over a deployment: the in-process [`Cluster`] is driven here too,
+//! one [`ClusterClient`](islands_server::ClusterClient) per worker thread.
+//!
+//! **The audit identity.** [`drive`] reads the deployment's audit sum (the
+//! row writes its instances applied) before the first request and after
+//! the last worker is joined, and reports the difference as
+//! [`DriveResult::audit_delta`]. On a correct deployment it equals
+//! [`DriveResult::committed_writes`]: no committed write lost, no aborted
+//! one applied. An external server ([`DriveTarget::Endpoint`]) reports
+//! `None`: its other clients' writes are invisible to this run.
+//!
+//! **Retries.** [`ClassTally::aborted`] counts transactions that finally
+//! aborted; [`ClassTally::retries`] counts the abort-and-retry rounds the
+//! coordinator spent on every transaction, committed or not.
 //!
 //! Closed loop (default): each client submits its next transaction the
 //! moment the previous reply arrives — offered load tracks capacity. Open
@@ -88,6 +102,21 @@ pub enum DriveTarget<'a> {
     Endpoint(&'a Endpoint),
 }
 
+impl DriveTarget<'_> {
+    /// The deployment-wide audit sum; `None` for an external server.
+    fn audit(&self) -> Result<Option<u64>, String> {
+        let sum = match self {
+            DriveTarget::Deployment(d) => d
+                .client()
+                .and_then(|mut c| c.audit_total())
+                .map_err(|e| e.to_string()),
+            DriveTarget::Cluster(cluster) => cluster.audit_sum().map_err(|e| e.to_string()),
+            DriveTarget::Endpoint(_) => return Ok(None),
+        };
+        sum.map(Some).map_err(|e| format!("audit: {e}"))
+    }
+}
+
 /// Tallies for one transaction class (local or multisite).
 #[derive(Debug, Default, Clone)]
 pub struct ClassTally {
@@ -96,6 +125,9 @@ pub struct ClassTally {
     pub errors: u64,
     pub distributed: u64,
     pub presumed_aborts: u64,
+    /// Abort-and-retry rounds ([`DeployOutcome::retries`]) summed over
+    /// every transaction that got an outcome.
+    pub retries: u64,
     /// `write_rows()` summed over the committed plans: what the
     /// deployment's audit sum must have grown by.
     pub committed_writes: u64,
@@ -110,6 +142,7 @@ impl ClassTally {
         self.errors += other.errors;
         self.distributed += other.distributed;
         self.presumed_aborts += other.presumed_aborts;
+        self.retries += other.retries;
         self.committed_writes += other.committed_writes;
         self.latencies_us.extend(other.latencies_us);
     }
@@ -117,6 +150,13 @@ impl ClassTally {
     /// Requests of any outcome in this class.
     pub fn total(&self) -> u64 {
         self.committed + self.aborted + self.errors
+    }
+
+    /// Rank-`p` percentile of this class's latencies, microseconds.
+    pub fn percentile_us(&self, p: f64) -> u64 {
+        let mut sorted = self.latencies_us.clone();
+        sorted.sort_unstable();
+        percentile(&sorted, p)
     }
 }
 
@@ -153,6 +193,11 @@ pub struct DriveResult {
     pub elapsed: Duration,
     /// Client threads that failed or panicked (any nonzero is a run error).
     pub client_failures: u64,
+    /// How far the deployment's audit sum moved over the run; equal to
+    /// [`committed_writes`](Self::committed_writes) on a correct one.
+    /// `None` for an external server, whose other clients this run cannot
+    /// see.
+    pub audit_delta: Option<u64>,
 }
 
 impl DriveResult {
@@ -280,6 +325,9 @@ fn drive_client(
             (PlanClass::Payment, false) => &mut result.payment_local,
             (PlanClass::Payment, true) => &mut result.payment_multisite,
         };
+        if let DeployReply::Outcome(o) = &reply {
+            tally.retries += o.retries as u64;
+        }
         match reply {
             DeployReply::Outcome(o) if o.committed => {
                 tally.committed += 1;
@@ -306,8 +354,8 @@ fn drive_client(
     Ok(result)
 }
 
-/// Drive `target` with `cfg.clients` concurrent clients and aggregate the
-/// per-class tallies.
+/// Drive `target` with `cfg.clients` concurrent clients, aggregate the
+/// per-class tallies and measure how far the audit sum moved.
 ///
 /// Every socket client connects **before** any worker thread spawns, so a
 /// refused connect fails the run before any load is offered. A cluster
@@ -322,6 +370,7 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
             cfg.clients
         ));
     }
+    let audit_before = target.audit()?;
     let mut sockets = Vec::with_capacity(cfg.clients);
     for id in 0..cfg.clients {
         let refused = |e| format!("connect client {id}: {e}");
@@ -392,6 +441,11 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
     result.local.absorb(pl);
     result.multi.absorb(pm);
     result.elapsed = started.elapsed();
+    // Every worker is joined and its client dropped, so every decision a
+    // caller was told about has been applied.
+    result.audit_delta = audit_before
+        .zip(target.audit()?)
+        .map(|(before, after)| after.wrapping_sub(before));
     Ok(result)
 }
 
@@ -436,13 +490,14 @@ pub fn class_json(tally: &ClassTally, elapsed: Duration) -> String {
     };
     format!(
         "{{\"committed\":{},\"aborted\":{},\"errors\":{},\"distributed\":{},\
-         \"presumed_aborts\":{},\"throughput_tps\":{:.1},\"p50_us\":{},\"p95_us\":{},\
+         \"presumed_aborts\":{},\"retries\":{},\"throughput_tps\":{:.1},\"p50_us\":{},\"p95_us\":{},\
          \"p99_us\":{},\"max_us\":{},\"mean_us\":{:.1},\"samples\":{}}}",
         tally.committed,
         tally.aborted,
         tally.errors,
         tally.distributed,
         tally.presumed_aborts,
+        tally.retries,
         tally.committed as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE),
         percentile(&sorted, 50.0),
         percentile(&sorted, 95.0),
@@ -474,42 +529,133 @@ pub fn instance_json(r: &InstanceExit) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use islands_server::{DeployConfig, EngineMode};
+    use islands_core::native::PartitionEngine;
+    use islands_server::{Backend, DeployConfig, EngineMode, Server, ServerConfig};
     use islands_workload::OpKind;
+
+    /// One closed-loop drive of a cluster: its shape, and the 2-or-more-row
+    /// updates its clients send.
+    struct Case {
+        engine: EngineMode,
+        instances: usize,
+        clients: usize,
+        spec: MicroSpec,
+    }
+
+    fn updates(total_rows: u64, rows_per_txn: usize, multisite_pct: f64) -> MicroSpec {
+        MicroSpec {
+            total_rows,
+            ..MicroSpec::new(OpKind::Update, rows_per_txn, multisite_pct)
+        }
+    }
 
     #[test]
     fn a_cluster_target_runs_clean_and_its_audit_moves_by_the_committed_writes() {
-        const ROWS: u64 = 400;
+        let mut cases = Vec::new();
         for engine in [EngineMode::Locked, EngineMode::Serial] {
-            for multisite_pct in [0.0, 0.5] {
-                let cluster = Cluster::build(&DeployConfig {
-                    instances: 2,
-                    total_rows: ROWS,
-                    engine,
-                    ..DeployConfig::default()
-                })
-                .unwrap();
-                let spec = MicroSpec {
-                    total_rows: ROWS,
-                    ..MicroSpec::new(OpKind::Update, 2, multisite_pct)
-                };
-                let cfg = DriveConfig::closed(2, 0.2, DriveWorkload::Micro(spec), 2);
-                let before = cluster.audit_sum().unwrap();
-                let r = drive(&DriveTarget::Cluster(&cluster), &cfg).unwrap();
-                let cell = format!("{engine} multisite={multisite_pct}");
-                assert_eq!(r.client_failures, 0, "{cell}");
-                assert_eq!(r.local.errors + r.multi.errors, 0, "{cell}");
-                assert!(r.committed() > 0, "{cell}");
-                assert_eq!(r.multi.distributed > 0, multisite_pct > 0.0, "{cell}");
-                assert_eq!(
-                    cluster.audit_sum().unwrap() - before,
-                    r.committed_writes(),
-                    "{cell}"
-                );
-                let parked: u64 = (0..2).map(|i| cluster.snapshot(i).in_doubt).sum();
-                assert_eq!(parked, 0, "{cell}");
+            let case = |instances, clients, spec| Case {
+                engine,
+                instances,
+                clients,
+                spec,
+            };
+            // The two ends of the multisite axis; a local and cross-instance
+            // mix over 4 instances; 3-row updates, every one distributed.
+            cases.push(case(2, 2, updates(400, 2, 0.0)));
+            cases.push(case(2, 2, updates(400, 2, 0.5)));
+            cases.push(case(4, 4, updates(400, 2, 0.3)));
+            cases.push(case(4, 6, updates(2_000, 3, 1.0)));
+        }
+        // Hot and lock-free: 4 serial instances of one row each, every
+        // transaction a read-modify-write of 2 rows on 2 instances.
+        cases.push(Case {
+            engine: EngineMode::Serial,
+            instances: 4,
+            clients: 4,
+            spec: updates(4, 2, 1.0).with_sites(2),
+        });
+
+        for Case {
+            engine,
+            instances,
+            clients,
+            spec,
+        } in cases
+        {
+            let cell = format!(
+                "{engine} {instances}x{clients} rows={} per_txn={} multisite={}",
+                spec.total_rows, spec.rows_per_txn, spec.multisite_pct
+            );
+            let cluster = Cluster::build(&DeployConfig {
+                instances,
+                total_rows: spec.total_rows,
+                engine,
+                retry_limit: 8,
+                ..DeployConfig::default()
+            })
+            .unwrap();
+            let multisite = spec.multisite_pct > 0.0;
+            let hot = spec.total_rows == instances as u64;
+            let cfg =
+                DriveConfig::closed(clients, 0.2, DriveWorkload::Micro(spec), instances as u64);
+            let r = drive(&DriveTarget::Cluster(&cluster), &cfg).unwrap();
+            assert_eq!(r.client_failures, 0, "{cell}");
+            assert_eq!(r.local.errors + r.multi.errors, 0, "{cell}");
+            assert!(r.committed() > 0, "{cell}");
+            assert_eq!(r.multi.distributed > 0, multisite, "{cell}");
+            assert_eq!(r.audit_delta, Some(r.committed_writes()), "{cell}");
+            let parked: u64 = (0..instances).map(|i| cluster.snapshot(i).in_doubt).sum();
+            assert_eq!(parked, 0, "{cell}");
+            // Serial islands are owned through a mutex, so no lock is ever
+            // taken, not even on hot rows.
+            if engine == EngineMode::Serial {
+                for i in 0..instances {
+                    let Backend::Executor(island) = cluster.instance(i) else {
+                        panic!("{cell}: serial clusters are made of executors");
+                    };
+                    assert_eq!(island.lock_stats().unwrap().0, 0, "{cell}");
+                }
+            }
+            if hot {
+                // The 2PC rounds the votes abort on a hot row are retried.
+                assert!(r.multi.retries > 0, "{cell}");
             }
         }
+    }
+
+    #[test]
+    fn an_endpoint_target_reports_no_audit_delta() {
+        // One partition behind its own server: other clients could write
+        // there too, so the run claims nothing about its audit sum.
+        let engine = PartitionEngine::build(
+            &DeployConfig {
+                instances: 1,
+                total_rows: 100,
+                ..DeployConfig::default()
+            }
+            .partition(0),
+        )
+        .map(Arc::new)
+        .unwrap();
+        let mut sock = std::env::temp_dir();
+        sock.push(format!("islands-drive-{}.sock", std::process::id()));
+        let handle = Server::spawn_backend(
+            Backend::Partition(Arc::clone(&engine)),
+            Endpoint::Uds(sock),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let cfg = DriveConfig::closed(1, 0.1, DriveWorkload::Micro(updates(100, 2, 0.0)), 1);
+        let r = drive(&DriveTarget::Endpoint(handle.endpoint()), &cfg).unwrap();
+        assert_eq!((r.client_failures, r.local.errors), (0, 0));
+        assert!(r.committed() > 0);
+        assert_eq!(r.audit_delta, None);
+        assert_eq!(engine.audit_sum().unwrap(), r.committed_writes());
+        Client::connect(handle.endpoint())
+            .unwrap()
+            .drain_server()
+            .unwrap();
+        handle.join().unwrap();
     }
 
     #[test]
@@ -530,6 +676,7 @@ mod tests {
             errors: 0,
             distributed: 2,
             presumed_aborts: 0,
+            retries: 4,
             committed_writes: 6,
             latencies_us: vec![5, 9],
         };
@@ -539,12 +686,14 @@ mod tests {
             errors: 2,
             distributed: 1,
             presumed_aborts: 1,
+            retries: 1,
             committed_writes: 2,
             latencies_us: vec![3],
         };
         a.absorb(b);
         assert_eq!(a.committed, 4);
         assert_eq!(a.committed_writes, 8);
+        assert_eq!(a.retries, 5);
         assert_eq!(a.total(), 7);
         assert_eq!(a.latencies_us, vec![5, 9, 3]);
     }
@@ -557,11 +706,13 @@ mod tests {
             errors: 0,
             distributed: 1,
             presumed_aborts: 0,
+            retries: 3,
             committed_writes: 2,
             latencies_us: vec![30, 10, 20],
         };
         let json = class_json(&tally, Duration::from_secs(1));
         assert!(json.contains("\"committed\":2"));
+        assert!(json.contains("\"retries\":3"));
         assert!(json.contains("\"p50_us\":20"));
         assert!(json.contains("\"max_us\":30"));
         assert!(json.contains("\"samples\":3"));

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 pub use hist::{Hist, HistSnapshot, BUCKETS};
-pub use phase::{enter, set_txn_class, txn_class, PhaseGuard};
+pub use phase::{enter, set_txn_class, PhaseGuard};
 pub use snapshot::Snapshot;
 
 /// The five cost categories of the paper's Figure 11.

@@ -99,12 +99,6 @@ pub fn set_txn_class(class: TxnClass) {
     CLASS.with(|c| c.set(class));
 }
 
-/// The thread's current transaction class.
-#[inline]
-pub fn txn_class() -> TxnClass {
-    CLASS.with(|c| c.get())
-}
-
 /// A live phase span; dropping it ends the phase.
 #[must_use = "a phase span measures nothing unless it is held"]
 pub struct PhaseGuard {

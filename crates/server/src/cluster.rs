@@ -10,8 +10,10 @@
 //! router, the 2PC driver, the retry loop and the ack debt are the code a
 //! spawned deployment's clients run, on the calling thread as theirs run on
 //! theirs. A cluster is driven the way a deployment is, by one client per
-//! calling thread; it is not itself an engine, and no server fronts it. A
-//! frame handed to the link is answered on the spot by `server::answer` —
+//! calling thread: a timed load goes through `islands_bench::drive`, the
+//! loop that drives a spawned deployment, with one `ClusterClient` per
+//! worker. It is not itself an engine, and no server fronts it. A frame
+//! handed to the link is answered on the spot by `server::answer` —
 //! the mapping a socket session applies to a decoded frame — and its reply
 //! waits in the link's queue for the read that would have crossed the
 //! wire: the function call is the message. Nothing is encoded and nothing
@@ -27,9 +29,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use islands_core::native::{ExecError, Session};
 use islands_dtxn::{DecisionLog, Round};
@@ -48,22 +48,6 @@ pub struct Cluster {
     /// [`DeployConfig::retry_limit`]: what [`client`](Self::client)s retry
     /// by.
     retry_limit: u32,
-}
-
-/// Outcome counters from [`Cluster::run_closed_loop`].
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterRunResult {
-    pub commits: u64,
-    /// Abort-and-retry rounds, plus transactions that spent their budget.
-    pub aborts: u64,
-    pub distributed: u64,
-    pub elapsed: Duration,
-}
-
-impl ClusterRunResult {
-    pub fn tps(&self) -> f64 {
-        self.commits as f64 / self.elapsed.as_secs_f64()
-    }
 }
 
 impl Cluster {
@@ -154,63 +138,6 @@ impl Cluster {
             sum += inst.backend.engine().audit_sum()?;
         }
         Ok(sum)
-    }
-
-    /// Closed-loop run: `threads` workers, one [`ClusterClient`] each,
-    /// submit plans from `gen(thread, seq)` until `duration` elapses. A
-    /// plan an instance refuses outright is a bug in `gen` and panics.
-    pub fn run_closed_loop<F>(&self, threads: usize, duration: Duration, gen: F) -> ClusterRunResult
-    where
-        F: Fn(usize, u64) -> PlanRequest + Sync,
-    {
-        let stop = AtomicBool::new(false);
-        let start = Instant::now();
-        let (mut commits, mut aborts, mut distributed) = (0u64, 0u64, 0u64);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (stop, gen) = (&stop, &gen);
-                    scope.spawn(move || {
-                        let mut client = self.client();
-                        let (mut commits, mut aborts, mut distributed) = (0u64, 0u64, 0u64);
-                        let mut seq = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let plan = gen(t, seq);
-                            seq += 1;
-                            match client.submit_plan(&plan) {
-                                Ok(DeployReply::Outcome(o)) => {
-                                    aborts += o.retries as u64 + !o.committed as u64;
-                                    commits += o.committed as u64;
-                                    distributed += (o.committed && o.distributed) as u64;
-                                }
-                                other => panic!("closed-loop plan {plan:?} refused: {other:?}"),
-                            }
-                        }
-                        (commits, aborts, distributed)
-                    })
-                })
-                .collect();
-            std::thread::sleep(duration);
-            stop.store(true, Ordering::Relaxed);
-            for w in workers {
-                match w.join() {
-                    Ok((c, a, d)) => {
-                        commits += c;
-                        aborts += a;
-                        distributed += d;
-                    }
-                    // A worker died mid-run: surface its panic instead of
-                    // fabricating a result from the survivors.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        ClusterRunResult {
-            commits,
-            aborts,
-            distributed,
-            elapsed: start.elapsed(),
-        }
     }
 }
 
@@ -310,7 +237,8 @@ mod tests {
     use islands_core::native::{DecideOutcome, EngineMode};
     use islands_dtxn::Vote;
     use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     const MODES: [EngineMode; 2] = [EngineMode::Locked, EngineMode::Serial];
 
@@ -593,60 +521,6 @@ mod tests {
                 ..Snapshot::default()
             };
             assert_eq!(idle, zero, "{mode}");
-        }
-    }
-
-    #[test]
-    fn closed_loop_conserves_updates() {
-        for mode in MODES {
-            let c = small(mode);
-            let r = c.run_closed_loop(4, Duration::from_millis(300), |t, seq| {
-                // Mix of local and cross-instance updates.
-                let a = (t as u64 * 131 + seq * 7) % 400;
-                let b = (a + if seq % 3 == 0 { 137 } else { 1 }) % 400;
-                plan(&[a, b], StepOp::Update)
-            });
-            assert!(r.commits > 0);
-            assert!(r.distributed > 0, "some transactions must cross instances");
-            assert_eq!(
-                c.audit_sum().unwrap(),
-                r.commits * 2,
-                "{mode}: every committed txn applied exactly 2 updates \
-                 (commits={}, aborts={})",
-                r.commits,
-                r.aborts
-            );
-            assert_eq!(summed(&c).in_doubt, 0, "{mode}: nothing left parked");
-        }
-    }
-
-    #[test]
-    fn lock_free_islands_conserve_hot_cross_instance_updates() {
-        // Regression: "one worker per instance" used to be a config count
-        // that turned locking off, with nothing tying it to the number of
-        // calling threads — 4 threads of cross-instance read-modify-writes
-        // on lock-free instances lost updates. Serial islands are owned
-        // through a mutex, so any number of threads is safe.
-        let c = small(EngineMode::Serial);
-        const HOT: [u64; 4] = [7, 107, 207, 307]; // one per instance
-        let r = c.run_closed_loop(4, Duration::from_millis(300), |t, seq| {
-            let a = HOT[(t + seq as usize) % 4];
-            let b = HOT[(t + seq as usize + 1 + seq as usize % 3) % 4];
-            plan(&[a, b], StepOp::Update)
-        });
-        assert!(r.commits > 0 && r.distributed > 0, "{r:?}");
-        assert_eq!(
-            c.audit_sum().unwrap(),
-            r.commits * 2,
-            "committed writes must all be there (commits={}, aborts={})",
-            r.commits,
-            r.aborts
-        );
-        for i in 0..4 {
-            let Backend::Executor(island) = c.instance(i) else {
-                panic!("serial clusters are made of executors");
-            };
-            assert_eq!(island.lock_stats().unwrap().0, 0, "no lock was taken");
         }
     }
 

@@ -9,7 +9,10 @@
 //! it. Both are driven the same way: each calling thread opens its own
 //! coordinator ([`DeployClient`], [`ClusterClient`]), which routes a plan
 //! to the one instance that owns it or runs 2PC across the instances it
-//! spans. Only partitions serve sessions; a server fronts exactly one.
+//! spans. A timed load over either goes through `islands_bench::drive`,
+//! one coordinator per worker thread, which also measures how far the
+//! audit sum moved. Only partitions serve sessions; a server fronts
+//! exactly one.
 //!
 //! * [`wire`] — a hand-rolled length-prefixed wire protocol: framed
 //!   [`Request`]/[`Reply`] messages carrying
@@ -79,7 +82,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use cluster::{Cluster, ClusterClient, ClusterRunResult};
+pub use cluster::{Cluster, ClusterClient};
 pub use deploy::{
     DeployClient, DeployConfig, DeployOutcome, DeployReply, DeployWorkload, Deployment,
     InstanceExit, SpawnMode, Transport,

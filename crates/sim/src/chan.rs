@@ -155,12 +155,6 @@ impl<T> Receiver<T> {
         st.mature(now);
         st.ready.pop_front()
     }
-
-    /// Messages currently in flight or queued.
-    pub fn backlog(&self) -> usize {
-        let st = self.inner.state.borrow();
-        st.ready.len() + st.pending.len()
-    }
 }
 
 /// Future returned by [`Receiver::recv`].

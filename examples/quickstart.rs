@@ -1,12 +1,12 @@
-//! Quickstart: build an in-process shared-nothing deployment, run local and
-//! distributed transactions, then a short closed-loop burst.
+//! Quickstart: build an in-process shared-nothing deployment, run a local
+//! and a distributed transaction, then drive it closed loop through
+//! `islands_bench::drive`, the loop that drives every deployment.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::time::Duration;
-
+use islands_bench::drive::{drive, DriveConfig, DriveTarget, DriveWorkload};
 use oltp_islands::server::{Cluster, DeployConfig, DeployReply};
-use oltp_islands::workload::{OpKind, PlanRequest, TxnRequest};
+use oltp_islands::workload::{MicroSpec, OpKind, PlanRequest, TxnRequest};
 
 fn update(keys: &[u64]) -> PlanRequest {
     TxnRequest {
@@ -45,26 +45,35 @@ fn main() {
     run("local", &update(&[0, 1, 2, 3]));
     // A distributed transaction (keys span instances -> 2PC).
     run("cross-instance", &update(&[5, 35_000]));
+    drop(client);
 
-    // Closed-loop workers for half a second.
-    let total_rows = cfg.total_rows;
-    let result = cluster.run_closed_loop(4, Duration::from_millis(500), move |t, seq| {
-        let a = (t as u64 * 977 + seq * 13) % total_rows;
-        update(&[a, (a + 911) % total_rows])
-    });
+    // Four closed-loop clients for half a second: 2-row updates, 20 % of
+    // them across instances.
+    let spec = MicroSpec {
+        total_rows: cfg.total_rows,
+        ..MicroSpec::new(OpKind::Update, 2, 0.2)
+    };
+    let load = DriveConfig::closed(4, 0.5, DriveWorkload::Micro(spec), cfg.instances as u64);
+    let r = drive(&DriveTarget::Cluster(&cluster), &load).unwrap();
     println!(
-        "closed loop: {} commits ({} distributed, {} aborts) -> {:.0} tps",
-        result.commits,
-        result.distributed,
-        result.aborts,
-        result.tps()
+        "closed loop: {:.0} tps; local p50 {} us, multisite p50 {} us \
+         ({} commits, {} distributed, {} aborted, {} retries)",
+        r.throughput_tps(),
+        r.local.percentile_us(50.0),
+        r.multi.percentile_us(50.0),
+        r.committed(),
+        r.multi.distributed,
+        r.local.aborted + r.multi.aborted,
+        r.local.retries + r.multi.retries,
     );
-    // Exactly-once accounting: the 4-op local txn, the 2-op distributed txn,
-    // then 2 rows per closed-loop commit.
-    let sum = cluster.audit_sum().unwrap();
-    assert_eq!(sum, result.commits * 2 + 6);
+    assert_eq!(r.client_failures, 0);
+    assert_eq!(r.local.errors + r.multi.errors, 0);
+    // Exactly-once accounting: the audit sum moved by the row writes of
+    // the committed transactions, no more, no less.
+    assert_eq!(r.audit_delta, Some(r.committed_writes()));
     println!(
-        "audit: {} row updates applied = 4 + 2 + 2 x {} committed txns  OK",
-        sum, result.commits
+        "audit: {} row updates applied = 2 x {} committed txns  OK",
+        r.committed_writes(),
+        r.committed()
     );
 }

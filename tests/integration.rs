@@ -2,8 +2,8 @@
 //! and the protocol invariants that tie them together.
 
 use std::sync::Arc;
-use std::time::Duration;
 
+use islands_bench::drive::{drive, DriveConfig, DriveTarget, DriveWorkload};
 use oltp_islands::core::simrt::{run_with_audit, SimClusterConfig, SimWorkload};
 use oltp_islands::hwtopo::Machine;
 use oltp_islands::server::{
@@ -48,23 +48,24 @@ fn native_2pc_is_atomic_across_instances() {
 
 #[test]
 fn native_concurrent_mixed_load_conserves_updates() {
+    // Six clients of 3-row updates over 4 instances, every one multisite.
     let cfg = DeployConfig {
         instances: 4,
         total_rows: 2_000,
         row_size: 16,
         ..Default::default()
     };
-    let rows = cfg.total_rows;
     let cluster = Cluster::build(&cfg).unwrap();
-    let r = cluster.run_closed_loop(6, Duration::from_millis(400), move |t, seq| {
-        let a = (t as u64 * 37 + seq * 11) % rows;
-        let b = (a + 501) % rows;
-        let c = (a + 1_003) % rows;
-        upd(&[a, b, c])
-    });
-    assert!(r.commits > 0);
-    assert!(r.distributed > 0);
-    assert_eq!(cluster.audit_sum().unwrap(), r.commits * 3);
+    let spec = MicroSpec {
+        total_rows: cfg.total_rows,
+        ..MicroSpec::new(OpKind::Update, 3, 1.0)
+    };
+    let load = DriveConfig::closed(6, 0.4, DriveWorkload::Micro(spec), 4);
+    let r = drive(&DriveTarget::Cluster(&cluster), &load).unwrap();
+    assert_eq!((r.client_failures, r.multi.errors), (0, 0));
+    assert!(r.committed() > 0);
+    assert!(r.multi.distributed > 0);
+    assert_eq!(r.audit_delta, Some(r.committed_writes()));
 }
 
 #[test]
