@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
+use islands_core::native::{PartitionConfig, PartitionEngine};
 use islands_server::{Backend, Client, Endpoint, Server, ServerConfig, ServerHandle};
 use islands_sim::Sim;
 use islands_storage::btree::BTree;
@@ -183,9 +183,9 @@ fn wal_commit_case(c: &mut Criterion, name: &str, committers: u64, device: Arc<d
 /// The two hops between a client's frame and the engine, each on its own
 /// and stacked: a `Ping` is the session alone (read, decode, reply, flush —
 /// the UDS round trip plus whatever the session adds), a 1-step `submit`
-/// adds the engine behind either backend, and the bare
-/// `ExecutorSession::submit_plan` is the serial backend's share of that
-/// with no socket in the way.
+/// adds the engine in either mode, and the bare
+/// `PartitionEngine::submit_plan_local` on a serial partition is that
+/// engine's share with no socket in the way.
 fn bench_session_roundtrip(c: &mut Criterion) {
     let partition = || PartitionConfig {
         lo: 0,
@@ -223,18 +223,15 @@ fn bench_session_roundtrip(c: &mut Criterion) {
     });
     stop(handle, client);
 
-    let serial = Arc::new(
-        PartitionExecutor::spawn(ExecutorConfig {
-            partition: partition(),
-        })
-        .unwrap(),
-    );
-    let session = serial.session();
+    let serial = PartitionConfig {
+        single_threaded: true,
+        ..partition()
+    };
+    let serial = Arc::new(PartitionEngine::build(&serial).unwrap());
     c.bench_function("session_roundtrip/executor_submit_plan", |b| {
-        b.iter(|| session.submit_plan(&plan).unwrap())
+        b.iter(|| serial.submit_plan_local(&plan, 0).unwrap())
     });
-    drop(session);
-    let (handle, mut client) = serve("executor", Backend::Executor(serial));
+    let (handle, mut client) = serve("executor", Backend::Partition(serial));
     c.bench_function("session_roundtrip/submit_executor", |b| {
         b.iter(|| client.submit_plan(&plan).unwrap())
     });

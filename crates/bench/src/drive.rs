@@ -606,14 +606,12 @@ mod tests {
             assert_eq!(r.audit_delta, Some(r.committed_writes()), "{cell}");
             let parked: u64 = (0..instances).map(|i| cluster.snapshot(i).in_doubt).sum();
             assert_eq!(parked, 0, "{cell}");
-            // Serial islands are owned through a mutex, so no lock is ever
+            // Serial islands are owned by taking turns, so no lock is ever
             // taken, not even on hot rows.
             if engine == EngineMode::Serial {
                 for i in 0..instances {
-                    let Backend::Executor(island) = cluster.instance(i) else {
-                        panic!("{cell}: serial clusters are made of executors");
-                    };
-                    assert_eq!(island.lock_stats().unwrap().0, 0, "{cell}");
+                    let (acquires, _, _) = cluster.instance(i).instance().locks().stats();
+                    assert_eq!(acquires, 0, "{cell}");
                 }
             }
             if hot {

@@ -50,7 +50,7 @@ const HOT_LOOP_FILES: &[&str] = &[
     "crates/server/src/coordinator.rs",
     "crates/server/src/deploy/client.rs",
     "crates/core/src/native/mod.rs",
-    "crates/core/src/native/executor.rs",
+    "crates/core/src/native/engine.rs",
 ];
 
 /// Crates whose non-test source must stay blocking-free: the obs registry

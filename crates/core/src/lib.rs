@@ -8,12 +8,12 @@
 //!   site → instance mapping for any `NISL` configuration, and the one
 //!   split of a plan into per-owner branches. What a transaction *does* is
 //!   an [`islands_workload::PlanRequest`]; this module says *where*.
-//! * [`native`] — one real partition: a storage instance behind the
-//!   [`Engine`](native::Engine) / [`Session`](native::Session) surface, in
-//!   locked (2PL) or serial (one mutex) mode, executing on the calling
-//!   thread. `islands-server` assembles N of them into deployments —
-//!   spawned processes over sockets, or an in-process cluster over direct
-//!   calls — behind one router and one 2PC driver.
+//! * [`native`] — one real partition: a storage instance behind one
+//!   engine, [`PartitionEngine`](native::PartitionEngine), in locked (2PL)
+//!   or serial (callers take turns) mode, executing on the calling thread.
+//!   `islands-server` assembles N of them into deployments — spawned
+//!   processes over sockets, or an in-process cluster over direct calls —
+//!   behind one router and one 2PC driver.
 //! * [`simrt`] — the same plans, site maps and `islands-dtxn` 2PC machines
 //!   on the deterministic simulator with the calibrated NUMA cost model:
 //!   every figure of the paper is regenerated through this runtime, and its

@@ -15,9 +15,10 @@
 //! * **Distributed branches** arrive as 2PC prepare frames: the engine
 //!   executes the branch's steps and runs participant-side phase 1
 //!   ([`prepare_plan_branch`](PartitionEngine::prepare_plan_branch)). A
-//!   session parks the prepared branch in the partition's one in-doubt
-//!   table (`in_doubt` module), beside any branch restart replay re-parked,
-//!   until some session applies the coordinator's decision.
+//!   [`PartitionSession`] parks the prepared branch in the partition's one
+//!   in-doubt table (`in_doubt` module), beside any branch restart replay
+//!   re-parked, until anyone applies the coordinator's decision
+//!   ([`decide`](PartitionEngine::decide)).
 //!
 //! A [`PlanRequest`] is the only request shape executed here; the
 //! batch-taking [`submit_local`](PartitionEngine::submit_local) and
@@ -27,9 +28,44 @@
 //! Keys stay **global**: the engine checks range membership instead of
 //! translating, so a request routed to the wrong process is a typed error,
 //! never a silent write to the wrong row.
+//!
+//! ## Serial partitions: one turn, no locks
+//!
+//! The paper's fine-grained shared-nothing configurations win on local-only
+//! workloads because a partition that runs one transaction at a time needs
+//! no latching or lock-manager traffic (§6.2, §7.1.1). An engine built
+//! `single_threaded` ([`EngineMode::Serial`]) is such a partition: its
+//! instance takes no locks, and its callers take **turns** on one mutex.
+//! Each call — one attempt of a local plan, a whole prepare (footprint
+//! check, plan, park), a decision, a disown, an audit or a stats read —
+//! runs start to finish on the calling thread while it holds the turn,
+//! exactly as the paper's single-threaded instance process runs the message
+//! it just received. There is no executor thread, no queue and no
+//! hand-off: an uncontended call costs one compare-and-swap more than the
+//! locked engine's. The locked engine has no turn.
+//!
+//! Holding the turn for a whole transaction makes two-phase locking vacuous
+//! for the local path: transactions never interleave. The one place
+//! concurrency re-enters is **two-phase commit**: a prepared branch stays
+//! in-doubt across Prepare→Decision while the partition serves other
+//! requests. The locked engine holds the branch's row locks for that
+//! window; a serial one has none, so its in-doubt table keeps the branch's
+//! `(table, key)` footprint and answers any conflicting request the way
+//! wait-die would have — the newcomer aborts at once. A conflicting
+//! prepare votes No; a conflicting local attempt fails and, like a
+//! wait-die victim in the locked engine, is retried within its budget
+//! after a backoff taken outside the turn, so the decision it waits for
+//! can land. That is what makes the two modes trace-equivalent (see
+//! `tests/engine_differential.rs`).
+//!
+//! Callers on different cores take turns, so the partition's cache lines
+//! follow whichever thread ran last; on a one-core island — the paper's
+//! finest grain — nothing moves. A caller that panics while holding the
+//! turn poisons it: the transaction it was in is unknowable, so every
+//! later call answers [`ExecError::Gone`] instead of running on top of it.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use islands_dtxn::Vote;
@@ -42,9 +78,46 @@ use islands_storage::{InstanceOptions, StorageError, StorageInstance, TxnHandle}
 use islands_workload::plan::{PlanRequest, PlanStep, StepOp};
 use islands_workload::{tpcc, TxnRequest};
 
-use super::in_doubt::{next_session_id, Bell, InDoubtTable};
-use super::session::{DecideOutcome, Engine, ExecError, Session};
+use super::in_doubt::{Bell, InDoubtTable};
+use super::session::{DecideOutcome, ExecError, PartitionSession};
 use super::{SubmitOutcome, MICRO_TABLE_NAME};
+
+/// How a partition instance executes its transactions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EngineMode {
+    /// Shared-everything style: callers execute concurrently, 2PL via the
+    /// instance's lock manager.
+    #[default]
+    Locked,
+    /// H-Store style: one transaction at a time per partition, no
+    /// lock-table acquisition (the engine is built `single_threaded`).
+    Serial,
+}
+
+impl EngineMode {
+    /// Stable CLI/report label.
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineMode::Locked => "locked",
+            EngineMode::Serial => "serial",
+        }
+    }
+
+    /// Parse the [`label`](Self::label) form back.
+    pub fn parse(s: &str) -> Result<EngineMode, String> {
+        match s {
+            "locked" => Ok(EngineMode::Locked),
+            "serial" => Ok(EngineMode::Serial),
+            other => Err(format!("engine must be locked|serial, got {other}")),
+        }
+    }
+}
+
+impl std::fmt::Display for EngineMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// TPC-C mode for a partition: which warehouse sub-range `[w_lo, w_hi)` of
 /// the `warehouses`-warehouse deployment this instance loads and owns.
@@ -71,7 +144,8 @@ pub struct PartitionConfig {
     pub buffer_frames: usize,
     /// 2PL lock-wait timeout.
     pub lock_timeout: Duration,
-    /// One worker ⇒ skip locking (the paper's fine-grained optimization).
+    /// Take no locks and let callers take turns on the partition instead
+    /// (the paper's fine-grained optimization; [`EngineMode::Serial`]).
     pub single_threaded: bool,
     /// Ignored, like [`InstanceOptions::group_window`]: the WAL has no timed
     /// group window any more. Kept only because `benchmark/`, which a
@@ -151,7 +225,10 @@ pub struct PartitionEngine {
     /// the row path never goes through the catalog.
     tables: [Option<Arc<Table>>; PLAN_TABLES],
     /// Every branch parked between its Yes vote and its decision.
-    pub(crate) in_doubt: InDoubtTable,
+    in_doubt: InDoubtTable,
+    /// `Some` when built `single_threaded`: the turn callers take (see the
+    /// module docs).
+    turn: Option<Mutex<()>>,
 }
 
 impl PartitionEngine {
@@ -166,7 +243,8 @@ impl PartitionEngine {
     /// is rebuilt fresh (the table-creation order below is deterministic,
     /// giving the same table ids the old incarnation logged under) and the
     /// old WAL is replayed over it — committed transactions redone, losers
-    /// undone, surviving in-doubt branches parked for a [`Session::decide`].
+    /// undone, surviving in-doubt branches parked for a
+    /// [`decide`](Self::decide).
     pub fn build(cfg: &PartitionConfig) -> Result<Self, StorageError> {
         check_config(cfg)?;
         // Capture the previous incarnation's log *before* the new instance
@@ -243,6 +321,7 @@ impl PartitionEngine {
             tpcc: cfg.tpcc.clone(),
             tables,
             in_doubt: InDoubtTable::new(cfg.single_threaded),
+            turn: cfg.single_threaded.then(Mutex::default),
             inst,
         };
         // A fresh build is done: the loads wrote their pages into the store,
@@ -279,10 +358,66 @@ impl PartitionEngine {
             .collect()
     }
 
-    /// Gtids of every parked branch no session owns, sorted: at startup,
-    /// exactly the ones restart replay re-parked.
-    pub fn ownerless_gtids(&self) -> Vec<u64> {
-        self.in_doubt.ownerless()
+    /// Run `f` on the calling thread as one call on the partition: alone,
+    /// holding the turn, when the engine is `single_threaded`; beside other
+    /// callers under 2PL otherwise. The `queue_depth` gauge counts callers
+    /// waiting for the turn. The in-doubt table's lock is only ever taken
+    /// inside the turn, never around it.
+    fn take_turn<T>(&self, f: impl FnOnce() -> T) -> Result<T, ExecError> {
+        let Some(turn) = &self.turn else {
+            return Ok(f());
+        };
+        islands_obs::with(|m| m.queue_depth.inc());
+        let held = turn.lock();
+        islands_obs::with(|m| m.queue_depth.dec());
+        // Poisoned: a caller panicked mid-transaction (see module docs).
+        let _held = held.map_err(|_| ExecError::Gone)?;
+        #[cfg(feature = "lockcheck")]
+        let _owner = self.inst.lockcheck_claim();
+        Ok(f())
+    }
+
+    /// Open a session: the owner the branches it prepares are parked under
+    /// until it is dropped. Each connection holds its own.
+    pub fn session(self: &Arc<Self>) -> PartitionSession {
+        PartitionSession::new(Arc::clone(self))
+    }
+
+    /// Gtids of every parked branch no session owns, sorted: those restart
+    /// replay re-parked and those whose session closed before their
+    /// decision came. Each waits for the coordinator's verdict, applied
+    /// through [`decide`](Self::decide).
+    pub fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
+        self.take_turn(|| self.in_doubt.ownerless())
+    }
+
+    /// Apply the coordinator's decision to the in-doubt branch `gtid`,
+    /// whichever session parked it, or restart replay.
+    pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
+        self.take_turn(|| {
+            let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+            self.in_doubt.decide(gtid, commit)
+        })
+    }
+
+    /// `session` closed: what it parked stays parked, owned by nobody.
+    pub(crate) fn disown(&self, session: u64) -> Result<(), ExecError> {
+        self.take_turn(|| self.in_doubt.disown(session))
+    }
+
+    /// What rings when branches here lose their session.
+    pub fn bell(&self) -> &Bell {
+        &self.in_doubt.bell
+    }
+
+    /// Fill in what only the engine knows when a stats snapshot is taken:
+    /// the branches parked in its in-doubt table and its lock manager's
+    /// counts. A partition that is gone reports nothing.
+    pub fn observe(&self, snap: &mut Snapshot) {
+        let _ = self.take_turn(|| {
+            snap.in_doubt = self.in_doubt.parked() as u64;
+            (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
+        });
     }
 
     /// The key range `[lo, hi)` this partition owns.
@@ -307,19 +442,12 @@ impl PartitionEngine {
         self.inst.set_lockcheck_scope(scope);
     }
 
-    /// Own the partition's instance on the calling thread until the claim
-    /// drops (the serial executor does, around each critical section).
-    #[cfg(feature = "lockcheck")]
-    pub(crate) fn lockcheck_claim(&self) -> islands_storage::lockcheck::Claim<'_> {
-        self.inst.lockcheck_claim()
-    }
-
     /// [`submit_plan_local`](Self::submit_plan_local) for a micro batch.
     pub fn submit_local(
         &self,
         req: &TxnRequest,
         retry_limit: u32,
-    ) -> Result<SubmitOutcome, StorageError> {
+    ) -> Result<SubmitOutcome, ExecError> {
         self.submit_plan_local(&req.to_plan(), retry_limit)
     }
 
@@ -406,37 +534,22 @@ impl PartitionEngine {
 
     /// Execute a fully-local plan to completion, retrying contention aborts
     /// up to `retry_limit` times. `Err` only for plans this partition can
-    /// never satisfy (a foreign table, a row outside the owned range).
+    /// never satisfy (a foreign table, a row outside the owned range), or a
+    /// partition that is gone. Each attempt takes the turn; the backoff
+    /// between attempts does not, so the decision a parked footprint waits
+    /// for can land.
     pub fn submit_plan_local(
         &self,
         plan: &PlanRequest,
         retry_limit: u32,
-    ) -> Result<SubmitOutcome, StorageError> {
+    ) -> Result<SubmitOutcome, ExecError> {
         self.check_plan(plan)?;
         let mut retries = 0u32;
         loop {
-            if !self.in_doubt.blocks(plan) {
-                let mut txn = self.inst.begin();
-                match self.run_plan(&mut txn, plan).and_then(|()| txn.commit()) {
-                    Ok(()) => {
-                        return Ok(SubmitOutcome {
-                            committed: true,
-                            distributed: false,
-                            retries,
-                        })
-                    }
-                    Err(StorageError::Deadlock(_))
-                    | Err(StorageError::LockTimeout(_))
-                    | Err(StorageError::MustAbort(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            // Contention: a lock conflict, or a row a parked footprint
-            // still claims. That is an abort, not an error — the
-            // branch resolves soon — so both retry under the same backoff.
-            if retries >= retry_limit {
+            let committed = self.take_turn(|| self.attempt_local(plan))??;
+            if committed || retries >= retry_limit {
                 return Ok(SubmitOutcome {
-                    committed: false,
+                    committed,
                     distributed: false,
                     retries,
                 });
@@ -446,13 +559,34 @@ impl PartitionEngine {
         }
     }
 
+    /// One attempt of a checked local plan: whether it committed. Losing to
+    /// contention — a lock conflict, or a row a parked footprint still
+    /// claims — is an abort, not an error: the holder resolves soon.
+    fn attempt_local(&self, plan: &PlanRequest) -> Result<bool, StorageError> {
+        // The work happens on this thread, so the management span here
+        // catches what nested storage spans don't claim.
+        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+        if self.in_doubt.blocks(plan) {
+            return Ok(false);
+        }
+        let mut txn = self.inst.begin();
+        match self.run_plan(&mut txn, plan).and_then(|()| txn.commit()) {
+            Ok(()) => Ok(true),
+            Err(StorageError::Deadlock(_))
+            | Err(StorageError::LockTimeout(_))
+            | Err(StorageError::MustAbort(_)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Execute one 2PC branch and run participant phase 1: force the prepare
     /// record and vote. Dependent reads (range scans) run *before* the
     /// prepare record is forced, so a parked branch holds their S locks
     /// alongside its write locks until the decision. Contention failures
     /// abort the branch locally and vote No (the coordinator retries the
     /// whole global transaction); `Err` is reserved for misrouted branches
-    /// (a row outside this partition).
+    /// (a row outside this partition). A building block: it takes no turn
+    /// and parks nothing; [`PartitionSession::prepare_plan`] does both.
     pub fn prepare_plan_branch(
         &self,
         gtid: u64,
@@ -480,16 +614,21 @@ impl PartitionEngine {
     }
 
     /// [`prepare_plan_branch`](Self::prepare_plan_branch) as branch `gtid`
-    /// of `session`, parked in the in-doubt table when it votes Yes. A
-    /// misrouted branch is the coordinator's bug: a typed error, not a vote.
+    /// of `session`, parked in the in-doubt table when it votes Yes, all in
+    /// one turn: no local slips in between the footprint check and the
+    /// park. A misrouted branch is the coordinator's bug: a typed error,
+    /// not a vote.
     pub(crate) fn prepare_parked(
         &self,
         session: u64,
         gtid: u64,
         plan: &PlanRequest,
     ) -> Result<Vote, ExecError> {
-        let prepare = || self.prepare_plan_branch(gtid, plan);
-        self.in_doubt.park(session, gtid, plan, prepare)
+        self.take_turn(|| {
+            let _span = islands_obs::enter(BreakdownCategory::XctManagement);
+            let prepare = || self.prepare_plan_branch(gtid, plan);
+            self.in_doubt.park(session, gtid, plan, prepare)
+        })?
     }
 
     /// Sum of the audit counters across this partition's rows — every table
@@ -498,7 +637,11 @@ impl PartitionEngine {
     /// rows uncommitted, so each of its rows counts as its before-image did
     /// (an inserted row not at all), read under the in-doubt table's lock:
     /// no branch is parked or decided mid-count.
-    pub fn audit_sum(&self) -> Result<u64, StorageError> {
+    pub fn audit_sum(&self) -> Result<u64, ExecError> {
+        Ok(self.take_turn(|| self.count_audit())??)
+    }
+
+    fn count_audit(&self) -> Result<u64, StorageError> {
         use super::audit_counter;
         self.in_doubt.with_parked(|parked| {
             let mut sum = 0u64;
@@ -519,67 +662,6 @@ impl PartitionEngine {
             }
             Ok(sum)
         })
-    }
-}
-
-impl Engine for PartitionEngine {
-    fn session(&self, retry_limit: u32) -> Box<dyn Session + '_> {
-        Box::new(LockedSession {
-            engine: self,
-            id: next_session_id(),
-            retry_limit,
-        })
-    }
-
-    fn audit_sum(&self) -> Result<u64, ExecError> {
-        Ok(PartitionEngine::audit_sum(self)?)
-    }
-
-    fn ownerless_gtids(&self) -> Result<Vec<u64>, ExecError> {
-        Ok(PartitionEngine::ownerless_gtids(self))
-    }
-
-    fn bell(&self) -> &Bell {
-        &self.in_doubt.bell
-    }
-
-    fn observe(&self, snap: &mut Snapshot) {
-        snap.in_doubt = self.in_doubt.parked() as u64;
-        (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
-    }
-}
-
-/// A connection's session on the locked engine: requests execute inline on
-/// the calling thread under 2PL, and a branch it prepares waits in the
-/// partition's in-doubt table, holding its locks, for the decision.
-pub struct LockedSession<'e> {
-    engine: &'e PartitionEngine,
-    id: u64,
-    retry_limit: u32,
-}
-
-impl Session for LockedSession<'_> {
-    fn submit(&mut self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
-        // The work happens on this thread, so the management span here
-        // catches what nested storage spans don't claim.
-        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        Ok(self.engine.submit_plan_local(plan, self.retry_limit)?)
-    }
-
-    fn prepare(&mut self, gtid: u64, plan: &PlanRequest) -> Result<Vote, ExecError> {
-        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        self.engine.prepare_parked(self.id, gtid, plan)
-    }
-
-    fn decide(&mut self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
-        let _span = islands_obs::enter(BreakdownCategory::XctManagement);
-        Ok(self.engine.in_doubt.decide(gtid, commit))
-    }
-}
-
-impl Drop for LockedSession<'_> {
-    fn drop(&mut self) {
-        self.engine.in_doubt.disown(self.id);
     }
 }
 
@@ -623,7 +705,7 @@ mod tests {
         let e = engine();
         assert!(matches!(
             e.submit_local(&update(&[99]), 4),
-            Err(StorageError::KeyNotFound(99))
+            Err(ExecError::Storage(StorageError::KeyNotFound(99)))
         ));
         assert!(matches!(
             e.prepare_branch(1, &update(&[200])),
@@ -705,7 +787,7 @@ mod tests {
         // Same history key again: a typed duplicate, not a retry loop.
         assert!(matches!(
             e.submit_plan_local(&plan, 4),
-            Err(StorageError::DuplicateKey(_))
+            Err(ExecError::Storage(StorageError::DuplicateKey(_)))
         ));
     }
 
@@ -826,7 +908,7 @@ mod tests {
         .plan(1 << 32, false);
         assert!(matches!(
             e.submit_plan_local(&foreign, 0),
-            Err(StorageError::KeyNotFound(_))
+            Err(ExecError::Storage(StorageError::KeyNotFound(_)))
         ));
         // A micro-table plan against a TPC-C partition (and vice versa) is a
         // catalog error before any row is touched.
@@ -841,7 +923,7 @@ mod tests {
         };
         assert!(matches!(
             e.submit_plan_local(&micro_plan, 0),
-            Err(StorageError::NoSuchTable(_))
+            Err(ExecError::Storage(StorageError::NoSuchTable(_)))
         ));
         let micro_engine = engine();
         let tpcc_plan = tpcc::NewOrder {
@@ -853,7 +935,7 @@ mod tests {
         .plan(0);
         assert!(matches!(
             micro_engine.submit_plan_local(&tpcc_plan, 0),
-            Err(StorageError::NoSuchTable(_))
+            Err(ExecError::Storage(StorageError::NoSuchTable(_)))
         ));
         assert_eq!(e.audit_sum().unwrap(), 0);
     }
@@ -925,7 +1007,7 @@ mod tests {
         };
         {
             let e = PartitionEngine::build(&cfg).unwrap();
-            assert!(e.ownerless_gtids().is_empty());
+            assert!(e.ownerless_gtids().unwrap().is_empty());
             // Committed work that must survive the crash.
             assert!(e.submit_local(&update(&[110]), 0).unwrap().committed);
             // A prepared branch whose decision never arrives: forget the
@@ -938,7 +1020,7 @@ mod tests {
         }
         // "Restart": same config, same WAL file, fresh volatile store.
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e2.ownerless_gtids(), vec![42]);
+        assert_eq!(e2.ownerless_gtids().unwrap(), vec![42]);
         // Committed update redone; the in-doubt write is back in its row,
         // under the branch's X lock, as a live parked branch's would be,
         // and the audit counts it only once it commits.
@@ -955,10 +1037,9 @@ mod tests {
         assert!(e2.submit_local(&update(&[150]), 0).unwrap().committed);
         // A commit decision applies the branch; unknown gtids get the
         // presumed-abort answers.
-        let mut s = e2.session(0);
-        assert_eq!(s.decide(42, true).unwrap(), DecideOutcome::Applied);
-        assert_eq!(s.decide(42, true).unwrap(), DecideOutcome::UnknownCommit);
-        assert_eq!(s.decide(999, false).unwrap(), DecideOutcome::AbortNoop);
+        assert_eq!(e2.decide(42, true).unwrap(), DecideOutcome::Applied);
+        assert_eq!(e2.decide(42, true).unwrap(), DecideOutcome::UnknownCommit);
+        assert_eq!(e2.decide(999, false).unwrap(), DecideOutcome::AbortNoop);
         assert_eq!(e2.audit_sum().unwrap(), 3);
         assert!(e2.submit_local(&update(&[120]), 0).unwrap().committed);
         let _ = std::fs::remove_file(&path);
@@ -993,7 +1074,7 @@ mod tests {
         };
         crash_with_branches_parked(&cfg, 120..121);
         let e = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e.ownerless_gtids(), vec![121]);
+        assert_eq!(e.ownerless_gtids().unwrap(), vec![121]);
         let table = e.plan_table(MICRO_TABLE).unwrap();
         let mut raw = e.instance().begin();
         let parked = raw.modify(table, 120, |_| {});
@@ -1002,10 +1083,7 @@ mod tests {
             "a write to a parked branch's row: {parked:?}"
         );
         raw.abort().unwrap();
-        assert_eq!(
-            e.session(0).decide(121, true).unwrap(),
-            DecideOutcome::Applied
-        );
+        assert_eq!(e.decide(121, true).unwrap(), DecideOutcome::Applied);
         let mut raw = e.instance().begin();
         raw.modify(table, 120, |_| {}).unwrap();
         raw.commit().unwrap();
@@ -1051,7 +1129,7 @@ mod tests {
                 while attempts.load(Ordering::Relaxed) == 0 {
                     std::hint::spin_loop();
                 }
-                let decided = e.session(0).decide(key + 1, true).unwrap();
+                let decided = e.decide(key + 1, true).unwrap();
                 assert_eq!(decided, DecideOutcome::Applied);
                 stop.store(true, Ordering::Relaxed);
                 hammer.join().unwrap()
@@ -1089,7 +1167,7 @@ mod tests {
             assert_eq!(e.audit_sum().unwrap(), 1);
         }
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert!(e2.ownerless_gtids().is_empty());
+        assert!(e2.ownerless_gtids().unwrap().is_empty());
         assert_eq!(e2.audit_sum().unwrap(), 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -1173,11 +1251,11 @@ mod tests {
             std::mem::forget(handle);
         }
         let e2 = PartitionEngine::build(&cfg).unwrap();
-        assert_eq!(e2.ownerless_gtids(), vec![7]);
-        let decided = e2.session(0).decide(7, false).unwrap();
+        assert_eq!(e2.ownerless_gtids().unwrap(), vec![7]);
+        let decided = e2.decide(7, false).unwrap();
         assert_eq!(decided, DecideOutcome::Applied);
         assert_eq!(e2.audit_sum().unwrap(), 0);
-        assert!(e2.ownerless_gtids().is_empty());
+        assert!(e2.ownerless_gtids().unwrap().is_empty());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1221,5 +1299,435 @@ mod tests {
             );
         }
         assert_eq!(e.audit_sum().unwrap(), 0);
+    }
+
+    /// A local that meets a parked branch, with budget `budget`, while
+    /// another thread decides the branch commit a few ms after the local
+    /// starts: the local's outcome, once the audit is checked.
+    fn local_meeting_a_parked_branch(single_threaded: bool, budget: u32) -> SubmitOutcome {
+        let e = Arc::new(
+            PartitionEngine::build(&PartitionConfig {
+                lo: 100,
+                hi: 200,
+                row_size: 16,
+                buffer_frames: 256,
+                single_threaded,
+                ..Default::default()
+            })
+            .unwrap(),
+        );
+        let a = e.session();
+        let branch = update(&[110]).to_plan();
+        assert_eq!(a.prepare_plan(7, &branch).unwrap(), Vote::Yes);
+        let submitting = std::sync::Barrier::new(2);
+        let out = std::thread::scope(|s| {
+            s.spawn(|| {
+                submitting.wait();
+                std::thread::sleep(Duration::from_millis(3));
+                assert_eq!(e.decide(7, true).unwrap(), DecideOutcome::Applied);
+            });
+            submitting.wait();
+            e.submit_local(&update(&[110, 111]), budget).unwrap()
+        });
+        // The branch's write, and the local's two if it committed.
+        let writes = 1 + 2 * out.committed as u64;
+        assert_eq!(e.audit_sum().unwrap(), writes, "{out:?}");
+        out
+    }
+
+    #[test]
+    fn a_local_waits_out_a_parked_branch_within_its_budget_in_both_modes() {
+        for single_threaded in [false, true] {
+            let out = local_meeting_a_parked_branch(single_threaded, 64);
+            assert!(
+                out.committed && out.retries > 0,
+                "single_threaded={single_threaded}: {out:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_local_with_no_budget_loses_to_a_parked_branch_in_both_modes() {
+        for single_threaded in [false, true] {
+            let out = local_meeting_a_parked_branch(single_threaded, 0);
+            assert_eq!(
+                (out.committed, out.retries),
+                (false, 0),
+                "single_threaded={single_threaded}"
+            );
+        }
+    }
+
+    /// A serial partition: an engine built `single_threaded`, whose callers
+    /// take turns.
+    mod serial {
+        use super::super::*;
+        use super::update;
+
+        fn serial_with(partition: PartitionConfig) -> Arc<PartitionEngine> {
+            let partition = PartitionConfig {
+                single_threaded: true,
+                ..partition
+            };
+            Arc::new(PartitionEngine::build(&partition).unwrap())
+        }
+
+        fn serial_partition() -> Arc<PartitionEngine> {
+            serial_with(PartitionConfig {
+                lo: 100,
+                hi: 200,
+                row_size: 16,
+                buffer_frames: 256,
+                ..Default::default()
+            })
+        }
+
+        fn prepare(s: &PartitionSession, gtid: u64, keys: &[u64]) -> Result<Vote, ExecError> {
+            s.prepare_plan(gtid, &update(keys).to_plan())
+        }
+
+        #[test]
+        fn serial_submit_commits_without_locks() {
+            let e = serial_partition();
+            let out = e.submit_local(&update(&[100, 150, 199]), 0).unwrap();
+            assert!(out.committed);
+            assert_eq!(out.retries, 0);
+            assert_eq!(e.audit_sum().unwrap(), 3);
+            assert_eq!(e.instance().locks().stats(), (0, 0, 0));
+        }
+
+        #[test]
+        fn misrouted_keys_are_errors_not_writes() {
+            let e = serial_partition();
+            let s = e.session();
+            assert!(matches!(
+                e.submit_local(&update(&[99]), 0),
+                Err(ExecError::Storage(StorageError::KeyNotFound(99)))
+            ));
+            assert!(matches!(
+                prepare(&s, 1, &[200]),
+                Err(ExecError::Storage(StorageError::KeyNotFound(200)))
+            ));
+            assert_eq!(e.audit_sum().unwrap(), 0);
+        }
+
+        #[test]
+        fn in_doubt_branch_aborts_conflicting_work_until_decided() {
+            let e = serial_partition();
+            let s = e.session();
+            assert!(matches!(prepare(&s, 7, &[110]), Ok(Vote::Yes)));
+            // Conflicting local submit: immediate abort, like wait-die.
+            let blocked = e.submit_local(&update(&[110, 111]), 0).unwrap();
+            assert!(!blocked.committed);
+            // Conflicting prepare of another gtid: votes No.
+            assert!(matches!(prepare(&s, 8, &[110]), Ok(Vote::No)));
+            // Non-conflicting work flows freely.
+            assert!(e.submit_local(&update(&[150]), 0).unwrap().committed);
+            // Decision releases the keys.
+            assert!(matches!(e.decide(7, true), Ok(DecideOutcome::Applied)));
+            assert!(e.submit_local(&update(&[110]), 0).unwrap().committed);
+            assert_eq!(e.audit_sum().unwrap(), 3);
+        }
+
+        #[test]
+        fn abort_decision_undoes_the_branch() {
+            let e = serial_partition();
+            let s = e.session();
+            assert!(matches!(prepare(&s, 9, &[120]), Ok(Vote::Yes)));
+            assert!(matches!(e.decide(9, false), Ok(DecideOutcome::Applied)));
+            assert_eq!(e.audit_sum().unwrap(), 0);
+        }
+
+        #[test]
+        fn decisions_for_unknown_gtids_follow_presumed_abort() {
+            let e = serial_partition();
+            assert!(matches!(e.decide(42, false), Ok(DecideOutcome::AbortNoop)));
+            assert!(matches!(
+                e.decide(42, true),
+                Ok(DecideOutcome::UnknownCommit)
+            ));
+        }
+
+        #[test]
+        fn duplicate_gtid_prepare_is_rejected() {
+            let e = serial_partition();
+            let s = e.session();
+            assert!(matches!(prepare(&s, 5, &[130]), Ok(Vote::Yes)));
+            assert!(matches!(
+                prepare(&s, 5, &[131]),
+                Err(ExecError::DuplicateGtid(5))
+            ));
+            assert!(matches!(e.decide(5, false), Ok(DecideOutcome::Applied)));
+        }
+
+        #[test]
+        fn a_dropped_sessions_branches_stay_parked_until_decided() {
+            let e = serial_partition();
+            let dying = e.session();
+            let surviving = e.session();
+            assert!(matches!(prepare(&dying, 1, &[110]), Ok(Vote::Yes)));
+            assert!(matches!(prepare(&dying, 2, &[111]), Ok(Vote::Yes)));
+            assert!(matches!(prepare(&surviving, 3, &[112]), Ok(Vote::Yes)));
+            let rung = e.bell().rung();
+            drop(dying);
+            assert_eq!(e.bell().rung(), rung + 1, "the drop rings the bell once");
+            // A Yes vote binds: both branches stay parked, owned by nobody,
+            // and still guard their keys, as the survivor's does.
+            assert_eq!(e.ownerless_gtids().unwrap(), [1, 2]);
+            for key in [110, 111, 112] {
+                assert!(!e.submit_local(&update(&[key]), 0).unwrap().committed);
+            }
+            // Decisions from anyone settle them.
+            assert!(matches!(e.decide(1, true), Ok(DecideOutcome::Applied)));
+            assert!(matches!(e.decide(2, false), Ok(DecideOutcome::Applied)));
+            assert!(matches!(e.decide(3, true), Ok(DecideOutcome::Applied)));
+            assert!(e.ownerless_gtids().unwrap().is_empty());
+            assert_eq!(e.audit_sum().unwrap(), 2);
+        }
+
+        #[test]
+        fn decisions_apply_across_sessions() {
+            // A coordinator that reconnects decides on a fresh connection;
+            // the branch is partition-wide, so the decision still lands.
+            let e = serial_partition();
+            let preparer = e.session();
+            assert!(matches!(prepare(&preparer, 6, &[140]), Ok(Vote::Yes)));
+            assert!(matches!(e.decide(6, true), Ok(DecideOutcome::Applied)));
+            let rung = e.bell().rung();
+            drop(preparer);
+            assert_eq!(e.bell().rung(), rung, "branch already decided elsewhere");
+            assert_eq!(e.audit_sum().unwrap(), 1);
+        }
+
+        #[test]
+        fn engine_mode_round_trips_its_labels() {
+            for mode in [EngineMode::Locked, EngineMode::Serial] {
+                assert_eq!(EngineMode::parse(mode.label()), Ok(mode));
+            }
+            assert!(EngineMode::parse("turbo").is_err());
+            assert_eq!(EngineMode::default(), EngineMode::Locked);
+        }
+
+        #[test]
+        fn sessions_on_many_threads_take_turns_on_the_partition() {
+            // The turn is the only thing between 8 threads and a lock-free
+            // engine: every committed write must be counted exactly once,
+            // 2PC branches included, and nobody may see `Gone`.
+            const THREADS: u64 = 8;
+            const ROUNDS: u64 = 2_000;
+            let e = serial_partition();
+            let start = std::sync::Barrier::new(THREADS as usize);
+            let metrics = Arc::new(islands_obs::Metrics::new());
+            let written: u64 = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (e, start, metrics) = (&e, &start, &metrics);
+                        scope.spawn(move || {
+                            let _scope = islands_obs::scope(metrics);
+                            let s = e.session();
+                            let mut written = 0u64;
+                            start.wait();
+                            for i in 0..ROUNDS {
+                                // 4 shared keys, so in-doubt footprints do
+                                // abort other threads' work.
+                                let key = 100 + (t + i) % 4;
+                                if i % 8 == 0 {
+                                    let gtid = t * ROUNDS + i;
+                                    let commit = i % 16 == 0;
+                                    if prepare(&s, gtid, &[key]).unwrap() == Vote::Yes {
+                                        let decided = e.decide(gtid, commit).unwrap();
+                                        assert_eq!(decided, DecideOutcome::Applied);
+                                        written += commit as u64;
+                                    }
+                                } else if e.submit_local(&update(&[key]), 0).unwrap().committed {
+                                    written += 1;
+                                }
+                            }
+                            written
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            // How many attempts an in-doubt footprint aborted is up to the
+            // scheduler; that every committed one is counted once is not.
+            assert!(written > 0);
+            assert_eq!(e.audit_sum().unwrap(), written);
+            // Nobody is left waiting for the turn.
+            assert_eq!(metrics.queue_depth.get(), 0);
+        }
+
+        #[test]
+        fn a_session_that_dies_holding_the_partition_leaves_it_gone() {
+            let e = serial_partition();
+            let survivor = e.session();
+            assert!(e.submit_local(&update(&[110]), 0).unwrap().committed);
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = e.turn.as_ref().unwrap().lock().unwrap();
+                    panic!("session died mid-transaction");
+                })
+                .join()
+            });
+            assert!(died.is_err());
+            // Typed errors from every entry point: no hang, no second panic,
+            // and no retry loop on a partition that is gone.
+            assert!(matches!(
+                e.submit_local(&update(&[111]), 64),
+                Err(ExecError::Gone)
+            ));
+            assert!(matches!(
+                prepare(&survivor, 1, &[112]),
+                Err(ExecError::Gone)
+            ));
+            assert!(matches!(e.decide(1, true), Err(ExecError::Gone)));
+            assert!(matches!(
+                e.submit_local(&update(&[113]), 0),
+                Err(ExecError::Gone)
+            ));
+            assert!(matches!(e.audit_sum(), Err(ExecError::Gone)));
+            assert!(matches!(e.ownerless_gtids(), Err(ExecError::Gone)));
+            drop(survivor);
+        }
+
+        #[cfg(feature = "lockcheck")]
+        #[test]
+        #[should_panic(expected = "lockcheck: cross-thread access")]
+        fn a_handle_used_outside_the_partition_lock_is_caught() {
+            let e = serial_partition();
+            let mut txn = e.take_turn(|| e.instance().begin()).unwrap();
+            // Same thread, but the turn is over: any other caller may be
+            // running a transaction on the partition right now.
+            let _ = txn.read(crate::native::MICRO_TABLE_NAME, 110);
+        }
+
+        fn tpcc_serial_partition() -> Arc<PartitionEngine> {
+            serial_with(PartitionConfig {
+                buffer_frames: 8192,
+                tpcc: Some(TpccPartition {
+                    warehouses: 2,
+                    w_lo: 0,
+                    w_hi: 1,
+                }),
+                ..Default::default()
+            })
+        }
+
+        #[test]
+        fn serial_executor_runs_tpcc_plans() {
+            let e = tpcc_serial_partition();
+            let order = tpcc::NewOrder {
+                w_id: 0,
+                d_id: 2,
+                c_id: 5,
+                items: vec![10, 20],
+            };
+            let out = e.submit_plan_local(&order.plan(3), 0).unwrap();
+            assert!(out.committed);
+            // District + 2 stock updates + order insert.
+            assert_eq!(e.audit_sum().unwrap(), 4);
+        }
+
+        #[test]
+        fn parked_plan_branch_guards_its_dependent_reads_per_table() {
+            use islands_workload::plan::{PlanClass, TPCC_CUSTOMER};
+            let e = tpcc_serial_partition();
+            let s = e.session();
+            // Remote-payment customer-side branch: dependent scan of
+            // customers 16..20 plus the customer update, parked in-doubt.
+            let branch = PlanRequest {
+                class: PlanClass::Payment,
+                multisite: true,
+                steps: vec![
+                    PlanStep::range(TPCC_CUSTOMER, tpcc::customer_key(0, 1, 16), 4),
+                    PlanStep::point(TPCC_CUSTOMER, tpcc::customer_key(0, 1, 17), StepOp::Update),
+                ],
+            };
+            assert!(matches!(s.prepare_plan(21, &branch), Ok(Vote::Yes)));
+            // A plan touching a *scanned* row conflicts and aborts at once.
+            let scanned = PlanRequest {
+                class: PlanClass::Generic,
+                multisite: false,
+                steps: vec![PlanStep::point(
+                    TPCC_CUSTOMER,
+                    tpcc::customer_key(0, 1, 19),
+                    StepOp::Update,
+                )],
+            };
+            assert!(!e.submit_plan_local(&scanned, 0).unwrap().committed);
+            // The same row number in a *different table* does not conflict.
+            let other_table = tpcc::NewOrder {
+                w_id: 0,
+                d_id: 1,
+                c_id: 40,
+                items: vec![19],
+            };
+            assert!(
+                e.submit_plan_local(&other_table.plan(8), 0)
+                    .unwrap()
+                    .committed
+            );
+            // Decision releases the footprint.
+            assert!(matches!(e.decide(21, true), Ok(DecideOutcome::Applied)));
+            assert!(e.submit_plan_local(&scanned, 0).unwrap().committed);
+        }
+
+        #[test]
+        fn restart_replay_parks_branches_resolvable_through_decide() {
+            let path = std::env::temp_dir().join(format!(
+                "islands-exec-wal-{}-restart.log",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let partition = PartitionConfig {
+                lo: 100,
+                hi: 200,
+                row_size: 16,
+                buffer_frames: 256,
+                wal: Some(path.clone()),
+                ..Default::default()
+            };
+            // First incarnation prepares a branch and "crashes" (the
+            // forgotten handle never logs a decision, like kill -9 after
+            // Prepare-ack).
+            {
+                let eng = serial_with(partition.clone());
+                let BranchOutcome::Prepared(handle) =
+                    eng.prepare_branch(77, &update(&[150])).unwrap()
+                else {
+                    panic!("writer branch must prepare");
+                };
+                std::mem::forget(handle);
+            }
+            let e2 = serial_with(partition);
+            assert_eq!(e2.ownerless_gtids().unwrap(), vec![77]);
+            let s = e2.session();
+            // The recovered branch guards its key against new work.
+            assert!(!e2.submit_local(&update(&[150]), 0).unwrap().committed);
+            assert!(matches!(prepare(&s, 78, &[150]), Ok(Vote::No)));
+            // A normal decision resolves it.
+            assert!(matches!(e2.decide(77, true), Ok(DecideOutcome::Applied)));
+            assert!(e2.ownerless_gtids().unwrap().is_empty());
+            assert_eq!(e2.audit_sum().unwrap(), 1);
+            assert!(e2.submit_local(&update(&[150]), 0).unwrap().committed);
+            let _ = std::fs::remove_file(&path);
+        }
+
+        #[test]
+        fn misrouted_plans_are_typed_errors_on_the_executor() {
+            let e = tpcc_serial_partition();
+            // Warehouse 1 belongs to the other instance.
+            let foreign = tpcc::NewOrder {
+                w_id: 1,
+                d_id: 0,
+                c_id: 0,
+                items: vec![1],
+            };
+            assert!(matches!(
+                e.submit_plan_local(&foreign.plan(1 << 32), 0),
+                Err(ExecError::Storage(StorageError::KeyNotFound(_)))
+            ));
+            assert_eq!(e.audit_sum().unwrap(), 0);
+        }
     }
 }

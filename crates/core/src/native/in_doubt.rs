@@ -12,7 +12,7 @@
 //!   no locks, so there each branch carries its `(table, key)` footprint
 //!   instead. New work that touches a footprint aborts, as wait-die kills a
 //!   newcomer. With no footprint parked the check is one load.
-//! * **Decide.** Any session may decide any branch: its resolution is
+//! * **Decide.** Any caller may decide any branch: its resolution is
 //!   counted, the branch is un-parked, then [`TxnHandle::decide`] applied,
 //!   its locks held until it ends. A gtid nobody parked gets the
 //!   presumed-abort answer. Deciding is the only way out: the decision
@@ -26,12 +26,14 @@
 //!   ([`TxnHandle::leave_in_doubt`]) for the next incarnation to rebuild.
 //!
 //! The map's lock is held for an insert or a remove, never while a plan
-//! runs or the WAL is forced. The table is what a stats snapshot counts as
-//! `in_doubt`, and this is the one place the parked-time histogram moves.
+//! runs or the WAL is forced; once a serial engine serves, only a caller
+//! holding the partition's turn takes it. The table is what a stats
+//! snapshot counts as `in_doubt`, and this is the one place the parked-time
+//! histogram moves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use islands_dtxn::{Participant, Vote};
@@ -105,7 +107,7 @@ pub(crate) struct InDoubtTable {
     /// Entries with a footprint: while zero, nothing is to be checked.
     guarded: AtomicUsize,
     /// Rung by [`disown`](Self::disown).
-    pub(crate) bell: Arc<Bell>,
+    pub(crate) bell: Bell,
 }
 
 impl InDoubtTable {
@@ -114,7 +116,7 @@ impl InDoubtTable {
             single_threaded,
             entries: Mutex::new(HashMap::new()),
             guarded: AtomicUsize::new(0),
-            bell: Arc::default(),
+            bell: Bell::default(),
         }
     }
 
@@ -192,7 +194,7 @@ impl InDoubtTable {
 
     /// Whether `plan` touches a row some parked footprint claims.
     pub(crate) fn blocks(&self, plan: &PlanRequest) -> bool {
-        // Footprints are parked under the serial partition's lock, or by
+        // Footprints are parked under the serial partition's turn, or by
         // replay before any session exists: a zero read is never stale.
         self.guarded.load(Ordering::Relaxed) != 0
             && self

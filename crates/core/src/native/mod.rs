@@ -1,25 +1,30 @@
 //! One real partition: a storage instance, real threads, real 2PC branches.
 //!
 //! This is the engine half of the paper's prototype. A [`PartitionEngine`]
-//! (2PL) or [`PartitionExecutor`] (serial, one mutex) owns one contiguous
-//! share of the data and serves [`Session`]s: local plans commit here,
-//! multisite branches are prepared, parked in-doubt and decided here, with
-//! prepare and decision records forced to the instance's WAL. Both modes
-//! park branches in the engine's one in-doubt table (`in_doubt`). Everything
-//! that makes N of them a deployment — routing, the 2PC coordinator, the
-//! transport, spawned or in-process — lives in `islands-server`.
+//! owns one contiguous share of the data, in either [`EngineMode`]: locked
+//! (2PL, callers run side by side) or serial (built `single_threaded`,
+//! callers take turns). Local plans commit here, multisite branches are
+//! prepared, parked in-doubt and decided here, with prepare and decision
+//! records forced to the instance's WAL; a [`PartitionSession`] is what a
+//! prepared branch is parked under. Both modes park branches in the
+//! engine's one in-doubt table (`in_doubt`). Everything that makes N of
+//! them a deployment — routing, the 2PC coordinator, the transport,
+//! spawned or in-process — lives in `islands-server`.
 
 use std::time::Duration;
 
+use islands_dtxn::Vote;
+use islands_storage::StorageError;
+use islands_workload::plan::PlanRequest;
+use islands_workload::TxnRequest;
+
 pub mod engine;
-pub mod executor;
 mod in_doubt;
 pub mod session;
 
-pub use engine::{BranchOutcome, LockedSession, PartitionConfig, PartitionEngine, TpccPartition};
-pub use executor::{EngineMode, ExecutorConfig, ExecutorSession, PartitionExecutor};
+pub use engine::{BranchOutcome, EngineMode, PartitionConfig, PartitionEngine, TpccPartition};
 pub use in_doubt::Bell;
-pub use session::{DecideOutcome, Engine, ExecError, Session};
+pub use session::{DecideOutcome, ExecError, PartitionSession};
 
 /// Delay before the `retries`-th re-attempt of a contention-aborted
 /// transaction: `None` for the first few attempts (just yield — the
@@ -74,6 +79,62 @@ pub struct SubmitOutcome {
     pub distributed: bool,
     /// Abort-and-retry rounds before the final outcome.
     pub retries: u32,
+}
+
+// Kept for `benchmark/`, goes with ROADMAP item 1: the names the
+// benchmark package still builds a serial partition by. A serial partition
+// is a `PartitionEngine` built `single_threaded`; these spell it the way
+// the serial executor did.
+
+/// A serial partition: a [`PartitionEngine`] built `single_threaded`.
+pub type PartitionExecutor = PartitionEngine;
+
+/// A session on a serial partition.
+pub type ExecutorSession = PartitionSession;
+
+/// Construction knobs for [`PartitionEngine::spawn`].
+#[derive(Debug, Clone, Default)]
+pub struct ExecutorConfig {
+    /// The partition. `single_threaded` is forced on.
+    pub partition: PartitionConfig,
+}
+
+impl PartitionEngine {
+    /// Build `cfg.partition` as a serial partition.
+    pub fn spawn(cfg: ExecutorConfig) -> Result<PartitionEngine, StorageError> {
+        PartitionEngine::build(&PartitionConfig {
+            single_threaded: true,
+            ..cfg.partition
+        })
+    }
+
+    /// Drop the engine, leaving any branch still parked in doubt in its
+    /// WAL.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl PartitionSession {
+    /// [`PartitionEngine::submit_local`] with no retry budget.
+    pub fn submit(&self, req: &TxnRequest) -> Result<SubmitOutcome, ExecError> {
+        self.engine().submit_local(req, 0)
+    }
+
+    /// [`PartitionEngine::submit_plan_local`] with no retry budget.
+    pub fn submit_plan(&self, plan: &PlanRequest) -> Result<SubmitOutcome, ExecError> {
+        self.engine().submit_plan_local(plan, 0)
+    }
+
+    /// [`prepare_plan`](Self::prepare_plan) for a micro batch.
+    pub fn prepare(&self, gtid: u64, req: &TxnRequest) -> Result<Vote, ExecError> {
+        self.prepare_plan(gtid, &req.to_plan())
+    }
+
+    /// [`PartitionEngine::decide`].
+    pub fn decide(&self, gtid: u64, commit: bool) -> Result<DecideOutcome, ExecError> {
+        self.engine().decide(gtid, commit)
+    }
 }
 
 #[cfg(test)]

@@ -1,32 +1,35 @@
-//! Differential test: the locked engine and the serial executor are
+//! Differential test: the locked and the serial engine are
 //! result-equivalent.
 //!
-//! One `MicroSpec`-generated trace is replayed through both engine modes —
-//! the locked [`PartitionEngine`] (2PL, wait-die) and the
-//! [`PartitionExecutor`] (serial, no lock table) — by **one** `replay`
-//! written against the [`Engine`]/[`Session`] surface: nothing in it knows
-//! which mode it drives. The trace interleaves local submissions *inside*
+//! One `MicroSpec`-generated trace is replayed through both engine modes of
+//! the one [`PartitionEngine`] — locked (2PL, wait-die) and serial (built
+//! `single_threaded`, no lock table) — by **one** `replay`: nothing in it
+//! knows which mode it drives. The trace interleaves local submissions *inside*
 //! the in-doubt window of prepared 2PC branches — including branches later
 //! decided **abort**, deliberately conflicting locals, and branches whose
 //! engine is killed after the vote and rebuilt over its WAL, so the
 //! decision lands on a branch restart replay re-parked — and the claim
-//! under test is exact per-step outcome equality, equal commit counts, and
-//! equal `audit_sum()`.
+//! under test is exact per-step outcome equality — every local's whole
+//! [`SubmitOutcome`], retries included — equal commit counts, and equal
+//! `audit_sum()`.
 //!
 //! Why equality holds: under the locked engine an in-doubt branch is the
 //! *oldest* holder of its row locks, so wait-die kills every conflicting
-//! newcomer immediately; the executor answers a conflicting request with an
-//! immediate abort off its in-doubt key set. A re-parked branch is rebuilt
-//! as the prepared transaction it was, so it guards its rows the same way:
-//! with its re-taken locks on the locked side, with the footprint of its
-//! writes on the serial side. Same observable behavior, no locks on the
-//! serial side.
+//! newcomer immediately; the serial engine answers a conflicting attempt
+//! with an immediate abort off its in-doubt key set. Either way the local
+//! retries within the same budget, under the same backoff. A re-parked
+//! branch is rebuilt as the prepared transaction it was, so it guards its
+//! rows the same way: with its re-taken locks on the locked side, with the
+//! footprint of its writes on the serial side. Same observable behavior, no
+//! locks on the serial side.
 
 use std::path::{Path, PathBuf};
 
+use std::sync::Arc;
+
 use islands_core::native::{
-    DecideOutcome, Engine, EngineMode, ExecError, ExecutorConfig, PartitionConfig, PartitionEngine,
-    PartitionExecutor, TpccPartition,
+    DecideOutcome, EngineMode, ExecError, PartitionConfig, PartitionEngine, SubmitOutcome,
+    TpccPartition,
 };
 use islands_dtxn::Vote;
 use islands_storage::StorageError;
@@ -37,7 +40,7 @@ use rand::SeedableRng;
 
 const ROWS: u64 = 240;
 const SITES: u64 = 4;
-/// Retry budget of local submissions (moot for the serial executor).
+/// Retry budget of local submissions.
 const RETRIES: u32 = 4;
 
 /// One step of the replay script.
@@ -61,15 +64,13 @@ enum Step {
 }
 
 /// Outcomes of one step, in the same shape for both engines. A branch step
-/// records the vote-equivalent plus each interleaved local's fate.
+/// records the vote-equivalent plus each interleaved local's outcome.
 #[derive(Debug, PartialEq, Eq)]
 enum Outcome {
-    Local {
-        committed: bool,
-    },
+    Local(SubmitOutcome),
     Branch {
         prepared: bool,
-        interleaved: Vec<bool>,
+        interleaved: Vec<SubmitOutcome>,
         committed: bool,
     },
 }
@@ -85,18 +86,22 @@ fn partition_config(wal: Option<&Path>) -> PartitionConfig {
     }
 }
 
-/// The one place a mode is named: everything downstream sees `dyn Engine`.
-fn build(mode: EngineMode, wal: Option<&Path>) -> Box<dyn Engine> {
+fn build(mode: EngineMode, wal: Option<&Path>) -> Arc<PartitionEngine> {
     build_partition(mode, partition_config(wal))
 }
 
-fn build_partition(mode: EngineMode, partition: PartitionConfig) -> Box<dyn Engine> {
-    match mode {
-        EngineMode::Locked => Box::new(PartitionEngine::build(&partition).unwrap()),
-        EngineMode::Serial => {
-            Box::new(PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap())
-        }
-    }
+/// The one place a mode is named: everything downstream sees one engine.
+fn build_partition(mode: EngineMode, partition: PartitionConfig) -> Arc<PartitionEngine> {
+    let partition = PartitionConfig {
+        single_threaded: mode == EngineMode::Serial,
+        ..partition
+    };
+    Arc::new(PartitionEngine::build(&partition).unwrap())
+}
+
+/// Submit a local plan with the replay's budget.
+fn local(engine: &PartitionEngine, req: &TxnRequest) -> SubmitOutcome {
+    engine.submit_plan_local(&req.to_plan(), RETRIES).unwrap()
 }
 
 /// Fresh scratch WAL path for one test's run of `mode`.
@@ -163,18 +168,16 @@ fn build_script(kind: OpKind) -> Vec<Step> {
     steps
 }
 
-/// Replay the script through one engine mode, entirely on the session
-/// surface. Returns the per-step outcomes and the final audit sum.
+/// Replay the script through one engine mode. Returns the per-step
+/// outcomes and the final audit sum.
 fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64) {
     let wal = temp_wal(mode, kind.label());
     let mut engine = build(mode, Some(&wal));
-    let mut session = engine.session(RETRIES);
+    let mut session = engine.session();
     let mut outcomes = Vec::new();
     for step in steps {
         match step {
-            Step::Local(req) => outcomes.push(Outcome::Local {
-                committed: session.submit(&req.to_plan()).unwrap().committed,
-            }),
+            Step::Local(req) => outcomes.push(Outcome::Local(local(&engine, req))),
             Step::Branch {
                 gtid,
                 req,
@@ -182,25 +185,21 @@ fn replay(mode: EngineMode, kind: OpKind, steps: &[Step]) -> (Vec<Outcome>, u64)
                 commit,
                 restart,
             } => {
-                let vote = session.prepare(*gtid, &req.to_plan()).unwrap();
+                let vote = session.prepare_plan(*gtid, &req.to_plan()).unwrap();
                 if *restart && vote == Vote::Yes {
-                    // kill -9: no session close, no engine shutdown —
-                    // either would log the presumed abort a crash never
-                    // writes. The dead incarnation is leaked, not dropped.
+                    // kill -9: no session close, no engine shutdown. The
+                    // dead incarnation is leaked, not dropped.
                     std::mem::forget(session);
                     std::mem::forget(engine);
                     engine = build(mode, Some(&wal));
                     assert_eq!(engine.ownerless_gtids().unwrap(), [*gtid]);
-                    session = engine.session(RETRIES);
+                    session = engine.session();
                 }
-                let interleaved = interleave
-                    .iter()
-                    .map(|il| session.submit(&il.to_plan()).unwrap().committed)
-                    .collect();
+                let interleaved = interleave.iter().map(|il| local(&engine, il)).collect();
                 let committed = match vote {
                     Vote::Yes => {
                         assert_eq!(
-                            session.decide(*gtid, *commit).unwrap(),
+                            engine.decide(*gtid, *commit).unwrap(),
                             DecideOutcome::Applied
                         );
                         *commit
@@ -231,12 +230,12 @@ fn committed_count(outcomes: &[Outcome]) -> u64 {
     outcomes
         .iter()
         .map(|o| match o {
-            Outcome::Local { committed } => *committed as u64,
+            Outcome::Local(out) => out.committed as u64,
             Outcome::Branch {
                 interleaved,
                 committed,
                 ..
-            } => *committed as u64 + interleaved.iter().filter(|c| **c).count() as u64,
+            } => *committed as u64 + interleaved.iter().filter(|out| out.committed).count() as u64,
         })
         .sum()
 }
@@ -303,8 +302,8 @@ fn read_trace_is_engine_equivalent() {
 fn conflicting_locals_abort_identically_in_both_engines() {
     // The sharpest corner, pinned explicitly: while a branch is in-doubt,
     // a conflicting local must fail in *both* engines (wait-die kills the
-    // younger txn under 2PL; the executor's in-doubt key set answers the
-    // same way), and succeed in both once the branch aborts.
+    // younger txn under 2PL; the serial engine's in-doubt key set answers
+    // the same way), and succeed in both once the branch aborts.
     let req = TxnRequest {
         kind: OpKind::Update,
         keys: vec![10, 11],
@@ -318,11 +317,11 @@ fn conflicting_locals_abort_identically_in_both_engines() {
 
     let run = |mode| {
         let engine = build(mode, None);
-        let mut session = engine.session(RETRIES);
-        assert_eq!(session.prepare(1, &req.to_plan()).unwrap(), Vote::Yes);
-        let blocked = session.submit(&conflicting.to_plan()).unwrap().committed;
-        assert_eq!(session.decide(1, false).unwrap(), DecideOutcome::Applied);
-        let after = session.submit(&conflicting.to_plan()).unwrap().committed;
+        let session = engine.session();
+        assert_eq!(session.prepare_plan(1, &req.to_plan()).unwrap(), Vote::Yes);
+        let blocked = local(&engine, &conflicting).committed;
+        assert_eq!(engine.decide(1, false).unwrap(), DecideOutcome::Applied);
+        let after = local(&engine, &conflicting).committed;
         drop(session);
         (blocked, after, engine.audit_sum().unwrap())
     };
@@ -352,39 +351,63 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
     for mode in [EngineMode::Locked, EngineMode::Serial] {
         // A decision sent on another session lands.
         let engine = build(mode, None);
-        let mut a = engine.session(RETRIES);
-        let mut b = engine.session(RETRIES);
-        assert_eq!(a.prepare(1, &update(10)).unwrap(), Vote::Yes, "{mode}");
+        let a = engine.session();
+        let b = engine.session();
+        assert_eq!(a.prepare_plan(1, &update(10)).unwrap(), Vote::Yes, "{mode}");
         assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}: a's");
-        assert_eq!(b.decide(1, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert_eq!(
+            engine.decide(1, true).unwrap(),
+            DecideOutcome::Applied,
+            "{mode}"
+        );
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}");
 
         // A Yes vote outlives its session: dropped undecided, the branch
         // stays parked with no owner and keeps its row from everyone until
         // a decision on another session settles it.
-        let mut dying = engine.session(RETRIES);
-        assert_eq!(dying.prepare(3, &update(30)).unwrap(), Vote::Yes, "{mode}");
+        let dying = engine.session();
+        assert_eq!(
+            dying.prepare_plan(3, &update(30)).unwrap(),
+            Vote::Yes,
+            "{mode}"
+        );
         let rung = engine.bell().rung();
         drop(dying);
         assert_eq!(engine.bell().rung(), rung + 1, "{mode}");
         assert_eq!(engine.ownerless_gtids().unwrap(), [3], "{mode}");
         assert!(
-            !b.submit(&update(30)).unwrap().committed,
+            !engine
+                .submit_plan_local(&update(30), RETRIES)
+                .unwrap()
+                .committed,
             "{mode}: row held"
         );
-        assert_eq!(b.decide(3, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert_eq!(
+            engine.decide(3, true).unwrap(),
+            DecideOutcome::Applied,
+            "{mode}"
+        );
         assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
-        assert!(b.submit(&update(30)).unwrap().committed, "{mode}: released");
+        assert!(
+            engine
+                .submit_plan_local(&update(30), RETRIES)
+                .unwrap()
+                .committed,
+            "{mode}: released"
+        );
         assert_eq!(engine.audit_sum().unwrap(), 3, "{mode}");
 
         // One gtid, one branch per partition, whichever session asks.
-        assert_eq!(a.prepare(2, &update(20)).unwrap(), Vote::Yes, "{mode}");
+        assert_eq!(a.prepare_plan(2, &update(20)).unwrap(), Vote::Yes, "{mode}");
         assert!(
-            matches!(b.prepare(2, &update(21)), Err(ExecError::DuplicateGtid(2))),
+            matches!(
+                b.prepare_plan(2, &update(21)),
+                Err(ExecError::DuplicateGtid(2))
+            ),
             "{mode}"
         );
         assert_eq!(
-            a.decide(2, false).unwrap(),
+            engine.decide(2, false).unwrap(),
             DecideOutcome::Applied,
             "{mode}"
         );
@@ -394,22 +417,26 @@ fn in_doubt_branches_belong_to_the_partition_in_both_engines() {
         // A replayed branch's gtid is taken too, and its decision finds it.
         let wal = temp_wal(mode, "replayed-gtid");
         let first = build(mode, Some(&wal));
-        let mut s = first.session(RETRIES);
-        assert_eq!(s.prepare(77, &update(50)).unwrap(), Vote::Yes, "{mode}");
+        let s = first.session();
+        assert_eq!(
+            s.prepare_plan(77, &update(50)).unwrap(),
+            Vote::Yes,
+            "{mode}"
+        );
         std::mem::forget(s);
         std::mem::forget(first);
         let engine = build(mode, Some(&wal));
         assert_eq!(engine.ownerless_gtids().unwrap(), [77], "{mode}");
-        let mut s = engine.session(RETRIES);
+        let s = engine.session();
         assert!(
             matches!(
-                s.prepare(77, &update(60)),
+                s.prepare_plan(77, &update(60)),
                 Err(ExecError::DuplicateGtid(77))
             ),
             "{mode}"
         );
         assert_eq!(
-            s.decide(77, true).unwrap(),
+            engine.decide(77, true).unwrap(),
             DecideOutcome::Applied,
             "{mode}"
         );
@@ -435,8 +462,8 @@ fn an_undecided_replayed_branch_survives_a_second_restart_in_both_engines() {
     for mode in [EngineMode::Locked, EngineMode::Serial] {
         let wal = temp_wal(mode, "second-restart");
         let first = build(mode, Some(&wal));
-        let mut s = first.session(RETRIES);
-        assert_eq!(s.prepare(5, &update).unwrap(), Vote::Yes, "{mode}");
+        let s = first.session();
+        assert_eq!(s.prepare_plan(5, &update).unwrap(), Vote::Yes, "{mode}");
         std::mem::forget(s);
         std::mem::forget(first);
         let engine = build(mode, Some(&wal));
@@ -451,10 +478,12 @@ fn an_undecided_replayed_branch_survives_a_second_restart_in_both_engines() {
 
         let engine = build(mode, Some(&wal));
         assert_eq!(engine.ownerless_gtids().unwrap(), [5], "{mode}: re-parked");
-        let mut s = engine.session(RETRIES);
-        assert_eq!(s.decide(5, true).unwrap(), DecideOutcome::Applied, "{mode}");
+        assert_eq!(
+            engine.decide(5, true).unwrap(),
+            DecideOutcome::Applied,
+            "{mode}"
+        );
         assert_eq!(engine.audit_sum().unwrap(), 1, "{mode}: applied once");
-        drop(s);
         drop(engine);
         let engine = build(mode, Some(&wal));
         assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
@@ -490,14 +519,12 @@ fn a_tpcc_partition_rebuilt_over_its_wal_keeps_every_commit_in_both_engines() {
             ..Default::default()
         };
         let engine = build_partition(mode, cfg.clone());
-        let mut session = engine.session(RETRIES);
         let mut committed = Vec::new();
         for plan in &plans {
-            if session.submit(plan).unwrap().committed {
+            if engine.submit_plan_local(plan, RETRIES).unwrap().committed {
                 committed.push(plan);
             }
         }
-        drop(session);
         let audit = engine.audit_sum().unwrap();
         let writes: u64 = committed.iter().map(|p| p.write_rows()).sum();
         assert_eq!(audit, writes, "{mode}");
@@ -511,11 +538,10 @@ fn a_tpcc_partition_rebuilt_over_its_wal_keeps_every_commit_in_both_engines() {
         let engine = build_partition(mode, cfg);
         assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), audit, "{mode}");
-        let mut session = engine.session(RETRIES);
         for plan in committed {
             assert!(
                 matches!(
-                    session.submit(plan),
+                    engine.submit_plan_local(plan, RETRIES),
                     Err(ExecError::Storage(StorageError::DuplicateKey(_)))
                 ),
                 "{mode}: a committed insert was not replayed"
@@ -526,7 +552,6 @@ fn a_tpcc_partition_rebuilt_over_its_wal_keeps_every_commit_in_both_engines() {
             audit,
             "{mode}: the repeats changed nothing"
         );
-        drop(session);
         drop(engine);
         let _ = std::fs::remove_file(&wal);
     }
@@ -558,23 +583,19 @@ fn a_store_loaded_partition_larger_than_its_pool_replays_every_commit_in_both_en
             ..Default::default()
         };
         let engine = build_partition(mode, cfg.clone());
-        let mut session = engine.session(RETRIES);
         let committed = updates(0)
-            .filter(|req| session.submit(&req.to_plan()).unwrap().committed)
+            .filter(|req| local(&engine, req).committed)
             .count() as u64;
         assert_eq!(committed, 400, "{mode}: nothing contends");
-        drop(session);
         assert_eq!(engine.audit_sum().unwrap(), 2 * committed, "{mode}");
         drop(engine);
 
         let engine = build_partition(mode, cfg);
         assert!(engine.ownerless_gtids().unwrap().is_empty(), "{mode}");
         assert_eq!(engine.audit_sum().unwrap(), 2 * committed, "{mode}");
-        let mut session = engine.session(RETRIES);
         for req in updates(400) {
-            assert!(session.submit(&req.to_plan()).unwrap().committed, "{mode}");
+            assert!(local(&engine, &req).committed, "{mode}");
         }
-        drop(session);
         assert_eq!(engine.audit_sum().unwrap(), 4 * committed, "{mode}");
         drop(engine);
         let _ = std::fs::remove_file(&wal);

@@ -6,23 +6,21 @@
 
 use std::sync::Arc;
 
-use islands_core::native::{
-    EngineMode, ExecError, ExecutorConfig, PartitionConfig, PartitionExecutor,
-};
+use islands_core::native::{EngineMode, ExecError, PartitionConfig, PartitionEngine};
 use islands_storage::lockcheck::Scope;
 use islands_workload::{OpKind, TxnRequest};
 
-fn executor(lo: u64, hi: u64) -> PartitionExecutor {
-    PartitionExecutor::spawn(ExecutorConfig {
-        partition: PartitionConfig {
-            lo,
-            hi,
-            row_size: 16,
-            buffer_frames: 256,
-            ..Default::default()
-        },
-    })
-    .expect("spawn executor")
+/// A serial partition over `lo..hi`.
+fn executor(lo: u64, hi: u64) -> Arc<PartitionEngine> {
+    let engine = PartitionEngine::build(&PartitionConfig {
+        lo,
+        hi,
+        row_size: 16,
+        buffer_frames: 256,
+        single_threaded: true,
+        ..Default::default()
+    });
+    Arc::new(engine.expect("build serial partition"))
 }
 
 fn update(keys: &[u64]) -> TxnRequest {
@@ -38,15 +36,13 @@ fn disjoint_serial_partitions_run_clean_under_lockcheck() {
     let a = executor(0, 100);
     let b = executor(100, 200);
     let scope = Scope::new();
-    a.set_lockcheck_scope(Arc::clone(&scope)).unwrap();
-    b.set_lockcheck_scope(Arc::clone(&scope)).unwrap();
-    let sa = a.session();
-    let sb = b.session();
+    a.set_lockcheck_scope(Arc::clone(&scope));
+    b.set_lockcheck_scope(Arc::clone(&scope));
     for k in [5u64, 50, 99] {
-        assert!(sa.submit(&update(&[k])).unwrap().committed);
+        assert!(a.submit_local(&update(&[k]), 0).unwrap().committed);
     }
     for k in [100u64, 150, 199] {
-        assert!(sb.submit(&update(&[k])).unwrap().committed);
+        assert!(b.submit_local(&update(&[k]), 0).unwrap().committed);
     }
     assert_eq!(a.audit_sum().unwrap(), 3);
     assert_eq!(b.audit_sum().unwrap(), 3);
@@ -61,28 +57,30 @@ fn mis_routed_key_in_the_serial_engine_is_caught() {
     let a = executor(0, 100);
     let b = executor(50, 150);
     let scope = Scope::new();
-    a.set_lockcheck_scope(Arc::clone(&scope)).unwrap();
-    b.set_lockcheck_scope(Arc::clone(&scope)).unwrap();
+    a.set_lockcheck_scope(Arc::clone(&scope));
+    b.set_lockcheck_scope(Arc::clone(&scope));
 
-    let sa = a.session();
-    let sb = b.session();
-    assert!(sa.submit(&update(&[60])).unwrap().committed, "first owner");
+    assert!(
+        a.submit_local(&update(&[60]), 0).unwrap().committed,
+        "first owner"
+    );
 
     // The mis-route: the same key reaches partition B. The detector panics
-    // on the session thread that ran it (the message names the key), and
-    // the partition it died holding answers `Gone` from then on.
-    let misrouted = std::thread::spawn(move || sb.submit(&update(&[60]))).join();
+    // on the thread that ran it (the message names the key), and the
+    // partition whose turn it died holding answers `Gone` from then on.
+    let sb = Arc::clone(&b);
+    let misrouted = std::thread::spawn(move || sb.submit_local(&update(&[60]), 0)).join();
     assert!(
         misrouted.is_err(),
         "lockcheck must kill the session that ran a mis-routed key"
     );
     assert!(matches!(
-        b.session().submit(&update(&[120])),
+        b.submit_local(&update(&[120]), 0),
         Err(ExecError::Gone)
     ));
 
     // Partition A is untouched and keeps serving.
-    assert!(sa.submit(&update(&[10])).unwrap().committed);
+    assert!(a.submit_local(&update(&[10]), 0).unwrap().committed);
     assert_eq!(a.audit_sum().unwrap(), 2);
 }
 

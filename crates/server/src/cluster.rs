@@ -1,25 +1,25 @@
 //! The in-process deployment: a spawned deployment's parts in one process.
 //!
 //! A [`Cluster`] is the N partition instances of a [`DeployConfig`] — the
-//! [`Backend`]s its children would serve, built from the same
+//! engines its children would serve, built from the same
 //! [`DeployConfig::partition`], each with a stats registry of its own as a
 //! child process would have — plus the `Coordination` every
 //! [`Deployment`](crate::Deployment) has. A [`ClusterClient`] is its
-//! [`DeployClient`](crate::DeployClient): one engine session per instance
-//! where the sockets would be, implementing the same `TwoPcLink`, so the
-//! router, the 2PC driver, the retry loop and the ack debt are the code a
-//! spawned deployment's clients run, on the calling thread as theirs run on
-//! theirs. A cluster is driven the way a deployment is, by one client per
-//! calling thread: a timed load goes through `islands_bench::drive`, the
-//! loop that drives a spawned deployment, with one `ClusterClient` per
-//! worker. It is not itself an engine, and no server fronts it. A frame
-//! handed to the link is answered on the spot by `server::answer` —
-//! the mapping a socket session applies to a decoded frame — and its reply
-//! waits in the link's queue for the read that would have crossed the
-//! wire: the function call is the message. Nothing is encoded and nothing
-//! is copied but the plan a frame carries. Whatever the link does on
-//! instance `i` — a frame, a reconnect, a hang-up — runs with `i`'s
-//! registry current, so the instance's stats are its own.
+//! [`DeployClient`](crate::DeployClient): one [`PartitionSession`] per
+//! instance where the sockets would be, implementing the same `TwoPcLink`,
+//! so the router, the 2PC driver, the retry loop and the ack debt are the
+//! code a spawned deployment's clients run, on the calling thread as theirs
+//! run on theirs. A cluster is driven the way a deployment is, by one
+//! client per calling thread: a timed load goes through
+//! `islands_bench::drive`, the loop that drives a spawned deployment, with
+//! one `ClusterClient` per worker. It is not itself an engine, and no
+//! server fronts it. A frame handed to the link is answered on the spot by
+//! `server::answer` — the mapping a socket session applies to a decoded
+//! frame — and its reply waits in the link's queue for the read that would
+//! have crossed the wire: the function call is the message. Nothing is
+//! encoded and nothing is copied but the plan a frame carries. Whatever the
+//! link does on instance `i` — a frame, a reconnect, a hang-up — runs with
+//! `i`'s registry current, so the instance's stats are its own.
 //!
 //! A link that is dropped mid-round leaves its branch parked and ownerless,
 //! as a dead socket does. The cluster runs the resolver pass a spawned
@@ -31,14 +31,14 @@ use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
-use islands_core::native::{ExecError, Session};
+use islands_core::native::{ExecError, PartitionEngine, PartitionSession};
 use islands_dtxn::{DecisionLog, Round};
 use islands_obs::Snapshot;
 use islands_workload::PlanRequest;
 
 use crate::coordinator::{settle, AckDebt, Coordination, TwoPcLink};
 use crate::deploy::{DeployConfig, DeployReply};
-use crate::server::{answer, Backend, Instance};
+use crate::server::{answer, Instance};
 use crate::wire::{Reply, Request};
 
 /// A running shared-nothing deployment inside this process.
@@ -83,8 +83,8 @@ impl Cluster {
     }
 
     /// The engine behind instance `i` (tests, stats).
-    pub fn instance(&self, i: usize) -> &Backend {
-        &self.instances[i].backend
+    pub fn instance(&self, i: usize) -> &Arc<PartitionEngine> {
+        &self.instances[i].engine
     }
 
     /// The stats instance `i` would report as a server process: every
@@ -106,7 +106,7 @@ impl Cluster {
         let pass = |inst: &Instance| {
             let _scope = islands_obs::scope(&inst.metrics);
             // A partition that is gone has nothing left to settle.
-            settle(inst.backend.engine(), |gtid| Ok(log.verdict(gtid))).unwrap_or(0)
+            settle(&inst.engine, |gtid| Ok(log.verdict(gtid))).unwrap_or(0)
         };
         self.instances.iter().map(pass).sum()
     }
@@ -118,11 +118,7 @@ impl Cluster {
     pub fn client(&self) -> ClusterClient<'_> {
         ClusterClient {
             cluster: self,
-            sessions: self
-                .instances
-                .iter()
-                .map(|inst| inst.backend.engine().session(self.retry_limit))
-                .collect(),
+            sessions: self.instances.iter().map(|i| i.engine.session()).collect(),
             replies: vec![VecDeque::new(); self.instances.len()],
             debt: AckDebt::new(self.instances.len()),
             round: self.coord.decisions.round(),
@@ -135,7 +131,7 @@ impl Cluster {
     pub fn audit_sum(&self) -> Result<u64, ExecError> {
         let mut sum = 0u64;
         for inst in &self.instances {
-            sum += inst.backend.engine().audit_sum()?;
+            sum += inst.engine.audit_sum()?;
         }
         Ok(sum)
     }
@@ -147,7 +143,7 @@ impl Cluster {
 /// mints its own.
 pub struct ClusterClient<'c> {
     cluster: &'c Cluster,
-    sessions: Vec<Box<dyn Session + 'c>>,
+    sessions: Vec<PartitionSession>,
     /// Per instance, the replies to frames handed over and not yet read.
     replies: Vec<VecDeque<Reply>>,
     debt: AckDebt,
@@ -192,8 +188,8 @@ impl TwoPcLink for ClusterClient<'_> {
     fn send(&mut self, to: usize, frame: &Request) -> io::Result<()> {
         let inst = &self.cluster.instances[to];
         let _scope = islands_obs::scope(&inst.metrics);
-        let engine = inst.backend.engine();
-        let reply = answer(engine, &mut *self.sessions[to], frame, &inst.metrics);
+        let retry_limit = self.cluster.retry_limit;
+        let reply = answer(&self.sessions[to], retry_limit, frame, &inst.metrics);
         self.replies[to].push_back(reply);
         Ok(())
     }
@@ -207,8 +203,7 @@ impl TwoPcLink for ClusterClient<'_> {
     /// Reconnect: a fresh session replaces the old one. What the old one
     /// parked stays parked, ownerless, for the next resolver pass.
     fn disconnect(&mut self, to: usize) {
-        let engine = self.cluster.instances[to].backend.engine();
-        self.sessions[to] = engine.session(self.cluster.retry_limit);
+        self.sessions[to] = self.cluster.instances[to].engine.session();
         self.replies[to].clear();
         self.unsettled = true;
     }
@@ -388,10 +383,11 @@ mod tests {
         for mode in MODES {
             let c = two(mode);
             // Instance 0 votes No: its key is held by another parked branch.
-            let engine = c.instance(0).engine();
-            let mut holder = engine.session(0);
+            let engine = c.instance(0);
+            let holder = engine.session();
             let held = plan(&[10], StepOp::Update);
-            assert_eq!(holder.prepare(9_000, &held).unwrap(), Vote::Yes, "{mode}");
+            let vote = holder.prepare_plan(9_000, &held).unwrap();
+            assert_eq!(vote, Vote::Yes, "{mode}");
             let mut link = LosesDecisionsTo {
                 client: c.client(),
                 victim: 1,
@@ -412,7 +408,7 @@ mod tests {
             assert_eq!(c.snapshot(1).in_doubt, 0, "{mode}");
             assert_eq!(c.audit_sum().unwrap(), 0, "{mode}: the abort moves nothing");
             assert_eq!(c.snapshot(1).in_doubt_abort, 1, "{mode}");
-            assert_eq!(holder.decide(9_000, false).unwrap(), DecideOutcome::Applied);
+            assert_eq!(engine.decide(9_000, false).unwrap(), DecideOutcome::Applied);
             assert_eq!(c.audit_sum().unwrap(), 0, "{mode}");
         }
     }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use islands_core::native::{DecideOutcome, Engine};
+use islands_core::native::{DecideOutcome, PartitionEngine};
 use islands_core::partition::{split_plan_by_owner, SiteMap, Sites};
 use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Round, Vote};
 use islands_workload::{PlanBranch, PlanRequest};
@@ -91,22 +91,20 @@ fn resolve(log: &DecisionLog, req: &Request) -> Reply {
 }
 
 /// One resolver pass over `engine`: ask `verdict` about each ownerless
-/// branch and apply every final answer through a session of the engine's
-/// own, which prepares nothing. Returns how many branches stay ownerless
-/// because the coordinator has no answer yet; an error ends the pass early
-/// and leaves the rest for the next one.
+/// branch and apply every final answer. Returns how many branches stay
+/// ownerless because the coordinator has no answer yet; an error ends the
+/// pass early and leaves the rest for the next one.
 pub(crate) fn settle(
-    engine: &dyn Engine,
+    engine: &PartitionEngine,
     mut verdict: impl FnMut(u64) -> io::Result<Option<bool>>,
 ) -> io::Result<usize> {
     let mut undecided = 0;
-    let mut session = engine.session(0);
     for gtid in engine.ownerless_gtids().map_err(io::Error::other)? {
         let Some(commit) = verdict(gtid)? else {
             undecided += 1;
             continue;
         };
-        match session.decide(gtid, commit) {
+        match engine.decide(gtid, commit) {
             // A commit that finds nothing: another pass settled the branch
             // since it was listed.
             Ok(

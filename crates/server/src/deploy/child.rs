@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use islands_core::native::{Engine, EngineMode, PartitionConfig, TpccPartition};
+use islands_core::native::{EngineMode, PartitionConfig, PartitionEngine, TpccPartition};
 use islands_obs::Snapshot;
 
 use super::DeployConfig;
@@ -64,7 +64,7 @@ pub(super) enum ArgError {
 /// `--warehouses` (with `--w-lo`/`--w-hi`) is what makes the instance a
 /// TPC-C one; `--lo`/`--hi`/`--row-size` are what the micro table loads by
 /// and are ignored then. A lock timeout travels in whole milliseconds.
-const FLAGS: [(&str, bool); 15] = [
+const FLAGS: [(&str, bool); 14] = [
     ("--endpoint", true),
     ("--engine", true),
     ("--lo", true),
@@ -78,7 +78,6 @@ const FLAGS: [(&str, bool); 15] = [
     ("--w-hi", true),
     ("--wal", true),
     ("--coord", true),
-    ("--single-threaded", false),
     ("--no-obs", false),
 ];
 
@@ -172,7 +171,6 @@ impl ChildSpec {
             ("--w-hi", tpcc.and_then(|t| show(t.w_hi))),
             ("--wal", p.wal.as_ref().and_then(|w| show(w.display()))),
             ("--coord", self.coord.as_ref().and_then(show)),
-            ("--single-threaded", p.single_threaded.then(String::new)),
             ("--no-obs", (!self.obs).then(String::new)),
         ];
         let mut args = Vec::new();
@@ -210,7 +208,6 @@ impl ChildSpec {
                 hi: line.get("--hi", num)?,
                 row_size: line.get("--row-size", num)?,
                 lock_timeout: Duration::from_millis(line.get("--lock-ms", num)?),
-                single_threaded: line.has("--single-threaded"),
                 tpcc,
                 wal: line.opt("--wal", |v| Ok(PathBuf::from(v)))?,
                 ..Default::default()
@@ -298,12 +295,12 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
     match &coord {
         Some(coord) => {
             let _scope = islands_obs::scope(&instance.metrics);
-            if let Err(e) = resolve_pass(coord, instance.backend.engine()) {
+            if let Err(e) = resolve_pass(coord, &instance.engine) {
                 eprintln!("islands-instance: in-doubt resolution failed: {e}");
             }
         }
         None => {
-            let parked = instance.backend.engine().ownerless_gtids();
+            let parked = instance.engine.ownerless_gtids();
             if !parked.map_err(io::Error::other)?.is_empty() {
                 eprintln!(
                     "islands-instance: recovered in-doubt branches but no --coord \
@@ -366,7 +363,7 @@ fn run_instance(spec: ChildSpec) -> io::Result<bool> {
 /// One resolver pass over `engine`'s ownerless branches, asking the
 /// coordinator's resolver at `coord` (dialled only if there is a branch to
 /// ask about). Returns how many it had no answer for yet.
-fn resolve_pass(coord: &Endpoint, engine: &dyn Engine) -> io::Result<usize> {
+fn resolve_pass(coord: &Endpoint, engine: &PartitionEngine) -> io::Result<usize> {
     let mut conn: Option<Client> = None;
     settle(engine, |gtid| {
         let conn = match &mut conn {
@@ -404,7 +401,7 @@ impl Settler {
         let (settled, stopped) = (instance.clone(), Arc::clone(&stop));
         let thread = std::thread::spawn(move || {
             let _scope = islands_obs::scope(&settled.metrics);
-            let engine = settled.backend.engine();
+            let engine = &settled.engine;
             let bell = engine.bell();
             loop {
                 // Read before the pass, so a ring during it is not missed.
@@ -429,7 +426,7 @@ impl Settler {
     /// Run one last pass, then stop.
     fn finish(self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.instance.backend.engine().bell().ring();
+        self.instance.engine.bell().ring();
         if self.thread.join().is_err() {
             eprintln!("islands-instance: the resolver pass panicked");
         }
@@ -472,7 +469,6 @@ mod tests {
             serial in any::<bool>(),
             wal in any::<bool>(),
             obs in any::<bool>(),
-            single_threaded in any::<bool>(),
             tcp in any::<bool>(),
         ) {
             let cfg = DeployConfig {
@@ -482,7 +478,6 @@ mod tests {
                 row_size,
                 retry_limit,
                 lock_timeout: Duration::from_millis(lock_ms),
-                single_threaded,
                 engine: if serial { EngineMode::Serial } else { EngineMode::Locked },
                 stats_every_ms,
                 obs,

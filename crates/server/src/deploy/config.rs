@@ -75,11 +75,13 @@ pub struct DeployConfig {
     /// Per-instance lock wait budget (also breaks distributed deadlocks).
     /// Reaches a spawned instance in whole milliseconds.
     pub lock_timeout: Duration,
-    /// Run instances without locking (only sound for one client).
+    /// Ignored: [`engine`](Self::engine) alone decides whether an instance
+    /// takes locks. Kept only because `benchmark/`, which a product change
+    /// may not edit, still sets it (goes with ROADMAP item 1).
     pub single_threaded: bool,
-    /// How each instance executes: [`EngineMode::Locked`] (sessions execute
-    /// inline under 2PL) or [`EngineMode::Serial`] (sessions take turns on
-    /// the partition's one mutex, no lock table on the local fast path).
+    /// How each instance executes: [`EngineMode::Locked`] (callers execute
+    /// side by side under 2PL) or [`EngineMode::Serial`] (callers take turns
+    /// on the partition, which takes no locks).
     pub engine: EngineMode,
     /// Pin instance processes to island core sets via `taskset`.
     pub pin: bool,
@@ -189,7 +191,6 @@ impl DeployConfig {
             hi: keys.1,
             row_size: self.row_size,
             lock_timeout: self.lock_timeout,
-            single_threaded: self.single_threaded,
             tpcc,
             wal: self
                 .wal_dir
@@ -295,6 +296,7 @@ mod tests {
 
         let tpcc = DeployConfig {
             instances: 2,
+            // Ignored: the engine mode alone makes a partition serial.
             single_threaded: true,
             workload: DeployWorkload::Tpcc { warehouses: 5 },
             ..Default::default()
@@ -303,6 +305,6 @@ mod tests {
         let (wa, wb) = (a.tpcc.as_ref().unwrap(), b.tpcc.as_ref().unwrap());
         assert_eq!((wa.w_lo, wa.w_hi, wb.w_hi), (0, wb.w_lo, 5));
         assert_eq!((wa.warehouses, wb.warehouses), (5, 5));
-        assert!(a.single_threaded && a.wal.is_none());
+        assert!(!a.single_threaded && a.wal.is_none());
     }
 }

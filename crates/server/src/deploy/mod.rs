@@ -9,10 +9,10 @@
 //!
 //! * **One process per instance.** Each child runs one partition — a
 //!   contiguous key (or warehouse) range — in the configured
-//!   [`EngineMode`](crate::EngineMode), served over the wire protocol (a
-//!   partition [`Backend`](crate::Backend)). Children are re-executions of
-//!   the host binary ([`SpawnMode::SelfExec`]) or a dedicated
-//!   `islands-instance` binary ([`SpawnMode::Binary`]).
+//!   [`EngineMode`](crate::EngineMode), served over the wire protocol.
+//!   Children are re-executions of the host binary
+//!   ([`SpawnMode::SelfExec`]) or a dedicated `islands-instance` binary
+//!   ([`SpawnMode::Binary`]).
 //! * **Topology-pinned.** Instance `i` is pinned (via `taskset`, when
 //!   available) to the cores `hwtopo`'s island placement assigns it on the
 //!   *detected host* topology — the paper's "N islands" layout, not a

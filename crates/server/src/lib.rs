@@ -23,9 +23,10 @@
 //!   [`FrameReader`] that makes pipelining natural and
 //!   rejects oversized or truncated traffic instead of trusting it.
 //! * [`server`] — one partition ([`Backend`]) behind a multi-threaded
-//!   acceptor: one session thread per connection, each holding one engine
-//!   [`Session`](islands_core::native::Session) that every request frame
-//!   becomes a call on, in both engine modes; request pipelining (frames
+//!   acceptor: one session thread per connection, each holding one
+//!   [`PartitionSession`](islands_core::native::PartitionSession) its
+//!   prepares are parked under, every request frame one call on the
+//!   partition's engine, in both engine modes; request pipelining (frames
 //!   that arrive together run back-to-back and their replies flush in one
 //!   write; nothing waits for frames that have not arrived, though an idle
 //!   session polls its socket briefly for the next one before it sleeps),
@@ -41,7 +42,7 @@
 //!   `PreparePlan`/`Vote`/`Decision`/`Ack` wire frames ([`DeployClient`]).
 //! * [`cluster`] — the same [`DeployConfig`] in one process: the partitions
 //!   its children would serve, held directly ([`Cluster`]), and a
-//!   coordinator whose links are engine sessions instead of sockets
+//!   coordinator whose links are partition sessions instead of sockets
 //!   ([`ClusterClient`]).
 //!
 //! ```

@@ -8,13 +8,15 @@
 //! with the caller ([`DeployClient`](crate::DeployClient)), never behind a
 //! socket.
 //!
-//! A connection is one engine [`Session`]: the session thread mints it from
-//! the backend's [`Engine`] when the connection opens and every Submit /
-//! Prepare / Decision frame is one call on it, whichever engine mode
-//! (`answer` — which is also how the in-process cluster's instances answer
-//! the frames their coordinator hands them by direct call). A
-//! [`PlanRequest`] is the only shape that crosses that call: the batch
-//! frames ([`Request::Submit`], [`Request::Prepare`]) are lowered with
+//! A connection is one [`PartitionSession`] on the partition's engine, opened
+//! when the connection opens. Every Submit / Prepare / Decision frame is one
+//! engine call, whichever engine mode (`answer` — which is also how the
+//! in-process cluster's instances answer the frames their coordinator hands
+//! them by direct call): a submit runs the local plan within the server's
+//! retry budget, a prepare parks its branch under the connection's session,
+//! a decision applies to whichever branch it names. A [`PlanRequest`] is the
+//! only shape that crosses that call: the batch frames ([`Request::Submit`],
+//! [`Request::Prepare`]) are lowered with
 //! [`TxnRequest::to_plan`](islands_workload::TxnRequest::to_plan) as they
 //! arrive. When the connection ends — clean close, protocol error, drain —
 //! the session is dropped, and a branch it prepared that nobody decided
@@ -44,9 +46,9 @@
 //! **Stats**: every server owns one `islands_obs` registry. A session
 //! records its wire counters into it and makes it the thread's current
 //! registry for its life, so the engine's own records (phase spans, the
-//! executor's queue, parked branches) land there too. A
-//! [`Request::Stats`] is answered with that registry's snapshot, the
-//! engine's in-doubt table and lock counts filled in.
+//! callers waiting for a serial partition's turn, parked branches) land
+//! there too. A [`Request::Stats`] is answered with that registry's
+//! snapshot, the engine's in-doubt table and lock counts filled in.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,8 +59,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use islands_core::native::{
-    DecideOutcome, Engine, EngineMode, ExecutorConfig, PartitionConfig, PartitionEngine,
-    PartitionExecutor, Session,
+    DecideOutcome, EngineMode, PartitionConfig, PartitionEngine, PartitionSession,
 };
 use islands_obs::{BreakdownCategory, Metrics, Snapshot, TxnClass};
 use islands_storage::StorageError;
@@ -124,28 +125,25 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a server fronts: one partition of a shared-nothing deployment, in
-/// either engine mode.
+/// What a server fronts: one partition of a shared-nothing deployment.
+/// Local submissions commit there; [`Request::Prepare`] /
+/// [`Request::Decision`] frames drive participant-side 2PC. Both variants
+/// hold the one engine type, and how it runs — locked, or serial with its
+/// callers taking turns — is how it was built (`single_threaded`). The
+/// second variant is kept for `benchmark/`, goes with ROADMAP item 1.
 #[derive(Clone)]
 pub enum Backend {
-    /// One shared-nothing instance. Local submissions commit here;
-    /// [`Request::Prepare`]/[`Request::Decision`] frames drive participant-
-    /// side 2PC.
+    /// A partition, locked or serial.
     Partition(Arc<PartitionEngine>),
-    /// One shared-nothing instance in **serial executor** mode: sessions
-    /// take turns on the partition — each request runs on its session
-    /// thread under the partition's one lock — so the local fast path runs
-    /// with no lock-table acquisition.
-    Executor(Arc<PartitionExecutor>),
+    /// The same: the name a serial partition was served under.
+    Executor(Arc<PartitionEngine>),
 }
 
 impl Backend {
-    /// The engine surface behind this backend: the one place the variants
-    /// are told apart.
-    pub(crate) fn engine(&self) -> &dyn Engine {
+    /// The engine behind this backend.
+    pub(crate) fn engine(&self) -> &Arc<PartitionEngine> {
         match self {
-            Backend::Partition(engine) => &**engine,
-            Backend::Executor(executor) => &**executor,
+            Backend::Partition(engine) | Backend::Executor(engine) => engine,
         }
     }
 }
@@ -153,7 +151,7 @@ impl Backend {
 /// One served instance: an engine, and the registry that is its stats.
 #[derive(Clone)]
 pub(crate) struct Instance {
-    pub(crate) backend: Backend,
+    pub(crate) engine: Arc<PartitionEngine>,
     pub(crate) metrics: Arc<Metrics>,
 }
 
@@ -161,27 +159,27 @@ impl Instance {
     /// Build and load one partition instance in `mode` inside a registry of
     /// its own, so what the build records (a restart replay) is the
     /// instance's: what a deployment child serves, and what the in-process
-    /// cluster holds N of.
+    /// cluster holds N of. The one place a mode becomes an engine: serial
+    /// is `single_threaded`, whatever `partition` says.
     pub(crate) fn build(
         mode: EngineMode,
         partition: PartitionConfig,
     ) -> Result<Self, StorageError> {
         let metrics = Arc::new(Metrics::new());
         let _scope = islands_obs::scope(&metrics);
-        let backend = match mode {
-            EngineMode::Locked => Backend::Partition(Arc::new(PartitionEngine::build(&partition)?)),
-            EngineMode::Serial => {
-                Backend::Executor(Arc::new(PartitionExecutor::spawn(ExecutorConfig {
-                    partition,
-                })?))
-            }
-        };
-        Ok(Instance { backend, metrics })
+        let engine = PartitionEngine::build(&PartitionConfig {
+            single_threaded: mode == EngineMode::Serial,
+            ..partition
+        })?;
+        Ok(Instance {
+            engine: Arc::new(engine),
+            metrics,
+        })
     }
 
     /// The instance's stats now.
     pub(crate) fn snapshot(&self) -> Snapshot {
-        snapshot(&self.metrics, self.backend.engine())
+        snapshot(&self.metrics, &self.engine)
     }
 
     /// Bind `endpoint` and serve this instance until drained.
@@ -190,12 +188,12 @@ impl Instance {
         endpoint: &Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        let Instance { backend, metrics } = self;
-        let engine = backend.clone();
+        let Instance { engine, metrics } = self;
+        let served = Arc::clone(&engine);
         let session: Arc<SessionFn> = Arc::new(move |conn, shutdown, metrics| {
-            session(conn, &engine, config.retry_limit, shutdown, metrics)
+            session(conn, &served, config.retry_limit, shutdown, metrics)
         });
-        serve(endpoint, metrics, Some(backend), session)
+        serve(endpoint, metrics, Some(engine), session)
     }
 }
 
@@ -204,7 +202,7 @@ impl Instance {
 /// The engine is read before the registry: a decided branch has its
 /// resolution recorded before it leaves the in-doubt table, so a snapshot
 /// that finds it gone also counts how it was resolved.
-pub(crate) fn snapshot(metrics: &Metrics, engine: &dyn Engine) -> Snapshot {
+pub(crate) fn snapshot(metrics: &Metrics, engine: &PartitionEngine) -> Snapshot {
     let mut snap = Snapshot::default();
     engine.observe(&mut snap);
     snap.merge(&metrics.snapshot());
@@ -486,7 +484,7 @@ pub struct ServerHandle {
     metrics: Arc<Metrics>,
     /// What the server fronts, if anything (the coordinator's resolver
     /// fronts nothing).
-    backend: Option<Backend>,
+    engine: Option<Arc<PartitionEngine>>,
     acceptor: Option<std::thread::JoinHandle<io::Result<()>>>,
 }
 
@@ -523,8 +521,11 @@ impl Server {
         endpoint: Endpoint,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        let metrics = Arc::new(Metrics::new());
-        Instance { backend, metrics }.serve(&endpoint, config)
+        let instance = Instance {
+            engine: Arc::clone(backend.engine()),
+            metrics: Arc::new(Metrics::new()),
+        };
+        instance.serve(&endpoint, config)
     }
 }
 
@@ -535,11 +536,11 @@ pub(crate) type SessionFn = dyn Fn(Conn, &Shutdown, &Metrics) -> io::Result<()> 
 /// Bind `endpoint` and run `session` on every accepted connection until
 /// drained: the acceptor, the drain and the session bookkeeping everything
 /// served here shares — an [`Instance`], and the coordinator's resolver,
-/// which fronts nothing (`backend: None`).
+/// which fronts nothing (`engine: None`).
 pub(crate) fn serve(
     endpoint: &Endpoint,
     metrics: Arc<Metrics>,
-    backend: Option<Backend>,
+    engine: Option<Arc<PartitionEngine>>,
     session: Arc<SessionFn>,
 ) -> io::Result<ServerHandle> {
     let listener = Listener::bind(endpoint)?;
@@ -557,7 +558,7 @@ pub(crate) fn serve(
     Ok(ServerHandle {
         shutdown,
         metrics,
-        backend,
+        engine,
         acceptor: Some(acceptor),
     })
 }
@@ -570,8 +571,8 @@ impl ServerHandle {
 
     /// The server's wire counters now.
     pub fn stats(&self) -> ServerStats {
-        let snap = match &self.backend {
-            Some(backend) => snapshot(&self.metrics, backend.engine()),
+        let snap = match &self.engine {
+            Some(engine) => snapshot(&self.metrics, engine),
             None => self.metrics.snapshot(),
         };
         ServerStats::from(&snap)
@@ -692,21 +693,20 @@ fn accept_loop(
     Ok(())
 }
 
-/// Serve one connection of `backend` until it closes, errors fatally, or a
+/// Serve one connection of `engine` until it closes, errors fatally, or a
 /// drain lands.
 fn session(
     conn: Conn,
-    backend: &Backend,
+    engine: &Arc<PartitionEngine>,
     retry_limit: u32,
     shutdown: &Shutdown,
     metrics: &Metrics,
 ) -> io::Result<()> {
-    let engine = backend.engine();
-    let mut session = engine.session(retry_limit);
     // Whatever this connection prepared and nobody decided outlives it,
-    // ownerless (see `Session`).
+    // ownerless (see `PartitionSession`).
+    let session = engine.session();
     session_loop(conn, shutdown, metrics, |req| {
-        answer(engine, &mut *session, req, metrics)
+        answer(&session, retry_limit, req, metrics)
     })
 }
 
@@ -809,33 +809,36 @@ pub(crate) fn session_loop(
     Ok(())
 }
 
-/// Answer one request frame from `session`: the whole mapping from frames to
-/// engine calls and back, `metrics`' counters included. A socket session calls it per
-/// decoded frame; the in-process cluster's coordinator calls it directly,
-/// which is what makes its function call the message. A partition commits
+/// Answer one request frame on `session`'s partition: the whole mapping
+/// from frames to engine calls and back, `metrics`' counters included. A
+/// local submit retries contention within `retry_limit`; a prepare is
+/// parked under `session`. A socket session calls it per decoded frame;
+/// the in-process cluster's coordinator calls it directly, which is what
+/// makes its function call the message. A partition commits
 /// only what is local to it, so a committed submit is always
 /// `Reply::Committed { distributed: false, .. }`: whether a transaction
 /// was distributed is its coordinator's to report. [`Request::Drain`] is
 /// only acknowledged here — stopping is up to whoever owns the connection
 /// (a socket session stops on the [`Reply::Draining`] it flushes).
 pub(crate) fn answer(
-    engine: &dyn Engine,
-    session: &mut dyn Session,
+    session: &PartitionSession,
+    retry_limit: u32,
     req: &Request,
     metrics: &Metrics,
 ) -> Reply {
+    let engine = session.engine();
     metrics.requests.inc();
     let reply = match req {
         Request::Ping => Reply::Pong,
         Request::Drain => Reply::Draining,
         Request::Stats => Reply::Stats(Box::new(snapshot(metrics, engine))),
-        Request::Submit(txn) => handle_submit(session, &txn.to_plan(), metrics),
-        Request::SubmitPlan(plan) => handle_submit(session, plan, metrics),
+        Request::Submit(txn) => handle_submit(engine, &txn.to_plan(), retry_limit, metrics),
+        Request::SubmitPlan(plan) => handle_submit(engine, plan, retry_limit, metrics),
         Request::Prepare(branch) => {
             handle_prepare(session, branch.gtid, &branch.req.to_plan(), metrics)
         }
         Request::PreparePlan(branch) => handle_prepare(session, branch.gtid, &branch.plan, metrics),
-        Request::Decision { gtid, commit } => handle_decision(session, *gtid, *commit, metrics),
+        Request::Decision { gtid, commit } => handle_decision(engine, *gtid, *commit, metrics),
         // Outcome resolution is the coordinator's job (it owns the decision
         // log); an instance server has no authority to answer, and presuming
         // abort here would let a misdirected query contradict a forced
@@ -860,10 +863,15 @@ pub(crate) fn answer(
     reply
 }
 
-/// Run one local transaction through the session and map its outcome:
+/// Run one local transaction on the engine and map its outcome:
 /// committed/aborted with retry counts, or the typed error's message for a
 /// plan the engine can never satisfy.
-fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, metrics: &Metrics) -> Reply {
+fn handle_submit(
+    engine: &PartitionEngine,
+    plan: &PlanRequest,
+    retry_limit: u32,
+    metrics: &Metrics,
+) -> Reply {
     let class = if plan.multisite {
         TxnClass::Multisite
     } else {
@@ -871,7 +879,7 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, metrics: &Metric
     };
     islands_obs::set_txn_class(class);
     let started = Instant::now();
-    let reply = match session.submit(plan) {
+    let reply = match engine.submit_plan_local(plan, retry_limit) {
         Ok(outcome) if outcome.committed => {
             metrics.commits.inc();
             Reply::Committed {
@@ -894,12 +902,12 @@ fn handle_submit(session: &mut dyn Session, plan: &PlanRequest, metrics: &Metric
     reply
 }
 
-/// 2PC phase 1: the session executes the branch, forces the prepare record
+/// 2PC phase 1: the engine executes the branch, forces the prepare record
 /// and votes; a Yes vote leaves the branch parked in the partition's
-/// in-doubt table (dependent reads and all), so this side only relays the
-/// vote.
+/// in-doubt table under `session` (dependent reads and all), so this side
+/// only relays the vote.
 fn handle_prepare(
-    session: &mut dyn Session,
+    session: &PartitionSession,
     gtid: u64,
     plan: &PlanRequest,
     metrics: &Metrics,
@@ -907,7 +915,7 @@ fn handle_prepare(
     metrics.prepares.inc();
     islands_obs::set_txn_class(TxnClass::Multisite);
     let started = Instant::now();
-    let reply = match session.prepare(gtid, plan) {
+    let reply = match session.prepare_plan(gtid, plan) {
         Ok(vote) => Reply::Vote { gtid, vote },
         // Misrouted branch, duplicate gtid: the coordinator has a bug;
         // answer with the typed error instead of a vote.
@@ -923,11 +931,11 @@ fn handle_prepare(
 /// Abort decisions for unknown gtids are acknowledged — under presumed
 /// abort the branch may already have been rolled back (or never prepared
 /// here at all), and aborting nothing is the decreed outcome.
-fn handle_decision(session: &mut dyn Session, gtid: u64, commit: bool, metrics: &Metrics) -> Reply {
+fn handle_decision(engine: &PartitionEngine, gtid: u64, commit: bool, metrics: &Metrics) -> Reply {
     metrics.decisions.inc();
     islands_obs::set_txn_class(TxnClass::Multisite);
     let started = Instant::now();
-    let reply = match session.decide(gtid, commit) {
+    let reply = match engine.decide(gtid, commit) {
         Ok(DecideOutcome::Applied) => {
             if commit {
                 metrics.commits.inc();

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use islands_core::native::{ExecutorConfig, PartitionConfig, PartitionEngine, PartitionExecutor};
+use islands_core::native::{PartitionConfig, PartitionEngine};
 use islands_server::{
     Backend, Client, Endpoint, Reply, Request, Server, ServerConfig, ServerHandle,
 };
@@ -399,7 +399,7 @@ fn a_dropped_coordinator_connection_leaves_its_branch_parked_until_decided() {
     let (engine, handle) = spawn_partition(0, 100);
     an_orphaned_branch_waits_for_its_decision(
         handle,
-        || engine.ownerless_gtids(),
+        || engine.ownerless_gtids().unwrap(),
         || engine.audit_sum().unwrap(),
     );
 }
@@ -444,29 +444,27 @@ fn connection_churn_is_survived_and_counted() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-executor backend: sessions take turns on the partition, each request
-// running on its session thread with no lock-table acquisition.
+// Serial backend: a partition built `single_threaded`, whose sessions take
+// turns on it, each request running on its session thread with no
+// lock-table acquisition.
 // ---------------------------------------------------------------------------
 
-fn spawn_executor_engine(lo: u64, hi: u64) -> Arc<PartitionExecutor> {
-    Arc::new(
-        PartitionExecutor::spawn(ExecutorConfig {
-            partition: PartitionConfig {
-                lo,
-                hi,
-                row_size: 16,
-                buffer_frames: 512,
-                ..Default::default()
-            },
-        })
-        .unwrap(),
-    )
+fn spawn_executor_engine(lo: u64, hi: u64) -> Arc<PartitionEngine> {
+    let partition = PartitionConfig {
+        lo,
+        hi,
+        row_size: 16,
+        buffer_frames: 512,
+        single_threaded: true,
+        ..Default::default()
+    };
+    Arc::new(PartitionEngine::build(&partition).unwrap())
 }
 
-fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionExecutor>, ServerHandle) {
+fn spawn_executor(lo: u64, hi: u64) -> (Arc<PartitionEngine>, ServerHandle) {
     let exec = spawn_executor_engine(lo, hi);
     let handle = Server::spawn_backend(
-        Backend::Executor(Arc::clone(&exec)),
+        Backend::Partition(Arc::clone(&exec)),
         uds_endpoint(),
         ServerConfig::default(),
     )
@@ -519,8 +517,9 @@ fn executor_backend_runs_wire_level_2pc_phase_by_phase() {
     }
     assert_eq!(handle.stats().in_doubt, 1);
 
-    // A conflicting local submission aborts immediately (the executor's
-    // in-doubt key set stands in for the locks the branch would hold).
+    // A conflicting local submission aborts once its retry budget is spent
+    // (the serial partition's in-doubt key set stands in for the locks the
+    // branch would hold).
     let mut client = Client::connect(handle.endpoint()).unwrap();
     match client.submit(&update(&[2])).unwrap() {
         Reply::Aborted { .. } => {}
@@ -696,7 +695,7 @@ fn wire_conversation(backend: Backend, lowered: bool) -> (Vec<Reply>, islands_se
 fn batch_frames_and_their_lowered_plan_frames_are_the_same_request() {
     use islands_dtxn::Vote;
     let partition: fn() -> Backend = || Backend::Partition(spawn_partition_engine(0, 100));
-    let executor: fn() -> Backend = || Backend::Executor(spawn_executor_engine(0, 100));
+    let executor: fn() -> Backend = || Backend::Partition(spawn_executor_engine(0, 100));
     for (name, backend) in [("partition", partition), ("executor", executor)] {
         let (batch_replies, batch_stats) = wire_conversation(backend(), false);
         let (plan_replies, plan_stats) = wire_conversation(backend(), true);
@@ -774,13 +773,7 @@ fn decision_for_a_branch_recovered_from_the_wal_leaves_the_gauge_at_zero() {
             };
             std::mem::forget(branch);
         }
-        let backend = if serial {
-            Backend::Executor(Arc::new(
-                PartitionExecutor::spawn(ExecutorConfig { partition }).unwrap(),
-            ))
-        } else {
-            Backend::Partition(Arc::new(PartitionEngine::build(&partition).unwrap()))
-        };
+        let backend = Backend::Partition(Arc::new(PartitionEngine::build(&partition).unwrap()));
         let handle =
             Server::spawn_backend(backend, uds_endpoint(), ServerConfig::default()).unwrap();
         assert_eq!(handle.stats().in_doubt, 1, "serial={serial}: recovered");
@@ -864,7 +857,7 @@ fn a_decision_and_the_next_request_in_one_write_come_back_ack_first_in_one_read(
     // own lock — and answer both in one write, ack first, which is the
     // order the coordinator settles its debt in.
     let partition: fn() -> Backend = || Backend::Partition(spawn_partition_engine(0, 100));
-    let executor: fn() -> Backend = || Backend::Executor(spawn_executor_engine(0, 100));
+    let executor: fn() -> Backend = || Backend::Partition(spawn_executor_engine(0, 100));
     for backend in [partition, executor] {
         let handle =
             Server::spawn_backend(backend(), uds_endpoint(), ServerConfig::default()).unwrap();

@@ -1,8 +1,8 @@
 //! Does the locked engine scale inside one instance? One shared-everything
 //! TPC-C partition (8 warehouses, the `tpcc_locked` shape), N threads each
-//! on its own `engine.session(64)`, no sockets, obs off: whatever moves
-//! between 1 and N sessions here is the engine's own sharing cost — lock
-//! manager, buffer pool, B+-tree root, WAL — and nothing else.
+//! submitting local plans with a retry budget of 64, no sockets, obs off:
+//! whatever moves between 1 and N sessions here is the engine's own sharing
+//! cost — lock manager, buffer pool, B+-tree root, WAL — and nothing else.
 //!
 //! Run with: `cargo run --release --example locked_scaling -- SESSIONS SECONDS`
 //!
@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use oltp_islands::core::native::{Engine, PartitionConfig, PartitionEngine, TpccPartition};
+use oltp_islands::core::native::{PartitionConfig, PartitionEngine, TpccPartition};
 use oltp_islands::workload::{TpccGenerator, TpccSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -104,12 +104,13 @@ fn main() {
         for (client, tally) in tallies.iter().enumerate() {
             let (engine, stop) = (&engine, &stop);
             scope.spawn(move || {
-                let mut session = engine.session(64);
                 let mut generator = TpccGenerator::new(spec, client as u64);
                 let mut rng = SmallRng::seed_from_u64(0x15_1A_0D_05 ^ client as u64);
                 while !stop.load(Ordering::Relaxed) {
                     let plan = generator.next(&mut rng);
-                    let out = session.submit(&plan).expect("a well-formed local plan");
+                    let out = engine
+                        .submit_plan_local(&plan, 64)
+                        .expect("a well-formed local plan");
                     tally
                         .retries
                         .fetch_add(out.retries as u64, Ordering::Relaxed);

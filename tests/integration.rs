@@ -7,7 +7,7 @@ use islands_bench::drive::{drive, DriveConfig, DriveTarget, DriveWorkload};
 use oltp_islands::core::simrt::{run_with_audit, SimClusterConfig, SimWorkload};
 use oltp_islands::hwtopo::Machine;
 use oltp_islands::server::{
-    Backend, Cluster, ClusterClient, DeployConfig, DeployOutcome, DeployReply, EngineMode,
+    Cluster, ClusterClient, DeployConfig, DeployOutcome, DeployReply, EngineMode,
 };
 use oltp_islands::storage::store::MemStore;
 use oltp_islands::storage::wal::MemLogDevice;
@@ -227,10 +227,7 @@ fn native_single_threaded_fine_grained_optimization() {
     }
     assert!(run(&mut client, &upd(&[50, 150])).distributed);
     for i in 0..2 {
-        let Backend::Executor(island) = cluster.instance(i) else {
-            panic!("serial clusters are made of executors");
-        };
-        let (acquires, _, _) = island.lock_stats().unwrap();
+        let (acquires, _, _) = cluster.instance(i).instance().locks().stats();
         assert_eq!(acquires, 0, "serial instances skip the lock manager");
     }
     assert_eq!(cluster.audit_sum().unwrap(), 12);
