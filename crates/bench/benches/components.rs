@@ -1,8 +1,7 @@
-//! Criterion microbenchmarks of the core substrates: B+tree, buffer pool,
-//! lock table and manager (alone, beside one and beside three more
-//! callers), log
-//! buffer, WAL commit, the session and executor hops, Zipf sampling,
-//! and the DES kernel.
+//! Criterion microbenchmarks of the core substrates: B+tree, table reads,
+//! buffer pool, lock table and manager (alone, beside one and beside three
+//! more callers), log buffer, WAL commit, the session and executor hops,
+//! Zipf sampling, and the DES kernel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,6 +15,7 @@ use islands_storage::btree::BTree;
 use islands_storage::buffer::BufferPool;
 use islands_storage::lock::{LockId, LockMode, LockTable, NativeLockManager};
 use islands_storage::store::MemStore;
+use islands_storage::table::Table;
 use islands_storage::wal::buffer::LogBuffer;
 use islands_storage::wal::record::LogPayload;
 use islands_storage::wal::{DiscardLogDevice, LogDevice, LogManager};
@@ -61,17 +61,25 @@ fn by_callers(c: &mut Criterion, id: &str, op: impl Fn(u64, u64) + Sync) {
 }
 
 /// A point lookup in a 100k-key tree the pool holds: every caller crosses
-/// the same root.
+/// the same root. Then a row read from a bulk-loaded 100k-row table on the
+/// same pool: its load directory finds the heap page without the tree.
 fn bench_btree(c: &mut Criterion) {
     let pool = BufferPool::new(Arc::new(MemStore::new()), 8192);
     pool.set_wal_barrier(Arc::new(|| Ok(())));
-    let tree = BTree::create(pool).unwrap();
+    let tree = BTree::create(Arc::clone(&pool)).unwrap();
     for k in 0..100_000u64 {
         tree.insert(k, k).unwrap();
     }
+    let stride = |t: u64, i: u64| (t * 25_000 + i * 7919) % 100_000;
     by_callers(c, "btree_get", |t, i| {
-        let k = (t * 25_000 + i * 7919) % 100_000;
-        std::hint::black_box(tree.get(k).unwrap());
+        std::hint::black_box(tree.get(stride(t, i)).unwrap());
+    });
+    let table = Table::create(pool, 1, "t", 64).unwrap();
+    table
+        .load((0..100_000u64).map(|k| (k, k.to_le_bytes().repeat(8))))
+        .unwrap();
+    by_callers(c, "table_get", |t, i| {
+        std::hint::black_box(table.get(stride(t, i)).unwrap());
     });
 }
 

@@ -361,8 +361,8 @@ impl PartitionEngine {
     /// Run `f` on the calling thread as one call on the partition: alone,
     /// holding the turn, when the engine is `single_threaded`; beside other
     /// callers under 2PL otherwise. The `queue_depth` gauge counts callers
-    /// waiting for the turn. The in-doubt table's lock is only ever taken
-    /// inside the turn, never around it.
+    /// waiting for the turn. The in-doubt table's lock is taken inside the
+    /// turn or without it ([`observe`](Self::observe)), never around it.
     fn take_turn<T>(&self, f: impl FnOnce() -> T) -> Result<T, ExecError> {
         let Some(turn) = &self.turn else {
             return Ok(f());
@@ -412,12 +412,11 @@ impl PartitionEngine {
 
     /// Fill in what only the engine knows when a stats snapshot is taken:
     /// the branches parked in its in-doubt table and its lock manager's
-    /// counts. A partition that is gone reports nothing.
+    /// counts. Neither needs the turn, so a partition whose turn is
+    /// poisoned still reports the branches it leaves in doubt.
     pub fn observe(&self, snap: &mut Snapshot) {
-        let _ = self.take_turn(|| {
-            snap.in_doubt = self.in_doubt.parked() as u64;
-            (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
-        });
+        snap.in_doubt = self.in_doubt.parked() as u64;
+        (snap.lock_acquires, snap.lock_waits, snap.lock_dies) = self.inst.locks().stats();
     }
 
     /// The key range `[lo, hi)` this partition owns.
@@ -817,8 +816,9 @@ mod tests {
     }
 
     #[test]
-    fn a_row_update_is_one_lock_one_descent_and_one_heap_page() {
-        // Enough rows for an index with a root above its leaves.
+    fn a_loaded_row_update_is_one_lock_and_one_heap_page() {
+        // Enough rows for an index with a root above its leaves, which the
+        // load directory's lookups never descend.
         let e = PartitionEngine::build(&PartitionConfig {
             lo: 0,
             hi: 2_000,
@@ -831,11 +831,7 @@ mod tests {
         assert_eq!(height, 2);
         let (acquires, fetches) = plan_cost(&e, &update(&[3, 700, 1_400, 1_999]).to_plan());
         assert_eq!(acquires, 4, "an X lock per row and no table intent");
-        assert_eq!(
-            fetches,
-            4 * (height + 1),
-            "per row: the descent and the heap page"
-        );
+        assert_eq!(fetches, 4, "per row: the heap page, no descent");
     }
 
     /// Lock requests `plan` makes on `e`, and the lock entries it holds just
@@ -1588,6 +1584,26 @@ mod tests {
             assert!(matches!(e.audit_sum(), Err(ExecError::Gone)));
             assert!(matches!(e.ownerless_gtids(), Err(ExecError::Gone)));
             drop(survivor);
+        }
+
+        #[test]
+        fn a_gone_partition_still_reports_its_parked_branches() {
+            let e = serial_partition();
+            let s = e.session();
+            assert!(matches!(prepare(&s, 7, &[110]), Ok(Vote::Yes)));
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = e.turn.as_ref().unwrap().lock().unwrap();
+                    panic!("session died mid-transaction");
+                })
+                .join()
+            });
+            assert!(died.is_err());
+            assert!(matches!(e.decide(7, true), Err(ExecError::Gone)));
+            // A drain check reading this snapshot must see the leak.
+            let mut snap = Snapshot::default();
+            e.observe(&mut snap);
+            assert_eq!(snap.in_doubt, 1);
         }
 
         #[cfg(feature = "lockcheck")]

@@ -276,6 +276,43 @@ impl HeapFile {
         Ok(f(g.get_record(rid.slot)?))
     }
 
+    /// `f` over the record at `rid` under its page's read latch, if the
+    /// slot holds a live record; `None` for a dead or unused slot, or when
+    /// `f` declines.
+    pub(crate) fn with_live<T>(
+        &self,
+        rid: Rid,
+        f: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<Option<T>> {
+        let pin = self.pool.fetch(rid.page)?;
+        let g = pin.read();
+        Ok(match g.slot_live(rid.slot) {
+            true => f(g.get_record(rid.slot)?),
+            false => None,
+        })
+    }
+
+    /// [`modify`](Self::modify) if the slot at `rid` holds a live record;
+    /// `None` for a dead or unused slot, or when `f` declines (the page is
+    /// then left clean).
+    pub(crate) fn modify_live<T>(
+        &self,
+        rid: Rid,
+        f: impl FnOnce(&mut [u8]) -> Option<T>,
+    ) -> Result<Option<T>> {
+        let pin = self.pool.fetch(rid.page)?;
+        let mut g = pin.write();
+        if !g.slot_live(rid.slot) {
+            return Ok(None);
+        }
+        let out = f(g.record_mut(rid.slot)?);
+        drop(g);
+        if out.is_some() {
+            pin.mark_dirty();
+        }
+        Ok(out)
+    }
+
     /// Overwrite the record at `rid` (same size).
     pub fn update(&self, rid: Rid, rec: &[u8]) -> Result<()> {
         let pin = self.pool.fetch(rid.page)?;

@@ -9,8 +9,17 @@
 //! heap appended page by page and the index built bottom-up, each page
 //! written once, straight into the page store. That is the only load path;
 //! [`Table::insert_row`] is the transactional one.
+//!
+//! The load also keeps its sorted `(key, RID)` entries as the table's
+//! *load directory*: loaded rows never move (updates are in place), so a
+//! point lookup ([`Table::get`], [`Table::modify`]) binary-searches it and
+//! goes straight to the heap page, writing no shared line of the B+tree on
+//! the way. A hit counts only if, under the page latch, the slot is live
+//! and its record starts with the key; anything else (a key never loaded,
+//! a loaded key deleted or re-inserted elsewhere) takes the tree, which
+//! stays the one complete index.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::btree::{check_ascending, BTree};
 use crate::buffer::BufferPool;
@@ -38,6 +47,10 @@ pub struct Table {
     pub row_size: usize,
     heap: HeapFile,
     index: BTree,
+    /// The first non-empty load's `(key, packed RID)` entries, ascending;
+    /// never written after. Unset for a table that was never loaded or was
+    /// re-attached with [`open`](Self::open).
+    loaded: OnceLock<Box<[(u64, u64)]>>,
 }
 
 impl Table {
@@ -50,6 +63,7 @@ impl Table {
             row_size,
             heap: HeapFile::create(Arc::clone(&pool))?,
             index: BTree::create(pool)?,
+            loaded: OnceLock::new(),
         })
     }
 
@@ -61,6 +75,7 @@ impl Table {
             row_size: meta.row_size,
             heap: HeapFile::open(Arc::clone(&pool), meta.heap_head)?,
             index: BTree::open(pool, meta.index_root, meta.index_height, meta.row_count),
+            loaded: OnceLock::new(),
         })
     }
 
@@ -119,7 +134,8 @@ impl Table {
     /// publishing the index), go through their frames. The pool takes the
     /// rest on first use. The heap's fresh pages may be built on more than
     /// one thread: each worker walks its own clone of `rows` from its first
-    /// row and fills its own slice of the index entries.
+    /// row and fills its own slice of the index entries. Those entries are
+    /// then kept as the table's load directory (16 bytes a row).
     pub fn load<I, P>(&self, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (u64, P)>,
@@ -163,11 +179,34 @@ impl Table {
                     rec[8..].copy_from_slice(payload.as_ref());
                 }
             })?;
-        self.index.load(&entries)
+        self.index.load(&entries)?;
+        if count > 0 {
+            // Only a table emptied since its first load can be loaded
+            // again; its directory stays the first load's and misses.
+            let _ = self.loaded.set(entries.into_boxed_slice());
+        }
+        Ok(())
     }
 
-    /// Read a row's payload.
+    /// Where the load put `key`, if it loaded `key`: a hint a lookup checks
+    /// under the page latch (see the module docs).
+    fn loaded_rid(&self, key: u64) -> Option<Rid> {
+        let dir = self.loaded.get()?;
+        let at = dir.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(Rid::unpack(dir[at].1))
+    }
+
+    /// Read a row's payload: from where the load put it if it is still
+    /// there, else through the index.
     pub fn get(&self, key: u64) -> Result<Option<Vec<u8>>> {
+        if let Some(rid) = self.loaded_rid(key) {
+            let row = self.heap.with_live(rid, |rec| {
+                (rec[..8] == key.to_le_bytes()).then(|| rec[8..].to_vec())
+            })?;
+            if row.is_some() {
+                return Ok(row);
+            }
+        }
         match self.index.get(key)? {
             None => Ok(None),
             Some(packed) => {
@@ -189,10 +228,21 @@ impl Table {
         })
     }
 
-    /// Rewrite a row's payload where it lies: one index descent and one
-    /// heap write latch, where a `get` followed by an `update` pays two
-    /// descents and three heap fetches.
+    /// Rewrite a row's payload where it lies: one lookup (as [`get`](Self::get)
+    /// finds a row) and one heap write latch, where a `get` followed by an
+    /// `update` pays two lookups and three heap fetches.
     pub fn modify<T>(&self, key: u64, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
+        let mut f = Some(f);
+        if let Some(rid) = self.loaded_rid(key) {
+            let out = self.heap.modify_live(rid, |rec| {
+                let (head, row) = rec.split_at_mut(8);
+                (*head == key.to_le_bytes()).then(|| f.take().expect("called once")(row))
+            })?;
+            if let Some(out) = out {
+                return Ok(out);
+            }
+        }
+        let f = f.expect("a declined directory hit leaves it");
         let packed = self.index.get(key)?.ok_or(StorageError::KeyNotFound(key))?;
         self.heap
             .modify(Rid::unpack(packed), |rec| f(&mut rec[8..]))
@@ -227,7 +277,8 @@ impl Table {
         self.index.len()
     }
 
-    /// Index levels a point lookup traverses (sim cost input).
+    /// Levels of the B+tree index (sim cost input): what a lookup the load
+    /// directory does not serve descends.
     pub fn index_height(&self) -> u32 {
         self.index.height()
     }
@@ -368,6 +419,53 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a loaded table answers once key 7 is deleted and key 9 deleted
+    /// and re-inserted: the load directory's RIDs for both are dead slots.
+    fn answers_after_delete_and_reinsert(t: &Table) {
+        assert_eq!(t.get(7).unwrap(), None);
+        assert!(matches!(
+            t.modify(7, |_| ()),
+            Err(StorageError::KeyNotFound(7))
+        ));
+        assert!(matches!(
+            t.update(7, &[0u8; 8]),
+            Err(StorageError::KeyNotFound(7))
+        ));
+        assert_eq!(t.get(9).unwrap(), Some(vec![9u8; 8]));
+        t.modify(9, |row| row[0] = 1).unwrap();
+        let mut moved = vec![9u8; 8];
+        moved[0] = 1;
+        assert_eq!(t.get(9).unwrap(), Some(moved.clone()));
+        assert_eq!(t.update(9, &[9u8; 8]).unwrap(), moved);
+        assert_eq!(t.get(9).unwrap(), Some(vec![9u8; 8]));
+        // A loaded row nothing moved.
+        assert_eq!(t.get(8).unwrap(), Some(8u64.to_le_bytes().to_vec()));
+        assert_eq!(t.update(8, &[8u8; 8]).unwrap(), 8u64.to_le_bytes());
+        assert_eq!(t.update(8, &8u64.to_le_bytes()).unwrap(), [8u8; 8]);
+    }
+
+    #[test]
+    fn a_loaded_key_deleted_or_moved_is_found_through_the_index() {
+        let pool = BufferPool::new(Arc::new(MemStore::new()), 1024);
+        let t = Table::create(Arc::clone(&pool), 1, "t", 8).unwrap();
+        t.load((0..1000u64).map(|k| (k, k.to_le_bytes()))).unwrap();
+        let (at7, at9) = (t.loaded_rid(7), t.loaded_rid(9));
+        assert!(at7.is_some() && at9.is_some());
+        assert!(t.delete_row(7).unwrap());
+        assert!(t.delete_row(9).unwrap());
+        assert_eq!(t.get(9).unwrap(), None);
+        let now9 = t.insert_row(9, &[9u8; 8]).unwrap();
+        assert_ne!(Some(now9), at9);
+        assert_eq!((t.loaded_rid(7), t.loaded_rid(9)), (at7, at9));
+        answers_after_delete_and_reinsert(&t);
+        // Re-attached, the table has no directory and answers the same.
+        let meta = t.meta();
+        drop(t);
+        let t = Table::open(pool, &meta).unwrap();
+        assert_eq!(t.loaded_rid(8), None);
+        answers_after_delete_and_reinsert(&t);
     }
 
     #[test]
