@@ -4,7 +4,9 @@
 //!
 //! 1. spawn a multi-process deployment with durable per-instance WALs and
 //!    the coordinator's decision log,
-//! 2. drive warm mixed load (local + wire-2PC multisite updates),
+//! 2. drive warm mixed load (local + wire-2PC multisite updates) through
+//!    [`islands_bench::drive`], which judges the phase by the same verdict
+//!    as every sweep cell,
 //! 3. park an undecided in-doubt branch on the victim (a raw coordinator
 //!    that prepares and goes silent), then trip a scripted fault — SIGKILL
 //!    of the victim at a chosen 2PC point — under live multisite traffic,
@@ -12,11 +14,13 @@
 //!    parks the in-doubt branches, the resolver settles them (commit for
 //!    decided gtids, presumed abort for the rest) before the instance
 //!    re-serves,
-//! 5. drive verify load (which also walks the client reconnect path) and
-//!    close with the audit identity: committed row writes across the whole
-//!    deployment must equal exactly what committed clients observed —
-//!    including the branch the victim only learned about during recovery —
-//!    with zero in-doubt transactions at drain.
+//! 5. commit the zombie branch's key (which also walks the client reconnect
+//!    path), drive verify load through `drive` and close with the audit
+//!    identity: committed row writes across the whole deployment must equal
+//!    exactly what committed clients observed — including the branch the
+//!    victim only learned about during recovery — and the teardown must
+//!    pass [`TeardownReport::faults`]: clean exits, zero in-doubt
+//!    transactions at drain.
 //!
 //! ```sh
 //! cargo run --release -p islands-bench --bin islands-drill -- \
@@ -32,13 +36,17 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use islands_bench::drive::{
+    class_json, drive, instance_json, DriveConfig, DriveResult, DriveTarget, DriveWorkload,
+    TeardownReport,
+};
 use islands_core::native::EngineMode;
 use islands_server::deploy::{
     self, DeployConfig, DeployReply, Deployment, FaultPlan, FaultPoint, SpawnMode, Transport,
 };
 use islands_server::{Client, DeployClient, Request};
 use islands_workload::plan::MICRO_TABLE;
-use islands_workload::{PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp};
+use islands_workload::{MicroSpec, OpKind, PlanBranch, PlanClass, PlanRequest, PlanStep, StepOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,8 +158,8 @@ fn parse_args() -> Result<Args, String> {
     if !(0.0..=100.0).contains(&args.multisite_pct) {
         return Err("--multisite must be 0-100".into());
     }
-    if !args.secs.is_finite() || args.secs < 0.0 {
-        return Err("--secs must be a nonnegative number".into());
+    if !args.secs.is_finite() || args.secs <= 0.0 {
+        return Err("--secs must be a positive number (a phase must commit)".into());
     }
     if args.transport != "uds" && args.transport != "tcp" {
         return Err(format!("--transport uds|tcp, got {}", args.transport));
@@ -186,8 +194,8 @@ fn update(keys: &[u64]) -> PlanRequest {
     }
 }
 
-/// Tallies from one load phase; `expected_rows` is the audit-identity
-/// contribution (committed update transactions write one row per key).
+/// Tallies of the fault phase; `expected_rows` is its audit-identity
+/// contribution (a committed update writes one row per key).
 #[derive(Debug, Default)]
 struct Tally {
     committed: u64,
@@ -196,41 +204,47 @@ struct Tally {
     expected_rows: u64,
 }
 
-/// Closed-loop mixed load from one client for `secs`: single-site updates
-/// with a `multisite_pct` fraction of two-instance wire-2PC updates. Every
-/// submit outcome is definitive (the coordinator is this process), so the
-/// expected-rows tally is exact.
-fn drive_mixed(
-    client: &mut DeployClient,
-    deploy: &Deployment,
-    rng: &mut SmallRng,
-    secs: f64,
-    multisite_pct: f64,
-    tally: &mut Tally,
-) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs_f64(secs);
-    let n = deploy.instances();
-    while Instant::now() < deadline {
-        let req = if rng.gen_bool(multisite_pct / 100.0) {
-            let a = rng.gen_range(0..n);
-            let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-            update(&[key_of(deploy, a, rng), key_of(deploy, b, rng)])
-        } else {
-            let i = rng.gen_range(0..n);
-            update(&[key_of(deploy, i, rng)])
-        };
-        match client.submit_plan(&req) {
-            Ok(DeployReply::Outcome(o)) if o.committed => {
-                tally.committed += 1;
-                tally.expected_rows += req.write_rows();
-            }
-            Ok(DeployReply::Outcome(_)) => tally.aborted += 1,
-            Ok(DeployReply::InstanceDown(_)) => tally.down += 1,
-            Ok(other) => return Err(format!("unexpected reply {other:?}")),
-            Err(e) => return Err(format!("submit failed: {e}")),
-        }
+/// One load phase through [`drive`]: a single client of 2-row updates, a
+/// `multisite_pct` share of them across two instances. The phase must
+/// pass [`DriveResult::faults`], audit identity included.
+fn drive_phase(
+    phase: &str,
+    deploy: &Arc<Deployment>,
+    args: &Args,
+    seed: u64,
+) -> Result<DriveResult, String> {
+    let spec = MicroSpec {
+        total_rows: args.rows,
+        row_size: 64,
+        ..MicroSpec::new(OpKind::Update, 2, args.multisite_pct / 100.0).with_sites(2)
+    };
+    let cfg = DriveConfig {
+        seed,
+        ..DriveConfig::closed(
+            1,
+            args.secs,
+            DriveWorkload::Micro(spec),
+            args.instances as u64,
+        )
+    };
+    let r = drive(&DriveTarget::Deployment(deploy), &cfg).map_err(|e| format!("{phase}: {e}"))?;
+    judge(phase, r.faults())?;
+    println!(
+        "{phase}: committed={} aborted={} (committed writes {})",
+        r.committed(),
+        r.local.aborted + r.multi.aborted,
+        r.committed_writes()
+    );
+    Ok(r)
+}
+
+/// `Err` naming every fault of `what`, if it has any.
+fn judge(what: &str, faults: Vec<String>) -> Result<(), String> {
+    if faults.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{what}: {}", faults.join("; ")))
     }
-    Ok(())
 }
 
 fn key_of(deploy: &Deployment, i: usize, rng: &mut SmallRng) -> u64 {
@@ -241,18 +255,10 @@ fn key_of(deploy: &Deployment, i: usize, rng: &mut SmallRng) -> u64 {
 /// Submit with a retry budget: after the restart the deploy client's cached
 /// connection to the victim is stale, and the first touches walk the
 /// reconnect-with-backoff path.
-fn submit_retrying(
-    client: &mut DeployClient,
-    req: &PlanRequest,
-    tally: &mut Tally,
-) -> Result<(), String> {
+fn submit_retrying(client: &mut DeployClient, req: &PlanRequest) -> Result<(), String> {
     for _ in 0..50 {
         match client.submit_plan(req) {
-            Ok(DeployReply::Outcome(o)) if o.committed => {
-                tally.committed += 1;
-                tally.expected_rows += req.write_rows();
-                return Ok(());
-            }
+            Ok(DeployReply::Outcome(o)) if o.committed => return Ok(()),
             Ok(_) | Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
@@ -260,9 +266,9 @@ fn submit_retrying(
 }
 
 struct DrillReport {
-    warm: Tally,
+    warm: DriveResult,
     fault: Tally,
-    verify: Tally,
+    verify: DriveResult,
     faulted_committed: u64,
     restart_ms: f64,
     recoveries: u64,
@@ -272,8 +278,7 @@ struct DrillReport {
     audit_actual: u64,
     decided_commits: u64,
     presumed_aborts: u64,
-    instances_clean: usize,
-    in_doubt_leaks: u64,
+    teardown: TeardownReport,
 }
 
 fn run(args: &Args) -> Result<DrillReport, String> {
@@ -319,19 +324,7 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     let audit_base = client.audit_total().map_err(|e| format!("audit: {e}"))?;
 
     // Phase 1: warm load against a healthy deployment.
-    let mut warm = Tally::default();
-    drive_mixed(
-        &mut client,
-        &deploy,
-        &mut rng,
-        args.secs,
-        args.multisite_pct,
-        &mut warm,
-    )?;
-    println!(
-        "warm: committed={} aborted={} (expected rows {})",
-        warm.committed, warm.aborted, warm.expected_rows
-    );
+    let warm = drive_phase("warm", &deploy, args, args.seed)?;
 
     // Phase 2a: park an undecided branch on the victim. The raw coordinator
     // stays connected — a disconnect would resolve it live via presumed
@@ -426,20 +419,10 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     // Phase 4: verify. The zombie key commits only if the presumed abort
     // released its footprint; mixed load proves the rejoined instance
     // serves both classes again.
-    let mut verify = Tally::default();
-    submit_retrying(&mut client, &update(&[zombie_key]), &mut verify)?;
-    drive_mixed(
-        &mut client,
-        &deploy,
-        &mut rng,
-        args.secs,
-        args.multisite_pct,
-        &mut verify,
-    )?;
-    println!(
-        "verify: committed={} aborted={} restart={restart_ms:.0}ms",
-        verify.committed, verify.aborted
-    );
+    println!("restart took {restart_ms:.0}ms");
+    let zombie_write = update(&[zombie_key]);
+    submit_retrying(&mut client, &zombie_write)?;
+    let verify = drive_phase("verify", &deploy, args, args.seed.wrapping_add(1))?;
 
     // The victim's own metrics tell the recovery story.
     let mut probe = Client::connect(&deploy.endpoint(victim)).map_err(|e| format!("probe: {e}"))?;
@@ -467,7 +450,10 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     // The audit identity, deployment-wide: every committed update wrote one
     // row per key — the faulted transaction's victim branch included, which
     // only recovery could have applied — and nothing else did.
-    let audit_expected = warm.expected_rows + fault.expected_rows + verify.expected_rows;
+    let audit_expected = warm.committed_writes()
+        + fault.expected_rows
+        + zombie_write.write_rows()
+        + verify.committed_writes();
     let audit_actual = client.audit_total().map_err(|e| format!("audit: {e}"))? - audit_base;
     if audit_actual != audit_expected {
         return Err(format!(
@@ -480,24 +466,17 @@ fn run(args: &Args) -> Result<DrillReport, String> {
     let decided_commits = deploy.decided_commits();
     let presumed_aborts = deploy.presumed_aborts();
     drop(client);
-    let reports = Arc::try_unwrap(deploy)
-        .ok()
-        .expect("all clients dropped")
-        .shutdown();
-    let instances_clean = reports.iter().filter(|r| r.clean).count();
-    let in_doubt_leaks: u64 = reports
-        .iter()
-        .filter_map(|r| r.stats.map(|s| s.in_doubt))
-        .sum();
-    for r in &reports {
-        if !r.clean {
-            return Err(format!("instance {} exited unclean: {}", r.index, r.detail));
-        }
-    }
-    if in_doubt_leaks > 0 {
-        return Err(format!("{in_doubt_leaks} in-doubt transaction(s) leaked"));
-    }
-    println!("drained clean: {instances_clean} instances, in_doubt=0");
+    let teardown = TeardownReport::of(
+        Arc::try_unwrap(deploy)
+            .ok()
+            .expect("all clients dropped")
+            .shutdown(),
+    );
+    judge("teardown", teardown.faults())?;
+    println!(
+        "drained clean: {} instances, in_doubt=0",
+        teardown.instances.len()
+    );
     if cleanup_wal {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
@@ -515,8 +494,7 @@ fn run(args: &Args) -> Result<DrillReport, String> {
         audit_actual,
         decided_commits,
         presumed_aborts,
-        instances_clean,
-        in_doubt_leaks,
+        teardown,
     })
 }
 
@@ -524,6 +502,17 @@ fn tally_json(t: &Tally) -> String {
     format!(
         "{{\"committed\":{},\"aborted\":{},\"down\":{},\"expected_rows\":{}}}",
         t.committed, t.aborted, t.down, t.expected_rows
+    )
+}
+
+/// A phase [`drive`] ran: its audit identity, then each class's tallies.
+fn phase_json(r: &DriveResult) -> String {
+    format!(
+        "{{\"committed_writes\":{},\"audit_delta\":{},\"local\":{},\"multisite\":{}}}",
+        r.committed_writes(),
+        r.audit_delta,
+        class_json(&r.local, r.elapsed),
+        class_json(&r.multi, r.elapsed),
     )
 }
 
@@ -546,9 +535,9 @@ fn write_json(path: &str, args: &Args, victim: usize, r: &DrillReport) -> std::i
     ));
     out.push_str(&format!(
         "  \"phases\": {{\"warm\": {}, \"fault\": {}, \"verify\": {}}},\n",
-        tally_json(&r.warm),
+        phase_json(&r.warm),
         tally_json(&r.fault),
-        tally_json(&r.verify),
+        phase_json(&r.verify),
     ));
     out.push_str(&format!(
         "  \"fault\": {{\"faulted_txn_committed\":{}}},\n",
@@ -563,10 +552,17 @@ fn write_json(path: &str, args: &Args, victim: usize, r: &DrillReport) -> std::i
         "  \"audit\": {{\"expected_rows\":{},\"actual_rows\":{},\"identity_ok\":true}},\n",
         r.audit_expected, r.audit_actual,
     ));
+    let exits = r
+        .teardown
+        .instances
+        .iter()
+        .map(instance_json)
+        .collect::<Vec<_>>()
+        .join(", ");
     out.push_str(&format!(
-        "  \"teardown\": {{\"instances_clean\":{},\"in_doubt_leaks\":{},\
-         \"decided_commits\":{},\"presumed_aborts\":{}}}\n",
-        r.instances_clean, r.in_doubt_leaks, r.decided_commits, r.presumed_aborts,
+        "  \"teardown\": {{\"in_doubt_leaks\":{},\"decided_commits\":{},\
+         \"presumed_aborts\":{},\"instance_exits\":[{exits}]}}\n",
+        r.teardown.in_doubt_leaks, r.decided_commits, r.presumed_aborts,
     ));
     out.push_str("}\n");
     let mut f = std::fs::File::create(path)?;

@@ -644,31 +644,8 @@ fn run_cell(args: &Args, shared: &Shared, point: &Point, seed: u64) -> Result<Ce
     for snap in &scrapes {
         obs.merge(snap);
     }
-    let mut faults = Vec::new();
-    if result.committed() == 0 {
-        faults.push("zero committed transactions".to_string());
-    }
-    if result.client_failures > 0 {
-        faults.push(format!("{} client(s) failed", result.client_failures));
-    }
-    for r in teardown.instances.iter().filter(|r| !r.clean) {
-        faults.push(format!("instance {} unclean: {}", r.index, r.detail));
-    }
-    if teardown.in_doubt_leaks > 0 {
-        faults.push(format!(
-            "{} in-doubt transaction(s) leaked",
-            teardown.in_doubt_leaks
-        ));
-    }
-    if let Some(delta) = result
-        .audit_delta
-        .filter(|&d| d != result.committed_writes())
-    {
-        faults.push(format!(
-            "audit sum moved by {delta} but committed plans wrote {} rows",
-            result.committed_writes()
-        ));
-    }
+    let mut faults = result.faults();
+    faults.extend(teardown.faults());
     Ok(Cell {
         point: point.clone(),
         workload: args.workload.clone(),
@@ -757,12 +734,8 @@ fn cell_json(c: &Cell) -> String {
     } else {
         String::new()
     };
-    let audit_delta = c
-        .result
-        .audit_delta
-        .map_or_else(|| "null".to_string(), |d| d.to_string());
     format!(
-        "{{{},\"committed\":{},\"committed_writes\":{},\"audit_delta\":{audit_delta},\
+        "{{{},\"committed\":{},\"committed_writes\":{},\"audit_delta\":{},\
          \"throughput_tps\":{:.1},\
          \"coordinator_presumed_aborts\":{},\"unclean_instances\":{},\"in_doubt_leaks\":{},\
          \"client_failures\":{},\"clean\":{},\"pinned\":{},\"elapsed_secs\":{:.3},{},\
@@ -770,6 +743,7 @@ fn cell_json(c: &Cell) -> String {
         c.identity_json(),
         c.result.committed(),
         c.result.committed_writes(),
+        c.result.audit_delta,
         c.result.throughput_tps(),
         c.coordinator_presumed_aborts,
         c.teardown.unclean,

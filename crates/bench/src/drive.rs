@@ -12,13 +12,18 @@
 //! loop over a deployment: the in-process [`Cluster`] is driven here too,
 //! one [`ClusterClient`](islands_server::ClusterClient) per worker thread.
 //!
-//! **The audit identity.** [`drive`] reads the deployment's audit sum (the
-//! row writes its instances applied) before the first request and after
-//! the last worker is joined, and reports the difference as
+//! **The audit identity.** [`drive`] reads the target's audit sum (the row
+//! writes its instances applied) before the first request and after the
+//! last worker is joined, and reports the difference as
 //! [`DriveResult::audit_delta`]. On a correct deployment it equals
 //! [`DriveResult::committed_writes`]: no committed write lost, no aborted
-//! one applied. An external server ([`DriveTarget::Endpoint`]) reports
-//! `None`: its other clients' writes are invisible to this run.
+//! one applied. An external server ([`DriveTarget::Endpoint`]) is read the
+//! same way, so writes other clients made there during the run read as a
+//! broken identity: this run cannot vouch for them.
+//!
+//! **One verdict.** [`DriveResult::faults`] and [`TeardownReport::faults`]
+//! are the rules every driven run is judged by, in words; a run is clean
+//! when both are empty.
 //!
 //! **Retries.** [`ClassTally::aborted`] counts transactions that finally
 //! aborted; [`ClassTally::retries`] counts the abort-and-retry rounds the
@@ -103,17 +108,19 @@ pub enum DriveTarget<'a> {
 }
 
 impl DriveTarget<'_> {
-    /// The deployment-wide audit sum; `None` for an external server.
-    fn audit(&self) -> Result<Option<u64>, String> {
-        let sum = match self {
+    /// The target's audit sum: every instance's, added up.
+    fn audit(&self) -> Result<u64, String> {
+        match self {
             DriveTarget::Deployment(d) => d
                 .client()
                 .and_then(|mut c| c.audit_total())
                 .map_err(|e| e.to_string()),
             DriveTarget::Cluster(cluster) => cluster.audit_sum().map_err(|e| e.to_string()),
-            DriveTarget::Endpoint(_) => return Ok(None),
-        };
-        sum.map(Some).map_err(|e| format!("audit: {e}"))
+            DriveTarget::Endpoint(ep) => connect(ep)
+                .and_then(|mut c| c.audit())
+                .map_err(|e| e.to_string()),
+        }
+        .map_err(|e| format!("audit: {e}"))
     }
 }
 
@@ -193,11 +200,9 @@ pub struct DriveResult {
     pub elapsed: Duration,
     /// Client threads that failed or panicked (any nonzero is a run error).
     pub client_failures: u64,
-    /// How far the deployment's audit sum moved over the run; equal to
+    /// How far the target's audit sum moved over the run; equal to
     /// [`committed_writes`](Self::committed_writes) on a correct one.
-    /// `None` for an external server, whose other clients this run cannot
-    /// see.
-    pub audit_delta: Option<u64>,
+    pub audit_delta: u64,
 }
 
 impl DriveResult {
@@ -212,6 +217,29 @@ impl DriveResult {
 
     pub fn throughput_tps(&self) -> f64 {
         self.committed() as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
+    }
+
+    /// Everything that makes the run unclean, in words; empty is clean.
+    pub fn faults(&self) -> Vec<String> {
+        let mut faults = Vec::new();
+        if self.committed() == 0 {
+            faults.push("zero committed transactions".to_string());
+        }
+        if self.client_failures > 0 {
+            faults.push(format!("{} client(s) failed", self.client_failures));
+        }
+        let errors = self.local.errors + self.multi.errors;
+        if errors > 0 {
+            faults.push(format!("{errors} request(s) answered with an error"));
+        }
+        if self.audit_delta != self.committed_writes() {
+            faults.push(format!(
+                "audit sum moved by {} but committed plans wrote {} rows",
+                self.audit_delta,
+                self.committed_writes()
+            ));
+        }
+        faults
     }
 }
 
@@ -378,9 +406,9 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
             DriveTarget::Deployment(d) => {
                 sockets.push(Submitter::Proc(d.client().map_err(refused)?))
             }
-            DriveTarget::Endpoint(ep) => sockets.push(Submitter::Wire(
-                Client::connect_with_retry(ep, Duration::from_secs(2)).map_err(refused)?,
-            )),
+            DriveTarget::Endpoint(ep) => {
+                sockets.push(Submitter::Wire(connect(ep).map_err(refused)?))
+            }
             DriveTarget::Cluster(_) => {}
         }
     }
@@ -443,10 +471,13 @@ pub fn drive(target: &DriveTarget<'_>, cfg: &DriveConfig) -> Result<DriveResult,
     result.elapsed = started.elapsed();
     // Every worker is joined and its client dropped, so every decision a
     // caller was told about has been applied.
-    result.audit_delta = audit_before
-        .zip(target.audit()?)
-        .map(|(before, after)| after.wrapping_sub(before));
+    result.audit_delta = target.audit()?.wrapping_sub(audit_before);
     Ok(result)
+}
+
+/// One connection to an external server, which may still be coming up.
+fn connect(ep: &Endpoint) -> io::Result<Client> {
+    Client::connect_with_retry(ep, Duration::from_secs(2))
 }
 
 /// How a cell's instances ended, aggregated.
@@ -473,6 +504,23 @@ impl TeardownReport {
             unclean,
             in_doubt_leaks,
         }
+    }
+
+    /// Every way the instances ended badly, in words; empty is clean.
+    pub fn faults(&self) -> Vec<String> {
+        let mut faults: Vec<String> = self
+            .instances
+            .iter()
+            .filter(|r| !r.clean)
+            .map(|r| format!("instance {} unclean: {}", r.index, r.detail))
+            .collect();
+        if self.in_doubt_leaks > 0 {
+            faults.push(format!(
+                "{} in-doubt transaction(s) leaked",
+                self.in_doubt_leaks
+            ));
+        }
+        faults
     }
 }
 
@@ -599,11 +647,8 @@ mod tests {
             let cfg =
                 DriveConfig::closed(clients, 0.2, DriveWorkload::Micro(spec), instances as u64);
             let r = drive(&DriveTarget::Cluster(&cluster), &cfg).unwrap();
-            assert_eq!(r.client_failures, 0, "{cell}");
-            assert_eq!(r.local.errors + r.multi.errors, 0, "{cell}");
-            assert!(r.committed() > 0, "{cell}");
+            assert_eq!(r.faults(), Vec::<String>::new(), "{cell}");
             assert_eq!(r.multi.distributed > 0, multisite, "{cell}");
-            assert_eq!(r.audit_delta, Some(r.committed_writes()), "{cell}");
             let parked: u64 = (0..instances).map(|i| cluster.snapshot(i).in_doubt).sum();
             assert_eq!(parked, 0, "{cell}");
             // Serial islands are owned by taking turns, so no lock is ever
@@ -622,9 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn an_endpoint_target_reports_no_audit_delta() {
-        // One partition behind its own server: other clients could write
-        // there too, so the run claims nothing about its audit sum.
+    fn an_endpoint_target_is_audited_like_any_other() {
+        // One partition behind its own server, read through `Client::audit`
+        // before and after the load.
         let engine = PartitionEngine::build(
             &DeployConfig {
                 instances: 1,
@@ -645,15 +690,66 @@ mod tests {
         .unwrap();
         let cfg = DriveConfig::closed(1, 0.1, DriveWorkload::Micro(updates(100, 2, 0.0)), 1);
         let r = drive(&DriveTarget::Endpoint(handle.endpoint()), &cfg).unwrap();
-        assert_eq!((r.client_failures, r.local.errors), (0, 0));
-        assert!(r.committed() > 0);
-        assert_eq!(r.audit_delta, None);
+        assert_eq!(r.faults(), Vec::<String>::new());
+        assert_eq!(r.audit_delta, r.committed_writes());
         assert_eq!(engine.audit_sum().unwrap(), r.committed_writes());
         Client::connect(handle.endpoint())
             .unwrap()
             .drain_server()
             .unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn each_verdict_rule_yields_exactly_its_message() {
+        let tally = |committed, errors, committed_writes| ClassTally {
+            committed,
+            errors,
+            committed_writes,
+            ..ClassTally::default()
+        };
+        let result = |local, client_failures, audit_delta| DriveResult {
+            local,
+            client_failures,
+            audit_delta,
+            ..DriveResult::default()
+        };
+        assert!(result(tally(2, 0, 4), 0, 4).faults().is_empty());
+        for (r, fault) in [
+            (result(tally(0, 0, 0), 0, 0), "zero committed transactions"),
+            (result(tally(2, 0, 4), 3, 4), "3 client(s) failed"),
+            (
+                result(tally(2, 1, 4), 0, 4),
+                "1 request(s) answered with an error",
+            ),
+            (
+                result(tally(2, 0, 4), 0, 5),
+                "audit sum moved by 5 but committed plans wrote 4 rows",
+            ),
+        ] {
+            assert_eq!(r.faults(), vec![fault.to_string()]);
+        }
+
+        let exit = |index, clean| InstanceExit {
+            index,
+            clean,
+            detail: if clean { "exit 0" } else { "signal 9" }.to_string(),
+            stats: None,
+        };
+        let clean = TeardownReport::of(vec![exit(0, true), exit(1, true)]);
+        assert!(clean.faults().is_empty());
+        assert_eq!(
+            TeardownReport::of(vec![exit(0, true), exit(1, false)]).faults(),
+            vec!["instance 1 unclean: signal 9".to_string()]
+        );
+        let leaky = TeardownReport {
+            in_doubt_leaks: 2,
+            ..TeardownReport::of(Vec::new())
+        };
+        assert_eq!(
+            leaky.faults(),
+            vec!["2 in-doubt transaction(s) leaked".to_string()]
+        );
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub mod partition;
 pub mod simrt;
 
 pub use advisor::{recommend, Recommendation};
-pub use partition::{instance_of_site, SiteMap};
+pub use partition::{instance_of_site, Sites};

@@ -198,7 +198,7 @@ fn check_config(cfg: &PartitionConfig) -> Result<(), StorageError> {
     }
 }
 
-/// Participant-side outcome of executing and preparing one branch.
+/// What executing and preparing one branch came to, on the participant side.
 pub enum BranchOutcome {
     /// Executed, prepare record forced; the handle holds locks until the
     /// coordinator's decision arrives (pass it to [`TxnHandle::decide`]).

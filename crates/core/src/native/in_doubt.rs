@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use islands_dtxn::{Participant, Vote};
+use islands_dtxn::Vote;
 use islands_storage::{StorageError, TxnHandle};
 use islands_workload::plan::PlanRequest;
 
@@ -56,7 +56,6 @@ struct Entry {
     /// The session that prepared it; `None` once that session closed, and
     /// for a replayed branch.
     session: Option<u64>,
-    participant: Participant,
     parked_at: Instant,
     /// `(table, key)` pairs the branch claims; empty when locks guard it.
     footprint: Vec<(u32, u64)>,
@@ -135,8 +134,6 @@ impl InDoubtTable {
         session: Option<u64>,
         footprint: impl FnOnce(&TxnHandle) -> Vec<(u32, u64)>,
     ) {
-        let mut participant = Participant::new(gtid);
-        participant.on_prepare(true, true);
         let footprint = if self.single_threaded {
             footprint(&branch)
         } else {
@@ -148,7 +145,6 @@ impl InDoubtTable {
         let entry = Entry {
             branch: Some(branch),
             session,
-            participant,
             parked_at: Instant::now(),
             footprint,
         };
@@ -172,7 +168,6 @@ impl InDoubtTable {
             let reserved = Entry {
                 branch: None,
                 session: Some(session),
-                participant: Participant::new(gtid),
                 parked_at: Instant::now(),
                 footprint: Vec::new(),
             };
@@ -209,7 +204,6 @@ impl InDoubtTable {
         if !entry.footprint.is_empty() {
             self.guarded.fetch_sub(1, Ordering::Relaxed);
         }
-        entry.participant.on_decision(commit);
         Some(branch.decide(commit))
     }
 

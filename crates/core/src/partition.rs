@@ -9,7 +9,7 @@
 //!
 //! This module is the one place a `(table, key)` becomes an owner: the
 //! simulator, a spawned deployment and the in-process cluster all route
-//! through a [`SiteMap`] and split plans with [`split_plan_by_owner`]. The
+//! through a [`Sites`] map and split plans with [`split_plan_by_owner`]. The
 //! even-range arithmetic itself lives beside the request generator
 //! ([`even_range`] / [`even_owner`]), which draws keys by the same rule.
 
@@ -18,29 +18,12 @@ use std::collections::HashMap;
 use islands_workload::plan::PlanRequest;
 use islands_workload::{even_owner, even_range, tpcc};
 
-/// Maps `(table, key)` to a logical site.
-pub trait SiteMap {
-    fn n_sites(&self) -> usize;
-    fn site_of(&self, table: u32, key: u64) -> usize;
-}
-
 /// Contiguous range partitioning of a single keyspace (the microbenchmark
-/// table): [`even_range`] per site, whatever the table id says. A key past
-/// the end belongs to the last site, whose engine rejects it.
+/// table): [`even_range`] per site, whatever the table id says.
 #[derive(Debug, Clone)]
 pub struct RangeSites {
     pub total_rows: u64,
     pub n_sites: usize,
-}
-
-impl SiteMap for RangeSites {
-    fn n_sites(&self) -> usize {
-        self.n_sites
-    }
-
-    fn site_of(&self, _table: u32, key: u64) -> usize {
-        even_owner(key, self.n_sites, self.total_rows)
-    }
 }
 
 /// Warehouse partitioning for TPC-C-lite: warehouses are striped
@@ -51,25 +34,8 @@ pub struct WarehouseSites {
     pub n_sites: usize,
 }
 
-impl SiteMap for WarehouseSites {
-    fn n_sites(&self) -> usize {
-        self.n_sites
-    }
-
-    fn site_of(&self, table: u32, key: u64) -> usize {
-        // History and order rows are homed where they are written; their
-        // keys encode the warehouse in the high 32 bits.
-        let w = match tpcc::warehouse_of_table(table, key) {
-            Some(w) => w,
-            None => panic!("unknown tpcc table {table}"),
-        };
-        debug_assert!(w < self.warehouses, "warehouse {w} out of range");
-        ((w as u128 * self.n_sites as u128) / self.warehouses as u128) as usize
-    }
-}
-
 /// Warehouse range `[lo, hi)` owned by `site` — the exact inverse of
-/// [`WarehouseSites::site_of`]'s proportional mapping, so a deployment can
+/// [`Sites::site_of`]'s proportional warehouse mapping, so a deployment can
 /// tell each instance which warehouses to load without double-owning or
 /// orphaning any warehouse.
 pub fn warehouse_range(warehouses: u64, n_sites: usize, site: usize) -> (u64, u64) {
@@ -81,8 +47,8 @@ pub fn warehouse_range(warehouses: u64, n_sites: usize, site: usize) -> (u64, u6
     (lo, hi)
 }
 
-/// The site map of one workload: what a deployment of either kind routes
-/// by, statically dispatched.
+/// The site map of one workload: what the simulator and a deployment of
+/// either kind route by, statically dispatched.
 #[derive(Debug, Clone)]
 pub enum Sites {
     /// The microbenchmark table, by key range.
@@ -92,28 +58,37 @@ pub enum Sites {
 }
 
 impl Sites {
-    /// What `site` loads: its key range, or its warehouse range — the
-    /// inverse of [`site_of`](SiteMap::site_of) either way.
-    pub fn range_of(&self, site: usize) -> (u64, u64) {
-        match self {
-            Sites::Range(r) => even_range(site, r.n_sites, r.total_rows),
-            Sites::Warehouse(w) => warehouse_range(w.warehouses, w.n_sites, site),
-        }
-    }
-}
-
-impl SiteMap for Sites {
-    fn n_sites(&self) -> usize {
+    /// How many logical sites the keyspace is split over.
+    pub fn n_sites(&self) -> usize {
         match self {
             Sites::Range(r) => r.n_sites,
             Sites::Warehouse(w) => w.n_sites,
         }
     }
 
-    fn site_of(&self, table: u32, key: u64) -> usize {
+    /// The logical site owning `(table, key)`. A row no site owns — a key
+    /// past the end, a table the workload does not have, a warehouse past
+    /// the last — belongs to the last site, whose engine rejects it.
+    pub fn site_of(&self, table: u32, key: u64) -> usize {
         match self {
-            Sites::Range(r) => r.site_of(table, key),
-            Sites::Warehouse(w) => w.site_of(table, key),
+            Sites::Range(r) => even_owner(key, r.n_sites, r.total_rows),
+            // History and order rows are homed where they are written;
+            // their keys encode the warehouse in the high 32 bits.
+            Sites::Warehouse(s) => match tpcc::warehouse_of_table(table, key) {
+                Some(w) if w < s.warehouses => {
+                    ((w as u128 * s.n_sites as u128) / s.warehouses as u128) as usize
+                }
+                _ => s.n_sites - 1,
+            },
+        }
+    }
+
+    /// What `site` loads: its key range, or its warehouse range — the
+    /// inverse of [`site_of`](Self::site_of) either way.
+    pub fn range_of(&self, site: usize) -> (u64, u64) {
+        match self {
+            Sites::Range(r) => even_range(site, r.n_sites, r.total_rows),
+            Sites::Warehouse(w) => warehouse_range(w.warehouses, w.n_sites, site),
         }
     }
 }
@@ -174,19 +149,19 @@ mod tests {
 
     /// The instances `plan` touches, home first, when `sites` are grouped
     /// into `n_instances`.
-    fn participants(plan: &PlanRequest, sites: &RangeSites, n_instances: usize) -> Vec<usize> {
+    fn participants(plan: &PlanRequest, sites: &Sites, n_instances: usize) -> Vec<usize> {
         split_plan_by_owner(plan, |t, k| {
-            instance_of_site(sites.site_of(t, k), sites.n_sites, n_instances)
+            instance_of_site(sites.site_of(t, k), sites.n_sites(), n_instances)
         })
         .0
     }
 
     #[test]
     fn range_sites_are_contiguous_and_balanced() {
-        let m = RangeSites {
+        let m = Sites::Range(RangeSites {
             total_rows: 24_000,
             n_sites: 24,
-        };
+        });
         let mut counts = [0u64; 24];
         for k in 0..24_000 {
             counts[m.site_of(0, k)] += 1;
@@ -214,10 +189,10 @@ mod tests {
 
     #[test]
     fn multisite_becomes_local_in_coarser_configs() {
-        let sites = RangeSites {
+        let sites = Sites::Range(RangeSites {
             total_rows: 24_000,
             n_sites: 24,
-        };
+        });
         // Keys in sites 0 and 1. Fine-grained: two participants; 4ISL: one.
         let plan = reads(&[10, 1_500]);
         assert_eq!(participants(&plan, &sites, 24).len(), 2);
@@ -226,10 +201,10 @@ mod tests {
 
     #[test]
     fn home_instance_is_first_participant() {
-        let sites = RangeSites {
+        let sites = Sites::Range(RangeSites {
             total_rows: 1000,
             n_sites: 10,
-        };
+        });
         // Sites 9, then 0.
         assert_eq!(participants(&reads(&[950, 10]), &sites, 10), vec![9, 0]);
     }
@@ -262,10 +237,10 @@ mod tests {
 
     #[test]
     fn warehouse_sites_follow_warehouse() {
-        let sites = WarehouseSites {
+        let sites = Sites::Warehouse(WarehouseSites {
             warehouses: 24,
             n_sites: 24,
-        };
+        });
         assert_eq!(sites.site_of(TPCC_WAREHOUSE, 7), 7);
         assert_eq!(sites.site_of(TPCC_DISTRICT, tpcc::district_key(7, 3)), 7);
         assert_eq!(
@@ -275,15 +250,18 @@ mod tests {
         assert_eq!(sites.site_of(TPCC_HISTORY, (7u64 << 32) | 99), 7);
         assert_eq!(sites.site_of(TPCC_ORDER, (7u64 << 32) | 12), 7);
         assert_eq!(sites.site_of(TPCC_STOCK, tpcc::stock_key(7, 999)), 7);
+        // A row no warehouse owns belongs to the last site, which rejects it.
+        assert_eq!(sites.site_of(TPCC_WAREHOUSE, 24), 23);
+        assert_eq!(sites.site_of(MICRO_TABLE, 0), 23);
     }
 
     #[test]
     fn warehouse_range_inverts_site_of_for_awkward_shapes() {
         for (warehouses, n_sites) in [(4u64, 2usize), (5, 2), (7, 3), (24, 24), (9, 4), (2, 2)] {
-            let sites = WarehouseSites {
+            let sites = Sites::Warehouse(WarehouseSites {
                 warehouses,
                 n_sites,
-            };
+            });
             let mut covered = 0u64;
             for s in 0..n_sites {
                 let (lo, hi) = warehouse_range(warehouses, n_sites, s);
@@ -306,10 +284,10 @@ mod tests {
         // 4 warehouses over 2 instances: w 0..2 -> 0, w 2..4 -> 1. A remote
         // Payment homed at w1 paying a w3 customer splits exactly at the
         // customer + history steps.
-        let sites = WarehouseSites {
+        let sites = Sites::Warehouse(WarehouseSites {
             warehouses: 4,
             n_sites: 2,
-        };
+        });
         let plan = PlanRequest {
             class: PlanClass::Payment,
             multisite: true,

@@ -39,9 +39,7 @@ use islands_workload::{MicroGenerator, MicroSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::partition::{
-    instance_of_site, split_plan_by_owner, RangeSites, SiteMap, Sites, WarehouseSites,
-};
+use crate::partition::{instance_of_site, split_plan_by_owner, RangeSites, Sites, WarehouseSites};
 use crate::simrt::costs::CostParams;
 
 /// Workloads the simulated cluster can run.

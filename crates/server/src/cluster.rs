@@ -231,7 +231,7 @@ mod tests {
     use crate::deploy::DeployOutcome;
     use islands_core::native::{DecideOutcome, EngineMode};
     use islands_dtxn::Vote;
-    use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE};
+    use islands_workload::plan::{PlanClass, PlanStep, StepOp, MICRO_TABLE, TPCC_WAREHOUSE};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -539,6 +539,37 @@ mod tests {
                 "{mode}: the good branch rolled back"
             );
             assert_eq!(summed(&c).in_doubt, 0);
+        }
+    }
+
+    #[test]
+    fn a_row_no_instance_owns_is_a_typed_error_not_a_panic() {
+        // 4 warehouses over 2 instances: warehouse 10 is nobody's, and a
+        // TPC-C deployment has no micro table. Both route to the last
+        // instance, whose engine refuses the row.
+        for mode in MODES {
+            let c = Cluster::build(&DeployConfig {
+                instances: 2,
+                engine: mode,
+                workload: crate::deploy::DeployWorkload::Tpcc { warehouses: 4 },
+                ..Default::default()
+            })
+            .unwrap();
+            let before = c.audit_sum().unwrap();
+            let mut client = c.client();
+            for (table, key) in [(TPCC_WAREHOUSE, 10), (MICRO_TABLE, 0)] {
+                let plan = PlanRequest {
+                    class: PlanClass::Generic,
+                    multisite: false,
+                    steps: vec![PlanStep::point(table, key, StepOp::Update)],
+                };
+                match client.submit_plan(&plan).unwrap() {
+                    DeployReply::ServerError(_) => {}
+                    other => panic!("{mode} {table}/{key}: expected a server error, got {other:?}"),
+                }
+            }
+            drop(client);
+            assert_eq!(c.audit_sum().unwrap(), before, "{mode}");
         }
     }
 

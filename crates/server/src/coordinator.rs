@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use islands_core::native::{DecideOutcome, PartitionEngine};
-use islands_core::partition::{split_plan_by_owner, SiteMap, Sites};
+use islands_core::partition::{split_plan_by_owner, Sites};
 use islands_dtxn::{Action, Coordinator, CoordinatorState, DecisionLog, Round, Vote};
 use islands_workload::{PlanBranch, PlanRequest};
 

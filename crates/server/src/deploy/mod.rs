@@ -165,7 +165,6 @@ impl Process {
 
 struct Member {
     endpoint: Mutex<Endpoint>,
-    range: (u64, u64),
     cpus: Option<String>,
     /// Child argv ([`ChildSpec::to_args`]), kept verbatim so
     /// [`Deployment::restart_instance`] respawns the same instance — same
@@ -280,10 +279,6 @@ impl Deployment {
             members.push(Member {
                 // Where it was told to listen, until READY says where it does.
                 endpoint: Mutex::new(listen),
-                range: match &spec.partition.tpcc {
-                    Some(t) => (t.w_lo, t.w_hi),
-                    None => (spec.partition.lo, spec.partition.hi),
-                },
                 cpus,
                 args,
                 process: Mutex::new(process),
@@ -340,7 +335,7 @@ impl Deployment {
     /// What instance `i` owns: its key range, or (TPC-C) its warehouse
     /// range.
     pub fn range(&self, i: usize) -> (u64, u64) {
-        self.members[i].range
+        self.coord.sites.range_of(i)
     }
 
     /// Coordinator-observed presumed aborts so far.

@@ -100,20 +100,9 @@ pub fn stock_key(w: u64, s: u64) -> u64 {
     w * STOCK_PER_WAREHOUSE + s
 }
 
-/// Which warehouse a key of `table` belongs to (partitioning function).
-pub fn warehouse_of(table: &str, key: u64) -> u64 {
-    match table {
-        T_WAREHOUSE => key,
-        T_DISTRICT => key / DISTRICTS_PER_WAREHOUSE,
-        T_CUSTOMER => key / (DISTRICTS_PER_WAREHOUSE * CUSTOMERS_PER_DISTRICT),
-        T_STOCK => key / STOCK_PER_WAREHOUSE,
-        T_HISTORY | T_ORDER => key >> 32,
-        _ => panic!("{table} is not warehouse-partitioned"),
-    }
-}
-
-/// [`warehouse_of`] keyed by plan table id instead of catalog name; `None`
-/// for ids that are not warehouse-partitioned (e.g. the micro table).
+/// Which warehouse a key of plan table `table` belongs to (the partitioning
+/// function); `None` for ids that are not warehouse-partitioned (e.g. the
+/// micro table).
 pub fn warehouse_of_table(table: u32, key: u64) -> Option<u64> {
     match table {
         TPCC_WAREHOUSE => Some(key),
@@ -439,11 +428,14 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for w in 0..4 {
             for d in 0..DISTRICTS_PER_WAREHOUSE {
-                assert_eq!(warehouse_of(T_DISTRICT, district_key(w, d)), w);
+                assert_eq!(
+                    warehouse_of_table(TPCC_DISTRICT, district_key(w, d)),
+                    Some(w)
+                );
                 for c in (0..CUSTOMERS_PER_DISTRICT).step_by(997) {
                     let k = customer_key(w, d, c);
                     assert!(seen.insert(k), "collision at {w},{d},{c}");
-                    assert_eq!(warehouse_of(T_CUSTOMER, k), w);
+                    assert_eq!(warehouse_of_table(TPCC_CUSTOMER, k), Some(w));
                 }
             }
         }
@@ -498,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn warehouse_of_agrees_between_name_and_id() {
+    fn every_tpcc_table_key_names_its_warehouse() {
         for (name, id, key) in [
             (T_WAREHOUSE, TPCC_WAREHOUSE, 7),
             (T_DISTRICT, TPCC_DISTRICT, district_key(7, 3)),
@@ -507,7 +499,6 @@ mod tests {
             (T_HISTORY, TPCC_HISTORY, (7 << 32) | 12345),
             (T_ORDER, TPCC_ORDER, (7 << 32) | 777),
         ] {
-            assert_eq!(warehouse_of(name, key), 7, "{name}");
             assert_eq!(warehouse_of_table(id, key), Some(7), "{name}");
         }
         assert_eq!(warehouse_of_table(crate::plan::MICRO_TABLE, 5), None);

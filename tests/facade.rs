@@ -47,11 +47,11 @@ fn reexported_module_paths_resolve() {
 
     // core: crate-root re-exports of the deployment vocabulary.
     assert_eq!(oltp_islands::core::instance_of_site(23, 24, 4), 3);
-    let sites = oltp_islands::core::partition::RangeSites {
+    let sites = oltp_islands::core::Sites::Range(oltp_islands::core::partition::RangeSites {
         total_rows: 100,
         n_sites: 4,
-    };
-    assert_eq!(oltp_islands::core::SiteMap::site_of(&sites, 0, 99), 3);
+    });
+    assert_eq!(sites.site_of(0, 99), 3);
 }
 
 /// A one-op transaction through the facade: build a tiny in-process

@@ -62,10 +62,8 @@ fn native_concurrent_mixed_load_conserves_updates() {
     };
     let load = DriveConfig::closed(6, 0.4, DriveWorkload::Micro(spec), 4);
     let r = drive(&DriveTarget::Cluster(&cluster), &load).unwrap();
-    assert_eq!((r.client_failures, r.multi.errors), (0, 0));
-    assert!(r.committed() > 0);
+    assert_eq!(r.faults(), Vec::<String>::new());
     assert!(r.multi.distributed > 0);
-    assert_eq!(r.audit_delta, Some(r.committed_writes()));
 }
 
 #[test]
